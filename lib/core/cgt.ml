@@ -40,39 +40,47 @@ let api_size g t =
     (fun nid acc -> if Ggraph.is_api g nid then acc + 1 else acc)
     (node_set g t) 0
 
-let in_degree g t nid =
-  IS.fold
-    (fun eid acc -> if (Ggraph.edge g eid).Ggraph.dst = nid then acc + 1 else acc)
-    t.edges 0
+(* One pass over the edges: every used node's in-degree (lone nodes and
+   sources at 0) and the successors of each node. *)
+let degrees g t =
+  let indeg = Hashtbl.create 16 and succ = Hashtbl.create 16 in
+  IS.iter (fun nid -> Hashtbl.replace indeg nid 0) t.lone;
+  IS.iter
+    (fun eid ->
+      let e = Ggraph.edge g eid in
+      if not (Hashtbl.mem indeg e.Ggraph.src) then
+        Hashtbl.add indeg e.Ggraph.src 0;
+      Hashtbl.replace indeg e.Ggraph.dst
+        (1 + Option.value (Hashtbl.find_opt indeg e.Ggraph.dst) ~default:0);
+      Hashtbl.add succ e.Ggraph.src e.Ggraph.dst)
+    t.edges;
+  (indeg, succ)
 
-let roots_of g t =
-  IS.filter (fun nid -> in_degree g t nid = 0) (node_set g t)
-
-let is_tree g t =
-  if is_empty t then true
-  else begin
-    let ns = node_set g t in
-    let roots = roots_of g t in
-    if IS.cardinal roots <> 1 then false
-    else if not (IS.for_all (fun nid -> in_degree g t nid <= 1) ns) then false
-    else begin
-      (* in-degree <= 1 with a single root still admits a disjoint cycle
-         component (all in-degree 1); demand reachability from the root. *)
-      let seen = Hashtbl.create 16 in
+(* A tree has one node without an incoming edge, no node with two, and
+   every node reachable from that root (in-degree <= 1 with a single root
+   still admits a disjoint cycle component). The empty CGT has no root. *)
+let root g t =
+  let indeg, succ = degrees g t in
+  let roots, fan_in =
+    Hashtbl.fold
+      (fun nid d (roots, fan_in) ->
+        ((if d = 0 then nid :: roots else roots), fan_in || d > 1))
+      indeg ([], false)
+  in
+  match roots with
+  | [ r ] when not fan_in ->
+      let seen = Hashtbl.create (Hashtbl.length indeg) in
       let rec dfs nid =
         if not (Hashtbl.mem seen nid) then begin
           Hashtbl.add seen nid ();
-          IS.iter
-            (fun eid ->
-              let e = Ggraph.edge g eid in
-              if e.Ggraph.src = nid then dfs e.Ggraph.dst)
-            t.edges
+          List.iter dfs (Hashtbl.find_all succ nid)
         end
       in
-      dfs (IS.choose roots);
-      IS.for_all (Hashtbl.mem seen) ns
-    end
-  end
+      dfs r;
+      if Hashtbl.length seen = Hashtbl.length indeg then Some r else None
+  | _ -> None
+
+let is_tree g t = is_empty t || root g t <> None
 
 let is_grammar_valid g t =
   let prods : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -89,11 +97,6 @@ let is_grammar_valid g t =
   with Exit -> false
 
 let well_formed g t = is_tree g t && is_grammar_valid g t
-
-let root g t =
-  if is_empty t then None
-  else if not (is_tree g t) then None
-  else IS.choose_opt (roots_of g t)
 
 let pp g fmt t =
   Format.fprintf fmt "CGT{%s}"

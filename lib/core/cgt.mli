@@ -31,6 +31,9 @@ val api_size : Dggt_grammar.Ggraph.t -> t -> int
 (** Number of distinct API nodes covered. *)
 
 val is_tree : Dggt_grammar.Ggraph.t -> t -> bool
+(** One pass over the edges (in-degree and successor tables), then one
+    DFS from the root. The empty CGT is a tree. *)
+
 val is_grammar_valid : Dggt_grammar.Ggraph.t -> t -> bool
 val well_formed : Dggt_grammar.Ggraph.t -> t -> bool
 (** [is_tree && is_grammar_valid]. The empty CGT is well-formed. *)

@@ -12,7 +12,10 @@ module Trace = Dggt_obs.Trace
    shared — only step 5's chart differs. Outcomes, statistics and trace
    notes must stay byte-identical to {!Dggt_core.Dggt.synthesize} under
    {!Dggt_core.Semiring.Min_size}; the gate in CI holds this file and the
-   semiring walk to each other. *)
+   semiring walk to each other. It prunes and checks trees with the
+   pre-claims pair table ({!Refgprune}) and the quadratic tree check
+   ({!Refcgt}), so the same gate also holds the production pruning and
+   tree check to theirs. *)
 
 type rnode = {
   id : int;
@@ -180,7 +183,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
         | Some child when set_ child -> child.min_size - 1
         | _ -> 0
       in
-      let conflict_tbl = Gprune.prepare g all_paths in
+      let conflict_tbl = Refgprune.prepare g all_paths in
       List.iter
         (fun a ->
           let groups =
@@ -195,7 +198,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
           if List.for_all (fun gp -> gp <> []) groups then begin
             let case_ii = List.length groups > 1 in
             let survivors, total =
-              Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
+              Refgprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
             in
             let after_gprune = List.length survivors in
             if case_ii then begin
@@ -248,7 +251,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
                   combo
               in
               let assignment = (id, a) :: assignment in
-              if ok && Synres.injective assignment && Cgt.well_formed g merged
+              if ok && Synres.injective assignment && Refcgt.well_formed g merged
               then begin
                 merged_any := true;
                 let size = Cgt.api_size g merged in

@@ -21,5 +21,6 @@ val conflicts : Ggraph.t -> (int * Gpath.t) list -> (int * int) list
     one tree). *)
 
 val conflict_table : Ggraph.t -> (int * Gpath.t) list -> (int * int, unit) Hashtbl.t
-(** Same pairs as {!conflicts}, as a hash set for O(1) membership tests in
-    the pruning inner loop. *)
+(** Same pairs as {!conflicts}, as a hash set for O(1) membership tests.
+    Production pruning ([Dggt_core.Gprune]) checks per-node claims
+    instead; the reference pruning and the tests use this table. *)

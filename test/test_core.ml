@@ -437,15 +437,33 @@ let test_gprune_combos () =
       mk_epath 2 p_start "INSERT" "START" e_start;
     ]
   in
-  let t = Gprune.prepare g eps in
   (* long_string goes through POSITION, conflicting with START at pos *)
-  check_b "conflict found" true (List.mem (1, 2) (Gprune.conflict_pairs t));
+  let numbered =
+    List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)) eps
+  in
+  check_b "conflict found" true (List.mem (1, 2) (Pathvote.conflicts g numbered));
+  let t = Gprune.prepare g eps in
   let groups = [ [ List.nth eps 0; List.nth eps 1 ]; [ List.nth eps 2 ] ] in
   let survivors, total = Gprune.combos t ~enabled:true groups in
   check_i "total combos" 2 total;
   check_i "one survivor" 1 (List.length survivors);
   let survivors_off, _ = Gprune.combos t ~enabled:false groups in
-  check_i "disabled keeps both" 2 (List.length survivors_off)
+  check_i "disabled keeps both" 2 (List.length survivors_off);
+  (* The budget is ticked once per path tried at each level, before its
+     conflict check. Strings first: 2 at the top, then START under each
+     (the second START is tried and rejected) = 4. START first: 1, then
+     both strings under it (long_string is tried and rejected) = 3. *)
+  let steps groups ~enabled =
+    let b = Dggt_util.Budget.unlimited () in
+    ignore (Gprune.combos ~budget:b t ~enabled groups);
+    Dggt_util.Budget.steps_used b
+  in
+  check_i "steps, strings first" 4 (steps groups ~enabled:true);
+  check_i "steps, strings first, pruning off" 4 (steps groups ~enabled:false);
+  let start_first = [ [ List.nth eps 2 ]; [ List.nth eps 0; List.nth eps 1 ] ] in
+  check_i "steps, START first" 3 (steps start_first ~enabled:true);
+  check_i "START first survivors" 1
+    (List.length (fst (Gprune.combos t ~enabled:true start_first)))
 
 (* ------------------------------------------------------------------ *)
 (* Orphan                                                             *)

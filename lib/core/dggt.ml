@@ -52,6 +52,46 @@ let root_compare ((a, ca) : Dgg.node * Semiring.cand) (b, cb) =
       | c -> c)
   | c -> c
 
+(* The sibling groups PathMerge enumerates at dependency node [id]. A
+   path is usable when its dependent interpretation has a solved API node
+   in [dyng]; a governor API is viable only if it has a usable path for
+   every child edge that has one (same condition HISyn's consistency check
+   enforces). gov_api = None marks a root-anchored orphan path (HISyn's
+   orphan treatment, reachable here when relocation is disabled in
+   ablations): it does not constrain the governor's API, so it joins
+   every governor's group; the final well-formedness check decides
+   whether it actually fuses. *)
+let governor_groups dyng e2p (dg : Depgraph.t) id =
+  let usable (e : Depgraph.edge) =
+    Edge2path.paths_of_edge e2p e
+    |> List.filter (fun (p : Edge2path.epath) ->
+           match Dgg.find_api dyng ~dep:e.Depgraph.dep ~api:p.Edge2path.dep_api with
+           | Some child -> Dgg.solved child
+           | None -> false)
+  in
+  let edge_paths =
+    List.filter_map
+      (fun e -> match usable e with [] -> None | ps -> Some ps)
+      (Depgraph.children dg id)
+  in
+  let all_paths = List.concat edge_paths in
+  let gov_apis =
+    Listutil.uniq
+      (List.filter_map (fun (p : Edge2path.epath) -> p.Edge2path.gov_api) all_paths)
+  in
+  ( all_paths,
+    List.filter_map
+      (fun a ->
+        let groups =
+          List.map
+            (List.filter (fun (p : Edge2path.epath) ->
+                 p.Edge2path.gov_api = Some a || p.Edge2path.gov_api = None))
+            edge_paths
+        in
+        if List.for_all (fun gp -> gp <> []) groups then Some (a, groups)
+        else None)
+      gov_apis )
+
 let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     ?(gprune = true) ?(sprune = true) ?(trace : Trace.span option)
     ?(on_improve : (Semiring.cand -> unit) option) g (dg : Depgraph.t) w2a e2p =
@@ -151,20 +191,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
 
   let process (n1 : Depgraph.node) =
     let id = n1.Depgraph.id in
-    let child_edges = Depgraph.children dg id in
-    (* usable: paths whose dependent interpretation has a solved API node *)
-    let usable (e : Depgraph.edge) =
-      Edge2path.paths_of_edge e2p e
-      |> List.filter (fun (p : Edge2path.epath) ->
-             match Dgg.find_api dyng ~dep:e.Depgraph.dep ~api:p.Edge2path.dep_api with
-             | Some child -> Dgg.solved child
-             | None -> false)
-    in
-    let edges_with_paths =
-      List.filter_map
-        (fun e -> match usable e with [] -> None | ps -> Some (e, ps))
-        child_edges
-    in
+    let all_paths, governors = governor_groups dyng e2p dg id in
     (* Every candidate API seeds a singleton interpretation (Algorithm 1,
        line 3 for leaves); for governors these are fallbacks that drop the
        subtree — coverage-first accumulation keeps them only when no fuller
@@ -172,15 +199,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
        degrade gracefully instead of erasing the word. *)
     List.iter (fun api -> seed_leaf id api)
       (Dggt_util.Listutil.uniq (Word2api.apis w2a id @ node_apis n1));
-    if edges_with_paths <> [] then begin
-      let all_paths = List.concat_map snd edges_with_paths in
-      (* group by governor API; a governor API is viable only if it has a
-         path for every sibling edge (same condition HISyn's consistency
-         check enforces) *)
-      let gov_apis =
-        Listutil.uniq
-          (List.filter_map (fun (p : Edge2path.epath) -> p.Edge2path.gov_api) all_paths)
-      in
+    if all_paths <> [] then begin
       let child_extra (p : Edge2path.epath) =
         match
           Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
@@ -190,140 +209,124 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
       in
       let conflict_tbl = Gprune.prepare g all_paths in
       List.iter
-        (fun a ->
-          let groups =
-            (* gov_api = None marks a root-anchored orphan path (HISyn's
-               orphan treatment, reachable here when relocation is disabled
-               in ablations): it does not constrain the governor's API, so
-               it joins every governor's group; the final well-formedness
-               check decides whether it actually fuses. *)
-            List.map
-              (fun (_, ps) ->
-                List.filter
-                  (fun (p : Edge2path.epath) ->
-                    p.Edge2path.gov_api = Some a || p.Edge2path.gov_api = None)
-                  ps)
-              edges_with_paths
+        (fun (a, groups) ->
+          let case_ii = List.length groups > 1 in
+          (* grammar-based pruning happens inside combination generation *)
+          let survivors, total =
+            Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
           in
-          if List.for_all (fun gp -> gp <> []) groups then begin
-            let case_ii = List.length groups > 1 in
-            (* grammar-based pruning happens inside combination generation *)
-            let survivors, total =
-              Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
-            in
-            let after_gprune = List.length survivors in
-            if case_ii then begin
-              stats.Stats.combos_total <- stats.Stats.combos_total + total;
-              stats.Stats.combos_after_gprune <-
-                stats.Stats.combos_after_gprune + after_gprune
-            end;
-            let survivors =
-              if case_ii then Sprune.prune ~enabled:sprune ~extra:child_extra survivors
-              else survivors
-            in
-            if case_ii then
-              stats.Stats.combos_after_sprune <-
-                stats.Stats.combos_after_sprune + List.length survivors;
-            if case_ii && Trace.on trace then
-              Trace.str trace
-                (Printf.sprintf "combos %s:%s" (lemma_of id) a)
-                (Printf.sprintf "%d total, %d after gprune, %d after sprune"
-                   total after_gprune (List.length survivors));
-            let api_node = ref None in
-            let get_api_node () =
-              match !api_node with
-              | Some n -> n
-              | None ->
-                  let n = Dgg.add_api dyng ~dep:id ~api:a in
-                  api_node := Some n;
-                  n
-            in
-            let merged_any = ref false in
-            let try_combo idx combo =
-                Budget.check budget;
-                if case_ii then
-                  stats.Stats.combos_merged <- stats.Stats.combos_merged + 1;
-                (* merge the combination's paths (the prefix tree) together
-                   with the children's optimal partial CGTs *)
-                let acc, ok =
-                  List.fold_left
-                    (fun (acc, ok) (p : Edge2path.epath) ->
-                      if not ok then (acc, false)
-                      else
-                        match
-                          Dgg.find_api dyng
-                            ~dep:p.Edge2path.edge.Depgraph.dep
-                            ~api:p.Edge2path.dep_api
-                        with
-                        | Some child -> (
-                            match Dgg.best child with
-                            | Some cb ->
-                                ( Semiring.times acc ~path:p.Edge2path.path
-                                    ~child:cb,
-                                  true )
-                            | None -> (acc, false))
-                        | None -> (acc, false))
-                    (Semiring.one, true) combo
-                in
-                let merged = acc.Semiring.cgt in
-                let assignment = (id, a) :: acc.Semiring.assignment in
-                if ok && Synres.injective assignment && Cgt.well_formed g merged
-                then begin
-                  merged_any := true;
-                  let size = Cgt.api_size g merged in
-                  let score = Word2api.assignment_score w2a assignment in
-                  let cand = { Semiring.size; cgt = merged; assignment; score } in
-                  let target = get_api_node () in
-                  if case_ii then begin
-                    let pcgt = Dgg.add_pcgt dyng ~dep:id ~api:a ~idx in
-                    ignore (record_improved pcgt cand);
-                    List.iter
-                      (fun (p : Edge2path.epath) ->
-                        match
-                          Dgg.find_api dyng
-                            ~dep:p.Edge2path.edge.Depgraph.dep
-                            ~api:p.Edge2path.dep_api
-                        with
-                        | Some child ->
-                            Dgg.add_edge dyng ~src:child ~dst:pcgt
-                              ~epath:(Some p.Edge2path.id)
-                        | None -> ())
-                      combo;
-                    Dgg.add_edge dyng ~src:pcgt ~dst:target ~epath:None
-                  end
-                  else begin
-                    match combo with
-                    | [ p ] -> (
-                        match
-                          Dgg.find_api dyng
-                            ~dep:p.Edge2path.edge.Depgraph.dep
-                            ~api:p.Edge2path.dep_api
-                        with
-                        | Some child ->
-                            Dgg.add_edge dyng ~src:child ~dst:target
-                              ~epath:(Some p.Edge2path.id)
-                        | None -> ())
-                    | _ -> ()
-                  end;
-                  let improved = record_improved target cand in
-                  if improved && Trace.on trace then
-                    Trace.int trace
-                      (Printf.sprintf "min_size %s:%s" (lemma_of id) a)
-                      size
+          let after_gprune = List.length survivors in
+          if case_ii then begin
+            stats.Stats.combos_total <- stats.Stats.combos_total + total;
+            stats.Stats.combos_after_gprune <-
+              stats.Stats.combos_after_gprune + after_gprune
+          end;
+          let survivors =
+            if case_ii then Sprune.prune ~enabled:sprune ~extra:child_extra survivors
+            else survivors
+          in
+          if case_ii then
+            stats.Stats.combos_after_sprune <-
+              stats.Stats.combos_after_sprune + List.length survivors;
+          if case_ii && Trace.on trace then
+            Trace.str trace
+              (Printf.sprintf "combos %s:%s" (lemma_of id) a)
+              (Printf.sprintf "%d total, %d after gprune, %d after sprune"
+                 total after_gprune (List.length survivors));
+          let api_node = ref None in
+          let get_api_node () =
+            match !api_node with
+            | Some n -> n
+            | None ->
+                let n = Dgg.add_api dyng ~dep:id ~api:a in
+                api_node := Some n;
+                n
+          in
+          let merged_any = ref false in
+          let try_combo idx combo =
+              Budget.check budget;
+              if case_ii then
+                stats.Stats.combos_merged <- stats.Stats.combos_merged + 1;
+              (* merge the combination's paths (the prefix tree) together
+                 with the children's optimal partial CGTs *)
+              let acc, ok =
+                List.fold_left
+                  (fun (acc, ok) (p : Edge2path.epath) ->
+                    if not ok then (acc, false)
+                    else
+                      match
+                        Dgg.find_api dyng
+                          ~dep:p.Edge2path.edge.Depgraph.dep
+                          ~api:p.Edge2path.dep_api
+                      with
+                      | Some child -> (
+                          match Dgg.best child with
+                          | Some cb ->
+                              ( Semiring.times acc ~path:p.Edge2path.path
+                                  ~child:cb,
+                                true )
+                          | None -> (acc, false))
+                      | None -> (acc, false))
+                  (Semiring.one, true) combo
+              in
+              let merged = acc.Semiring.cgt in
+              let assignment = (id, a) :: acc.Semiring.assignment in
+              if ok && Synres.injective assignment && Cgt.well_formed g merged
+              then begin
+                merged_any := true;
+                let size = Cgt.api_size g merged in
+                let score = Word2api.assignment_score w2a assignment in
+                let cand = { Semiring.size; cgt = merged; assignment; score } in
+                let target = get_api_node () in
+                if case_ii then begin
+                  let pcgt = Dgg.add_pcgt dyng ~dep:id ~api:a ~idx in
+                  ignore (record_improved pcgt cand);
+                  List.iter
+                    (fun (p : Edge2path.epath) ->
+                      match
+                        Dgg.find_api dyng
+                          ~dep:p.Edge2path.edge.Depgraph.dep
+                          ~api:p.Edge2path.dep_api
+                      with
+                      | Some child ->
+                          Dgg.add_edge dyng ~src:child ~dst:pcgt
+                            ~epath:(Some p.Edge2path.id)
+                      | None -> ())
+                    combo;
+                  Dgg.add_edge dyng ~src:pcgt ~dst:target ~epath:None
                 end
-            in
-            List.iteri try_combo survivors;
-            if not !merged_any then
-              (* No joint interpretation of the sibling edges exists under
-                 this governor (mutually exclusive "or" alternatives, e.g. a
-                 matcher grammar that allows one inner argument). Degrade to
-                 the best single-edge interpretations so the fullest subtree
-                 still survives; coverage-first selection does the rest. *)
-              List.iter
-                (fun group -> List.iter (fun p -> try_combo 0 [ p ]) group)
-                groups
-          end)
-        gov_apis
+                else begin
+                  match combo with
+                  | [ p ] -> (
+                      match
+                        Dgg.find_api dyng
+                          ~dep:p.Edge2path.edge.Depgraph.dep
+                          ~api:p.Edge2path.dep_api
+                      with
+                      | Some child ->
+                          Dgg.add_edge dyng ~src:child ~dst:target
+                            ~epath:(Some p.Edge2path.id)
+                      | None -> ())
+                  | _ -> ()
+                end;
+                let improved = record_improved target cand in
+                if improved && Trace.on trace then
+                  Trace.int trace
+                    (Printf.sprintf "min_size %s:%s" (lemma_of id) a)
+                    size
+              end
+          in
+          List.iteri try_combo survivors;
+          if not !merged_any then
+            (* No joint interpretation of the sibling edges exists under
+               this governor (mutually exclusive "or" alternatives, e.g. a
+               matcher grammar that allows one inner argument). Degrade to
+               the best single-edge interpretations so the fullest subtree
+               still survives; coverage-first selection does the rest. *)
+            List.iter
+              (fun group -> List.iter (fun p -> try_combo 0 [ p ]) group)
+              groups)
+        governors
     end
   in
   List.iter process order;

@@ -70,6 +70,23 @@ val synthesize_with_graph :
     the synthesizing thread, so a slow callback slows the walk. [None]
     (the default) is a single closure check per improvement. *)
 
+val governor_groups :
+  Dgg.t ->
+  Edge2path.t ->
+  Dggt_nlu.Depgraph.t ->
+  int ->
+  Edge2path.epath list * (string * Edge2path.epath list list) list
+(** [governor_groups dyng e2p dg id] are the sibling groups the chart
+    walk hands {!Gprune.combos} at dependency node [id], given the graph
+    as it stands when [id] is processed (its children's cells are final
+    by then, so the finished graph gives the same answer). First the
+    node's usable paths, those whose dependent interpretation has a
+    solved API node, in child-edge order: the walk prepares them once
+    per node. Then, per governor API they name (first-seen order), one
+    group per child edge with a usable path, holding that edge's paths
+    from the API or from no API (a root-anchored orphan path joins every
+    group). A governor is listed only when none of its groups is empty. *)
+
 val root_compare : Dgg.node * Semiring.cand -> Dgg.node * Semiring.cand -> int
 (** The final selection order over root-level candidates: coverage
     (descending), size, exact score (descending), [Cgt.compare], node

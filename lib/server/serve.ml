@@ -344,7 +344,12 @@ let via_pool t ~domain ~deadline ~t0 work =
    when the deadline expires or the run fails (the HTTP status already
    went out as 200 when the stream opened). A client disconnect surfaces
    as [EPIPE] on the next frame write, which aborts the chart walk
-   mid-run; the metrics and trace for the partial stream still land. *)
+   mid-run; the metrics and trace for the partial stream still land.
+
+   The trace's [Stream] span notes when the frames were produced, in
+   seconds from request start: [ttfc_s] for the first candidate frame
+   and [done_s] for the terminal frame (a client reading the socket may
+   receive both in one read). *)
 let stream_ranked t ~domain ~engine_label ~query ~t0
     ~(done_frame : Engine.outcome -> J.t)
     ~(run :
@@ -369,9 +374,10 @@ let stream_ranked t ~domain ~engine_label ~query ~t0
       | o ->
           Trace.span (Some sink) "Stream" (fun sp ->
               Trace.int sp "candidates" !count;
-              match !ttfc with
+              (match !ttfc with
               | Some s -> Trace.float sp "ttfc_s" s
               | None -> ());
+              Trace.float sp "done_s" (Unix.gettimeofday () -. t0));
           record_trace t ~domain ~engine:engine_label ~query
             ~time_s:o.Engine.time_s
             ~ok:(o.Engine.code <> None)

@@ -86,7 +86,10 @@
       requests that reached the engine (a {!Dggt_obs.Ring} of
       [params.trace_buffer] entries, newest first), as JSON: one record per
       request with its span events and decision notes. Cache hits don't
-      re-run the pipeline, so they don't add traces.
+      re-run the pipeline, so they don't add traces. A stream's trace
+      ends with a [Stream] span noting its [candidates] and when its
+      first candidate and terminal frames were written, in seconds from
+      request start ([ttfc_s], absent when it sent none, and [done_s]).
 
     Backpressure: when the bounded queue is full, [POST] requests get [503]
     with [Retry-After] instead of queueing unboundedly; a job whose

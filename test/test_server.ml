@@ -697,6 +697,35 @@ let test_stream_rank () =
            0 cands);
       let done_ev, done_body = Option.get last in
       check_s "terminal event" "done" done_ev;
+      (* the trace's Stream span says when the frames were produced: the
+         first candidate strictly before the terminal frame *)
+      let _, traces = http ~port ~meth:"GET" ~path:"/debug/trace" () in
+      (match J.member "traces" (Result.get_ok (J.of_string traces)) with
+      | Some (J.Arr (newest :: _)) -> (
+          let span =
+            match J.member "events" newest with
+            | Some (J.Arr evs) ->
+                List.find_opt (fun e -> J.str_field "stage" e = Some "Stream") evs
+            | _ -> None
+          in
+          let note k =
+            match Option.bind span (J.member "notes") with
+            | Some (J.Arr ns) ->
+                List.find_map
+                  (fun n ->
+                    if J.str_field "key" n = Some k then J.num_field "value" n
+                    else None)
+                  ns
+            | _ -> None
+          in
+          check_b "Stream span counts the candidate frames" true
+            (note "candidates" = Some (float_of_int (List.length cands)));
+          match (note "ttfc_s", note "done_s") with
+          | Some ttfc, Some done_s ->
+              check_b "first candidate produced before the terminal frame" true
+                (0. < ttfc && ttfc < done_s)
+          | _ -> Alcotest.fail "Stream span lacks ttfc_s/done_s")
+      | _ -> Alcotest.fail "no trace for the stream");
       (* the done frame is byte-for-byte the non-streaming /rank body
          (the stream bypassed the cache, so this one is a fresh compute) *)
       let st, plain = http ~port ~meth:"POST" ~path:"/rank" ~body:reqbody () in

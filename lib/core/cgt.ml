@@ -17,6 +17,7 @@ let merge_path t (p : Gpath.t) =
 let of_paths _g paths = List.fold_left merge_path empty paths
 
 let edge_ids t = IS.elements t.edges
+let lone_ids t = IS.elements t.lone
 let edge_count t = IS.cardinal t.edges
 let mem_edge t id = IS.mem id t.edges
 let equal a b = IS.equal a.edges b.edges && IS.equal a.lone b.lone
@@ -26,77 +27,148 @@ let compare a b =
   | 0 -> IS.compare a.lone b.lone
   | c -> c
 
-let node_set g t =
-  IS.fold
-    (fun eid acc ->
-      let e = Ggraph.edge g eid in
-      IS.add e.Ggraph.src (IS.add e.Ggraph.dst acc))
-    t.edges t.lone
+(* The tree check's scratch. A node's entries are valid only when
+   [seen] holds the current generation; [touch] resets them on first
+   sight, so nothing is cleared between passes. *)
+type scratch = {
+  g : Ggraph.t;
+  seen : int array;     (* generation that last touched the node *)
+  parent : int array;   (* source of the node's in-edge, or -1 *)
+  prod : int array;     (* production of the node's out-edges, or -1 *)
+  mark : int array;     (* parent-chain walk: 2 gen on the walk, 2 gen + 1 settled *)
+  touched : int array;  (* this pass's nodes, in touch order *)
+  mutable gen : int;
+  mutable strict : bool;  (* stop at the first fan-in or production clash *)
+  mutable n_nodes : int;
+  mutable n_edges : int;
+  mutable n_apis : int;
+  mutable fan_in : bool;
+  mutable on_edge : int -> unit;  (* built once, so a pass allocates nothing *)
+  mutable on_lone : int -> unit;
+}
 
-let nodes g t = IS.elements (node_set g t)
+exception Defect
 
-let api_size g t =
-  IS.fold
-    (fun nid acc -> if Ggraph.is_api g nid then acc + 1 else acc)
-    (node_set g t) 0
+let touch s n =
+  if s.seen.(n) <> s.gen then begin
+    s.seen.(n) <- s.gen;
+    s.parent.(n) <- -1;
+    s.prod.(n) <- -1;
+    s.touched.(s.n_nodes) <- n;
+    s.n_nodes <- s.n_nodes + 1;
+    if Ggraph.is_api s.g n then s.n_apis <- s.n_apis + 1
+  end
 
-(* One pass over the edges: every used node's in-degree (lone nodes and
-   sources at 0) and the successors of each node. *)
-let degrees g t =
-  let indeg = Hashtbl.create 16 and succ = Hashtbl.create 16 in
-  IS.iter (fun nid -> Hashtbl.replace indeg nid 0) t.lone;
-  IS.iter
-    (fun eid ->
-      let e = Ggraph.edge g eid in
-      if not (Hashtbl.mem indeg e.Ggraph.src) then
-        Hashtbl.add indeg e.Ggraph.src 0;
-      Hashtbl.replace indeg e.Ggraph.dst
-        (1 + Option.value (Hashtbl.find_opt indeg e.Ggraph.dst) ~default:0);
-      Hashtbl.add succ e.Ggraph.src e.Ggraph.dst)
-    t.edges;
-  (indeg, succ)
+let visit_edge s eid =
+  let e = Ggraph.edge s.g eid in
+  touch s e.Ggraph.src;
+  touch s e.Ggraph.dst;
+  s.n_edges <- s.n_edges + 1;
+  if s.parent.(e.Ggraph.dst) >= 0 then begin
+    s.fan_in <- true;
+    if s.strict then raise_notrace Defect
+  end
+  else s.parent.(e.Ggraph.dst) <- e.Ggraph.src;
+  let p = s.prod.(e.Ggraph.src) in
+  if p < 0 then s.prod.(e.Ggraph.src) <- e.Ggraph.prod
+  else if p <> e.Ggraph.prod && s.strict then raise_notrace Defect
 
-(* A tree has one node without an incoming edge, no node with two, and
-   every node reachable from that root (in-degree <= 1 with a single root
-   still admits a disjoint cycle component). The empty CGT has no root. *)
-let root g t =
-  let indeg, succ = degrees g t in
-  let roots, fan_in =
-    Hashtbl.fold
-      (fun nid d (roots, fan_in) ->
-        ((if d = 0 then nid :: roots else roots), fan_in || d > 1))
-      indeg ([], false)
+let scratch g =
+  let n = Ggraph.node_count g in
+  let s =
+    {
+      g;
+      seen = Array.make n 0;
+      parent = Array.make n (-1);
+      prod = Array.make n (-1);
+      mark = Array.make n 0;
+      touched = Array.make n 0;
+      gen = 0;
+      strict = false;
+      n_nodes = 0;
+      n_edges = 0;
+      n_apis = 0;
+      fan_in = false;
+      on_edge = ignore;
+      on_lone = ignore;
+    }
   in
-  match roots with
-  | [ r ] when not fan_in ->
-      let seen = Hashtbl.create (Hashtbl.length indeg) in
-      let rec dfs nid =
-        if not (Hashtbl.mem seen nid) then begin
-          Hashtbl.add seen nid ();
-          List.iter dfs (Hashtbl.find_all succ nid)
+  s.on_edge <- visit_edge s;
+  s.on_lone <- touch s;
+  s
+
+let graph s = s.g
+
+(* One pass over the edges and lone nodes; [false] when a strict pass
+   stopped at a defect. *)
+let pass s ~strict t =
+  s.gen <- s.gen + 1;
+  s.strict <- strict;
+  s.n_nodes <- 0;
+  s.n_edges <- 0;
+  s.n_apis <- 0;
+  s.fan_in <- false;
+  match
+    IS.iter s.on_edge t.edges;
+    IS.iter s.on_lone t.lone
+  with
+  | () -> true
+  | exception Defect -> false
+
+(* Climb from [u] along parents, marking the walk, until the root (true),
+   a node an earlier walk settled (true) or a node of this walk (a
+   cycle: false); then [settle] the walk. Every node is settled once. *)
+let rec climb s walking settled u =
+  u < 0
+  || s.mark.(u) = settled
+  || s.mark.(u) <> walking
+     && begin
+          s.mark.(u) <- walking;
+          climb s walking settled s.parent.(u)
         end
-      in
-      dfs r;
-      if Hashtbl.length seen = Hashtbl.length indeg then Some r else None
-  | _ -> None
 
-let is_tree g t = is_empty t || root g t <> None
+let rec settle s walking settled u =
+  if u >= 0 && s.mark.(u) = walking then begin
+    s.mark.(u) <- settled;
+    settle s walking settled s.parent.(u)
+  end
 
-let is_grammar_valid g t =
-  let prods : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  try
-    IS.iter
-      (fun eid ->
-        let e = Ggraph.edge g eid in
-        match Hashtbl.find_opt prods e.Ggraph.src with
-        | Some p when p <> e.Ggraph.prod -> raise Exit
-        | Some _ -> ()
-        | None -> Hashtbl.add prods e.Ggraph.src e.Ggraph.prod)
-      t.edges;
-    true
-  with Exit -> false
+(* After a pass: no fan-in leaves [nodes - edges] parentless nodes, so
+   one root when that is 1, and a tree when no parent chain cycles. *)
+let rooted s =
+  (not s.fan_in)
+  && s.n_nodes - s.n_edges = 1
+  &&
+  let walking = 2 * s.gen and settled = (2 * s.gen) + 1 in
+  let i = ref 0 in
+  while
+    !i < s.n_nodes
+    && climb s walking settled s.touched.(!i)
+  do
+    settle s walking settled s.touched.(!i);
+    incr i
+  done;
+  !i = s.n_nodes
 
-let well_formed g t = is_tree g t && is_grammar_valid g t
+let check s t =
+  if pass s ~strict:true t && (s.n_nodes = 0 || rooted s) then s.n_apis else -1
+
+let well_formed s t = check s t >= 0
+
+let api_size s t =
+  ignore (pass s ~strict:false t);
+  s.n_apis
+
+let root s t =
+  ignore (pass s ~strict:false t);
+  if s.n_nodes > 0 && rooted s then begin
+    let i = ref 0 in
+    while s.parent.(s.touched.(!i)) >= 0 do incr i done;
+    Some s.touched.(!i)
+  end
+  else None
+
+let is_tree s t = is_empty t || root s t <> None
 
 let pp g fmt t =
   Format.fprintf fmt "CGT{%s}"

@@ -21,25 +21,50 @@ val of_paths : Dggt_grammar.Ggraph.t -> Dggt_grammar.Gpath.t list -> t
 val merge : t -> t -> t
 val merge_path : t -> Dggt_grammar.Gpath.t -> t
 val edge_ids : t -> int list
+val lone_ids : t -> int list
+(** Nodes contributed without an edge (they may also be edge ends). *)
+
 val edge_count : t -> int
 val mem_edge : t -> int -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val nodes : Dggt_grammar.Ggraph.t -> t -> int list
-val api_size : Dggt_grammar.Ggraph.t -> t -> int
-(** Number of distinct API nodes covered. *)
+(** {2 The tree check}
 
-val is_tree : Dggt_grammar.Ggraph.t -> t -> bool
-(** One pass over the edges (in-degree and successor tables), then one
-    DFS from the root. The empty CGT is a tree. *)
+    Every question below is answered by one pass over a CGT's edges and
+    lone nodes: it rejects a node with two incoming edges (fan-in) and a
+    node whose outgoing edges belong to two productions, counts nodes,
+    edges and API nodes, and records each node's parent. A CGT without
+    fan-in has exactly [nodes - edges] parentless nodes, so
+    [nodes - edges = 1] leaves one root, and the CGT is a tree exactly
+    when every node's parent chain reaches that root (no cycle); the
+    chains are walked once, each node marked as it is settled. *)
 
-val is_grammar_valid : Dggt_grammar.Ggraph.t -> t -> bool
-val well_formed : Dggt_grammar.Ggraph.t -> t -> bool
-(** [is_tree && is_grammar_valid]. The empty CGT is well-formed. *)
+type scratch
+(** Arrays sized by the grammar's node count, reset between passes by a
+    generation stamp, so a pass allocates nothing. A scratch belongs to
+    one synthesis: never share one between concurrent requests (or
+    threads). *)
 
-val root : Dggt_grammar.Ggraph.t -> t -> int option
+val scratch : Dggt_grammar.Ggraph.t -> scratch
+val graph : scratch -> Dggt_grammar.Ggraph.t
+
+val check : scratch -> t -> int
+(** The API size of a well-formed CGT, [-1] for any other. The pass stops
+    at the first fan-in or production clash. The empty CGT is
+    well-formed, of size 0. *)
+
+val well_formed : scratch -> t -> bool
+(** [check s t >= 0]. *)
+
+val api_size : scratch -> t -> int
+(** Number of distinct API nodes covered, well-formed or not. *)
+
+val root : scratch -> t -> int option
 (** The unique node without an incoming edge, when the CGT is a nonempty
-    tree; [None] otherwise. *)
+    tree (grammar-valid or not); [None] otherwise. *)
+
+val is_tree : scratch -> t -> bool
+(** The empty CGT is a tree. *)
 
 val pp : Dggt_grammar.Ggraph.t -> Format.formatter -> t -> unit

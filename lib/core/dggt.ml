@@ -74,29 +74,38 @@ let governor_groups dyng e2p (dg : Depgraph.t) id =
       (fun e -> match usable e with [] -> None | ps -> Some ps)
       (Depgraph.children dg id)
   in
-  let all_paths = List.concat edge_paths in
   let gov_apis =
     Listutil.uniq
-      (List.filter_map (fun (p : Edge2path.epath) -> p.Edge2path.gov_api) all_paths)
+      (List.concat_map
+         (List.filter_map (fun (p : Edge2path.epath) -> p.Edge2path.gov_api))
+         edge_paths)
   in
-  ( all_paths,
-    List.filter_map
-      (fun a ->
-        let groups =
-          List.map
-            (List.filter (fun (p : Edge2path.epath) ->
-                 p.Edge2path.gov_api = Some a || p.Edge2path.gov_api = None))
-            edge_paths
-        in
-        if List.for_all (fun gp -> gp <> []) groups then Some (a, groups)
-        else None)
-      gov_apis )
+  List.filter_map
+    (fun a ->
+      let groups =
+        List.map
+          (List.filter (fun (p : Edge2path.epath) ->
+               p.Edge2path.gov_api = Some a || p.Edge2path.gov_api = None))
+          edge_paths
+      in
+      if List.for_all (fun gp -> gp <> []) groups then Some (a, groups) else None)
+    gov_apis
+
+(* the size a path's dependent subtree adds beyond the API the path
+   already counts *)
+let child_extra dyng (p : Edge2path.epath) =
+  match
+    Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
+  with
+  | Some child when Dgg.solved child -> Dgg.size child - 1
+  | _ -> 0
 
 let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     ?(gprune = true) ?(sprune = true) ?(trace : Trace.span option)
     ?(on_improve : (Semiring.cand -> unit) option) g (dg : Depgraph.t) w2a e2p =
   let dyng = Dgg.create objective in
   let start = Dgg.start dyng in
+  let scratch = Cgt.scratch g in
   let lemma_of id =
     match Depgraph.node_opt dg id with
     | Some n -> n.Depgraph.lemma
@@ -191,7 +200,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
 
   let process (n1 : Depgraph.node) =
     let id = n1.Depgraph.id in
-    let all_paths, governors = governor_groups dyng e2p dg id in
+    let governors = governor_groups dyng e2p dg id in
     (* Every candidate API seeds a singleton interpretation (Algorithm 1,
        line 3 for leaves); for governors these are fallbacks that drop the
        subtree — coverage-first accumulation keeps them only when no fuller
@@ -199,40 +208,29 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
        degrade gracefully instead of erasing the word. *)
     List.iter (fun api -> seed_leaf id api)
       (Dggt_util.Listutil.uniq (Word2api.apis w2a id @ node_apis n1));
-    if all_paths <> [] then begin
-      let child_extra (p : Edge2path.epath) =
-        match
-          Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
-        with
-        | Some child when Dgg.solved child -> Dgg.size child - 1
-        | _ -> 0
-      in
-      let conflict_tbl = Gprune.prepare g all_paths in
+    if governors <> [] then begin
+      let prepared = Gprune.prepare ~extra:(child_extra dyng) g in
       List.iter
         (fun (a, groups) ->
           let case_ii = List.length groups > 1 in
-          (* grammar-based pruning happens inside combination generation *)
-          let survivors, total =
-            Gprune.combos ~budget conflict_tbl ~enabled:(gprune && case_ii) groups
+          (* grammar- and size-based pruning happen inside combination
+             generation *)
+          let { Gprune.kept = survivors; total; conflict_free } =
+            Gprune.combos ~budget prepared ~gprune:(gprune && case_ii)
+              ~sprune:(sprune && case_ii) groups
           in
-          let after_gprune = List.length survivors in
           if case_ii then begin
             stats.Stats.combos_total <- stats.Stats.combos_total + total;
             stats.Stats.combos_after_gprune <-
-              stats.Stats.combos_after_gprune + after_gprune
-          end;
-          let survivors =
-            if case_ii then Sprune.prune ~enabled:sprune ~extra:child_extra survivors
-            else survivors
-          in
-          if case_ii then
+              stats.Stats.combos_after_gprune + conflict_free;
             stats.Stats.combos_after_sprune <-
-              stats.Stats.combos_after_sprune + List.length survivors;
+              stats.Stats.combos_after_sprune + List.length survivors
+          end;
           if case_ii && Trace.on trace then
             Trace.str trace
               (Printf.sprintf "combos %s:%s" (lemma_of id) a)
               (Printf.sprintf "%d total, %d after gprune, %d after sprune"
-                 total after_gprune (List.length survivors));
+                 total conflict_free (List.length survivors));
           let api_node = ref None in
           let get_api_node () =
             match !api_node with
@@ -271,10 +269,12 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
               in
               let merged = acc.Semiring.cgt in
               let assignment = (id, a) :: acc.Semiring.assignment in
-              if ok && Synres.injective assignment && Cgt.well_formed g merged
-              then begin
+              let size =
+                if ok && Synres.injective assignment then Cgt.check scratch merged
+                else -1
+              in
+              if size >= 0 then begin
                 merged_any := true;
-                let size = Cgt.api_size g merged in
                 let score = Word2api.assignment_score w2a assignment in
                 let cand = { Semiring.size; cgt = merged; assignment; score } in
                 let target = get_api_node () in

@@ -75,17 +75,23 @@ val governor_groups :
   Edge2path.t ->
   Dggt_nlu.Depgraph.t ->
   int ->
-  Edge2path.epath list * (string * Edge2path.epath list list) list
+  (string * Edge2path.epath list list) list
 (** [governor_groups dyng e2p dg id] are the sibling groups the chart
     walk hands {!Gprune.combos} at dependency node [id], given the graph
     as it stands when [id] is processed (its children's cells are final
-    by then, so the finished graph gives the same answer). First the
-    node's usable paths, those whose dependent interpretation has a
-    solved API node, in child-edge order: the walk prepares them once
-    per node. Then, per governor API they name (first-seen order), one
-    group per child edge with a usable path, holding that edge's paths
-    from the API or from no API (a root-anchored orphan path joins every
-    group). A governor is listed only when none of its groups is empty. *)
+    by then, so the finished graph gives the same answer). A child edge's
+    usable paths are those whose dependent interpretation has a solved
+    API node. Per governor API they name (first-seen order), one group
+    per child edge with a usable path, in child-edge order, holding that
+    edge's paths from the API or from no API (a root-anchored orphan path
+    joins every group). A governor is listed only when none of its groups
+    is empty. *)
+
+val child_extra : Dgg.t -> Edge2path.epath -> int
+(** The per-path extra weight the walk hands {!Gprune.prepare}: the size
+    of the path's dependent interpretation beyond the API the path
+    already counts ([Dgg.size - 1] of its solved API node, 0 when
+    unsolved). *)
 
 val root_compare : Dgg.node * Semiring.cand -> Dgg.node * Semiring.cand -> int
 (** The final selection order over root-level candidates: coverage

@@ -310,8 +310,8 @@ let finish cfg tgt dg (res : Synres.t option) ~time_s ~timed_out ~stats =
           Trace.int sp "words_covered" (List.length r.Synres.assignment);
           match
             Result.map Tree2expr.normalize
-              (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults tgt.graph
-                 r.Synres.cgt)
+              (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults
+                 (Cgt.scratch tgt.graph) r.Synres.cgt)
           with
           | Ok expr ->
               let code = Tree2expr.to_string expr in
@@ -625,7 +625,7 @@ type candidate = {
    best-effort view — orphan-relocation variants each stream their own
    improvements — and only the terminal ranked list, read off the winning
    variant's finished chart, is authoritative. *)
-let make_emitter ~k cfg tgt (emit : candidate -> unit) =
+let make_emitter ~k ~scratch cfg (emit : candidate -> unit) =
   let order (a : ranked) (b : ranked) =
     match compare b.coverage a.coverage with
     | 0 -> (
@@ -643,7 +643,7 @@ let make_emitter ~k cfg tgt (emit : candidate -> unit) =
     let lits = literal_bindings dg c.Semiring.assignment in
     match
       Result.map Tree2expr.normalize
-        (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults tgt.graph c.Semiring.cgt)
+        (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults scratch c.Semiring.cgt)
     with
     | Error _ -> ()
     | Ok expr ->
@@ -700,7 +700,10 @@ let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
   let stats = Stats.create () in
   let budget = make_budget cfg in
   let t0 = Unix.gettimeofday () in
-  let on_cand = Option.map (fun f -> make_emitter ~k cfg tgt f) on_candidate in
+  (* one CGT scratch for linearizing the streamed candidates and the
+     n-best read-off *)
+  let scratch = Cgt.scratch tgt.graph in
+  let on_cand = Option.map (fun f -> make_emitter ~k ~scratch cfg f) on_candidate in
   match run_dggt ?on_cand cfg tgt budget stats pruned with
   | dg, res, dyng -> (
       let time_s = Unix.gettimeofday () -. t0 in
@@ -720,7 +723,7 @@ let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
                    let lits = literal_bindings dg c.Semiring.assignment in
                    match
                      Result.map Tree2expr.normalize
-                       (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults tgt.graph
+                       (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults scratch
                           c.Semiring.cgt)
                    with
                    | Ok expr ->

@@ -38,8 +38,8 @@ let synthesize ~budget ~stats ?(trace : Trace.span option) g
     stats.Stats.hisyn_combos_possible <- Listutil.cartesian_count groups;
     Trace.int trace "combos_possible" stats.Stats.hisyn_combos_possible;
     let best = ref None in
-    let consider cgt assignment =
-      let size = Cgt.api_size g cgt in
+    let scratch = Cgt.scratch g in
+    let consider cgt size assignment =
       let score = Word2api.assignment_score w2a assignment in
       match !best with
       | Some (bs, bscore, bcgt, _)
@@ -65,7 +65,8 @@ let synthesize ~budget ~stats ?(trace : Trace.span option) g
                   Cgt.merge_path acc p.Edge2path.path)
                 Cgt.empty combo
             in
-            if Cgt.well_formed g cgt then consider cgt assignment)
+            let size = Cgt.check scratch cgt in
+            if size >= 0 then consider cgt size assignment)
       groups;
     Trace.int trace "combos_enumerated" stats.Stats.hisyn_combos_enumerated;
     (if Trace.on trace then

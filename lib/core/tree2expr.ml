@@ -111,10 +111,11 @@ let parse input =
 
 (* --- linearization ------------------------------------------------- *)
 
-let of_cgt ?(lits = []) ?(defaults = []) g cgt =
+let of_cgt ?(lits = []) ?(defaults = []) scratch cgt =
+  let g = Cgt.graph scratch in
   if Cgt.is_empty cgt then Error Empty_cgt
   else
-    match Cgt.root g cgt with
+    match Cgt.root scratch cgt with
     | None -> Error Not_a_tree
     | Some root ->
         (* literal queues per API name *)
@@ -157,19 +158,6 @@ let of_cgt ?(lits = []) ?(defaults = []) g cgt =
               Hashtbl.add default_cache nt d;
               d
         in
-        (* the (single) head production of an API, if any: the production
-           whose RHS starts with this terminal and has arguments *)
-        let head_production api =
-          let cfg = g.Ggraph.cfg in
-          let matches =
-            Array.to_list cfg.Cfg.productions
-            |> List.filter (fun (p : Cfg.production) ->
-                   match p.Cfg.rhs with
-                   | Cfg.T t :: _ :: _ -> t = api
-                   | _ -> false)
-          in
-          match matches with [ p ] -> Some p | _ -> None
-        in
         (* collapse non-API nodes: an NT/Deriv node yields the API exprs of
            its children, concatenated in order *)
         let rec exprs_under nid =
@@ -182,7 +170,7 @@ let of_cgt ?(lits = []) ?(defaults = []) g cgt =
           let name = Ggraph.node_name g nid in
           let covered = out_in_cgt nid in
           let args =
-            match head_production name with
+            match Ggraph.head_production g name with
             | Some p when defaults <> [] ->
                 (* walk the argument positions in RHS order, emitting the
                    covered subtree or the nonterminal's default *)

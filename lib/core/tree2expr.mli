@@ -21,10 +21,11 @@ type error =
 val of_cgt :
   ?lits:(string * string) list ->
   ?defaults:(string * string) list ->
-  Dggt_grammar.Ggraph.t ->
+  Cgt.scratch ->
   Cgt.t ->
   (expr, error) result
-(** [lits] are (api, literal) bindings, consumed left-to-right per API name
+(** Linearizes over the scratch's grammar; the scratch finds the root
+    ({!Cgt.root}), so the caller's synthesis owns it. [lits] are (api, literal) bindings, consumed left-to-right per API name
     as the tree is linearized. A CGT whose root is a nonterminal node is
     linearized from its topmost API when unique ([Root_not_api] otherwise);
     this arises for root-anchored orphan paths.

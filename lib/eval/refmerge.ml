@@ -12,10 +12,10 @@ module Trace = Dggt_obs.Trace
    shared — only step 5's chart differs. Outcomes, statistics and trace
    notes must stay byte-identical to {!Dggt_core.Dggt.synthesize} under
    {!Dggt_core.Semiring.Min_size}; the gate in CI holds this file and the
-   semiring walk to each other. It prunes and checks trees with the
-   pre-claims pair table ({!Refgprune}) and the quadratic tree check
-   ({!Refcgt}), so the same gate also holds the production pruning and
-   tree check to theirs. *)
+   semiring walk to each other. It prunes, bounds sizes and checks trees
+   with the pre-claims pair table ({!Refgprune}), the list size filter
+   ({!Refsprune}) and the quadratic tree check ({!Refcgt}), so the same
+   gate also holds the production enumeration and tree check to theirs. *)
 
 type rnode = {
   id : int;
@@ -207,7 +207,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
                 stats.Stats.combos_after_gprune + after_gprune
             end;
             let survivors =
-              if case_ii then Sprune.prune ~enabled:sprune ~extra:child_extra survivors
+              if case_ii then Refsprune.prune ~enabled:sprune ~extra:child_extra survivors
               else survivors
             in
             if case_ii then
@@ -254,7 +254,7 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
               if ok && Synres.injective assignment && Refcgt.well_formed g merged
               then begin
                 merged_any := true;
-                let size = Cgt.api_size g merged in
+                let size = Refcgt.api_size g merged in
                 let score = Word2api.assignment_score w2a assignment in
                 let target = get_api_node () in
                 if case_ii then begin

@@ -6,9 +6,9 @@
     {!Dggt_core.Semiring.Min_size}. Keep this file frozen: it encodes the
     historical [update_min] replacement rule (coverage desc, size asc,
     score desc with the 1e-9 epsilon, {!Dggt_core.Cgt.compare} asc) that
-    the semiring's [compare_cand] must reproduce. Grammar pruning and
-    the well-formedness check run on the frozen references {!Refgprune}
-    and {!Refcgt}. *)
+    the semiring's [compare_cand] must reproduce. Grammar pruning,
+    size pruning and the well-formedness check run on the frozen
+    references {!Refgprune}, {!Refsprune} and {!Refcgt}. *)
 
 val synthesize :
   budget:Dggt_util.Budget.t ->

@@ -11,6 +11,7 @@ type t = {
   children : int list array;
   parents : int list array;
   api_index : (string, int) Hashtbl.t;
+  api_heads : (string, Cfg.production) Hashtbl.t;
   nt_index : (string, int) Hashtbl.t;
   root : int;
   dist_mu : Mutex.t;
@@ -95,6 +96,18 @@ let build (cfg : Cfg.t) =
           else attach_rhs ~parent:nt_n ~alt:multi p)
         prods)
     cfg.Cfg.nonterminals;
+  (* an API's head production: the one production whose RHS starts with
+     the API and has arguments (none when two do) *)
+  let heads = Hashtbl.create 64 and shared = Hashtbl.create 8 in
+  Array.iter
+    (fun (p : Cfg.production) ->
+      match p.rhs with
+      | Cfg.T api :: _ :: _ ->
+          if Hashtbl.mem heads api then Hashtbl.replace shared api ()
+          else Hashtbl.add heads api p
+      | _ -> ())
+    cfg.Cfg.productions;
+  Hashtbl.iter (fun api () -> Hashtbl.remove heads api) shared;
   let nodes = Array.of_list (List.rev b.bnodes) in
   let edges = Array.of_list (List.rev b.bedges) in
   let children = Array.make (Array.length nodes) [] in
@@ -115,6 +128,7 @@ let build (cfg : Cfg.t) =
     (* the builder's name tables double as the graph's permanent node
        indexes: read-only after build, so domain-safe without a lock *)
     api_index = b.api_tbl;
+    api_heads = heads;
     nt_index = b.nt_tbl;
     root = Hashtbl.find b.nt_tbl cfg.Cfg.start;
     dist_mu = Mutex.create ();
@@ -128,6 +142,7 @@ let node_name t id =
   | Deriv p -> Printf.sprintf "%s#%d" t.cfg.Cfg.productions.(p).Cfg.lhs p
 
 let api_node t name = Hashtbl.find_opt t.api_index name
+let head_production t api = Hashtbl.find_opt t.api_heads api
 let nt_node t name = Hashtbl.find_opt t.nt_index name
 let is_api t id = match t.nodes.(id).kind with Api _ -> true | _ -> false
 

@@ -45,6 +45,9 @@ type t = private {
   parents : int list array;  (** node id -> incoming edge ids *)
   api_index : (string, int) Hashtbl.t;
       (** API name -> node id; built once in {!build}, read-only after *)
+  api_heads : (string, Cfg.production) Hashtbl.t;
+      (** API name -> its head production ({!head_production}); built
+          once in {!build}, read-only after *)
   nt_index : (string, int) Hashtbl.t;
       (** nonterminal name -> node id; built once in {!build} *)
   root : int;               (** node of the start nonterminal *)
@@ -61,6 +64,11 @@ val node_name : t -> int -> string
 
 val api_node : t -> string -> int option
 (** Hash lookup in [api_index] — O(1), safe from any domain. *)
+
+val head_production : t -> string -> Cfg.production option
+(** The API's unique head production: the one production whose
+    right-hand side starts with the API and has arguments ([None] when no
+    production or several do). Hash lookup, safe from any domain. *)
 
 val nt_node : t -> string -> int option
 val is_api : t -> int -> bool

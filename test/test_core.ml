@@ -234,10 +234,12 @@ let test_cgt_merge_paths () =
   let ps = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING" in
   let short = List.find (fun p -> Gpath.size p = 2) ps in
   let cgt = Cgt.of_paths g [ short ] in
-  check_i "api size" 2 (Cgt.api_size g cgt);
-  check_b "tree" true (Cgt.is_tree g cgt);
-  check_b "valid" true (Cgt.is_grammar_valid g cgt);
-  (match Cgt.root g cgt with
+  let s = Cgt.scratch g in
+  check_i "api size" 2 (Cgt.api_size s cgt);
+  check_b "tree" true (Cgt.is_tree s cgt);
+  check_b "well-formed" true (Cgt.well_formed s cgt);
+  check_i "checked size" 2 (Cgt.check s cgt);
+  (match Cgt.root s cgt with
   | Some r -> check_s "root is INSERT" "INSERT" (Ggraph.node_name g r)
   | None -> Alcotest.fail "no root");
   (* merging a path with itself is idempotent *)
@@ -248,27 +250,36 @@ let test_cgt_conflict_invalid () =
   let to_start = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START" in
   let to_position = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"POSITION" in
   let cgt = Cgt.of_paths g [ List.hd to_start; List.hd to_position ] in
-  (* START and POSITION are exclusive alternatives of pos *)
-  check_b "conflicting or-edges rejected" false (Cgt.is_grammar_valid g cgt)
+  let s = Cgt.scratch g in
+  (* START and POSITION are exclusive alternatives of pos: a tree, but
+     not a grammar-valid one *)
+  check_b "still a tree" true (Cgt.is_tree s cgt);
+  check_b "conflicting or-edges rejected" false (Cgt.well_formed s cgt);
+  check_i "no checked size" (-1) (Cgt.check s cgt);
+  check_b "reference agrees" false (Dggt_eval.Refcgt.is_grammar_valid g cgt)
 
 let test_cgt_empty_and_lone () =
   let g = Lazy.force fig4_graph in
-  check_b "empty well-formed" true (Cgt.well_formed g Cgt.empty);
-  check_b "empty has no root" true (Cgt.root g Cgt.empty = None);
+  let s = Cgt.scratch g in
+  check_b "empty well-formed" true (Cgt.well_formed s Cgt.empty);
+  check_i "empty size" 0 (Cgt.check s Cgt.empty);
+  check_b "empty has no root" true (Cgt.root s Cgt.empty = None);
   let nid = Option.get (Ggraph.api_node g "INSERT") in
   let lone =
     Cgt.merge_path Cgt.empty { Gpath.nodes = [| nid |]; edges = [||]; apis = [| "INSERT" |] }
   in
-  check_i "lone node size" 1 (Cgt.api_size g lone);
-  check_b "lone node tree" true (Cgt.is_tree g lone);
-  check_b "lone root" true (Cgt.root g lone = Some nid)
+  check_i "lone node size" 1 (Cgt.api_size s lone);
+  check_b "lone node tree" true (Cgt.is_tree s lone);
+  check_b "lone root" true (Cgt.root s lone = Some nid)
 
 let test_cgt_disjoint_not_tree () =
   let g = Lazy.force fig4_graph in
   let a = Gpath.search_between_apis g ~src_api:"POSITION" ~dst_api:"AFTER" in
   let b = Gpath.search_between_apis g ~src_api:"ITERATIONSCOPE" ~dst_api:"LINESCOPE" in
   let cgt = Cgt.of_paths g [ List.hd a; List.hd b ] in
-  check_b "two components" false (Cgt.is_tree g cgt)
+  let s = Cgt.scratch g in
+  check_b "two components" false (Cgt.is_tree s cgt);
+  check_b "not well-formed" false (Cgt.well_formed s cgt)
 
 (* ------------------------------------------------------------------ *)
 (* Tree2expr                                                          *)
@@ -282,7 +293,7 @@ let test_tree2expr_linearize () =
   in
   let insert_start = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START" in
   let cgt = Cgt.of_paths g (insert_string :: insert_start) in
-  match Tree2expr.of_cgt ~lits:[ ("STRING", ":") ] g cgt with
+  match Tree2expr.of_cgt ~lits:[ ("STRING", ":") ] (Cgt.scratch g) cgt with
   | Ok e ->
       check_s "code" "INSERT(STRING(\":\"), START())" (Tree2expr.to_string e);
       check_s "api" "INSERT" e.Tree2expr.api;
@@ -303,7 +314,7 @@ let test_tree2expr_arg_order () =
   let codes =
     List.map
       (fun ps ->
-        match Tree2expr.of_cgt g (Cgt.of_paths g ps) with
+        match Tree2expr.of_cgt (Cgt.scratch g) (Cgt.of_paths g ps) with
         | Ok e -> Tree2expr.to_string e
         | Error _ -> "fail")
       orders
@@ -313,12 +324,13 @@ let test_tree2expr_arg_order () =
 
 let test_tree2expr_errors () =
   let g = Lazy.force fig4_graph in
-  (match Tree2expr.of_cgt g Cgt.empty with
+  let s = Cgt.scratch g in
+  (match Tree2expr.of_cgt s Cgt.empty with
   | Error Tree2expr.Empty_cgt -> ()
   | _ -> Alcotest.fail "expected Empty_cgt");
   let a = Gpath.search_between_apis g ~src_api:"POSITION" ~dst_api:"AFTER" in
   let b = Gpath.search_between_apis g ~src_api:"ITERATIONSCOPE" ~dst_api:"LINESCOPE" in
-  match Tree2expr.of_cgt g (Cgt.of_paths g [ List.hd a; List.hd b ]) with
+  match Tree2expr.of_cgt s (Cgt.of_paths g [ List.hd a; List.hd b ]) with
   | Error Tree2expr.Not_a_tree -> ()
   | _ -> Alcotest.fail "expected Not_a_tree"
 
@@ -357,7 +369,7 @@ let test_expr_equal () =
     (Tree2expr.api_multiset (p "C(A, B)"))
 
 (* ------------------------------------------------------------------ *)
-(* Sprune                                                             *)
+(* Size-based pruning                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let mk_epath id (p : Gpath.t) gov dep edge =
@@ -377,6 +389,8 @@ let test_sprune_bounds () =
   in
   let e1 = mk_epath 0 short "INSERT" "STRING" edge in
   let e2 = mk_epath 1 long "INSERT" "STRING" edge in
+  (* the reference's bounds: the values Gprune's enumeration reproduces *)
+  let module Sprune = Dggt_eval.Refsprune in
   let b1 = Sprune.bounds_of ~extra:(fun _ -> 0) [ e1 ] in
   check_i "singleton lo" 2 b1.Sprune.lo;
   check_i "singleton hi" 2 b1.Sprune.hi;
@@ -401,12 +415,16 @@ let test_sprune_prunes_dominated () =
     List.find (fun p -> Gpath.size p = 4)
       (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
   in
-  let c_small = [ mk_epath 0 short "INSERT" "STRING" edge ] in
-  let c_big = [ mk_epath 1 long "INSERT" "STRING" edge ] in
-  let kept = Sprune.prune ~enabled:true ~extra:(fun _ -> 0) [ c_small; c_big ] in
-  check_i "dominated combo pruned" 1 (List.length kept);
-  let kept = Sprune.prune ~enabled:false ~extra:(fun _ -> 0) [ c_small; c_big ] in
-  check_i "disabled keeps all" 2 (List.length kept)
+  let small = mk_epath 0 short "INSERT" "STRING" edge in
+  let big = mk_epath 1 long "INSERT" "STRING" edge in
+  let t = Gprune.prepare g in
+  let kept ~sprune = (Gprune.combos t ~gprune:true ~sprune [ [ small; big ] ]).Gprune.kept in
+  check_b "dominated combo pruned" true (kept ~sprune:true = [ [ small ] ]);
+  check_i "disabled keeps all" 2 (List.length (kept ~sprune:false));
+  (* an extra on the small path lifts both its bounds past the big one's *)
+  let t = Gprune.prepare ~extra:(fun (p : Edge2path.epath) -> if p.Edge2path.id = 0 then 3 else 0) g in
+  check_b "extra shifts the choice" true
+    ((Gprune.combos t ~gprune:true ~sprune:true [ [ small; big ] ]).Gprune.kept = [ [ big ] ])
 
 (* ------------------------------------------------------------------ *)
 (* Gprune                                                             *)
@@ -442,28 +460,33 @@ let test_gprune_combos () =
     List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)) eps
   in
   check_b "conflict found" true (List.mem (1, 2) (Pathvote.conflicts g numbered));
-  let t = Gprune.prepare g eps in
+  let t = Gprune.prepare g in
   let groups = [ [ List.nth eps 0; List.nth eps 1 ]; [ List.nth eps 2 ] ] in
-  let survivors, total = Gprune.combos t ~enabled:true groups in
-  check_i "total combos" 2 total;
-  check_i "one survivor" 1 (List.length survivors);
-  let survivors_off, _ = Gprune.combos t ~enabled:false groups in
-  check_i "disabled keeps both" 2 (List.length survivors_off);
+  let r = Gprune.combos t ~gprune:true ~sprune:false groups in
+  check_i "total combos" 2 r.Gprune.total;
+  check_i "one survivor" 1 (List.length r.Gprune.kept);
+  check_i "one conflict-free" 1 r.Gprune.conflict_free;
+  let off = Gprune.combos t ~gprune:false ~sprune:false groups in
+  check_i "disabled keeps both" 2 (List.length off.Gprune.kept);
+  check_i "disabled: both conflict-free" 2 off.Gprune.conflict_free;
   (* The budget is ticked once per path tried at each level, before its
      conflict check. Strings first: 2 at the top, then START under each
      (the second START is tried and rejected) = 4. START first: 1, then
-     both strings under it (long_string is tried and rejected) = 3. *)
-  let steps groups ~enabled =
+     both strings under it (long_string is tried and rejected) = 3. Size
+     pruning filters finished combinations only, so it adds no step. *)
+  let steps ?(sprune = false) groups ~gprune =
     let b = Dggt_util.Budget.unlimited () in
-    ignore (Gprune.combos ~budget:b t ~enabled groups);
+    ignore (Gprune.combos ~budget:b t ~gprune ~sprune groups);
     Dggt_util.Budget.steps_used b
   in
-  check_i "steps, strings first" 4 (steps groups ~enabled:true);
-  check_i "steps, strings first, pruning off" 4 (steps groups ~enabled:false);
+  check_i "steps, strings first" 4 (steps groups ~gprune:true);
+  check_i "steps, strings first, pruning off" 4 (steps groups ~gprune:false);
+  check_i "steps, strings first, size pruning on" 4 (steps ~sprune:true groups ~gprune:true);
   let start_first = [ [ List.nth eps 2 ]; [ List.nth eps 0; List.nth eps 1 ] ] in
-  check_i "steps, START first" 3 (steps start_first ~enabled:true);
+  check_i "steps, START first" 3 (steps start_first ~gprune:true);
+  check_i "steps, START first, size pruning on" 3 (steps ~sprune:true start_first ~gprune:true);
   check_i "START first survivors" 1
-    (List.length (fst (Gprune.combos t ~enabled:true start_first)))
+    (List.length (Gprune.combos t ~gprune:true ~sprune:false start_first).Gprune.kept)
 
 (* ------------------------------------------------------------------ *)
 (* Orphan                                                             *)

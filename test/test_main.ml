@@ -20,4 +20,5 @@ let () =
       ("properties", Test_props.suite);
       ("semiring", Test_semiring.suite);
       ("stress", Test_stress.suite);
+      ("digests", Test_digest.suite);
     ]

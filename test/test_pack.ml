@@ -534,6 +534,45 @@ let test_committed_packs () =
           ("astmatcher", Dggt_domains.Astmatcher.domain);
         ]
 
+(* The head-production map built in [Ggraph.build] answers exactly what
+   linearization used to scan for: the one production whose RHS starts
+   with the API and has arguments. Checked for every API of both
+   built-in grammars and both committed packs. *)
+let test_head_productions () =
+  let scan (g : Dggt_grammar.Ggraph.t) api =
+    let open Dggt_grammar in
+    match
+      Array.to_list g.Ggraph.cfg.Cfg.productions
+      |> List.filter (fun (p : Cfg.production) ->
+             match p.Cfg.rhs with Cfg.T t :: _ :: _ -> t = api | _ -> false)
+    with
+    | [ p ] -> Some p
+    | _ -> None
+  in
+  let packs =
+    match repo_root () with
+    | None -> []
+    | Some root ->
+        List.map
+          (fun sub ->
+            match Loader.load (Filename.concat (Filename.concat root "examples/packs") sub) with
+            | Ok l -> l.Loader.domain
+            | Error e -> Alcotest.fail (Err.to_string e))
+          [ "textediting"; "astmatcher" ]
+  in
+  let heads = ref 0 in
+  List.iter
+    (fun (d : Domain.t) ->
+      let g = Lazy.force d.Domain.graph in
+      List.iter
+        (fun (api, _) ->
+          let got = Dggt_grammar.Ggraph.head_production g api in
+          if got <> None then incr heads;
+          if got <> scan g api then Alcotest.failf "%s: head production of %s" d.Domain.name api)
+        (Dggt_grammar.Ggraph.api_nodes g))
+    ([ Dggt_domains.Text_editing.domain; Dggt_domains.Astmatcher.domain ] @ packs);
+  check_b "some APIs head a production" true (!heads > 0)
+
 (* ------------------------------------------------------------------ *)
 (* serve: /version, v:1, /reload                                      *)
 (* ------------------------------------------------------------------ *)
@@ -753,6 +792,8 @@ let suite =
     Alcotest.test_case "golden: textediting" `Slow test_golden_textediting;
     Alcotest.test_case "golden: astmatcher" `Slow test_golden_astmatcher;
     Alcotest.test_case "committed example packs" `Quick test_committed_packs;
+    Alcotest.test_case "head productions = scan, built-ins and packs" `Quick
+      test_head_productions;
     Alcotest.test_case "serve: version and v=1" `Quick test_serve_version_and_v;
     Alcotest.test_case "serve: packs and reload" `Quick
       test_serve_packs_and_reload;

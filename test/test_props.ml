@@ -9,6 +9,9 @@ open Dggt_core
 module Nlu = Dggt_nlu
 module Listutil = Dggt_util.Listutil
 module Domain = Dggt_domains.Domain
+module Refcgt = Dggt_eval.Refcgt
+module Refgprune = Dggt_eval.Refgprune
+module Refsprune = Dggt_eval.Refsprune
 
 let fig4_bnf =
   {|
@@ -120,36 +123,34 @@ let prop_sprune_bounds_sound =
       paths = []
       ||
       let combo = List.mapi mk_epath paths in
-      let b = Sprune.bounds_of ~extra:(fun _ -> 0) combo in
+      let b = Refsprune.bounds_of ~extra:(fun _ -> 0) combo in
       let merged = Cgt.of_paths g paths in
-      let size = Cgt.api_size g merged in
-      b.Sprune.lo <= size && size <= b.Sprune.hi)
+      let size = Cgt.api_size (Cgt.scratch g) merged in
+      b.Refsprune.lo <= size && size <= b.Refsprune.hi)
 
-(* Grammar-based pruning is exact: for each governor's groups,
+(* The enumeration is exact: for each governor's groups,
    [Gprune.combos] keeps, in order, the one-path-per-group combinations
    of the product that hold no pair of the pairwise conflict relation
-   ({!Pathvote.conflict_table}), and its total is the product's size.
-   [prepared] are the paths handed to [Gprune.prepare]; PathMerge
-   prepares every path of a dependency node once and enumerates once per
-   governor API. The product is streamed ({!Listutil.iter_cartesian}, the
-   order of {!Listutil.cartesian}) against the survivors, because some
-   TextEditing governors have products of millions. *)
+   ({!Pathvote.conflict_table}), then filtered by the reference size
+   pruning ({!Refsprune.prune}) under the same per-path [extra]; its
+   total is the product's size, its conflict-free count the filter's,
+   and it ticks the budget as often as the reference enumeration
+   ({!Refgprune.combos}). One [Gprune.t] serves every governor of a
+   node, as in PathMerge. The product is streamed
+   ({!Listutil.iter_cartesian}, the order of {!Listutil.cartesian})
+   because some TextEditing governors have products of millions. *)
 let epath_ids = List.map (fun (p : Edge2path.epath) -> p.Edge2path.id)
 
-let gprune_exact g ~prepared governors =
-  let t = Gprune.prepare g prepared in
+let gprune_exact ?(gprune = true) ?(sprune = true) g ~extra governors =
+  let t = Gprune.prepare ~extra g in
   List.for_all
     (fun groups ->
       (* one group's combinations hold a single path: nothing to filter,
          and its pairs, most of the table, are never consulted *)
+      let paths = match groups with [ _ ] -> [] | _ -> List.concat groups in
       let table =
         Pathvote.conflict_table g
-          (match groups with
-          | [ _ ] -> []
-          | _ ->
-              List.concat_map
-                (List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)))
-                groups)
+          (List.map (fun (p : Edge2path.epath) -> (p.Edge2path.id, p.Edge2path.path)) paths)
       in
       let rec clean = function
         | [] -> true
@@ -157,21 +158,25 @@ let gprune_exact g ~prepared governors =
             List.for_all (fun q -> not (Hashtbl.mem table (min p q, max p q))) rest
             && clean rest
       in
-      let survivors, total = Gprune.combos t ~enabled:true groups in
-      (* walk the survivors in step with the filtered product *)
-      let pending = ref (List.map epath_ids survivors)
-      and same = ref true
-      and product = ref 0 in
+      let steps = Dggt_util.Budget.unlimited () in
+      let r = Gprune.combos ~budget:steps t ~gprune ~sprune groups in
+      let ref_steps = Dggt_util.Budget.unlimited () in
+      ignore
+        (Refgprune.combos ~budget:ref_steps (Refgprune.prepare g paths) ~enabled:gprune
+           groups);
+      let product = ref 0 and conflict_free = ref [] in
       Listutil.iter_cartesian
         (fun combo ->
           incr product;
-          let ids = epath_ids combo in
-          if clean ids then
-            match !pending with
-            | s :: rest when s = ids -> pending := rest
-            | _ -> same := false)
+          if (not gprune) || clean (epath_ids combo) then
+            conflict_free := combo :: !conflict_free)
         groups;
-      !same && !pending = [] && total = !product)
+      let conflict_free = List.rev !conflict_free in
+      let expected = Refsprune.prune ~enabled:sprune ~extra conflict_free in
+      List.map epath_ids r.Gprune.kept = List.map epath_ids expected
+      && r.Gprune.total = !product
+      && r.Gprune.conflict_free = List.length conflict_free
+      && Dggt_util.Budget.steps_used steps = Dggt_util.Budget.steps_used ref_steps)
     governors
 
 (* Grammar-based pruning only removes combinations that are guaranteed
@@ -183,10 +188,11 @@ let prop_gprune_lossless =
     ~count:100
     (QCheck.make
        QCheck.Gen.(
-         pair
+         triple
            (oneofl [ ("INSERT", "STRING"); ("INSERT", "START") ])
-           (oneofl [ ("INSERT", "LINESCOPE"); ("INSERT", "ALL"); ("INSERT", "POSITION") ])))
-    (fun ((a1, b1), (a2, b2)) ->
+           (oneofl [ ("INSERT", "LINESCOPE"); ("INSERT", "ALL"); ("INSERT", "POSITION") ])
+           (array_size (return 200) (0 -- 4))))
+    (fun ((a1, b1), (a2, b2), extras) ->
       let g = Lazy.force graph in
       let ps1 = Gpath.search_between_apis g ~src_api:a1 ~dst_api:b1 in
       let ps2 = Gpath.search_between_apis g ~src_api:a2 ~dst_api:b2 in
@@ -194,27 +200,31 @@ let prop_gprune_lossless =
       let g2 = List.mapi (fun i p -> mk_epath (100 + i) p) ps2 in
       g1 = [] || g2 = []
       ||
-      let tbl = Gprune.prepare g (g1 @ g2) in
-      let survivors, total = Gprune.combos tbl ~enabled:true [ g1; g2 ] in
-      let all, _ = Gprune.combos tbl ~enabled:false [ g1; g2 ] in
+      let tbl = Gprune.prepare g in
+      let r = Gprune.combos tbl ~gprune:true ~sprune:false [ g1; g2 ] in
+      let all = (Gprune.combos tbl ~gprune:false ~sprune:false [ g1; g2 ]).Gprune.kept in
       let pruned =
-        List.filter (fun c -> not (List.mem c survivors)) all
+        List.filter (fun c -> not (List.mem c r.Gprune.kept)) all
       in
-      total = List.length all
+      let extra (p : Edge2path.epath) = extras.(p.Edge2path.id) in
+      r.Gprune.total = List.length all
       && List.for_all
            (fun combo ->
              let cgt =
                Cgt.of_paths g (List.map (fun (p : Edge2path.epath) -> p.Edge2path.path) combo)
              in
-             not (Cgt.is_grammar_valid g cgt))
+             not (Refcgt.is_grammar_valid g cgt))
            pruned
-      && gprune_exact g ~prepared:(g1 @ g2) [ [ g1; g2 ] ])
+      && List.for_all
+           (fun (gprune, sprune) ->
+             gprune_exact ~gprune ~sprune g ~extra [ [ g1; g2 ]; [ g2 ]; [ g2; g1 ] ])
+           [ (true, true); (true, false); (false, true); (false, false) ])
 
 (* The sibling groups PathMerge hands [Gprune.combos] for one query: per
-   relocation variant and dependency node with children, the node's
-   usable paths (which the engine prepares) and its governors' groups,
-   read off the finished chart by {!Dggt.governor_groups}, the function
-   the chart walk forms them with. *)
+   relocation variant and dependency node with children, its governors'
+   groups and the paths' extra weights, read off the finished chart by
+   {!Dggt.governor_groups} and {!Dggt.child_extra}, the functions the
+   chart walk forms them with. *)
 let governor_groups (ses : Engine.session) query =
   let found = ref [] in
   let merge ~budget ~stats ~gprune ~sprune ?trace:_ g (dg : Nlu.Depgraph.t) w2a e2p =
@@ -223,11 +233,10 @@ let governor_groups (ses : Engine.session) query =
     in
     List.iter
       (fun (n : Nlu.Depgraph.node) ->
-        let prepared, governors =
-          Dggt.governor_groups dyng e2p dg n.Nlu.Depgraph.id
-        in
-        if governors <> [] then
-          found := (g, prepared, List.map snd governors) :: !found)
+        match Dggt.governor_groups dyng e2p dg n.Nlu.Depgraph.id with
+        | [] -> ()
+        | governors ->
+            found := (g, Dggt.child_extra dyng, List.map snd governors) :: !found)
       dg.Nlu.Depgraph.nodes;
     res
   in
@@ -247,10 +256,11 @@ let test_gprune_query_governors () =
         (fun i (q : Domain.query) ->
           if i mod stride = 0 then
             List.iter
-              (fun (g, prepared, node_governors) ->
+              (fun (g, extra, node_governors) ->
                 governors := !governors + List.length node_governors;
-                if not (gprune_exact g ~prepared node_governors) then
-                  Alcotest.failf "%s: %S: claims differ from the pairwise filter"
+                if not (gprune_exact g ~extra node_governors) then
+                  Alcotest.failf
+                    "%s: %S: enumeration differs from the pairwise and size filters"
                     dom.Domain.name q.Domain.text)
               (governor_groups ses q.Domain.text))
         dom.Domain.queries;
@@ -282,13 +292,14 @@ let prop_cgt_merge_acI =
           && Cgt.equal (Cgt.merge x x) x
       | [] -> true)
 
-(* The one-pass tree check agrees with the quadratic reference
+(* The stamped one-pass check agrees with the reference checks
    ({!Dggt_eval.Refcgt}) on random edge subsets of both domains' grammars.
    A sample is a grammar, a list of edge ids and a list of lone nodes,
-   drawn in one of six shapes so that trees, forests, cycles (alone or
-   beside a tree: one root, every in-degree <= 1, yet not a tree), nodes
-   with two in-edges, lone nodes and arbitrary subsets all occur; the
-   coverage test below checks that they do. *)
+   drawn in one of six shapes so that trees (grammar-valid or with two
+   productions at a node), forests, cycles (alone or beside a tree: one
+   root, every in-degree <= 1, yet not a tree), nodes with two in-edges,
+   lone nodes and arbitrary subsets all occur; the coverage test below
+   checks that they do. *)
 type shape_sample = { gname : string; g : Ggraph.t; edges : int list; lone : int list }
 
 (* each domain's grammar with up to 64 of its simple cycles (an edge
@@ -394,14 +405,35 @@ let print_shape s =
     (String.concat "; " (List.map string_of_int s.edges))
     (String.concat "; " (List.map string_of_int s.lone))
 
+(* Every answer of the stamped pass against the reference, once with a
+   fresh scratch and once with one scratch per grammar reused across all
+   samples (a stale stamp would leak one sample's nodes into the next). *)
+let shared_scratch =
+  let tbl = Hashtbl.create 2 in
+  fun name g ->
+    match Hashtbl.find_opt tbl name with
+    | Some sc -> sc
+    | None ->
+        let sc = Cgt.scratch g in
+        Hashtbl.add tbl name sc;
+        sc
+
+let agrees_with_reference sc g c =
+  let wf = Refcgt.well_formed g c and size = Refcgt.api_size g c in
+  Cgt.check sc c = (if wf then size else -1)
+  && Cgt.well_formed sc c = wf
+  && Cgt.api_size sc c = size
+  && Cgt.is_tree sc c = Refcgt.is_tree g c
+  && Cgt.root sc c = Refcgt.root g c
+
 let prop_cgt_tree_check =
   QCheck.Test.make ~name:"one-pass CGT tree check = quadratic reference"
     ~count:500
     (QCheck.make gen_shape ~print:print_shape)
     (fun s ->
       let c = cgt_of_sample s in
-      Cgt.is_tree s.g c = Dggt_eval.Refcgt.is_tree s.g c
-      && Cgt.root s.g c = Dggt_eval.Refcgt.root s.g c)
+      agrees_with_reference (Cgt.scratch s.g) s.g c
+      && agrees_with_reference (shared_scratch s.gname s.g) s.g c)
 
 (* The shapes the tree-check property must see, read off the sample's
    edge list: a directed cycle, a node with two in-edges, a lone node no
@@ -436,12 +468,15 @@ let test_cgt_shapes_covered () =
     if (not cyclic) && (not fan_in)
        && List.length (List.filter (fun n -> indeg n = 0) nodes) >= 2
     then mark "forest";
-    if Dggt_eval.Refcgt.is_tree s.g (cgt_of_sample s) && s.edges <> [] then mark "tree";
+    let c = cgt_of_sample s in
+    if Refcgt.is_tree s.g c && s.edges <> [] then
+      mark (if Refcgt.is_grammar_valid s.g c then "tree" else "tree with two productions at a node");
     mark s.gname
   done;
   List.iter
     (fun k -> Alcotest.(check bool) ("generator covers " ^ k) true (Hashtbl.mem seen k))
-    [ "cycle"; "two in-edges"; "lone node"; "forest"; "tree"; "TextEditing"; "ASTMatcher" ]
+    [ "cycle"; "two in-edges"; "lone node"; "forest"; "tree";
+      "tree with two productions at a node"; "TextEditing"; "ASTMatcher" ]
 
 (* Engine determinism: synthesizing twice gives the identical codelet. *)
 let te_query_gen =

@@ -95,7 +95,7 @@ let test_dgg_structure () =
           check_b "assignment references dep nodes" true (Nlu.Depgraph.mem dg node))
         r.Synres.assignment;
       check_i "size equals CGT's API count" r.Synres.size
-        (Cgt.api_size (Lazy.force graph) r.Synres.cgt)
+        (Dggt_eval.Refcgt.api_size (Lazy.force graph) r.Synres.cgt)
   | None -> ())
 
 let test_dgg_memoizes_best () =
@@ -108,7 +108,7 @@ let test_dgg_memoizes_best () =
       if Dgg.solved n && Dgg.kind n <> Dgg.Start then begin
         let c = Option.get (Dgg.best n) in
         check_i "size consistent with stored CGT" (Dgg.size n)
-          (Cgt.api_size (Lazy.force graph) c.Semiring.cgt);
+          (Dggt_eval.Refcgt.api_size (Lazy.force graph) c.Semiring.cgt);
         check_b "assignment nonempty when solved" true
           (c.Semiring.assignment <> []);
         check_b "best heads the choices" true

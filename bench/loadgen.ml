@@ -4,7 +4,7 @@
    TextEditing + ASTMatcher query set (round-robin over a configurable
    number of distinct queries, so large M gives a duplicate-heavy
    workload that exercises the whole-query cache). Every response is
-   checked against a locally computed `Engine.synthesize` baseline, so
+   checked against a locally computed `Engine.respond` baseline, so
    the run reports *correctness under concurrency*, not just speed.
 
      dune exec bench/loadgen.exe --                      # in-process server
@@ -176,10 +176,10 @@ let build_mix () =
     (fun (name, d, text) ->
       let alg = if !engine = "hisyn" then Engine.Hisyn_alg else Engine.Dggt_alg in
       let o =
-        Engine.run
+        Engine.respond
           (Dggt_domains.Domain.configure d
              { (Engine.default alg) with Engine.timeout_s = Some !timeout_s })
-          text
+          { Engine.input = Engine.Text text; mode = Engine.Plain }
       in
       { domain = name; text; expected_code = o.Engine.code })
     raw
@@ -254,7 +254,11 @@ let build_session_mix () =
         s_domain = d.Dggt_domains.Domain.name;
         s_revisions =
           List.map
-            (fun r -> (r, (Engine.run ses r).Engine.code))
+            (fun r ->
+              ( r,
+                (Engine.respond ses
+                   { Engine.input = Engine.Text r; mode = Engine.Plain })
+                  .Engine.code ))
             revisions;
       })
     raw

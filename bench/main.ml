@@ -376,7 +376,11 @@ let run_incremental_domain ~timeout_s ~limit ~depth (dom : Domain.t) =
           let inc_s = Unix.gettimeofday () -. t0 in
           scratch_searches := 0;
           let t1 = Unix.gettimeofday () in
-          let o_full = Engine.synthesize base.Engine.cfg scratch_target text in
+          let o_full =
+            Engine.respond
+              { base with Engine.target = scratch_target }
+              { Engine.input = Engine.Text text; mode = Engine.Plain }
+          in
           let full_s = Unix.gettimeofday () -. t1 in
           let full_n = !scratch_searches in
           let inc_n = reuse.Dggt_inc.Reuse.pairs.Dggt_inc.Reuse.computed in
@@ -765,7 +769,7 @@ type prow = {
   pm_queries : int;
   pm_ref_s : float;      (* summed wall time, reference walk *)
   pm_sem_s : float;      (* summed wall time, semiring Min_size *)
-  pm_ranked_s : float;   (* summed wall time, run_ranked ~k *)
+  pm_ranked_s : float;   (* summed wall time, Ranked k respond *)
   pm_ranked_k : int;
   pm_ranked_nonempty : int;
   pm_mismatches : (string * string) list;
@@ -885,7 +889,7 @@ let run_pathmerge ~timeout_s ~limit () =
     "Semiring PathMerge: reference DFS-of-record walk vs generic Min_size \
      chart@.(every domain: built-ins + examples/packs/*; 'identical' = \
      outcomes byte-equal per query including stats, timeouts skipped; \
-     ranked = run_ranked ~k:5 under Top_k, head must match)@.@.";
+     ranked = a Ranked 5 respond under Top_k, head must match)@.@.";
   let rows =
     List.map (run_pathmerge_domain ~timeout_s ~limit) (automaton_domains ())
   in
@@ -922,11 +926,11 @@ let run_pathmerge ~timeout_s ~limit () =
 (* ------------------------------------------------------------------ *)
 (* Warm-start store: cold vs warm server boot over a loopback socket. *)
 (* Phase 1 boots with an empty --store, serves every query (checked   *)
-(* against a local Engine.run baseline), replays them as cache hits,  *)
-(* and shuts down (spilling caches + automaton images). Phase 2 boots *)
-(* the same store: first request must already hit, /metrics must show *)
-(* zero automaton compiles, and every warm-served response must be    *)
-(* byte-identical to the cold (fresh-synthesis) one on the            *)
+(* against a local Engine.respond baseline), replays them as cache    *)
+(* hits, and shuts down (spilling caches + automaton images). Phase 2 *)
+(* boots the same store: first request must already hit, /metrics     *)
+(* must show zero automaton compiles, and every warm-served response  *)
+(* must be byte-identical to the cold (fresh-synthesis) one on the    *)
 (* deterministic fields (code, cgt_size, failure, alternatives,       *)
 (* stats). Divergence exits non-zero.                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1114,7 +1118,7 @@ let run_warmstart ~timeout_s ~limit () =
             end
             else begin
               if J.str_field "code" j <> base_code then
-                fail "cold answer diverges from Engine.run on %S" text;
+                fail "cold answer diverges from Engine.respond on %S" text;
               Some (domain, text, wfields_of j)
             end)
       baselines

@@ -32,7 +32,10 @@ let () =
     (Domain.api_count dom);
   List.iter
     (fun query ->
-      let o = Engine.run ses query in
+      let o =
+        Engine.respond ses
+          { Engine.input = Engine.Text query; mode = Engine.Plain }
+      in
       Format.printf "> %s@." query;
       match o.Engine.code with
       | Some code -> Format.printf "  clang-query> match %s@.  (%.1f ms)@.@." code (o.Engine.time_s *. 1000.)

@@ -25,8 +25,9 @@ let () =
     (fun ((dom : Domain.t), q) ->
       Format.printf "@.[%s] %s@." dom.Domain.name q;
       let dses = engine dom Engine.Dggt_alg in
-      let d = Engine.run dses q in
-      let h = Engine.run (engine dom Engine.Hisyn_alg) q in
+      let plain = { Engine.input = Engine.Text q; mode = Engine.Plain } in
+      let d = Engine.respond dses plain in
+      let h = Engine.respond (engine dom Engine.Hisyn_alg) plain in
       Format.printf "  hint: %s@." (Option.value d.Engine.code ~default:"<none>");
       Format.printf "  DGGT : %8.1f ms%s@." (d.Engine.time_s *. 1000.)
         (if d.Engine.timed_out then " TIMEOUT" else "");
@@ -44,7 +45,11 @@ let () =
         (h.Engine.time_s /. Float.max d.Engine.time_s 1e-6);
       (* the ranked-hints mode of paper SVII-B.4: alternative codelets for
          the hint panel, read off the dynamic grammar graph's root nodes *)
-      let hints = Engine.run_ranked ~k:3 dses q in
+      let hints =
+        (Engine.respond dses
+           { Engine.input = Engine.Text q; mode = Engine.Ranked 3 })
+          .Engine.ranked
+      in
       List.iteri
         (fun i (r : Engine.ranked) ->
           Format.printf "  hint %d: %s  (size %d, covers %d, score %.2f)@."

@@ -50,7 +50,10 @@ let () =
     "stop the music everywhere";
   ]
   |> List.iter (fun query ->
-         let o = Engine.synthesize engine tgt query in
+         let o =
+           Engine.respond { Engine.cfg = engine; target = tgt }
+             { Engine.input = Engine.Text query; mode = Engine.Plain }
+         in
          Format.printf "%-48s =>  %s  (%.1f ms)@." query
            (Option.value o.Engine.code ~default:"<no codelet>")
            (o.Engine.time_s *. 1000.))

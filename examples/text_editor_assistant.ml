@@ -34,7 +34,10 @@ let () =
     (Domain.api_count dom);
   List.iter
     (fun command ->
-      let o = Engine.run ses command in
+      let o =
+        Engine.respond ses
+          { Engine.input = Engine.Text command; mode = Engine.Plain }
+      in
       Format.printf "> %s@." command;
       (match (o.Engine.code, o.Engine.failure) with
       | Some code, _ ->

@@ -217,7 +217,7 @@ let trace_dropped sp key (before : Depgraph.t) (after : Depgraph.t) =
 (* ------------------------------------------------------------------ *)
 
 (* Step 2: POS-based pruning plus the domain's stop-verb drop. *)
-let prune_query cfg (dg : Depgraph.t) =
+let prune cfg (dg : Depgraph.t) =
   Trace.span cfg.trace "QueryPrune" (fun sp ->
       let pruned = Queryprune.prune dg in
       (* command verbs without API meaning ("find", "list" in code-search
@@ -340,6 +340,24 @@ let finish cfg tgt dg (res : Synres.t option) ~time_s ~timed_out ~stats =
                 stats;
               }))
 
+(* Orphan handling without relocation: HISyn's, and DGGT's ablation.
+   Each orphan word is anchored under the root, in one dependency graph. *)
+let anchor_orphans cfg tgt stats (pruned : Depgraph.t) w2a e2p orphans =
+  let dg, e2p =
+    if orphans = [] then (pruned, e2p)
+    else
+      Trace.span cfg.trace "OrphanAnchor" (fun asp ->
+          let dg, e2p =
+            Edge2path.anchor_orphans ~limits:cfg.path_limits ?autom:tgt.autom
+              tgt.graph pruned w2a e2p
+          in
+          Trace.int asp "paths_after_anchor" (Edge2path.total_path_count e2p);
+          (dg, e2p))
+  in
+  stats.Stats.paths_after_reloc <- Edge2path.total_path_count e2p;
+  stats.Stats.reloc_graphs <- 1;
+  (dg, e2p)
+
 (* Step 5, DGGT: orphan relocation + dynamic-grammar-graph merging.
    Generic over the PathMerge implementation: [merge] gets each candidate
    dependency graph and returns the synthesis result plus (for the real
@@ -356,21 +374,8 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
   Trace.span cfg.trace "PathMerge" (fun sp ->
       Trace.str sp "engine" "dggt";
       if orphans = [] || not cfg.orphan_reloc then begin
-        let dg, e2p =
-          if orphans = [] then (pruned, e2p)
-          else
-            (* ablation: fall back to the baseline's root anchoring *)
-            Trace.span cfg.trace "OrphanAnchor" (fun asp ->
-                let dg, e2p =
-                  Edge2path.anchor_orphans ~limits:cfg.path_limits
-                    ?autom:tgt.autom tgt.graph pruned w2a e2p
-                in
-                Trace.int asp "paths_after_anchor"
-                  (Edge2path.total_path_count e2p);
-                (dg, e2p))
-        in
-        stats.Stats.paths_after_reloc <- Edge2path.total_path_count e2p;
-        stats.Stats.reloc_graphs <- 1;
+        (* ablation: fall back to the baseline's root anchoring *)
+        let dg, e2p = anchor_orphans cfg tgt stats pruned w2a e2p orphans in
         let res, dyng = merge ~trace:sp dg w2a e2p in
         (dg, res, dyng)
       end
@@ -460,19 +465,7 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
   let pruned, w2a, e2p, orphans = front cfg tgt stats pruned in
   Trace.span cfg.trace "PathMerge" (fun sp ->
       Trace.str sp "engine" "hisyn";
-      let dg, e2p =
-        if orphans = [] then (pruned, e2p)
-        else
-          Trace.span cfg.trace "OrphanAnchor" (fun asp ->
-              let dg, e2p =
-                Edge2path.anchor_orphans ~limits:cfg.path_limits
-                  ?autom:tgt.autom tgt.graph pruned w2a e2p
-              in
-              Trace.int asp "paths_after_anchor" (Edge2path.total_path_count e2p);
-              (dg, e2p))
-      in
-      stats.Stats.paths_after_reloc <- Edge2path.total_path_count e2p;
-      stats.Stats.reloc_graphs <- 1;
+      let dg, e2p = anchor_orphans cfg tgt stats pruned w2a e2p orphans in
       let res =
         match Hisyn.synthesize ~budget ~stats ?trace:sp tgt.graph dg w2a e2p with
         | Some r -> Some r
@@ -505,49 +498,48 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
             | [] -> None)
         | None -> None
       in
-      (dg, res))
+      (dg, res, None))
 
-(* Stages 3-6 over an already-pruned graph. Exposed (as [synthesize_pruned])
-   so the incremental layer can parse and prune first, decide from the
-   pruned graph whether the previous revision's result still applies, and
-   only then pay for the expensive suffix of the pipeline. *)
-let synthesize_pruned cfg tgt (pruned : Depgraph.t) =
+(* Step 5 under the config's budget, then step 6. [step5] returns the
+   dependency graph it settled on, its result and (from the chart walk)
+   the dynamic grammar graph, which comes back with that dependency graph
+   for a ranked read-off. An exhausted budget is a timeout: no codelet,
+   time capped at the limit. *)
+let budgeted cfg tgt (pruned : Depgraph.t) step5 =
   let stats = Stats.create () in
   let budget = make_budget cfg in
   let t0 = Unix.gettimeofday () in
-  let run () =
-    match cfg.algorithm with
-    | Dggt_alg ->
-        let dg, res, _dyng = run_dggt cfg tgt budget stats pruned in
-        (dg, res)
-    | Hisyn_alg -> run_hisyn cfg tgt budget stats pruned
-  in
-  match run () with
-  | dg', res ->
+  match step5 budget stats with
+  | dg, res, dyng ->
       let time_s = Unix.gettimeofday () -. t0 in
-      finish cfg tgt dg' res ~time_s ~timed_out:false ~stats
+      ( finish cfg tgt dg res ~time_s ~timed_out:false ~stats,
+        Option.map (fun g -> (dg, g)) dyng )
   | exception Budget.Exhausted ->
       let time_s =
         match cfg.timeout_s with
         | Some limit -> limit
         | None -> Unix.gettimeofday () -. t0
       in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
+      (finish cfg tgt pruned None ~time_s ~timed_out:true ~stats, None)
 
-let synthesize_graph cfg tgt (dg : Depgraph.t) =
-  synthesize_pruned cfg tgt (prune_query cfg dg)
+(* Stages 3-6 over an already-pruned graph. Exposed so the incremental
+   layer can parse and prune first, decide from the pruned graph whether
+   the previous revision's result still applies, and only then pay for
+   the expensive suffix of the pipeline. *)
+let synthesize_pruned cfg tgt (pruned : Depgraph.t) =
+  fst
+    (budgeted cfg tgt pruned (fun budget stats ->
+         match cfg.algorithm with
+         | Dggt_alg -> run_dggt cfg tgt budget stats pruned
+         | Hisyn_alg -> run_hisyn cfg tgt budget stats pruned))
 
-let parse_query cfg query =
+let parse cfg query =
   Trace.span cfg.trace "DependencyParse" (fun sp ->
       let dg = Depparser.parse query in
       Trace.int sp "nodes" (List.length dg.Depgraph.nodes);
       Trace.int sp "edges" (List.length dg.Depgraph.edges);
       if Trace.on sp then Trace.str sp "parse" (Depgraph.to_string dg);
       dg)
-
-let synthesize cfg tgt query = synthesize_graph cfg tgt (parse_query cfg query)
-let parse = parse_query
-let prune = prune_query
 
 type session = { cfg : config; target : target }
 
@@ -571,33 +563,13 @@ type merge_fn =
 
 let synthesize_with_merge ~(merge : merge_fn) cfg tgt query =
   let cfg = { cfg with algorithm = Dggt_alg } in
-  let stats = Stats.create () in
-  let budget = make_budget cfg in
-  let t0 = Unix.gettimeofday () in
-  let pruned = prune_query cfg (parse_query cfg query) in
-  match
-    run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
-        let res =
-          match trace with
-          | Some sp ->
-              merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
-                ~trace:sp tgt.graph dg w2a e2p
-          | None ->
-              merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
-                tgt.graph dg w2a e2p
-        in
-        (res, None))
-  with
-  | dg', res, _dyng ->
-      let time_s = Unix.gettimeofday () -. t0 in
-      finish cfg tgt dg' res ~time_s ~timed_out:false ~stats
-  | exception Budget.Exhausted ->
-      let time_s =
-        match cfg.timeout_s with
-        | Some limit -> limit
-        | None -> Unix.gettimeofday () -. t0
-      in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
+  let pruned = prune cfg (parse cfg query) in
+  fst
+    (budgeted cfg tgt pruned (fun budget stats ->
+         run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
+             ( merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
+                 ?trace tgt.graph dg w2a e2p,
+               None ))))
 
 (* ------------------------------------------------------------------ *)
 (* consolidated request API: plain / ranked as one shape, streaming   *)
@@ -697,97 +669,63 @@ let make_emitter ~k ~scratch cfg (emit : candidate -> unit) =
 let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
   let k = max 1 k in
   let cfg = { cfg with algorithm = Dggt_alg; objective = Semiring.Top_k k } in
-  let stats = Stats.create () in
-  let budget = make_budget cfg in
-  let t0 = Unix.gettimeofday () in
   (* one CGT scratch for linearizing the streamed candidates and the
      n-best read-off *)
   let scratch = Cgt.scratch tgt.graph in
   let on_cand = Option.map (fun f -> make_emitter ~k ~scratch cfg f) on_candidate in
-  match run_dggt ?on_cand cfg tgt budget stats pruned with
-  | dg, res, dyng -> (
-      let time_s = Unix.gettimeofday () -. t0 in
-      let outcome = finish cfg tgt dg res ~time_s ~timed_out:false ~stats in
-      match dyng with
-      | None -> outcome
-      | Some dyng ->
-          (* the head is pinned to the plain run's codelet (already
-             linearized by [finish]): [Dgg.best]'s root selection compares
-             scores exactly while cell order uses the 1e-9 epsilon, so a
-             pure re-sort of the chart can put an epsilon-tied sibling
-             first — an invariant, not a sorting accident (DESIGN.md) *)
-          let seen = Hashtbl.create 8 in
-          let ranked =
-            Dggt.ranked_of_graph dyng ~root:dg.Depgraph.root
-            |> List.filter_map (fun (c : Semiring.cand) ->
-                   let lits = literal_bindings dg c.Semiring.assignment in
-                   match
-                     Result.map Tree2expr.normalize
-                       (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults scratch
-                          c.Semiring.cgt)
-                   with
-                   | Ok expr ->
-                       let code = Tree2expr.to_string expr in
-                       if Hashtbl.mem seen code then None
-                       else begin
-                         Hashtbl.add seen code ();
-                         Some
-                           {
-                             expr;
-                             code;
-                             size = c.Semiring.size;
-                             coverage = Semiring.coverage c;
-                             score = c.Semiring.score;
-                           }
-                       end
-                   | Error _ -> None)
-          in
-          let ranked =
-            match outcome.code with
-            | Some rc -> (
-                match
-                  List.partition (fun (r : ranked) -> r.code = rc) ranked
-                with
-                | [ hd ], rest -> hd :: rest
-                | _ -> ranked)
-            | None -> ranked
-          in
-          { outcome with ranked = Listutil.take k ranked })
-  | exception Budget.Exhausted ->
-      let time_s =
-        match cfg.timeout_s with
-        | Some limit -> limit
-        | None -> Unix.gettimeofday () -. t0
+  match
+    budgeted cfg tgt pruned (fun budget stats ->
+        run_dggt ?on_cand cfg tgt budget stats pruned)
+  with
+  | outcome, None -> outcome
+  | outcome, Some (dg, dyng) ->
+      (* the head is pinned to the plain run's codelet (already
+         linearized by [finish]): [Dgg.best]'s root selection compares
+         scores exactly while cell order uses the 1e-9 epsilon, so a
+         pure re-sort of the chart can put an epsilon-tied sibling
+         first — an invariant, not a sorting accident (DESIGN.md) *)
+      let seen = Hashtbl.create 8 in
+      let ranked =
+        Dggt.ranked_of_graph dyng ~root:dg.Depgraph.root
+        |> List.filter_map (fun (c : Semiring.cand) ->
+               let lits = literal_bindings dg c.Semiring.assignment in
+               match
+                 Result.map Tree2expr.normalize
+                   (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults scratch
+                      c.Semiring.cgt)
+               with
+               | Ok expr ->
+                   let code = Tree2expr.to_string expr in
+                   if Hashtbl.mem seen code then None
+                   else begin
+                     Hashtbl.add seen code ();
+                     Some
+                       {
+                         expr;
+                         code;
+                         size = c.Semiring.size;
+                         coverage = Semiring.coverage c;
+                         score = c.Semiring.score;
+                       }
+                   end
+               | Error _ -> None)
       in
-      finish cfg tgt pruned None ~time_s ~timed_out:true ~stats
+      let ranked =
+        match outcome.code with
+        | Some rc -> (
+            match List.partition (fun (r : ranked) -> r.code = rc) ranked with
+            | [ hd ], rest -> hd :: rest
+            | _ -> ranked)
+        | None -> ranked
+      in
+      { outcome with ranked = Listutil.take k ranked }
 
 let respond ?on_candidate (s : session) (req : request) =
-  let graph_of () =
-    match req.input with
-    | Text q -> parse_query s.cfg q
-    | Graph dg -> dg
-  in
+  let dg = match req.input with Text q -> parse s.cfg q | Graph dg -> dg in
+  let pruned = prune s.cfg dg in
   match req.mode with
   | Plain ->
       (* the streaming seam only exists on the DGGT chart walk; a Plain
          request has no n-best to improve, so the callback never fires *)
-      synthesize_graph s.cfg s.target (graph_of ())
-  | Ranked k ->
-      respond_ranked ?on_candidate ~k s.cfg s.target
-        (prune_query s.cfg (graph_of ()))
-
-let run_streaming ?(k = 5) ~on_candidate s query =
-  respond ~on_candidate s { input = Text query; mode = Ranked k }
-
-(* thin wrappers over [respond]; kept for one PR, then callers should be
-   on the request shape *)
-let run s query = respond s { input = Text query; mode = Plain }
-let run_graph s dg = respond s { input = Graph dg; mode = Plain }
-
-let synthesize_ranked ?(k = 5) cfg tgt query =
-  if k <= 0 then []
-  else
-    (respond { cfg; target = tgt } { input = Text query; mode = Ranked k })
-      .ranked
-
-let run_ranked ?k s query = synthesize_ranked ?k s.cfg s.target query
+      synthesize_pruned s.cfg s.target pruned
+  | Ranked k -> respond_ranked ?on_candidate ~k s.cfg s.target pruned

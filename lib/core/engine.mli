@@ -92,9 +92,10 @@ type config = {
   objective : Semiring.t;
       (** the PathMerge semiring instantiation (DGGT). {!Semiring.Min_size}
           (the default) is the paper's objective; {!Semiring.Top_k} makes
-          every chart cell retain a bounded n-best (what {!run_ranked}
-          uses); {!Semiring.Count} additionally counts distinct CGTs per
-          cell. The winning codelet and the statistics are identical for
+          every chart cell retain a bounded n-best (what a [Ranked]
+          {!respond} uses); {!Semiring.Count} additionally counts
+          distinct CGTs per cell. The winning codelet and the statistics
+          are identical for
           every objective — the walk always extends by best candidates. *)
   orphan_reloc : bool;        (** orphan relocation (DGGT); false falls
                                   back to HISyn's root anchoring *)
@@ -148,9 +149,6 @@ type outcome = {
   stats : Stats.t;
 }
 
-val synthesize : config -> target -> string -> outcome
-(** Never raises. *)
-
 type session = { cfg : config; target : target }
 (** A ready-to-run pairing of the {e how} ({!config}) with the {e what}
     ({!target}). {!Dggt_domains.Domain.configure} returns one; callers that
@@ -163,15 +161,16 @@ val with_cfg : (config -> config) -> session -> session
 
 (** {2 The request shape}
 
-    One entry point for every delivery mode. A {!request} says {e what}
-    to answer ([input]: query text, or a pre-built dependency graph) and
-    {e in which shape} ([mode]: the plain single-codelet outcome, or an
-    n-best list of [k] ranked candidates); {!respond} executes it over a
-    {!session}. Streaming is not a third mode but a delivery option of
-    the same request: pass [on_candidate] and [Ranked]-mode responses
-    additionally emit every improving root-cell candidate while the
-    chart walk runs — the returned outcome (with its final [ranked]
-    list) is byte-identical with and without the callback. *)
+    The one query entry point, for every delivery mode. A {!request}
+    says {e what} to answer ([input]: query text, or a pre-built
+    dependency graph) and {e in which shape} ([mode]: the plain
+    single-codelet outcome, or an n-best list of [k] ranked candidates);
+    {!respond} executes it over a {!session}. Streaming is not a third
+    mode but a delivery option of the same request: pass [on_candidate]
+    and [Ranked]-mode responses additionally emit every improving
+    root-cell candidate while the chart walk runs — the returned outcome
+    (with its final [ranked] list) is byte-identical with and without
+    the callback. *)
 
 type input =
   | Text of string            (** run the full pipeline from stage 1 *)
@@ -217,37 +216,12 @@ val respond : ?on_candidate:(candidate -> unit) -> session -> request -> outcome
     region, and is only consulted in [Ranked] mode: [Plain] requests
     have no n-best to improve, so the callback never fires there). *)
 
-val run_streaming :
-  ?k:int -> on_candidate:(candidate -> unit) -> session -> string -> outcome
-(** [run_streaming ~k ~on_candidate s q] is
-    [respond ~on_candidate s { input = Text q; mode = Ranked k }]
-    ([k] defaults to 5): emit-as-you-improve delivery of the ranked
-    request. Time-to-first-candidate is bounded by the first root-cell
-    improvement, not by the full search ([bench stream] pins the gap). *)
-
-(** {2 Deprecated wrappers}
-
-    Thin aliases of {!respond} kept for one PR; new callers should build
-    a {!request}. *)
-
-val run : session -> string -> outcome
-(** [run s q] is [respond s { input = Text q; mode = Plain }]. Never
-    raises. *)
-
 val absorb_modifiers :
   Apidoc.t -> Dggt_nlu.Depgraph.t -> Word2api.t -> Dggt_nlu.Depgraph.t * Word2api.t
 (** The modifier-absorption step, exposed for tests and debugging tools:
     an amod/compound dependent sharing candidate APIs with its head noun
     refines the head ("constructor expressions" -> cxxConstructExpr) and
     disappears as a separate word. *)
-
-val synthesize_ranked : ?k:int -> config -> target -> string -> ranked list
-(** [(respond { cfg; target } { input = Text q; mode = Ranked k }).ranked]
-    (default [k = 5]; [k <= 0] yields [[]] without running). See
-    {!mode}'s [Ranked] case for the list's contract. *)
-
-val run_ranked : ?k:int -> session -> string -> ranked list
-(** {!synthesize_ranked} over a {!session}. *)
 
 type merge_fn =
   budget:Dggt_util.Budget.t ->
@@ -264,26 +238,22 @@ type merge_fn =
     DGGT pipeline calls it (once per relocation variant). *)
 
 val synthesize_with_merge : merge:merge_fn -> config -> target -> string -> outcome
-(** {!synthesize} with a replacement PathMerge spliced into the DGGT
-    pipeline (the algorithm is forced to [Dggt_alg]; orphan relocation,
+(** A [Plain] text {!respond} with a replacement PathMerge spliced into
+    the DGGT pipeline (the algorithm is forced to [Dggt_alg]; orphan relocation,
     variant selection, budget and timeout handling are unchanged). Used
     by [bench pathmerge] and the property suite to run the pre-semiring
     reference walk ({!Dggt_eval.Refmerge}) against the semiring one on
     identical inputs. Never raises. *)
-
-val synthesize_graph : config -> target -> Dggt_nlu.Depgraph.t -> outcome
-(** Skip parsing: synthesize from a pre-built dependency graph (used by
-    tests to pin parses, and by the property suite to fuzz graph shapes).
-    No DependencyParse span is emitted when tracing. *)
 
 (** {2 Stage boundaries}
 
     The incremental layer ({!Dggt_inc.Session}) needs to stop the pipeline
     between stages: parse and prune first, compare the pruned graph against
     the previous revision's, and only run the expensive stages 3-6 when the
-    comparison says it must. [synthesize q] is exactly
-    [synthesize_pruned (prune (parse q))]; splitting the call changes
-    nothing about the result or the emitted trace spans. *)
+    comparison says it must. A [Plain] {!respond} to [Text q] is exactly
+    [synthesize_pruned cfg target (prune cfg (parse cfg q))]; splitting
+    the call changes nothing about the result or the emitted trace
+    spans. *)
 
 val parse : config -> string -> Dggt_nlu.Depgraph.t
 (** Stage 1 alone (emits the DependencyParse span when tracing). *)
@@ -298,9 +268,6 @@ val synthesize_pruned : config -> target -> Dggt_nlu.Depgraph.t -> outcome
     together with the target and the config determines the outcome's
     codelet and statistics completely — the invariant the incremental
     splice rests on. Never raises. *)
-
-val run_graph : session -> Dggt_nlu.Depgraph.t -> outcome
-(** [respond s { input = Graph dg; mode = Plain }]. *)
 
 val stage_names : string list
 (** The span names of the six pipeline stages, in pipeline order:

@@ -38,7 +38,7 @@ val configure :
     [autom] is given, the target's graph is the automaton's own graph
     ([Dggt_autom.Autom.graph]) so EdgeToPath's table-walk fast path is
     consistent by construction — compile it from this domain's grammar
-    (the registry does). The session feeds {!Dggt_core.Engine.run}
+    (the registry does). The session feeds {!Dggt_core.Engine.respond}
     directly. *)
 
 val api_count : t -> int

@@ -13,7 +13,9 @@ let run fmt ?(timeout_s = 20.0) ?(algorithm = Engine.Dggt_alg) ?(top = 1)
         trace = Some sink;
       }
   in
-  let o = Engine.run ses query in
+  let o =
+    Engine.respond ses { Engine.input = Engine.Text query; mode = Engine.Plain }
+  in
   let trace = Trace.result sink in
   Format.fprintf fmt "domain: %s (%s engine)@." dom.Domain.name
     (match algorithm with Engine.Dggt_alg -> "dggt" | Engine.Hisyn_alg -> "hisyn");
@@ -32,7 +34,11 @@ let run fmt ?(timeout_s = 20.0) ?(algorithm = Engine.Dggt_alg) ?(top = 1)
   (* rank narration: re-run under the Top-k semiring and show what the
      chart kept beyond the winner — same pipeline, wider cells *)
   if top > 1 && o.Engine.code <> None && algorithm = Engine.Dggt_alg then begin
-    let hints = Engine.run_ranked ~k:top ses query in
+    let hints =
+      (Engine.respond ses
+         { Engine.input = Engine.Text query; mode = Engine.Ranked top })
+        .Engine.ranked
+    in
     Format.fprintf fmt "@.top-%d candidates (Top-k semiring chart):@." top;
     List.iteri
       (fun i (r : Engine.ranked) ->

@@ -87,23 +87,23 @@ let table2 fmt comparisons =
 (* ------------------------------------------------------------------ *)
 
 let run_one (dom : Domain.t) algorithm ~timeout_s (q : Domain.query) =
-  Engine.run
+  Engine.respond
     (Domain.configure dom
        { (Engine.default algorithm) with Engine.timeout_s = Some timeout_s })
-    q.Domain.text
+    { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
 
 (* Hard-case selection: the combination product the baseline faces, probed
    with a tiny step budget (the product is recorded before enumeration). *)
 let combos_possible dom (q : Domain.query) =
   let o =
-    Engine.run
+    Engine.respond
       (Domain.configure dom
          {
            (Engine.default Engine.Hisyn_alg) with
            Engine.timeout_s = None;
            max_steps = Some 2_000;
          })
-      q.Domain.text
+      { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
   in
   o.Engine.stats.Stats.hisyn_combos_possible
 

@@ -282,12 +282,6 @@ let respond ?on_candidate ?tweak t req =
   Mutex.unlock t.mu;
   res
 
-let ranked ?(k = 5) t q =
-  if k <= 0 then []
-  else
-    (respond t { Engine.input = Engine.Text q; mode = Engine.Ranked k })
-      .Engine.ranked
-
 let reset t =
   Mutex.lock t.mu;
   Hashtbl.reset t.words;

@@ -27,7 +27,7 @@
     either way.
 
     Thread-safety: the lookup hooks are mutex-guarded (the EdgeToPath stage
-    may probe them from pool workers); {!query}/{!ranked}/{!reset} calls on
+    may probe them from pool workers); {!query}/{!respond}/{!reset} calls on
     one session must themselves be serialized by the caller (the server
     holds a per-session lock; the repl is single-threaded). *)
 
@@ -69,12 +69,6 @@ val respond :
     accounting. [on_candidate] is the streaming hook — see
     {!Dggt_core.Engine.respond}; [tweak] adjusts the base config for this
     call (trace sink, timeout) exactly as in {!query}. *)
-
-val ranked : ?k:int -> t -> string -> Dggt_core.Engine.ranked list
-(** Ranked-hints mode ({!Dggt_core.Engine.run_ranked}'s top-k chart)
-    through the session's memo tables — [respond] with a [Ranked k] text
-    request. Does not advance the revision history or disturb the last
-    {!query}'s reuse accounting. *)
 
 val reset : t -> unit
 (** Drop the revision history and memo tables; the next {!query} computes

@@ -44,14 +44,6 @@ let default_params =
     store_interval_s = 60.0;
   }
 
-let known_domains =
-  [ Dggt_domains.Text_editing.domain; Dggt_domains.Astmatcher.domain ]
-
-let find_domain = function
-  | "textediting" | "te" -> Some Dggt_domains.Text_editing.domain
-  | "astmatcher" | "am" -> Some Dggt_domains.Astmatcher.domain
-  | _ -> None
-
 (* per-domain state, everything forced/configured up front so worker
    domains share read-only structures; the target carries the per-stage
    caches, the configs stay cache-free. [gen] is the registry generation
@@ -171,7 +163,6 @@ let ivar_read iv =
 (* json renderings (the shapes live in Wire, shared with SSE frames)  *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_json = Wire.outcome_json
 let error_json = Wire.error_json
 
 let trecord_json r =
@@ -187,95 +178,11 @@ let trecord_json r =
 
 let respond_json ?headers status v = Httpd.response ?headers status (J.to_string v)
 
-(* ------------------------------------------------------------------ *)
-(* request parsing                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type parsed = {
-  query : string;
-  ds : dstate;
-  engine : Engine.algorithm;
-  engine_name : string;
-  timeout_s : float;
-  k : int;
-  stream : bool;
-}
-
-(* [?stream=1] switches delivery to SSE. The flag always travels in the
-   URL query string, so it composes with both request styles (GET
-   parameters and POST bodies). *)
-let stream_requested (req : Httpd.request) =
-  match List.assoc_opt "stream" req.Httpd.query with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-(* GET carries its parameters in the URL query string, POST in a JSON
-   body; both produce the same [parsed] record *)
-let parse_request t (req : Httpd.request) =
-  let from_url = req.Httpd.meth = "GET" in
-  match if from_url then Ok (J.Obj []) else J.of_string req.Httpd.body with
-  | Error e -> Error e
-  | Ok body -> (
-      let str name =
-        if from_url then List.assoc_opt name req.Httpd.query
-        else J.str_field name body
-      in
-      let num name =
-        if from_url then
-          Option.bind (List.assoc_opt name req.Httpd.query) float_of_string_opt
-        else J.num_field name body
-      in
-      let int name =
-        if from_url then
-          Option.bind (List.assoc_opt name req.Httpd.query) int_of_string_opt
-        else J.int_field name body
-      in
-      match str "query" with
-      | None | Some "" -> Error "missing required string field \"query\""
-      | Some query -> (
-          let dname = Option.value (str "domain") ~default:"textediting" in
-          match find_dstate t dname with
-          | None ->
-              Error
-                (Printf.sprintf "unknown domain %S (see GET /domains)" dname)
-          | Some ds -> (
-              match Option.value (str "engine") ~default:"dggt" with
-              | ("dggt" | "hisyn") as engine_name ->
-                  let engine =
-                    if engine_name = "dggt" then Engine.Dggt_alg
-                    else Engine.Hisyn_alg
-                  in
-                  let timeout_s =
-                    match num "timeout" with
-                    | Some v when v > 0.0 -> Float.min v 60.0
-                    | _ -> t.params.default_timeout_s
-                  in
-                  let k =
-                    match int "k" with
-                    | Some v -> max 1 (min v 20)
-                    | None -> 1
-                  in
-                  Ok
-                    {
-                      query;
-                      ds;
-                      engine;
-                      engine_name;
-                      timeout_s;
-                      k;
-                      stream = stream_requested req;
-                    }
-              | e -> Error (Printf.sprintf "unknown engine %S (dggt|hisyn)" e))))
-
-(* ------------------------------------------------------------------ *)
-(* endpoint handlers                                                  *)
-(* ------------------------------------------------------------------ *)
-
 let observe t ~domain ~outcome t0 =
   Smetrics.observe t.metrics ~domain ~outcome (Unix.gettimeofday () -. t0)
 
-(* a worker finished a traced synthesis: feed the per-stage latency
-   histograms and remember the trace for [GET /debug/trace] *)
+(* a traced run finished: feed the per-stage latency histograms and
+   remember the trace for [GET /debug/trace] *)
 let record_trace t ~domain ~engine ~query ~time_s ~ok sink =
   let trace = Trace.result sink in
   List.iter
@@ -324,17 +231,269 @@ let via_pool t ~domain ~deadline ~t0 work =
       | `Ok resp -> resp)
 
 (* ------------------------------------------------------------------ *)
-(* streaming (SSE) delivery                                           *)
+(* the query pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* Every query route — /synthesize, /rank and /session/<id>/query, plain
+   or streamed — takes one path. [read_request] builds one [request]
+   record; [query_handler] then does the cache probe or stream replay,
+   the pool or connection-thread dispatch, the run, the trace record, the
+   cache write and the outcome label. The routes differ only in the
+   record they build and the body they render. *)
+
+(* a session survives only as long as the domain it was built against: a
+   reload bumps the registry generation, so [sgen] no longer matches and
+   the session is Gone — the client must open a fresh one. Kept distinct
+   from 404 (unknown/evicted id) so typing clients know to re-create. *)
+let session_lookup t id =
+  match Sessions.find t.sessions id with
+  | `Missing -> Error (404, "unknown session (expired ids are evicted)")
+  | `Expired -> Error (410, "session expired (idle past the TTL)")
+  | `Found sr -> (
+      match find_dstate t sr.sdomain with
+      | Some ds when ds.gen = sr.sgen -> Ok sr
+      | _ ->
+          ignore (Sessions.remove t.sessions id);
+          Error (410, "session invalidated by domain reload"))
+
+type route =
+  | Synthesize of dstate
+  | Rank of dstate
+  | Session_query of string * srecord  (* the id and the session *)
+
+type request = {
+  route : route;
+  domain : string;
+  engine : string;  (* "dggt" | "hisyn", the label traces and bodies carry *)
+  query : string;
+  timeout_s : float;  (* bounds every run of the request *)
+  mode : Engine.mode;
+  stream : bool;
+}
+
+(* /rank and every stream answer with a ranked list, always in [Ranked]
+   mode; /synthesize and a plain session query answer with an outcome,
+   ranked only when [k > 1] asks for alternatives *)
+let rank_shaped route stream =
+  stream
+  || match route with Rank _ -> true | Synthesize _ | Session_query _ -> false
+
+let k_of r = match r.mode with Engine.Plain -> 1 | Engine.Ranked k -> k
+
+(* [?stream=1] switches delivery to SSE. The flag always travels in the
+   URL query string, so it composes with both request styles (GET
+   parameters and POST bodies). *)
+let stream_requested (req : Httpd.request) =
+  match List.assoc_opt "stream" req.Httpd.query with
+  | Some ("1" | "true" | "yes") -> true
+  | _ -> false
+
+(* The field reader of every query route. GET carries its parameters in
+   the URL query string, POST in a JSON body; a session query takes its
+   domain and engine from the session. An absent [k] defaults to 5 on a
+   rank-shaped request and to 1 otherwise. An error is the status, the
+   domain and outcome it is counted under, and the message. *)
+let read_request t (req : Httpd.request) which =
+  let ( let* ) = Result.bind in
+  let bad domain msg = Error (400, domain, "bad_request", msg) in
+  let* session =
+    match which with
+    | `Session id -> (
+        match session_lookup t id with
+        | Ok sr -> Ok (Some (id, sr))
+        | Error (status, msg) -> Error (status, "-", "session_gone", msg))
+    | `Synthesize | `Rank -> Ok None
+  in
+  let counted = match session with Some (_, sr) -> sr.sdomain | None -> "-" in
+  let from_url = req.Httpd.meth = "GET" in
+  let* body =
+    if from_url then Ok (J.Obj [])
+    else
+      match J.of_string req.Httpd.body with
+      | Ok body -> Ok body
+      | Error e -> bad counted e
+  in
+  let field of_url of_json name =
+    if from_url then Option.bind (List.assoc_opt name req.Httpd.query) of_url
+    else of_json name body
+  in
+  let str = field Option.some J.str_field in
+  let* query =
+    match str "query" with
+    | None | Some "" -> bad counted "missing required string field \"query\""
+    | Some query -> Ok query
+  in
+  let* route, domain, engine =
+    match session with
+    | Some (id, sr) -> Ok (Session_query (id, sr), sr.sdomain, sr.sengine_name)
+    | None -> (
+        let dname = Option.value (str "domain") ~default:"textediting" in
+        match
+          (find_dstate t dname, Option.value (str "engine") ~default:"dggt")
+        with
+        | None, _ ->
+            bad "-"
+              (Printf.sprintf "unknown domain %S (see GET /domains)" dname)
+        | Some ds, (("dggt" | "hisyn") as engine) ->
+            let domain = ds.dom.Dggt_domains.Domain.name in
+            (* /rank always runs (and is labelled) DGGT *)
+            Ok
+              (if which = `Rank then (Rank ds, domain, "dggt")
+               else (Synthesize ds, domain, engine))
+        | Some _, e ->
+            bad "-" (Printf.sprintf "unknown engine %S (dggt|hisyn)" e))
+  in
+  let stream = stream_requested req in
+  let* () =
+    match route with
+    | Synthesize _ when stream ->
+        (* streaming is ranked delivery; /synthesize keeps its fixed shape *)
+        bad domain
+          "streaming delivery is available on /rank and /session/<id>/query"
+    | _ -> Ok ()
+  in
+  let ranked = rank_shaped route stream in
+  let k =
+    match field int_of_string_opt J.int_field "k" with
+    | Some v -> max 1 (min v 20)
+    | None -> if ranked then 5 else 1
+  in
+  let timeout_s =
+    match field float_of_string_opt J.num_field "timeout" with
+    | Some v when v > 0.0 -> Float.min v 60.0
+    | _ -> t.params.default_timeout_s
+  in
+  Ok
+    {
+      route;
+      domain;
+      engine;
+      query;
+      timeout_s;
+      stream;
+      mode = (if ranked || k > 1 then Engine.Ranked k else Engine.Plain);
+    }
+
+(* The run: the request's engine call, bounded by its timeout and traced
+   into [sink]. The outcome's [ranked] is the n-best the body shows. A
+   HISyn /synthesize with [k > 1] takes its alternatives from a second,
+   DGGT run, and a plain session query from a ranked respond after the
+   revision; each is bounded by the same timeout. *)
+let run r ~sink ?on_candidate () =
+  let tweak cfg =
+    { cfg with Engine.timeout_s = Some r.timeout_s; trace = Some sink }
+  in
+  let text mode = { Engine.input = Engine.Text r.query; mode } in
+  let with_alternatives (o : Engine.outcome) ranked_run =
+    match r.mode with
+    | Engine.Ranked _ when not o.Engine.timed_out ->
+        { o with Engine.ranked = (ranked_run ()).Engine.ranked }
+    | _ -> o
+  in
+  match r.route with
+  | Synthesize ds | Rank ds ->
+      let respond cfg mode =
+        Engine.respond ?on_candidate
+          { Engine.cfg = tweak cfg; target = ds.target }
+          (text mode)
+      in
+      if r.engine = "dggt" then (respond ds.cfg_dggt r.mode, None)
+      else
+        ( with_alternatives (respond ds.cfg_hisyn Engine.Plain) (fun () ->
+              respond ds.cfg_dggt r.mode),
+          None )
+  | Session_query (_, sr) ->
+      (* the embedded session is not reentrant *)
+      Mutex.lock sr.smu;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock sr.smu)
+        (fun () ->
+          let respond () =
+            Dggt_inc.Session.respond ?on_candidate ~tweak sr.inc (text r.mode)
+          in
+          if r.stream then (respond (), None)
+          else
+            let o, reuse = Dggt_inc.Session.query ~tweak sr.inc r.query in
+            (with_alternatives o respond, Some reuse))
+
+let q_key ds r = (ds.gen, r.domain, r.engine, r.query, k_of r)
+let rank_key ds r = (ds.gen, r.domain, r.query, k_of r)
+
+(* The cache probe. A body is rendered from an outcome with its n-best,
+   or from a rank-cache entry, which keeps the list alone. Session
+   queries are never cached. *)
+let probe t r =
+  match r.route with
+  | Synthesize ds ->
+      Option.map
+        (fun (o, alternatives) -> (Some o, alternatives))
+        (Cache.find t.q_cache (q_key ds r))
+  | Rank ds ->
+      Option.map
+        (fun cs -> (None, cs))
+        (Cache.find t.rank_cache (rank_key ds r))
+  | Session_query _ -> None
+
+(* The body: the ranked list for a rank-shaped request (a stream's [done]
+   frame included), else the outcome with its alternatives. A session
+   adds its id, a plain session query its reuse accounting. *)
+let body r ~cached ?reuse (outcome, ranked) =
+  let v =
+    match outcome with
+    | Some o when not (rank_shaped r.route r.stream) ->
+        Wire.outcome_json ~domain:r.domain ~engine:r.engine ~query:r.query
+          ~cached ~alternatives:ranked o
+    | _ ->
+        Wire.rank_json ~domain:r.domain ~query:r.query ~k:(k_of r) ~cached
+          ranked
+  in
+  match r.route with
+  | Session_query (id, _) ->
+      Wire.with_fields v
+        (("session", J.Str id)
+        :: Option.fold reuse ~none:[] ~some:(fun u ->
+               [ ("reuse", Wire.reuse_json u) ]))
+  | Synthesize _ | Rank _ -> v
+
+(* After a run: the trace record, the cache write and the outcome label.
+   The caches never take a timed-out outcome (a repeat under a larger
+   budget deserves a fresh run), nothing from a stream, and no empty
+   rank list. [ok] is what the body reports: a codelet, or for a
+   rank-shaped body a non-empty list. *)
+let conclude t r ~t0 ?reuse sink (o : Engine.outcome) =
+  let ok =
+    if rank_shaped r.route r.stream then o.Engine.ranked <> []
+    else o.Engine.code <> None
+  in
+  record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
+    ~time_s:o.Engine.time_s ~ok sink;
+  Option.iter
+    (fun (u : Dggt_inc.Reuse.t) ->
+      let open Dggt_inc.Reuse in
+      Smetrics.observe_reuse t.metrics
+        ~reused:(u.words.reused + u.pairs.reused + u.dgg_rows.reused)
+        ~computed:(u.words.computed + u.pairs.computed + u.dgg_rows.computed)
+        ~splice:u.splice)
+    reuse;
+  (if not (r.stream || o.Engine.timed_out) then
+     match r.route with
+     | Synthesize ds -> Cache.add t.q_cache (q_key ds r) (o, o.Engine.ranked)
+     | Rank ds ->
+         if ok then Cache.add t.rank_cache (rank_key ds r) o.Engine.ranked
+     | Session_query _ -> ());
+  observe t ~domain:r.domain
+    ~outcome:
+      (if o.Engine.timed_out then "timeout" else if ok then "ok" else "failed")
+    t0
 
 (* A streamed request runs on the connection thread inside the chunked
    producer — not on the worker pool: candidate frames must reach the
    socket while the chart walk is still running, and a pool worker has
    nowhere to write mid-run. Streams therefore sidestep the pool's
    backpressure (they are bounded by the connection count instead) and
-   the response caches (interim frames are the point; a cache could only
-   replay the terminal payload). The terminal [event: done] frame is
-   rendered by the same {!Wire} function as the fixed response body, so
+   never write the response caches (interim frames are the point; a
+   cache could only replay the terminal payload). The terminal [event:
+   done] frame is rendered by the same {!body} as the fixed response, so
    the final candidate list is byte-for-byte what the non-streaming
    endpoint returns.
 
@@ -344,18 +503,14 @@ let via_pool t ~domain ~deadline ~t0 work =
    when the deadline expires or the run fails (the HTTP status already
    went out as 200 when the stream opened). A client disconnect surfaces
    as [EPIPE] on the next frame write, which aborts the chart walk
-   mid-run; the metrics and trace for the partial stream still land.
+   mid-run; the partial stream is counted [failed], and no trace is
+   recorded for it.
 
    The trace's [Stream] span notes when the frames were produced, in
    seconds from request start: [ttfc_s] for the first candidate frame
    and [done_s] for the terminal frame (a client reading the socket may
    receive both in one read). *)
-let stream_ranked t ~domain ~engine_label ~query ~t0
-    ~(done_frame : Engine.outcome -> J.t)
-    ~(run :
-       sink:Trace.sink ->
-       on_candidate:(Engine.candidate -> unit) ->
-       Engine.outcome) =
+let stream_query t r ~t0 =
   Httpd.stream_response 200 (fun chunk ->
       let sink = Trace.create () in
       let ttfc = ref None in
@@ -370,7 +525,10 @@ let stream_ranked t ~domain ~engine_label ~query ~t0
         Smetrics.decr_inflight t.metrics;
         Smetrics.observe_stream t.metrics ~candidates:!count ~ttfc_s:!ttfc
       in
-      match Fun.protect ~finally:settle (fun () -> run ~sink ~on_candidate) with
+      match
+        Fun.protect ~finally:settle (fun () ->
+            fst (run r ~sink ~on_candidate ()))
+      with
       | o ->
           Trace.span (Some sink) "Stream" (fun sp ->
               Trace.int sp "candidates" !count;
@@ -378,25 +536,17 @@ let stream_ranked t ~domain ~engine_label ~query ~t0
               | Some s -> Trace.float sp "ttfc_s" s
               | None -> ());
               Trace.float sp "done_s" (Unix.gettimeofday () -. t0));
-          record_trace t ~domain ~engine:engine_label ~query
-            ~time_s:o.Engine.time_s
-            ~ok:(o.Engine.code <> None)
-            sink;
-          if o.Engine.timed_out then begin
-            observe t ~domain ~outcome:"timeout" t0;
-            chunk
-              (Wire.sse_frame ~event:"error"
+          conclude t r ~t0 sink o;
+          chunk
+            (if o.Engine.timed_out then
+               Wire.sse_frame ~event:"error"
                  (Wire.stream_error_json ~status:504
-                    "request deadline expired mid-stream"))
-          end
-          else begin
-            observe t ~domain
-              ~outcome:(if o.Engine.ranked = [] then "failed" else "ok")
-              t0;
-            chunk (Wire.sse_frame ~event:"done" (done_frame o))
-          end
+                    "request deadline expired mid-stream")
+             else
+               Wire.sse_frame ~event:"done"
+                 (body r ~cached:false (Some o, o.Engine.ranked)))
       | exception e ->
-          observe t ~domain ~outcome:"failed" t0;
+          observe t ~domain:r.domain ~outcome:"failed" t0;
           (* the peer may already be gone (EPIPE raised by a frame write
              landed here) — the terminal frame is best-effort *)
           (try
@@ -405,20 +555,20 @@ let stream_ranked t ~domain ~engine_label ~query ~t0
                   (Wire.stream_error_json ~status:500 (Printexc.to_string e)))
            with _ -> ()))
 
-(* a whole-query cache hit under [?stream=1]: there is no chart walk to
-   stream, so the outcome is replayed — the cached winner as one
-   [event: candidate] frame (rank 1, revision 1), then the terminal
-   [event: done] whose payload is byte-for-byte the cached non-streaming
-   body ([cached] included). Streams still never {e write} the rank
-   cache; only prior non-streaming requests arm the replay. *)
-let stream_replay t ~domain ~query ~k (cs : Engine.ranked list) =
+(* a rank-cache hit under [?stream=1]: there is no chart walk to stream,
+   so the outcome is replayed — the cached winner as one [event:
+   candidate] frame (rank 1, revision 1), then the terminal [event: done]
+   whose payload is byte-for-byte the cached non-streaming body ([cached]
+   included). Only prior non-streaming requests arm the replay. *)
+let stream_replay t r hit =
   Httpd.stream_response 200 (fun chunk ->
+      let cs = snd hit in
       Smetrics.observe_stream_replay t.metrics;
       Smetrics.observe_stream t.metrics
         ~candidates:(if cs = [] then 0 else 1)
         ~ttfc_s:None;
       (match cs with
-      | top :: _ ->
+      | (top : Engine.ranked) :: _ ->
           chunk
             (Wire.sse_frame ~event:"candidate"
                (Wire.candidate_json
@@ -431,139 +581,34 @@ let stream_replay t ~domain ~query ~k (cs : Engine.ranked list) =
                     score = top.Engine.score;
                   }))
       | [] -> ());
-      chunk
-        (Wire.sse_frame ~event:"done"
-           (Wire.rank_json ~domain ~query ~k ~cached:true cs)))
+      chunk (Wire.sse_frame ~event:"done" (body r ~cached:true hit)))
 
-let synthesize_handler t (req : Httpd.request) =
+let query_handler t (req : Httpd.request) which =
   let t0 = Unix.gettimeofday () in
-  match parse_request t req with
-  | Error msg ->
-      observe t ~domain:"-" ~outcome:"bad_request" t0;
-      Httpd.response 400 (error_json msg)
-  | Ok p when p.stream ->
-      (* streaming is ranked delivery; /synthesize keeps its fixed shape *)
-      observe t ~domain:p.ds.dom.Dggt_domains.Domain.name
-        ~outcome:"bad_request" t0;
-      Httpd.response 400
-        (error_json
-           "streaming delivery is available on /rank and /session/<id>/query")
-  | Ok p -> (
-      let domain = p.ds.dom.Dggt_domains.Domain.name in
-      let key = (p.ds.gen, domain, p.engine_name, p.query, p.k) in
-      let render ~cached (o, alternatives) =
-        respond_json 200
-          (outcome_json ~domain ~engine:p.engine_name ~query:p.query ~cached
-             ~alternatives o)
-      in
-      match Cache.find t.q_cache key with
-      | Some v ->
-          observe t ~domain ~outcome:"cached" t0;
-          render ~cached:true v
+  match read_request t req which with
+  | Error (status, domain, outcome, msg) ->
+      observe t ~domain ~outcome t0;
+      Httpd.response status (error_json msg)
+  | Ok r -> (
+      match probe t r with
+      | Some hit ->
+          observe t ~domain:r.domain ~outcome:"cached" t0;
+          if r.stream then stream_replay t r hit
+          else respond_json 200 (body r ~cached:true hit)
+      | None when r.stream -> stream_query t r ~t0
       | None ->
-          let deadline = t0 +. p.timeout_s in
-          via_pool t ~domain ~deadline ~t0 (fun () ->
-              let base =
-                if p.engine = Engine.Dggt_alg then p.ds.cfg_dggt
-                else p.ds.cfg_hisyn
-              in
+          via_pool t ~domain:r.domain ~deadline:(t0 +. r.timeout_s) ~t0
+            (fun () ->
               let sink = Trace.create () in
-              let cfg =
-                {
-                  base with
-                  Engine.timeout_s = Some p.timeout_s;
-                  trace = Some sink;
-                }
-              in
-              let o = Engine.synthesize cfg p.ds.target p.query in
-              record_trace t ~domain ~engine:p.engine_name ~query:p.query
-                ~time_s:o.Engine.time_s
-                ~ok:(o.Engine.code <> None)
-                sink;
-              let alternatives =
-                if p.k > 1 && not o.Engine.timed_out then
-                  Engine.synthesize_ranked ~k:p.k p.ds.cfg_dggt p.ds.target
-                    p.query
-                else []
-              in
-              let outcome =
-                if o.Engine.timed_out then "timeout"
-                else if o.Engine.code = None then "failed"
-                else "ok"
-              in
-              (* never cache timeouts: a repeat under a larger budget
-                 deserves a fresh run *)
-              if not o.Engine.timed_out then
-                Cache.add t.q_cache key (o, alternatives);
-              observe t ~domain ~outcome t0;
-              `Ok (render ~cached:false (o, alternatives))))
-
-let rank_handler t (req : Httpd.request) =
-  let t0 = Unix.gettimeofday () in
-  match parse_request t req with
-  | Error msg ->
-      observe t ~domain:"-" ~outcome:"bad_request" t0;
-      Httpd.response 400 (error_json msg)
-  | Ok p when p.stream -> (
-      let domain = p.ds.dom.Dggt_domains.Domain.name in
-      let k = if p.k = 1 then 5 else p.k in
-      match Cache.find t.rank_cache (p.ds.gen, domain, p.query, k) with
-      | Some cs ->
-          observe t ~domain ~outcome:"cached" t0;
-          stream_replay t ~domain ~query:p.query ~k cs
-      | None ->
-      stream_ranked t ~domain ~engine_label:"dggt" ~query:p.query ~t0
-        ~done_frame:(fun o ->
-          Wire.rank_json ~domain ~query:p.query ~k ~cached:false
-            o.Engine.ranked)
-        ~run:(fun ~sink ~on_candidate ->
-          let cfg =
-            {
-              p.ds.cfg_dggt with
-              Engine.timeout_s = Some p.timeout_s;
-              trace = Some sink;
-            }
-          in
-          Engine.respond ~on_candidate
-            { Engine.cfg; target = p.ds.target }
-            { Engine.input = Engine.Text p.query; mode = Engine.Ranked k }))
-  | Ok p -> (
-      let domain = p.ds.dom.Dggt_domains.Domain.name in
-      let k = if p.k = 1 then 5 else p.k in
-      let key = (p.ds.gen, domain, p.query, k) in
-      let render ~cached (candidates : Engine.ranked list) =
-        respond_json 200
-          (Wire.rank_json ~domain ~query:p.query ~k ~cached candidates)
-      in
-      match Cache.find t.rank_cache key with
-      | Some cs ->
-          observe t ~domain ~outcome:"cached" t0;
-          render ~cached:true cs
-      | None ->
-          let deadline = t0 +. p.timeout_s in
-          via_pool t ~domain ~deadline ~t0 (fun () ->
-              let sink = Trace.create () in
-              let cfg =
-                {
-                  p.ds.cfg_dggt with
-                  Engine.timeout_s = Some p.timeout_s;
-                  trace = Some sink;
-                }
-              in
-              let cs = Engine.synthesize_ranked ~k cfg p.ds.target p.query in
-              record_trace t ~domain ~engine:"dggt" ~query:p.query
-                ~time_s:(Unix.gettimeofday () -. t0)
-                ~ok:(cs <> []) sink;
-              (* [] can mean budget exhausted — don't pin it in the cache *)
-              if cs <> [] then Cache.add t.rank_cache key cs;
-              observe t ~domain ~outcome:(if cs = [] then "failed" else "ok") t0;
-              `Ok (render ~cached:false cs)))
+              let o, reuse = run r ~sink () in
+              conclude t r ~t0 ?reuse sink o;
+              `Ok
+                (respond_json 200
+                   (body r ~cached:false ?reuse (Some o, o.Engine.ranked)))))
 
 (* ------------------------------------------------------------------ *)
 (* incremental sessions                                               *)
 (* ------------------------------------------------------------------ *)
-
-let reuse_json = Wire.reuse_json
 
 let session_create_handler t (req : Httpd.request) =
   match J.of_string (if req.Httpd.body = "" then "{}" else req.Httpd.body) with
@@ -580,11 +625,9 @@ let session_create_handler t (req : Httpd.request) =
       | Some ds -> (
           match Option.value (J.str_field "engine" body) ~default:"dggt" with
           | ("dggt" | "hisyn") as engine_name ->
+              (* every query sets its own timeout (see [run]) *)
               let cfg =
                 if engine_name = "dggt" then ds.cfg_dggt else ds.cfg_hisyn
-              in
-              let cfg =
-                { cfg with Engine.timeout_s = Some t.params.default_timeout_s }
               in
               let inc =
                 Dggt_inc.Session.create
@@ -616,139 +659,6 @@ let session_create_handler t (req : Httpd.request) =
                      ("ttl_s", J.Num t.params.session_ttl_s);
                    ])
           | e -> Httpd.response 400 (Printf.sprintf "unknown engine %S (dggt|hisyn)" e |> error_json)))
-
-(* a session survives only as long as the domain it was built against: a
-   reload bumps the registry generation, so [sgen] no longer matches and
-   the session is Gone — the client must open a fresh one. Kept distinct
-   from 404 (unknown/evicted id) so typing clients know to re-create. *)
-let session_lookup t id =
-  match Sessions.find t.sessions id with
-  | `Missing -> Error (404, "unknown session (expired ids are evicted)")
-  | `Expired -> Error (410, "session expired (idle past the TTL)")
-  | `Found sr -> (
-      match find_dstate t sr.sdomain with
-      | Some ds when ds.gen = sr.sgen -> Ok sr
-      | _ ->
-          ignore (Sessions.remove t.sessions id);
-          Error (410, "session invalidated by domain reload"))
-
-let session_query_handler t (req : Httpd.request) id =
-  let t0 = Unix.gettimeofday () in
-  match session_lookup t id with
-  | Error (status, msg) ->
-      observe t ~domain:"-" ~outcome:"session_gone" t0;
-      Httpd.response status (error_json msg)
-  | Ok sr -> (
-      match J.of_string req.Httpd.body with
-      | Error e -> Httpd.response 400 (error_json e)
-      | Ok body -> (
-          match J.str_field "query" body with
-          | None | Some "" ->
-              observe t ~domain:sr.sdomain ~outcome:"bad_request" t0;
-              Httpd.response 400
-                (error_json "missing required string field \"query\"")
-          | Some query ->
-              let timeout_s =
-                match J.num_field "timeout" body with
-                | Some v when v > 0.0 -> Some (Float.min v 60.0)
-                | _ -> None (* keep the session default: splice stays armed *)
-              in
-              let k =
-                match J.int_field "k" body with
-                | Some v -> max 1 (min v 20)
-                | None -> 1
-              in
-              if stream_requested req then
-                let k = if k = 1 then 5 else k in
-                let timeout_v =
-                  Option.value timeout_s ~default:t.params.default_timeout_s
-                in
-                stream_ranked t ~domain:sr.sdomain
-                  ~engine_label:sr.sengine_name ~query ~t0
-                  ~done_frame:(fun o ->
-                    Wire.with_fields
-                      (Wire.rank_json ~domain:sr.sdomain ~query ~k
-                         ~cached:false o.Engine.ranked)
-                      [ ("session", J.Str id) ])
-                  ~run:(fun ~sink ~on_candidate ->
-                    let tweak cfg =
-                      {
-                        cfg with
-                        Engine.trace = Some sink;
-                        timeout_s = Some timeout_v;
-                      }
-                    in
-                    Mutex.lock sr.smu;
-                    Fun.protect
-                      ~finally:(fun () -> Mutex.unlock sr.smu)
-                      (fun () ->
-                        Dggt_inc.Session.respond ~on_candidate ~tweak sr.inc
-                          {
-                            Engine.input = Engine.Text query;
-                            mode = Engine.Ranked k;
-                          }))
-              else
-                let deadline =
-                  t0
-                  +. Option.value timeout_s ~default:t.params.default_timeout_s
-                in
-                via_pool t ~domain:sr.sdomain ~deadline ~t0 (fun () ->
-                  let sink = Trace.create () in
-                  let tweak cfg =
-                    let cfg = { cfg with Engine.trace = Some sink } in
-                    match timeout_s with
-                    | Some s -> { cfg with Engine.timeout_s = Some s }
-                    | None -> cfg
-                  in
-                  Mutex.lock sr.smu;
-                  let (outcome, reuse), alternatives =
-                    match
-                      let oq = Dggt_inc.Session.query ~tweak sr.inc query in
-                      let rk =
-                        (* the n-best rides the session's memo tables; k=1
-                           keeps the historical payload (no ranked field) *)
-                        if k > 1 && not (fst oq).Engine.timed_out then
-                          Dggt_inc.Session.ranked ~k sr.inc query
-                        else []
-                      in
-                      (oq, rk)
-                    with
-                    | v ->
-                        Mutex.unlock sr.smu;
-                        v
-                    | exception e ->
-                        Mutex.unlock sr.smu;
-                        raise e
-                  in
-                  record_trace t ~domain:sr.sdomain ~engine:sr.sengine_name
-                    ~query ~time_s:outcome.Engine.time_s
-                    ~ok:(outcome.Engine.code <> None)
-                    sink;
-                  let open Dggt_inc.Reuse in
-                  Smetrics.observe_reuse t.metrics
-                    ~reused:
-                      (reuse.words.reused + reuse.pairs.reused
-                     + reuse.dgg_rows.reused)
-                    ~computed:
-                      (reuse.words.computed + reuse.pairs.computed
-                     + reuse.dgg_rows.computed)
-                    ~splice:reuse.splice;
-                  let outcome_label =
-                    if outcome.Engine.timed_out then "timeout"
-                    else if outcome.Engine.code = None then "failed"
-                    else "ok"
-                  in
-                  observe t ~domain:sr.sdomain ~outcome:outcome_label t0;
-                  `Ok
-                    (respond_json 200
-                       (Wire.with_fields
-                          (outcome_json ~domain:sr.sdomain
-                             ~engine:sr.sengine_name ~query ~cached:false
-                             ~alternatives outcome)
-                          [
-                            ("session", J.Str id);
-                            ("reuse", reuse_json reuse);
-                          ])))))
 
 let session_delete_handler t id =
   if Sessions.remove t.sessions id then
@@ -1076,8 +986,8 @@ let handler t (req : Httpd.request) =
   | "GET", "/domains" -> domains_handler t
   | "GET", "/version" -> version_handler t
   | "GET", "/debug/trace" -> debug_trace_handler t
-  | ("GET" | "POST"), "/synthesize" -> synthesize_handler t req
-  | ("GET" | "POST"), "/rank" -> rank_handler t req
+  | ("GET" | "POST"), "/synthesize" -> query_handler t req `Synthesize
+  | ("GET" | "POST"), "/rank" -> query_handler t req `Rank
   | "POST", "/reload" -> reload_handler t
   | "POST", "/session" -> session_create_handler t req
   | ( _,
@@ -1086,7 +996,8 @@ let handler t (req : Httpd.request) =
       Httpd.response 405 (error_json "method not allowed")
   | meth, path -> (
       match session_path path with
-      | Some (id, `Query) when meth = "POST" -> session_query_handler t req id
+      | Some (id, `Query) when meth = "POST" ->
+          query_handler t req (`Session id)
       | Some (id, `Root) when meth = "DELETE" -> session_delete_handler t id
       | Some _ -> Httpd.response 405 (error_json "method not allowed")
       | None -> Httpd.response 404 (error_json "not found"))

@@ -4,15 +4,26 @@
     (bounded queue, worker domains), {!Cache} (whole-query and per-stage
     LRUs) and {!Smetrics} (observability). Every JSON response carries
     [{"v": 1}], the API version; it is bumped on incompatible shape
-    changes. Endpoints:
+    changes.
+
+    The query routes ([/synthesize], [/rank], [/session/<id>/query],
+    plain or [?stream=1]) are one pipeline: one field reader builds the
+    request, then one path does the cache probe or stream replay, the
+    dispatch, the run, the trace record, the cache write and the outcome
+    label. They differ only in the request they build and the body they
+    render. Every run of a request is bounded by the request's
+    [timeout] ([params.default_timeout_s] when absent). An absent [k]
+    is 5 on [/rank] and on streams and 1 elsewhere; [k] is clamped to
+    1..20. Endpoints:
 
     - [GET/POST /synthesize] — parameters
       [{"query": s, "domain": s?, "engine": "dggt"|"hisyn"?, "timeout": f?,
         "k": n?}] (a [GET] carries them in the URL query string, a [POST]
       in the JSON body); responds with the codelet, timing, per-stage
-      statistics and (for [k > 1]) up to [k] ranked alternatives. Repeat
-      queries are served from the whole-query cache without touching the
-      pool.
+      statistics and (for [k > 1]) up to [k] ranked alternatives: DGGT
+      answers with one ranked run, HISyn with its own run plus a DGGT
+      ranked run for the alternatives. Repeat queries are served from
+      the whole-query cache without touching the pool.
     - [GET/POST /rank] — same parameter carriage,
       [{"query": s, "domain": s?, "timeout": f?, "k": n?}]; ranked
       candidate codelets (paper §VII-B.4). With [?stream=1] in the URL
@@ -62,15 +73,16 @@
       worker placement).
       Sessions live in a TTL + LRU store ({!Sessions}, sized by
       [params.session_ttl_s] / [params.session_cap]).
-    - [POST /session/<id>/query] — [{"query": s, "timeout": f?}]; one
-      revision of the session's query. With [?stream=1] the response is
-      the same SSE stream as [/rank?stream=1] (served through the
-      session's memo tables, holding the session's lock for the duration
-      of the stream; the [done] frame gains a [session] field) — it does
-      not advance the session's revision history. The response is the [/synthesize]
-      shape plus [session] and a [reuse] object (revision number, splice
-      flag, token/edge diff, reused-vs-computed counts per stage and the
-      overall [reuse_ratio]). Revisions of one session are serialized;
+    - [POST /session/<id>/query] — [{"query": s, "timeout": f?,
+      "k": n?}]; one revision of the session's query. With [?stream=1]
+      the response is the same SSE stream as [/rank?stream=1] (served
+      through the session's memo tables, holding the session's lock for
+      the duration of the stream; the [done] frame gains a [session]
+      field) — it does not advance the session's revision history. The
+      response is the [/synthesize] shape plus [session] and a [reuse]
+      object (revision number, splice flag, token/edge diff,
+      reused-vs-computed counts per stage and the overall
+      [reuse_ratio]). Revisions of one session are serialized;
       revisions run on the worker pool with the same backpressure and
       deadline handling as [/synthesize]. [410 Gone] when the session
       expired (idle past the TTL) {e or} was stranded by a [POST /reload]
@@ -97,7 +109,8 @@
     before it ever reaches the engine.
 
     Caching policy: timed-out outcomes and empty rank lists are {e not}
-    cached, so a repeat under a larger budget gets a fresh run. The
+    cached, so a repeat under a larger budget gets a fresh run; streams
+    and session queries never write a cache. The
     WordToAPI candidate cache is installed as the [caches] field of each
     domain's {!Dggt_core.Engine.target} and shared across all requests of
     that domain; every cache key includes the registry generation, so a
@@ -179,10 +192,3 @@ val wait : t -> unit
 val run : params -> unit
 (** CLI entry point: {!create}, install SIGINT/SIGTERM handlers, print the
     listening address, serve until a signal arrives, shut down cleanly. *)
-
-val find_domain : string -> Dggt_domains.Domain.t option
-(** "textediting"/"te" and "astmatcher"/"am" — the compiled-in domains
-    only; pack-aware resolution goes through
-    {!Dggt_pack.Domain_registry.find}. *)
-
-val known_domains : Dggt_domains.Domain.t list

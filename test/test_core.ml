@@ -52,8 +52,15 @@ let engine_cfg alg = { (Engine.default alg) with Engine.timeout_s = Some 5.0 }
 let fig4_target =
   lazy (Engine.target (Lazy.force fig4_graph) (Lazy.force fig4_doc))
 
-let synth alg q =
-  Engine.synthesize (engine_cfg alg) (Lazy.force fig4_target) q
+let respond cfg mode q =
+  Engine.respond
+    { Engine.cfg; target = Lazy.force fig4_target }
+    { Engine.input = Engine.Text q; mode }
+
+let synth alg q = respond (engine_cfg alg) Engine.Plain q
+
+let ranked ~k q =
+  (respond (engine_cfg Engine.Dggt_alg) (Engine.Ranked k) q).Engine.ranked
 
 (* ------------------------------------------------------------------ *)
 (* Apidoc                                                             *)
@@ -575,10 +582,7 @@ let test_engine_timeout () =
   let cfg =
     { (Engine.default Engine.Hisyn_alg) with Engine.timeout_s = None; max_steps = Some 3 }
   in
-  let o =
-    Engine.synthesize cfg (Lazy.force fig4_target)
-      "insert a string at the start of each line"
-  in
+  let o = respond cfg Engine.Plain "insert a string at the start of each line" in
   check_b "timed out" true o.Engine.timed_out;
   check_b "no code" true (o.Engine.code = None);
   check_b "failure recorded" true (o.Engine.failure = Some "timeout")
@@ -600,9 +604,9 @@ let test_engine_ablation_flags () =
   let q = "insert \"-\" at the start of each line" in
   let base = synth Engine.Dggt_alg q in
   let off =
-    Engine.synthesize
+    respond
       { (engine_cfg Engine.Dggt_alg) with Engine.gprune = false; sprune = false }
-      (Lazy.force fig4_target) q
+      Engine.Plain q
   in
   check_b "same result without pruning" true (base.Engine.code = off.Engine.code);
   check_b "pruning saves merges" true
@@ -658,15 +662,13 @@ let prop_engines_equivalent =
 (* ------------------------------------------------------------------ *)
 
 let test_ranked_hints () =
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
   let q = "insert \"-\" at the start of each line" in
-  let hints = Engine.synthesize_ranked ~k:5 cfg tgt q in
+  let hints = ranked ~k:5 q in
   check_b "at least one hint" true (hints <> []);
   check_b "k bound respected" true (List.length hints <= 5);
   (* the top hint is the single-result answer *)
   let top = (List.hd hints).Engine.code in
-  let single = Engine.synthesize cfg tgt q in
+  let single = synth Engine.Dggt_alg q in
   check_s "head of ranking = best codelet" (Option.value single.Engine.code ~default:"?") top;
   (* hints are distinct codelets *)
   let codes = List.map (fun (r : Engine.ranked) -> r.Engine.code) hints in
@@ -679,18 +681,20 @@ let test_ranked_hints_multiple () =
      argument word is ambiguous at the root... the fixture's root word
      "insert" has one API, so ranking still yields one root — assert the
      mechanics rather than a fixed count. *)
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
-  let hints = Engine.synthesize_ranked ~k:3 cfg tgt "insert a string" in
+  let hints = ranked ~k:3 "insert a string" in
   check_b "ranked succeeds on simple query" true (List.length hints >= 1);
-  let hints0 = Engine.synthesize_ranked ~k:0 cfg tgt "insert a string" in
-  check_i "k=0 yields nothing" 0 (List.length hints0)
+  (* a non-positive k is answered as k = 1 *)
+  let codes k =
+    List.map
+      (fun (r : Engine.ranked) -> r.Engine.code)
+      (ranked ~k "insert a string")
+  in
+  check_b "k=0 answers like k=1" true
+    (codes 0 = codes 1 && List.length (codes 0) = 1)
 
 let test_ranked_hints_garbage () =
-  let cfg = engine_cfg Engine.Dggt_alg in
-  let tgt = Lazy.force fig4_target in
   check_i "garbage yields no hints" 0
-    (List.length (Engine.synthesize_ranked ~k:3 cfg tgt "zyzzyx frobnicate"))
+    (List.length (ranked ~k:3 "zyzzyx frobnicate"))
 
 (* Stats.add mixes two aggregation rules on purpose (see stats.ml): max for
    query-shaped fields, sum for work-shaped ones. This pins the split so a

@@ -14,10 +14,10 @@ let te = Text_editing.domain
 let am = Astmatcher.domain
 
 let synth dom alg q =
-  Engine.run
+  Engine.respond
     (Domain.configure dom
        { (Engine.default alg) with Engine.timeout_s = Some 10.0 })
-    q
+    { Engine.input = Engine.Text q; mode = Engine.Plain }
 
 (* ------------------------------------------------------------------ *)
 (* Structural well-formedness                                         *)

@@ -23,6 +23,17 @@ let base_session ?(timeout = 10.0) dom =
   Dggt_domains.Domain.configure dom
     { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout }
 
+let text ?(mode = Engine.Plain) q = { Engine.input = Engine.Text q; mode }
+
+(* the from-scratch outcome a session revision must equal *)
+let scratch ses q = Engine.respond ses (text q)
+
+(* the top-5 codes of a ranked respond, from scratch or through a session *)
+let top5 respond q =
+  List.map
+    (fun (r : Engine.ranked) -> r.Engine.code)
+    (respond (text ~mode:(Engine.Ranked 5) q)).Engine.ranked
+
 (* ------------------------------------------------------------------ *)
 (* diff                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -103,13 +114,13 @@ let test_session_append_reuse () =
   check_i "rev 1" 1 r1.Reuse.revision;
   check_b "rev 1 no splice" false r1.Reuse.splice;
   check_b "rev 1 computed words" true (r1.Reuse.words.Reuse.computed > 0);
-  check_b "rev 1 matches scratch" true (outcome_equal o1 (Engine.run base q1));
+  check_b "rev 1 matches scratch" true (outcome_equal o1 (scratch base q1));
   let o2, r2 = Session.query s q2 in
   check_i "rev 2" 2 r2.Reuse.revision;
   check_b "rev 2 reused words" true (r2.Reuse.words.Reuse.reused > 0);
   check_b "rev 2 token diff adds" true (r2.Reuse.tokens_added > 0);
   check_i "rev 2 removed none" 0 r2.Reuse.tokens_removed;
-  check_b "rev 2 matches scratch" true (outcome_equal o2 (Engine.run base q2));
+  check_b "rev 2 matches scratch" true (outcome_equal o2 (scratch base q2));
   check_i "revisions" 2 (Session.revisions s)
 
 (* on an append-one-word revision the session must hit strictly fewer
@@ -122,7 +133,7 @@ let test_session_fewer_searches () =
   ignore (Session.query s q1);
   let _, r2 = Session.query s q2 in
   (* count the scratch run's searches through a transparent hook *)
-  let scratch = ref 0 in
+  let searches = ref 0 in
   let counting =
     {
       base with
@@ -135,18 +146,18 @@ let test_session_fewer_searches () =
               edge2path =
                 Some
                   (fun ~src:_ ~dst:_ compute ->
-                    incr scratch;
+                    incr searches;
                     compute ());
             };
         };
     }
   in
-  ignore (Engine.run counting q2);
+  ignore (scratch counting q2);
   check_b
     (Printf.sprintf "incremental searches %d < scratch %d"
-       r2.Reuse.pairs.Reuse.computed !scratch)
+       r2.Reuse.pairs.Reuse.computed !searches)
     true
-    (r2.Reuse.pairs.Reuse.computed < !scratch)
+    (r2.Reuse.pairs.Reuse.computed < !searches)
 
 let test_session_splice () =
   let base = base_session te in
@@ -173,7 +184,7 @@ let test_session_splice () =
   check_b "cfg change disarms splice" false r3.Reuse.splice;
   check_b "recomputed under new cfg" true
     (outcome_equal o3
-       (Engine.run
+       (scratch
           (Engine.with_cfg
              (fun c -> { c with Engine.top_k = c.Engine.top_k + 1 })
              base)
@@ -191,7 +202,7 @@ let test_session_table_invalidation () =
   check_b "no splice across threshold change" false r2.Reuse.splice;
   check_b "words recomputed" true (r2.Reuse.words.Reuse.computed > 0);
   check_b "matches scratch under new threshold" true
-    (outcome_equal o2 (Engine.run (Engine.with_cfg tweak base) q));
+    (outcome_equal o2 (scratch (Engine.with_cfg tweak base) q));
   (* the same tweak again on an identical query splices (cfg now matches) *)
   let _, r3 = Session.query ~tweak s q in
   check_b "repeat under same tweak splices" true r3.Reuse.splice;
@@ -217,10 +228,8 @@ let test_session_ranked () =
   let q = "delete all numbers in every line" in
   ignore (Session.query s q);
   let revs = Session.revisions s in
-  let hints = Session.ranked ~k:5 s q in
-  let code (r : Engine.ranked) = r.Engine.code in
   check_b "ranked equals scratch" true
-    (List.map code hints = List.map code (Engine.run_ranked ~k:5 base q));
+    (top5 (Session.respond s) q = top5 (Engine.respond base) q);
   check_i "ranked does not advance revisions" revs (Session.revisions s)
 
 let test_session_trace_notes () =
@@ -343,10 +352,10 @@ let prop_edit_script_equivalence =
       List.for_all
         (fun rev ->
           let inc, _ = Session.query s rev in
-          let scratch = Engine.run base rev in
+          let full = scratch base rev in
           (* a timeout on either side makes the comparison indeterminate *)
-          inc.Engine.timed_out || scratch.Engine.timed_out
-          || outcome_equal inc scratch)
+          inc.Engine.timed_out || full.Engine.timed_out
+          || outcome_equal inc full)
         (revisions_of_script dom qidx ops))
 
 (* ranking equivalence rides the same session state: after an edit script,
@@ -372,12 +381,7 @@ let test_ranked_equivalence_both_domains () =
       check_b
         (dom.Dggt_domains.Domain.name ^ " ranked matches scratch")
         true
-        (List.map
-           (fun (r : Engine.ranked) -> r.Engine.code)
-           (Session.ranked ~k:5 s q)
-        = List.map
-            (fun (r : Engine.ranked) -> r.Engine.code)
-            (Engine.run_ranked ~k:5 base q)))
+        (top5 (Session.respond s) q = top5 (Engine.respond base) q))
     [ te; am ]
 
 let suite =

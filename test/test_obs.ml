@@ -144,12 +144,13 @@ let test_traced_equals_untraced () =
       { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 10.0 }
   in
   let q = "insert \"-\" at the start of each line" in
-  let plain = Engine.run ses q in
+  let request = { Engine.input = Engine.Text q; mode = Engine.Plain } in
+  let plain = Engine.respond ses request in
   let sink = Trace.create () in
   let traced =
-    Engine.run
+    Engine.respond
       (Engine.with_cfg (fun c -> { c with Engine.trace = Some sink }) ses)
-      q
+      request
   in
   check_b "same code" true (plain.Engine.code = traced.Engine.code);
   check_b "same cgt size" true (plain.Engine.cgt_size = traced.Engine.cgt_size);

@@ -473,7 +473,10 @@ let synthesis_identity ?(stride = 1) (orig : Domain.t) (fromdisk : Domain.t) =
   List.iteri
     (fun i (q : Domain.query) ->
       if i mod stride = 0 then
-        let a = Engine.run s0 q.Domain.text and b = Engine.run s1 q.Domain.text in
+        let request =
+          { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
+        in
+        let a = Engine.respond s0 request and b = Engine.respond s1 request in
         Alcotest.(check (option string))
           (Printf.sprintf "%s q%d" orig.Domain.name q.Domain.id)
           a.Engine.code b.Engine.code)
@@ -505,34 +508,33 @@ let test_golden_astmatcher () =
   let full = Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" in
   synthesis_identity ~stride:(if full then 1 else 10) orig fromdisk
 
+(* one committed example pack, loaded from the copy dune places in the
+   build tree beside the test executable (a [source_tree] dep in
+   test/dune); missing packs fail the test instead of skipping it *)
+let committed_pack sub =
+  let dir =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "examples"; "packs"; sub ]
+  in
+  if not (Sys.file_exists dir) then
+    Alcotest.failf "committed pack %s not found at %s" sub dir;
+  match Loader.load dir with
+  | Ok l -> l
+  | Error e -> Alcotest.fail (Err.to_string e)
+
 (* the committed example packs must stay in sync with the compiled-in
    domains (regenerate with `dggt pack dump` after changing a domain) *)
-let repo_root () =
-  let rec up d =
-    if Sys.file_exists (Filename.concat d "dune-project") && Sys.file_exists (Filename.concat d "ISSUE.md")
-    then Some d
-    else
-      let p = Filename.dirname d in
-      if p = d then None else up p
-  in
-  up (Sys.getcwd ())
-
 let test_committed_packs () =
-  match repo_root () with
-  | None -> ()  (* not running from a checkout; nothing to compare *)
-  | Some root ->
-      List.iter
-        (fun (sub, orig) ->
-          let dir = Filename.concat (Filename.concat root "examples/packs") sub in
-          match Loader.load dir with
-          | Error e -> Alcotest.fail (Err.to_string e)
-          | Ok l ->
-              check_i (sub ^ " check clean") 0 (List.length (Check.run l));
-              structural_identity orig l.Loader.domain)
-        [
-          ("textediting", Dggt_domains.Text_editing.domain);
-          ("astmatcher", Dggt_domains.Astmatcher.domain);
-        ]
+  List.iter
+    (fun (sub, orig) ->
+      let l = committed_pack sub in
+      check_i (sub ^ " check clean") 0 (List.length (Check.run l));
+      structural_identity orig l.Loader.domain)
+    [
+      ("textediting", Dggt_domains.Text_editing.domain);
+      ("astmatcher", Dggt_domains.Astmatcher.domain);
+    ]
 
 (* The head-production map built in [Ggraph.build] answers exactly what
    linearization used to scan for: the one production whose RHS starts
@@ -550,15 +552,9 @@ let test_head_productions () =
     | _ -> None
   in
   let packs =
-    match repo_root () with
-    | None -> []
-    | Some root ->
-        List.map
-          (fun sub ->
-            match Loader.load (Filename.concat (Filename.concat root "examples/packs") sub) with
-            | Ok l -> l.Loader.domain
-            | Error e -> Alcotest.fail (Err.to_string e))
-          [ "textediting"; "astmatcher" ]
+    List.map
+      (fun sub -> (committed_pack sub).Loader.domain)
+      [ "textediting"; "astmatcher" ]
   in
   let heads = ref 0 in
   List.iter

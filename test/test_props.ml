@@ -496,13 +496,14 @@ let prop_engine_deterministic =
         Dggt_domains.Domain.configure dom
           { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 5.0 }
       in
-      let a = Engine.run ses q in
-      let b = Engine.run ses q in
+      let request = { Engine.input = Engine.Text q; mode = Engine.Plain } in
+      let a = Engine.respond ses request in
+      let b = Engine.respond ses request in
       a.Engine.code = b.Engine.code)
 
 (* Streaming delivery changes when candidates arrive, never what they
    are: a ranked run with an [on_candidate] hook must end on exactly the
-   list the plain [run_ranked ~k] returns, with interim revisions
+   list the same request returns without the hook, with interim revisions
    strictly monotone and every emitted rank inside the top-k window. *)
 let te_session =
   lazy
@@ -533,7 +534,7 @@ let stream_case_gen =
 
 let prop_stream_equivalent =
   QCheck.Test.make
-    ~name:"streamed final candidates are byte-identical to run_ranked"
+    ~name:"streamed final candidates are byte-identical to a ranked respond"
     ~count:24
     (QCheck.make stream_case_gen ~print:snd)
     (fun (which, q) ->
@@ -542,13 +543,13 @@ let prop_stream_equivalent =
       in
       let k = 5 in
       let emitted = ref [] in
+      let request = { Engine.input = Engine.Text q; mode = Engine.Ranked k } in
       let o =
         Engine.respond
           ~on_candidate:(fun c -> emitted := c :: !emitted)
-          ses
-          { Engine.input = Engine.Text q; mode = Engine.Ranked k }
+          ses request
       in
-      let baseline = Engine.run_ranked ~k ses q in
+      let baseline = (Engine.respond ses request).Engine.ranked in
       let emitted = List.rev !emitted in
       let revisions_monotone =
         fst

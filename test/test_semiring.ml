@@ -26,6 +26,11 @@ let base_session ?(timeout = 10.0) dom =
   Domain.configure dom
     { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout }
 
+let respond ?(mode = Engine.Plain) ses q =
+  Engine.respond ses { Engine.input = Engine.Text q; mode }
+
+let ranked ~k ses q = (respond ~mode:(Engine.Ranked k) ses q).Engine.ranked
+
 (* structural singleton CGTs; node ids and API names only need to be
    distinct, no grammar is involved at the cell level *)
 let leaf_cgt nid api =
@@ -144,7 +149,7 @@ let test_minsize_matches_reference () =
       let ses = base_session dom in
       List.iter
         (fun q ->
-          let sem = Engine.run ses q in
+          let sem = respond ses q in
           let r =
             Engine.synthesize_with_merge ~merge:Dggt_eval.Refmerge.synthesize
               ses.Engine.cfg ses.Engine.target q
@@ -170,7 +175,7 @@ let prop_random_query_matches_reference =
       in
       let q = (List.nth qs (qidx mod List.length qs)).Domain.text in
       let ses = base_session ~timeout:5.0 dom in
-      let sem = Engine.run ses q in
+      let sem = respond ses q in
       let r =
         Engine.synthesize_with_merge ~merge:Dggt_eval.Refmerge.synthesize
           ses.Engine.cfg ses.Engine.target q
@@ -263,7 +268,7 @@ let prop_edit_script_matches_reference =
 (* Top_k soundness and cross-objective invariance                     *)
 (* ------------------------------------------------------------------ *)
 
-(* the documented ranking order on what run_ranked exposes *)
+(* the documented ranking order on what a ranked respond exposes *)
 let ranked_le (a : Engine.ranked) (b : Engine.ranked) =
   a.Engine.coverage > b.Engine.coverage
   || (a.Engine.coverage = b.Engine.coverage
@@ -276,9 +281,8 @@ let test_topk_soundness () =
       let ses = base_session dom in
       List.iter
         (fun q ->
-          let o = Engine.run ses q in
-          let rk = Engine.run_ranked ~k:5 ses q in
-          check_b (q ^ ": k<=0 is empty") true (Engine.run_ranked ~k:0 ses q = []);
+          let o = respond ses q in
+          let rk = ranked ~k:5 ses q in
           check_b (q ^ ": at most k") true (List.length rk <= 5);
           let codes = List.map (fun (r : Engine.ranked) -> r.Engine.code) rk in
           check_b (q ^ ": no duplicate codes") true
@@ -295,7 +299,7 @@ let test_topk_soundness () =
               Alcotest.fail (q ^ ": plain run succeeded but ranked is empty")
           | None, _ -> check_b (q ^ ": no code, no ranked") true (rk = []));
           (* k = 1 degenerates to the Min_size chart byte-for-byte *)
-          match (o.Engine.code, Engine.run_ranked ~k:1 ses q) with
+          match (o.Engine.code, ranked ~k:1 ses q) with
           | Some c, [ only ] ->
               check_b (q ^ ": k=1 equals run") true
                 (only.Engine.code = c
@@ -314,11 +318,11 @@ let test_objective_outcome_invariance () =
       let ses = base_session dom in
       List.iter
         (fun q ->
-          let base = Engine.run ses q in
+          let base = respond ses q in
           List.iter
             (fun obj ->
               let o =
-                Engine.run
+                respond
                   (Engine.with_cfg
                      (fun c -> { c with Engine.objective = obj })
                      ses)

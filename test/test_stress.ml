@@ -132,6 +132,11 @@ let test_dgg_stats_structure () =
 (* Budget exhaustion at every stage                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* one plain text request against a bare target *)
+let synth cfg target q =
+  Engine.respond { Engine.cfg; target }
+    { Engine.input = Engine.Text q; mode = Engine.Plain }
+
 let test_budget_exhaustion_ladder () =
   (* with step budgets from tiny to generous, the engine must either time
      out cleanly or produce the same answer as the unlimited run — never
@@ -139,7 +144,7 @@ let test_budget_exhaustion_ladder () =
   let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
   let q = "insert \"-\" at the start of each line" in
   let reference =
-    Engine.synthesize { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None } tgt q
+    synth { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None } tgt q
   in
   List.iter
     (fun steps ->
@@ -150,7 +155,7 @@ let test_budget_exhaustion_ladder () =
           max_steps = Some steps;
         }
       in
-      let o = Engine.synthesize cfg tgt q in
+      let o = synth cfg tgt q in
       if not o.Engine.timed_out then
         Alcotest.(check (option string))
           (Printf.sprintf "steps=%d agrees with unlimited" steps)
@@ -169,7 +174,7 @@ let test_hisyn_budget_ladder () =
           max_steps = Some steps;
         }
       in
-      let o = Engine.synthesize cfg tgt q in
+      let o = synth cfg tgt q in
       check_b "timeout or code" true (o.Engine.timed_out || o.Engine.code <> None))
     [ 1; 3; 7; 19; 1_000_000 ]
 
@@ -182,7 +187,7 @@ let test_single_rule_grammar () =
   let g = Ggraph.build cfg in
   let d = Apidoc.make [ ("ONLY", "the only thing there is") ] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "the only thing"
   in
   Alcotest.(check (option string)) "trivial grammar synthesizes" (Some "ONLY()")
@@ -197,7 +202,7 @@ let test_self_recursive_grammar () =
     Apidoc.make [ ("WRAP", "wrap the inner expression"); ("LIT", "a literal leaf value") ]
   in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "wrap a literal"
   in
   Alcotest.(check (option string)) "recursive grammar" (Some "WRAP(LIT())") o.Engine.code
@@ -207,7 +212,7 @@ let test_absurd_inputs_total () =
   let cfg = { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 3.0 } in
   List.iter
     (fun q ->
-      let o = Engine.synthesize cfg tgt q in
+      let o = synth cfg tgt q in
       (* outcome is well-formed either way *)
       check_b "code xor failure" true
         ((o.Engine.code <> None) <> (o.Engine.failure <> None)))
@@ -225,7 +230,7 @@ let test_empty_document () =
   let g = Lazy.force graph in
   let d = Apidoc.make [] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "insert a string"
   in
   check_b "no candidates -> clean failure" true (o.Engine.code = None)
@@ -235,7 +240,7 @@ let test_doc_grammar_mismatch () =
   let g = Lazy.force graph in
   let d = Apidoc.make [ ("GHOST", "a phantom api that the grammar does not know") ] in
   let o =
-    Engine.synthesize (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
       "a phantom api"
   in
   check_b "unknown APIs ignored" true (o.Engine.code = None)

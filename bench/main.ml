@@ -626,13 +626,13 @@ let automaton_domains () =
              if
                Sys.is_directory p
                && Sys.file_exists
-                    (Filename.concat p Dggt_pack.Loader.manifest_name)
+                    (Filename.concat p Dggt_domains.Pack.manifest_name)
              then
                match Dggt_pack.Loader.load p with
                | Ok l -> Some l.Dggt_pack.Loader.domain
                | Error e ->
                    Format.eprintf "  skipping %s: %s@." p
-                     (Dggt_pack.Err.to_string e);
+                     (Dggt_domains.Err.to_string e);
                    None
              else None)
     else []
@@ -1893,10 +1893,13 @@ let micro_tests () =
   [
     (* Table I: building the domain inputs (grammar graph + document) *)
     Test.make ~name:"table1/grammar-graph-build"
-      (Staged.stage (fun () ->
-           match Dggt_grammar.Cfg.of_text ~start:Te_grammar.start Te_grammar.bnf with
-           | Ok cfg -> ignore (Dggt_grammar.Ggraph.build cfg)
-           | Error _ -> assert false));
+      (Staged.stage
+         (let g = Lazy.force te.Domain.graph in
+          let start = g.Dggt_grammar.Ggraph.cfg.Dggt_grammar.Cfg.start in
+          fun () ->
+            match Dggt_grammar.Cfg.of_text ~start Te_pack.grammar_bnf with
+            | Ok cfg -> ignore (Dggt_grammar.Ggraph.build cfg)
+            | Error _ -> assert false));
     (* Table II / Fig 7 / Fig 8: end-to-end synthesis per engine *)
     Test.make ~name:"table2/dggt-textediting" (Staged.stage (synth_once te Engine.Dggt_alg te_q));
     Test.make ~name:"table2/hisyn-textediting"

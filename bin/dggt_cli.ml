@@ -102,7 +102,7 @@ let registry_of packs =
   | Some dir -> (
       match Registry.load_dir reg dir with
       | Ok _ -> Ok reg
-      | Error e -> Error (Dggt_pack.Err.to_string e))
+      | Error e -> Error (Dggt_domains.Err.to_string e))
 
 let resolve_domain reg name =
   match Registry.find reg name with
@@ -248,17 +248,22 @@ let check_envelope_arg =
            pack-loaded domain (--packs) whose manifest pins an envelope.")
 
 (* the envelope lives in the pack manifest; the registry knows the pack's
-   directory, the loader re-reads the expectations from it *)
+   directory, the expectations are re-read from its manifest *)
 let envelope_of reg dname =
+  let module Pack = Dggt_domains.Pack in
   match Registry.find_entry reg dname with
   | Some { Registry.origin = Registry.Pack { dir; _ }; _ } -> (
-      match Dggt_pack.Loader.load dir with
-      | Error e -> Error (Dggt_pack.Err.to_string e)
-      | Ok l ->
+      match
+        Result.bind
+          (Dggt_domains.Manifest.load (Filename.concat dir Pack.manifest_name))
+          Pack.settings
+      with
+      | Error e -> Error (Dggt_domains.Err.to_string e)
+      | Ok s ->
           Ok
             {
-              Dggt_eval.Envelope.min_accuracy = l.Dggt_pack.Loader.expect_accuracy;
-              max_p95_ms = l.Dggt_pack.Loader.expect_p95_ms;
+              Dggt_eval.Envelope.min_accuracy = s.Pack.expect_accuracy;
+              max_p95_ms = s.Pack.expect_p95_ms;
             })
   | Some _ ->
       Error
@@ -545,7 +550,7 @@ let pack_check_cmd =
     List.iter
       (fun dir ->
         match Dggt_pack.Loader.load dir with
-        | Error e -> problem "%s" (Dggt_pack.Err.to_string e)
+        | Error e -> problem "%s" (Dggt_domains.Err.to_string e)
         | Ok loaded -> (
             match Dggt_pack.Check.run loaded with
             | [] ->
@@ -561,7 +566,7 @@ let pack_check_cmd =
                   (Dggt_autom.Autom.compile_time_s a *. 1000.)
             | errs ->
                 List.iter
-                  (fun e -> problem "%s" (Dggt_pack.Err.to_string e))
+                  (fun e -> problem "%s" (Dggt_domains.Err.to_string e))
                   errs))
       dirs;
     if !failed then `Error (false, "pack check failed") else `Ok ()

@@ -60,7 +60,6 @@ let best n = Semiring.Cell.best n.cell
 let solved n = Semiring.Cell.solved n.cell
 let choices n = Semiring.Cell.choices n.cell
 let cand_count n = List.length (Semiring.Cell.choices n.cell)
-let distinct_count n = Semiring.Cell.count n.cell
 
 let size n =
   match Semiring.Cell.best n.cell with

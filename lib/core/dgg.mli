@@ -64,8 +64,6 @@ val choices : node -> Semiring.cand list
     {!Semiring.Top_k}). *)
 
 val cand_count : node -> int
-val distinct_count : node -> int
-(** Distinct CGTs offered to the cell ({!Semiring.Count} objective). *)
 
 val nodes : t -> node list
 val edges : t -> edge list

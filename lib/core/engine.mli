@@ -93,10 +93,9 @@ type config = {
       (** the PathMerge semiring instantiation (DGGT). {!Semiring.Min_size}
           (the default) is the paper's objective; {!Semiring.Top_k} makes
           every chart cell retain a bounded n-best (what a [Ranked]
-          {!respond} uses); {!Semiring.Count} additionally counts
-          distinct CGTs per cell. The winning codelet and the statistics
-          are identical for
-          every objective — the walk always extends by best candidates. *)
+          {!respond} uses). The winning codelet and the statistics are
+          identical for both objectives — the walk always extends by best
+          candidates. *)
   orphan_reloc : bool;        (** orphan relocation (DGGT); false falls
                                   back to HISyn's root anchoring *)
   max_reloc_graphs : int;

@@ -20,14 +20,12 @@ type cand = {
   score : float;
 }
 
-type t = Min_size | Count | Top_k of int
+type t = Min_size | Top_k of int
 
-let retained = function Min_size | Count -> 1 | Top_k k -> max k 1
-let counting = function Count -> true | Min_size | Top_k _ -> false
+let retained = function Min_size -> 1 | Top_k k -> max k 1
 
 let to_string = function
   | Min_size -> "min-size"
-  | Count -> "count"
   | Top_k k -> Printf.sprintf "top-%d" k
 
 let coverage c = List.length c.assignment
@@ -68,23 +66,17 @@ let times acc ~path ~child =
     score = 0.0;
   }
 
-module CgtSet = Set.Make (Cgt)
-
 module Cell = struct
   type nonrec cand = cand
 
   type t = {
     limit : int;
-    counting : bool;
     mutable cands : cand list;  (* sorted best-first; length <= limit *)
-    mutable seen : CgtSet.t;    (* Count objective: distinct CGTs offered *)
-    mutable distinct : int;
   }
 
   let best c = match c.cands with [] -> None | h :: _ -> Some h
   let solved c = c.cands <> []
   let choices c = c.cands
-  let count c = c.distinct
 
   let rec take n = function
     | [] -> []
@@ -97,10 +89,6 @@ module Cell = struct
      kept the incumbent on an exact tie); an exact duplicate (same order
      class and same assignment) is dropped. *)
   let plus c x =
-    if c.counting && not (CgtSet.mem x.cgt c.seen) then begin
-      c.seen <- CgtSet.add x.cgt c.seen;
-      c.distinct <- c.distinct + 1
-    end;
     let improved =
       match c.cands with [] -> true | h :: _ -> compare_cand x h < 0
     in
@@ -119,13 +107,6 @@ module Cell = struct
 end
 
 (* The additive identity: a cell holding no derivation. *)
-let zero obj =
-  {
-    Cell.limit = retained obj;
-    counting = counting obj;
-    cands = [];
-    seen = CgtSet.empty;
-    distinct = 0;
-  }
+let zero obj = { Cell.limit = retained obj; cands = [] }
 
 let plus = Cell.plus

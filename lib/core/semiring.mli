@@ -1,6 +1,6 @@
 (** The PathMerge semiring: the algebra the DGGT dynamic program runs
-    over, factored out of the chart walk so min-size, count and top-k
-    ranked synthesis are instantiations of one DP (see DESIGN.md).
+    over, factored out of the chart walk so min-size and top-k ranked
+    synthesis are instantiations of one DP (see DESIGN.md).
 
     A {e candidate} is a partial CGT with its bookkeeping (API size, the
     word→API assignment that produced it, the assignment's WordToAPI
@@ -10,8 +10,7 @@
 
     The {!Min_size} instantiation retains one candidate per cell under
     {!compare_cand} — byte-identical to the historical mutable
-    [min_size]/[min_cgt] memo by construction. {!Count} additionally
-    counts distinct CGTs offered to each cell. {!Top_k} retains a bounded
+    [min_size]/[min_cgt] memo by construction. {!Top_k} retains a bounded
     best-first list per cell, which is what makes real n-best enumeration
     (and streaming ranked suggestions) a read off the finished chart
     instead of a re-run. *)
@@ -24,14 +23,13 @@ type cand = {
   score : float;  (** [Word2api.assignment_score] of [assignment] *)
 }
 
-type t = Min_size | Count | Top_k of int
+type t = Min_size | Top_k of int
 (** The objective. Structural equality is meaningful (used by the
     incremental session's configuration comparison). *)
 
 val retained : t -> int
-(** Candidates kept per cell: 1, 1, [max k 1]. *)
+(** Candidates kept per cell: 1, [max k 1]. *)
 
-val counting : t -> bool
 val to_string : t -> string
 
 val coverage : cand -> int
@@ -63,9 +61,6 @@ module Cell : sig
   val solved : t -> bool
   val choices : t -> cand list
   (** All retained candidates, best first (at most {!retained}). *)
-
-  val count : t -> int
-  (** Distinct CGTs offered ({!Count} objective; 0 otherwise). *)
 
   val plus : t -> cand -> bool
   (** Accumulate; [true] iff the cell's best candidate changed. Ties keep

@@ -79,4 +79,3 @@ let generate specs =
   Buffer.contents buf
 
 let bnf = lazy (generate Am_spec.all)
-let start = "matcher"

@@ -1,32 +1,5 @@
-let graph =
-  lazy
-    (let bnf = Lazy.force Am_grammar.bnf in
-     match Dggt_grammar.Cfg.of_text ~start:Am_grammar.start bnf with
-     | Ok cfg -> Dggt_grammar.Ggraph.build cfg
-     | Error e ->
-         failwith (Format.asprintf "ASTMatcher grammar: %a" Dggt_grammar.Cfg.pp_error e))
-
-let defaults = []
-
-let domain =
-  {
-    Domain.name = "ASTMatcher";
-    description =
-      "Clang/LLVM's LibASTMatchers: expressions for finding patterns in \
-       C/C++ abstract syntax trees.";
-    source = "matcher vocabulary after clang.llvm.org/docs/LibASTMatchersReference.html";
-    graph;
-    doc = Am_doc.doc;
-    queries = Am_queries.queries;
-    defaults;
-    unit_filter = None;
-    (* the matcher grammar is dense and recursive: chains in queries are
-       at most ~3 matcher levels (~12 graph nodes), and per-pair path
-       counts beyond a few dozen only repeat the same traversal detours *)
-    path_limits = Some { Dggt_grammar.Gpath.max_nodes = 12; max_paths = 48; max_steps = 30_000 };
-    (* code-search imperatives have no matcher meaning *)
-    stop_verbs = [ "find"; "search"; "list"; "show"; "display"; "give"; "grep"; "look"; "get"; "print" ];
-    (* 505-way vocabulary with many near-synonymous matcher names: a wider
-       fan-out keeps the right matcher in reach (this is the paper's p_l) *)
-    top_k = Some 6;
-  }
+(* Settings and queries come from examples/packs/astmatcher, embedded by
+   dune as [Am_pack]; grammar and document are generated from [Am_spec] *)
+let domain, aliases =
+  Pack.builtin ~dir:"examples/packs/astmatcher" ~manifest:Am_pack.domain_pack
+    ~queries:Am_pack.queries_tsv ~grammar:Am_grammar.bnf ~doc:Am_doc.doc

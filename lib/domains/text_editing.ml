@@ -1,30 +1,13 @@
-let graph =
-  lazy
-    (match Dggt_grammar.Cfg.of_text ~start:Te_grammar.start Te_grammar.bnf with
-    | Ok cfg -> Dggt_grammar.Ggraph.build cfg
-    | Error e ->
-        failwith (Format.asprintf "TextEditing grammar: %a" Dggt_grammar.Cfg.pp_error e))
+(* TextEditing is its pack: dune embeds examples/packs/textediting as
+   [Te_pack] *)
+let dir = "examples/packs/textediting"
 
-let defaults = Te_doc.defaults
-
-(* conditional-clause subjects are the iterated unit: scope APIs only *)
-let unit_filter api =
-  Dggt_util.Strutil.ends_with ~suffix:"SCOPE" api && api <> "SINGLESCOPE"
-
-
-let domain =
-  {
-    Domain.name = "TextEditing";
-    description =
-      "A command language that frees Office-suite end-users from regular \
-       expressions, conditionals and loops (after Desai et al., ICSE 2016).";
-    source = "reconstructed from the paper's published fragments";
-    graph;
-    doc = Te_doc.doc;
-    queries = Te_queries.queries;
-    defaults;
-    unit_filter = Some unit_filter;
-    path_limits = None;
-    stop_verbs = [];
-    top_k = None;
-  }
+let domain, aliases =
+  Pack.builtin ~dir ~manifest:Te_pack.domain_pack ~queries:Te_pack.queries_tsv
+    ~grammar:(lazy Te_pack.grammar_bnf)
+    ~doc:
+      (lazy
+        (Docfile.to_doc
+           (Err.ok_exn
+              (Docfile.parse ~file:(Filename.concat dir Pack.doc_name)
+                 Te_pack.api_doc))))

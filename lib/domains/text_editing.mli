@@ -1,12 +1,8 @@
 (** The TextEditing benchmark domain (paper Table I, row 1): a 52-API
-    end-user editing command language with 200 evaluation queries. *)
+    end-user editing command language with 200 evaluation queries, built
+    from its pack [examples/packs/textediting], embedded at build time. *)
 
 val domain : Domain.t
 
-val defaults : (string * string) list
-(** Default derivations for unmentioned required arguments (position ->
-    [END()], iteration -> [SINGLESCOPE()], …); pass to
-    {!Dggt_core.Engine.config}. *)
-
-val unit_filter : string -> bool
-(** Scope-API predicate for {!Dggt_core.Engine.config.unit_filter}. *)
+val aliases : string list
+(** Extra lookup names, from the pack's [alias] lines. *)

@@ -1,8 +1,8 @@
-module Domain = Dggt_domains.Domain
+open Dggt_domains
 module Ggraph = Dggt_grammar.Ggraph
 
 let doc_api_findings (l : Loader.loaded) g =
-  let dpath = Filename.concat l.Loader.dir Loader.doc_name in
+  let dpath = Filename.concat l.Loader.dir Pack.doc_name in
   List.concat_map
     (fun (e : Docfile.entry) ->
       match Ggraph.api_node g e.Docfile.api with
@@ -23,7 +23,7 @@ let doc_api_findings (l : Loader.loaded) g =
     l.Loader.doc_entries
 
 let grammar_api_findings (l : Loader.loaded) g doc =
-  let gpath = Filename.concat l.Loader.dir Loader.grammar_name in
+  let gpath = Filename.concat l.Loader.dir Pack.grammar_name in
   List.filter_map
     (fun (api, _) ->
       if Dggt_core.Apidoc.find doc api <> None then None
@@ -32,11 +32,11 @@ let grammar_api_findings (l : Loader.loaded) g doc =
           (Err.vf gpath
              "grammar terminal %s has no %s entry (WordToAPI can never \
               reach it)"
-             api Loader.doc_name))
+             api Pack.doc_name))
     (Ggraph.api_nodes g)
 
 let query_findings (l : Loader.loaded) doc =
-  let qpath = Filename.concat l.Loader.dir Loader.queries_name in
+  let qpath = Filename.concat l.Loader.dir Pack.queries_name in
   List.concat_map
     (fun (e : Queryfile.entry) ->
       let q = e.Queryfile.query in
@@ -60,7 +60,7 @@ let query_findings (l : Loader.loaded) doc =
     l.Loader.query_entries
 
 let manifest_findings (l : Loader.loaded) g doc =
-  let m = l.Loader.manifest in
+  let m = l.Loader.settings.Pack.manifest in
   let mpath = m.Manifest.file in
   let at key f =
     match Manifest.find m key with

@@ -16,5 +16,5 @@
     All findings are collected (not first-error), each naming its file and
     line. *)
 
-val run : Loader.loaded -> Err.t list
+val run : Loader.loaded -> Dggt_domains.Err.t list
 (** [[]] means the pack is valid. *)

@@ -1,4 +1,4 @@
-module Domain = Dggt_domains.Domain
+open Dggt_domains
 
 type origin = Builtin | Pack of { dir : string; digest : string }
 
@@ -29,8 +29,8 @@ let names_of e = norm e.domain.Domain.name :: List.map norm e.aliases
 
 let default_builtins =
   [
-    (Dggt_domains.Text_editing.domain, [ "te" ]);
-    (Dggt_domains.Astmatcher.domain, [ "am" ]);
+    (Text_editing.domain, Text_editing.aliases);
+    (Astmatcher.domain, Astmatcher.aliases);
   ]
 
 (* the lookup view: packs shadow same-named base entries *)
@@ -106,7 +106,8 @@ let register t ?(aliases = []) ?(origin = Builtin) domain =
 
 (* what identifies an entry's compiled automaton: for packs the manifest
    digest (content-addressed — a reload with unchanged bytes hits the
-   cache), for built-ins the name (their grammars are compiled in) *)
+   cache), for built-ins the name (their packs are embedded at build
+   time) *)
 let content_key e =
   match e.origin with
   | Builtin -> "builtin:" ^ norm e.domain.Domain.name
@@ -118,7 +119,7 @@ let pack_dirs dir =
          let p = Filename.concat dir sub in
          if
            Sys.is_directory p
-           && Sys.file_exists (Filename.concat p Loader.manifest_name)
+           && Sys.file_exists (Filename.concat p Pack.manifest_name)
          then Some p
          else None)
 
@@ -142,7 +143,7 @@ let load_dir t dir =
         (fun (l : Loader.loaded) ->
           {
             domain = l.Loader.domain;
-            aliases = l.Loader.aliases;
+            aliases = l.Loader.settings.Pack.aliases;
             origin = Pack { dir = l.Loader.dir; digest = l.Loader.digest };
           })
         loaded
@@ -156,9 +157,10 @@ let load_dir t dir =
             (fun (l : Loader.loaded) -> l.Loader.domain == bad.domain)
             loaded
         in
+        let s = l.Loader.settings in
         Error
-          (Err.vf ~line:l.Loader.name_line
-             (Filename.concat l.Loader.dir Loader.manifest_name)
+          (Err.vf ~line:s.Pack.name.Manifest.line
+             s.Pack.manifest.Manifest.file
              "duplicate domain name %S" n)
     | None ->
         locked t (fun () ->

@@ -41,7 +41,7 @@ val register : t -> ?aliases:string list -> ?origin:origin ->
 (** Append one domain; [Error] (registry unchanged) when its name or an
     alias is already taken. *)
 
-val load_dir : t -> string -> (entry list, Err.t) result
+val load_dir : t -> string -> (entry list, Dggt_domains.Err.t) result
 (** Load every subdirectory of [dir] that contains a [domain.pack]
     (sorted by name), then atomically replace the registry's pack entries
     with the result and bump {!generation}. A pack whose name or alias

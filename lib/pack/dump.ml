@@ -1,4 +1,4 @@
-module Domain = Dggt_domains.Domain
+open Dggt_domains
 module Cfg = Dggt_grammar.Cfg
 module Bnf = Dggt_grammar.Bnf
 
@@ -71,10 +71,10 @@ let dump ~dir ?aliases (d : Domain.t) =
   let cfg = g.Dggt_grammar.Ggraph.cfg in
   mkdir_p dir;
   let out name text = write_file (Filename.concat dir name) text in
-  out Loader.manifest_name (render_manifest ?aliases d cfg);
-  out Loader.grammar_name
+  out Pack.manifest_name (render_manifest ?aliases d cfg);
+  out Pack.grammar_name
     ("# grammar.bnf — exported by `dggt pack dump`\n"
     ^ Bnf.to_text (bnf_of_cfg cfg));
-  out Loader.doc_name (Docfile.render (Lazy.force d.Domain.doc));
+  out Pack.doc_name (Docfile.render (Lazy.force d.Domain.doc));
   if d.Domain.queries <> [] then
-    out Loader.queries_name (Queryfile.render d.Domain.queries)
+    out Pack.queries_name (Queryfile.render d.Domain.queries)

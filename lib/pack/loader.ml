@@ -1,226 +1,60 @@
-module Domain = Dggt_domains.Domain
+open Dggt_domains
 
 type loaded = {
   domain : Domain.t;
   dir : string;
-  aliases : string list;
+  settings : Pack.settings;
   digest : string;
-  name_line : int;
   doc_entries : Docfile.entry list;
   query_entries : Queryfile.entry list;
-  manifest : Manifest.t;
-  expect_accuracy : float option;
-  expect_p95_ms : float option;
 }
-
-let manifest_name = "domain.pack"
-let grammar_name = "grammar.bnf"
-let doc_name = "api.doc"
-let queries_name = "queries.tsv"
-
-let known_keys =
-  [
-    "name"; "description"; "source"; "start"; "alias"; "default";
-    "stop-verbs"; "unit-apis"; "max-nodes"; "max-paths"; "max-steps"; "top-k";
-    "expect-accuracy"; "expect-p95-ms";
-  ]
 
 let ( let* ) = Result.bind
 
-let require_file path =
-  if Sys.file_exists path && not (Sys.is_directory path) then Ok ()
-  else Error (Err.v path "no such file")
-
-(* positive integer manifest field *)
-let pos_int m key =
-  let* v = Manifest.int_value m key in
-  match v with
-  | Some n when n <= 0 ->
-      let b = Option.get (Manifest.find m key) in
-      Error
-        (Err.vf ~line:b.Manifest.line m.Manifest.file "%s must be positive"
-           key)
-  | v -> Ok v
-
-let parse_defaults m =
-  List.fold_left
-    (fun acc (b : Manifest.binding) ->
-      let* acc = acc in
-      match Dggt_util.Strutil.split_ws b.Manifest.value with
-      | nt :: (_ :: _ as rest) ->
-          Ok ((nt, String.concat " " rest) :: acc)
-      | _ ->
-          Error
-            (Err.v ~line:b.Manifest.line m.Manifest.file
-               "default takes a nonterminal and a codelet, e.g. `default = \
-                pos END()`"))
-    (Ok [])
-    (Manifest.find_all m "default")
-  |> Result.map List.rev
-
-let parse_limits m =
-  let* max_nodes = pos_int m "max-nodes" in
-  let* max_paths = pos_int m "max-paths" in
-  let* max_steps = pos_int m "max-steps" in
-  match (max_nodes, max_paths, max_steps) with
-  | None, None, None -> Ok None
-  | _ ->
-      let d = Dggt_grammar.Gpath.default_limits in
-      Ok
-        (Some
-           {
-             Dggt_grammar.Gpath.max_nodes =
-               Option.value max_nodes
-                 ~default:d.Dggt_grammar.Gpath.max_nodes;
-             max_paths =
-               Option.value max_paths ~default:d.Dggt_grammar.Gpath.max_paths;
-             max_steps =
-               Option.value max_steps ~default:d.Dggt_grammar.Gpath.max_steps;
-           })
-
-let words m key =
-  match Manifest.value m key with
-  | None -> []
-  | Some v -> Dggt_util.Strutil.split_ws v
-
-(* the eval envelope: expected-floor accuracy (a fraction) and
-   expected-ceiling p95 latency (milliseconds). Only [dggt eval
-   --check-envelope] consumes them; loading just validates the ranges. *)
-let parse_envelope m =
-  let* acc = Manifest.num_value m "expect-accuracy" in
-  let* () =
-    match acc with
-    | Some v when v < 0.0 || v > 1.0 ->
-        let b = Option.get (Manifest.find m "expect-accuracy") in
-        Error
-          (Err.vf ~line:b.Manifest.line m.Manifest.file
-             "expect-accuracy must be a fraction in [0, 1], got %g" v)
-    | _ -> Ok ()
-  in
-  let* p95 = Manifest.num_value m "expect-p95-ms" in
-  let* () =
-    match p95 with
-    | Some v when v <= 0.0 ->
-        let b = Option.get (Manifest.find m "expect-p95-ms") in
-        Error
-          (Err.vf ~line:b.Manifest.line m.Manifest.file
-             "expect-p95-ms must be positive, got %g" v)
-    | _ -> Ok ()
-  in
-  Ok (acc, p95)
-
-let digest_files paths =
-  let buf = Buffer.create 65536 in
-  List.iter
-    (fun p ->
-      match Manifest.read_file p with
-      | Ok text ->
-          Buffer.add_string buf (Filename.basename p);
-          Buffer.add_char buf '\n';
-          Buffer.add_string buf text
-      | Error _ -> ())
-    paths;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+(* the version handle: every file's name and bytes, in pack order *)
+let digest files =
+  List.map (fun (path, text) -> Filename.basename path ^ "\n" ^ text) files
+  |> String.concat "" |> Digest.string |> Digest.to_hex
 
 let load dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Err.v dir "no such pack directory")
   else
-    let mpath = Filename.concat dir manifest_name in
-    let gpath = Filename.concat dir grammar_name in
-    let dpath = Filename.concat dir doc_name in
-    let qpath = Filename.concat dir queries_name in
-    let* () = require_file mpath in
-    let* m = Manifest.load mpath in
-    (* typos in keys must not silently drop a setting *)
-    let* () =
-      List.fold_left
-        (fun acc (b : Manifest.binding) ->
-          let* () = acc in
-          if List.mem b.Manifest.key known_keys then Ok ()
-          else
-            Error
-              (Err.vf ~line:b.Manifest.line mpath "unknown key %S (one of: %s)"
-                 b.Manifest.key
-                 (String.concat ", " known_keys)))
-        (Ok ()) m.Manifest.bindings
+    let path = Filename.concat dir in
+    let read name =
+      let p = path name in
+      if Sys.file_exists p && not (Sys.is_directory p) then
+        Result.map (fun text -> (p, text)) (Manifest.read_file p)
+      else Error (Err.v p "no such file")
     in
-    let* name_b =
-      match Manifest.find m "name" with
-      | Some b when b.Manifest.value <> "" -> Ok b
-      | _ -> Error (Err.v mpath "missing required key `name`")
+    let* ((mpath, mtext) as manifest) = read Pack.manifest_name in
+    let* settings =
+      Result.bind (Manifest.parse ~file:mpath mtext) Pack.settings
     in
-    let* start_b =
-      match Manifest.find m "start" with
-      | Some b when b.Manifest.value <> "" -> Ok b
-      | _ ->
-          Error (Err.v mpath "missing required key `start` (grammar root)")
+    let* ((gpath, gtext) as grammar) = read Pack.grammar_name in
+    let* cfg = Pack.grammar settings ~file:gpath gtext in
+    let* ((dpath, dtext) as doc) = read Pack.doc_name in
+    let* doc_entries = Docfile.parse ~file:dpath dtext in
+    let* queries =
+      if Sys.file_exists (path Pack.queries_name) then
+        Result.map Option.some (read Pack.queries_name)
+      else Ok None
     in
-    let* () = require_file gpath in
-    let* gtext = Manifest.read_file gpath in
-    let* cfg =
-      match Dggt_grammar.Cfg.of_text ~start:start_b.Manifest.value gtext with
-      | Ok cfg -> Ok cfg
-      | Error (Dggt_grammar.Cfg.Parse_error e) ->
-          Error (Err.v ~line:e.Dggt_grammar.Bnf.line gpath e.Dggt_grammar.Bnf.message)
-      | Error (Dggt_grammar.Cfg.Undefined_start s) ->
-          Error
-            (Err.vf ~line:start_b.Manifest.line mpath
-               "start symbol %s has no rule in %s" s grammar_name)
-      | Error Dggt_grammar.Cfg.Empty_grammar ->
-          Error (Err.v gpath "grammar has no rules")
-    in
-    let graph = Dggt_grammar.Ggraph.build cfg in
-    let* () = require_file dpath in
-    let* doc_entries = Docfile.load dpath in
-    let doc = Docfile.to_doc doc_entries in
     let* query_entries =
-      if Sys.file_exists qpath then Queryfile.load qpath else Ok []
-    in
-    let* defaults = parse_defaults m in
-    let* path_limits = parse_limits m in
-    let* top_k = pos_int m "top-k" in
-    let* expect_accuracy, expect_p95_ms = parse_envelope m in
-    let unit_filter =
-      match words m "unit-apis" with
-      | [] -> None
-      | apis ->
-          let set = Hashtbl.create (List.length apis) in
-          List.iter (fun a -> Hashtbl.replace set a ()) apis;
-          Some (fun api -> Hashtbl.mem set api)
-    in
-    let domain =
-      {
-        Domain.name = name_b.Manifest.value;
-        description = Option.value (Manifest.value m "description") ~default:"";
-        source =
-          Option.value (Manifest.value m "source")
-            ~default:(Printf.sprintf "domain pack %s" dir);
-        graph = Lazy.from_val graph;
-        doc = Lazy.from_val doc;
-        queries = List.map (fun (e : Queryfile.entry) -> e.query) query_entries;
-        defaults;
-        unit_filter;
-        path_limits;
-        stop_verbs = words m "stop-verbs";
-        top_k;
-      }
+      match queries with
+      | None -> Ok []
+      | Some (qpath, qtext) -> Queryfile.parse ~file:qpath qtext
     in
     Ok
       {
-        domain;
+        domain =
+          Pack.domain settings
+            ~graph:(Lazy.from_val (Dggt_grammar.Ggraph.build cfg))
+            ~doc:(Lazy.from_val (Docfile.to_doc doc_entries))
+            ~queries:query_entries;
         dir;
-        aliases =
-          List.map (fun (b : Manifest.binding) -> b.Manifest.value)
-            (Manifest.find_all m "alias");
-        digest =
-          digest_files
-            (mpath :: gpath :: dpath
-            :: (if Sys.file_exists qpath then [ qpath ] else []));
-        name_line = name_b.Manifest.line;
+        settings;
+        digest = digest (manifest :: grammar :: doc :: Option.to_list queries);
         doc_entries;
         query_entries;
-        manifest = m;
-        expect_accuracy;
-        expect_p95_ms;
       }

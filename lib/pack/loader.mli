@@ -1,52 +1,22 @@
-(** Loading a domain pack directory into a {!Dggt_domains.Domain.t}.
-
-    A pack is a directory holding:
-
-    - [domain.pack] — the {!Manifest}: [name] and [start] (required),
-      [description], [source], [alias] (repeatable), [default]
-      (repeatable, [default = <nonterminal> <codelet>]), [stop-verbs] and
-      [unit-apis] (space-separated), [max-nodes]/[max-paths]/[max-steps]
-      (the {!Dggt_grammar.Gpath.limits} overrides), [top-k],
-      [expect-accuracy]/[expect-p95-ms] (the eval envelope — performance
-      expectations [dggt eval --check-envelope] enforces);
-    - [grammar.bnf] — the DSL grammar, parsed by {!Dggt_grammar.Bnf}
-      through {!Dggt_grammar.Cfg.of_text};
-    - [api.doc] — the API reference document ({!Docfile});
-    - [queries.tsv] — the evaluation query set ({!Queryfile}); optional,
-      a pack without one simply has no benchmark.
+(** Loading a domain pack directory (the format is
+    {!Dggt_domains.Pack}) into a {!Dggt_domains.Domain.t}.
 
     Loading is eager (grammar graph and document are built immediately, so
     a loaded domain never fails a [Lazy.force] later) and every failure is
-    an {!Err.t} naming the offending file and line. Loading performs the
-    {e syntactic} checks; semantic validation (API reachability, limit
-    sanity) is {!Check.run}. *)
+    an {!Dggt_domains.Err.t} naming the offending file and line. Loading
+    performs the {e syntactic} checks; semantic validation (API
+    reachability, limit sanity) is {!Check.run}. *)
 
 type loaded = {
   domain : Dggt_domains.Domain.t;
   dir : string;
-  aliases : string list;         (** extra lookup names from [alias =] *)
+  settings : Dggt_domains.Pack.settings;
   digest : string;               (** MD5 hex over the pack's files — the
                                      version handle [GET /version] exposes *)
-  name_line : int;               (** manifest line of [name =], for
-                                     duplicate-domain diagnostics *)
-  doc_entries : Docfile.entry list;     (** with line numbers, for {!Check} *)
-  query_entries : Queryfile.entry list; (** with line numbers, for {!Check} *)
-  manifest : Manifest.t;
-  expect_accuracy : float option;
-      (** [expect-accuracy]: the accuracy floor the pack's query set is
-          expected to hold, as a fraction in [[0, 1]] *)
-  expect_p95_ms : float option;
-      (** [expect-p95-ms]: the p95 synthesis-latency ceiling in
-          milliseconds (positive) *)
+  doc_entries : Dggt_domains.Docfile.entry list;
+      (** with line numbers, for {!Check} *)
+  query_entries : Dggt_domains.Queryfile.entry list;
+      (** with line numbers, for {!Check} *)
 }
 
-(** The pack's file names: ["domain.pack"], ["grammar.bnf"], ["api.doc"],
-    ["queries.tsv"]. *)
-
-val manifest_name : string
-
-val grammar_name : string
-val doc_name : string
-val queries_name : string
-
-val load : string -> (loaded, Err.t) result
+val load : string -> (loaded, Dggt_domains.Err.t) result

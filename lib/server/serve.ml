@@ -435,8 +435,9 @@ let probe t r =
   | Session_query _ -> None
 
 (* The body: the ranked list for a rank-shaped request (a stream's [done]
-   frame included), else the outcome with its alternatives. A session
-   adds its id, a plain session query its reuse accounting. *)
+   frame included; a run out of budget says [timed_out]), else the
+   outcome with its alternatives. A session adds its id, a plain session
+   query its reuse accounting. *)
 let body r ~cached ?reuse (outcome, ranked) =
   let v =
     match outcome with
@@ -444,8 +445,9 @@ let body r ~cached ?reuse (outcome, ranked) =
         Wire.outcome_json ~domain:r.domain ~engine:r.engine ~query:r.query
           ~cached ~alternatives:ranked o
     | _ ->
-        Wire.rank_json ~domain:r.domain ~query:r.query ~k:(k_of r) ~cached
-          ranked
+        Wire.rank_json
+          ?timed_out:(Option.map (fun o -> o.Engine.timed_out) outcome)
+          ~domain:r.domain ~query:r.query ~k:(k_of r) ~cached ranked
   in
   match r.route with
   | Session_query (id, _) ->
@@ -503,8 +505,8 @@ let conclude t r ~t0 ?reuse sink (o : Engine.outcome) =
    when the deadline expires or the run fails (the HTTP status already
    went out as 200 when the stream opened). A client disconnect surfaces
    as [EPIPE] on the next frame write, which aborts the chart walk
-   mid-run; the partial stream is counted [failed], and no trace is
-   recorded for it.
+   mid-run; the partial stream is counted [failed], and its partial
+   trace is recorded with [ok = false].
 
    The trace's [Stream] span notes when the frames were produced, in
    seconds from request start: [ttfc_s] for the first candidate frame
@@ -547,6 +549,8 @@ let stream_query t r ~t0 =
                  (body r ~cached:false (Some o, o.Engine.ranked)))
       | exception e ->
           observe t ~domain:r.domain ~outcome:"failed" t0;
+          record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
+            ~time_s:(Unix.gettimeofday () -. t0) ~ok:false sink;
           (* the peer may already be gone (EPIPE raised by a frame write
              landed here) — the terminal frame is best-effort *)
           (try
@@ -926,7 +930,7 @@ let reload_handler t =
             (J.Obj
                [
                  ("error", J.Str "pack reload failed; registry unchanged");
-                 ("detail", J.Str (Dggt_pack.Err.to_string e));
+                 ("detail", J.Str (Dggt_domains.Err.to_string e));
                ])
       | Ok packs ->
           let fresh, compiled = build_dstates t in
@@ -1029,7 +1033,7 @@ let create params =
   | Some dir -> (
       match Registry.load_dir registry dir with
       | Ok _ -> ()
-      | Error e -> failwith ("dggt serve: " ^ Dggt_pack.Err.to_string e)));
+      | Error e -> failwith ("dggt serve: " ^ Dggt_domains.Err.to_string e)));
   let store =
     match params.store_dir with
     | None -> None

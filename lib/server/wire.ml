@@ -75,22 +75,29 @@ let outcome_json ~domain ~engine ~query ~cached ~alternatives
         ("stats", stats_json o.Engine.stats);
       ])
 
-(* the [/rank] payload; also the stream's terminal frame for rank requests *)
-let rank_json ~domain ~query ~k ~cached (candidates : Engine.ranked list) =
+(* the [/rank] payload; also the stream's terminal frame for rank
+   requests. [timed_out] appears only when true, so every body of a run
+   that finished is unchanged. *)
+let rank_json ?(timed_out = false) ~domain ~query ~k ~cached
+    (candidates : Engine.ranked list) =
   J.Obj
-    [
-      ("v", J.Num (float_of_int api_version));
-      ("ok", J.Bool (candidates <> []));
-      ("domain", J.Str domain);
-      ("query", J.Str query);
-      ("k", J.Num (float_of_int k));
-      ( "candidates",
-        J.Arr
-          (List.map (fun (r : Engine.ranked) -> J.Str r.Engine.code) candidates)
-      );
-      ("ranked", ranked_json candidates);
-      ("cached", J.Bool cached);
-    ]
+    ([
+       ("v", J.Num (float_of_int api_version));
+       ("ok", J.Bool (candidates <> []));
+     ]
+    @ (if timed_out then [ ("timed_out", J.Bool true) ] else [])
+    @ [
+        ("domain", J.Str domain);
+        ("query", J.Str query);
+        ("k", J.Num (float_of_int k));
+        ( "candidates",
+          J.Arr
+            (List.map
+               (fun (r : Engine.ranked) -> J.Str r.Engine.code)
+               candidates) );
+        ("ranked", ranked_json candidates);
+        ("cached", J.Bool cached);
+      ])
 
 let reuse_json (r : Dggt_inc.Reuse.t) =
   let open Dggt_inc.Reuse in

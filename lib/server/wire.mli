@@ -35,13 +35,16 @@ val outcome_json :
     the pre-semiring one. *)
 
 val rank_json :
+  ?timed_out:bool ->
   domain:string ->
   query:string ->
   k:int ->
   cached:bool ->
   Dggt_core.Engine.ranked list ->
   Jsonio.t
-(** The [/rank] response body. *)
+(** The [/rank] response body. A run that ran out of budget
+    ([timed_out], default [false]) adds ["timed_out": true] after ["ok"];
+    every other body leaves the field out. *)
 
 val reuse_json : Dggt_inc.Reuse.t -> Jsonio.t
 (** The incremental-session [reuse] object (revision, splice flag,

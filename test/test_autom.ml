@@ -271,7 +271,7 @@ let test_registry_cache () =
   let reg = Registry.create ~builtins:[] () in
   (match Registry.load_dir reg dir with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail (Dggt_pack.Err.to_string e));
+  | Error e -> Alcotest.fail (Dggt_domains.Err.to_string e));
   let entry () =
     match Registry.find_entry reg "textediting" with
     | Some e -> e
@@ -285,7 +285,7 @@ let test_registry_cache () =
   (* reload with an unchanged pack: same digest, same automaton *)
   (match Registry.load_dir reg dir with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail (Dggt_pack.Err.to_string e));
+  | Error e -> Alcotest.fail (Dggt_domains.Err.to_string e));
   let a3, fresh3 = Registry.automaton reg (entry ()) in
   check_b "unchanged reload reuses" false fresh3;
   check_b "unchanged reload pointer-equal" true (a1 == a3);
@@ -299,7 +299,7 @@ let test_registry_cache () =
   close_out oc;
   (match Registry.load_dir reg dir with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail (Dggt_pack.Err.to_string e));
+  | Error e -> Alcotest.fail (Dggt_domains.Err.to_string e));
   let a4, fresh4 = Registry.automaton reg (entry ()) in
   check_b "changed grammar recompiles" true fresh4;
   check_b "changed grammar, new automaton" false (a1 == a4);

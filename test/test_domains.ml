@@ -146,7 +146,7 @@ let test_defaults_parse () =
       match Tree2expr.parse text with
       | Ok _ -> ()
       | Error m -> Alcotest.failf "default for %s unparsable: %s" nt m)
-    Text_editing.defaults
+    te.Domain.defaults
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the paper's published examples                         *)

@@ -1,11 +1,15 @@
-(* Tests for dggt_pack: manifest/docfile/queryfile parse errors with
-   file:line diagnostics, loader error paths, the semantic checker, the
-   mutex-guarded domain registry, dump/load golden equivalence against the
-   compiled-in domains, and the pack-aware endpoints of dggt serve
-   (/version, /reload, generation-keyed cache invalidation). *)
+(* Tests for the pack format and dggt_pack: manifest/docfile/queryfile
+   parse errors with file:line diagnostics, loader error paths, the
+   semantic checker, the mutex-guarded domain registry, dump/load golden
+   equivalence against the built-in domains, and the pack-aware endpoints
+   of dggt serve (/version, /reload, generation-keyed cache
+   invalidation). *)
 
 open Dggt_pack
 module Domain = Dggt_domains.Domain
+module Err = Dggt_domains.Err
+module Manifest = Dggt_domains.Manifest
+module Pack = Dggt_domains.Pack
 module Engine = Dggt_core.Engine
 module J = Dggt_server.Jsonio
 module Serve = Dggt_server.Serve
@@ -92,7 +96,7 @@ let test_load_roundtrip_clean () =
   | Error e -> Alcotest.fail (Err.to_string e)
   | Ok l ->
       check_s "name" "TextEditing" l.Loader.domain.Domain.name;
-      check_b "alias te" true (List.mem "te" l.Loader.aliases);
+      check_b "alias te" true (List.mem "te" l.Loader.settings.Pack.aliases);
       check_b "digest nonempty" true (String.length l.Loader.digest = 32);
       check_i "no findings" 0 (List.length (Check.run l))
 
@@ -198,15 +202,15 @@ let test_envelope_keys () =
   | Error e -> Alcotest.fail (Err.to_string e)
   | Ok l ->
       check_b "accuracy floor parsed" true
-        (l.Loader.expect_accuracy = Some 0.85);
-      check_b "p95 ceiling parsed" true (l.Loader.expect_p95_ms = Some 1500.0));
+        (l.Loader.settings.Pack.expect_accuracy = Some 0.85);
+      check_b "p95 ceiling parsed" true (l.Loader.settings.Pack.expect_p95_ms = Some 1500.0));
   (* a pack without the keys simply has no envelope *)
   let d2 = te_pack_dir () in
   match Loader.load d2 with
   | Error e -> Alcotest.fail (Err.to_string e)
   | Ok l ->
       check_b "no envelope by default" true
-        (l.Loader.expect_accuracy = None && l.Loader.expect_p95_ms = None)
+        (l.Loader.settings.Pack.expect_accuracy = None && l.Loader.settings.Pack.expect_p95_ms = None)
 
 let test_envelope_validation () =
   (* accuracy outside [0, 1] *)
@@ -390,7 +394,7 @@ let test_registry_duplicate_pack_name () =
 
 let test_registry_pack_overrides_builtin () =
   (* a pack reusing a built-in name (or alias) shadows the built-in: the
-     exported built-ins under examples/packs/ are directly servable *)
+     built-ins' packs under examples/packs/ are directly servable *)
   let root, _ = clone_packs_root ~name:"TextEditing" ~alias:"te" () in
   let reg = Domain_registry.create () in
   (match Domain_registry.load_dir reg root with
@@ -432,7 +436,7 @@ let test_registry_failed_reload_keeps_packs () =
   write g saved
 
 (* ------------------------------------------------------------------ *)
-(* golden equivalence: dump → load reproduces the compiled-in domain  *)
+(* golden equivalence: dump → load reproduces the built-in domain     *)
 (* ------------------------------------------------------------------ *)
 
 let structural_identity (orig : Domain.t) (fromdisk : Domain.t) =
@@ -523,8 +527,10 @@ let committed_pack sub =
   | Ok l -> l
   | Error e -> Alcotest.fail (Err.to_string e)
 
-(* the committed example packs must stay in sync with the compiled-in
-   domains (regenerate with `dggt pack dump` after changing a domain) *)
+(* the committed packs load and check clean from disk, and equal the
+   built-ins: for TextEditing they are its source; for ASTMatcher this
+   keeps grammar.bnf and api.doc equal to what Am_spec generates
+   (regenerate them with `dggt pack dump -d am` after changing it) *)
 let test_committed_packs () =
   List.iter
     (fun (sub, orig) ->

@@ -204,11 +204,12 @@ let test_distance_memo_race () =
   (* the per-source BFS rows are memoized under a mutex; hammer the memo
      from every worker at once and compare against a sequentially-filled
      twin graph *)
+  let start =
+    (Lazy.force Dggt_domains.Text_editing.domain.Dggt_domains.Domain.graph)
+      .Ggraph.cfg.Dggt_grammar.Cfg.start
+  in
   let build () =
-    match
-      Dggt_grammar.Cfg.of_text ~start:Dggt_domains.Te_grammar.start
-        Dggt_domains.Te_grammar.bnf
-    with
+    match Dggt_grammar.Cfg.of_text ~start Dggt_domains.Te_pack.grammar_bnf with
     | Ok cfg -> Ggraph.build cfg
     | Error _ -> Alcotest.fail "grammar build failed"
   in

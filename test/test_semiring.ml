@@ -74,8 +74,7 @@ let test_cell_min_size () =
   (* a tie on every key keeps the incumbent (update_min's strictness) *)
   check_b "exact tie keeps incumbent" false
     (Semiring.plus c (cand ~size:4 ~cov:3 ~score:0.1 ()));
-  check_i "min-size retains one" 1 (List.length (Semiring.Cell.choices c));
-  check_i "non-counting count is 0" 0 (Semiring.Cell.count c)
+  check_i "min-size retains one" 1 (List.length (Semiring.Cell.choices c))
 
 let test_cell_top_k () =
   let c = Semiring.zero (Semiring.Top_k 3) in
@@ -108,20 +107,6 @@ let test_cell_top_k () =
   let n = List.length (Semiring.Cell.choices c) in
   ignore (Semiring.plus c (cand ~api:"B" ~size:3 ~cov:2 ~score:1.0 ()));
   check_i "duplicate dropped" n (List.length (Semiring.Cell.choices c))
-
-let test_cell_count () =
-  let c = Semiring.zero Semiring.Count in
-  check_i "fresh count 0" 0 (Semiring.Cell.count c);
-  ignore (Semiring.plus c (cand ~nid:1 ~api:"A" ~size:1 ~cov:1 ~score:1.0 ()));
-  check_b "counting cell solved" true (Semiring.Cell.solved c);
-  check_i "count >= 1 once solved" 1 (Semiring.Cell.count c);
-  (* the same CGT offered again (different score) is not a new program *)
-  ignore (Semiring.plus c (cand ~nid:1 ~api:"A" ~size:1 ~cov:1 ~score:2.0 ()));
-  check_i "same CGT not recounted" 1 (Semiring.Cell.count c);
-  ignore (Semiring.plus c (cand ~nid:2 ~api:"B" ~size:1 ~cov:1 ~score:0.1 ()));
-  check_i "distinct CGT counted" 2 (Semiring.Cell.count c);
-  (* Count retains one candidate, like Min_size *)
-  check_i "count retains one" 1 (List.length (Semiring.Cell.choices c))
 
 (* ------------------------------------------------------------------ *)
 (* Min_size vs the preserved reference walk                           *)
@@ -311,8 +296,8 @@ let test_topk_soundness () =
 
 let test_objective_outcome_invariance () =
   (* the candidate stream into every cell is identical across objectives,
-     so Count and Top_k runs must produce the Min_size outcome bytes —
-     codelet, failure and statistics alike *)
+     so a Top_k run must produce the Min_size outcome bytes — codelet,
+     failure and statistics alike *)
   List.iter
     (fun dom ->
       let ses = base_session dom in
@@ -332,43 +317,7 @@ let test_objective_outcome_invariance () =
                 check_b
                   (Printf.sprintf "%s under %s" q (Semiring.to_string obj))
                   true (outcome_equal base o))
-            [ Semiring.Count; Semiring.Top_k 5 ])
-        (sample_queries dom))
-    [ te; am ]
-
-let test_count_chart () =
-  (* run the chart itself under Count: whenever synthesis succeeds, every
-     solved API node — the winning root included — has seen >= 1 distinct
-     CGT, and the winner agrees with the plain engine run *)
-  let module Dggt = Dggt_core.Dggt in
-  let module Dgg = Dggt_core.Dgg in
-  let module Word2api = Dggt_core.Word2api in
-  let module Edge2path = Dggt_core.Edge2path in
-  List.iter
-    (fun dom ->
-      let ses = base_session dom in
-      let g = Lazy.force dom.Domain.graph in
-      List.iter
-        (fun q ->
-          let cfg = ses.Engine.cfg in
-          let dg = Engine.prune cfg (Engine.parse cfg q) in
-          let w2a = Word2api.build (Lazy.force dom.Domain.doc) dg in
-          let e2p = Edge2path.build g dg w2a in
-          let stats = Dggt_core.Stats.create () in
-          match
-            Dggt.synthesize_with_graph ~objective:Semiring.Count
-              ~budget:(Dggt_util.Budget.of_seconds 10.0)
-              ~stats g dg w2a e2p
-          with
-          | exception Dggt_util.Budget.Exhausted -> () (* indeterminate *)
-          | None, _ -> ()
-          | Some _, dyng ->
-              List.iter
-                (fun n ->
-                  if Dgg.solved n then
-                    check_b (q ^ ": solved node counts >= 1") true
-                      (Dgg.distinct_count n >= 1))
-                (Dgg.nodes dyng))
+            [ Semiring.Top_k 5 ])
         (sample_queries dom))
     [ te; am ]
 
@@ -376,9 +325,6 @@ let suite =
   [
     Alcotest.test_case "cell: Min_size semantics" `Quick test_cell_min_size;
     Alcotest.test_case "cell: Top_k semantics" `Quick test_cell_top_k;
-    Alcotest.test_case "cell: Count semantics" `Quick test_cell_count;
-    Alcotest.test_case "Count chart: solved nodes count >= 1" `Quick
-      test_count_chart;
     Alcotest.test_case "Min_size = reference (sampled queries)" `Quick
       test_minsize_matches_reference;
     Alcotest.test_case "Top_k soundness" `Quick test_topk_soundness;

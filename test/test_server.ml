@@ -831,6 +831,71 @@ let test_stream_disconnect () =
       check_b "rank ok" true
         (J.bool_field "ok" (Result.get_ok (J.of_string plain)) = Some true))
 
+(* A client that hangs up after the first candidate frame aborts the run
+   (EPIPE on a later frame write): the stream is counted [failed] and its
+   partial trace lands in /debug/trace with [ok = false]. The query emits
+   14 candidate frames over ~30 ms after the first, so the server still
+   has frames to write when the reset arrives. *)
+let test_stream_abort_trace () =
+  with_server (fun srv ->
+      let port = Serve.port srv in
+      let recorded () =
+        let _, j = get_json ~port ~meth:"GET" ~path:"/debug/trace" () in
+        (Option.get (J.int_field "recorded" j), j)
+      in
+      let before, _ = recorded () in
+      let query = "find classes named \"Base\" with a method named \"run\"" in
+      let body =
+        J.to_string
+          (J.Obj
+             [ ("query", J.Str query); ("domain", J.Str "am"); ("k", J.Num 5.) ])
+      in
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req =
+        Printf.sprintf
+          "POST /rank?stream=1 HTTP/1.1\r\nhost: x\r\ncontent-length: \
+           %d\r\n\r\n%s"
+          (String.length body) body
+      in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 4096 and b = Bytes.create 4096 in
+      let rec first_frame () =
+        let n = Unix.read fd b 0 4096 in
+        Buffer.add_subbytes buf b 0 n;
+        if
+          n > 0
+          && not
+               (Dggt_util.Strutil.contains_sub ~sub:"event: candidate"
+                  (Buffer.contents buf))
+        then first_frame ()
+      in
+      first_frame ();
+      (* linger 0: close resets the connection, so the next write fails *)
+      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+      Unix.close fd;
+      let rec await n =
+        let r, j = recorded () in
+        if r = before && n > 0 then begin
+          Unix.sleepf 0.02;
+          await (n - 1)
+        end
+        else (r, j)
+      in
+      let after, j = await 500 in
+      check_i "one trace recorded" (before + 1) after;
+      (match J.member "traces" j with
+      | Some (J.Arr (newest :: _)) ->
+          check_b "trace is the aborted stream" true
+            (J.str_field "query" newest = Some query);
+          check_b "trace not ok" true (J.bool_field "ok" newest = Some false)
+      | _ -> Alcotest.fail "no trace");
+      let _, metrics = http ~port ~meth:"GET" ~path:"/metrics" () in
+      check_b "aborted stream counted failed" true
+        (Dggt_util.Strutil.contains_sub
+           ~sub:"dggt_requests_total{domain=\"ASTMatcher\",outcome=\"failed\"} 1\n"
+           metrics))
+
 let test_stream_session () =
   with_server (fun srv ->
       let port = Serve.port srv in
@@ -921,8 +986,8 @@ let test_synthesize_ranked_once () =
 
 (* Every route counts its outcomes alike: an explicit k = 1 is one
    candidate on /rank and on a streamed session query, a /rank that runs
-   out of budget is a timeout, and a session body that is not JSON is a
-   counted bad request. *)
+   out of budget is a timeout and its body says [timed_out], and a
+   session body that is not JSON is a counted bad request. *)
 let test_outcome_accounting () =
   with_server (fun srv ->
       let port = Serve.port srv in
@@ -932,6 +997,7 @@ let test_outcome_accounting () =
       in
       check_i "k=1 status" 200 st;
       check_b "k=1 echoed" true (J.int_field "k" j = Some 1);
+      check_b "finished run has no timed_out" true (J.member "timed_out" j = None);
       (match J.member "candidates" j with
       | Some (J.Arr [ _ ]) -> ()
       | _ -> Alcotest.fail "/rank k=1 wants one candidate");
@@ -950,9 +1016,14 @@ let test_outcome_accounting () =
       (* the job may expire in the queue before a worker takes it (504,
          counted as expired); only a run that starts can time out *)
       let rec attempt n =
-        let st, _ = http ~port ~meth:"POST" ~path:"/rank" ~body () in
+        let st, raw = http ~port ~meth:"POST" ~path:"/rank" ~body () in
         if st = 504 && n > 1 then attempt (n - 1)
-        else check_i "timed-out rank status" 200 st
+        else begin
+          check_i "timed-out rank status" 200 st;
+          check_b "timed-out rank says so" true
+            (J.bool_field "timed_out" (Result.get_ok (J.of_string raw))
+            = Some true)
+        end
       in
       attempt 20;
       let st, j =
@@ -1002,6 +1073,8 @@ let suite =
     Alcotest.test_case "stream rank sse" `Quick test_stream_rank;
     Alcotest.test_case "stream deadline error frame" `Quick test_stream_deadline;
     Alcotest.test_case "stream client disconnect" `Quick test_stream_disconnect;
+    Alcotest.test_case "stream abort records its trace" `Quick
+      test_stream_abort_trace;
     Alcotest.test_case "stream session query" `Quick test_stream_session;
     Alcotest.test_case "version advertises streaming" `Quick test_version_streaming;
     Alcotest.test_case "synthesize k>1 is one ranked run" `Quick

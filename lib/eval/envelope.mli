@@ -1,7 +1,7 @@
 (** Pack-pinned evaluation envelopes.
 
     A domain pack may pin performance expectations in its manifest
-    ([expect-accuracy], [expect-p95-ms] — see {!Dggt_pack.Loader});
+    ([expect-accuracy], [expect-p95-ms] — see {!Dggt_domains.Pack});
     [dggt eval --check-envelope] evaluates the pack's query set and fails
     (non-zero exit) when a measurement falls outside the envelope, which
     is how CI catches accuracy or latency regressions against

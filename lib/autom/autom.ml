@@ -46,21 +46,38 @@ let compile_time_s t = t.compile_s
    automaton's behavior completely, so two loads of byte-identical pack
    files agree on it *)
 let digest_of (g : Ggraph.t) =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create (32 * (Ggraph.node_count g + Ggraph.edge_count g)) in
+  let int i = Buffer.add_string buf (string_of_int i) in
   Array.iter
     (fun (n : Ggraph.node) ->
       (match n.Ggraph.kind with
-      | Ggraph.Nt s -> Printf.bprintf buf "N%s" s
-      | Ggraph.Deriv p -> Printf.bprintf buf "D%d" p
-      | Ggraph.Api s -> Printf.bprintf buf "A%s" s);
+      | Ggraph.Nt s ->
+          Buffer.add_char buf 'N';
+          Buffer.add_string buf s
+      | Ggraph.Deriv p ->
+          Buffer.add_char buf 'D';
+          int p
+      | Ggraph.Api s ->
+          Buffer.add_char buf 'A';
+          Buffer.add_string buf s);
       Buffer.add_char buf '\000')
     g.Ggraph.nodes;
+  (* "src>dst:prod:pos:alt\000" per edge *)
   Array.iter
     (fun (e : Ggraph.edge) ->
-      Printf.bprintf buf "%d>%d:%d:%d:%b\000" e.Ggraph.src e.Ggraph.dst
-        e.Ggraph.prod e.Ggraph.pos e.Ggraph.alt)
+      int e.Ggraph.src;
+      Buffer.add_char buf '>';
+      int e.Ggraph.dst;
+      Buffer.add_char buf ':';
+      int e.Ggraph.prod;
+      Buffer.add_char buf ':';
+      int e.Ggraph.pos;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_bool e.Ggraph.alt);
+      Buffer.add_char buf '\000')
     g.Ggraph.edges;
-  Printf.bprintf buf "root=%d" g.Ggraph.root;
+  Buffer.add_string buf "root=";
+  int g.Ggraph.root;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Epsilon-closure, GLR style: a worklist seeded with the node, expanding
@@ -117,15 +134,18 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
       let par_edge = Array.init n (fun v -> Array.of_list g.Ggraph.parents.(v)) in
       let closures = closures_of g ~api in
       (* distance rows for every source the engine searches from: API
-         nodes (EdgeToPath pairs) and the root (orphan anchoring). Rows
-         come from the graph's own memo, so an engine falling back to the
-         DFS on the same graph shares them rather than recomputing. *)
+         nodes (EdgeToPath pairs) and the root (orphan anchoring), as one
+         batch. Rows go into the graph's own memo, so an engine falling
+         back to the DFS on the same graph, and orphan relocation's
+         reachability test, share them rather than recomputing. *)
+      let srcs =
+        List.filter (fun v -> api.(v) || v = g.Ggraph.root) (List.init n Fun.id)
+        |> Array.of_list
+      in
       let dist_rows = Array.make n [||] in
       Array.iteri
-        (fun v is_api ->
-          if is_api || v = g.Ggraph.root then
-            dist_rows.(v) <- Ggraph.dist_from g v)
-        api;
+        (fun i row -> dist_rows.(srcs.(i)) <- row)
+        (Ggraph.dist_rows g srcs);
       let digest = digest_of g in
       let compile_s = Unix.gettimeofday () -. t0 in
       let t =

@@ -1,5 +1,3 @@
-open Dggt_util
-
 type symbol = T of string | N of string
 
 type production = { id : int; lhs : string; rhs : symbol list }
@@ -29,14 +27,28 @@ let pp_symbol fmt = function
 let of_bnf ~start rules =
   if rules = [] then Error Empty_grammar
   else begin
-    let nts = List.map (fun (r : Bnf.rule) -> r.lhs) rules in
-    if not (List.mem start nts) then Error (Undefined_start start)
+    (* hashed sets beside the ordered lists: membership is O(1), so the
+       build is linear in the grammar's size *)
+    let nt_set = Hashtbl.create 64 and nts = ref [] in
+    List.iter
+      (fun (r : Bnf.rule) ->
+        if not (Hashtbl.mem nt_set r.lhs) then begin
+          Hashtbl.add nt_set r.lhs ();
+          nts := r.lhs :: !nts
+        end)
+      rules;
+    if not (Hashtbl.mem nt_set start) then Error (Undefined_start start)
     else begin
-      let is_nt s = List.mem s nts in
-      let terminals = ref [] in
-      let note_terminal s =
-        if (not (is_nt s)) && not (List.mem s !terminals) then
-          terminals := s :: !terminals
+      let t_set = Hashtbl.create 64 and terminals = ref [] in
+      let symbol s =
+        if Hashtbl.mem nt_set s then N s
+        else begin
+          if not (Hashtbl.mem t_set s) then begin
+            Hashtbl.add t_set s ();
+            terminals := s :: !terminals
+          end;
+          T s
+        end
       in
       let productions = ref [] in
       let next_id = ref 0 in
@@ -44,13 +56,7 @@ let of_bnf ~start rules =
         (fun (r : Bnf.rule) ->
           List.iter
             (fun alt ->
-              let rhs =
-                List.map
-                  (fun s ->
-                    note_terminal s;
-                    if is_nt s then N s else T s)
-                  alt
-              in
+              let rhs = List.map symbol alt in
               productions := { id = !next_id; lhs = r.lhs; rhs } :: !productions;
               incr next_id)
             r.alternatives)
@@ -59,7 +65,7 @@ let of_bnf ~start rules =
         {
           start;
           productions = Array.of_list (List.rev !productions);
-          nonterminals = Listutil.uniq nts;
+          nonterminals = List.rev !nts;
           terminals = List.rev !terminals;
         }
     end

@@ -10,6 +10,7 @@ type t = {
   edges : edge array;
   children : int list array;
   parents : int list array;
+  succ : int array array;
   api_index : (string, int) Hashtbl.t;
   api_heads : (string, Cfg.production) Hashtbl.t;
   nt_index : (string, int) Hashtbl.t;
@@ -79,10 +80,17 @@ let build (cfg : Cfg.t) =
           (fun i sym -> new_edge b ~src:parent ~dst:(sym_node sym) ~prod:p.id ~pos:i ~alt)
           syms
   in
+  (* productions grouped by lhs in one pass, each group in id order *)
+  let by_lhs = Hashtbl.create 64 in
+  for i = Array.length cfg.Cfg.productions - 1 downto 0 do
+    let p = cfg.Cfg.productions.(i) in
+    let ps = Option.value (Hashtbl.find_opt by_lhs p.Cfg.lhs) ~default:[] in
+    Hashtbl.replace by_lhs p.Cfg.lhs (p :: ps)
+  done;
   List.iter
     (fun nt ->
       let nt_n = Hashtbl.find b.nt_tbl nt in
-      let prods = Cfg.productions_of cfg nt in
+      let prods = Option.value (Hashtbl.find_opt by_lhs nt) ~default:[] in
       let multi = List.length prods > 1 in
       List.iter
         (fun (p : Cfg.production) ->
@@ -125,6 +133,10 @@ let build (cfg : Cfg.t) =
     edges;
     children;
     parents;
+    succ =
+      Array.map
+        (fun es -> Array.of_list (List.map (fun e -> edges.(e).dst) es))
+        children;
     (* the builder's name tables double as the graph's permanent node
        indexes: read-only after build, so domain-safe without a lock *)
     api_index = b.api_tbl;
@@ -161,7 +173,7 @@ let edge_count t = Array.length t.edges
    mutex, so one graph can be shared by concurrent workers (the server's
    worker pool); the BFS itself runs outside the lock — a racing pair of
    first lookups may both compute, and the loser's array is discarded. *)
-let dist_from t a =
+let memo_row t a compute =
   Mutex.lock t.dist_mu;
   match Hashtbl.find_opt t.dists a with
   | Some d ->
@@ -169,21 +181,7 @@ let dist_from t a =
       d
   | None ->
       Mutex.unlock t.dist_mu;
-      let d = Array.make (Array.length t.nodes) max_int in
-      d.(a) <- 0;
-      let queue = Queue.create () in
-      Queue.add a queue;
-      while not (Queue.is_empty queue) do
-        let id = Queue.take queue in
-        List.iter
-          (fun eid ->
-            let dst = t.edges.(eid).dst in
-            if d.(dst) = max_int then begin
-              d.(dst) <- d.(id) + 1;
-              Queue.add dst queue
-            end)
-          t.children.(id)
-      done;
+      let d = compute a in
       Mutex.lock t.dist_mu;
       let d =
         match Hashtbl.find_opt t.dists a with
@@ -194,6 +192,36 @@ let dist_from t a =
       in
       Mutex.unlock t.dist_mu;
       d
+
+(* BFS over the flat successor table. [queue] holds at least one slot per
+   node (each node is enqueued at most once) and belongs to the caller,
+   so a batch reuses one queue without sharing it across threads. *)
+let bfs t queue a =
+  let d = Array.make (Array.length t.nodes) max_int in
+  d.(a) <- 0;
+  queue.(0) <- a;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = d.(u) + 1 and succ = t.succ.(u) in
+    for i = 0 to Array.length succ - 1 do
+      let v = succ.(i) in
+      if d.(v) = max_int then begin
+        d.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  d
+
+let dist_from t a =
+  memo_row t a (bfs t (Array.make (Array.length t.nodes) 0))
+
+let dist_rows t srcs =
+  let queue = Array.make (Array.length t.nodes) 0 in
+  Array.map (fun a -> memo_row t a (bfs t queue)) srcs
 
 let distance t a b = (dist_from t a).(b)
 let reachable t a b = distance t a b < max_int

@@ -43,6 +43,9 @@ type t = private {
   edges : edge array;       (** indexed by edge id *)
   children : int list array; (** node id -> outgoing edge ids, by (prod, pos) *)
   parents : int list array;  (** node id -> incoming edge ids *)
+  succ : int array array;
+      (** node id -> destination node ids of [children], same order: the
+          flat successor table the distance BFS walks *)
   api_index : (string, int) Hashtbl.t;
       (** API name -> node id; built once in {!build}, read-only after *)
   api_heads : (string, Cfg.production) Hashtbl.t;
@@ -97,5 +100,10 @@ val dist_from : t -> int -> int array
     (the all-path DFS) should hoist this instead of calling {!distance}
     per probe. The returned array is shared with the memo: treat it as
     read-only. *)
+
+val dist_rows : t -> int array -> int array array
+(** [dist_rows g srcs] is [Array.map (dist_from g) srcs]: the same rows,
+    memoized the same way, computed with one BFS queue for the whole
+    batch. The automaton compile precomputes its rows this way. *)
 
 val pp_stats : Format.formatter -> t -> unit

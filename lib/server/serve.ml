@@ -811,13 +811,12 @@ let make_dstate ~metrics ~registry ~word_cache ~gen (e : Registry.entry) =
 
 (* [(dstates, compiled)]: how many automata this build actually compiled
    (the rest were registry cache hits) *)
-let build_dstates t =
-  let gen = Registry.generation t.registry in
+let build_dstates ~metrics ~registry ~word_cache =
+  let gen = Registry.generation registry in
   let pairs =
     List.map
-      (make_dstate ~metrics:t.metrics ~registry:t.registry
-         ~word_cache:t.word_cache ~gen)
-      (Registry.entries t.registry)
+      (make_dstate ~metrics ~registry ~word_cache ~gen)
+      (Registry.entries registry)
   in
   ( List.map fst pairs,
     List.length (List.filter (fun (_, compiled) -> compiled) pairs) )
@@ -933,7 +932,10 @@ let reload_handler t =
                  ("detail", J.Str (Dggt_domains.Err.to_string e));
                ])
       | Ok packs ->
-          let fresh, compiled = build_dstates t in
+          let fresh, compiled =
+            build_dstates ~metrics:t.metrics ~registry:t.registry
+              ~word_cache:t.word_cache
+          in
           Mutex.lock t.dmu;
           t.dstates <- fresh;
           Mutex.unlock t.dmu;
@@ -1022,11 +1024,6 @@ let git_describe () =
 
 let create params =
   let metrics = Smetrics.create () in
-  let pool =
-    Deadline_pool.create
-      ?workers:(if params.workers > 0 then Some params.workers else None)
-      ~capacity:params.queue_capacity ()
-  in
   let registry = Registry.create () in
   (match params.packs_dir with
   | None -> ()
@@ -1043,28 +1040,11 @@ let create params =
         | Error msg -> failwith ("dggt serve: --store " ^ dir ^ ": " ^ msg))
   in
   let stage_cap = max 0 params.cache_size * 4 in
-  let word_cache = Cache.create ~capacity:stage_cap in
-  let t =
+  let caches =
     {
-      params;
-      pool;
-      metrics;
-      registry;
-      build = Option.value (git_describe ()) ~default:"unknown";
-      q_cache = Cache.create ~capacity:params.cache_size;
-      rank_cache = Cache.create ~capacity:params.cache_size;
-      word_cache;
-      sessions =
-        Sessions.create ~ttl_s:params.session_ttl_s ~cap:params.session_cap ();
-      traces = Ring.create ~capacity:params.trace_buffer;
-      dmu = Mutex.create ();
-      dstates = [];
-      http = None;
-      store;
-      spill_mu = Mutex.create ();
-      closing = Atomic.make false;
-      finalized = Atomic.make false;
-      spill_thread = None;
+      Warmstore.q = Cache.create ~capacity:params.cache_size;
+      rank = Cache.create ~capacity:params.cache_size;
+      word = Cache.create ~capacity:stage_cap;
     }
   in
   (* warm boot: replay the store BEFORE building the domain states, so
@@ -1078,14 +1058,47 @@ let create params =
         Warmstore.load s
           ~generation:(Registry.generation registry)
           ~pack_digest:(Registry.pack_digest registry)
-          ~registry (warm_caches t)
+          ~registry caches
       in
       Smetrics.observe_store_load metrics ~loaded:r.Warmstore.ld_applied
         ~skipped:r.Warmstore.ld_skipped ~rejected:r.Warmstore.ld_rejected;
       Smetrics.set_store_probe metrics (fun () ->
           let bytes, records = Store.file_gauges s in
           { Smetrics.store_log_bytes = bytes; store_records = records }));
-  t.dstates <- fst (build_dstates t);
+  (* build the grammars and automata before the pool spawns its worker
+     domains: every OCaml 5 minor collection stops all domains, so idle
+     workers would slow this allocation-heavy build *)
+  let built, _ =
+    build_dstates ~metrics ~registry ~word_cache:caches.Warmstore.word
+  in
+  let pool =
+    Deadline_pool.create
+      ?workers:(if params.workers > 0 then Some params.workers else None)
+      ~capacity:params.queue_capacity ()
+  in
+  let t =
+    {
+      params;
+      pool;
+      metrics;
+      registry;
+      build = Option.value (git_describe ()) ~default:"unknown";
+      q_cache = caches.Warmstore.q;
+      rank_cache = caches.Warmstore.rank;
+      word_cache = caches.Warmstore.word;
+      sessions =
+        Sessions.create ~ttl_s:params.session_ttl_s ~cap:params.session_cap ();
+      traces = Ring.create ~capacity:params.trace_buffer;
+      dmu = Mutex.create ();
+      dstates = built;
+      http = None;
+      store;
+      spill_mu = Mutex.create ();
+      closing = Atomic.make false;
+      finalized = Atomic.make false;
+      spill_thread = None;
+    }
+  in
   start_spill_thread t;
   Smetrics.set_queue_probe metrics (fun () -> Deadline_pool.depth pool);
   Smetrics.register_cache metrics "q_cache" (fun () -> Cache.counters t.q_cache);

@@ -216,6 +216,20 @@ let test_digest_and_stats () =
   check_b "pp_stats prints" true
     (String.length (Format.asprintf "%a" Autom.pp_stats a1) > 0)
 
+(* The built-ins' digests as literals (the values BENCH_automaton.json
+   records): a compile that changes a single graph byte, or a digest
+   writer that renders one differently, fails here. What /version
+   reports and warm-store images are keyed on. *)
+let test_builtin_digests () =
+  List.iter
+    (fun ((d : Domain.t), pinned) ->
+      check_s (d.Domain.name ^ " digest") pinned
+        (Autom.digest (Autom.compile (Lazy.force d.Domain.graph))))
+    [
+      (Dggt_domains.Astmatcher.domain, "d7a5a49959e42adde33e43ea574002b9");
+      (Dggt_domains.Text_editing.domain, "0add585ad62d7c32a4c6345ecfc6cb9b");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* engine-level equivalence                                           *)
 (* ------------------------------------------------------------------ *)
@@ -318,6 +332,7 @@ let suite =
       test_astmatcher_pairs );
     ("memo: determinism and counters", `Quick, test_memo_determinism);
     ("digest: structural, stats printable", `Quick, test_digest_and_stats);
+    ("digest: built-ins pinned", `Quick, test_builtin_digests);
     ( "engine: autom = plain, DGGT textediting",
       `Quick,
       engine_equiv Dggt_domains.Text_editing.domain );

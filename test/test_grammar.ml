@@ -332,7 +332,206 @@ let test_conflicts () =
   check_i "table size" (List.length cs) (Hashtbl.length tbl);
   List.iter (fun pair -> check_b "pair in table" true (Hashtbl.mem tbl pair)) cs
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_bnf_roundtrip ]
+(* ------------------------------------------------------------------ *)
+(* linear-time construction = the list-based reference                *)
+(* ------------------------------------------------------------------ *)
+
+(* Frozen copies of the list-based construction that the hashed
+   [Cfg.of_bnf], the by-lhs grouping in [Ggraph.build] and the flat-array
+   distance BFS replaced: membership by [List.mem], one production scan
+   per nonterminal, a [Queue] BFS over edge lists. *)
+module Ref = struct
+  let of_bnf ~start (rules : Bnf.t) =
+    if rules = [] then Error Cfg.Empty_grammar
+    else
+      let nts = List.map (fun (r : Bnf.rule) -> r.lhs) rules in
+      if not (List.mem start nts) then Error (Cfg.Undefined_start start)
+      else begin
+        let is_nt s = List.mem s nts in
+        let terminals = ref [] in
+        let note_terminal s =
+          if (not (is_nt s)) && not (List.mem s !terminals) then
+            terminals := s :: !terminals
+        in
+        let productions = ref [] and next_id = ref 0 in
+        List.iter
+          (fun (r : Bnf.rule) ->
+            List.iter
+              (fun alt ->
+                let rhs =
+                  List.map
+                    (fun s ->
+                      note_terminal s;
+                      if is_nt s then Cfg.N s else Cfg.T s)
+                    alt
+                in
+                productions :=
+                  { Cfg.id = !next_id; lhs = r.lhs; rhs } :: !productions;
+                incr next_id)
+              r.alternatives)
+          rules;
+        let uniq =
+          List.fold_left
+            (fun acc x -> if List.mem x acc then acc else x :: acc)
+            [] nts
+          |> List.rev
+        in
+        Ok (Array.of_list (List.rev !productions), uniq, List.rev !terminals)
+      end
+
+  type graph = {
+    kinds : Ggraph.node_kind array;
+    edges : (int * int * int * int * bool) array; (* src, dst, prod, pos, alt *)
+    children : int list array;
+    parents : int list array;
+    root : int;
+  }
+
+  let build ~start (prods, nts, terms) =
+    let kinds = ref [] and nnodes = ref 0 in
+    let node k =
+      kinds := k :: !kinds;
+      incr nnodes;
+      !nnodes - 1
+    in
+    let edges = ref [] in
+    let edge src dst prod pos alt = edges := (src, dst, prod, pos, alt) :: !edges in
+    let nt_tbl = List.fold_left (fun acc nt -> acc @ [ (nt, node (Ggraph.Nt nt)) ]) [] nts in
+    let api_tbl =
+      List.fold_left (fun acc a -> acc @ [ (a, node (Ggraph.Api a)) ]) [] terms
+    in
+    let sym_node = function
+      | Cfg.T s -> List.assoc s api_tbl
+      | Cfg.N s -> List.assoc s nt_tbl
+    in
+    let attach_rhs ~parent ~alt (p : Cfg.production) =
+      match p.Cfg.rhs with
+      | [] -> assert false
+      | [ sym ] -> edge parent (sym_node sym) p.Cfg.id 0 alt
+      | Cfg.T api :: args ->
+          let a = List.assoc api api_tbl in
+          edge parent a p.Cfg.id 0 alt;
+          List.iteri (fun i sym -> edge a (sym_node sym) p.Cfg.id (i + 1) false) args
+      | syms -> List.iteri (fun i sym -> edge parent (sym_node sym) p.Cfg.id i alt) syms
+    in
+    List.iter
+      (fun nt ->
+        let nt_n = List.assoc nt nt_tbl in
+        let ps =
+          List.filter (fun (p : Cfg.production) -> p.Cfg.lhs = nt) (Array.to_list prods)
+        in
+        let multi = List.length ps > 1 in
+        List.iter
+          (fun (p : Cfg.production) ->
+            if multi && List.length p.Cfg.rhs > 1 then begin
+              let d = node (Ggraph.Deriv p.Cfg.id) in
+              edge nt_n d p.Cfg.id 0 true;
+              attach_rhs ~parent:d ~alt:false p
+            end
+            else attach_rhs ~parent:nt_n ~alt:multi p)
+          ps)
+      nts;
+    let edges = Array.of_list (List.rev !edges) in
+    let children = Array.make !nnodes [] and parents = Array.make !nnodes [] in
+    Array.iteri
+      (fun id (src, dst, _, _, _) ->
+        children.(src) <- children.(src) @ [ id ];
+        parents.(dst) <- parents.(dst) @ [ id ])
+      edges;
+    {
+      kinds = Array.of_list (List.rev !kinds);
+      edges;
+      children;
+      parents;
+      root = List.assoc start nt_tbl;
+    }
+
+  (* the one production whose RHS starts with [api] and has arguments *)
+  let head_production prods api =
+    match
+      List.filter
+        (fun (p : Cfg.production) ->
+          match p.Cfg.rhs with Cfg.T a :: _ :: _ -> a = api | _ -> false)
+        (Array.to_list prods)
+    with
+    | [ p ] -> Some p
+    | _ -> None
+
+  let distances g a =
+    let d = Array.make (Array.length g.kinds) max_int in
+    d.(a) <- 0;
+    let queue = Queue.create () in
+    Queue.add a queue;
+    while not (Queue.is_empty queue) do
+      let id = Queue.take queue in
+      List.iter
+        (fun eid ->
+          let _, dst, _, _, _ = g.edges.(eid) in
+          if d.(dst) = max_int then begin
+            d.(dst) <- d.(id) + 1;
+            Queue.add dst queue
+          end)
+        g.children.(id)
+    done;
+    d
+end
+
+(* Rule lists go straight to [of_bnf], so a left-hand side may repeat
+   (Bnf.parse would merge them), and five nonterminal names against six
+   API names make terminals recur across rules. A name that never heads
+   a rule ("n4" often) is a terminal. *)
+let gen_rules =
+  let open QCheck.Gen in
+  let nts = [| "n0"; "n1"; "n2"; "n3"; "n4" |] in
+  let apis = [| "A0"; "A1"; "A2"; "A3"; "A4"; "A5" |] in
+  let symbol = frequency [ (2, oneofa nts); (3, oneofa apis) ] in
+  let rule =
+    map2
+      (fun lhs alternatives -> { Bnf.lhs; alternatives })
+      (oneofa nts)
+      (list_size (1 -- 3) (list_size (1 -- 4) symbol))
+  in
+  list_size (0 -- 9) rule
+
+let prop_linear_build =
+  QCheck.Test.make ~name:"cfg/ggraph/distances = list-based reference"
+    ~count:300
+    (QCheck.make ~print:Bnf.to_text gen_rules)
+    (fun rules ->
+      match (Cfg.of_bnf ~start:"n0" rules, Ref.of_bnf ~start:"n0" rules) with
+      | Error e, Error r -> e = r
+      | Ok _, Error _ | Error _, Ok _ -> false
+      | Ok c, Ok ((prods, nts, terms) as rc) ->
+          let g = Ggraph.build c and r = Ref.build ~start:"n0" rc in
+          let n = Ggraph.node_count g in
+          let all = Array.init n Fun.id in
+          let batch = Ggraph.dist_rows g all in
+          (* a second graph computes each row alone, on a cold memo *)
+          let g1 = Ggraph.build c in
+          c.Cfg.productions = prods
+          && c.Cfg.nonterminals = nts
+          && c.Cfg.terminals = terms
+          && Array.map (fun (nd : Ggraph.node) -> (nd.Ggraph.id, nd.Ggraph.kind)) g.Ggraph.nodes
+             = Array.mapi (fun i k -> (i, k)) r.Ref.kinds
+          && Array.map
+               (fun (e : Ggraph.edge) ->
+                 (e.Ggraph.id, (e.Ggraph.src, e.Ggraph.dst, e.Ggraph.prod, e.Ggraph.pos, e.Ggraph.alt)))
+               g.Ggraph.edges
+             = Array.mapi (fun i e -> (i, e)) r.Ref.edges
+          && g.Ggraph.children = r.Ref.children
+          && g.Ggraph.parents = r.Ref.parents
+          && g.Ggraph.root = r.Ref.root
+          && List.for_all
+               (fun api -> Ggraph.head_production g api = Ref.head_production prods api)
+               terms
+          && Array.for_all
+               (fun v ->
+                 let want = Ref.distances r v in
+                 batch.(v) = want && Ggraph.dist_from g1 v = want)
+               all)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest [ prop_bnf_roundtrip; prop_linear_build ]
 
 let suite =
   [

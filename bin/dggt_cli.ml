@@ -247,24 +247,15 @@ let check_envelope_arg =
            non-zero on any violation (the CI regression gate). Requires a \
            pack-loaded domain (--packs) whose manifest pins an envelope.")
 
-(* the envelope lives in the pack manifest; the registry knows the pack's
-   directory, the expectations are re-read from its manifest *)
+(* the envelope lives in the pack manifest, read into the domain at load *)
 let envelope_of reg dname =
-  let module Pack = Dggt_domains.Pack in
   match Registry.find_entry reg dname with
-  | Some { Registry.origin = Registry.Pack { dir; _ }; _ } -> (
-      match
-        Result.bind
-          (Dggt_domains.Manifest.load (Filename.concat dir Pack.manifest_name))
-          Pack.settings
-      with
-      | Error e -> Error (Dggt_domains.Err.to_string e)
-      | Ok s ->
-          Ok
-            {
-              Dggt_eval.Envelope.min_accuracy = s.Pack.expect_accuracy;
-              max_p95_ms = s.Pack.expect_p95_ms;
-            })
+  | Some { Registry.origin = Registry.Pack _; domain = d; _ } ->
+      Ok
+        {
+          Dggt_eval.Envelope.min_accuracy = d.Dggt_domains.Domain.expect_accuracy;
+          max_p95_ms = d.Dggt_domains.Domain.expect_p95_ms;
+        }
   | Some _ ->
       Error
         (Printf.sprintf

@@ -106,6 +106,16 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
   let dyng = Dgg.create objective in
   let start = Dgg.start dyng in
   let scratch = Cgt.scratch g in
+  (* one enumeration state for the whole walk: a path's extra weight is
+     read at its governor, when its child's cell is final *)
+  let prepared = lazy (Gprune.prepare ~extra:(child_extra dyng) g) in
+  let child_best (p : Edge2path.epath) =
+    match
+      Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
+    with
+    | Some child -> Dgg.best child
+    | None -> None
+  in
   let lemma_of id =
     match Depgraph.node_opt dg id with
     | Some n -> n.Depgraph.lemma
@@ -209,7 +219,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     List.iter (fun api -> seed_leaf id api)
       (Dggt_util.Listutil.uniq (Word2api.apis w2a id @ node_apis n1));
     if governors <> [] then begin
-      let prepared = Gprune.prepare ~extra:(child_extra dyng) g in
+      let prepared = Lazy.force prepared in
       List.iter
         (fun (a, groups) ->
           let case_ii = List.length groups > 1 in
@@ -241,6 +251,32 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                 n
           in
           let merged_any = ref false in
+          (* Prefix-shared merging. Survivors come in lexicographic order,
+             so consecutive ones share a prefix of paths. [ids] and [accs]
+             hold the previous combination's first [!len] epath ids and the
+             candidate accumulated after each; the next combination resumes
+             [Semiring.times] at its first differing path. [times] is pure
+             and every child cell is final here, so the accumulation after
+             a prefix depends on its epath ids alone. *)
+          let ids = Array.make (List.length groups) (-1)
+          and accs = Array.make (List.length groups) Semiring.one
+          and len = ref 0 in
+          let rec fold k acc = function
+            | [] -> Some acc
+            | (p : Edge2path.epath) :: rest -> (
+                if k < !len && ids.(k) = p.Edge2path.id then fold (k + 1) accs.(k) rest
+                else begin
+                  len := k;
+                  match child_best p with
+                  | Some cb ->
+                      let acc = Semiring.times acc ~path:p.Edge2path.path ~child:cb in
+                      ids.(k) <- p.Edge2path.id;
+                      accs.(k) <- acc;
+                      len := k + 1;
+                      fold (k + 1) acc rest
+                  | None -> None
+                end)
+          in
           let try_combo idx combo =
               Budget.check budget;
               if case_ii then
@@ -248,24 +284,9 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
               (* merge the combination's paths (the prefix tree) together
                  with the children's optimal partial CGTs *)
               let acc, ok =
-                List.fold_left
-                  (fun (acc, ok) (p : Edge2path.epath) ->
-                    if not ok then (acc, false)
-                    else
-                      match
-                        Dgg.find_api dyng
-                          ~dep:p.Edge2path.edge.Depgraph.dep
-                          ~api:p.Edge2path.dep_api
-                      with
-                      | Some child -> (
-                          match Dgg.best child with
-                          | Some cb ->
-                              ( Semiring.times acc ~path:p.Edge2path.path
-                                  ~child:cb,
-                                true )
-                          | None -> (acc, false))
-                      | None -> (acc, false))
-                  (Semiring.one, true) combo
+                match fold 0 Semiring.one combo with
+                | Some acc -> (acc, true)
+                | None -> (Semiring.one, false)
               in
               let merged = acc.Semiring.cgt in
               let assignment = (id, a) :: acc.Semiring.assignment in

@@ -1,10 +1,9 @@
 open Dggt_util
 open Dggt_grammar
 
-(* What the enumeration reads of one path. Claims are the (grammar node,
-   production) of every edge the path leaves, flattened; nodes and APIs
-   are renumbered densely over the paths seen, so the enumeration's
-   counters are plain arrays of that size. *)
+(* What the enumeration reads of one path, by grammar node id. Claims are
+   the (grammar node, production) of every edge the path leaves,
+   flattened; APIs are the path's API node ids. *)
 type info = {
   claims : int array;  (* node, production, node, production, ... *)
   apis : int array;
@@ -12,32 +11,34 @@ type info = {
   size : int;  (* Gpath.size + extra *)
 }
 
+(* Per-walk state. [uses], [stamp] and [prod] are indexed by grammar node
+   id and allocated once; [masks] is the flat bitset storage of one
+   enumeration, grown on demand and reused by the next. *)
 type t = {
   g : Ggraph.t;
   extra : Edge2path.epath -> int;
   infos : (int, info) Hashtbl.t;  (* by epath id *)
-  node_ids : (int, int) Hashtbl.t;
-  api_ids : (string, int) Hashtbl.t;
+  uses : int array;  (* per API node: how many chosen paths contain it *)
+  stamp : int array;  (* per node: the conflict pass that set [prod] *)
+  prod : int array;
+  mutable pass : int;
+  mutable masks : int array;
 }
 
 type result = { kept : Edge2path.epath list list; total : int; conflict_free : int }
 
 let prepare ?(extra = fun _ -> 0) g =
+  let n = Ggraph.node_count g in
   {
     g;
     extra;
-    infos = Hashtbl.create 16;
-    node_ids = Hashtbl.create 16;
-    api_ids = Hashtbl.create 16;
+    infos = Hashtbl.create 64;
+    uses = Array.make n 0;
+    stamp = Array.make n 0;
+    prod = Array.make n 0;
+    pass = 0;
+    masks = [||];
   }
-
-let dense tbl k =
-  match Hashtbl.find_opt tbl k with
-  | Some i -> i
-  | None ->
-      let i = Hashtbl.length tbl in
-      Hashtbl.add tbl k i;
-      i
 
 let info t (p : Edge2path.epath) =
   match Hashtbl.find_opt t.infos p.Edge2path.id with
@@ -49,29 +50,33 @@ let info t (p : Edge2path.epath) =
       Array.iteri
         (fun j eid ->
           let e = Ggraph.edge t.g eid in
-          claims.(2 * j) <- dense t.node_ids e.Ggraph.src;
+          claims.(2 * j) <- e.Ggraph.src;
           claims.((2 * j) + 1) <- e.Ggraph.prod)
         edges;
+      let apis = Array.make (Gpath.size path) 0 and k = ref 0 in
+      Array.iter
+        (fun nd ->
+          if Ggraph.is_api t.g nd then begin
+            apis.(!k) <- nd;
+            incr k
+          end)
+        path.Gpath.nodes;
       let extra = t.extra p in
-      let i =
-        {
-          claims;
-          apis = Array.map (dense t.api_ids) path.Gpath.apis;
-          extra;
-          size = Gpath.size path + extra;
-        }
-      in
+      let i = { claims; apis; extra; size = Gpath.size path + extra } in
       Hashtbl.add t.infos p.Edge2path.id i;
       i
 
 let no_info = { claims = [||]; apis = [||]; extra = 0; size = 0 }
 
-(* a path fits when every node it claims is unclaimed or held with the
-   same production *)
-let rec fits count prod cl j =
-  j >= Array.length cl
-  || (let n = cl.(j) in
-      (count.(n) = 0 || prod.(n) = cl.(j + 1)) && fits count prod cl (j + 2))
+(* bits per mask word *)
+let word = Sys.int_size
+
+(* does a path claim a node the stamped path holds with another
+   production? *)
+let rec clashes t cl j =
+  j < Array.length cl
+  && ((t.stamp.(cl.(j)) = t.pass && t.prod.(cl.(j)) <> cl.(j + 1))
+     || clashes t cl (j + 2))
 
 let combos ?budget t ~gprune ~sprune groups =
   let total = Listutil.cartesian_count groups in
@@ -82,12 +87,76 @@ let combos ?budget t ~gprune ~sprune groups =
       levels
   in
   let n = Array.length levels in
-  (* per dense node: how many chosen paths claim it, and the production
-     they hold it with (all agree: a disagreeing path is never chosen);
-     per dense API: how many chosen paths contain it *)
-  let count = Array.make (Hashtbl.length t.node_ids) 0
-  and prod = Array.make (Hashtbl.length t.node_ids) 0
-  and uses = Array.make (Hashtbl.length t.api_ids) 0 in
+  (* Mask layout, in words. A row holds one bit per path of some levels,
+     each level starting a new word; level [e] sits at [off.(e) - off.(d)]
+     in a row that starts at level [d]. The compatibility block of depth
+     [d], at [cbase.(d)], is a row from level [d]: the paths of each level
+     from [d] on that conflict with no path chosen at levels [< d]. Path
+     [i] of level [d < n - 1] owns [1 + width d] words at [rbase.(d) + i *
+     (1 + width d)]: 1 once its conflict row is computed, then that row, a
+     row from level [d + 1] of the paths that conflict with it. *)
+  let off = Array.make (n + 1) 0 in
+  for e = 0 to n - 1 do
+    off.(e + 1) <- off.(e) + ((Array.length levels.(e) + word - 1) / word)
+  done;
+  let width d = off.(n) - off.(d + 1) in
+  let cbase = Array.make (n + 1) 0 in
+  for d = 0 to n - 1 do
+    cbase.(d + 1) <- cbase.(d) + off.(n) - off.(d)
+  done;
+  let rbase = Array.make (n + 1) cbase.(n) in
+  for d = 0 to n - 2 do
+    rbase.(d + 1) <- rbase.(d) + (Array.length levels.(d) * (1 + width d))
+  done;
+  let m =
+    if not gprune then [||]
+    else begin
+      let need = rbase.(max 0 (n - 1)) in
+      if Array.length t.masks < need then
+        t.masks <- Array.make (max need (2 * Array.length t.masks)) 0;
+      Array.fill t.masks 0 off.(n) (-1);
+      for d = 0 to n - 2 do
+        for i = 0 to Array.length levels.(d) - 1 do
+          t.masks.(rbase.(d) + (i * (1 + width d))) <- 0
+        done
+      done;
+      t.masks
+    end
+  in
+  (* the conflict row of path [i] of level [d], computed on its first
+     push: stamp its claims, then test every later path against them *)
+  let row d i =
+    let r = rbase.(d) + (i * (1 + width d)) + 1 in
+    if m.(r - 1) = 0 then begin
+      m.(r - 1) <- 1;
+      t.pass <- t.pass + 1;
+      let cl = infos.(d).(i).claims in
+      for j = 0 to (Array.length cl / 2) - 1 do
+        t.stamp.(cl.(2 * j)) <- t.pass;
+        t.prod.(cl.(2 * j)) <- cl.((2 * j) + 1)
+      done;
+      Array.fill m r (width d) 0;
+      for e = d + 1 to n - 1 do
+        let base = r + off.(e) - off.(d + 1) in
+        Array.iteri
+          (fun j q ->
+            if clashes t q.claims 0 then
+              m.(base + (j / word)) <- m.(base + (j / word)) lor (1 lsl (j mod word)))
+          infos.(e)
+      done
+    end;
+    r
+  in
+  (* choosing path [i] at level [d]: the next depth's block is this
+     depth's, less the path's conflicts *)
+  let push d i =
+    let r = row d i and src = cbase.(d) + off.(d + 1) - off.(d) and dst = cbase.(d + 1) in
+    for w = 0 to width d - 1 do
+      m.(dst + w) <- m.(src + w) land lnot m.(r + w)
+    done
+  in
+  if sprune then
+    Array.iter (Array.iter (fun p -> Array.iter (fun a -> t.uses.(a) <- 0) p.apis)) infos;
   let chosen = Array.make n 0 in
   let union = ref 0 and min_hi = ref max_int and conflict_free = ref 0 in
   let kept = ref [] in
@@ -108,35 +177,26 @@ let combos ?budget t ~gprune ~sprune groups =
       if lo <= !min_hi then kept := (lo, combo (n - 1) []) :: !kept
     end
     else
-      let row = infos.(d) in
-      for i = 0 to Array.length row - 1 do
+      let ps = infos.(d) and cb = cbase.(d) in
+      for i = 0 to Array.length ps - 1 do
         (match budget with Some b -> Budget.check b | None -> ());
-        let p = row.(i) in
-        if (not gprune) || fits count prod p.claims 0 then begin
+        if (not gprune) || (m.(cb + (i / word)) lsr (i mod word)) land 1 = 1
+        then begin
           chosen.(d) <- i;
-          if gprune then
-            for j = 0 to (Array.length p.claims / 2) - 1 do
-              let nd = p.claims.(2 * j) in
-              count.(nd) <- count.(nd) + 1;
-              prod.(nd) <- p.claims.((2 * j) + 1)
-            done;
+          if gprune && d < n - 1 then push d i;
+          let p = ps.(i) in
           if sprune then
             for j = 0 to Array.length p.apis - 1 do
               let a = p.apis.(j) in
-              if uses.(a) = 0 then incr union;
-              uses.(a) <- uses.(a) + 1
+              if t.uses.(a) = 0 then incr union;
+              t.uses.(a) <- t.uses.(a) + 1
             done;
           go (d + 1) (sum_size + p.size) (sum_extra + p.extra);
-          if gprune then
-            for j = 0 to (Array.length p.claims / 2) - 1 do
-              let nd = p.claims.(2 * j) in
-              count.(nd) <- count.(nd) - 1
-            done;
           if sprune then
             for j = 0 to Array.length p.apis - 1 do
               let a = p.apis.(j) in
-              uses.(a) <- uses.(a) - 1;
-              if uses.(a) = 0 then decr union
+              t.uses.(a) <- t.uses.(a) - 1;
+              if t.uses.(a) = 0 then decr union
             done
         end
       done

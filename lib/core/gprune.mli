@@ -11,11 +11,16 @@
     already chosen one.
 
     No pair table is built. Each path {e claims} the (grammar node,
-    production) of every edge it leaves; the enumeration counts the
-    claims of the paths chosen so far and skips a path that claims a node
-    an earlier path holds with a different production. Grammar paths are
-    simple (no node repeats, so a path claims each node at most once),
-    which makes this exactly {!Dggt_grammar.Pathvote.conflicts}.
+    production) of every edge it leaves, and two paths conflict when they
+    claim one node with different productions. Grammar paths are simple
+    (no node repeats, so a path claims each node at most once), which
+    makes this exactly {!Dggt_grammar.Pathvote.conflicts}. The
+    enumeration keeps, for every later level, a bitset of the paths that
+    conflict with no path chosen so far. Choosing a path clears its
+    conflicts from those bitsets; its conflicts with each later level are
+    computed once per enumeration, on its first choice, by stamping its
+    claims into a node-indexed production array and testing every later
+    path's claims against it. Trying a path is then one bit test.
 
     {b Size-based pruning.} For a combination c = \{p_1, ..., p_n\} of
     grammar paths, before any merging happens its merged size is bounded
@@ -40,15 +45,19 @@
     filters the kept ones once against the final minimum. *)
 
 type t
-(** What the enumeration reads of each path — its claims, its APIs
-    (numbered densely), its [Gpath.size + extra] and its [extra] —
+(** What the enumeration reads of each path — its claims and its API
+    nodes, by grammar node id, its [Gpath.size + extra] and its [extra] —
     computed the first time the path takes part in a pruned enumeration
-    and kept by epath id (ids must be distinct). *)
+    and kept by epath id (ids must be distinct), plus arrays sized by the
+    grammar's node count and the bitset storage, reused by every
+    enumeration. One [t] serves a whole chart walk; it belongs to one
+    synthesis, like {!Cgt.scratch}. *)
 
 val prepare :
   ?extra:(Edge2path.epath -> int) -> Dggt_grammar.Ggraph.t -> t
 (** [extra p] (default 0) is added to both size bounds of every
-    combination containing [p]; it must not change while [t] is in use. *)
+    combination containing [p]. It is read once per path, at the path's
+    first pruned enumeration, and must not change after that. *)
 
 type result = {
   kept : Edge2path.epath list list;

@@ -12,6 +12,8 @@ type t = {
   path_limits : Dggt_grammar.Gpath.limits option;
   stop_verbs : string list;
   top_k : int option;
+  expect_accuracy : float option;
+  expect_p95_ms : float option;
 }
 
 let configure ?caches ?autom t (cfg : Dggt_core.Engine.config) =

@@ -24,6 +24,10 @@ type t = {
           tighter ones); [None] = {!Dggt_grammar.Gpath.default_limits} *)
   stop_verbs : string list;
   top_k : int option; (** WordToAPI fan-out override *)
+  expect_accuracy : float option;
+      (** the eval envelope's accuracy floor ([expect-accuracy]) *)
+  expect_p95_ms : float option;
+      (** the eval envelope's p95 latency ceiling in ms ([expect-p95-ms]) *)
 }
 
 val configure :

@@ -178,6 +178,8 @@ let domain s ~graph ~doc ~queries =
     path_limits = s.path_limits;
     stop_verbs = words m "stop-verbs";
     top_k = s.top_k;
+    expect_accuracy = s.expect_accuracy;
+    expect_p95_ms = s.expect_p95_ms;
   }
 
 let builtin ~dir ~manifest ~queries ~grammar:text ~doc =

@@ -52,6 +52,13 @@ let render_manifest ?(aliases = []) (d : Domain.t) (cfg : Cfg.t) =
       line "max-paths = %d" l.Dggt_grammar.Gpath.max_paths;
       line "max-steps = %d" l.Dggt_grammar.Gpath.max_steps);
   (match d.Domain.top_k with None -> () | Some k -> line "top-k = %d" k);
+  (* shortest text that reads back as the same float *)
+  let num v =
+    let s = Printf.sprintf "%g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  in
+  Option.iter (fun v -> line "expect-accuracy = %s" (num v)) d.Domain.expect_accuracy;
+  Option.iter (fun v -> line "expect-p95-ms = %s" (num v)) d.Domain.expect_p95_ms;
   Buffer.contents buf
 
 let write_file path text =

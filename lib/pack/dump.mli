@@ -4,9 +4,12 @@
     The export is designed to round-trip: {!Loader.load} on the dumped
     directory rebuilds a structurally identical grammar graph (the BNF is
     reconstructed from the CFG's production array, which preserves rule and
-    alternative order), an identical API document, and identical engine
-    settings — so synthesis through the pack is byte-identical to the
-    compiled-in domain (the golden equivalence suite pins this).
+    alternative order), an identical API document, identical engine
+    settings and the same eval envelope ([expect-accuracy]/[expect-p95-ms])
+    — so synthesis through the pack is byte-identical to the compiled-in
+    domain (the golden equivalence suite pins this), and
+    [dggt eval --check-envelope] on the dump checks what the source pack
+    pinned.
 
     The only lossy corner is [unit_filter]: the domain holds a predicate,
     the pack stores its extension over the document's APIs ([unit-apis]) —

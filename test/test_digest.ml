@@ -70,8 +70,7 @@ let line (dom : Domain.t) ses i (q : Domain.query) =
 
 (* next to the test executable (dune copies it there), or in the source
    tree when run from elsewhere *)
-let digest_file () =
-  let name = "query_digests.txt" in
+let pinned_file name =
   let beside = Filename.concat (Filename.dirname Sys.executable_name) name in
   let rec up d =
     let f = Filename.concat (Filename.concat d "test") name in
@@ -89,7 +88,7 @@ let read_lines path =
 
 let test_digests () =
   let path =
-    match digest_file () with
+    match pinned_file "query_digests.txt" with
     | Some p -> p
     | None -> Alcotest.fail "query_digests.txt not found"
   in
@@ -121,9 +120,82 @@ let test_digests () =
     Alcotest.failf "%d of %d checked queries changed output, first %S" (List.length !differ)
       !checked (List.hd (List.rev !differ))
 
+(* The fuel unit, pinned end to end: [query_steps.txt] holds, per query,
+   the budget steps T its Plain run takes ("<domain> <index> <T> <query
+   text>"). With [max_steps = Some T] and no wall clock the run completes;
+   when T > 0, T - 1 steps time it out. A change that moves where or how
+   often the engine ticks its budget moves some T; a mismatch bisects for
+   the query's current T and prints its new line. *)
+let completes ses text steps =
+  let ses = Engine.with_cfg (fun c -> { c with Engine.max_steps = Some steps }) ses in
+  not (Engine.respond ses { Engine.input = Engine.Text text; mode = Engine.Plain }).Engine.timed_out
+
+(* the least step count that completes: double until a run completes,
+   then bisect between the last failure and it *)
+let fuel ses text =
+  if completes ses text 0 then 0
+  else
+    let rec up hi = if completes ses text hi then hi else up (2 * hi) in
+    let rec bisect lo hi =
+      if hi - lo <= 1 then hi
+      else
+        let mid = (lo + hi) / 2 in
+        if completes ses text mid then bisect lo mid else bisect mid hi
+    in
+    let hi = up 1 in
+    bisect (hi / 2) hi
+
+let test_steps () =
+  let path =
+    match pinned_file "query_steps.txt" with
+    | Some p -> p
+    | None -> Alcotest.fail "query_steps.txt not found"
+  in
+  let committed = Array.of_list (read_lines path) in
+  let stride = if Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" then 1 else 10 in
+  let offset = ref 0 and checked = ref 0 and differ = ref [] in
+  List.iter
+    (fun (dom : Domain.t) ->
+      let ses = session dom in
+      List.iteri
+        (fun i (q : Domain.query) ->
+          if i mod stride = 0 then begin
+            incr checked;
+            let line t = Printf.sprintf "%s %03d %d %s" dom.Domain.name i t q.Domain.text in
+            let pinned =
+              if !offset + i < Array.length committed then committed.(!offset + i) else ""
+            in
+            let holds =
+              match String.split_on_char ' ' pinned with
+              | _ :: _ :: t :: _ -> (
+                  match int_of_string_opt t with
+                  | Some t ->
+                      pinned = line t
+                      && completes ses q.Domain.text t
+                      && (t = 0 || not (completes ses q.Domain.text (t - 1)))
+                  | None -> false)
+              | _ -> false
+            in
+            if not holds then begin
+              Printf.eprintf "step count differs: %s query %d %S\nnew line:\n%s\n%!"
+                dom.Domain.name i q.Domain.text (line (fuel ses q.Domain.text));
+              differ := q.Domain.text :: !differ
+            end
+          end)
+        dom.Domain.queries;
+      offset := !offset + List.length dom.Domain.queries)
+    domains;
+  Alcotest.(check int) "one committed line per query" !offset (Array.length committed);
+  if !differ <> [] then
+    Alcotest.failf "%d of %d checked queries changed step count, first %S"
+      (List.length !differ) !checked (List.hd (List.rev !differ))
+
 let suite =
   [
     Alcotest.test_case
       "per-query output digests (every tenth query; DGGT_GOLDEN_FULL=1 for all)"
       `Quick test_digests;
+    Alcotest.test_case
+      "per-query step counts (every tenth query; DGGT_GOLDEN_FULL=1 for all)"
+      `Quick test_steps;
   ]

@@ -78,6 +78,16 @@ let te_pack_dir () =
   Dump.dump ~dir:d ~aliases:[ "te" ] Dggt_domains.Text_editing.domain;
   d
 
+(* the same pack with its eval envelope taken out, for the envelope tests *)
+let unpinned_pack_dir () =
+  let d = te_pack_dir () in
+  let m = Filename.concat d "domain.pack" in
+  write m
+    (String.split_on_char '\n' (read m)
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"expect-" l))
+    |> String.concat "\n");
+  d
+
 let line_count path = List.length (String.split_on_char '\n' (read path))
 
 let err_of = function
@@ -195,7 +205,7 @@ let test_manifest_num_value () =
         (Result.is_error (Manifest.num_value m "b"))
 
 let test_envelope_keys () =
-  let d = te_pack_dir () in
+  let d = unpinned_pack_dir () in
   let m = Filename.concat d "domain.pack" in
   write m (read m ^ "expect-accuracy = 0.85\nexpect-p95-ms = 1500\n");
   (match Loader.load d with
@@ -205,7 +215,7 @@ let test_envelope_keys () =
         (l.Loader.settings.Pack.expect_accuracy = Some 0.85);
       check_b "p95 ceiling parsed" true (l.Loader.settings.Pack.expect_p95_ms = Some 1500.0));
   (* a pack without the keys simply has no envelope *)
-  let d2 = te_pack_dir () in
+  let d2 = unpinned_pack_dir () in
   match Loader.load d2 with
   | Error e -> Alcotest.fail (Err.to_string e)
   | Ok l ->
@@ -214,7 +224,7 @@ let test_envelope_keys () =
 
 let test_envelope_validation () =
   (* accuracy outside [0, 1] *)
-  let d = te_pack_dir () in
+  let d = unpinned_pack_dir () in
   let m = Filename.concat d "domain.pack" in
   write m (read m ^ "expect-accuracy = 1.5\n");
   let e = err_of (Loader.load d) in
@@ -223,7 +233,7 @@ let test_envelope_validation () =
   check_b "says fraction" true
     (Dggt_util.Strutil.contains_sub ~sub:"fraction" e.Err.message);
   (* p95 ceiling must be positive *)
-  let d = te_pack_dir () in
+  let d = unpinned_pack_dir () in
   write
     (Filename.concat d "domain.pack")
     (read (Filename.concat d "domain.pack") ^ "expect-p95-ms = 0\n");
@@ -231,7 +241,7 @@ let test_envelope_validation () =
   check_b "says positive" true
     (Dggt_util.Strutil.contains_sub ~sub:"positive" e.Err.message);
   (* non-numeric value *)
-  let d = te_pack_dir () in
+  let d = unpinned_pack_dir () in
   write
     (Filename.concat d "domain.pack")
     (read (Filename.concat d "domain.pack") ^ "expect-accuracy = fast\n");
@@ -452,6 +462,9 @@ let structural_identity (orig : Domain.t) (fromdisk : Domain.t) =
   check_b "stop verbs identical" true
     (fromdisk.Domain.stop_verbs = orig.Domain.stop_verbs);
   check_b "top-k identical" true (fromdisk.Domain.top_k = orig.Domain.top_k);
+  check_b "eval envelope identical" true
+    (fromdisk.Domain.expect_accuracy = orig.Domain.expect_accuracy
+    && fromdisk.Domain.expect_p95_ms = orig.Domain.expect_p95_ms);
   check_b "path limits identical" true
     (fromdisk.Domain.path_limits = orig.Domain.path_limits);
   (* unit_filter round-trips as its extension over the doc's APIs — the
@@ -511,6 +524,28 @@ let test_golden_astmatcher () =
      and sweep all 100 queries when DGGT_GOLDEN_FULL=1 (CI) *)
   let full = Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" in
   synthesis_identity ~stride:(if full then 1 else 10) orig fromdisk
+
+(* a dump keeps the source pack's eval envelope, so --check-envelope on
+   the dump checks what the pack pinned *)
+let test_dump_envelope () =
+  List.iter
+    (fun ((d : Domain.t), acc, p95) ->
+      let dir = Filename.concat (fresh_dir ()) "pack" in
+      Dump.dump ~dir d;
+      match Loader.load dir with
+      | Error e -> Alcotest.fail (Err.to_string e)
+      | Ok l ->
+          let s = l.Loader.settings in
+          Alcotest.(check (option (float 0.0)))
+            (d.Domain.name ^ " expect-accuracy") (Some acc)
+            s.Dggt_domains.Pack.expect_accuracy;
+          Alcotest.(check (option (float 0.0)))
+            (d.Domain.name ^ " expect-p95-ms") (Some p95)
+            s.Dggt_domains.Pack.expect_p95_ms)
+    [
+      (Dggt_domains.Text_editing.domain, 0.85, 2000.0);
+      (Dggt_domains.Astmatcher.domain, 0.80, 1500.0);
+    ]
 
 (* one committed example pack, loaded from the copy dune places in the
    build tree beside the test executable (a [source_tree] dep in
@@ -794,6 +829,7 @@ let suite =
     Alcotest.test_case "golden: textediting" `Slow test_golden_textediting;
     Alcotest.test_case "golden: astmatcher" `Slow test_golden_astmatcher;
     Alcotest.test_case "committed example packs" `Quick test_committed_packs;
+    Alcotest.test_case "dump keeps the eval envelope" `Quick test_dump_envelope;
     Alcotest.test_case "head productions = scan, built-ins and packs" `Quick
       test_head_productions;
     Alcotest.test_case "serve: version and v=1" `Quick test_serve_version_and_v;

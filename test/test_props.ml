@@ -220,6 +220,154 @@ let prop_gprune_lossless =
              gprune_exact ~gprune ~sprune g ~extra [ [ g1; g2 ]; [ g2 ]; [ g2; g1 ] ])
            [ (true, true); (true, false); (false, true); (false, false) ])
 
+(* The mask enumeration at word boundaries. A level's bitset takes one
+   word per [Sys.int_size] (63) paths, so levels of 62, 63, 64, 126 and
+   127 paths put a level's last path on either side of a word edge. A
+   sample is 3-5 groups of ASTMatcher grammar paths out of one governor
+   API (the sibling shape PathMerge enumerates) with random extras: one
+   level, in turn, of each boundary size, sometimes a second of 62-64,
+   and the others 1-3 paths, so the product stays enumerable with both
+   prunings off. [Gprune.combos] must equal [Refgprune.combos] followed
+   by [Refsprune.prune] under all four settings (kept list and order,
+   [total], [conflict_free], ticks), and under [Budget.of_steps k] it
+   must run out on the same tick as the reference. One [Gprune.t] serves
+   every run on one sample's groups, the aborted ones first. *)
+let am_pools =
+  lazy
+    (let dom = Dggt_domains.Astmatcher.domain in
+     let g = Lazy.force dom.Domain.graph in
+     let limits = Option.value dom.Domain.path_limits ~default:Gpath.default_limits in
+     let autom = Dggt_autom.Autom.compile g in
+     let apis = List.map fst (Ggraph.api_nodes g) in
+     (* every path from [src] to the APIs in grammar order, up to 254 *)
+     let pool src =
+       let rec go acc n = function
+         | dst :: rest when n < 254 && dst <> src ->
+             let ps = Dggt_autom.Autom.paths_between_apis ~limits autom ~src_api:src ~dst_api:dst in
+             go (List.rev_append ps acc) (n + List.length ps) rest
+         | _ :: rest when n < 254 -> go acc n rest
+         | _ -> Array.of_list (List.rev acc)
+       in
+       (src, go [] 0 apis)
+     in
+     ( g,
+       apis
+       |> List.filteri (fun i _ -> i mod 8 = 0)
+       |> List.map pool
+       |> List.filter (fun (_, ps) -> Array.length ps >= 127) ))
+
+type boundary_sample = {
+  pool : int;  (* index into the pools *)
+  small : int array;  (* every level's size when not a boundary level *)
+  at : int;  (* the boundary level *)
+  second : (int * int) option;  (* another level of 62-64 paths *)
+  picks : int array;  (* random pool offsets, one per path drawn *)
+  extras : int array;
+  cut : float;  (* where [Budget.of_steps] stops, as a share of the ticks *)
+}
+
+let gen_boundary : boundary_sample QCheck.Gen.t =
+ fun rs ->
+  let _, pools = Lazy.force am_pools in
+  let n = 3 + Random.State.int rs 3 in
+  let at = Random.State.int rs n in
+  {
+    pool = Random.State.int rs (List.length pools);
+    small = Array.init n (fun _ -> 1 + Random.State.int rs 3);
+    at;
+    second =
+      (if Random.State.bool rs then
+         Some ((at + 1 + Random.State.int rs (n - 1)) mod n, 62 + Random.State.int rs 3)
+       else None);
+    picks = Array.init 1024 (fun _ -> Random.State.int rs 1_000_000);
+    extras = Array.init 1024 (fun _ -> Random.State.int rs 5);
+    cut = Random.State.float rs 1.0;
+  }
+
+let print_boundary s =
+  Printf.sprintf "pool %d small [%s] at %d second %s" s.pool
+    (String.concat ";" (Array.to_list (Array.map string_of_int s.small)))
+    s.at
+    (match s.second with Some (l, k) -> Printf.sprintf "%d:%d" l k | None -> "-")
+
+let boundary_groups s size =
+  let _, pools = Lazy.force am_pools in
+  let gov, pool = List.nth pools s.pool in
+  let sizes = Array.copy s.small in
+  sizes.(s.at) <- size;
+  (match s.second with
+  | Some (l, k) ->
+      sizes.(l) <- k;
+      (* the other levels keep one path, so the product stays small *)
+      Array.iteri (fun e _ -> if e <> l && e <> s.at then sizes.(e) <- 1) sizes
+  | None -> ());
+  let drawn = ref 0 in
+  Array.to_list
+    (Array.mapi
+       (fun e k ->
+         List.init k (fun j ->
+             let p = pool.(s.picks.(!drawn mod 1024) mod Array.length pool) in
+             incr drawn;
+             {
+               Edge2path.id = (1000 * e) + j;
+               label = Printf.sprintf "%d.%d" e j;
+               edge = { Nlu.Depgraph.gov = 0; dep = e + 1; label = Nlu.Dep.Dep };
+               gov_api = Some gov;
+               dep_api = p.Gpath.apis.(Array.length p.Gpath.apis - 1);
+               path = p;
+             }))
+       sizes)
+
+let mask_matches_reference s =
+  let g, _ = Lazy.force am_pools in
+  let extra (p : Edge2path.epath) = s.extras.(p.Edge2path.id mod 1024) in
+  List.for_all
+    (fun size ->
+      let groups = boundary_groups s size in
+      let t = Gprune.prepare ~extra g in
+      let table = Refgprune.prepare g (List.concat groups) in
+      let reference ~gprune ~sprune budget =
+        let conflict_free, total = Refgprune.combos ~budget table ~enabled:gprune groups in
+        (Refsprune.prune ~enabled:sprune ~extra conflict_free, total, List.length conflict_free)
+      in
+      let ticks f =
+        let b = Dggt_util.Budget.unlimited () in
+        let r = f b in
+        (r, Dggt_util.Budget.steps_used b)
+      in
+      let exhausted f k =
+        let b = Dggt_util.Budget.of_steps k in
+        match f b with
+        | _ -> None
+        | exception Dggt_util.Budget.Exhausted -> Some (Dggt_util.Budget.steps_used b)
+      in
+      let settings = [ (true, true); (true, false); (false, true); (false, false) ] in
+      (* the aborted runs first: they leave the shared state mid-walk *)
+      List.for_all
+        (fun (gprune, sprune) ->
+          let _, n = ticks (reference ~gprune ~sprune) in
+          let k = int_of_float (s.cut *. float_of_int n) in
+          let at_ref = exhausted (fun b -> ignore (reference ~gprune ~sprune b)) k in
+          at_ref <> None
+          && exhausted (fun b -> ignore (Gprune.combos ~budget:b t ~gprune ~sprune groups)) k
+             = at_ref)
+        settings
+      && List.for_all
+           (fun (gprune, sprune) ->
+             let (kept, total, conflict_free), n = ticks (reference ~gprune ~sprune) in
+             let r, m = ticks (fun b -> Gprune.combos ~budget:b t ~gprune ~sprune groups) in
+             List.map epath_ids r.Gprune.kept = List.map epath_ids kept
+             && r.Gprune.total = total
+             && r.Gprune.conflict_free = conflict_free
+             && m = n)
+           settings)
+    [ 62; 63; 64; 126; 127 ]
+
+let prop_gprune_word_boundaries =
+  QCheck.Test.make ~name:"mask enumeration = reference at word boundaries" ~count:8
+    (QCheck.make gen_boundary ~print:print_boundary)
+    mask_matches_reference
+
 (* The sibling groups PathMerge hands [Gprune.combos] for one query: per
    relocation variant and dependency node with children, its governors'
    groups and the paths' extra weights, read off the finished chart by
@@ -596,6 +744,7 @@ let suite =
       prop_path_distinct;
       prop_sprune_bounds_sound;
       prop_gprune_lossless;
+      prop_gprune_word_boundaries;
       prop_cgt_merge_acI;
       prop_cgt_tree_check;
       prop_engine_deterministic;

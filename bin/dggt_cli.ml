@@ -67,15 +67,6 @@ let timeout_arg =
 let query_arg =
   Arg.(non_empty & pos_all string [] & info [] ~docv:"QUERY" ~doc:"The query words.")
 
-let no_autom_arg =
-  Arg.(
-    value & flag
-    & info [ "no-autom" ]
-        ~doc:
-          "Skip compiling the grammar automaton and run EdgeToPath's \
-           per-query DFS instead. The synthesized codelet is \
-           byte-identical either way; this exists for A/B timing.")
-
 let top_arg =
   Arg.(
     value & opt int 1
@@ -134,22 +125,17 @@ let with_pool jobs f =
       (fun () -> f (Some pool))
   else f None
 
-(* the grammar automaton, compiled up front unless --no-autom *)
-let autom_of ~no_autom (dom : Domain.t) =
-  if no_autom then None
-  else Some (Dggt_autom.Autom.compile (Lazy.force dom.Domain.graph))
-
-let config ?autom dom alg timeout =
-  Domain.configure ?autom dom
+let config dom alg timeout =
+  Domain.configure dom
     { (Engine.default alg) with Engine.timeout_s = Some timeout }
 
 (* --- synth --------------------------------------------------------- *)
 
 let synth_cmd =
-  let run dname packs alg timeout no_autom top words =
+  let run dname packs alg timeout top words =
     with_domain packs dname (fun dom ->
         let query = String.concat " " words in
-        let ses = config ?autom:(autom_of ~no_autom dom) dom alg timeout in
+        let ses = config dom alg timeout in
         let o =
           Engine.respond ses
             { Engine.input = Engine.Text query; mode = Engine.Plain }
@@ -186,7 +172,7 @@ let synth_cmd =
     Term.(
       ret
         (const run $ domain_arg $ packs_arg $ engine_arg $ timeout_arg
-       $ no_autom_arg $ top_arg $ query_arg))
+       $ top_arg $ query_arg))
 
 (* --- explain ------------------------------------------------------- *)
 
@@ -216,11 +202,11 @@ let explain_cmd =
 (* --- repl ---------------------------------------------------------- *)
 
 let repl_cmd =
-  let run dname packs alg timeout no_autom =
+  let run dname packs alg timeout =
     with_domain packs dname (fun dom ->
         Dggt_inc.Repl.run
           ~prompt:(dom.Domain.name ^ "> ")
-          (config ?autom:(autom_of ~no_autom dom) dom alg timeout);
+          (config dom alg timeout);
         `Ok ())
   in
   Cmd.v
@@ -232,8 +218,7 @@ let repl_cmd =
           Commands: :help, :reset, :trace, :stats, :quit.")
     Term.(
       ret
-        (const run $ domain_arg $ packs_arg $ engine_arg $ timeout_arg
-       $ no_autom_arg))
+        (const run $ domain_arg $ packs_arg $ engine_arg $ timeout_arg))
 
 (* --- eval ---------------------------------------------------------- *)
 
@@ -265,7 +250,7 @@ let envelope_of reg dname =
   | None -> Error (Printf.sprintf "unknown domain %S" dname)
 
 let eval_cmd =
-  let run dname packs alg timeout jobs no_autom check_envelope =
+  let run dname packs alg timeout jobs check_envelope =
     match registry_of packs with
     | Error msg -> `Error (false, msg)
     | Ok reg -> (
@@ -275,7 +260,6 @@ let eval_cmd =
             with_pool jobs (fun pool ->
                 let r =
                   Dggt_eval.Runner.run_domain ~timeout_s:timeout ?pool
-                    ?autom:(autom_of ~no_autom dom)
                     ~progress:(fun i n ->
                       if i mod 25 = 0 || i = n then
                         Format.eprintf "  %d/%d@." i n)
@@ -321,22 +305,22 @@ let eval_cmd =
     Term.(
       ret
         (const run $ domain_arg $ packs_arg $ engine_arg $ timeout_arg
-       $ jobs_arg $ no_autom_arg $ check_envelope_arg))
+       $ jobs_arg $ check_envelope_arg))
 
 (* --- autom --------------------------------------------------------- *)
 
 let autom_cmd =
   let run dname packs =
     with_domain packs dname (fun dom ->
-        let a = Dggt_autom.Autom.compile (Lazy.force dom.Domain.graph) in
-        Format.printf "%s: %a@." dom.Domain.name Dggt_autom.Autom.pp_stats a;
+        Format.printf "%s: %a@." dom.Domain.name Dggt_autom.Autom.pp_stats
+          (Lazy.force dom.Domain.autom);
         `Ok ())
   in
   Cmd.v
     (Cmd.info "autom"
        ~doc:
          "Compile the domain's grammar into the EdgeToPath automaton and \
-          print its vitals: node/edge/API counts, epsilon-closure sizes, \
+          print its vitals: node/API/transition counts, distance rows, \
           content digest and compile time.")
     Term.(ret (const run $ domain_arg $ packs_arg))
 
@@ -546,9 +530,7 @@ let pack_check_cmd =
             match Dggt_pack.Check.run loaded with
             | [] ->
                 let d = loaded.Dggt_pack.Loader.domain in
-                let a =
-                  Dggt_autom.Autom.compile (Lazy.force d.Domain.graph)
-                in
+                let a = Lazy.force d.Domain.autom in
                 Printf.printf
                   "%s: ok — %s (%d APIs, %d queries; automaton %s, %.1f ms)\n"
                   dir d.Domain.name (Domain.api_count d)

@@ -42,7 +42,7 @@ let () =
   in
   let graph = Dggt_grammar.Ggraph.build cfg in
   let engine = Engine.default Engine.Dggt_alg in
-  let tgt = Engine.target graph doc in
+  let tgt = Engine.target (Dggt_autom.Autom.compile graph) doc in
   (* 3. Queries. *)
   [
     "play \"Blue in Green\" in the kitchen";

@@ -24,11 +24,9 @@ type t = {
       (* node id -> parent node ids, in parent-edge order — the reversed
          walk's transition table *)
   par_edge : int array array; (* node id -> parent edge ids, same order *)
-  closures : int array array; (* node id -> epsilon-closure, ascending *)
   dist_rows : int array array;
-      (* node id -> shortest-path row, [||] when not precompiled (only
-         API nodes and the root get rows; those are the only sources
-         EdgeToPath ever searches from) *)
+      (* node id -> shortest-path row, [||] except for API nodes and the
+         root: the only sources EdgeToPath ever searches from *)
   digest : string;
   compile_s : float;
   memo : memo;
@@ -80,35 +78,6 @@ let digest_of (g : Ggraph.t) =
   int g.Ggraph.root;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* Epsilon-closure, GLR style: a worklist seeded with the node, expanding
-   every member that is not an API frontier (the seed expands even when
-   it is an API — its closure is what lies below it). [stamp] doubles as
-   the visited set across all nodes without reallocation. *)
-let closures_of (g : Ggraph.t) ~api =
-  let n = Ggraph.node_count g in
-  let stamp = Array.make n (-1) in
-  Array.init n (fun v ->
-      let acc = ref [] in
-      let todo = Queue.create () in
-      stamp.(v) <- v;
-      Queue.add v todo;
-      while not (Queue.is_empty todo) do
-        let u = Queue.take todo in
-        acc := u :: !acc;
-        if u = v || not api.(u) then
-          List.iter
-            (fun eid ->
-              let w = g.Ggraph.edges.(eid).Ggraph.dst in
-              if stamp.(w) <> v then begin
-                stamp.(w) <- v;
-                Queue.add w todo
-              end)
-            g.Ggraph.children.(u)
-      done;
-      let arr = Array.of_list !acc in
-      Array.sort compare arr;
-      arr)
-
 let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
   Trace.span trace "AutomatonCompile" (fun sp ->
       let t0 = Unix.gettimeofday () in
@@ -132,12 +101,10 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
                  g.Ggraph.parents.(v)))
       in
       let par_edge = Array.init n (fun v -> Array.of_list g.Ggraph.parents.(v)) in
-      let closures = closures_of g ~api in
       (* distance rows for every source the engine searches from: API
          nodes (EdgeToPath pairs) and the root (orphan anchoring), as one
-         batch. Rows go into the graph's own memo, so an engine falling
-         back to the DFS on the same graph, and orphan relocation's
-         reachability test, share them rather than recomputing. *)
+         batch. Rows go into the graph's own memo, so orphan relocation's
+         reachability test shares them rather than recomputing. *)
       let srcs =
         List.filter (fun v -> api.(v) || v = g.Ggraph.root) (List.init n Fun.id)
         |> Array.of_list
@@ -155,7 +122,6 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
           api_name;
           par_src;
           par_edge;
-          closures;
           dist_rows;
           digest;
           compile_s;
@@ -172,8 +138,6 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
       Trace.int sp "nodes" n;
       Trace.int sp "edges" (Ggraph.edge_count g);
       Trace.int sp "apis" (List.length (Ggraph.api_nodes g));
-      Trace.int sp "closure_total"
-        (Array.fold_left (fun a c -> a + Array.length c) 0 closures);
       Trace.str sp "digest" digest;
       Trace.float sp "compile_s" compile_s;
       t)
@@ -191,7 +155,6 @@ type image = {
   i_api_name : string array;
   i_par_src : int array array;
   i_par_edge : int array array;
-  i_closures : int array array;
   i_dist_rows : int array array;
   i_digest : string;
   i_compile_s : float;
@@ -203,7 +166,6 @@ let to_image t =
     i_api_name = t.api_name;
     i_par_src = t.par_src;
     i_par_edge = t.par_edge;
-    i_closures = t.closures;
     i_dist_rows = t.dist_rows;
     i_digest = t.digest;
     i_compile_s = t.compile_s;
@@ -227,7 +189,6 @@ let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
     || Array.length i.i_api_name <> n
     || Array.length i.i_par_src <> n
     || Array.length i.i_par_edge <> n
-    || Array.length i.i_closures <> n
     || Array.length i.i_dist_rows <> n
   then Error "automaton image table sizes do not match the grammar"
   else
@@ -238,7 +199,6 @@ let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
         api_name = i.i_api_name;
         par_src = i.i_par_src;
         par_edge = i.i_par_edge;
-        closures = i.i_closures;
         dist_rows = i.i_dist_rows;
         digest = i.i_digest;
         compile_s = i.i_compile_s;
@@ -253,38 +213,11 @@ let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
       }
 
 (* ------------------------------------------------------------------ *)
-(* compiled-table reads                                               *)
-(* ------------------------------------------------------------------ *)
-
-let closure t v = t.closures.(v)
-
-let closure_apis t v =
-  let members = t.closures.(v) in
-  let count = ref 0 in
-  Array.iter (fun u -> if t.api.(u) then incr count) members;
-  let out = Array.make !count "" in
-  let j = ref 0 in
-  Array.iter
-    (fun u ->
-      if t.api.(u) then begin
-        out.(!j) <- t.api_name.(u);
-        incr j
-      end)
-    members;
-  out
-
-let dist_row t src =
-  let row = t.dist_rows.(src) in
-  if Array.length row > 0 then row else Ggraph.dist_from t.g src
-
-let distance t ~src ~dst = (dist_row t src).(dst)
-let reachable t ~src ~dst = distance t ~src ~dst < max_int
-
-(* ------------------------------------------------------------------ *)
 (* the table walk                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A faithful port of Gpath.search onto the compiled tables: the same
+(* A faithful port of the interpreted reversed DFS (kept as the oracle
+   Dggt_eval.Refgpath) onto the compiled tables: the same
    iterative-deepening rounds, the same per-visit step counting, the
    same distance-based branch cut, the same parent order — so the paths,
    their order, and every cap truncation are byte-identical (the test
@@ -292,7 +225,8 @@ let reachable t ~src ~dst = distance t ~src ~dst < max_int
    changes is the cost per visit: parent fan-out is two flat array reads
    instead of a list traversal with edge-record loads, the distance row
    is a precompiled array (no memo mutex), and the chain lives in two
-   preallocated arrays instead of per-step cons cells. *)
+   preallocated arrays instead of per-step cons cells. [src] is always
+   an API node or the root, the sources with a precompiled row. *)
 let run_search t (limits : Gpath.limits) ~src ~dst =
   if src = dst then
     if t.api.(src) then
@@ -303,7 +237,7 @@ let run_search t (limits : Gpath.limits) ~src ~dst =
     let count = ref 0 in
     let steps = ref 0 in
     let exception Done in
-    let dist_src = dist_row t src in
+    let dist_src = t.dist_rows.(src) in
     let on_path = Array.make (Array.length t.api) false in
     (* chain.(d) = node visited at round-depth d (dst sits at depth 1);
        chain_edge.(d) = edge between the depth-(d+1) node and it. Both
@@ -422,19 +356,14 @@ let pp_stats fmt t =
   let transitions =
     Array.fold_left (fun a p -> a + Array.length p) 0 t.par_src
   in
-  let closure_total =
-    Array.fold_left (fun a c -> a + Array.length c) 0 t.closures
-  in
   let rows =
     Array.fold_left
       (fun a r -> if Array.length r > 0 then a + 1 else a)
       0 t.dist_rows
   in
   Format.fprintf fmt
-    "automaton: %d nodes (%d APIs), %d transitions, mean closure %.1f, %d \
-     distance rows, digest %s, compiled in %.1f ms"
-    n apis transitions
-    (float_of_int closure_total /. float_of_int (max 1 n))
-    rows
+    "automaton: %d nodes (%d APIs), %d transitions, %d distance rows, \
+     digest %s, compiled in %.1f ms"
+    n apis transitions rows
     (String.sub t.digest 0 8)
     (t.compile_s *. 1000.0)

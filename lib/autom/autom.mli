@@ -1,31 +1,29 @@
 (** The compiled grammar automaton: {!Dggt_grammar.Ggraph} precompiled
     into immutable state tables, so EdgeToPath's per-query path work
-    becomes table lookups instead of repeated graph-walking.
+    becomes table lookups instead of repeated graph-walking. It is the
+    engine's only path search.
 
     {!compile} runs once per grammar — at pack-load / registry-swap time,
     never per request — and produces:
 
-    - {e epsilon-closure sets}: per node, every node reachable by
-      descending without passing {e through} an API node (the GLR
-      closure construction applied to the grammar graph: nonterminal and
-      derivation nodes are expanded, API nodes are frontier states);
     - {e transition tables}: the reversed search's parent transitions as
       flat int arrays indexed by node id — one bounds-checked array read
       per step where the interpreted walk paid a list traversal and an
       edge-record load;
     - {e distance rows}: the shortest-path row of every API node and the
-      grammar root, precomputed — path-existence checks and the search's
-      branch-and-bound test are O(1) array reads with no memo mutex;
+      grammar root, precomputed — the search's branch-and-bound test is
+      an O(1) array read with no memo mutex;
     - a {e path memo}: enumerated path sets keyed by
       [(src, dst, limits)], shared across queries (the per-pair path set
       is query-independent), mutex-guarded and bounded.
 
-    {!paths} is {e byte-identical} to {!Dggt_grammar.Gpath.search} —
-    same paths, same order, same truncation under every limit — because
-    it ports the same iterative-deepening control flow (step budget
-    counted per visit, distance-based branch cut, round structure) onto
-    the compiled tables. The equivalence is property-tested on random
-    grammars and on every API pair of the built-in domains.
+    The searches are {e byte-identical} to the interpreted reversed DFS
+    kept as the oracle [Dggt_eval.Refgpath] — same paths, same order,
+    same truncation under every limit — because they port the same
+    iterative-deepening control flow (step budget counted per visit,
+    distance-based branch cut, round structure) onto the compiled
+    tables. The equivalence is property-tested on random grammars and on
+    every API pair of the built-in domains.
 
     The automaton is immutable after compile (the memo is internally
     synchronized): share one freely across worker domains. *)
@@ -34,19 +32,19 @@ type t
 
 val compile :
   ?trace:Dggt_obs.Trace.sink -> ?memo_cap:int -> Dggt_grammar.Ggraph.t -> t
-(** Build the state tables for a grammar graph. Cost is one pass per
-    node over its closure plus one BFS per API node — milliseconds even
-    on the 505-API matcher grammar; amortized across every query served
-    against the pack. Emits an [AutomatonCompile] span (node/edge/API
-    counts, closure size, digest) when [trace] is given. [memo_cap]
+(** Build the state tables for a grammar graph. Cost is one pass over
+    the parent lists plus one BFS per API node and the root —
+    milliseconds even on the 505-API matcher grammar; amortized across
+    every query served against the pack. Emits an [AutomatonCompile]
+    span (node/edge/API counts, digest) when [trace] is given. [memo_cap]
     (default 65536) bounds the path-memo entry count; a full memo stops
     inserting (results are still computed and returned), so behavior
     stays deterministic. *)
 
 val graph : t -> Dggt_grammar.Ggraph.t
-(** The graph the automaton was compiled from. Consumers that pair an
-    automaton with a graph ({!Dggt_core.Edge2path}) require physical
-    equality with this value. *)
+(** The graph the automaton was compiled from. The engine synthesizes
+    against this graph ([Dggt_core.Engine.target]), so an automaton and
+    the graph it searches cannot disagree. *)
 
 val digest : t -> string
 (** Hex digest over the grammar graph's structure (node kinds, edges,
@@ -77,43 +75,18 @@ val of_image : ?memo_cap:int -> Dggt_grammar.Ggraph.t -> image -> (t, string) re
     Refuses — [Error] with a diagnostic, never a wrong automaton — when
     the graph's structural digest ({!digest}) differs from the one the
     image was compiled from, or the table sizes disagree with the node
-    count. The resulting automaton satisfies {!graph}[ t == g], the
-    physical equality {!Dggt_core.Edge2path} requires. *)
+    count. The resulting automaton satisfies {!graph}[ t == g]. *)
 
 val image_digest : image -> string
 (** The {!digest} of the grammar the image was compiled from. *)
 
 val image_compile_time_s : image -> float
 
-(** {2 Compiled-table reads} *)
+(** {2 Path enumeration (EdgeToPath)}
 
-val closure : t -> int -> int array
-(** Epsilon-closure of a node: itself plus every node reachable through
-    non-API nodes, ascending node-id order. API members other than the
-    node itself are frontier states (not expanded). *)
-
-val closure_apis : t -> int -> string array
-(** Names of the API nodes in {!closure}, ascending node-id order — the
-    grammar's "first API layer" below the node. *)
-
-val distance : t -> src:int -> dst:int -> int
-(** Shortest-path length from [src] to [dst]; [max_int] when
-    unreachable. O(1) array read when [src] is an API node or the root
-    (the precompiled rows); falls back to the graph's memo otherwise. *)
-
-val reachable : t -> src:int -> dst:int -> bool
-
-(** {2 Path enumeration (the EdgeToPath fast path)} *)
-
-val paths :
-  ?limits:Dggt_grammar.Gpath.limits ->
-  t ->
-  src:int ->
-  dst:int ->
-  Dggt_grammar.Gpath.t list
-(** All simple paths from [src] down to [dst] — byte-identical to
-    {!Dggt_grammar.Gpath.search} under the same limits, computed by the
-    compiled table walk and memoized per [(src, dst, limits)]. *)
+    Both searches run the compiled table walk, memoized per
+    [(src, dst, limits)]; [limits] defaults to
+    {!Dggt_grammar.Gpath.default_limits}. *)
 
 val paths_between_apis :
   ?limits:Dggt_grammar.Gpath.limits ->
@@ -121,13 +94,16 @@ val paths_between_apis :
   src_api:string ->
   dst_api:string ->
   Dggt_grammar.Gpath.t list
-(** Byte-identical to {!Dggt_grammar.Gpath.search_between_apis};
-    unknown names yield []. *)
+(** All simple grammar paths from API [src_api] down to API [dst_api],
+    ancestor first — byte-identical to [Refgpath.search_between_apis];
+    unknown names yield []. [src_api = dst_api] yields the single
+    one-node path. *)
 
 val paths_from_root :
   ?limits:Dggt_grammar.Gpath.limits -> t -> dst:int -> Dggt_grammar.Gpath.t list
-(** Byte-identical to {!Dggt_grammar.Gpath.search_from_root} (the HISyn
-    orphan treatment's root-anchored search). *)
+(** All simple paths from the grammar root down to node [dst] —
+    byte-identical to [Refgpath.search_from_root] (the HISyn orphan
+    treatment's root-anchored search). *)
 
 (** {2 Introspection} *)
 
@@ -138,5 +114,5 @@ val memo_counters : t -> memo_counters
     (feeds the server's [dggt_cache_*{cache="autom_memo"}] series). *)
 
 val pp_stats : Format.formatter -> t -> unit
-(** One-line summary: nodes, APIs, transitions, mean closure size,
-    distance rows, digest prefix, compile time. *)
+(** One-line summary: nodes, APIs, transitions, distance rows, digest
+    prefix, compile time. *)

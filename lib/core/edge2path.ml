@@ -1,5 +1,6 @@
 open Dggt_nlu
 open Dggt_grammar
+module Autom = Dggt_autom.Autom
 
 type epath = {
   id : int;
@@ -49,79 +50,53 @@ let make entries ~orphan_ids ~next_id =
   }
 
 (* all candidate (gov_api, dep_api) pairs, gov-major, self-pairs skipped —
-   the order the per-edge reassembly below consumes them in *)
+   the order an edge's paths are searched and numbered in *)
 let candidate_pairs govs deps =
   List.concat_map
     (fun a -> List.filter_map (fun b -> if a = b then None else Some (a, b)) deps)
     govs
 
-(* The per-pair search, automaton-accelerated when the caller compiled
-   one for this graph. The physical-equality guard turns a mismatched
-   automaton (compiled from some other graph) into a correct DFS run
-   instead of paths over the wrong node ids; Engine.target pairs the two
-   by construction, so the guard never fires on the normal path. *)
-let searcher ?limits ?autom g =
-  match autom with
-  | Some a when Dggt_autom.Autom.graph a == g ->
-      fun ~src_api ~dst_api ->
-        Dggt_autom.Autom.paths_between_apis ?limits a ~src_api ~dst_api
-  | _ -> fun ~src_api ~dst_api -> Gpath.search_between_apis ?limits g ~src_api ~dst_api
+(* One edge's paths, found as (gov_api, dep_api, path) triples in search
+   order, numbered: ids continue from [next_id], labels are "e.k" (edge
+   ordinal, path ordinal) followed by [suffix]. *)
+let number ~next_id ~edge_idx ~suffix e found =
+  List.mapi
+    (fun k (gov_api, dep_api, path) ->
+      let id = !next_id in
+      incr next_id;
+      {
+        id;
+        label = Printf.sprintf "%d.%d%s" (edge_idx + 1) (k + 1) suffix;
+        edge = e;
+        gov_api;
+        dep_api;
+        path;
+      })
+    found
 
-let root_searcher ?limits ?autom g =
-  match autom with
-  | Some a when Dggt_autom.Autom.graph a == g ->
-      fun ~dst -> Dggt_autom.Autom.paths_from_root ?limits a ~dst
-  | _ -> fun ~dst -> Gpath.search_from_root ?limits g ~dst
-
-let build ?limits ?pair_lookup ?autom g (dg : Depgraph.t) w2a =
-  let searcher = searcher ?limits ?autom g in
+let build ?limits ?pair_lookup autom (dg : Depgraph.t) w2a =
   let search (a, b) =
-    let compute () = searcher ~src_api:a ~dst_api:b in
+    let compute () = Autom.paths_between_apis ?limits autom ~src_api:a ~dst_api:b in
     match pair_lookup with
     | None -> compute ()
     | Some f -> f ~src:a ~dst:b compute
   in
-  let edge_pairs =
-    List.map
-      (fun (e : Depgraph.edge) ->
-        let govs = Word2api.apis w2a e.Depgraph.gov in
-        let deps = Word2api.apis w2a e.Depgraph.dep in
-        (e, candidate_pairs govs deps))
-      dg.Depgraph.edges
-  in
-  let results =
-    List.map search (List.concat_map snd edge_pairs) |> Array.of_list
-  in
-  let cursor = ref 0 in
   let next_id = ref 0 in
   let entries =
     List.mapi
-      (fun edge_idx (e, pairs) ->
+      (fun edge_idx (e : Depgraph.edge) ->
+        let pairs =
+          candidate_pairs
+            (Word2api.apis w2a e.Depgraph.gov)
+            (Word2api.apis w2a e.Depgraph.dep)
+        in
         let found =
           List.concat_map
-            (fun (a, b) ->
-              let paths = results.(!cursor) in
-              incr cursor;
-              List.map (fun p -> (Some a, b, p)) paths)
+            (fun (a, b) -> List.map (fun p -> (Some a, b, p)) (search (a, b)))
             pairs
         in
-        let eps =
-          List.mapi
-            (fun k (gov_api, dep_api, path) ->
-              let id = !next_id in
-              incr next_id;
-              {
-                id;
-                label = Printf.sprintf "%d.%d" (edge_idx + 1) (k + 1);
-                edge = e;
-                gov_api;
-                dep_api;
-                path;
-              })
-            found
-        in
-        (edge_key e, eps))
-      edge_pairs
+        (edge_key e, number ~next_id ~edge_idx ~suffix:"" e found))
+      dg.Depgraph.edges
   in
   let orphan_ids =
     List.filter_map
@@ -139,8 +114,8 @@ let orphans t = t.orphan_ids
 let total_path_count t = t.total
 let find t id = Hashtbl.find_opt t.by_id id
 
-let anchor_orphans ?limits ?autom g (dg : Depgraph.t) w2a t =
-  let search_root = root_searcher ?limits ?autom g in
+let anchor_orphans ?limits autom (dg : Depgraph.t) w2a t =
+  let g = Autom.graph autom in
   (* Rewrite each orphan's edge to hang off the dependency root, and search
      paths from the grammar root down to the orphan's candidate APIs. *)
   let orphan_set = t.orphan_ids in
@@ -156,65 +131,27 @@ let anchor_orphans ?limits ?autom g (dg : Depgraph.t) w2a t =
           dg.Depgraph.edges;
     }
   in
-  (* per orphan edge, the candidate APIs (with their resolved grammar
-     nodes) whose root-anchored searches run below *)
-  let edge_deps =
-    List.map
-      (fun (e : Depgraph.edge) ->
-        if List.mem e.Depgraph.dep orphan_set then
-          (e, `Orphan (Word2api.apis w2a e.Depgraph.dep))
-        else (e, `Kept))
-      dg'.Depgraph.edges
-  in
-  let tasks =
-    List.concat_map
-      (function
-        | _, `Orphan deps -> List.map (fun b -> (b, Ggraph.api_node g b)) deps
-        | _, `Kept -> [])
-      edge_deps
-  in
-  let results =
-    List.map
-      (fun (_, dst) ->
-        match dst with None -> [] | Some dst -> search_root ~dst)
-      tasks
-    |> Array.of_list
-  in
-  let cursor = ref 0 in
   let next_id = ref t.next_id in
   let entries =
     List.mapi
-      (fun edge_idx (e, kind) ->
-        match kind with
-        | `Orphan deps ->
-            let found =
-              List.concat_map
-                (fun b ->
-                  let paths = results.(!cursor) in
-                  incr cursor;
-                  List.map (fun p -> (None, b, p)) paths)
-                deps
-            in
-            let eps =
-              List.mapi
-                (fun k (gov_api, dep_api, path) ->
-                  let id = !next_id in
-                  incr next_id;
-                  {
-                    id;
-                    label = Printf.sprintf "%d.%d*" (edge_idx + 1) (k + 1);
-                    edge = e;
-                    gov_api;
-                    dep_api;
-                    path;
-                  })
-                found
-            in
-            (edge_key e, eps)
-        | `Kept ->
-            (* carry over the existing paths, updating nothing *)
-            (edge_key e, paths_of_edge t e))
-      edge_deps
+      (fun edge_idx (e : Depgraph.edge) ->
+        if List.mem e.Depgraph.dep orphan_set then
+          let found =
+            List.concat_map
+              (fun b ->
+                match Ggraph.api_node g b with
+                | None -> []
+                | Some dst ->
+                    List.map
+                      (fun p -> (None, b, p))
+                      (Autom.paths_from_root ?limits autom ~dst))
+              (Word2api.apis w2a e.Depgraph.dep)
+          in
+          (edge_key e, number ~next_id ~edge_idx ~suffix:"*" e found)
+        else
+          (* carry over the existing paths, updating nothing *)
+          (edge_key e, paths_of_edge t e))
+      dg'.Depgraph.edges
   in
   (dg', make (Array.of_list entries) ~orphan_ids:[] ~next_id:!next_id)
 

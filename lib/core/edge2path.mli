@@ -26,31 +26,22 @@ val build :
     dst:string ->
     (unit -> Dggt_grammar.Gpath.t list) ->
     Dggt_grammar.Gpath.t list) ->
-  ?autom:Dggt_autom.Autom.t ->
-  Dggt_grammar.Ggraph.t ->
+  Dggt_autom.Autom.t ->
   Dggt_nlu.Depgraph.t ->
   Word2api.t ->
   t
-(** Computes candidate paths for every edge. Orphan dependents are only
-    {e detected} here; how they are handled differs per engine: the HISyn
-    baseline re-anchors them at the grammar root ({!anchor_orphans}),
-    DGGT relocates them ({!Orphan}).
+(** Computes candidate paths for every edge, searched on the compiled
+    automaton ({!Dggt_autom.Autom.paths_between_apis}, memoized across
+    queries). Orphan dependents are only {e detected} here; how they are
+    handled differs per engine: the HISyn baseline re-anchors them at the
+    grammar root ({!anchor_orphans}), DGGT relocates them ({!Orphan}).
 
     [pair_lookup] is a memoization hook for the per-pair all-path search:
     when given, the paths for [(src_api, dst_api)] come from
     [pair_lookup ~src ~dst compute] instead of a direct search. The search
     depends only on the grammar graph, the API pair and [limits] — both
     query-independent — so a serving layer can back the hook with a cache
-    keyed [(domain, src, dst)] and reuse results across requests.
-
-    [autom] is the fast path: per-pair searches run on the compiled
-    automaton's state tables ({!Dggt_autom.Autom.paths_between_apis}) —
-    byte-identical paths, ids and labels, at table-walk cost plus the
-    automaton's cross-query memo. It must be compiled from {e this}
-    graph ([Dggt_autom.Autom.graph autom == g]); a mismatched automaton
-    is ignored and the per-query DFS runs instead. [pair_lookup] still
-    wraps the automaton-backed compute, so reuse accounting and serving
-    caches keep working unchanged. *)
+    keyed [(domain, src, dst)] and reuse results across requests. *)
 
 val paths_of_edge : t -> Dggt_nlu.Depgraph.edge -> epath list
 val all : t -> epath list
@@ -66,8 +57,7 @@ val find : t -> int -> epath option
 
 val anchor_orphans :
   ?limits:Dggt_grammar.Gpath.limits ->
-  ?autom:Dggt_autom.Autom.t ->
-  Dggt_grammar.Ggraph.t ->
+  Dggt_autom.Autom.t ->
   Dggt_nlu.Depgraph.t ->
   Word2api.t ->
   t ->
@@ -75,7 +65,8 @@ val anchor_orphans :
 (** The HISyn treatment: every orphan becomes a child of the dependency
     root, with candidate paths searched from the {e grammar root} down to
     the orphan's APIs ([gov_api = None]). Returns the rewritten dependency
-    graph and the extended map. [autom] accelerates the root-anchored
-    searches exactly as in {!build}. *)
+    graph and the extended map. The root-anchored searches run on the
+    automaton ({!Dggt_autom.Autom.paths_from_root}); [pair_lookup] does
+    not see them. *)
 
 val pp : Dggt_grammar.Ggraph.t -> Format.formatter -> t -> unit

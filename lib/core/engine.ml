@@ -21,15 +21,10 @@ type lookups = {
 
 let no_lookups = { word2api = None; edge2path = None }
 
-type target = {
-  graph : Dggt_grammar.Ggraph.t;
-  doc : Apidoc.t;
-  caches : lookups;
-  autom : Dggt_autom.Autom.t option;
-}
+type target = { autom : Dggt_autom.Autom.t; doc : Apidoc.t; caches : lookups }
 
-let target ?(caches = no_lookups) ?autom graph doc =
-  { graph; doc; caches; autom }
+let target ?(caches = no_lookups) autom doc = { autom; doc; caches }
+let graph tgt = Dggt_autom.Autom.graph tgt.autom
 
 type config = {
   algorithm : algorithm;
@@ -259,8 +254,7 @@ let front cfg tgt stats (pruned : Depgraph.t) =
     Trace.span tr "EdgeToPath" (fun sp ->
         let e2p =
           Edge2path.build ~limits:cfg.path_limits
-            ?pair_lookup:tgt.caches.edge2path ?autom:tgt.autom tgt.graph
-            pruned w2a
+            ?pair_lookup:tgt.caches.edge2path tgt.autom pruned w2a
         in
         trace_edge_paths sp pruned e2p;
         Trace.int sp "total_paths" (Edge2path.total_path_count e2p);
@@ -311,7 +305,7 @@ let finish cfg tgt dg (res : Synres.t option) ~time_s ~timed_out ~stats =
           match
             Result.map Tree2expr.normalize
               (Tree2expr.of_cgt ~lits ~defaults:cfg.defaults
-                 (Cgt.scratch tgt.graph) r.Synres.cgt)
+                 (Cgt.scratch (graph tgt)) r.Synres.cgt)
           with
           | Ok expr ->
               let code = Tree2expr.to_string expr in
@@ -348,8 +342,8 @@ let anchor_orphans cfg tgt stats (pruned : Depgraph.t) w2a e2p orphans =
     else
       Trace.span cfg.trace "OrphanAnchor" (fun asp ->
           let dg, e2p =
-            Edge2path.anchor_orphans ~limits:cfg.path_limits ?autom:tgt.autom
-              tgt.graph pruned w2a e2p
+            Edge2path.anchor_orphans ~limits:cfg.path_limits tgt.autom
+              pruned w2a e2p
           in
           Trace.int asp "paths_after_anchor" (Edge2path.total_path_count e2p);
           (dg, e2p))
@@ -383,7 +377,7 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
         let variants =
           Trace.span cfg.trace "OrphanRelocation" (fun osp ->
               let variants =
-                Orphan.relocate ~max_graphs:cfg.max_reloc_graphs tgt.graph
+                Orphan.relocate ~max_graphs:cfg.max_reloc_graphs (graph tgt)
                   pruned w2a ~orphans
               in
               Trace.int osp "orphan_count" (List.length orphans);
@@ -412,8 +406,7 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
             (fun (i, acc) dg ->
               let e2p =
                 Edge2path.build ~limits:cfg.path_limits
-                  ?pair_lookup:tgt.caches.edge2path ?autom:tgt.autom
-                  tgt.graph dg w2a
+                  ?pair_lookup:tgt.caches.edge2path tgt.autom dg w2a
               in
               if Trace.on sp then
                 Trace.int sp
@@ -455,7 +448,7 @@ let run_dggt ?(on_cand : (Depgraph.t -> Semiring.cand -> unit) option) cfg tgt
       let on_improve = Option.map (fun f c -> f dg c) on_cand in
       let res, dyng =
         Dggt.synthesize_with_graph ~objective:cfg.objective ~budget ~stats
-          ~gprune:cfg.gprune ~sprune:cfg.sprune ?trace ?on_improve tgt.graph
+          ~gprune:cfg.gprune ~sprune:cfg.sprune ?trace ?on_improve (graph tgt)
           dg w2a e2p
       in
       (res, Some dyng))
@@ -467,7 +460,7 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
       Trace.str sp "engine" "hisyn";
       let dg, e2p = anchor_orphans cfg tgt stats pruned w2a e2p orphans in
       let res =
-        match Hisyn.synthesize ~budget ~stats ?trace:sp tgt.graph dg w2a e2p with
+        match Hisyn.synthesize ~budget ~stats ?trace:sp (graph tgt) dg w2a e2p with
         | Some r -> Some r
         | None
           when dg.Depgraph.edges = []
@@ -477,7 +470,7 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
             (* single-word query (or nothing connected): the best lone API *)
             match Word2api.candidates w2a dg.Depgraph.root with
             | { Word2api.api; _ } :: _ -> (
-                match Dggt_grammar.Ggraph.api_node tgt.graph api with
+                match Dggt_grammar.Ggraph.api_node (graph tgt) api with
                 | Some nid ->
                     let cgt =
                       Cgt.merge_path Cgt.empty
@@ -568,7 +561,7 @@ let synthesize_with_merge ~(merge : merge_fn) cfg tgt query =
     (budgeted cfg tgt pruned (fun budget stats ->
          run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
              ( merge ~budget ~stats ~gprune:cfg.gprune ~sprune:cfg.sprune
-                 ?trace tgt.graph dg w2a e2p,
+                 ?trace (graph tgt) dg w2a e2p,
                None ))))
 
 (* ------------------------------------------------------------------ *)
@@ -671,7 +664,7 @@ let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
   let cfg = { cfg with algorithm = Dggt_alg; objective = Semiring.Top_k k } in
   (* one CGT scratch for linearizing the streamed candidates and the
      n-best read-off *)
-  let scratch = Cgt.scratch tgt.graph in
+  let scratch = Cgt.scratch (graph tgt) in
   let on_cand = Option.map (fun f -> make_emitter ~k ~scratch cfg f) on_candidate in
   match
     budgeted cfg tgt pruned (fun budget stats ->

@@ -12,7 +12,8 @@
     + TreeToExpression ({!Tree2expr}) with query-literal binding.
 
     The {e what} to synthesize against is a {!target} — the domain's
-    grammar graph and API document plus optional per-stage caches — built
+    compiled grammar automaton and API document plus optional per-stage
+    caches — built
     once per domain; the {e how} is a {!config}. Every stage emits a
     {!Dggt_obs.Trace} span when [config.trace] is set, recording its
     decisions (word→API candidates with scores, per-edge path counts,
@@ -51,34 +52,25 @@ type lookups = {
 val no_lookups : lookups
 
 type target = {
-  graph : Dggt_grammar.Ggraph.t;
+  autom : Dggt_autom.Autom.t;
+      (** the grammar compiled into state tables
+          ({!Dggt_autom.Autom.compile}): EdgeToPath runs on its
+          transition tables and cross-query path memo, and the grammar
+          graph every other stage reads is its own
+          ({!Dggt_autom.Autom.graph}) *)
   doc : Apidoc.t;
   caches : lookups;
       (** per-stage memoization; {!no_lookups} = compute everything. Part
           of the target, not the config: installing caches means building
           a different target, never mutating how the engine runs. *)
-  autom : Dggt_autom.Autom.t option;
-      (** the grammar compiled into state tables
-          ({!Dggt_autom.Autom.compile}); when present, EdgeToPath runs
-          on the automaton's transition tables and cross-query path memo
-          instead of the per-query DFS — byte-identical codelets, epath
-          labels and statistics. Must be compiled from [graph] (the
-          registry and {!Dggt_domains.Domain.configure} guarantee it);
-          [None] falls back to the DFS. *)
 }
-(** What to synthesize against. Build one per domain (grammar, document
-    and automaton are immutable and shared freely across threads) and
-    reuse it for every query — {!Dggt_domains.Domain.configure} returns
-    a ready {!session}. *)
+(** What to synthesize against. Build one per domain (automaton and
+    document are immutable and shared freely across threads) and reuse
+    it for every query — {!Dggt_domains.Domain.configure} returns a
+    ready {!session}. *)
 
-val target :
-  ?caches:lookups ->
-  ?autom:Dggt_autom.Autom.t ->
-  Dggt_grammar.Ggraph.t ->
-  Apidoc.t ->
-  target
-(** [caches] defaults to {!no_lookups}; [autom] to [None] (DFS
-    EdgeToPath). *)
+val target : ?caches:lookups -> Dggt_autom.Autom.t -> Apidoc.t -> target
+(** [caches] defaults to {!no_lookups}. *)
 
 type config = {
   algorithm : algorithm;

@@ -5,6 +5,7 @@ type t = {
   description : string;
   source : string;
   graph : Dggt_grammar.Ggraph.t Lazy.t;
+  autom : Dggt_autom.Autom.t Lazy.t;
   doc : Dggt_core.Apidoc.t Lazy.t;
   queries : query list;
   defaults : (string * string) list;
@@ -17,16 +18,9 @@ type t = {
 }
 
 let configure ?caches ?autom t (cfg : Dggt_core.Engine.config) =
-  (* When an automaton is supplied, synthesize against *its* graph: the
-     target's graph and the automaton are then consistent by construction
-     (Edge2path's physical-equality guard always passes), and an automaton
-     reused across a registry reload keeps its compiled graph alive
-     instead of forcing the domain's lazy copy. *)
-  let graph =
-    match autom with
-    | Some a -> Dggt_autom.Autom.graph a
-    | None -> Lazy.force t.graph
-  in
+  (* a match, not [Option.value ~default]: the default would force (and
+     compile) the domain's own automaton even when the caller passes one *)
+  let autom = match autom with Some a -> a | None -> Lazy.force t.autom in
   {
     Dggt_core.Engine.cfg =
       {
@@ -38,7 +32,7 @@ let configure ?caches ?autom t (cfg : Dggt_core.Engine.config) =
         stop_verbs = t.stop_verbs;
         top_k = Option.value t.top_k ~default:cfg.Dggt_core.Engine.top_k;
       };
-    target = Dggt_core.Engine.target ?caches ?autom graph (Lazy.force t.doc);
+    target = Dggt_core.Engine.target ?caches autom (Lazy.force t.doc);
   }
 
 let api_count t = Dggt_core.Apidoc.size (Lazy.force t.doc)

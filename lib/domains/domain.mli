@@ -13,6 +13,10 @@ type t = {
   description : string;
   source : string;         (** provenance note, cited in Table I *)
   graph : Dggt_grammar.Ggraph.t Lazy.t;
+  autom : Dggt_autom.Autom.t Lazy.t;
+      (** [graph] compiled into the EdgeToPath automaton on first use.
+          Force it where [graph] is forced, never for the first time from
+          a pool worker: [Lazy] is not safe across domains. *)
   doc : Dggt_core.Apidoc.t Lazy.t;
   queries : query list;
   defaults : (string * string) list;
@@ -37,13 +41,11 @@ val configure :
   Dggt_core.Engine.config ->
   Dggt_core.Engine.session
 (** Apply the domain's defaults/unit_filter/path_limits to an engine
-    configuration, and build the synthesis target (forcing the domain's
-    grammar and document; [caches] installs per-stage memoization). When
-    [autom] is given, the target's graph is the automaton's own graph
-    ([Dggt_autom.Autom.graph]) so EdgeToPath's table-walk fast path is
-    consistent by construction — compile it from this domain's grammar
-    (the registry does). The session feeds {!Dggt_core.Engine.respond}
-    directly. *)
+    configuration, and build the synthesis target ([caches] installs
+    per-stage memoization). The target runs on [autom] when given — a
+    server passes its registry's automaton, reused across reloads — and
+    on the domain's own [autom] otherwise, forcing it and the
+    document. The session feeds {!Dggt_core.Engine.respond} directly. *)
 
 val api_count : t -> int
 val query_count : t -> int

@@ -171,6 +171,7 @@ let domain s ~graph ~doc ~queries =
       Option.value (Manifest.value m "source")
         ~default:("domain pack " ^ Filename.dirname m.Manifest.file);
     graph;
+    autom = lazy (Dggt_autom.Autom.compile (Lazy.force graph));
     doc;
     queries = List.map (fun (e : Queryfile.entry) -> e.query) queries;
     defaults = s.defaults;

@@ -16,9 +16,9 @@ type run = {
 }
 
 let run_domain ?(timeout_s = 20.0) ?(tweak = Fun.id) ?(progress = fun _ _ -> ())
-    ?(stage_timing = false) ?pool ?autom (dom : Domain.t) algorithm =
+    ?(stage_timing = false) ?pool ?caches (dom : Domain.t) algorithm =
   let ses =
-    Domain.configure ?autom dom
+    Domain.configure ?caches dom
       { (Engine.default algorithm) with Engine.timeout_s = Some timeout_s }
     |> Engine.with_cfg tweak
   in

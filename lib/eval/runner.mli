@@ -24,7 +24,7 @@ val run_domain :
   ?progress:(int -> int -> unit) ->
   ?stage_timing:bool ->
   ?pool:Dggt_par.Pool.t ->
-  ?autom:Dggt_autom.Autom.t ->
+  ?caches:Dggt_core.Engine.lookups ->
   Dggt_domains.Domain.t ->
   Dggt_core.Engine.algorithm ->
   run
@@ -41,9 +41,9 @@ val run_domain :
     ({!Dggt_par.Pool.map_ordered}) — each query is synthesized
     sequentially, results come back in query order and are byte-identical
     to a sequential run; this is the batch-throughput knob (queries/sec),
-    not a latency one. [autom] passes a compiled grammar automaton to
-    {!Dggt_domains.Domain.configure}, accelerating every query's
-    EdgeToPath stage. *)
+    not a latency one. [caches] installs per-stage lookup hooks through
+    {!Dggt_domains.Domain.configure} ([bench automaton] routes EdgeToPath
+    to its reference search this way). *)
 
 val accuracy : run -> float
 val timeouts : run -> int

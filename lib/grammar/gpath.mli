@@ -1,13 +1,14 @@
-(** Grammar paths and the reversed all-path search (paper step 4).
+(** Grammar paths, the unit of the reversed all-path search (paper
+    step 4).
 
     A grammar path is a simple directed path in the grammar graph from an
     ancestor node down to a descendant API node. Its {e size} is the number
     of API nodes it traverses (the unit in which CGT sizes are measured).
 
-    The search runs {e reversed}: starting from the descendant API and
-    walking parent edges until the requested ancestor is reached — the
-    direction HISyn uses because the dependent word's APIs are the anchors
-    (paper §II step 4). *)
+    The search itself is [Dggt_autom.Autom]: it runs {e reversed},
+    starting from the descendant API and walking parent edges until the
+    requested ancestor is reached — the direction HISyn uses because the
+    dependent word's APIs are the anchors (paper §II step 4). *)
 
 type t = {
   nodes : int array;  (** node ids, ancestor first *)
@@ -21,10 +22,6 @@ val size : t -> int
 val top : t -> int
 (** First node id. *)
 
-val bottom : t -> int
-(** Last node id. *)
-
-val equal : t -> t -> bool
 val pp : Ggraph.t -> Format.formatter -> t -> unit
 
 type limits = {
@@ -40,18 +37,3 @@ val default_limits : limits
     dense grammars the visited-set constraint makes exhaustive simple-path
     search explode). The search runs iterative deepening, so short paths
     are always found before any cap bites. *)
-
-val search :
-  ?limits:limits -> Ggraph.t -> src:int -> dst:int -> t list
-(** All simple paths from node [src] down to node [dst], found by reversed
-    DFS. Paths are returned in a deterministic order. [src = dst] yields
-    the single zero-length path when [src] is an API node. *)
-
-val search_between_apis :
-  ?limits:limits -> Ggraph.t -> src_api:string -> dst_api:string -> t list
-(** Convenience wrapper resolving API names; unknown names yield []. *)
-
-val search_from_root : ?limits:limits -> Ggraph.t -> dst:int -> t list
-(** Paths from the grammar's start nonterminal down to [dst]; used by the
-    HISyn baseline's orphan treatment (orphans re-anchor at the grammar
-    root). *)

@@ -201,10 +201,10 @@ let automaton ?trace t (e : entry) =
 
 (* Warm-start seeding: install an automaton restored from disk so the
    next [automaton] call for this entry is a cache hit (no compile).
-   Refuses automata not built against this entry's own forced graph —
-   physical equality is the contract Edge2path relies on, so a seeding
-   mistake can never smuggle another grammar's tables in. First install
-   wins, same as the racing-compile discipline above. *)
+   Refuses automata not built against this entry's own forced graph
+   (physical equality), so a seeding mistake can never smuggle another
+   grammar's tables in. First install wins, same as the racing-compile
+   discipline above. *)
 let seed_automaton t (e : entry) a =
   if not (Dggt_autom.Autom.graph a == Lazy.force e.domain.Domain.graph) then
     false

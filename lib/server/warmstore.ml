@@ -14,7 +14,7 @@ module Autom = Dggt_autom.Autom
    Autom.image). A bump makes every old record a schema skip, which is
    the point: Marshal would otherwise read the old bytes as the new
    type. *)
-let schema_version = 1
+let schema_version = 2
 
 let kind_cache = "cache"
 let kind_autom = "autom"

@@ -1,10 +1,10 @@
 (* Tests for dggt_autom: the compiled automaton's path enumeration must
-   be byte-identical to the interpreted Gpath DFS — on the Figure 4
-   fixture, on randomized grammars, under randomized tight limits, and
-   across every API pair of the built-in domains — plus memo
-   determinism, engine-level outcome equivalence, and the registry's
-   digest-keyed automaton cache (pointer-equal reuse across unchanged
-   reloads, recompile on content change). *)
+   be byte-identical to the interpreted reversed DFS kept as the oracle
+   Refgpath — on the Figure 4 fixture, on randomized grammars, under
+   randomized tight limits, and across every API pair of the built-in
+   domains — plus memo determinism, engine-level outcome equivalence,
+   and the registry's digest-keyed automaton cache (pointer-equal reuse
+   across unchanged reloads, recompile on content change). *)
 
 open Dggt_grammar
 module Autom = Dggt_autom.Autom
@@ -12,6 +12,7 @@ module Engine = Dggt_core.Engine
 module Runner = Dggt_eval.Runner
 module Domain = Dggt_domains.Domain
 module Registry = Dggt_pack.Domain_registry
+module Refgpath = Dggt_eval.Refgpath
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -60,7 +61,7 @@ let all_pairs_agree ?limits name g a =
         (fun dst_api ->
           paths_equal
             (Printf.sprintf "%s %s->%s" name src_api dst_api)
-            (Gpath.search_between_apis ?limits g ~src_api ~dst_api)
+            (Refgpath.search_between_apis ?limits g ~src_api ~dst_api)
             (Autom.paths_between_apis ?limits a ~src_api ~dst_api))
         apis)
     apis
@@ -77,7 +78,7 @@ let test_fig4_from_root () =
   for dst = 0 to Ggraph.node_count g - 1 do
     paths_equal
       (Printf.sprintf "fig4 root->%d" dst)
-      (Gpath.search_from_root g ~dst)
+      (Refgpath.search_from_root g ~dst)
       (Autom.paths_from_root a ~dst)
   done
 
@@ -85,13 +86,22 @@ let test_textediting_all_pairs () =
   let g = Lazy.force Dggt_domains.Text_editing.domain.Domain.graph in
   all_pairs_agree "te" g (Autom.compile g)
 
-let test_astmatcher_pairs () =
-  (* 505 APIs make the exhaustive square ~255k searches; run it all only
-     under DGGT_GOLDEN_FULL=1, a seeded 400-pair sample otherwise *)
-  let g = Lazy.force Dggt_domains.Astmatcher.domain.Domain.graph in
-  let a = Autom.compile g in
+(* 487 APIs make the exhaustive square 237,169 searches: all of them
+   only under DGGT_GOLDEN_FULL=1, a seeded 400-pair sample otherwise.
+   The sweep never repeats a pair, so its automaton keeps no memo (a
+   full memo of default-limit path lists outgrows a small host).
+   [pack_limits] runs the domain's own caps, the ones its queries'
+   EdgeToPath runs under; otherwise the defaults. *)
+let test_astmatcher_pairs ~pack_limits () =
+  let dom = Dggt_domains.Astmatcher.domain in
+  let g = Lazy.force dom.Domain.graph in
+  let a = Autom.compile ~memo_cap:0 g in
+  let limits =
+    if pack_limits then Option.get dom.Domain.path_limits
+    else Gpath.default_limits
+  in
   if Sys.getenv_opt "DGGT_GOLDEN_FULL" = Some "1" then
-    all_pairs_agree "am" g a
+    all_pairs_agree ~limits "am" g a
   else begin
     let apis = Array.of_list (api_names g) in
     let rng = Random.State.make [| 0x5eed |] in
@@ -101,8 +111,8 @@ let test_astmatcher_pairs () =
       let dst_api = apis.(Random.State.int rng n) in
       paths_equal
         (Printf.sprintf "am %s->%s" src_api dst_api)
-        (Gpath.search_between_apis g ~src_api ~dst_api)
-        (Autom.paths_between_apis a ~src_api ~dst_api)
+        (Refgpath.search_between_apis ~limits g ~src_api ~dst_api)
+        (Autom.paths_between_apis ~limits a ~src_api ~dst_api)
     done
   end
 
@@ -113,7 +123,7 @@ let test_astmatcher_pairs () =
 (* a random grammar over nonterminals n0..n5 and APIs A0..A7: every
    nonterminal defined, 1-3 alternatives of 1-3 symbols each; cycles and
    unreachable rules are all legal and exactly what should stress the
-   closure/iterative-deepening port *)
+   iterative-deepening port *)
 let gen_grammar =
   let open QCheck.Gen in
   let nts = Array.init 6 (fun i -> Printf.sprintf "n%d" i) in
@@ -155,13 +165,13 @@ let prop_random_grammar =
             (fun src_api ->
               List.for_all
                 (fun dst_api ->
-                  Gpath.search_between_apis g ~src_api ~dst_api
+                  Refgpath.search_between_apis g ~src_api ~dst_api
                   = Autom.paths_between_apis a ~src_api ~dst_api)
                 apis)
             apis
           && List.for_all
                (fun dst ->
-                 Gpath.search_from_root g ~dst = Autom.paths_from_root a ~dst)
+                 Refgpath.search_from_root g ~dst = Autom.paths_from_root a ~dst)
                (List.init (Ggraph.node_count g) Fun.id))
 
 let prop_random_limits =
@@ -178,7 +188,7 @@ let prop_random_limits =
       let apis = Array.of_list (api_names g) in
       let src_api = apis.(i mod Array.length apis) in
       let dst_api = apis.(j mod Array.length apis) in
-      Gpath.search_between_apis ~limits g ~src_api ~dst_api
+      Refgpath.search_between_apis ~limits g ~src_api ~dst_api
       = Autom.paths_between_apis ~limits a ~src_api ~dst_api)
 
 (* ------------------------------------------------------------------ *)
@@ -234,14 +244,18 @@ let test_builtin_digests () =
 (* engine-level equivalence                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The two pipelines [bench automaton] compares: the reference answers
+   every EdgeToPath search with the frozen DFS through the engine's
+   edge2path hook, the other runs the domain's automaton. *)
 let engine_equiv (dom : Domain.t) () =
   let dom =
     { dom with Domain.queries = List.filteri (fun i _ -> i < 8) dom.Domain.queries }
   in
   let tweak c = { c with Engine.timeout_s = None; max_steps = Some 100_000 } in
-  let plain = Runner.run_domain ~tweak dom Engine.Dggt_alg in
-  let autom = Autom.compile (Lazy.force dom.Domain.graph) in
-  let fast = Runner.run_domain ~tweak ~autom dom Engine.Dggt_alg in
+  let plain =
+    Runner.run_domain ~tweak ~caches:(Refgpath.lookups dom) dom Engine.Dggt_alg
+  in
+  let fast = Runner.run_domain ~tweak dom Engine.Dggt_alg in
   List.iter2
     (fun (s : Runner.qresult) (p : Runner.qresult) ->
       let q = s.Runner.query.Domain.text in
@@ -329,7 +343,11 @@ let suite =
       test_textediting_all_pairs );
     ( "astmatcher: automaton = DFS (sampled; DGGT_GOLDEN_FULL=1 for all)",
       `Slow,
-      test_astmatcher_pairs );
+      test_astmatcher_pairs ~pack_limits:false );
+    ( "astmatcher: automaton = DFS, pack limits (sampled; DGGT_GOLDEN_FULL=1 \
+       for all)",
+      `Slow,
+      test_astmatcher_pairs ~pack_limits:true );
     ("memo: determinism and counters", `Quick, test_memo_determinism);
     ("digest: structural, stats printable", `Quick, test_digest_and_stats);
     ("digest: built-ins pinned", `Quick, test_builtin_digests);

@@ -31,6 +31,13 @@ let fig4_graph =
     (let cfg = Result.get_ok (Cfg.of_text ~start:"cmd" fig4_bnf) in
      Ggraph.build cfg)
 
+let fig4_autom = lazy (Dggt_autom.Autom.compile (Lazy.force fig4_graph))
+
+(* the grammar paths between two Figure 4 APIs *)
+let search a b =
+  Dggt_autom.Autom.paths_between_apis (Lazy.force fig4_autom) ~src_api:a
+    ~dst_api:b
+
 let fig4_doc =
   lazy
     (Apidoc.make ~literal_apis:[ "STRING" ]
@@ -50,7 +57,7 @@ let fig4_doc =
 let engine_cfg alg = { (Engine.default alg) with Engine.timeout_s = Some 5.0 }
 
 let fig4_target =
-  lazy (Engine.target (Lazy.force fig4_graph) (Lazy.force fig4_doc))
+  lazy (Engine.target (Lazy.force fig4_autom) (Lazy.force fig4_doc))
 
 let respond cfg mode q =
   Engine.respond
@@ -190,13 +197,12 @@ let test_word2api_restrict () =
 (* ------------------------------------------------------------------ *)
 
 let build_e2p q =
-  let g = Lazy.force fig4_graph in
   let dg = Queryprune.prune (Nlu.Depparser.parse q) in
   let w2a = Word2api.build (Lazy.force fig4_doc) dg in
-  (g, dg, w2a, Edge2path.build g dg w2a)
+  (dg, w2a, Edge2path.build (Lazy.force fig4_autom) dg w2a)
 
 let test_edge2path_basic () =
-  let _, dg, _, e2p = build_e2p "insert a string" in
+  let dg, _, e2p = build_e2p "insert a string" in
   let edge = List.hd dg.Nlu.Depgraph.edges in
   let ps = Edge2path.paths_of_edge e2p edge in
   check_b "has paths" true (List.length ps >= 1);
@@ -212,12 +218,12 @@ let test_edge2path_basic () =
 let test_edge2path_orphans () =
   (* "each" (ITERATIONSCOPE) under "line" (LINESCOPE): LINESCOPE has no
      descendant ITERATIONSCOPE, so "each" must be an orphan. *)
-  let _, _, _, e2p = build_e2p "insert a string at the start of each line" in
+  let _, _, e2p = build_e2p "insert a string at the start of each line" in
   check_b "orphans detected" true (List.length (Edge2path.orphans e2p) >= 1)
 
 let test_edge2path_anchor () =
-  let g, dg, w2a, e2p = build_e2p "insert a string at the start of each line" in
-  let dg', e2p' = Edge2path.anchor_orphans g dg w2a e2p in
+  let dg, w2a, e2p = build_e2p "insert a string at the start of each line" in
+  let dg', e2p' = Edge2path.anchor_orphans (Lazy.force fig4_autom) dg w2a e2p in
   check_i "no orphans left" 0 (List.length (Edge2path.orphans e2p'));
   (* anchored orphans hang off the dependency root *)
   List.iter
@@ -238,7 +244,7 @@ let test_edge2path_anchor () =
 
 let test_cgt_merge_paths () =
   let g = Lazy.force fig4_graph in
-  let ps = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING" in
+  let ps = search "INSERT" "STRING" in
   let short = List.find (fun p -> Gpath.size p = 2) ps in
   let cgt = Cgt.of_paths g [ short ] in
   let s = Cgt.scratch g in
@@ -254,8 +260,8 @@ let test_cgt_merge_paths () =
 
 let test_cgt_conflict_invalid () =
   let g = Lazy.force fig4_graph in
-  let to_start = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START" in
-  let to_position = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"POSITION" in
+  let to_start = search "INSERT" "START" in
+  let to_position = search "INSERT" "POSITION" in
   let cgt = Cgt.of_paths g [ List.hd to_start; List.hd to_position ] in
   let s = Cgt.scratch g in
   (* START and POSITION are exclusive alternatives of pos: a tree, but
@@ -281,8 +287,8 @@ let test_cgt_empty_and_lone () =
 
 let test_cgt_disjoint_not_tree () =
   let g = Lazy.force fig4_graph in
-  let a = Gpath.search_between_apis g ~src_api:"POSITION" ~dst_api:"AFTER" in
-  let b = Gpath.search_between_apis g ~src_api:"ITERATIONSCOPE" ~dst_api:"LINESCOPE" in
+  let a = search "POSITION" "AFTER" in
+  let b = search "ITERATIONSCOPE" "LINESCOPE" in
   let cgt = Cgt.of_paths g [ List.hd a; List.hd b ] in
   let s = Cgt.scratch g in
   check_b "two components" false (Cgt.is_tree s cgt);
@@ -295,10 +301,9 @@ let test_cgt_disjoint_not_tree () =
 let test_tree2expr_linearize () =
   let g = Lazy.force fig4_graph in
   let insert_string =
-    List.find (fun p -> Gpath.size p = 2)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
-  let insert_start = Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START" in
+  let insert_start = search "INSERT" "START" in
   let cgt = Cgt.of_paths g (insert_string :: insert_start) in
   match Tree2expr.of_cgt ~lits:[ ("STRING", ":") ] (Cgt.scratch g) cgt with
   | Ok e ->
@@ -312,11 +317,10 @@ let test_tree2expr_arg_order () =
      merge order *)
   let g = Lazy.force fig4_graph in
   let p_string =
-    List.find (fun p -> Gpath.size p = 2)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
-  let p_start = List.hd (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START") in
-  let p_all = List.hd (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"ALL") in
+  let p_start = List.hd (search "INSERT" "START") in
+  let p_all = List.hd (search "INSERT" "ALL") in
   let orders = [ [ p_all; p_start; p_string ]; [ p_string; p_start; p_all ] ] in
   let codes =
     List.map
@@ -335,8 +339,8 @@ let test_tree2expr_errors () =
   (match Tree2expr.of_cgt s Cgt.empty with
   | Error Tree2expr.Empty_cgt -> ()
   | _ -> Alcotest.fail "expected Empty_cgt");
-  let a = Gpath.search_between_apis g ~src_api:"POSITION" ~dst_api:"AFTER" in
-  let b = Gpath.search_between_apis g ~src_api:"ITERATIONSCOPE" ~dst_api:"LINESCOPE" in
+  let a = search "POSITION" "AFTER" in
+  let b = search "ITERATIONSCOPE" "LINESCOPE" in
   match Tree2expr.of_cgt s (Cgt.of_paths g [ List.hd a; List.hd b ]) with
   | Error Tree2expr.Not_a_tree -> ()
   | _ -> Alcotest.fail "expected Not_a_tree"
@@ -383,16 +387,13 @@ let mk_epath id (p : Gpath.t) gov dep edge =
   { Edge2path.id; label = string_of_int id; edge; gov_api = Some gov; dep_api = dep; path = p }
 
 let test_sprune_bounds () =
-  let g = Lazy.force fig4_graph in
   let dg = Queryprune.prune (Nlu.Depparser.parse "insert a string") in
   let edge = List.hd dg.Nlu.Depgraph.edges in
   let short =
-    List.find (fun p -> Gpath.size p = 2)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
   let long =
-    List.find (fun p -> Gpath.size p = 4)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 4) (search "INSERT" "STRING")
   in
   let e1 = mk_epath 0 short "INSERT" "STRING" edge in
   let e2 = mk_epath 1 long "INSERT" "STRING" edge in
@@ -415,12 +416,10 @@ let test_sprune_prunes_dominated () =
   let dg = Queryprune.prune (Nlu.Depparser.parse "insert a string") in
   let edge = List.hd dg.Nlu.Depgraph.edges in
   let short =
-    List.find (fun p -> Gpath.size p = 2)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
   let long =
-    List.find (fun p -> Gpath.size p = 4)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 4) (search "INSERT" "STRING")
   in
   let small = mk_epath 0 short "INSERT" "STRING" edge in
   let big = mk_epath 1 long "INSERT" "STRING" edge in
@@ -446,15 +445,14 @@ let test_gprune_combos () =
     | _ -> Alcotest.fail "expected two edges"
   in
   let short_string =
-    List.find (fun p -> Gpath.size p = 2)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+    List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
   let long_string =
     List.find
       (fun p -> Array.exists (( = ) "STARTFROM") p.Gpath.apis)
-      (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"STRING")
+      (search "INSERT" "STRING")
   in
-  let p_start = List.hd (Gpath.search_between_apis g ~src_api:"INSERT" ~dst_api:"START") in
+  let p_start = List.hd (search "INSERT" "START") in
   let eps =
     [
       mk_epath 0 short_string "INSERT" "STRING" e_string;
@@ -503,7 +501,7 @@ let test_orphan_relocation () =
   let g = Lazy.force fig4_graph in
   let dg = Queryprune.prune (Nlu.Depparser.parse "insert a string at the start of each line") in
   let w2a = Word2api.build (Lazy.force fig4_doc) dg in
-  let e2p = Edge2path.build g dg w2a in
+  let e2p = Edge2path.build (Lazy.force fig4_autom) dg w2a in
   let orphans = Edge2path.orphans e2p in
   check_b "fixture has orphans" true (orphans <> []);
   List.iter
@@ -526,7 +524,7 @@ let test_orphan_relocation () =
   check_b "some variant has no orphan" true
     (List.exists
        (fun v ->
-         let e2p' = Edge2path.build g v w2a in
+         let e2p' = Edge2path.build (Lazy.force fig4_autom) v w2a in
          Edge2path.orphans e2p' = [])
        variants)
 
@@ -534,7 +532,7 @@ let test_orphan_caps () =
   let g = Lazy.force fig4_graph in
   let dg = Queryprune.prune (Nlu.Depparser.parse "insert a string at the start of each line") in
   let w2a = Word2api.build (Lazy.force fig4_doc) dg in
-  let e2p = Edge2path.build g dg w2a in
+  let e2p = Edge2path.build (Lazy.force fig4_autom) dg w2a in
   let variants = Orphan.relocate ~max_graphs:1 g dg w2a ~orphans:(Edge2path.orphans e2p) in
   check_i "cap respected" 1 (List.length variants)
 

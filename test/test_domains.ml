@@ -120,10 +120,9 @@ let test_am_grammar_generator () =
 let test_am_kind_discipline () =
   (* a traversal matcher's target nonterminal matches its declared kind:
      hasBody leads to statements, hasDeclaration to declarations *)
-  let g = Lazy.force am.Domain.graph in
-  let path_exists a b =
-    Dggt_grammar.Gpath.search_between_apis g ~src_api:a ~dst_api:b <> []
-  in
+  let autom = Lazy.force am.Domain.autom in
+  let search a b = Dggt_autom.Autom.paths_between_apis autom ~src_api:a ~dst_api:b in
+  let path_exists a b = search a b <> [] in
   check_b "hasBody -> compoundStmt" true (path_exists "hasBody" "compoundStmt");
   check_b "hasDeclaration -> functionDecl" true (path_exists "hasDeclaration" "functionDecl");
   check_b "returns -> pointerType" true (path_exists "returns" "pointerType");
@@ -131,12 +130,12 @@ let test_am_kind_discipline () =
      detouring through a polymorphic traversal (has/hasDescendant), never
      directly *)
   check_b "pointee -> breakStmt only via detour" true
-    (Dggt_grammar.Gpath.search_between_apis g ~src_api:"pointee" ~dst_api:"breakStmt"
+    (search "pointee" "breakStmt"
     |> List.for_all (fun p -> Dggt_grammar.Gpath.size p > 2));
   (* narrowing applicability: hasName under decl matchers, not type ones *)
   check_b "functionDecl -> hasName" true (path_exists "functionDecl" "hasName");
   check_b "pointerType -> direct hasName impossible" true
-    (match Dggt_grammar.Gpath.search_between_apis g ~src_api:"pointerType" ~dst_api:"hasName" with
+    (match search "pointerType" "hasName" with
     | [] -> true
     | ps -> List.for_all (fun p -> Dggt_grammar.Gpath.size p > 2) ps)
 

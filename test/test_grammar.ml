@@ -219,8 +219,10 @@ let test_ggraph_reachable () =
 (* Gpath                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let paths_between g a b =
-  Gpath.search_between_apis g ~src_api:a ~dst_api:b
+(* the searches run on the compiled automaton, the engine's only one *)
+let paths_between ?limits g a b =
+  Dggt_autom.Autom.paths_between_apis ?limits (Dggt_autom.Autom.compile g)
+    ~src_api:a ~dst_api:b
 
 let test_path_search_insert_string () =
   let g = fig4_graph () in
@@ -252,7 +254,7 @@ let test_path_search_same_node () =
 let test_path_search_from_root () =
   let g = fig4_graph () in
   let string_ = Option.get (Ggraph.api_node g "STRING") in
-  let ps = Gpath.search_from_root g ~dst:string_ in
+  let ps = Dggt_autom.Autom.paths_from_root (Dggt_autom.Autom.compile g) ~dst:string_ in
   check_b "root paths exist" true (List.length ps >= 1);
   List.iter
     (fun p -> check_i "starts at root" g.Ggraph.root (Gpath.top p))
@@ -260,11 +262,15 @@ let test_path_search_from_root () =
 
 let test_path_limits () =
   let g = fig4_graph () in
-  let insert = Option.get (Ggraph.api_node g "INSERT") in
-  let string_ = Option.get (Ggraph.api_node g "STRING") in
-  let ps = Gpath.search ~limits:{ Gpath.max_nodes = 4; max_paths = 10; max_steps = 100_000 } g ~src:insert ~dst:string_ in
+  let ps =
+    paths_between ~limits:{ Gpath.max_nodes = 4; max_paths = 10; max_steps = 100_000 }
+      g "INSERT" "STRING"
+  in
   check_i "length cap prunes long paths" 1 (List.length ps);
-  let ps = Gpath.search ~limits:{ Gpath.max_nodes = 24; max_paths = 2; max_steps = 100_000 } g ~src:insert ~dst:string_ in
+  let ps =
+    paths_between ~limits:{ Gpath.max_nodes = 24; max_paths = 2; max_steps = 100_000 }
+      g "INSERT" "STRING"
+  in
   check_i "count cap" 2 (List.length ps)
 
 let test_path_search_recursive_grammar () =
@@ -272,7 +278,7 @@ let test_path_search_recursive_grammar () =
   let bnf = "e ::= PLUS e | LIT ;" in
   let c = Result.get_ok (Cfg.of_text ~start:"e" bnf) in
   let g = Ggraph.build c in
-  let ps = Gpath.search_between_apis g ~src_api:"PLUS" ~dst_api:"LIT" in
+  let ps = paths_between g "PLUS" "LIT" in
   check_b "terminates with paths" true (List.length ps >= 1);
   check_b "bounded" true (List.length ps <= Gpath.default_limits.Gpath.max_paths)
 

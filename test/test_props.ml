@@ -33,6 +33,12 @@ linescope  ::= LINESCOPE ;
 let graph =
   lazy (Ggraph.build (Result.get_ok (Cfg.of_text ~start:"cmd" fig4_bnf)))
 
+let autom = lazy (Dggt_autom.Autom.compile (Lazy.force graph))
+
+(* the grammar paths between two fixture APIs *)
+let search a b =
+  Dggt_autom.Autom.paths_between_apis (Lazy.force autom) ~src_api:a ~dst_api:b
+
 let api_names =
   [ "INSERT"; "STRING"; "START"; "POSITION"; "AFTER"; "STARTFROM"; "ALL";
     "ITERATIONSCOPE"; "LINESCOPE"; "DOCSCOPE" ]
@@ -45,7 +51,7 @@ let prop_path_well_formed =
   QCheck.Test.make ~name:"grammar paths are well-formed chains" ~count:200
     api_pair_gen (fun (a, b) ->
       let g = Lazy.force graph in
-      let ps = Gpath.search_between_apis g ~src_api:a ~dst_api:b in
+      let ps = search a b in
       List.for_all
         (fun (p : Gpath.t) ->
           let n = Array.length p.Gpath.nodes in
@@ -69,8 +75,7 @@ let prop_path_well_formed =
 let prop_path_simple =
   QCheck.Test.make ~name:"grammar paths are simple (no repeated node)" ~count:200
     api_pair_gen (fun (a, b) ->
-      let g = Lazy.force graph in
-      Gpath.search_between_apis g ~src_api:a ~dst_api:b
+      search a b
       |> List.for_all (fun (p : Gpath.t) ->
              let l = Array.to_list p.Gpath.nodes in
              List.length l = List.length (List.sort_uniq compare l)))
@@ -79,8 +84,7 @@ let prop_path_simple =
 let prop_path_distinct =
   QCheck.Test.make ~name:"path sets are duplicate-free" ~count:200 api_pair_gen
     (fun (a, b) ->
-      let g = Lazy.force graph in
-      let ps = Gpath.search_between_apis g ~src_api:a ~dst_api:b in
+      let ps = search a b in
       let keys = List.map (fun (p : Gpath.t) -> Array.to_list p.Gpath.nodes) ps in
       List.length keys = List.length (List.sort_uniq compare keys))
 
@@ -115,7 +119,7 @@ let prop_sprune_bounds_sound =
       let paths =
         List.concat_map
           (fun (a, b) ->
-            match Gpath.search_between_apis g ~src_api:a ~dst_api:b with
+            match search a b with
             | p :: _ -> [ p ]
             | [] -> [])
           pairs
@@ -194,8 +198,8 @@ let prop_gprune_lossless =
            (array_size (return 200) (0 -- 4))))
     (fun ((a1, b1), (a2, b2), extras) ->
       let g = Lazy.force graph in
-      let ps1 = Gpath.search_between_apis g ~src_api:a1 ~dst_api:b1 in
-      let ps2 = Gpath.search_between_apis g ~src_api:a2 ~dst_api:b2 in
+      let ps1 = search a1 b1 in
+      let ps2 = search a2 b2 in
       let g1 = List.mapi mk_epath ps1 in
       let g2 = List.mapi (fun i p -> mk_epath (100 + i) p) ps2 in
       g1 = [] || g2 = []
@@ -237,7 +241,7 @@ let am_pools =
     (let dom = Dggt_domains.Astmatcher.domain in
      let g = Lazy.force dom.Domain.graph in
      let limits = Option.value dom.Domain.path_limits ~default:Gpath.default_limits in
-     let autom = Dggt_autom.Autom.compile g in
+     let autom = Lazy.force dom.Domain.autom in
      let apis = List.map fst (Ggraph.api_nodes g) in
      (* every path from [src] to the APIs in grammar order, up to 254 *)
      let pool src =
@@ -424,7 +428,7 @@ let prop_cgt_merge_acI =
       let paths =
         List.concat_map
           (fun (a, b) ->
-            match Gpath.search_between_apis g ~src_api:a ~dst_api:b with
+            match search a b with
             | p :: _ -> [ Cgt.of_paths g [ p ] ]
             | [] -> [])
           pairs

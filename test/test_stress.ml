@@ -27,6 +27,7 @@ linescope  ::= LINESCOPE ;
 |}
 
 let graph = lazy (Ggraph.build (Result.get_ok (Cfg.of_text ~start:"cmd" fig4_bnf)))
+let autom = lazy (Dggt_autom.Autom.compile (Lazy.force graph))
 
 let doc =
   lazy
@@ -52,7 +53,7 @@ let build_dgg query =
   let g = Lazy.force graph in
   let dg = Queryprune.prune (Nlu.Depparser.parse query) in
   let w2a = Word2api.build (Lazy.force doc) dg in
-  let e2p = Edge2path.build g dg w2a in
+  let e2p = Edge2path.build (Lazy.force autom) dg w2a in
   let stats = Stats.create () in
   let budget = Dggt_util.Budget.unlimited () in
   let res, dyng = Dggt.synthesize_with_graph ~budget ~stats g dg w2a e2p in
@@ -141,7 +142,7 @@ let test_budget_exhaustion_ladder () =
   (* with step budgets from tiny to generous, the engine must either time
      out cleanly or produce the same answer as the unlimited run — never
      crash, never return garbage *)
-  let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
+  let tgt = Engine.target (Lazy.force autom) (Lazy.force doc) in
   let q = "insert \"-\" at the start of each line" in
   let reference =
     synth { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = None } tgt q
@@ -163,7 +164,7 @@ let test_budget_exhaustion_ladder () =
     [ 1; 2; 5; 10; 50; 100; 1000; 100_000 ]
 
 let test_hisyn_budget_ladder () =
-  let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
+  let tgt = Engine.target (Lazy.force autom) (Lazy.force doc) in
   let q = "insert \"-\" at the start" in
   List.iter
     (fun steps ->
@@ -187,7 +188,7 @@ let test_single_rule_grammar () =
   let g = Ggraph.build cfg in
   let d = Apidoc.make [ ("ONLY", "the only thing there is") ] in
   let o =
-    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target (Dggt_autom.Autom.compile g) d)
       "the only thing"
   in
   Alcotest.(check (option string)) "trivial grammar synthesizes" (Some "ONLY()")
@@ -202,13 +203,13 @@ let test_self_recursive_grammar () =
     Apidoc.make [ ("WRAP", "wrap the inner expression"); ("LIT", "a literal leaf value") ]
   in
   let o =
-    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target (Dggt_autom.Autom.compile g) d)
       "wrap a literal"
   in
   Alcotest.(check (option string)) "recursive grammar" (Some "WRAP(LIT())") o.Engine.code
 
 let test_absurd_inputs_total () =
-  let tgt = Engine.target (Lazy.force graph) (Lazy.force doc) in
+  let tgt = Engine.target (Lazy.force autom) (Lazy.force doc) in
   let cfg = { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 3.0 } in
   List.iter
     (fun q ->
@@ -230,7 +231,7 @@ let test_empty_document () =
   let g = Lazy.force graph in
   let d = Apidoc.make [] in
   let o =
-    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target (Dggt_autom.Autom.compile g) d)
       "insert a string"
   in
   check_b "no candidates -> clean failure" true (o.Engine.code = None)
@@ -240,7 +241,7 @@ let test_doc_grammar_mismatch () =
   let g = Lazy.force graph in
   let d = Apidoc.make [ ("GHOST", "a phantom api that the grammar does not know") ] in
   let o =
-    synth (Engine.default Engine.Dggt_alg) (Engine.target g d)
+    synth (Engine.default Engine.Dggt_alg) (Engine.target (Dggt_autom.Autom.compile g) d)
       "a phantom api"
   in
   check_b "unknown APIs ignored" true (o.Engine.code = None)

@@ -1107,6 +1107,8 @@ let wfields_diff a b =
 
 type wphase = {
   wp_create_s : float;    (* Serve.create wall time *)
+  wp_first_answers : (string * float) list;
+      (* per domain, boot start -> its first answer *)
   wp_first_hit_s : float; (* boot start -> first cached:true response *)
   wp_replay : WHist.t;    (* per-request latency of the replay pass *)
   wp_compiles : int;      (* dggt_autom_compiles_total samples in /metrics *)
@@ -1156,6 +1158,17 @@ let run_warmstart ~timeout_s ~limit () =
     |> List.map (fun (q : Domain.query) -> (d, q.Domain.text))
   in
   let items = pick Text_editing.domain @ pick Astmatcher.domain in
+  (* the first query of each domain, in registry order *)
+  let firsts =
+    List.filter_map
+      (fun (d : Domain.t) ->
+        Option.map
+          (fun (_, text) -> (d.Domain.name, text))
+          (List.find_opt
+             (fun ((d' : Domain.t), _) -> d'.Domain.name = d.Domain.name)
+             items))
+      [ Text_editing.domain; Astmatcher.domain ]
+  in
   Format.eprintf "  local baselines for %d queries...@." (List.length items);
   let baselines =
     List.map
@@ -1191,12 +1204,26 @@ let run_warmstart ~timeout_s ~limit () =
       | Error e -> fail "bad JSON for %S: %s" text e; None
       | Ok j -> Some j
   in
+  (* each domain's first answer, timed from the start of Serve.create: the
+     server listens before it builds, and each domain answers once its own
+     state is built. [hit] is what a warm boot's answers must be. *)
+  let first_answers ~port ~t0 ~hit =
+    List.map
+      (fun (domain, text) ->
+        (match post_synth ~port ~domain ~text with
+        | Some j when hit && J.bool_field "cached" j <> Some true ->
+            fail "warm first request %S missed the cache" text
+        | _ -> ());
+        (domain, Unix.gettimeofday () -. t0))
+      firsts
+  in
   (* ---- phase 1: cold ---- *)
   Format.eprintf "  cold boot...@.";
   let t0 = Unix.gettimeofday () in
   let srv = Serve.create params in
   let cold_create_s = Unix.gettimeofday () -. t0 in
   let port = Serve.port srv in
+  let cold_firsts = first_answers ~port ~t0 ~hit:false in
   (* prime: every query once, checking against the engine baseline *)
   let expected =
     List.filter_map
@@ -1240,6 +1267,7 @@ let run_warmstart ~timeout_s ~limit () =
   let cold =
     {
       wp_create_s = cold_create_s;
+      wp_first_answers = cold_firsts;
       wp_first_hit_s = cold_first_hit_s;
       wp_replay = cold_replay;
       wp_compiles = cold_compiles;
@@ -1251,8 +1279,14 @@ let run_warmstart ~timeout_s ~limit () =
   let srv = Serve.create params in
   let warm_create_s = Unix.gettimeofday () -. t0 in
   let port = Serve.port srv in
-  (* before any request: the boot must have loaded records and compiled
-     nothing (both domains' automatons restored from their images) *)
+  (* the first request must already be a hit, and so must each domain's *)
+  let warm_firsts = first_answers ~port ~t0 ~hit:true in
+  let warm_first_hit_s =
+    match warm_firsts with (_, s) :: _ -> s | [] -> Float.nan
+  in
+  (* every domain has answered, so each is built: the boot must have
+     loaded records and compiled nothing (both domains' automatons
+     restored from their images) *)
   let metrics_body = snd (ws_http ~port ~meth:"GET" ~path:"/metrics" ()) in
   let warm_compiles =
     count_lines_with "dggt_autom_compiles_total{" metrics_body
@@ -1261,15 +1295,6 @@ let run_warmstart ~timeout_s ~limit () =
     fail "warm boot compiled %d automatons (expected 0)" warm_compiles;
   if count_lines_with "dggt_store_records_loaded_total" metrics_body = 0 then
     fail "warm boot loaded no store records";
-  (* first request must already be a hit *)
-  (match expected with
-  | (domain, text, _) :: _ -> (
-      match post_synth ~port ~domain ~text with
-      | Some j when J.bool_field "cached" j = Some true -> ()
-      | Some _ -> fail "warm first request %S missed the cache" text
-      | None -> ())
-  | [] -> ());
-  let warm_first_hit_s = Unix.gettimeofday () -. t0 in
   let warm_replay = WHist.create () in
   List.iter
     (fun (domain, text, cold_f) ->
@@ -1291,6 +1316,7 @@ let run_warmstart ~timeout_s ~limit () =
   let warm =
     {
       wp_create_s = warm_create_s;
+      wp_first_answers = warm_firsts;
       wp_first_hit_s = warm_first_hit_s;
       wp_replay = warm_replay;
       wp_compiles = warm_compiles;
@@ -1306,12 +1332,23 @@ let run_warmstart ~timeout_s ~limit () =
         p.wp_create_s p.wp_first_hit_s p.wp_compiles (q p.wp_replay 0.5)
         (q p.wp_replay 0.99))
     [ ("cold", cold); ("warm", warm) ];
+  Format.fprintf fmt "@.  first answer after boot start (s):@.";
+  List.iter
+    (fun (name, p) ->
+      Format.fprintf fmt "  %6s %s@." name
+        (String.concat "  "
+           (List.map
+              (fun (d, s) -> Printf.sprintf "%s %.3f" d s)
+              p.wp_first_answers)))
+    [ ("cold", cold); ("warm", warm) ];
   Format.fprintf fmt "@.";
   let path = "BENCH_warmstart.json" in
   let phase_json p =
     J.Obj
       [
         ("create_s", J.Num p.wp_create_s);
+        ( "first_answer_s",
+          J.Obj (List.map (fun (d, s) -> (d, J.Num s)) p.wp_first_answers) );
         ("first_hit_s", J.Num p.wp_first_hit_s);
         ("autom_compiles", J.Num (float_of_int p.wp_compiles));
         ("replay_p50_ms", J.Num (q p.wp_replay 0.5));

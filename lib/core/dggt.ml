@@ -52,22 +52,28 @@ let root_compare ((a, ca) : Dgg.node * Semiring.cand) (b, cb) =
       | c -> c)
   | c -> c
 
+(* a path's dependent interpretation: its solved API node in [dyng] *)
+let solved_child dyng (p : Edge2path.epath) =
+  match
+    Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
+  with
+  | Some c when Dgg.solved c -> Some c
+  | _ -> None
+
 (* The sibling groups PathMerge enumerates at dependency node [id]. A
-   path is usable when its dependent interpretation has a solved API node
-   in [dyng]; a governor API is viable only if it has a usable path for
-   every child edge that has one (same condition HISyn's consistency check
+   path is usable when [child_of] finds its dependent interpretation; a
+   governor API is viable only if it has a usable path for every child
+   edge that has one (same condition HISyn's consistency check
    enforces). gov_api = None marks a root-anchored orphan path (HISyn's
    orphan treatment, reachable here when relocation is disabled in
    ablations): it does not constrain the governor's API, so it joins
    every governor's group; the final well-formedness check decides
    whether it actually fuses. *)
-let governor_groups dyng e2p (dg : Depgraph.t) id =
+let groups child_of e2p (dg : Depgraph.t) id =
   let usable (e : Depgraph.edge) =
-    Edge2path.paths_of_edge e2p e
-    |> List.filter (fun (p : Edge2path.epath) ->
-           match Dgg.find_api dyng ~dep:e.Depgraph.dep ~api:p.Edge2path.dep_api with
-           | Some child -> Dgg.solved child
-           | None -> false)
+    List.filter
+      (fun p -> child_of p <> None)
+      (Edge2path.paths_of_edge e2p e)
   in
   let edge_paths =
     List.filter_map
@@ -91,14 +97,12 @@ let governor_groups dyng e2p (dg : Depgraph.t) id =
       if List.for_all (fun gp -> gp <> []) groups then Some (a, groups) else None)
     gov_apis
 
+let governor_groups dyng = groups (solved_child dyng)
+
 (* the size a path's dependent subtree adds beyond the API the path
    already counts *)
-let child_extra dyng (p : Edge2path.epath) =
-  match
-    Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
-  with
-  | Some child when Dgg.solved child -> Dgg.size child - 1
-  | _ -> 0
+let extra_of = function Some c -> Dgg.size c - 1 | None -> 0
+let child_extra dyng p = extra_of (solved_child dyng p)
 
 let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     ?(gprune = true) ?(sprune = true) ?(trace : Trace.span option)
@@ -106,15 +110,25 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
   let dyng = Dgg.create objective in
   let start = Dgg.start dyng in
   let scratch = Cgt.scratch g in
+  (* each usable path's child API node by path id, looked up once, when
+     its governor forms its groups: the extra size, the child's best and
+     the DGG edge the walk then reads for the path come from here *)
+  let child = Array.make (Edge2path.id_bound e2p) None in
+  let record_child (p : Edge2path.epath) =
+    let c = solved_child dyng p in
+    child.(p.Edge2path.id) <- c;
+    c
+  in
   (* one enumeration state for the whole walk: a path's extra weight is
      read at its governor, when its child's cell is final *)
-  let prepared = lazy (Gprune.prepare ~extra:(child_extra dyng) g) in
+  let prepared =
+    lazy
+      (Gprune.prepare
+         ~extra:(fun (p : Edge2path.epath) -> extra_of child.(p.Edge2path.id))
+         g)
+  in
   let child_best (p : Edge2path.epath) =
-    match
-      Dgg.find_api dyng ~dep:p.Edge2path.edge.Depgraph.dep ~api:p.Edge2path.dep_api
-    with
-    | Some child -> Dgg.best child
-    | None -> None
+    match child.(p.Edge2path.id) with Some c -> Dgg.best c | None -> None
   in
   let lemma_of id =
     match Depgraph.node_opt dg id with
@@ -210,7 +224,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
 
   let process (n1 : Depgraph.node) =
     let id = n1.Depgraph.id in
-    let governors = governor_groups dyng e2p dg id in
+    let governors = groups record_child e2p dg id in
     (* Every candidate API seeds a singleton interpretation (Algorithm 1,
        line 3 for leaves); for governors these are fallbacks that drop the
        subtree — coverage-first accumulation keeps them only when no fuller
@@ -304,13 +318,9 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                   ignore (record_improved pcgt cand);
                   List.iter
                     (fun (p : Edge2path.epath) ->
-                      match
-                        Dgg.find_api dyng
-                          ~dep:p.Edge2path.edge.Depgraph.dep
-                          ~api:p.Edge2path.dep_api
-                      with
-                      | Some child ->
-                          Dgg.add_edge dyng ~src:child ~dst:pcgt
+                      match child.(p.Edge2path.id) with
+                      | Some c ->
+                          Dgg.add_edge dyng ~src:c ~dst:pcgt
                             ~epath:(Some p.Edge2path.id)
                       | None -> ())
                     combo;
@@ -319,13 +329,9 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                 else begin
                   match combo with
                   | [ p ] -> (
-                      match
-                        Dgg.find_api dyng
-                          ~dep:p.Edge2path.edge.Depgraph.dep
-                          ~api:p.Edge2path.dep_api
-                      with
-                      | Some child ->
-                          Dgg.add_edge dyng ~src:child ~dst:target
+                      match child.(p.Edge2path.id) with
+                      | Some c ->
+                          Dgg.add_edge dyng ~src:c ~dst:target
                             ~epath:(Some p.Edge2path.id)
                       | None -> ())
                   | _ -> ()

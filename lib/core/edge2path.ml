@@ -112,6 +112,7 @@ let paths_of_edge t e =
 let all t = t.all_paths
 let orphans t = t.orphan_ids
 let total_path_count t = t.total
+let id_bound t = t.next_id
 let find t id = Hashtbl.find_opt t.by_id id
 
 let anchor_orphans ?limits autom (dg : Depgraph.t) w2a t =

@@ -52,6 +52,10 @@ val total_path_count : t -> int
 (** Cached at construction — O(1), safe to poll per request (the tracer
     does). *)
 
+val id_bound : t -> int
+(** Every path id of the map is below it: ids are numbered from 0, so a
+    walk can keep per-path facts in an array of this length. *)
+
 val find : t -> int -> epath option
 (** Hash lookup by path id — O(1). *)
 

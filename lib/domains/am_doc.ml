@@ -25,5 +25,4 @@ let number_apis = [ "__intlit" ]
 let noun_apis =
   List.filter_map (function Node n -> Some n.name | _ -> None) Am_spec.all
 
-let doc =
-  lazy (Dggt_core.Apidoc.make ~literal_apis ~number_apis ~noun_apis entries)
+let doc () = Dggt_core.Apidoc.make ~literal_apis ~number_apis ~noun_apis entries

@@ -78,4 +78,4 @@ let generate specs =
     specs;
   Buffer.contents buf
 
-let bnf = lazy (generate Am_spec.all)
+let bnf () = generate Am_spec.all

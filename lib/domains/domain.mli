@@ -15,8 +15,12 @@ type t = {
   graph : Dggt_grammar.Ggraph.t Lazy.t;
   autom : Dggt_autom.Autom.t Lazy.t;
       (** [graph] compiled into the EdgeToPath automaton on first use.
-          Force it where [graph] is forced, never for the first time from
-          a pool worker: [Lazy] is not safe across domains. *)
+          No two threads or domains may force one of this record's
+          lazies at once: OCaml 5 [Lazy] is not safe under concurrent
+          forcing. A value forced once is safe to read from anywhere; a
+          server builds its registry's own copies
+          ({!Text_editing.make}, {!Astmatcher.make}), one build at a
+          time, on a pool worker. *)
   doc : Dggt_core.Apidoc.t Lazy.t;
   queries : query list;
   defaults : (string * string) list;

@@ -2,7 +2,7 @@
    [Te_pack] *)
 let dir = "examples/packs/textediting"
 
-let domain, aliases =
+let make () =
   Pack.builtin ~dir ~manifest:Te_pack.domain_pack ~queries:Te_pack.queries_tsv
     ~grammar:(lazy Te_pack.grammar_bnf)
     ~doc:
@@ -11,3 +11,5 @@ let domain, aliases =
            (Err.ok_exn
               (Docfile.parse ~file:(Filename.concat dir Pack.doc_name)
                  Te_pack.api_doc))))
+
+let domain, aliases = make ()

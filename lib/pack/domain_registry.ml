@@ -27,11 +27,10 @@ let norm = Dggt_util.Strutil.lowercase
 
 let names_of e = norm e.domain.Domain.name :: List.map norm e.aliases
 
-let default_builtins =
-  [
-    (Text_editing.domain, Text_editing.aliases);
-    (Astmatcher.domain, Astmatcher.aliases);
-  ]
+(* fresh copies, not the global [Text_editing.domain]/[Astmatcher.domain]:
+   a server forces its entries' lazies on a pool worker while another
+   thread may be forcing the globals *)
+let default_builtins () = [ Text_editing.make (); Astmatcher.make () ]
 
 (* the lookup view: packs shadow same-named base entries *)
 let visible_unlocked t =
@@ -65,7 +64,10 @@ let clash entries =
             None (names_of e))
     None entries
 
-let create ?(builtins = default_builtins) () =
+let create ?builtins () =
+  let builtins =
+    match builtins with Some b -> b | None -> default_builtins ()
+  in
   let base =
     List.map
       (fun (domain, aliases) -> { domain; aliases; origin = Builtin })

@@ -22,12 +22,15 @@ type entry = {
 
 type t
 
-val default_builtins : (Dggt_domains.Domain.t * string list) list
-(** TextEditing (alias [te]) and ASTMatcher (alias [am]). *)
+val default_builtins : unit -> (Dggt_domains.Domain.t * string list) list
+(** TextEditing (alias [te]) and ASTMatcher (alias [am]), as fresh
+    copies ({!Dggt_domains.Text_editing.make},
+    {!Dggt_domains.Astmatcher.make}) whose lazies no other registry and
+    no user of the global [domain] values forces. *)
 
 val create : ?builtins:(Dggt_domains.Domain.t * string list) list -> unit -> t
-(** [builtins] defaults to {!default_builtins}; pass [[]] for an empty
-    registry. Raises [Invalid_argument] on duplicate names. *)
+(** [builtins] defaults to {!default_builtins}[ ()]; pass [[]] for an
+    empty registry. Raises [Invalid_argument] on duplicate names. *)
 
 val find : t -> string -> Dggt_domains.Domain.t option
 val find_entry : t -> string -> entry option

@@ -1,4 +1,7 @@
-(* A fixed pool of OCaml 5 domains over a mutex/condvar work queue.
+(* A pool of up to [nworkers] OCaml 5 domains over a mutex/condvar work
+   queue. A worker is spawned when a job finds no idle worker to take
+   it, not before: every OCaml 5 collection stops every domain, so a
+   domain that has never had work would only slow the domains that do.
 
    Two usage modes share the workers:
 
@@ -26,14 +29,17 @@ type t = {
   nworkers : int;
   mutable bounded_depth : int;
   mutable stopping : bool;
-  mutable domains : unit Domain.t list;
+  mutable idle : int; (* workers waiting for a job *)
+  mutable domains : unit Domain.t list; (* the workers spawned so far *)
 }
 
 let worker_loop t =
   let rec loop () =
     Mutex.lock t.mu;
     while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.nonempty t.mu
+      t.idle <- t.idle + 1;
+      Condition.wait t.nonempty t.mu;
+      t.idle <- t.idle - 1
     done;
     if Queue.is_empty t.queue then
       (* stopping, queue drained *)
@@ -63,11 +69,26 @@ let create ?workers ?(capacity = 64) () =
       nworkers;
       bounded_depth = 0;
       stopping = false;
+      idle = 0;
       domains = [];
     }
   in
-  t.domains <- List.init nworkers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
+
+(* under [t.mu], after a job was queued: spawn a worker when the queue
+   holds more jobs than there are idle workers to take them (an idle
+   worker already signalled still counts until it wakes) and the pool is
+   not full; otherwise wake an idle worker, or leave the job to the next
+   busy worker that finishes *)
+let wake_locked t =
+  if Queue.length t.queue > t.idle && List.length t.domains < t.nworkers
+  then
+    match Domain.spawn (fun () -> worker_loop t) with
+    | d -> t.domains <- d :: t.domains
+    | exception e ->
+        Mutex.unlock t.mu;
+        raise e
+  else Condition.signal t.nonempty
 
 let workers t = t.nworkers
 let capacity t = t.cap
@@ -81,7 +102,7 @@ let submit t run =
   else begin
     Queue.push { bounded = true; run } t.queue;
     t.bounded_depth <- t.bounded_depth + 1;
-    Condition.signal t.nonempty;
+    wake_locked t;
     Mutex.unlock t.mu;
     `Accepted
   end
@@ -91,11 +112,15 @@ let submit t run =
    workers don't), so rejecting them would only serialize the map. *)
 let enqueue t run =
   Mutex.lock t.mu;
-  if not t.stopping then begin
+  let accepted = not t.stopping in
+  if accepted then begin
     Queue.push { bounded = false; run } t.queue;
-    Condition.signal t.nonempty
+    wake_locked t
   end;
-  Mutex.unlock t.mu
+  Mutex.unlock t.mu;
+  accepted
+
+let submit_exempt = enqueue
 
 let depth t =
   Mutex.lock t.mu;
@@ -132,15 +157,16 @@ let map_ordered t f xs =
        letting however many workers are idle join in; entries finding the
        batch already fully claimed are no-ops *)
     for _ = 1 to min n (t.nworkers) do
-      enqueue t (fun () ->
-          let rec drain () =
-            match claim () with
-            | Some i ->
-                step i;
-                drain ()
-            | None -> ()
-          in
-          drain ())
+      ignore
+        (enqueue t (fun () ->
+             let rec drain () =
+               match claim () with
+               | Some i ->
+                   step i;
+                   drain ()
+               | None -> ()
+             in
+             drain ()))
     done;
     (* the caller helps: claims remaining tasks itself, then waits for
        the stragglers other participants claimed *)

@@ -21,8 +21,12 @@
 type t
 
 val create : ?workers:int -> ?capacity:int -> unit -> t
-(** Spawns the worker domains immediately. [workers] defaults to
-    {!Stdlib.Domain.recommended_domain_count}, clamped to [1, 64].
+(** A pool of up to [workers] domains, default
+    {!Stdlib.Domain.recommended_domain_count}, clamped to [1, 64]. A
+    worker domain is spawned when a job is queued and the queue holds
+    more jobs than there are idle workers to take them, so a domain
+    that has never had work does not exist: in OCaml 5 every collection
+    stops every domain, and idle ones would slow the busy ones.
     [capacity] (default 64) bounds {e queued} {!submit} jobs only —
     {!map_ordered} tasks are exempt, since their completion never
     depends on queue admission. *)
@@ -34,6 +38,12 @@ val submit : t -> (unit -> unit) -> [ `Accepted | `Rejected ]
 (** [`Rejected] when the bounded queue is full or the pool is shutting
     down. Exceptions escaping the job are swallowed (the worker
     survives); jobs should do their own error reporting. *)
+
+val submit_exempt : t -> (unit -> unit) -> bool
+(** Queue a job the capacity bound does not count, so a full queue never
+    refuses it: how a server runs its own work (building its domains)
+    beside the requests it sheds. [false] when the pool is shutting
+    down. Exceptions escaping the job are swallowed, as for {!submit}. *)
 
 val depth : t -> int
 (** {!submit} jobs currently waiting in the queue (the metrics gauge). *)

@@ -25,5 +25,6 @@ let submit t ?deadline ~run ~expired () =
   in
   Dggt_par.Pool.submit t job
 
+let submit_exempt = Dggt_par.Pool.submit_exempt
 let depth = Dggt_par.Pool.depth
 let shutdown = Dggt_par.Pool.shutdown

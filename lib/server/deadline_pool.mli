@@ -14,7 +14,8 @@
 type t = Dggt_par.Pool.t
 
 val create : ?workers:int -> ?capacity:int -> unit -> t
-(** Spawns the worker domains immediately. [workers] defaults to
+(** Up to [workers] worker domains, each spawned when queued jobs
+    outnumber idle workers ({!Dggt_par.Pool.create}). [workers] defaults to
     {!Stdlib.Domain.recommended_domain_count} (clamped to [1, 64]);
     [capacity] is the bound on {e queued} (not yet running) jobs, default
     64. *)
@@ -30,6 +31,10 @@ val submit :
     [run]/[expired] is called, from a worker domain. Exceptions escaping
     either callback are swallowed (the worker survives); callbacks should
     do their own error reporting. *)
+
+val submit_exempt : t -> (unit -> unit) -> bool
+(** {!Dggt_par.Pool.submit_exempt}: a job with no deadline that a full
+    queue never refuses; [false] when the pool is shutting down. *)
 
 val depth : t -> int
 (** Jobs currently waiting in the queue (the metrics gauge). *)

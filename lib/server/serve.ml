@@ -44,12 +44,12 @@ let default_params =
     store_interval_s = 60.0;
   }
 
-(* per-domain state, everything forced/configured up front so worker
-   domains share read-only structures; the target carries the per-stage
-   caches, the configs stay cache-free. [gen] is the registry generation
-   the state was built under — it keys every cache entry, so a late write
-   from a request that outlived a reload can never be read back against
-   the reloaded domain of the same name *)
+(* per-domain state, everything forced/configured by the build job so
+   worker domains share read-only structures; the target carries the
+   per-stage caches, the configs stay cache-free. [gen] is the registry
+   generation the state was built under — it keys every cache entry, so
+   a late write from a request that outlived a reload can never be read
+   back against the reloaded domain of the same name *)
 type dstate = {
   dom : Dggt_domains.Domain.t;
   aliases : string list;
@@ -66,6 +66,11 @@ type dstate = {
   cfg_dggt : Engine.config;
   cfg_hisyn : Engine.config;
 }
+
+(* one registry entry's readiness. The entry describes the domain at
+   once (name, aliases, origin); [built] is filled by the build job when
+   the entry's state is ready, and a request for the domain waits on it *)
+type slot = { entry : Registry.entry; built : dstate Ivar.t }
 
 (* one incremental session, as held in the TTL+LRU store. The embedded
    Dggt_inc session is not reentrant, so [smu] serializes queries; [sgen]
@@ -94,7 +99,9 @@ type t = {
   pool : Deadline_pool.t;
   metrics : Smetrics.t;
   registry : Registry.t;
-  build : string; (* git describe at startup, or "unknown" *)
+  build : string option Atomic.t;
+      (* git describe, asked at the first GET /version; "unknown" when
+         there is no checkout *)
   (* whole-query outcome, plus the ranked alternatives computed with it *)
   q_cache :
     ( int * string * string * string * int,
@@ -104,8 +111,10 @@ type t = {
   word_cache : (int * string * string * string, Word2api.candidate list) Cache.t;
   sessions : srecord Sessions.t;
   traces : trecord Ring.t;
-  dmu : Mutex.t; (* guards [dstates]; snapshot, never hold across work *)
-  mutable dstates : dstate list;
+  dmu : Mutex.t; (* guards [slots]; snapshot, never hold across work *)
+  mutable slots : slot list;
+  booted : unit Ivar.t; (* filled once the boot job has built every entry *)
+  reload_mu : Mutex.t; (* one reload at a time *)
   mutable http : Httpd.t option;
   (* warm-start store (--store): spilled to periodically and on graceful
      shutdown, loaded before the domain states are built at boot *)
@@ -116,48 +125,42 @@ type t = {
   mutable spill_thread : Thread.t option;
 }
 
-let dstates t =
+let slots t =
   Mutex.lock t.dmu;
-  let ds = t.dstates in
+  let ss = t.slots in
   Mutex.unlock t.dmu;
-  ds
+  ss
 
-let find_dstate t name =
+let slot_name s = s.entry.Registry.domain.Dggt_domains.Domain.name
+
+(* the states built so far *)
+let dstates t = List.filter_map (fun s -> Ivar.peek s.built) (slots t)
+
+let find_slot t name =
   let n = Dggt_util.Strutil.lowercase name in
   List.find_opt
-    (fun ds ->
-      Dggt_util.Strutil.lowercase ds.dom.Dggt_domains.Domain.name = n
-      || List.exists (fun a -> Dggt_util.Strutil.lowercase a = n) ds.aliases)
-    (dstates t)
+    (fun s ->
+      Dggt_util.Strutil.lowercase (slot_name s) = n
+      || List.exists
+           (fun a -> Dggt_util.Strutil.lowercase a = n)
+           s.entry.Registry.aliases)
+    (slots t)
 
-(* ------------------------------------------------------------------ *)
-(* one-shot result cells (connection thread waits, worker fills)      *)
-(* ------------------------------------------------------------------ *)
+(* A slot's state, waiting while its entry builds. The wait is a
+   condition wait, which releases domain 0's runtime lock, and it counts
+   toward the request's deadline: [None] when the deadline passed while
+   the request waited. A state that is already built is returned as is,
+   whatever the deadline. *)
+let await_slot ?deadline s =
+  match Ivar.peek s.built with
+  | Some ds -> Some ds
+  | None -> (
+      let ds = Ivar.await s.built in
+      match deadline with
+      | Some d when Unix.gettimeofday () > d -> None
+      | _ -> Some ds)
 
-type 'a ivar = {
-  imu : Mutex.t;
-  icond : Condition.t;
-  mutable cell : 'a option;
-}
-
-let ivar () = { imu = Mutex.create (); icond = Condition.create (); cell = None }
-
-let ivar_fill iv v =
-  Mutex.lock iv.imu;
-  if iv.cell = None then begin
-    iv.cell <- Some v;
-    Condition.broadcast iv.icond
-  end;
-  Mutex.unlock iv.imu
-
-let ivar_read iv =
-  Mutex.lock iv.imu;
-  while iv.cell = None do
-    Condition.wait iv.icond iv.imu
-  done;
-  let v = Option.get iv.cell in
-  Mutex.unlock iv.imu;
-  v
+let find_dstate t name = Option.map (fun s -> Ivar.await s.built) (find_slot t name)
 
 (* ------------------------------------------------------------------ *)
 (* json renderings (the shapes live in Wire, shared with SSE frames)  *)
@@ -198,17 +201,19 @@ let record_trace t ~domain ~engine ~query ~time_s ~ok sink =
       ttrace = trace;
     }
 
+let expired_msg = "request deadline expired while queued"
+
 (* run [work] on the pool with backpressure + deadline; the connection
    thread blocks here until a worker delivers the response *)
 let via_pool t ~domain ~deadline ~t0 work =
-  let iv = ivar () in
+  let iv = Ivar.create () in
   let run () =
     Smetrics.incr_inflight t.metrics;
     let r = try work () with e -> `Error (Printexc.to_string e) in
     Smetrics.decr_inflight t.metrics;
-    ivar_fill iv r
+    Ivar.fill iv r
   in
-  let expired () = ivar_fill iv `Expired in
+  let expired () = Ivar.fill iv `Expired in
   match Deadline_pool.submit t.pool ~deadline ~run ~expired () with
   | `Rejected ->
       observe t ~domain ~outcome:"rejected" t0;
@@ -220,11 +225,10 @@ let via_pool t ~domain ~deadline ~t0 work =
                J.Num (float_of_int (Deadline_pool.capacity t.pool)) );
            ])
   | `Accepted -> (
-      match ivar_read iv with
+      match Ivar.await iv with
       | `Expired ->
           observe t ~domain ~outcome:"expired" t0;
-          Httpd.response 504
-            (error_json "request deadline expired while queued")
+          Httpd.response 504 (error_json expired_msg)
       | `Error msg ->
           observe t ~domain ~outcome:"failed" t0;
           Httpd.response 500 (error_json msg)
@@ -291,9 +295,11 @@ let stream_requested (req : Httpd.request) =
 (* The field reader of every query route. GET carries its parameters in
    the URL query string, POST in a JSON body; a session query takes its
    domain and engine from the session. An absent [k] defaults to 5 on a
-   rank-shaped request and to 1 otherwise. An error is the status, the
-   domain and outcome it is counted under, and the message. *)
-let read_request t (req : Httpd.request) which =
+   rank-shaped request and to 1 otherwise. A domain still building is
+   waited for last, once every field is valid, within the request's
+   deadline ([t0] + timeout). An error is the status, the domain and
+   outcome it is counted under, and the message. *)
+let read_request t ~t0 (req : Httpd.request) which =
   let ( let* ) = Result.bind in
   let bad domain msg = Error (400, domain, "bad_request", msg) in
   let* session =
@@ -323,36 +329,32 @@ let read_request t (req : Httpd.request) which =
     | None | Some "" -> bad counted "missing required string field \"query\""
     | Some query -> Ok query
   in
-  let* route, domain, engine =
+  let* target, domain, engine =
     match session with
-    | Some (id, sr) -> Ok (Session_query (id, sr), sr.sdomain, sr.sengine_name)
+    | Some (id, sr) -> Ok (`Session (id, sr), sr.sdomain, sr.sengine_name)
     | None -> (
         let dname = Option.value (str "domain") ~default:"textediting" in
         match
-          (find_dstate t dname, Option.value (str "engine") ~default:"dggt")
+          (find_slot t dname, Option.value (str "engine") ~default:"dggt")
         with
         | None, _ ->
             bad "-"
               (Printf.sprintf "unknown domain %S (see GET /domains)" dname)
-        | Some ds, (("dggt" | "hisyn") as engine) ->
-            let domain = ds.dom.Dggt_domains.Domain.name in
+        | Some s, (("dggt" | "hisyn") as engine) ->
             (* /rank always runs (and is labelled) DGGT *)
-            Ok
-              (if which = `Rank then (Rank ds, domain, "dggt")
-               else (Synthesize ds, domain, engine))
+            Ok (`Slot s, slot_name s, if which = `Rank then "dggt" else engine)
         | Some _, e ->
             bad "-" (Printf.sprintf "unknown engine %S (dggt|hisyn)" e))
   in
   let stream = stream_requested req in
   let* () =
-    match route with
-    | Synthesize _ when stream ->
-        (* streaming is ranked delivery; /synthesize keeps its fixed shape *)
-        bad domain
-          "streaming delivery is available on /rank and /session/<id>/query"
-    | _ -> Ok ()
+    if which = `Synthesize && stream then
+      (* streaming is ranked delivery; /synthesize keeps its fixed shape *)
+      bad domain
+        "streaming delivery is available on /rank and /session/<id>/query"
+    else Ok ()
   in
-  let ranked = rank_shaped route stream in
+  let ranked = stream || which = `Rank in
   let k =
     match field int_of_string_opt J.int_field "k" with
     | Some v -> max 1 (min v 20)
@@ -362,6 +364,14 @@ let read_request t (req : Httpd.request) which =
     match field float_of_string_opt J.num_field "timeout" with
     | Some v when v > 0.0 -> Float.min v 60.0
     | _ -> t.params.default_timeout_s
+  in
+  let* route =
+    match target with
+    | `Session (id, sr) -> Ok (Session_query (id, sr))
+    | `Slot s -> (
+        match await_slot ~deadline:(t0 +. timeout_s) s with
+        | None -> Error (504, domain, "expired", expired_msg)
+        | Some ds -> Ok (if which = `Rank then Rank ds else Synthesize ds))
   in
   Ok
     {
@@ -505,8 +515,8 @@ let conclude t r ~t0 ?reuse sink (o : Engine.outcome) =
    when the deadline expires or the run fails (the HTTP status already
    went out as 200 when the stream opened). A client disconnect surfaces
    as [EPIPE] on the next frame write, which aborts the chart walk
-   mid-run; the partial stream is counted [failed], and its partial
-   trace is recorded with [ok = false].
+   mid-run, or on the terminal frame; either way the stream is counted
+   [failed], and its trace is recorded with [ok = false].
 
    The trace's [Stream] span notes when the frames were produced, in
    seconds from request start: [ttfc_s] for the first candidate frame
@@ -527,37 +537,44 @@ let stream_query t r ~t0 =
         Smetrics.decr_inflight t.metrics;
         Smetrics.observe_stream t.metrics ~candidates:!count ~ttfc_s:!ttfc
       in
+      let aborted e =
+        observe t ~domain:r.domain ~outcome:"failed" t0;
+        record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
+          ~time_s:(Unix.gettimeofday () -. t0) ~ok:false sink;
+        (* the peer may already be gone (EPIPE raised by a frame write
+           landed here) — the terminal frame is best-effort *)
+        try
+          chunk
+            (Wire.sse_frame ~event:"error"
+               (Wire.stream_error_json ~status:500 (Printexc.to_string e)))
+        with _ -> ()
+      in
       match
         Fun.protect ~finally:settle (fun () ->
             fst (run r ~sink ~on_candidate ()))
       with
-      | o ->
+      | exception e -> aborted e
+      | o -> (
           Trace.span (Some sink) "Stream" (fun sp ->
               Trace.int sp "candidates" !count;
               (match !ttfc with
               | Some s -> Trace.float sp "ttfc_s" s
               | None -> ());
               Trace.float sp "done_s" (Unix.gettimeofday () -. t0));
-          conclude t r ~t0 sink o;
-          chunk
-            (if o.Engine.timed_out then
-               Wire.sse_frame ~event:"error"
-                 (Wire.stream_error_json ~status:504
-                    "request deadline expired mid-stream")
-             else
-               Wire.sse_frame ~event:"done"
-                 (body r ~cached:false (Some o, o.Engine.ranked)))
-      | exception e ->
-          observe t ~domain:r.domain ~outcome:"failed" t0;
-          record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
-            ~time_s:(Unix.gettimeofday () -. t0) ~ok:false sink;
-          (* the peer may already be gone (EPIPE raised by a frame write
-             landed here) — the terminal frame is best-effort *)
-          (try
-             chunk
-               (Wire.sse_frame ~event:"error"
-                  (Wire.stream_error_json ~status:500 (Printexc.to_string e)))
-           with _ -> ()))
+          (* the terminal frame goes out before the outcome is counted: a
+             client gone before it arrives has not had its answer *)
+          match
+            chunk
+              (if o.Engine.timed_out then
+                 Wire.sse_frame ~event:"error"
+                   (Wire.stream_error_json ~status:504
+                      "request deadline expired mid-stream")
+               else
+                 Wire.sse_frame ~event:"done"
+                   (body r ~cached:false (Some o, o.Engine.ranked)))
+          with
+          | () -> conclude t r ~t0 sink o
+          | exception e -> aborted e))
 
 (* a rank-cache hit under [?stream=1]: there is no chart walk to stream,
    so the outcome is replayed — the cached winner as one [event:
@@ -589,7 +606,7 @@ let stream_replay t r hit =
 
 let query_handler t (req : Httpd.request) which =
   let t0 = Unix.gettimeofday () in
-  match read_request t req which with
+  match read_request t ~t0 req which with
   | Error (status, domain, outcome, msg) ->
       observe t ~domain ~outcome t0;
       Httpd.response status (error_json msg)
@@ -621,47 +638,54 @@ let session_create_handler t (req : Httpd.request) =
       let dname =
         Option.value (J.str_field "domain" body) ~default:"textediting"
       in
-      match find_dstate t dname with
+      match find_slot t dname with
       | None ->
           Httpd.response 400
             (error_json
                (Printf.sprintf "unknown domain %S (see GET /domains)" dname))
-      | Some ds -> (
+      | Some s -> (
           match Option.value (J.str_field "engine" body) ~default:"dggt" with
-          | ("dggt" | "hisyn") as engine_name ->
-              (* every query sets its own timeout (see [run]) *)
-              let cfg =
-                if engine_name = "dggt" then ds.cfg_dggt else ds.cfg_hisyn
-              in
-              let inc =
-                Dggt_inc.Session.create
-                  { Engine.cfg; target = ds.target }
-              in
-              let domain = ds.dom.Dggt_domains.Domain.name in
-              (* the shard router mints placement-encoding ids and passes
-                 them down; direct clients leave the field out *)
-              let requested_id =
-                match J.str_field "id" body with Some "" -> None | v -> v
-              in
-              let id =
-                Sessions.add ?id:requested_id t.sessions
-                  {
-                    smu = Mutex.create ();
-                    sdomain = domain;
-                    sengine_name = engine_name;
-                    sgen = ds.gen;
-                    inc;
-                  }
-              in
-              respond_json 201
-                (J.Obj
-                   [
-                     ("v", J.Num (float_of_int api_version));
-                     ("session", J.Str id);
-                     ("domain", J.Str domain);
-                     ("engine", J.Str engine_name);
-                     ("ttl_s", J.Num t.params.session_ttl_s);
-                   ])
+          | ("dggt" | "hisyn") as engine_name -> (
+              match
+                await_slot
+                  ~deadline:(Unix.gettimeofday () +. t.params.default_timeout_s)
+                  s
+              with
+              | None -> Httpd.response 504 (error_json expired_msg)
+              | Some ds ->
+                  (* every query sets its own timeout (see [run]) *)
+                  let cfg =
+                    if engine_name = "dggt" then ds.cfg_dggt else ds.cfg_hisyn
+                  in
+                  let inc =
+                    Dggt_inc.Session.create
+                      { Engine.cfg; target = ds.target }
+                  in
+                  let domain = ds.dom.Dggt_domains.Domain.name in
+                  (* the shard router mints placement-encoding ids and passes
+                     them down; direct clients leave the field out *)
+                  let requested_id =
+                    match J.str_field "id" body with Some "" -> None | v -> v
+                  in
+                  let id =
+                    Sessions.add ?id:requested_id t.sessions
+                      {
+                        smu = Mutex.create ();
+                        sdomain = domain;
+                        sengine_name = engine_name;
+                        sgen = ds.gen;
+                        inc;
+                      }
+                  in
+                  respond_json 201
+                    (J.Obj
+                       [
+                         ("v", J.Num (float_of_int api_version));
+                         ("session", J.Str id);
+                         ("domain", J.Str domain);
+                         ("engine", J.Str engine_name);
+                         ("ttl_s", J.Num t.params.session_ttl_s);
+                       ]))
           | e -> Httpd.response 400 (Printf.sprintf "unknown engine %S (dggt|hisyn)" e |> error_json)))
 
 let session_delete_handler t id =
@@ -685,6 +709,9 @@ let origin_fields = function
         ("pack_digest", J.Str digest);
       ]
 
+(* An entry still building is listed by name, aliases and origin only:
+   its description, API count and automaton are not there yet, and
+   counting its APIs would force its document. *)
 let domains_handler t =
   respond_json 200
     (J.Obj
@@ -693,32 +720,64 @@ let domains_handler t =
          ( "domains",
            J.Arr
              (List.map
-                (fun ds ->
-                  let d = ds.dom in
+                (fun s ->
+                  let e = s.entry in
+                  let d = e.Registry.domain in
                   J.Obj
                     ([
                        ("name", J.Str d.Dggt_domains.Domain.name);
                        ( "aliases",
-                         J.Arr (List.map (fun a -> J.Str a) ds.aliases) );
-                       ("description", J.Str d.Dggt_domains.Domain.description);
-                       ( "apis",
-                         J.Num
-                           (float_of_int (Dggt_domains.Domain.api_count d)) );
-                       ( "queries",
-                         J.Num
-                           (float_of_int (Dggt_domains.Domain.query_count d))
+                         J.Arr (List.map (fun a -> J.Str a) e.Registry.aliases)
                        );
                      ]
-                    @ origin_fields ds.origin))
-                (dstates t)) );
+                    @ (match Ivar.peek s.built with
+                      | None -> []
+                      | Some _ ->
+                          [
+                            ( "description",
+                              J.Str d.Dggt_domains.Domain.description );
+                            ( "apis",
+                              J.Num
+                                (float_of_int (Dggt_domains.Domain.api_count d))
+                            );
+                            ( "queries",
+                              J.Num
+                                (float_of_int
+                                   (Dggt_domains.Domain.query_count d)) );
+                          ])
+                    @ origin_fields e.Registry.origin))
+                (slots t)) );
        ])
+
+(* the binary's build identity, asked of git at the first GET /version
+   rather than at boot; servers deployed outside a checkout report
+   "unknown". Two first calls may both ask; either answer serves. *)
+let git_describe () =
+  match
+    Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+  with
+  | exception _ -> None
+  | ic -> (
+      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> (match line with Some "" | None -> None | s -> s)
+      | _ -> None
+      | exception _ -> None)
+
+let build_id t =
+  match Atomic.get t.build with
+  | Some b -> b
+  | None ->
+      let b = Option.value (git_describe ()) ~default:"unknown" in
+      Atomic.set t.build (Some b);
+      b
 
 let version_handler t =
   respond_json 200
     (J.Obj
        [
          ("v", J.Num (float_of_int api_version));
-         ("build", J.Str t.build);
+         ("build", J.Str (build_id t));
          ("generation", J.Num (float_of_int (Registry.generation t.registry)));
          ("pack_digest", J.Str (Registry.pack_digest t.registry));
          (* delivery modes beyond the fixed v1 bodies; clients probe here
@@ -726,15 +785,19 @@ let version_handler t =
          ("capabilities", J.list (fun s -> J.Str s) [ "streaming" ]);
          ( "automata",
            J.list
-             (fun ds ->
+             (fun s ->
                J.Obj
-                 [
-                   ("domain", J.Str ds.dom.Dggt_domains.Domain.name);
-                   ("digest", J.Str (Dggt_autom.Autom.digest ds.autom));
-                   ( "compile_s",
-                     J.Num (Dggt_autom.Autom.compile_time_s ds.autom) );
-                 ])
-             (dstates t) );
+                 (("domain", J.Str (slot_name s))
+                 ::
+                 (match Ivar.peek s.built with
+                 | None -> []
+                 | Some ds ->
+                     [
+                       ("digest", J.Str (Dggt_autom.Autom.digest ds.autom));
+                       ( "compile_s",
+                         J.Num (Dggt_autom.Autom.compile_time_s ds.autom) );
+                     ])))
+             (slots t) );
        ])
 
 let healthz_handler t =
@@ -765,16 +828,16 @@ let debug_trace_handler t =
    compile, which the metrics record (count + stage histogram). The old
    per-pair path cache is gone — the automaton's own memo plays that
    role, and [edge2path = None] keeps the hook chain short. *)
-let make_dstate ~metrics ~registry ~word_cache ~gen (e : Registry.entry) =
+let make_dstate t ~gen (e : Registry.entry) =
   let d = e.Registry.domain in
   let name = d.Dggt_domains.Domain.name in
   let sink = Trace.create () in
-  let autom, compiled = Registry.automaton ~trace:sink registry e in
+  let autom, compiled = Registry.automaton ~trace:sink t.registry e in
   if compiled then begin
-    Smetrics.observe_autom_compile metrics ~domain:name
+    Smetrics.observe_autom_compile t.metrics ~domain:name
       (Dggt_autom.Autom.compile_time_s autom);
     List.iter
-      (fun (stage, dur) -> Smetrics.observe_stage metrics ~stage dur)
+      (fun (stage, dur) -> Smetrics.observe_stage t.metrics ~stage dur)
       (Trace.durations (Trace.result sink))
   end;
   let lookups =
@@ -783,7 +846,7 @@ let make_dstate ~metrics ~registry ~word_cache ~gen (e : Registry.entry) =
         Some
           (fun ~lemma ~pos compute ->
             fst
-              (Cache.find_or_compute word_cache
+              (Cache.find_or_compute t.word_cache
                  (gen, name, lemma, Dggt_nlu.Pos.to_string pos)
                  compute));
       Engine.edge2path = None;
@@ -809,17 +872,49 @@ let make_dstate ~metrics ~registry ~word_cache ~gen (e : Registry.entry) =
     },
     compiled )
 
-(* [(dstates, compiled)]: how many automata this build actually compiled
-   (the rest were registry cache hits) *)
-let build_dstates ~metrics ~registry ~word_cache =
-  let gen = Registry.generation registry in
-  let pairs =
-    List.map
-      (make_dstate ~metrics ~registry ~word_cache ~gen)
-      (Registry.entries registry)
+(* Every state is built by a pool job, never on domain 0: a build there
+   holds domain 0's runtime lock, and the accept and connection threads
+   then wait for the 50 ms tick. Builds run one at a time — the boot's,
+   then each reload's (see [rebuild]) — so no two force one entry's
+   lazies at once.
+
+   The boot job builds the entries in registry order and fills each
+   slot as soon as its state is ready; [seed] first restores the entry's
+   automaton from the warm store. The pool swallows a job's exceptions,
+   so a failed build is reported here and ends the process, as a broken
+   pack at startup does. *)
+let boot_job t ~gen ~seed slots () =
+  List.iter
+    (fun s ->
+      match
+        seed s.entry;
+        make_dstate t ~gen s.entry
+      with
+      | ds, _ -> Ivar.fill s.built ds
+      | exception e ->
+          Printf.eprintf "dggt serve: building domain %s failed: %s\n%!"
+            (slot_name s) (Printexc.to_string e);
+          exit 2)
+    slots;
+  Ivar.fill t.booted ()
+
+(* A reload's build: the boot job's work for the registry's current
+   entries, submitted once the boot job has finished, awaited by the
+   reload's connection thread. [(entry, (dstate, compiled_now))] per
+   entry, or [Error] when a build raised or the pool is stopping. *)
+let rebuild t =
+  Ivar.await t.booted;
+  let gen = Registry.generation t.registry in
+  let entries = Registry.entries t.registry in
+  let result = Ivar.create () in
+  let job () =
+    Ivar.fill result
+      (match List.map (fun e -> (e, make_dstate t ~gen e)) entries with
+      | built -> Ok built
+      | exception e -> Error (Printexc.to_string e))
   in
-  ( List.map fst pairs,
-    List.length (List.filter (fun (_, compiled) -> compiled) pairs) )
+  if Deadline_pool.submit_exempt t.pool job then Ivar.await result
+  else Error "the server is stopping"
 
 (* ------------------------------------------------------------------ *)
 (* warm-start store (--store)                                         *)
@@ -905,9 +1000,11 @@ let finalize_store t =
     compact_store t
   end
 
-(* POST /reload: re-scan the pack directory, atomically swap the registry
-   and the per-domain states, and drop every cache. In-flight requests
-   keep the dstate they already resolved (immutable), and their late cache
+(* POST /reload: re-scan the pack directory, build the new per-domain
+   states through the same pool job as the boot (after it, one reload at
+   a time), swap them in when the job completes, and drop every cache.
+   Requests keep the old states until the swap. In-flight requests keep
+   the dstate they already resolved (immutable), and their late cache
    writes land under the old generation — harmless to post-reload
    lookups. Incremental sessions are left in the store on purpose: their
    [sgen] no longer matches, so the next access answers 410 Gone (clients
@@ -923,65 +1020,77 @@ let reload_handler t =
                J.Str "server was started without --packs; nothing to reload" );
            ])
   | Some dir -> (
+      Mutex.lock t.reload_mu;
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.reload_mu) @@ fun () ->
+      let failed what detail =
+        respond_json 500
+          (J.Obj [ ("error", J.Str what); ("detail", J.Str detail) ])
+      in
       match Registry.load_dir t.registry dir with
       | Error e ->
-          respond_json 500
-            (J.Obj
-               [
-                 ("error", J.Str "pack reload failed; registry unchanged");
-                 ("detail", J.Str (Dggt_domains.Err.to_string e));
-               ])
-      | Ok packs ->
-          let fresh, compiled =
-            build_dstates ~metrics:t.metrics ~registry:t.registry
-              ~word_cache:t.word_cache
-          in
-          Mutex.lock t.dmu;
-          t.dstates <- fresh;
-          Mutex.unlock t.dmu;
-          Cache.clear t.q_cache;
-          Cache.clear t.rank_cache;
-          Cache.clear t.word_cache;
-          (* the on-disk mirror of those cleared caches: drop records
-             keyed against a pack digest that no longer matches (cache
-             records against the aggregate, automaton records against
-             their entry's content key), then persist the fresh
-             automatons so a crash right after the reload still boots
-             warm *)
-          if t.store <> None then begin
-            let live_ckeys = List.map (fun ds -> ds.ckey) fresh in
-            let pdigest = Registry.pack_digest t.registry in
-            compact_store
-              ~drop:(fun (h : Dggt_store.Store.header) ->
-                if h.Dggt_store.Store.kind = Warmstore.kind_cache then
-                  h.Dggt_store.Store.pack_digest <> pdigest
-                else if h.Dggt_store.Store.kind = Warmstore.kind_autom then
-                  not (List.mem h.Dggt_store.Store.pack_digest live_ckeys)
-                else false)
-              t;
-            spill_store t
-          end;
-          respond_json 200
-            (J.Obj
-               [
-                 ("v", J.Num (float_of_int api_version));
-                 ("ok", J.Bool true);
-                 ("packs_loaded", J.Num (float_of_int (List.length packs)));
-                 ( "generation",
-                   J.Num (float_of_int (Registry.generation t.registry)) );
-                 ("pack_digest", J.Str (Registry.pack_digest t.registry));
-                 (* how many grammars actually changed: unchanged digests
-                    reuse the compiled automaton, pointer-equal *)
-                 ("automata_compiled", J.Num (float_of_int compiled));
-                 ( "automata_reused",
-                   J.Num (float_of_int (List.length fresh - compiled)) );
-                 ( "domains",
-                   J.Arr
-                     (List.map
-                        (fun ds ->
-                          J.Str ds.dom.Dggt_domains.Domain.name)
-                        (dstates t)) );
-               ]))
+          failed "pack reload failed; registry unchanged"
+            (Dggt_domains.Err.to_string e)
+      | Ok packs -> (
+          match rebuild t with
+          | Error msg -> failed "pack reload failed to build the domains" msg
+          | Ok built ->
+              let fresh = List.map (fun (_, (ds, _)) -> ds) built in
+              let compiled =
+                List.length (List.filter (fun (_, (_, c)) -> c) built)
+              in
+              let swapped =
+                List.map
+                  (fun (entry, (ds, _)) ->
+                    let s = { entry; built = Ivar.create () } in
+                    Ivar.fill s.built ds;
+                    s)
+                  built
+              in
+              Mutex.lock t.dmu;
+              t.slots <- swapped;
+              Mutex.unlock t.dmu;
+              Cache.clear t.q_cache;
+              Cache.clear t.rank_cache;
+              Cache.clear t.word_cache;
+              (* the on-disk mirror of those cleared caches: drop records
+                 keyed against a pack digest that no longer matches
+                 (cache records against the aggregate, automaton records
+                 against their entry's content key), then persist the
+                 fresh automatons so a crash right after the reload still
+                 boots warm *)
+              if t.store <> None then begin
+                let live_ckeys = List.map (fun ds -> ds.ckey) fresh in
+                let pdigest = Registry.pack_digest t.registry in
+                compact_store
+                  ~drop:(fun (h : Dggt_store.Store.header) ->
+                    if h.Dggt_store.Store.kind = Warmstore.kind_cache then
+                      h.Dggt_store.Store.pack_digest <> pdigest
+                    else if h.Dggt_store.Store.kind = Warmstore.kind_autom then
+                      not (List.mem h.Dggt_store.Store.pack_digest live_ckeys)
+                    else false)
+                  t;
+                spill_store t
+              end;
+              respond_json 200
+                (J.Obj
+                   [
+                     ("v", J.Num (float_of_int api_version));
+                     ("ok", J.Bool true);
+                     ("packs_loaded", J.Num (float_of_int (List.length packs)));
+                     ( "generation",
+                       J.Num (float_of_int (Registry.generation t.registry)) );
+                     ("pack_digest", J.Str (Registry.pack_digest t.registry));
+                     (* how many grammars actually changed: unchanged
+                        digests reuse the compiled automaton, pointer-equal *)
+                     ("automata_compiled", J.Num (float_of_int compiled));
+                     ( "automata_reused",
+                       J.Num (float_of_int (List.length fresh - compiled)) );
+                     ( "domains",
+                       J.Arr
+                         (List.map
+                            (fun ds -> J.Str ds.dom.Dggt_domains.Domain.name)
+                            fresh) );
+                   ])))
 
 let handler t (req : Httpd.request) =
   match (req.Httpd.meth, req.Httpd.path) with
@@ -1008,20 +1117,6 @@ let handler t (req : Httpd.request) =
       | Some _ -> Httpd.response 405 (error_json "method not allowed")
       | None -> Httpd.response 404 (error_json "not found"))
 
-(* the binary's build identity, asked of git once at startup; servers
-   deployed outside a checkout report "unknown" *)
-let git_describe () =
-  match
-    Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-  with
-  | exception _ -> None
-  | ic -> (
-      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> (match line with Some "" | None -> None | s -> s)
-      | _ -> None
-      | exception _ -> None)
-
 let create params =
   let metrics = Smetrics.create () in
   let registry = Registry.create () in
@@ -1047,34 +1142,44 @@ let create params =
       word = Cache.create ~capacity:stage_cap;
     }
   in
-  (* warm boot: replay the store BEFORE building the domain states, so
-     the seeded automatons make build_dstates' Registry.automaton calls
-     cache hits (zero compiles for unchanged content keys) and the LRUs
-     are populated before the first request lands *)
-  (match store with
-  | None -> ()
-  | Some s ->
-      let r =
-        Warmstore.load s
-          ~generation:(Registry.generation registry)
-          ~pack_digest:(Registry.pack_digest registry)
-          ~registry caches
-      in
-      Smetrics.observe_store_load metrics ~loaded:r.Warmstore.ld_applied
-        ~skipped:r.Warmstore.ld_skipped ~rejected:r.Warmstore.ld_rejected;
-      Smetrics.set_store_probe metrics (fun () ->
-          let bytes, records = Store.file_gauges s in
-          { Smetrics.store_log_bytes = bytes; store_records = records }));
-  (* build the grammars and automata before the pool spawns its worker
-     domains: every OCaml 5 minor collection stops all domains, so idle
-     workers would slow this allocation-heavy build *)
-  let built, _ =
-    build_dstates ~metrics ~registry ~word_cache:caches.Warmstore.word
+  (* warm boot: replay the stored answers into the LRUs before the first
+     request can land. The automaton images wait for their entries'
+     builds: restoring one forces the entry's grammar graph. *)
+  let seed =
+    match store with
+    | None -> ignore
+    | Some s ->
+        let r, images =
+          Warmstore.load s
+            ~generation:(Registry.generation registry)
+            ~pack_digest:(Registry.pack_digest registry)
+            ~registry caches
+        in
+        Smetrics.observe_store_load metrics ~loaded:r.Warmstore.ld_applied
+          ~skipped:r.Warmstore.ld_skipped ~rejected:r.Warmstore.ld_rejected;
+        Smetrics.set_store_probe metrics (fun () ->
+            let bytes, records = Store.file_gauges s in
+            { Smetrics.store_log_bytes = bytes; store_records = records });
+        fun e ->
+          let loaded, skipped, rejected =
+            match Warmstore.seed images registry e with
+            | `Seeded -> (1, 0, 0)
+            | `Skipped -> (0, 1, 0)
+            | `Rejected -> (0, 0, 1)
+            | `Absent -> (0, 0, 0)
+          in
+          Smetrics.observe_store_load metrics ~loaded ~skipped ~rejected
   in
   let pool =
     Deadline_pool.create
       ?workers:(if params.workers > 0 then Some params.workers else None)
       ~capacity:params.queue_capacity ()
+  in
+  let gen = Registry.generation registry in
+  let boot_slots =
+    List.map
+      (fun entry -> { entry; built = Ivar.create () })
+      (Registry.entries registry)
   in
   let t =
     {
@@ -1082,7 +1187,7 @@ let create params =
       pool;
       metrics;
       registry;
-      build = Option.value (git_describe ()) ~default:"unknown";
+      build = Atomic.make None;
       q_cache = caches.Warmstore.q;
       rank_cache = caches.Warmstore.rank;
       word_cache = caches.Warmstore.word;
@@ -1090,7 +1195,9 @@ let create params =
         Sessions.create ~ttl_s:params.session_ttl_s ~cap:params.session_cap ();
       traces = Ring.create ~capacity:params.trace_buffer;
       dmu = Mutex.create ();
-      dstates = built;
+      slots = boot_slots;
+      booted = Ivar.create ();
+      reload_mu = Mutex.create ();
       http = None;
       store;
       spill_mu = Mutex.create ();
@@ -1099,7 +1206,6 @@ let create params =
       spill_thread = None;
     }
   in
-  start_spill_thread t;
   Smetrics.set_queue_probe metrics (fun () -> Deadline_pool.depth pool);
   Smetrics.register_cache metrics "q_cache" (fun () -> Cache.counters t.q_cache);
   Smetrics.register_cache metrics "rank_cache" (fun () ->
@@ -1122,17 +1228,31 @@ let create params =
         { Cache.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
         (dstates t));
   Smetrics.set_sessions_probe metrics (fun () -> Sessions.counters t.sessions);
+  (* no worker domain exists yet (the pool spawns them for jobs), so a
+     failure to listen leaves nothing running *)
   let http =
     Httpd.create ~addr:params.addr ?unix_path:params.unix_socket
       ~port:params.port
       (fun req -> handler t req)
   in
   t.http <- Some http;
+  start_spill_thread t;
+  (* listening: now build every entry; each answers once its slot is
+     filled, so a client of a small domain does not wait for a large one
+     (DESIGN.md, "Per-domain readiness", has the measured trade-off) *)
+  ignore (Deadline_pool.submit_exempt pool (boot_job t ~gen ~seed boot_slots));
   t
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port
 let metrics t = t.metrics
 let registry t = t.registry
+
+(* after the listener: let the boot job finish, so the final spill holds
+   every state it builds, then spill and drain and join the pool *)
+let shut_down t =
+  Ivar.await t.booted;
+  finalize_store t;
+  Deadline_pool.shutdown t.pool
 
 let stop t =
   (match t.http with
@@ -1140,20 +1260,18 @@ let stop t =
       Httpd.stop h;
       Httpd.wait h
   | None -> ());
-  finalize_store t;
-  Deadline_pool.shutdown t.pool
+  shut_down t
 
 let wait t =
   (match t.http with Some h -> Httpd.wait h | None -> ());
-  finalize_store t;
-  Deadline_pool.shutdown t.pool
+  shut_down t
 
 let run params =
   let t = create params in
   (match t.http with Some h -> Httpd.handle_signals h | None -> ());
   Printf.printf
     "dggt serve: listening on %s (%d workers, queue %d, cache %d, \
-     %d automata%s)\n\
+     %d domains%s)\n\
      %!"
     (match params.unix_socket with
     | Some path -> "unix:" ^ path
@@ -1161,14 +1279,14 @@ let run params =
     (Deadline_pool.workers t.pool)
     (Deadline_pool.capacity t.pool)
     params.cache_size
-    (List.length (dstates t))
+    (List.length (slots t))
     ((match params.packs_dir with
      | Some d ->
          Printf.sprintf ", packs %s [%d loaded]" d
            (List.length
               (List.filter
-                 (fun ds -> ds.origin <> Registry.Builtin)
-                 (dstates t)))
+                 (fun s -> s.entry.Registry.origin <> Registry.Builtin)
+                 (slots t)))
      | None -> "")
     ^
     match params.store_dir with

@@ -44,16 +44,21 @@
       [event: done] byte-for-byte the cached body — counted by
       [dggt_stream_cache_replays_total]. [GET /version] advertises
       ["streaming"] under [capabilities].
-    - [GET /domains] — the available domains with aliases, API/query
-      counts and origin ([builtin], or [pack] with its directory and
-      digest).
-    - [GET /version] — the binary's build ([git describe] at startup, or
-      ["unknown"]), the registry generation, the aggregate pack digest and
-      an [automata] array (per domain: the compiled automaton's digest and
-      compile wall time); clients poll it to observe hot reloads.
+    - [GET /domains] — the available domains with aliases, description,
+      API/query counts and origin ([builtin], or [pack] with its
+      directory and digest). A domain still building at boot is listed
+      by name, aliases and origin only.
+    - [GET /version] — the binary's build ([git describe], asked at the
+      first [GET /version], or ["unknown"]), the registry generation, the
+      aggregate pack digest and an [automata] array (per domain: the
+      compiled automaton's digest and compile wall time; a domain still
+      building shows its name only); clients poll it to observe hot
+      reloads.
     - [POST /reload] — re-scan [params.packs_dir] and atomically swap the
-      pack-backed domains ({!Dggt_pack.Domain_registry.load_dir}), then
-      drop every cache. The response reports [automata_compiled] versus
+      pack-backed domains ({!Dggt_pack.Domain_registry.load_dir}), build
+      their states on the worker pool (after the boot's build, one reload
+      at a time) and swap them in when that build completes, then drop
+      every cache. The response reports [automata_compiled] versus
       [automata_reused]: grammar automata are cached by pack digest
       ({!Dggt_pack.Domain_registry.automaton}), so a hot reload compiles
       exactly once per pack whose bytes changed and reuses the rest
@@ -102,6 +107,11 @@
       ends with a [Stream] span noting its [candidates] and when its
       first candidate and terminal frames were written, in seconds from
       request start ([ttfc_s], absent when it sent none, and [done_s]).
+
+    Readiness is per domain: the server listens before it builds, and a
+    request waits only for the domain it names (see {!create}). The wait
+    counts toward the request's deadline; a request whose deadline passes
+    while it waits gets the [504] of a request that expired in the queue.
 
     Backpressure: when the bounded queue is full, [POST] requests get [503]
     with [Retry-After] instead of queueing unboundedly; a job whose
@@ -168,12 +178,16 @@ val api_version : int
 type t
 
 val create : params -> t
-(** Forces every domain's grammar/document and compiles its automaton (so
-    worker domains never race a [Lazy.force] and the first request never
-    pays a compile), loads [packs_dir] if given (raising [Failure] with
-    the file:line diagnostic when a pack is broken — at startup, unlike
-    [POST /reload], a bad pack is fatal), spawns the pool and starts
-    listening. *)
+(** Loads [packs_dir] if given (raising [Failure] with the file:line
+    diagnostic when a pack is broken — at startup, unlike [POST /reload],
+    a bad pack is fatal) and the store's cached answers, spawns the pool
+    and starts listening, then submits one pool job that builds every
+    registry entry's state in registry order: grammar graph, document and
+    compiled automaton (restored from the store when it holds one). Each
+    domain answers as soon as its own state is built. The registry's
+    built-ins are private copies, so the job never forces a lazy another
+    thread may be forcing. A build that raises is logged to stderr and
+    ends the process with exit code 2. *)
 
 val port : t -> int
 val metrics : t -> Smetrics.t
@@ -183,7 +197,8 @@ val registry : t -> Dggt_pack.Domain_registry.t
 
 val stop : t -> unit
 (** Orderly shutdown: stop accepting, let in-flight connections finish,
-    drain the queue, join the workers. Blocks; idempotent. *)
+    let the boot's build finish, drain the queue, join the workers.
+    Blocks; idempotent. *)
 
 val wait : t -> unit
 (** Block until the server has been stopped (by {!stop} or a signal wired

@@ -149,7 +149,7 @@ let spill store ~generation ~pack_digest caches
 
 type load_report = {
   ld_cache_entries : int;  (** cache entries replayed into the LRUs *)
-  ld_automata : int;  (** automatons restored and seeded (no compile) *)
+  ld_automata : int;  (** automaton records held for {!seed} *)
   ld_applied : int;  (** records whose payload was applied *)
   ld_skipped : int;
       (** schema mismatches, superseded duplicates, key mismatches *)
@@ -157,6 +157,10 @@ type load_report = {
       (** digest/frame damage plus unmarshal/restore refusals *)
   ld_seconds : float;
 }
+
+(* the newest automaton record of each registry entry, keyed (domain
+   name, content key); restored only when the entry's build asks *)
+type images = (string * string, Store.record) Hashtbl.t
 
 let load store ~generation ~pack_digest ~registry caches =
   let t0 = Unix.gettimeofday () in
@@ -173,8 +177,13 @@ let load store ~generation ~pack_digest ~registry caches =
   let skipped = ref (l.Store.skipped + superseded) in
   let rejected = ref l.Store.rejected in
   let cache_entries = ref 0 in
-  let automata = ref 0 in
-  let entries = Registry.entries registry in
+  let images = Hashtbl.create 4 in
+  let live =
+    List.map
+      (fun (e : Registry.entry) ->
+        (e.Registry.domain.Dggt_domains.Domain.name, Registry.content_key e))
+      (Registry.entries registry)
+  in
   let apply_cache (r : Store.record) =
     if r.Store.hdr.Store.pack_digest <> pack_digest then incr skipped
     else
@@ -213,42 +222,45 @@ let load store ~generation ~pack_digest ~registry caches =
       | None -> incr skipped
       | exception _ -> incr rejected
   in
-  let apply_autom (r : Store.record) =
-    match
-      List.find_opt
-        (fun (e : Registry.entry) ->
-          e.Registry.domain.Dggt_domains.Domain.name = r.Store.hdr.Store.name
-          && Registry.content_key e = r.Store.hdr.Store.pack_digest)
-        entries
-    with
-    | None -> incr skipped (* domain gone or its pack content changed *)
-    | Some e -> (
-        match
-          let image : Autom.image = Marshal.from_string r.Store.payload 0 in
-          Autom.of_image
-            (Lazy.force e.Registry.domain.Dggt_domains.Domain.graph)
-            image
-        with
-        | Ok a ->
-            if Registry.seed_automaton registry e a then begin
-              incr automata;
-              incr applied
-            end
-            else incr skipped (* an automaton is already cached *)
-        | Error _ -> incr rejected
-        | exception _ -> incr rejected)
+  (* an automaton record is kept only for an entry with its name and
+     content key; restoring it needs that entry's graph, so it waits for
+     the entry's build ([seed]) *)
+  let hold_autom (r : Store.record) =
+    let key = (r.Store.hdr.Store.name, r.Store.hdr.Store.pack_digest) in
+    if List.mem key live then Hashtbl.replace images key r
+    else incr skipped (* domain gone or its pack content changed *)
   in
   Hashtbl.iter
     (fun (kind, _, _) r ->
       if kind = kind_cache then apply_cache r
-      else if kind = kind_autom then apply_autom r
+      else if kind = kind_autom then hold_autom r
       else incr skipped)
     newest;
-  {
-    ld_cache_entries = !cache_entries;
-    ld_automata = !automata;
-    ld_applied = !applied;
-    ld_skipped = !skipped;
-    ld_rejected = !rejected;
-    ld_seconds = Unix.gettimeofday () -. t0;
-  }
+  ( {
+      ld_cache_entries = !cache_entries;
+      ld_automata = Hashtbl.length images;
+      ld_applied = !applied;
+      ld_skipped = !skipped;
+      ld_rejected = !rejected;
+      ld_seconds = Unix.gettimeofday () -. t0;
+    },
+    images )
+
+let seed images registry (e : Registry.entry) =
+  match
+    Hashtbl.find_opt images
+      (e.Registry.domain.Dggt_domains.Domain.name, Registry.content_key e)
+  with
+  | None -> `Absent
+  | Some r -> (
+      match
+        let image : Autom.image = Marshal.from_string r.Store.payload 0 in
+        Autom.of_image
+          (Lazy.force e.Registry.domain.Dggt_domains.Domain.graph)
+          image
+      with
+      | Ok a ->
+          if Registry.seed_automaton registry e a then `Seeded
+          else `Skipped (* an automaton is already cached *)
+      | Error _ -> `Rejected
+      | exception _ -> `Rejected)

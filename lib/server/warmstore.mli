@@ -75,7 +75,7 @@ val spill :
 
 type load_report = {
   ld_cache_entries : int;  (** cache entries replayed into the LRUs *)
-  ld_automata : int;  (** automatons restored and seeded (no compile) *)
+  ld_automata : int;  (** automaton records held for {!seed} *)
   ld_applied : int;  (** records whose payload was applied *)
   ld_skipped : int;
       (** schema mismatches, superseded duplicates, key mismatches *)
@@ -84,18 +84,36 @@ type load_report = {
   ld_seconds : float;
 }
 
+type images
+(** The automaton records a {!load} kept: the newest one of each
+    registry entry, restored only by {!seed}. *)
+
 val load :
   Dggt_store.Store.t ->
   generation:int ->
   pack_digest:string ->
   registry:Dggt_pack.Domain_registry.t ->
   caches ->
-  load_report
+  load_report * images
 (** Replay the newest valid snapshot: for each [(kind, name, engine)]
     identity only the newest record applies (periodic spills append
     whole snapshots). Cache records must carry the current [pack_digest]
-    and are re-keyed under [generation]; automaton records are restored
-    against the registry entry whose content key they carry and seeded
-    via {!Dggt_pack.Domain_registry.seed_automaton} — call {e before}
-    building domain states so the boot's [automaton] calls hit the
-    seeded cache and pay zero compiles. Never raises. *)
+    and are re-keyed under [generation]. Automaton records are only
+    matched here, against the registry entry with their domain name and
+    content key; the matches come back as [images] and are not counted
+    in [ld_applied], [ld_skipped] or [ld_rejected] until {!seed}
+    restores them. Forces no grammar graph. Never raises. *)
+
+val seed :
+  images ->
+  Dggt_pack.Domain_registry.t ->
+  Dggt_pack.Domain_registry.entry ->
+  [ `Seeded | `Skipped | `Rejected | `Absent ]
+(** Restore [entry]'s automaton image against its graph (forcing it)
+    and install it with {!Dggt_pack.Domain_registry.seed_automaton}, so
+    the entry's next {!Dggt_pack.Domain_registry.automaton} call pays no
+    compile: [`Seeded]. [`Skipped] when the registry already holds an
+    automaton for the entry, [`Rejected] when the image fails to
+    unmarshal or to restore, [`Absent] when {!load} kept no image for
+    the entry. Call it in the entry's build, before
+    {!Dggt_pack.Domain_registry.automaton}. Never raises. *)

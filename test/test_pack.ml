@@ -793,6 +793,46 @@ let test_serve_reload_under_load () =
       check_b "generation advanced" true
         (match J.int_field "generation" j with Some g -> g >= 4 | None -> false))
 
+(* Premise: the reload is sent the moment [Serve.create] returns, while
+   the boot job is still building ASTMatcher (~0.1 s on 2 vCPUs), and
+   the pack it loads shadows TextEditing. The reload waits for the boot
+   job, then swaps its own states in, and those stay: TextEditing is the
+   pack's, and a session opened after the reload is not stranded (410)
+   by a boot state of the old generation. *)
+let test_serve_reload_during_boot () =
+  let root = fresh_dir () in
+  with_pack_server ~packs:root (fun srv ->
+      let port = Serve.port srv in
+      Dump.dump ~dir:(Filename.concat root "te") ~aliases:[ "te" ]
+        Dggt_domains.Text_editing.domain;
+      let st, j = get_json ~port ~meth:"POST" ~path:"/reload" () in
+      check_i "reload status" 200 st;
+      (* the boot's load of the (then empty) directory was generation 1 *)
+      check_b "generation 2" true (J.int_field "generation" j = Some 2);
+      check_b "both domains rebuilt" true
+        (member_exn "domains" j = J.Arr [ J.Str "ASTMatcher"; J.Str "TextEditing" ]);
+      let _, j = get_json ~port ~meth:"GET" ~path:"/domains" () in
+      (match member_exn "domains" j with
+      | J.Arr ds ->
+          List.iter
+            (fun d ->
+              check_b "built" true (J.member "apis" d <> None);
+              if J.str_field "name" d = Some "TextEditing" then
+                check_b "TextEditing is the pack's" true
+                  (J.str_field "origin" d = Some "pack"))
+            ds
+      | _ -> Alcotest.fail "domains not an array");
+      let st, j =
+        get_json ~port ~meth:"POST" ~path:"/session" ~body:{|{"domain":"am"}|} ()
+      in
+      check_i "session on the reloaded ASTMatcher" 201 st;
+      let st, _ =
+        http ~port ~meth:"POST"
+          ~path:("/session/" ^ Option.get (J.str_field "session" j) ^ "/query")
+          ~body:{|{"query":"find functions named \"main\""}|} ()
+      in
+      check_i "session query is not stranded" 200 st)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -837,4 +877,6 @@ let suite =
       test_serve_packs_and_reload;
     Alcotest.test_case "serve: reload under load" `Quick
       test_serve_reload_under_load;
+    Alcotest.test_case "serve: reload during boot" `Quick
+      test_serve_reload_during_boot;
   ]

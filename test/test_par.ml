@@ -100,6 +100,72 @@ let test_submit_capacity () =
   Pool.shutdown pool;
   check_b "post-shutdown rejected" true (Pool.submit pool ignore = `Rejected)
 
+let threads () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec find () =
+        let l = input_line ic in
+        if String.starts_with ~prefix:"Threads:" l then
+          int_of_string (String.trim (String.sub l 8 (String.length l - 8)))
+        else find ()
+      in
+      find ())
+
+(* the thread count once threads that are exiting have gone: two reads
+   10 ms apart agree *)
+let settled_threads () =
+  let rec quiet prev n =
+    Unix.sleepf 0.01;
+    let k = threads () in
+    if k = prev || n = 0 then k else quiet k (n - 1)
+  in
+  quiet (threads ()) 200
+
+(* A worker domain exists only once a job needed one: none at creation,
+   one for a job, a second only while the first is busy, and none after
+   shutdown. Thread counts stand in for domains (each domain brings the
+   same number of OS threads; a joined one may take a moment to go). *)
+let test_spawn_on_demand () =
+  (* the process's first spawn also starts a helper thread of the main
+     domain; take it out of the count *)
+  Stdlib.Domain.join (Stdlib.Domain.spawn ignore);
+  let pool = Pool.create ~workers:4 () in
+  let base = settled_threads () in
+  check_i "no worker before a job" base (threads ());
+  let entered = Atomic.make 0 and release = Atomic.make false in
+  (* spins without [Thread.yield], which would start a tick thread in
+     the worker's domain *)
+  let block () =
+    Atomic.incr entered;
+    while not (Atomic.get release) do
+      Stdlib.Domain.cpu_relax ()
+    done
+  in
+  ignore (Pool.submit pool block);
+  while Atomic.get entered < 1 do
+    Thread.yield ()
+  done;
+  let per_domain = threads () - base in
+  check_b "one worker for one job" true (per_domain > 0);
+  ignore (Pool.submit pool block);
+  while Atomic.get entered < 2 do
+    Thread.yield ()
+  done;
+  check_i "a second worker while the first is busy" (base + (2 * per_domain))
+    (threads ());
+  Atomic.set release true;
+  Pool.shutdown pool;
+  let rec settle n =
+    if threads () > base && n > 0 then begin
+      Unix.sleepf 0.01;
+      settle (n - 1)
+    end
+  in
+  settle 200;
+  check_i "none after shutdown" base (threads ())
+
 let test_shutdown_idempotent () =
   let pool = Pool.create ~workers:2 () in
   Pool.shutdown pool;
@@ -319,4 +385,5 @@ let suite =
     ( "server pool: deadline expiry with 4 workers",
       `Quick,
       test_deadline_expiry_many_workers );
+    ("submit: workers spawn on demand", `Quick, test_spawn_on_demand);
   ]

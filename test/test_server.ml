@@ -329,9 +329,9 @@ let http ~port ~meth ~path ?(body = "") () =
 
 (* ground truth straight from the engine, under the server's default
    budget *)
-let local_respond q mode =
+let local_respond ?(domain = Dggt_domains.Text_editing.domain) q mode =
   let ses =
-    Dggt_domains.Domain.configure Dggt_domains.Text_editing.domain
+    Dggt_domains.Domain.configure domain
       {
         (Engine.default Engine.Dggt_alg) with
         Engine.timeout_s = Some Serve.default_params.Serve.default_timeout_s;
@@ -769,12 +769,25 @@ let test_stream_rank () =
         (Dggt_util.Strutil.contains_sub
            ~sub:"dggt_stream_cache_replays_total 1" metrics))
 
+(* A session opens only on a built domain, so its 201 says the domain's
+   state is ready: a request sent after it does not wait for the boot. *)
+let await_built ~port domain =
+  let st, _ =
+    http ~port ~meth:"POST" ~path:"/session"
+      ~body:(J.to_string (J.Obj [ ("domain", J.Str domain) ]))
+      ()
+  in
+  check_i (domain ^ " built") 201 st
+
 let test_stream_deadline () =
   with_server (fun srv ->
       let port = Serve.port srv in
       (* a deadline far too tight to finish: the stream must end with an
          [event: error] frame carrying the 504 it could no longer send as
-         a status line *)
+         a status line. The domain is built first: a request whose
+         deadline passes while it waits for the boot is answered 504
+         before any stream opens. *)
+      await_built ~port "am";
       let reqbody =
         J.to_string
           (J.Obj
@@ -831,49 +844,65 @@ let test_stream_disconnect () =
       check_b "rank ok" true
         (J.bool_field "ok" (Result.get_ok (J.of_string plain)) = Some true))
 
-(* A client that hangs up after the first candidate frame aborts the run
-   (EPIPE on a later frame write): the stream is counted [failed] and its
-   partial trace lands in /debug/trace with [ok = false]. The query emits
-   14 candidate frames over ~30 ms after the first, so the server still
-   has frames to write when the reset arrives. *)
+(* A client that hangs up mid-stream aborts it: the server's next frame
+   write fails (EPIPE), the stream is counted [failed] and its trace
+   lands in /debug/trace with [ok = false]. The reset has to land
+   mid-stream — after the response head, before the terminal frame is
+   written — or the stream completes and its trace says [ok = true].
+   Two things give the reset a margin of tens of milliseconds:
+   - the client resets as soon as the head arrives, and this query's run
+     writes its first candidate ~55 ms later (2 vCPUs) and its terminal
+     frame after that, so at least one write follows the reset;
+   - the client runs in a domain of its own. The stream runs on a
+     connection thread of domain 0 and holds domain 0's runtime lock
+     while it computes; a client thread on domain 0 could not reset
+     until the stream's next blocking write or a 50 ms tick, by which
+     time the stream may have finished. *)
 let test_stream_abort_trace () =
   with_server (fun srv ->
       let port = Serve.port srv in
+      await_built ~port "am";
       let recorded () =
         let _, j = get_json ~port ~meth:"GET" ~path:"/debug/trace" () in
         (Option.get (J.int_field "recorded" j), j)
       in
       let before, _ = recorded () in
-      let query = "find classes named \"Base\" with a method named \"run\"" in
+      let query = "find range based for loops containing a break statement" in
       let body =
         J.to_string
           (J.Obj
              [ ("query", J.Str query); ("domain", J.Str "am"); ("k", J.Num 5.) ])
       in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "POST /rank?stream=1 HTTP/1.1\r\nhost: x\r\ncontent-length: \
-           %d\r\n\r\n%s"
-          (String.length body) body
+      let client () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let req =
+          Printf.sprintf
+            "POST /rank?stream=1 HTTP/1.1\r\nhost: x\r\ncontent-length: \
+             %d\r\n\r\n%s"
+            (String.length body) body
+        in
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let buf = Buffer.create 4096 and b = Bytes.create 4096 in
+        let rec head () =
+          let n = Unix.read fd b 0 4096 in
+          Buffer.add_subbytes buf b 0 n;
+          if
+            n > 0
+            && not
+                 (Dggt_util.Strutil.contains_sub ~sub:"\r\n\r\n"
+                    (Buffer.contents buf))
+          then head ()
+        in
+        head ();
+        (* linger 0: close resets the connection, so the next write fails *)
+        Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+        Unix.close fd;
+        Buffer.contents buf
       in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 4096 and b = Bytes.create 4096 in
-      let rec first_frame () =
-        let n = Unix.read fd b 0 4096 in
-        Buffer.add_subbytes buf b 0 n;
-        if
-          n > 0
-          && not
-               (Dggt_util.Strutil.contains_sub ~sub:"event: candidate"
-                  (Buffer.contents buf))
-        then first_frame ()
-      in
-      first_frame ();
-      (* linger 0: close resets the connection, so the next write fails *)
-      Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
-      Unix.close fd;
+      let head = Domain.join (Domain.spawn client) in
+      check_b "the stream opened" true
+        (Dggt_util.Strutil.contains_sub ~sub:"HTTP/1.1 200" head);
       let rec await n =
         let r, j = recorded () in
         if r = before && n > 0 then begin
@@ -1056,6 +1085,170 @@ let test_outcome_accounting () =
            "dggt_requests_total{domain=\"TextEditing\",\
             outcome=\"bad_request\"} 1\n"))
 
+(* ------------------------------------------------------------------ *)
+(* per-domain readiness: the boot builds after the server listens     *)
+(* ------------------------------------------------------------------ *)
+
+(* Premise: the await starts before the fill. The filling domain waits
+   until the awaiting thread has announced itself, then 20 ms more; the
+   await must wake with the value another domain filled. *)
+let test_ivar_cross_domain () =
+  let iv = Ivar.create () in
+  let announced = Atomic.make false in
+  let filler =
+    Domain.spawn (fun () ->
+        while not (Atomic.get announced) do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf 0.02;
+        Ivar.fill iv 42)
+  in
+  check_b "empty before the fill" true (Ivar.peek iv = None);
+  Atomic.set announced true;
+  check_i "the await wakes with the value" 42 (Ivar.await iv);
+  Domain.join filler;
+  Ivar.fill iv 7;
+  check_i "the first fill wins" 42 (Ivar.await iv)
+
+let boot_params = { Serve.default_params with Serve.port = 0; workers = 2 }
+
+(* Premise: both requests leave the moment [Serve.create] returns, while
+   the boot job is still building (ASTMatcher takes ~0.1 s on 2 vCPUs),
+   and the test forces the global domains for its local answers while
+   the server forces its own copies. Each request waits for its own
+   domain only, and answers exactly what the engine computes locally. *)
+let test_boot_answers () =
+  let cases =
+    [
+      ("te", Dggt_domains.Text_editing.domain,
+       "insert \"> \" at the start of each line");
+      ("am", Dggt_domains.Astmatcher.domain, "find functions named \"main\"");
+    ]
+  in
+  let srv = Serve.create boot_params in
+  Fun.protect
+    ~finally:(fun () -> Serve.stop srv)
+    (fun () ->
+      let port = Serve.port srv in
+      let answers = Array.make (List.length cases) (0, "") in
+      let threads =
+        List.mapi
+          (fun i (dom, _, q) ->
+            Thread.create
+              (fun () ->
+                answers.(i) <-
+                  http ~port ~meth:"POST" ~path:"/synthesize"
+                    ~body:
+                      (J.to_string
+                         (J.Obj
+                            [
+                              ("query", J.Str q);
+                              ("domain", J.Str dom);
+                              ("k", J.Num 5.);
+                            ]))
+                    ())
+              ())
+          cases
+      in
+      let local =
+        List.map (fun (_, d, q) -> local_respond ~domain:d q (Engine.Ranked 5)) cases
+      in
+      List.iter Thread.join threads;
+      List.iteri
+        (fun i ((dom, _, _), (o : Engine.outcome)) ->
+          let st, body = answers.(i) in
+          check_i (dom ^ " status") 200 st;
+          let j = Result.get_ok (J.of_string body) in
+          let same name field v =
+            check_s (dom ^ " " ^ name) (J.to_string v)
+              (J.to_string (Option.value (J.member field j) ~default:J.Null))
+          in
+          same "code" "code" (J.opt (fun c -> J.Str c) o.Engine.code);
+          same "cgt_size" "cgt_size"
+            (J.opt (fun n -> J.Num (float_of_int n)) o.Engine.cgt_size);
+          same "stats" "stats" (Wire.stats_json o.Engine.stats);
+          same "alternatives" "ranked" (Wire.ranked_json o.Engine.ranked))
+        (List.combine cases local))
+
+(* Premise: called the moment [Serve.create] returns, while ASTMatcher is
+   still building. Both routes list every entry and answer 200: an entry
+   still building shows its name, aliases and origin only (counting its
+   APIs would force its document), a built one its description, counts
+   and automaton too. *)
+let test_boot_listing () =
+  let srv = Serve.create boot_params in
+  Fun.protect
+    ~finally:(fun () -> Serve.stop srv)
+    (fun () ->
+      let port = Serve.port srv in
+      let names = [ "TextEditing"; "ASTMatcher" ] in
+      let listing () =
+        let st, j = get_json ~port ~meth:"GET" ~path:"/domains" () in
+        check_i "domains status" 200 st;
+        match J.member "domains" j with
+        | Some (J.Arr ds) ->
+            check_b "every entry listed" true
+              (List.filter_map (J.str_field "name") ds = names);
+            List.iter
+              (fun d ->
+                check_b "aliases and origin" true
+                  (J.member "aliases" d <> None && J.str_field "origin" d = Some "builtin");
+                check_b "description, apis and queries together" true
+                  (J.member "description" d <> None = (J.member "apis" d <> None)
+                  && J.member "apis" d <> None = (J.member "queries" d <> None)))
+              ds;
+            List.filter (fun d -> J.member "apis" d <> None) ds
+        | _ -> Alcotest.fail "domains not an array"
+      in
+      ignore (listing ());
+      let st, j = get_json ~port ~meth:"GET" ~path:"/version" () in
+      check_i "version status" 200 st;
+      (match J.member "automata" j with
+      | Some (J.Arr rows) ->
+          check_b "every entry has a row" true
+            (List.filter_map (J.str_field "domain") rows = names);
+          List.iter
+            (fun r ->
+              check_b "digest and compile time together" true
+                (J.member "digest" r <> None = (J.member "compile_s" r <> None)))
+            rows
+      | _ -> Alcotest.fail "automata not an array");
+      List.iter (fun d -> await_built ~port d) [ "te"; "am" ];
+      check_i "both built: full rows" 2 (List.length (listing ())))
+
+(* Premise: [Serve.stop] is called the moment [Serve.create] returns,
+   before the boot job can have built ASTMatcher. It must return with the
+   job finished (both automata are in the registry, so asking for them
+   compiles nothing) and every worker domain joined (the process is back
+   to its thread count; a joined domain's thread may take a moment to
+   go). *)
+let test_boot_stop () =
+  (* threads that persist once started: domain 0's tick thread (first
+     systhread) and its helper thread (first domain spawn) *)
+  Thread.join (Thread.create ignore ());
+  Domain.join (Domain.spawn ignore);
+  let before = Test_par.settled_threads () in
+  let srv = Serve.create boot_params in
+  Serve.stop srv;
+  let reg = Serve.registry srv in
+  List.iter
+    (fun (e : Dggt_pack.Domain_registry.entry) ->
+      check_b
+        (e.Dggt_pack.Domain_registry.domain.Dggt_domains.Domain.name
+       ^ " built by the boot job")
+        false
+        (snd (Dggt_pack.Domain_registry.automaton reg e)))
+    (Dggt_pack.Domain_registry.entries reg);
+  let rec settle n =
+    let k = Test_par.threads () in
+    if k > before && n > 0 then begin
+      Unix.sleepf 0.01;
+      settle (n - 1)
+    end
+    else k
+  in
+  check_i "no worker left running" before (settle 200)
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -1081,4 +1274,12 @@ let suite =
       test_synthesize_ranked_once;
     Alcotest.test_case "routes share outcome accounting" `Quick
       test_outcome_accounting;
+    Alcotest.test_case "ivar await wakes on another domain's fill" `Quick
+      test_ivar_cross_domain;
+    Alcotest.test_case "boot: both domains answer like the engine" `Quick
+      test_boot_answers;
+    Alcotest.test_case "boot: /domains and /version list building entries"
+      `Quick test_boot_listing;
+    Alcotest.test_case "boot: stop right after create joins the workers"
+      `Quick test_boot_stop;
   ]

@@ -268,7 +268,7 @@ let test_warmstore_roundtrip () =
           check_i "entries" 4 r.Warmstore.sp_entries);
       (* a restart: a different process-local generation, same content *)
       let fresh = fresh_caches () in
-      let r =
+      let r, _ =
         Warmstore.load s ~generation:9 ~pack_digest:"none"
           ~registry:(registry ()) fresh
       in
@@ -302,7 +302,7 @@ let test_warmstore_pack_digest_mismatch () =
       | Ok _ -> ());
       (* the packs changed since the spill: nothing may be served *)
       let fresh = fresh_caches () in
-      let r =
+      let r, _ =
         Warmstore.load s ~generation:2 ~pack_digest:"digest-B"
           ~registry:(registry ()) fresh
       in
@@ -327,7 +327,7 @@ let test_warmstore_newest_wins () =
       | Error e -> Alcotest.fail e
       | Ok _ -> ());
       let fresh = fresh_caches () in
-      let r =
+      let r, _ =
         Warmstore.load s ~generation:5 ~pack_digest:"none"
           ~registry:(registry ()) fresh
       in
@@ -350,7 +350,7 @@ let test_warmstore_flipped_payload () =
       (* the marshalled outcome embeds the code string verbatim *)
       flip_byte dir (find_in_log dir "corrupt-me-please");
       let fresh = fresh_caches () in
-      let r =
+      let r, _ =
         Warmstore.load s ~generation:2 ~pack_digest:"none"
           ~registry:(registry ()) fresh
       in
@@ -398,13 +398,19 @@ let test_warmstore_automata () =
       | Ok r -> check_i "one autom record" 1 r.Warmstore.sp_records);
       (* a new process: fresh registry, load seeds its automaton cache *)
       let reg2 = registry () in
-      let r =
+      let r, images =
         Warmstore.load s ~generation:1 ~pack_digest:"none" ~registry:reg2
           (fresh_caches ())
       in
-      check_i "restored" 1 r.Warmstore.ld_automata;
+      check_i "held for the build" 1 r.Warmstore.ld_automata;
       check_i "rejected" 0 r.Warmstore.ld_rejected;
       let e2 = Option.get (Registry.find_entry reg2 "te") in
+      (* the entry's build restores the image before asking for the
+         automaton; an entry without a record has nothing to seed *)
+      check_b "seeded" true (Warmstore.seed images reg2 e2 = `Seeded);
+      check_b "no image for ASTMatcher" true
+        (Warmstore.seed images reg2 (Option.get (Registry.find_entry reg2 "am"))
+        = `Absent);
       let a2, compiled2 = Registry.automaton reg2 e2 in
       check_b "warm boot pays no compile" false compiled2;
       check_s "same tables" (Dggt_autom.Autom.digest a1)
@@ -422,10 +428,13 @@ let test_warmstore_automata () =
        with
       | Error e -> Alcotest.fail e
       | Ok _ -> ());
-      let r3 =
+      let r3, images3 =
         Warmstore.load s ~generation:1 ~pack_digest:"none" ~registry:reg3
           (fresh_caches ())
       in
+      check_b "nothing to seed" true
+        (Warmstore.seed images3 reg3 (Option.get (Registry.find_entry reg3 "te"))
+        = `Absent);
       (* the newest record for TextEditing's automaton identity carries
          the stale key, so nothing seeds *)
       check_i "stale key seeds nothing" 0 r3.Warmstore.ld_automata;

@@ -207,13 +207,6 @@ val respond : ?on_candidate:(candidate -> unit) -> session -> request -> outcome
     region, and is only consulted in [Ranked] mode: [Plain] requests
     have no n-best to improve, so the callback never fires there). *)
 
-val absorb_modifiers :
-  Apidoc.t -> Dggt_nlu.Depgraph.t -> Word2api.t -> Dggt_nlu.Depgraph.t * Word2api.t
-(** The modifier-absorption step, exposed for tests and debugging tools:
-    an amod/compound dependent sharing candidate APIs with its head noun
-    refines the head ("constructor expressions" -> cxxConstructExpr) and
-    disappears as a separate word. *)
-
 type merge_fn =
   budget:Dggt_util.Budget.t ->
   stats:Stats.t ->

@@ -88,20 +88,9 @@ let assignment_score t asg =
   List.fold_left (fun acc (id, api) -> acc +. score t id api) 0.0 asg
 
 let apis t id = List.map (fun c -> c.api) (candidates t id)
-let has_candidates t id = candidates t id <> []
 
 let uncovered t =
   List.filter_map (fun (id, cs) -> if cs = [] then Some id else None) t.by_node
-
-let restrict_list t node apis =
-  {
-    by_node =
-      List.map
-        (fun (id, cs) ->
-          if id = node then (id, List.filter (fun c -> List.mem c.api apis) cs)
-          else (id, cs))
-        t.by_node;
-  }
 
 let merge_modifier t ~head ~modifier apis =
   let mod_score api =

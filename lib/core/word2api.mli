@@ -45,7 +45,6 @@ val candidates : t -> int -> candidate list
 (** Candidates of a dependency-graph node id ([] if none). *)
 
 val apis : t -> int -> string list
-val has_candidates : t -> int -> bool
 
 val score : t -> int -> string -> float
 (** Score of one (node, api) pair; 0 when absent. *)
@@ -59,9 +58,6 @@ val uncovered : t -> int list
 val restrict : t -> int -> string -> t
 (** [restrict t node api] pins node's candidate list to the single [api]
     (used when orphan relocation fixes an interpretation). *)
-
-val restrict_list : t -> int -> string list -> t
-(** Keep only the listed APIs (in the node's existing ranking). *)
 
 val merge_modifier : t -> head:int -> modifier:int -> string list -> t
 (** Absorption: restrict [head] to the listed shared APIs, adding the

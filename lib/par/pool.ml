@@ -1,12 +1,14 @@
 (* A pool of up to [nworkers] OCaml 5 domains over a mutex/condvar work
    queue. A worker is spawned when a job finds no idle worker to take
-   it, not before: every OCaml 5 collection stops every domain, so a
-   domain that has never had work would only slow the domains that do.
+   it, not before, and [trim] retires the workers that sat idle through
+   a whole trim period: every OCaml 5 minor collection stops every
+   domain, so a domain with no work would only slow the domains that
+   have some.
 
    Two usage modes share the workers:
 
    - [submit]: fire-and-forget jobs behind a bounded queue (the serving
-     layer's backpressure primitive — lib/server/pool.ml is a thin
+     layer's backpressure primitive — lib/server/deadline_pool.ml is a thin
      wrapper adding deadlines);
    - [map_ordered]: fork/join fan-out that blocks the caller until every
      element is mapped, returning results in input order.
@@ -21,6 +23,15 @@
 
 type job = { bounded : bool; run : unit -> unit }
 
+(* one worker's state, read and written under the pool mutex *)
+type worker = {
+  mutable active : bool; (* took a job since the previous [trim] *)
+  mutable waiting : bool; (* blocked on [nonempty], counted in [idle] *)
+  mutable retiring : bool; (* out of [live]: exit at the next wake-up *)
+}
+
+type stats = { live : int; spawned : int; retired : int }
+
 type t = {
   mu : Mutex.t;
   nonempty : Condition.t;
@@ -29,28 +40,36 @@ type t = {
   nworkers : int;
   mutable bounded_depth : int;
   mutable stopping : bool;
-  mutable idle : int; (* workers waiting for a job *)
-  mutable domains : unit Domain.t list; (* the workers spawned so far *)
+  mutable idle : int; (* live workers waiting for a job *)
+  mutable live : (worker * unit Domain.t) list;
+  mutable spawns : int;
+  mutable retirements : int;
 }
 
-let worker_loop t =
+let worker_loop t w =
+  Mutex.lock t.mu;
   let rec loop () =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.queue && not t.stopping do
-      t.idle <- t.idle + 1;
-      Condition.wait t.nonempty t.mu;
-      t.idle <- t.idle - 1
-    done;
-    if Queue.is_empty t.queue then
-      (* stopping, queue drained *)
+    if w.retiring || (t.stopping && Queue.is_empty t.queue) then
       Mutex.unlock t.mu
-    else begin
-      let j = Queue.pop t.queue in
-      if j.bounded then t.bounded_depth <- t.bounded_depth - 1;
-      Mutex.unlock t.mu;
-      (try j.run () with _ -> ());
-      loop ()
-    end
+    else
+      match Queue.take_opt t.queue with
+      | Some j ->
+          if j.bounded then t.bounded_depth <- t.bounded_depth - 1;
+          w.active <- true;
+          Mutex.unlock t.mu;
+          (try j.run () with _ -> ());
+          Mutex.lock t.mu;
+          loop ()
+      | None ->
+          t.idle <- t.idle + 1;
+          w.waiting <- true;
+          Condition.wait t.nonempty t.mu;
+          (* [trim] has already taken a retired worker out of [idle] *)
+          if not w.retiring then begin
+            t.idle <- t.idle - 1;
+            w.waiting <- false
+          end;
+          loop ()
   in
   loop ()
 
@@ -60,34 +79,37 @@ let create ?workers ?(capacity = 64) () =
     | Some n when n > 0 -> min n 64
     | _ -> max 1 (min 64 (Domain.recommended_domain_count ()))
   in
-  let t =
-    {
-      mu = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      cap = max 1 capacity;
-      nworkers;
-      bounded_depth = 0;
-      stopping = false;
-      idle = 0;
-      domains = [];
-    }
-  in
-  t
+  {
+    mu = Mutex.create ();
+    nonempty = Condition.create ();
+    queue = Queue.create ();
+    cap = max 1 capacity;
+    nworkers;
+    bounded_depth = 0;
+    stopping = false;
+    idle = 0;
+    live = [];
+    spawns = 0;
+    retirements = 0;
+  }
 
 (* under [t.mu], after a job was queued: spawn a worker when the queue
    holds more jobs than there are idle workers to take them (an idle
-   worker already signalled still counts until it wakes) and the pool is
-   not full; otherwise wake an idle worker, or leave the job to the next
-   busy worker that finishes *)
+   worker already signalled still counts until it wakes) and fewer than
+   [nworkers] are live; otherwise wake an idle worker, or leave the job
+   to the next busy worker that finishes. A new worker counts as active,
+   so the next [trim] spares it even if another worker took its job. *)
 let wake_locked t =
-  if Queue.length t.queue > t.idle && List.length t.domains < t.nworkers
-  then
-    match Domain.spawn (fun () -> worker_loop t) with
-    | d -> t.domains <- d :: t.domains
+  if Queue.length t.queue > t.idle && List.length t.live < t.nworkers then begin
+    let w = { active = true; waiting = false; retiring = false } in
+    match Domain.spawn (fun () -> worker_loop t w) with
+    | d ->
+        t.live <- (w, d) :: t.live;
+        t.spawns <- t.spawns + 1
     | exception e ->
         Mutex.unlock t.mu;
         raise e
+  end
   else Condition.signal t.nonempty
 
 let workers t = t.nworkers
@@ -127,6 +149,38 @@ let depth t =
   let n = t.bounded_depth in
   Mutex.unlock t.mu;
   n
+
+let stats t =
+  Mutex.lock t.mu;
+  let s =
+    { live = List.length t.live; spawned = t.spawns; retired = t.retirements }
+  in
+  Mutex.unlock t.mu;
+  s
+
+(* A waiting worker that took no job since the previous trim retires.
+   With jobs queued, none does: a worker signalled for one is still
+   [waiting] until it wakes, and retiring it would strand the job. The
+   broadcast wakes the retired workers (the others go back to waiting);
+   they leave without the mutex held, so they are joined outside it. *)
+let trim t =
+  Mutex.lock t.mu;
+  let retire, keep =
+    if Queue.is_empty t.queue then
+      List.partition (fun (w, _) -> w.waiting && not w.active) t.live
+    else ([], t.live)
+  in
+  List.iter (fun (w, _) -> w.active <- false) keep;
+  if retire <> [] then begin
+    List.iter (fun (w, _) -> w.retiring <- true) retire;
+    let n = List.length retire in
+    t.live <- keep;
+    t.idle <- t.idle - n;
+    t.retirements <- t.retirements + n;
+    Condition.broadcast t.nonempty
+  end;
+  Mutex.unlock t.mu;
+  List.iter (fun (_, d) -> Domain.join d) retire
 
 let map_ordered t f xs =
   let arr = Array.of_list xs in
@@ -197,7 +251,7 @@ let shutdown t =
   let already = t.stopping in
   t.stopping <- true;
   Condition.broadcast t.nonempty;
-  let ds = t.domains in
-  t.domains <- [];
+  let ds = t.live in
+  t.live <- [];
   Mutex.unlock t.mu;
-  if not already then List.iter Domain.join ds
+  if not already then List.iter (fun (_, d) -> Domain.join d) ds

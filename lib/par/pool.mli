@@ -15,21 +15,23 @@
       total even on a stopped pool.
 
     The pool performs no I/O and takes no clock: deadline semantics live
-    in the callers (lib/server/pool.ml wraps jobs with a
-    [Unix.gettimeofday] check). *)
+    in the callers (lib/server/deadline_pool.ml wraps jobs with a
+    [Unix.gettimeofday] check), and the caller that wants idle workers
+    gone calls {!trim} on its own period. *)
 
 type t
 
 val create : ?workers:int -> ?capacity:int -> unit -> t
-(** A pool of up to [workers] domains, default
+(** A pool of up to [workers] live domains, default
     {!Stdlib.Domain.recommended_domain_count}, clamped to [1, 64]. A
-    worker domain is spawned when a job is queued and the queue holds
-    more jobs than there are idle workers to take them, so a domain
-    that has never had work does not exist: in OCaml 5 every collection
-    stops every domain, and idle ones would slow the busy ones.
-    [capacity] (default 64) bounds {e queued} {!submit} jobs only —
-    {!map_ordered} tasks are exempt, since their completion never
-    depends on queue admission. *)
+    worker domain is spawned when a job is queued, the queue holds more
+    jobs than there are idle workers to take them, and fewer than
+    [workers] are live; {!trim} retires the idle ones. So a domain that
+    has never had work, or has had none for a trim period, does not
+    exist: in OCaml 5 every minor collection stops every domain, and
+    idle ones would slow the busy ones. [capacity] (default 64) bounds
+    {e queued} {!submit} jobs only — {!map_ordered} tasks are exempt,
+    since their completion never depends on queue admission. *)
 
 val workers : t -> int
 val capacity : t -> int
@@ -48,6 +50,23 @@ val submit_exempt : t -> (unit -> unit) -> bool
 val depth : t -> int
 (** {!submit} jobs currently waiting in the queue (the metrics gauge). *)
 
+val trim : t -> unit
+(** Retire every worker that is waiting for a job and took none since
+    the previous [trim] (or since it was spawned), then join them. A
+    worker running a job is never retired, and none is while jobs wait
+    in the queue. Called every period [p], an idle worker lives between
+    [p] and [2p]; the next job that finds no idle worker spawns a
+    replacement. Safe from any thread, concurrently with every other
+    operation. *)
+
+type stats = {
+  live : int;  (** workers spawned and not retired or shut down *)
+  spawned : int;  (** workers ever spawned *)
+  retired : int;  (** workers {!trim} retired *)
+}
+
+val stats : t -> stats
+
 val map_ordered : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_ordered t f xs] applies [f] to every element of [xs], fanning
     the applications across the pool's domains plus the calling thread,
@@ -59,4 +78,5 @@ val map_ordered : t -> ('a -> 'b) -> 'a list -> 'b list
 val shutdown : t -> unit
 (** Stop accepting work, let the workers drain the queue, join them.
     Idempotent. A {!map_ordered} already in flight still completes (its
-    caller claims the remaining tasks). *)
+    caller claims the remaining tasks). A worker that a concurrent
+    {!trim} retired is joined by that [trim]. *)

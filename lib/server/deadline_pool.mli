@@ -9,13 +9,19 @@
     deadline; a job whose deadline passed while it sat in the queue is
     {e dropped} (its [expired] callback runs instead of [run]), so a
     request the client has already given up on never reaches the
-    engine. *)
+    engine. While any worker is live, one systhread of domain 0 (started
+    by {!create}) trims the pool every 50 ms ({!Dggt_par.Pool.trim}), so
+    a worker that had no job for a whole period retires and an idle one
+    lives 50–100 ms: a server whose work runs elsewhere (streams, on the
+    connection threads) runs on domain 0 alone, and its trimmer sleeps
+    until the next job. *)
 
-type t = Dggt_par.Pool.t
+type t
 
 val create : ?workers:int -> ?capacity:int -> unit -> t
-(** Up to [workers] worker domains, each spawned when queued jobs
-    outnumber idle workers ({!Dggt_par.Pool.create}). [workers] defaults to
+(** Up to [workers] live worker domains, each spawned when queued jobs
+    outnumber idle workers ({!Dggt_par.Pool.create}), and the trimmer
+    thread. [workers] defaults to
     {!Stdlib.Domain.recommended_domain_count} (clamped to [1, 64]);
     [capacity] is the bound on {e queued} (not yet running) jobs, default
     64. *)
@@ -39,6 +45,9 @@ val submit_exempt : t -> (unit -> unit) -> bool
 val depth : t -> int
 (** Jobs currently waiting in the queue (the metrics gauge). *)
 
+val stats : t -> Dggt_par.Pool.stats
+(** Live workers, spawns and retirements (the metrics series). *)
+
 val shutdown : t -> unit
-(** Stop accepting work, let the workers drain the queue, join them.
-    Idempotent. *)
+(** Stop the trimmer, stop accepting work, let the workers drain the
+    queue, join them. Idempotent. *)

@@ -134,18 +134,21 @@ let read_more fd buf chunk =
     true
   end
 
-(* index of "\r\n\r\n" in the buffer, or None *)
-let find_header_end buf =
-  let s = Buffer.contents buf in
-  let n = String.length s in
+(* index of the first "\r\n\r\n" in the buffer at or after [from],
+   or None *)
+let find_header_end buf from =
+  let n = Buffer.length buf in
   let rec go i =
     if i + 3 >= n then None
     else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+      Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n'
     then Some i
     else go (i + 1)
   in
-  go 0
+  go from
 
 let parse_head head =
   match String.split_on_char '\n' head |> List.map (fun l -> String.trim l) with
@@ -240,16 +243,19 @@ let write_response fd ~keep_alive (r : response) =
    bytes already read past the previous request's end. *)
 let read_request t fd pending =
   let chunk = Bytes.create 8192 in
-  let rec fill () =
-    match find_header_end pending with
+  (* each read's bytes are scanned once: a terminator may only start in
+     the last three bytes already scanned or after them *)
+  let rec fill from =
+    match find_header_end pending from with
     | Some i -> i
     | None ->
         if Buffer.length pending > t.max_header then
           raise (Http_error (431, "headers too large"));
+        let from = max 0 (Buffer.length pending - 3) in
         if not (read_more fd pending chunk) then raise Exit (* peer closed *);
-        fill ()
+        fill from
   in
-  let hdr_end = fill () in
+  let hdr_end = fill 0 in
   let all = Buffer.contents pending in
   let head = String.sub all 0 hdr_end in
   let rest = String.sub all (hdr_end + 4) (String.length all - hdr_end - 4) in

@@ -1206,7 +1206,14 @@ let create params =
       spill_thread = None;
     }
   in
-  Smetrics.set_queue_probe metrics (fun () -> Deadline_pool.depth pool);
+  Smetrics.set_pool_probe metrics (fun () ->
+      let s = Deadline_pool.stats pool in
+      {
+        Smetrics.queue_depth = Deadline_pool.depth pool;
+        workers_live = s.Dggt_par.Pool.live;
+        worker_spawns = s.Dggt_par.Pool.spawned;
+        worker_retirements = s.Dggt_par.Pool.retired;
+      });
   Smetrics.register_cache metrics "q_cache" (fun () -> Cache.counters t.q_cache);
   Smetrics.register_cache metrics "rank_cache" (fun () ->
       Cache.counters t.rank_cache);

@@ -96,8 +96,10 @@
     - [DELETE /session/<id>] — drop the session; [404] if unknown.
     - [GET /metrics] — Prometheus text format ({!Smetrics.render}),
       including per-pipeline-stage latency histograms with p50/p90/p99,
-      session-store gauges and incremental reuse counters
-      ([dggt_inc_reuse_ratio], [dggt_inc_splices_total]).
+      session-store gauges, incremental reuse counters
+      ([dggt_inc_reuse_ratio], [dggt_inc_splices_total]), the worker
+      pool's live workers, spawns and retirements, and the process's
+      minor and major collection counts.
     - [GET /healthz] — liveness plus worker/queue numbers.
     - [GET /debug/trace] — the stage-level traces of the most recent
       requests that reached the engine (a {!Dggt_obs.Ring} of

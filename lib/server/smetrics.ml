@@ -82,7 +82,7 @@ type t = {
   stages : (string, Hist.t) Hashtbl.t; (* per-pipeline-stage latency *)
   requests : (string * string, int ref) Hashtbl.t; (* (domain, outcome) *)
   mutable inflight : int;
-  mutable queue_probe : unit -> int;
+  mutable pool_probe : unit -> pool_gauges;
   mutable caches : (string * (unit -> Cache.counters)) list;
   (* incremental sessions: reuse counters fed per revision, store counters
      sampled at render time *)
@@ -113,6 +113,13 @@ type t = {
 
 and store_gauges = { store_log_bytes : int; store_records : int }
 
+and pool_gauges = {
+  queue_depth : int;
+  workers_live : int;
+  worker_spawns : int;
+  worker_retirements : int;
+}
+
 let create () =
   {
     mu = Mutex.create ();
@@ -120,7 +127,10 @@ let create () =
     stages = Hashtbl.create 8;
     requests = Hashtbl.create 16;
     inflight = 0;
-    queue_probe = (fun () -> 0);
+    pool_probe =
+      (fun () ->
+        { queue_depth = 0; workers_live = 0; worker_spawns = 0;
+          worker_retirements = 0 });
     caches = [];
     inc_queries = 0;
     inc_splices = 0;
@@ -170,14 +180,10 @@ let observe_stage t ~stage latency_s =
       in
       Hist.observe h latency_s)
 
-let stage_quantile t ~stage q =
-  locked t (fun () ->
-      Option.map (fun h -> Hist.quantile h q) (Hashtbl.find_opt t.stages stage))
-
 let incr_inflight t = locked t (fun () -> t.inflight <- t.inflight + 1)
 let decr_inflight t = locked t (fun () -> t.inflight <- t.inflight - 1)
 let inflight t = locked t (fun () -> t.inflight)
-let set_queue_probe t probe = locked t (fun () -> t.queue_probe <- probe)
+let set_pool_probe t probe = locked t (fun () -> t.pool_probe <- probe)
 
 let register_cache t name probe =
   locked t (fun () -> t.caches <- t.caches @ [ (name, probe) ])
@@ -285,9 +291,27 @@ let render t =
               stage_hists)
           [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
       end;
+      let pool = t.pool_probe () in
       line "# HELP dggt_queue_depth Requests waiting in the worker queue.";
       line "# TYPE dggt_queue_depth gauge";
-      line "dggt_queue_depth %d" (try t.queue_probe () with _ -> 0);
+      line "dggt_queue_depth %d" pool.queue_depth;
+      line "# HELP dggt_pool_workers_live Worker domains alive now.";
+      line "# TYPE dggt_pool_workers_live gauge";
+      line "dggt_pool_workers_live %d" pool.workers_live;
+      line "# HELP dggt_pool_worker_spawns_total Worker domains spawned.";
+      line "# TYPE dggt_pool_worker_spawns_total counter";
+      line "dggt_pool_worker_spawns_total %d" pool.worker_spawns;
+      line "# HELP dggt_pool_worker_retirements_total Idle worker domains retired.";
+      line "# TYPE dggt_pool_worker_retirements_total counter";
+      line "dggt_pool_worker_retirements_total %d" pool.worker_retirements;
+      (* process-wide: every domain takes part in every collection *)
+      let gc = Gc.quick_stat () in
+      line "# HELP dggt_gc_minor_collections_total Minor collections.";
+      line "# TYPE dggt_gc_minor_collections_total counter";
+      line "dggt_gc_minor_collections_total %d" gc.Gc.minor_collections;
+      line "# HELP dggt_gc_major_collections_total Major collection cycles.";
+      line "# TYPE dggt_gc_major_collections_total counter";
+      line "dggt_gc_major_collections_total %d" gc.Gc.major_collections;
       line "# HELP dggt_inflight_requests Requests currently being served.";
       line "# TYPE dggt_inflight_requests gauge";
       line "dggt_inflight_requests %d" t.inflight;

@@ -47,15 +47,19 @@ val observe_stage : t -> stage:string -> float -> unit
     are created lazily per stage name, so only stages that actually ran
     appear in the exposition. *)
 
-val stage_quantile : t -> stage:string -> float -> float option
-(** Latency quantile for one stage; [None] before any observation. *)
-
 val incr_inflight : t -> unit
 val decr_inflight : t -> unit
 val inflight : t -> int
 
-val set_queue_probe : t -> (unit -> int) -> unit
-(** The queue-depth gauge is sampled (from the pool) at render time. *)
+type pool_gauges = {
+  queue_depth : int;
+  workers_live : int;
+  worker_spawns : int;
+  worker_retirements : int;
+}
+
+val set_pool_probe : t -> (unit -> pool_gauges) -> unit
+(** The worker pool's gauges and counters, sampled at render time. *)
 
 val register_cache : t -> string -> (unit -> Cache.counters) -> unit
 (** Expose a cache's hit/miss/eviction counters under the given label. *)
@@ -112,7 +116,10 @@ val render : t -> string
     [dggt_request_latency_seconds] histogram (+ p50/p90/p99 convenience
     gauges), [dggt_stage_latency_seconds{stage}] per-pipeline-stage
     histograms (+ per-stage p50/p90/p99 gauges, sorted by stage name),
-    [dggt_queue_depth], [dggt_inflight_requests], per-cache
+    [dggt_queue_depth], the pool's [dggt_pool_workers_live] and
+    [dggt_pool_worker_{spawns,retirements}_total], the process's
+    [dggt_gc_{minor,major}_collections_total], [dggt_inflight_requests],
+    per-cache
     [dggt_cache_{hits,misses,evictions}_total] / [dggt_cache_entries],
     session-store gauges ([dggt_sessions],
     [dggt_sessions_{created,expired,evicted}_total]), automaton counters

@@ -18,6 +18,8 @@ let schema_version = 2
 
 let kind_cache = "cache"
 let kind_autom = "autom"
+
+(* record names, matching the cache labels in GET /metrics *)
 let q_cache_name = "q_cache"
 let rank_cache_name = "rank_cache"
 let word_cache_name = "word_cache"

@@ -34,11 +34,6 @@ val schema_version : int
 val kind_cache : string
 val kind_autom : string
 
-val q_cache_name : string
-val rank_cache_name : string
-val word_cache_name : string
-(** Record names, matching the cache labels in [GET /metrics]. *)
-
 type caches = {
   q :
     ( int * string * string * string * int,

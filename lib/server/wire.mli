@@ -55,7 +55,6 @@ val with_fields : Jsonio.t -> (string * Jsonio.t) list -> Jsonio.t
     {!outcome_json} with [session] and [reuse]); a non-object payload is
     wrapped as [{"outcome": payload, ...}]. *)
 
-val value_json : Dggt_obs.Trace.value -> Jsonio.t
 val event_json : Dggt_obs.Trace.event -> Jsonio.t
 (** One trace span event ([GET /debug/trace]). *)
 

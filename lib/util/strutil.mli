@@ -6,7 +6,6 @@
 val lowercase : string -> string
 (** ASCII lowercasing (queries and API documents are ASCII). *)
 
-val is_upper : char -> bool
 val is_lower : char -> bool
 val is_alpha : char -> bool
 val is_digit : char -> bool

@@ -166,6 +166,139 @@ let test_spawn_on_demand () =
   settle 200;
   check_i "none after shutdown" base (threads ())
 
+(* ------------------------------------------------------------------ *)
+(* trim: idle workers retire, the next job respawns                   *)
+(* ------------------------------------------------------------------ *)
+
+(* submit [f] and wait until it has returned *)
+let run_job pool f =
+  let finished = Atomic.make false in
+  check_b "job accepted" true
+    (Pool.submit pool (fun () ->
+         f ();
+         Atomic.set finished true)
+    = `Accepted);
+  while not (Atomic.get finished) do
+    Thread.yield ()
+  done
+
+(* trim until [live] workers are left: a worker whose job just returned
+   retires only once it is back waiting for the next *)
+let trim_to pool live =
+  let rec go n =
+    Pool.trim pool;
+    if (Pool.stats pool).Pool.live > live && n > 0 then begin
+      Unix.sleepf 0.001;
+      go (n - 1)
+    end
+  in
+  go 2000;
+  check_i "live workers after trimming" live (Pool.stats pool).Pool.live
+
+let test_trim_retires_idle () =
+  Stdlib.Domain.join (Stdlib.Domain.spawn ignore);
+  let pool = Pool.create ~workers:2 () in
+  let base = settled_threads () in
+  run_job pool ignore;
+  let per_domain = threads () - base in
+  check_b "one worker for the job" true (per_domain > 0);
+  Pool.trim pool;
+  check_i "a new worker survives its first trim" 1 (Pool.stats pool).Pool.live;
+  run_job pool ignore;
+  Pool.trim pool;
+  check_i "a worker that ran a job since the last trim is spared" 1
+    (Pool.stats pool).Pool.live;
+  trim_to pool 0;
+  check_i "retired and joined" base (settled_threads ());
+  run_job pool ignore;
+  let s = Pool.stats pool in
+  check_i "the next job respawns" 2 s.Pool.spawned;
+  check_i "one retirement" 1 s.Pool.retired;
+  check_i "one live worker" (base + per_domain) (threads ());
+  (* a worker in the middle of a job is never retired, however long *)
+  let entered = Atomic.make false and release = Atomic.make false in
+  ignore
+    (Pool.submit pool (fun () ->
+         Atomic.set entered true;
+         while not (Atomic.get release) do
+           Stdlib.Domain.cpu_relax ()
+         done));
+  while not (Atomic.get entered) do
+    Thread.yield ()
+  done;
+  for _ = 1 to 5 do
+    Pool.trim pool
+  done;
+  check_i "the busy worker is spared" 1 (Pool.stats pool).Pool.live;
+  Atomic.set release true;
+  trim_to pool 0;
+  Pool.shutdown pool;
+  check_i "none after shutdown" base (settled_threads ())
+
+let test_trim_then_map_and_shutdown () =
+  let pool = Pool.create ~workers:4 () in
+  let xs = List.init 200 Fun.id in
+  let squares = List.map (fun x -> x * x) xs in
+  for _ = 1 to 3 do
+    Alcotest.(check (list int))
+      "map after retirements" squares
+      (Pool.map_ordered pool (fun x -> x * x) xs);
+    trim_to pool 0
+  done;
+  check_b "workers were retired" true ((Pool.stats pool).Pool.retired > 0);
+  run_job pool ignore;
+  Pool.shutdown pool;
+  check_i "shutdown leaves none live" 0 (Pool.stats pool).Pool.live;
+  check_b "rejects after shutdown" true (Pool.submit pool ignore = `Rejected)
+
+(* a trimmer thread trims without pause while jobs arrive one to three
+   at a time, each batch awaited: every worker is idle, and may be
+   retiring, when the next batch lands. A lost job shows as a batch that
+   never finishes. *)
+let test_trim_races_submit () =
+  let pool = Pool.create ~workers:2 ~capacity:1024 () in
+  let stop = Atomic.make false in
+  let trimmer =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          Pool.trim pool;
+          Thread.yield ()
+        done)
+      ()
+  in
+  let ran = Atomic.make 0 and submitted = ref 0 in
+  for round = 1 to 300 do
+    for _ = 0 to round mod 3 do
+      check_b "accepted" true (Pool.submit pool (fun () -> Atomic.incr ran) = `Accepted);
+      incr submitted
+    done;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get ran < !submitted && Unix.gettimeofday () -. t0 < 10.0 do
+      Thread.yield ()
+    done;
+    check_i "every submitted job ran" !submitted (Atomic.get ran)
+  done;
+  Atomic.set stop true;
+  Thread.join trimmer;
+  check_b "workers retired while jobs arrived" true
+    ((Pool.stats pool).Pool.retired > 0);
+  Pool.shutdown pool
+
+let test_trim_cycles () =
+  Stdlib.Domain.join (Stdlib.Domain.spawn ignore);
+  let pool = Pool.create ~workers:1 () in
+  let base = settled_threads () in
+  for _ = 1 to 200 do
+    run_job pool ignore;
+    trim_to pool 0
+  done;
+  let s = Pool.stats pool in
+  check_i "200 spawns" 200 s.Pool.spawned;
+  check_i "200 retirements" 200 s.Pool.retired;
+  check_i "threads back at base" base (settled_threads ());
+  Pool.shutdown pool
+
 let test_shutdown_idempotent () =
   let pool = Pool.create ~workers:2 () in
   Pool.shutdown pool;
@@ -386,4 +519,9 @@ let suite =
       `Quick,
       test_deadline_expiry_many_workers );
     ("submit: workers spawn on demand", `Quick, test_spawn_on_demand);
+    ("trim: retires idle workers, spares active ones", `Quick, test_trim_retires_idle);
+    ("trim: map_ordered and shutdown after retirements", `Quick,
+      test_trim_then_map_and_shutdown);
+    ("trim: no job lost to a concurrent trim", `Quick, test_trim_races_submit);
+    ("trim: 200 retire/respawn cycles leave no thread", `Quick, test_trim_cycles);
   ]

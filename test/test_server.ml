@@ -277,29 +277,61 @@ let test_pool_deadline () =
   check_b "expired callback ran" true (Atomic.get expired);
   check_b "job never ran" false (Atomic.get ran)
 
+(* The trimmer retires a worker within a few periods of its job, parks
+   once none is live, and the next accepted job resumes it: the second
+   worker retires too. *)
+let test_pool_trimmer () =
+  let p = Deadline_pool.create ~workers:2 ~capacity:8 () in
+  let stats () = Deadline_pool.stats p in
+  let run_one () =
+    let ran = Atomic.make false in
+    check_b "accepted" true
+      (Deadline_pool.submit p ~run:(fun () -> Atomic.set ran true)
+         ~expired:ignore ()
+      = `Accepted);
+    while not (Atomic.get ran) do
+      Thread.yield ()
+    done
+  in
+  let await_retired n =
+    let t0 = Unix.gettimeofday () in
+    while
+      (stats ()).Dggt_par.Pool.retired < n && Unix.gettimeofday () -. t0 < 5.0
+    do
+      Unix.sleepf 0.01
+    done;
+    check_i "retired" n (stats ()).Dggt_par.Pool.retired;
+    check_i "none live" 0 (stats ()).Dggt_par.Pool.live
+  in
+  run_one ();
+  await_retired 1;
+  (* several periods with no worker: the trimmer is parked *)
+  Unix.sleepf 0.2;
+  run_one ();
+  check_i "respawned" 2 (stats ()).Dggt_par.Pool.spawned;
+  await_retired 2;
+  Deadline_pool.shutdown p
+
 (* ------------------------------------------------------------------ *)
 (* end-to-end over a loopback socket                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* one-shot HTTP client: Connection: close, read to EOF *)
-let http ~port ~meth ~path ?(body = "") () =
+(* send [req] on a fresh connection, all at once or (with [dribble]) one
+   byte per write, and read the raw response to EOF *)
+let send_raw ~port ?(dribble = false) req =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\
-           content-length: %d\r\n\r\n%s"
-          meth path (String.length body) body
+      let step = if dribble then 1 else String.length req in
+      if dribble then Unix.setsockopt fd Unix.TCP_NODELAY true;
+      let rec write_all off =
+        if off < String.length req then
+          let len = min step (String.length req - off) in
+          write_all (off + Unix.write_substring fd req off len)
       in
-      let rec write_all s off =
-        if off < String.length s then
-          let n = Unix.write_substring fd s off (String.length s - off) in
-          write_all s (off + n)
-      in
-      write_all req 0;
+      write_all 0;
       let buf = Buffer.create 4096 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
@@ -310,22 +342,28 @@ let http ~port ~meth ~path ?(body = "") () =
         end
       in
       drain ();
-      let raw = Buffer.contents buf in
-      let status =
-        Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s)
-      in
-      let body =
-        let n = String.length raw in
-        let rec hdr_end i =
-          if i + 4 > n then None
-          else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
-          else hdr_end (i + 1)
-        in
-        match hdr_end 0 with
-        | Some i -> String.sub raw i (n - i)
-        | None -> ""
-      in
-      (status, body))
+      Buffer.contents buf)
+
+(* one-shot HTTP client: Connection: close, read to EOF *)
+let http ~port ~meth ~path ?(body = "") () =
+  let raw =
+    send_raw ~port
+      (Printf.sprintf
+         "%s %s HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\
+          content-length: %d\r\n\r\n%s"
+         meth path (String.length body) body)
+  in
+  let status = Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s) in
+  let body =
+    let n = String.length raw in
+    let rec hdr_end i =
+      if i + 4 > n then None
+      else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
+      else hdr_end (i + 1)
+    in
+    match hdr_end 0 with Some i -> String.sub raw i (n - i) | None -> ""
+  in
+  (status, body)
 
 (* ground truth straight from the engine, under the server's default
    budget *)
@@ -1249,6 +1287,83 @@ let test_boot_stop () =
   in
   check_i "no worker left running" before (settle 200)
 
+(* The head scan reads each new byte once. A request written one byte
+   per write (TCP_NODELAY, so the terminator can straddle reads) gets
+   the bytes a one-piece write gets; the error names the body's domain,
+   so the body arrived whole. A head without its terminator one byte
+   over the 16 KiB cap is refused with 431 either way (exactly one byte
+   over, so the server has read every byte before it answers). *)
+let test_dribbled_request () =
+  with_server (fun srv ->
+      let port = Serve.port srv in
+      let body = {|{"query": "delete all numbers", "domain": "klingon"}|} in
+      let req =
+        Printf.sprintf
+          "POST /synthesize HTTP/1.1\r\nhost: localhost\r\n\
+           connection: close\r\ncontent-length: %d\r\n\r\n%s"
+          (String.length body) body
+      in
+      let whole = send_raw ~port req in
+      check_b "answered" true (String.starts_with ~prefix:"HTTP/1.1 " whole);
+      check_b "the body was read" true
+        (Dggt_util.Strutil.contains_sub ~sub:"klingon" whole);
+      check_s "dribbled = whole" whole (send_raw ~port ~dribble:true req);
+      let prefix = "GET /healthz HTTP/1.1\r\nx-pad: " in
+      let big = prefix ^ String.make (16385 - String.length prefix) 'a' in
+      List.iter
+        (fun dribble ->
+          let raw = send_raw ~port ~dribble big in
+          check_i "oversized head" 431
+            (Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s)))
+        [ false; true ])
+
+let metric_value body name =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ n; v ] when n = name -> int_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' body)
+
+(* Once the boot job and a request are done, no worker has work: within
+   a few trim periods every worker the pool spawned has retired, and
+   /metrics says so beside the process's collection counts. *)
+let test_pool_metrics () =
+  let srv = Serve.create boot_params in
+  Fun.protect
+    ~finally:(fun () -> Serve.stop srv)
+    (fun () ->
+      let port = Serve.port srv in
+      List.iter (fun d -> await_built ~port d) [ "te"; "am" ];
+      let st, _ =
+        http ~port ~meth:"POST" ~path:"/synthesize"
+          ~body:{|{"query": "delete all numbers", "domain": "te"}|} ()
+      in
+      check_i "synthesize" 200 st;
+      let rec settle n =
+        let _, body = http ~port ~meth:"GET" ~path:"/metrics" () in
+        if metric_value body "dggt_pool_workers_live" <> Some 0 && n > 0 then begin
+          Unix.sleepf 0.02;
+          settle (n - 1)
+        end
+        else body
+      in
+      let body = settle 250 in
+      let value name =
+        match metric_value body name with
+        | Some v -> v
+        | None -> Alcotest.failf "%s missing from /metrics" name
+      in
+      check_i "no live worker" 0 (value "dggt_pool_workers_live");
+      let spawns = value "dggt_pool_worker_spawns_total" in
+      check_b "the boot job and the request spawned workers" true (spawns >= 1);
+      check_i "every spawned worker retired" spawns
+        (value "dggt_pool_worker_retirements_total");
+      check_b "minor collections counted" true
+        (value "dggt_gc_minor_collections_total" >= 0);
+      check_b "major collections counted" true
+        (value "dggt_gc_major_collections_total" >= 0))
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -1260,6 +1375,7 @@ let suite =
     Alcotest.test_case "cache find_or_compute" `Quick test_cache_find_or_compute;
     Alcotest.test_case "pool bounded queue" `Quick test_pool_bounded_queue;
     Alcotest.test_case "pool deadline drop" `Quick test_pool_deadline;
+    Alcotest.test_case "pool trimmer parks and resumes" `Quick test_pool_trimmer;
     Alcotest.test_case "e2e loopback service" `Quick test_e2e_synthesize;
     Alcotest.test_case "e2e sessions" `Quick test_e2e_sessions;
     Alcotest.test_case "e2e session reload 410" `Quick test_e2e_session_reload_410;
@@ -1282,4 +1398,8 @@ let suite =
       `Quick test_boot_listing;
     Alcotest.test_case "boot: stop right after create joins the workers"
       `Quick test_boot_stop;
+    Alcotest.test_case "httpd: a dribbled request answers like a whole one"
+      `Quick test_dribbled_request;
+    Alcotest.test_case "pool: idle workers retire, /metrics reports them"
+      `Quick test_pool_metrics;
   ]

@@ -862,7 +862,9 @@ type prow = {
   pm_queries : int;
   pm_ref_s : float;      (* summed wall time, reference walk *)
   pm_sem_s : float;      (* summed wall time, semiring Min_size *)
+  pm_sem_words : float;  (* summed minor words, semiring Min_size *)
   pm_ranked_s : float;   (* summed wall time, Ranked k respond *)
+  pm_ranked_words : float;  (* summed minor words, Ranked k respond *)
   pm_ranked_k : int;
   pm_ranked_nonempty : int;
   pm_mismatches : (string * string) list;
@@ -888,17 +890,23 @@ let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
   let k = 5 in
   let ref_s = ref 0.0
   and sem_s = ref 0.0
+  and sem_words = ref 0.0
   and ranked_s = ref 0.0
+  and ranked_words = ref 0.0
   and ranked_nonempty = ref 0
   and mismatches = ref []
   and skips = ref 0 in
   List.iteri
     (fun i (q : Domain.query) ->
       progress (dom.Domain.name ^ "/pathmerge") (i + 1) nq;
+      (* minor words around the engine calls alone: the same code
+         allocates the same count on every run *)
+      let w0 = Gc.minor_words () in
       let o_sem =
         Engine.respond ses
           { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
       in
+      sem_words := !sem_words +. (Gc.minor_words () -. w0);
       let o_ref =
         Engine.synthesize_with_merge ~merge:Refmerge.synthesize
           ses.Engine.cfg ses.Engine.target q.Domain.text
@@ -913,12 +921,13 @@ let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
         | None -> ()
         | Some what ->
             mismatches := (q.Domain.text, what) :: !mismatches);
-        let t0 = Unix.gettimeofday () in
+        let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
         let rk =
           (Engine.respond ses
              { Engine.input = Engine.Text q.Domain.text; mode = Engine.Ranked k })
             .Engine.ranked
         in
+        ranked_words := !ranked_words +. (Gc.minor_words () -. w0);
         ranked_s := !ranked_s +. (Unix.gettimeofday () -. t0);
         if rk <> [] then begin
           incr ranked_nonempty;
@@ -935,12 +944,26 @@ let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
     pm_queries = nq;
     pm_ref_s = !ref_s;
     pm_sem_s = !sem_s;
+    pm_sem_words = !sem_words;
     pm_ranked_s = !ranked_s;
+    pm_ranked_words = !ranked_words;
     pm_ranked_k = k;
     pm_ranked_nonempty = !ranked_nonempty;
     pm_mismatches = List.rev !mismatches;
     pm_timeout_skips = !skips;
   }
+
+(* the checkout's commit, "-dirty" when the tree differs from it;
+   "unknown" outside a git checkout *)
+let commit () =
+  if not (Sys.file_exists ".git") then "unknown"
+  else
+    let ic =
+      Unix.open_process_args_in "git" [| "git"; "describe"; "--always"; "--dirty" |]
+    in
+    let c = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    c
 
 let pathmerge_json ~timeout_s rows =
   let module J = Dggt_server.Jsonio in
@@ -951,6 +974,7 @@ let pathmerge_json ~timeout_s rows =
       ("timeout_s", f timeout_s);
       ("host_cores", i (Stdlib.Domain.recommended_domain_count ()));
       ("ocaml_version", J.Str Sys.ocaml_version);
+      ("commit", J.Str (commit ()));
       ( "domains",
         J.list
           (fun r ->
@@ -960,10 +984,12 @@ let pathmerge_json ~timeout_s rows =
                 ("queries", i r.pm_queries);
                 ("reference_s", f r.pm_ref_s);
                 ("semiring_s", f r.pm_sem_s);
+                ("semiring_minor_words", f r.pm_sem_words);
                 ( "overhead",
                   f (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9) );
                 ("ranked_k", i r.pm_ranked_k);
                 ("ranked_s", f r.pm_ranked_s);
+                ("ranked_minor_words", f r.pm_ranked_words);
                 ("ranked_nonempty", i r.pm_ranked_nonempty);
                 ("timeout_skips", i r.pm_timeout_skips);
                 ("identical", J.Bool (r.pm_mismatches = []));
@@ -986,14 +1012,15 @@ let run_pathmerge ~timeout_s ~limit () =
   let rows =
     List.map (run_pathmerge_domain ~timeout_s ~limit) (automaton_domains ())
   in
-  Format.fprintf fmt "  %12s %4s %10s %10s %8s %10s %6s %5s@." "domain" "q"
-    "reference" "semiring" "overhead" "ranked" "n-best" "ident";
+  Format.fprintf fmt "  %12s %4s %10s %10s %8s %10s %6s %10s %10s %5s@." "domain" "q"
+    "reference" "semiring" "overhead" "ranked" "n-best" "sem kw" "ranked kw" "ident";
   List.iter
     (fun r ->
-      Format.fprintf fmt "  %12s %4d %9.3fs %9.3fs %7.2fx %9.3fs %6d %5s@."
+      Format.fprintf fmt "  %12s %4d %9.3fs %9.3fs %7.2fx %9.3fs %6d %10.0f %10.0f %5s@."
         r.pm_domain r.pm_queries r.pm_ref_s r.pm_sem_s
         (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9)
         r.pm_ranked_s r.pm_ranked_nonempty
+        (r.pm_sem_words /. 1e3) (r.pm_ranked_words /. 1e3)
         (if r.pm_mismatches = [] then "yes" else "NO"))
     rows;
   Format.fprintf fmt "@.";

@@ -1,31 +1,110 @@
 open Dggt_grammar
-module IS = Set.Make (Int)
 
-type t = { edges : IS.t; lone : IS.t (* nodes contributed without edges *) }
+(* Both arrays are sorted and duplicate-free. *)
+type t = { edges : int array; lone : int array (* nodes contributed without edges *) }
 
-let empty = { edges = IS.empty; lone = IS.empty }
-let is_empty t = IS.is_empty t.edges && IS.is_empty t.lone
+let empty = { edges = [||]; lone = [||] }
+let is_empty t = Array.length t.edges = 0 && Array.length t.lone = 0
 
-let merge a b = { edges = IS.union a.edges b.edges; lone = IS.union a.lone b.lone }
+(* One walk over the union of three sorted, duplicate-free arrays, in
+   increasing order; it writes the union to [out] unless [out] is empty,
+   and returns its length. *)
+let walk (a : int array) (b : int array) (c : int array) (out : int array) =
+  let na = Array.length a and nb = Array.length b and nc = Array.length c in
+  let i = ref 0 and j = ref 0 and k = ref 0 and n = ref 0 in
+  while !i < na || !j < nb || !k < nc do
+    let x = if !i < na then a.(!i) else max_int
+    and y = if !j < nb then b.(!j) else max_int
+    and z = if !k < nc then c.(!k) else max_int in
+    let m = if x < y then if x < z then x else z else if y < z then y else z in
+    if x = m then incr i;
+    if y = m then incr j;
+    if z = m then incr k;
+    if Array.length out > 0 then out.(!n) <- m;
+    incr n
+  done;
+  !n
 
-let merge_path t (p : Gpath.t) =
+(* The union in one linear merge: a first walk counts it, a second
+   fills it. An operand that already holds the whole union is returned
+   as it is, so adding what is already there allocates nothing. *)
+let union3 a b c =
+  let n = walk a b c [||] in
+  if n = Array.length a then a
+  else if n = Array.length c then c
+  else if n = Array.length b then b
+  else begin
+    let out = Array.make n 0 in
+    ignore (walk a b c out);
+    out
+  end
+
+(* A path's edge ids, sorted and duplicate-free. A path has a few edges,
+   so an insertion sort on ints beats [Array.sort] and its polymorphic
+   comparison, which costs more than the merge it feeds. *)
+let sorted_ids (ids : int array) =
+  let a = Array.copy ids in
+  let n = Array.length a in
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let len = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!len - 1) then begin
+      a.(!len) <- a.(i);
+      incr len
+    end
+  done;
+  if !len = n then a else Array.sub a 0 !len
+
+(* [t] or [u] itself when the union's arrays are its own *)
+let make t u edges lone =
+  if edges == t.edges && lone == t.lone then t
+  else if edges == u.edges && lone == u.lone then u
+  else { edges; lone }
+
+let merge a b = make a b (union3 a.edges b.edges [||]) (union3 a.lone b.lone [||])
+
+let fuse t (p : Gpath.t) u =
   if Array.length p.Gpath.edges = 0 then
-    { t with lone = IS.add p.Gpath.nodes.(0) t.lone }
-  else
-    { t with edges = Array.fold_left (fun s e -> IS.add e s) t.edges p.Gpath.edges }
+    make t u (union3 t.edges [||] u.edges) (union3 t.lone [| p.Gpath.nodes.(0) |] u.lone)
+  else make t u (union3 t.edges (sorted_ids p.Gpath.edges) u.edges) (union3 t.lone [||] u.lone)
 
+let merge_path t p = fuse t p empty
 let of_paths _g paths = List.fold_left merge_path empty paths
 
-let edge_ids t = IS.elements t.edges
-let lone_ids t = IS.elements t.lone
-let edge_count t = IS.cardinal t.edges
-let mem_edge t id = IS.mem id t.edges
-let equal a b = IS.equal a.edges b.edges && IS.equal a.lone b.lone
+let edge_ids t = Array.to_list t.edges
+let lone_ids t = Array.to_list t.lone
+
+let rec mem (a : int array) id lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  a.(mid) = id || if a.(mid) < id then mem a id (mid + 1) hi else mem a id lo mid
+
+let mem_edge t id = mem t.edges id 0 (Array.length t.edges)
+
+(* Lexicographic, a prefix before its extensions: [Set.compare]'s order
+   on the same elements. *)
+let rec compare_ids (a : int array) (b : int array) i =
+  if i = Array.length a then if i = Array.length b then 0 else -1
+  else if i = Array.length b then 1
+  else if a.(i) < b.(i) then -1
+  else if a.(i) > b.(i) then 1
+  else compare_ids a b (i + 1)
 
 let compare a b =
-  match IS.compare a.edges b.edges with
-  | 0 -> IS.compare a.lone b.lone
+  match compare_ids a.edges b.edges 0 with
+  | 0 -> compare_ids a.lone b.lone 0
   | c -> c
+
+let equal a b = compare a b = 0
 
 (* The tree check's scratch. A node's entries are valid only when
    [seen] holds the current generation; [touch] resets them on first
@@ -43,8 +122,6 @@ type scratch = {
   mutable n_edges : int;
   mutable n_apis : int;
   mutable fan_in : bool;
-  mutable on_edge : int -> unit;  (* built once, so a pass allocates nothing *)
-  mutable on_lone : int -> unit;
 }
 
 exception Defect
@@ -75,32 +152,25 @@ let visit_edge s eid =
 
 let scratch g =
   let n = Ggraph.node_count g in
-  let s =
-    {
-      g;
-      seen = Array.make n 0;
-      parent = Array.make n (-1);
-      prod = Array.make n (-1);
-      mark = Array.make n 0;
-      touched = Array.make n 0;
-      gen = 0;
-      strict = false;
-      n_nodes = 0;
-      n_edges = 0;
-      n_apis = 0;
-      fan_in = false;
-      on_edge = ignore;
-      on_lone = ignore;
-    }
-  in
-  s.on_edge <- visit_edge s;
-  s.on_lone <- touch s;
-  s
+  {
+    g;
+    seen = Array.make n 0;
+    parent = Array.make n (-1);
+    prod = Array.make n (-1);
+    mark = Array.make n 0;
+    touched = Array.make n 0;
+    gen = 0;
+    strict = false;
+    n_nodes = 0;
+    n_edges = 0;
+    n_apis = 0;
+    fan_in = false;
+  }
 
 let graph s = s.g
 
-(* One pass over the edges and lone nodes; [false] when a strict pass
-   stopped at a defect. *)
+(* One pass over the edges, then the lone nodes, each in increasing
+   order; [false] when a strict pass stopped at a defect. *)
 let pass s ~strict t =
   s.gen <- s.gen + 1;
   s.strict <- strict;
@@ -109,8 +179,12 @@ let pass s ~strict t =
   s.n_apis <- 0;
   s.fan_in <- false;
   match
-    IS.iter s.on_edge t.edges;
-    IS.iter s.on_lone t.lone
+    for i = 0 to Array.length t.edges - 1 do
+      visit_edge s t.edges.(i)
+    done;
+    for i = 0 to Array.length t.lone - 1 do
+      touch s t.lone.(i)
+    done
   with
   | () -> true
   | exception Defect -> false
@@ -169,13 +243,3 @@ let root s t =
   else None
 
 let is_tree s t = is_empty t || root s t <> None
-
-let pp g fmt t =
-  Format.fprintf fmt "CGT{%s}"
-    (String.concat ", "
-       (List.map
-          (fun eid ->
-            let e = Ggraph.edge g eid in
-            Printf.sprintf "%s->%s" (Ggraph.node_name g e.Ggraph.src)
-              (Ggraph.node_name g e.Ggraph.dst))
-          (edge_ids t)))

@@ -2,9 +2,10 @@
 
     A CGT is a subgraph of the grammar graph, represented as the set of
     grammar-graph edges it uses plus any isolated nodes (a zero-length
-    grammar path contributes a node but no edge). Candidate CGTs arise by
-    merging grammar paths — merging fuses shared nodes and edges, which is
-    exactly set union here.
+    grammar path contributes a node but no edge): two sorted,
+    duplicate-free arrays of ids. Candidate CGTs arise by merging grammar
+    paths — merging fuses shared nodes and edges, so it is the union of
+    both id sets, taken by one linear merge.
 
     A CGT is {e well-formed} when (i) it is a tree: every used node has at
     most one incoming used edge and all nodes are reachable from a single
@@ -18,16 +19,30 @@ type t
 val empty : t
 val is_empty : t -> bool
 val of_paths : Dggt_grammar.Ggraph.t -> Dggt_grammar.Gpath.t list -> t
-val merge : t -> t -> t
-val merge_path : t -> Dggt_grammar.Gpath.t -> t
-val edge_ids : t -> int list
-val lone_ids : t -> int list
-(** Nodes contributed without an edge (they may also be edge ends). *)
 
-val edge_count : t -> int
+val merge : t -> t -> t
+(** The union. Returns an operand itself when the other adds nothing. *)
+
+val merge_path : t -> Dggt_grammar.Gpath.t -> t
+(** Adds a path's edges, or its one node when it has no edge. *)
+
+val fuse : t -> Dggt_grammar.Gpath.t -> t -> t
+(** [fuse t p u] is [merge (merge_path t p) u], in one merge. *)
+
+val edge_ids : t -> int list
+(** Ascending. *)
+
+val lone_ids : t -> int list
+(** Nodes contributed without an edge (they may also be edge ends),
+    ascending. *)
+
 val mem_edge : t -> int -> bool
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Edge ids first, then lone ids, each compared lexicographically in
+    ascending order with a prefix before its extensions: the order of
+    [Set.Make(Int).compare] on the same sets. *)
 
 (** {2 The tree check}
 
@@ -44,7 +59,8 @@ type scratch
 (** Arrays sized by the grammar's node count, reset between passes by a
     generation stamp, so a pass allocates nothing. A scratch belongs to
     one synthesis: never share one between concurrent requests (or
-    threads). *)
+    threads). A pass visits the edges, then the lone nodes, each in
+    ascending id order. *)
 
 val scratch : Dggt_grammar.Ggraph.t -> scratch
 val graph : scratch -> Dggt_grammar.Ggraph.t
@@ -66,5 +82,3 @@ val root : scratch -> t -> int option
 
 val is_tree : scratch -> t -> bool
 (** The empty CGT is a tree. *)
-
-val pp : Dggt_grammar.Ggraph.t -> Format.formatter -> t -> unit

@@ -36,7 +36,6 @@ let create objective =
     start_node = start;
   }
 
-let objective t = t.objective
 let start t = t.start_node
 let id n = n.id
 let kind n = n.kind
@@ -59,7 +58,6 @@ let add_edge t ~src ~dst ~epath =
 let best n = Semiring.Cell.best n.cell
 let solved n = Semiring.Cell.solved n.cell
 let choices n = Semiring.Cell.choices n.cell
-let cand_count n = List.length (Semiring.Cell.choices n.cell)
 
 let size n =
   match Semiring.Cell.best n.cell with
@@ -76,16 +74,3 @@ let edge_count t = List.length t.rev_edges
 let api_nodes_of_dep t dep =
   nodes t
   |> List.filter (fun n -> match n.kind with ApiN a -> a.dep = dep | _ -> false)
-
-let pp fmt t =
-  List.iter
-    (fun n ->
-      let label =
-        match n.kind with
-        | Start -> "START"
-        | ApiN a -> Printf.sprintf "API(%d,%s)" a.dep a.api
-        | PcgtN p -> Printf.sprintf "PCGT(%d,%s,#%d)" p.dep p.api p.idx
-      in
-      if solved n then Format.fprintf fmt "%s min_size=%d@ " label (size n)
-      else Format.fprintf fmt "%s unset@ " label)
-    (nodes t)

@@ -31,7 +31,6 @@ val create : Semiring.t -> t
 (** A fresh graph whose cells accumulate under the given objective. The
     start node holds the empty derivation (size 0). *)
 
-val objective : t -> Semiring.t
 val start : t -> node
 val id : node -> int
 val kind : node -> node_kind
@@ -63,8 +62,6 @@ val choices : node -> Semiring.cand list
 (** All retained candidates, best first (more than one only under
     {!Semiring.Top_k}). *)
 
-val cand_count : node -> int
-
 val nodes : t -> node list
 val edges : t -> edge list
 val node_count : t -> int
@@ -72,5 +69,3 @@ val edge_count : t -> int
 
 val api_nodes_of_dep : t -> int -> node list
 (** All API nodes registered for a dependency node, insertion order. *)
-
-val pp : Format.formatter -> t -> unit

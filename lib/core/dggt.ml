@@ -244,7 +244,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
               ~sprune:(sprune && case_ii) groups
           in
           if case_ii then begin
-            stats.Stats.combos_total <- stats.Stats.combos_total + total;
+            stats.Stats.combos_total <- Stats.sum stats.Stats.combos_total total;
             stats.Stats.combos_after_gprune <-
               stats.Stats.combos_after_gprune + conflict_free;
             stats.Stats.combos_after_sprune <-

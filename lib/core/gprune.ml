@@ -11,13 +11,16 @@ type info = {
   size : int;  (* Gpath.size + extra *)
 }
 
+let no_info = { claims = [||]; apis = [||]; extra = 0; size = 0 }
+
 (* Per-walk state. [uses], [stamp] and [prod] are indexed by grammar node
-   id and allocated once; [masks] is the flat bitset storage of one
-   enumeration, grown on demand and reused by the next. *)
+   id and allocated once; [infos] by epath id, [no_info] until the path's
+   first pruned enumeration, and [masks] is the flat bitset storage of
+   one enumeration; both grow on demand and serve every enumeration. *)
 type t = {
   g : Ggraph.t;
   extra : Edge2path.epath -> int;
-  infos : (int, info) Hashtbl.t;  (* by epath id *)
+  mutable infos : info array;
   uses : int array;  (* per API node: how many chosen paths contain it *)
   stamp : int array;  (* per node: the conflict pass that set [prod] *)
   prod : int array;
@@ -32,7 +35,7 @@ let prepare ?(extra = fun _ -> 0) g =
   {
     g;
     extra;
-    infos = Hashtbl.create 64;
+    infos = [||];
     uses = Array.make n 0;
     stamp = Array.make n 0;
     prod = Array.make n 0;
@@ -41,32 +44,35 @@ let prepare ?(extra = fun _ -> 0) g =
   }
 
 let info t (p : Edge2path.epath) =
-  match Hashtbl.find_opt t.infos p.Edge2path.id with
-  | Some i -> i
-  | None ->
-      let path = p.Edge2path.path in
-      let edges = path.Gpath.edges in
-      let claims = Array.make (2 * Array.length edges) 0 in
-      Array.iteri
-        (fun j eid ->
-          let e = Ggraph.edge t.g eid in
-          claims.(2 * j) <- e.Ggraph.src;
-          claims.((2 * j) + 1) <- e.Ggraph.prod)
-        edges;
-      let apis = Array.make (Gpath.size path) 0 and k = ref 0 in
-      Array.iter
-        (fun nd ->
-          if Ggraph.is_api t.g nd then begin
-            apis.(!k) <- nd;
-            incr k
-          end)
-        path.Gpath.nodes;
-      let extra = t.extra p in
-      let i = { claims; apis; extra; size = Gpath.size path + extra } in
-      Hashtbl.add t.infos p.Edge2path.id i;
-      i
-
-let no_info = { claims = [||]; apis = [||]; extra = 0; size = 0 }
+  let id = p.Edge2path.id in
+  if id >= Array.length t.infos then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length t.infos)) no_info in
+    Array.blit t.infos 0 grown 0 (Array.length t.infos);
+    t.infos <- grown
+  end;
+  if t.infos.(id) != no_info then t.infos.(id)
+  else
+    let path = p.Edge2path.path in
+    let edges = path.Gpath.edges in
+    let claims = Array.make (2 * Array.length edges) 0 in
+    Array.iteri
+      (fun j eid ->
+        let e = Ggraph.edge t.g eid in
+        claims.(2 * j) <- e.Ggraph.src;
+        claims.((2 * j) + 1) <- e.Ggraph.prod)
+      edges;
+    let apis = Array.make (Gpath.size path) 0 and k = ref 0 in
+    Array.iter
+      (fun nd ->
+        if Ggraph.is_api t.g nd then begin
+          apis.(!k) <- nd;
+          incr k
+        end)
+      path.Gpath.nodes;
+    let extra = t.extra p in
+    let i = { claims; apis; extra; size = Gpath.size path + extra } in
+    t.infos.(id) <- i;
+    i
 
 (* bits per mask word *)
 let word = Sys.int_size

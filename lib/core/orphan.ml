@@ -65,7 +65,9 @@ let relocate ?(max_graphs = 8) g dg w2a ~orphans =
         | gs -> List.map (fun gv -> Some (o, gv)) gs)
       orphans
   in
-  let combos = Listutil.cartesian choices in
+  (* only the first [max_graphs] placements are ever built: the full
+     product grows exponentially with the orphans *)
+  let combos = Listutil.cartesian_take max_graphs choices in
   let graphs =
     List.map
       (fun moves ->
@@ -77,5 +79,4 @@ let relocate ?(max_graphs = 8) g dg w2a ~orphans =
           dg moves)
       combos
   in
-  let graphs = match graphs with [] -> [ dg ] | _ -> graphs in
-  Listutil.take max_graphs graphs
+  match graphs with [] when max_graphs > 0 -> [ dg ] | _ -> graphs

@@ -55,13 +55,14 @@ let one = { size = 0; cgt = Cgt.empty; assignment = []; score = 0.0 }
    accumulator first, then the child's CGT; child assignment consed in
    front) reproduces the historical fold exactly — assignment order feeds
    Word2api.assignment_score, whose float summation order must not
-   change. Size and score are recomputed by the caller once the whole
-   combination is fused ([times] is associative on the CGT component
-   only, which is all the walk accumulates). *)
+   change. The CGT union is one merge of all three. Size and score are
+   recomputed by the caller once the whole combination is fused ([times]
+   is associative on the CGT component only, which is all the walk
+   accumulates). *)
 let times acc ~path ~child =
   {
     size = 0;
-    cgt = Cgt.merge (Cgt.merge_path acc.cgt path) child.cgt;
+    cgt = Cgt.fuse acc.cgt path child.cgt;
     assignment = child.assignment @ acc.assignment;
     score = 0.0;
   }
@@ -71,42 +72,53 @@ module Cell = struct
 
   type t = {
     limit : int;
-    mutable cands : cand list;  (* sorted best-first; length <= limit *)
+    mutable cands : cand list;  (* sorted best-first *)
+    mutable count : int;  (* length of [cands], at most [limit] *)
   }
 
   let best c = match c.cands with [] -> None | h :: _ -> Some h
   let solved c = c.cands <> []
   let choices c = c.cands
 
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
+  let rec last = function [ x ] -> x | _ :: rest -> last rest | [] -> assert false
+  let rec drop_last = function [] | [ _ ] -> [] | y :: rest -> y :: drop_last rest
+
+  exception Duplicate
+
+  (* [x] before the first entry it beats; a full cell loses its last *)
+  let rec ins x ~full = function
+    | [] -> [ x ]
+    | y :: rest as l ->
+        let cmp = compare_cand x y in
+        if cmp < 0 then x :: (if full then drop_last l else l)
+        else if cmp = 0 && y.assignment = x.assignment then raise_notrace Duplicate
+        else y :: ins x ~full rest
 
   (* [plus]: accumulate a candidate. Returns [true] iff the cell's best
      changed — the signal the tracing layer records as a min_size
      improvement. Ties insert AFTER existing equals (the historical memo
      kept the incumbent on an exact tie); an exact duplicate (same order
-     class and same assignment) is dropped. *)
+     class and same assignment) is dropped. A candidate no better than a
+     full cell's last entry (at limit 1, its head) cannot enter it, so
+     [plus] returns before it allocates. "No better than the last" stands
+     for "no better than any entry" because the cell is sorted and
+     [compare_cand] is transitive, which its 1e-9 score tie is while
+     scores within 1e-9 of each other form classes (DESIGN.md, "Semiring
+     PathMerge"). *)
   let plus c x =
-    let improved =
-      match c.cands with [] -> true | h :: _ -> compare_cand x h < 0
-    in
-    let rec ins = function
-      | [] -> [ x ]
-      | y :: rest as l ->
-          let cmp = compare_cand x y in
-          if cmp < 0 then x :: l
-          else if cmp = 0 && y.assignment = x.assignment then l
-          else y :: ins rest
-    in
-    let merged = ins c.cands in
-    c.cands <-
-      (if List.length merged > c.limit then take c.limit merged else merged);
-    improved
+    let full = c.count >= c.limit in
+    if full && compare_cand x (last c.cands) >= 0 then false
+    else
+      match ins x ~full c.cands with
+      | l ->
+          c.cands <- l;
+          if not full then c.count <- c.count + 1;
+          (* [x] is new, so it heads the cell only if it beat the head *)
+          List.hd l == x
+      | exception Duplicate -> false
 end
 
 (* The additive identity: a cell holding no derivation. *)
-let zero obj = { Cell.limit = retained obj; cands = [] }
+let zero obj = { Cell.limit = retained obj; cands = []; count = 0 }
 
 let plus = Cell.plus

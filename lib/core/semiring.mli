@@ -27,9 +27,6 @@ type t = Min_size | Top_k of int
 (** The objective. Structural equality is meaningful (used by the
     incremental session's configuration comparison). *)
 
-val retained : t -> int
-(** Candidates kept per cell: 1, [max k 1]. *)
-
 val to_string : t -> string
 
 val coverage : cand -> int
@@ -60,11 +57,13 @@ module Cell : sig
   val best : t -> cand option
   val solved : t -> bool
   val choices : t -> cand list
-  (** All retained candidates, best first (at most {!retained}). *)
+  (** All retained candidates, best first: at most 1 under [Min_size],
+      [max k 1] under [Top_k k]. *)
 
   val plus : t -> cand -> bool
   (** Accumulate; [true] iff the cell's best candidate changed. Ties keep
-      the incumbent; exact duplicates are dropped. *)
+      the incumbent; exact duplicates are dropped. A candidate no better
+      than a full cell's last entry returns [false] without allocating. *)
 end
 
 val zero : t -> Cell.t

@@ -51,6 +51,11 @@ let copy s =
     dgg_improvements = s.dgg_improvements;
   }
 
+(* Non-negative counters saturate at [max_int] instead of wrapping: a
+   product of group sizes is already capped there
+   ([Listutil.cartesian_count]). *)
+let sum a b = if a > max_int - b then max_int else a + b
+
 (* all fields are immediate ints, so structural equality is exactly
    field-by-field equality *)
 let equal (a : t) (b : t) = a = b
@@ -78,15 +83,15 @@ let add a b =
     orphan_count = max a.orphan_count b.orphan_count;
     hisyn_combos_possible = max a.hisyn_combos_possible b.hisyn_combos_possible;
     (* work-shaped: sum *)
-    reloc_graphs = a.reloc_graphs + b.reloc_graphs;
-    combos_total = a.combos_total + b.combos_total;
-    combos_after_gprune = a.combos_after_gprune + b.combos_after_gprune;
-    combos_after_sprune = a.combos_after_sprune + b.combos_after_sprune;
-    combos_merged = a.combos_merged + b.combos_merged;
-    hisyn_combos_enumerated = a.hisyn_combos_enumerated + b.hisyn_combos_enumerated;
-    dgg_nodes = a.dgg_nodes + b.dgg_nodes;
-    dgg_edges = a.dgg_edges + b.dgg_edges;
-    dgg_improvements = a.dgg_improvements + b.dgg_improvements;
+    reloc_graphs = sum a.reloc_graphs b.reloc_graphs;
+    combos_total = sum a.combos_total b.combos_total;
+    combos_after_gprune = sum a.combos_after_gprune b.combos_after_gprune;
+    combos_after_sprune = sum a.combos_after_sprune b.combos_after_sprune;
+    combos_merged = sum a.combos_merged b.combos_merged;
+    hisyn_combos_enumerated = sum a.hisyn_combos_enumerated b.hisyn_combos_enumerated;
+    dgg_nodes = sum a.dgg_nodes b.dgg_nodes;
+    dgg_edges = sum a.dgg_edges b.dgg_edges;
+    dgg_improvements = sum a.dgg_improvements b.dgg_improvements;
   }
 
 let gprune_removed t = t.combos_total - t.combos_after_gprune

@@ -33,6 +33,10 @@ val equal : t -> t -> bool
 (** Field-by-field equality — the equivalence checks of the incremental
     property tests and [bench incremental] compare whole counter sets. *)
 
+val sum : int -> int -> int
+(** The sum of two non-negative counts, saturating at [max_int] where
+    [+] would wrap negative. *)
+
 val add : t -> t -> t
 (** Aggregate across the relocation-graph variants of one query. The
     aggregation differs per field, on purpose:
@@ -44,7 +48,7 @@ val add : t -> t -> t
     - {e work-shaped} fields take the sum — each variant's effort really
       happened: [reloc_graphs], [combos_total], [combos_after_gprune],
       [combos_after_sprune], [combos_merged], [hisyn_combos_enumerated],
-      [dgg_nodes], [dgg_edges], [dgg_improvements]. *)
+      [dgg_nodes], [dgg_edges], [dgg_improvements], by {!sum}. *)
 
 val pp : Format.formatter -> t -> unit
 val gprune_removed : t -> int

@@ -79,13 +79,26 @@ let build ?(top_k = 4) ?(threshold = Similarity.min_score) ?lookup doc
 let candidates t id =
   match List.assoc_opt id t.by_node with Some cs -> cs | None -> []
 
-let score t id api =
-  match List.find_opt (fun c -> c.api = api) (candidates t id) with
-  | Some c -> c.score
-  | None -> 0.0
+let rec score_in api = function
+  | [] -> 0.0
+  | c :: rest -> if String.equal c.api api then c.score else score_in api rest
 
+let score t id api = score_in api (candidates t id)
+
+(* Summed in assignment order, which the tie-break's floats depend on.
+   The chart walk scores every well-formed combination, and this loop
+   keeps the running sum an unboxed local, where a fold boxes it at
+   every step. *)
 let assignment_score t asg =
-  List.fold_left (fun acc (id, api) -> acc +. score t id api) 0.0 asg
+  let sum = ref 0.0 and rest = ref asg and more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | (id, api) :: tl ->
+        sum := !sum +. score t id api;
+        rest := tl
+  done;
+  !sum
 
 let apis t id = List.map (fun c -> c.api) (candidates t id)
 

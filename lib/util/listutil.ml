@@ -23,6 +23,19 @@ let iter_cartesian f lls =
   in
   go [] lls
 
+let cartesian_take n lls =
+  let acc = ref [] and k = ref 0 in
+  (try
+     if n > 0 then
+       iter_cartesian
+         (fun c ->
+           acc := c :: !acc;
+           incr k;
+           if !k >= n then raise_notrace Exit)
+         lls
+   with Exit -> ());
+  List.rev !acc
+
 let group_by ~key xs =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in

@@ -14,6 +14,10 @@ val iter_cartesian : ('a list -> unit) -> 'a list list -> unit
     materialization would turn a timeout into an OOM. Combinations are
     produced in lexicographic order of the component lists. *)
 
+val cartesian_take : int -> 'a list list -> 'a list list
+(** [cartesian_take n lls] is [take n (cartesian lls)], built without
+    enumerating the combinations after the [n]th. *)
+
 val group_by : key:('a -> 'b) -> 'a list -> ('b * 'a list) list
 (** Stable grouping; groups appear in order of first occurrence of their key,
     and elements keep their relative order. Keys compared with

@@ -630,6 +630,181 @@ let test_cgt_shapes_covered () =
     [ "cycle"; "two in-edges"; "lone node"; "forest"; "tree";
       "tree with two productions at a node"; "TextEditing"; "ASTMatcher" ]
 
+(* ------------------------------------------------------------------ *)
+(* The CGT's sorted arrays against the sets they replaced              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Cgt] as it was on two balanced-tree sets, a merge being the union of
+   both. Keep this frozen: it is the oracle for the ids, the order and
+   the equality of the sorted-array representation. *)
+module Setcgt = struct
+  module IS = Set.Make (Int)
+
+  type t = { edges : IS.t; lone : IS.t }
+
+  let empty = { edges = IS.empty; lone = IS.empty }
+  let merge a b = { edges = IS.union a.edges b.edges; lone = IS.union a.lone b.lone }
+
+  let merge_path t (p : Gpath.t) =
+    if Array.length p.Gpath.edges = 0 then { t with lone = IS.add p.Gpath.nodes.(0) t.lone }
+    else { t with edges = Array.fold_left (fun s e -> IS.add e s) t.edges p.Gpath.edges }
+
+  let of_paths paths = List.fold_left merge_path empty paths
+  let edge_ids t = IS.elements t.edges
+  let lone_ids t = IS.elements t.lone
+  let equal a b = IS.equal a.edges b.edges && IS.equal a.lone b.lone
+
+  let compare a b =
+    match IS.compare a.edges b.edges with 0 -> IS.compare a.lone b.lone | c -> c
+end
+
+(* per built-in domain: paths from every 16th API to the APIs in grammar
+   order (up to 32 per source), and every API node's zero-length path *)
+let rep_pools =
+  lazy
+    (List.map
+       (fun (d : Domain.t) ->
+         let g = Lazy.force d.Domain.graph in
+         let limits = Option.value d.Domain.path_limits ~default:Gpath.default_limits in
+         let autom = Lazy.force d.Domain.autom in
+         let apis = Ggraph.api_nodes g in
+         let from (src, _) =
+           let rec go acc n = function
+             | (dst, _) :: rest when n < 32 ->
+                 let ps = Dggt_autom.Autom.paths_between_apis ~limits autom ~src_api:src ~dst_api:dst in
+                 go (List.rev_append ps acc) (n + List.length ps) rest
+             | _ -> List.rev acc
+           in
+           go [] 0 apis
+         in
+         let zero (api, nid) = { Gpath.nodes = [| nid |]; edges = [||]; apis = [| api |] } in
+         ( d.Domain.name,
+           g,
+           Array.of_list
+             (List.concat_map from (List.filteri (fun i _ -> i mod 16 = 0) apis)
+             @ List.map zero apis) ))
+       [ Dggt_domains.Text_editing.domain; Dggt_domains.Astmatcher.domain ])
+
+type rep_sample = {
+  rname : string;
+  rg : Ggraph.t;
+  rpaths : Gpath.t list;
+  split : int;  (* [a] merges the paths before it, [b] those after it *)
+  cut : int;  (* the prefix CGT keeps this many edge ids and lone ids *)
+}
+
+(* up to 8 paths, some drawn twice, some with repeated edge ids *)
+let gen_rep : rep_sample QCheck.Gen.t =
+ fun rs ->
+  let rname, rg, pool =
+    List.nth (Lazy.force rep_pools) (Random.State.int rs 2)
+  in
+  let draw () =
+    let p = pool.(Random.State.int rs (Array.length pool)) in
+    let e = p.Gpath.edges in
+    if Array.length e > 0 && Random.State.int rs 5 = 0 then
+      { p with Gpath.edges = Array.append e (Array.sub e 0 (1 + Random.State.int rs (Array.length e))) }
+    else p
+  in
+  let rec paths n acc =
+    if n = 0 then List.rev acc
+    else
+      let p =
+        match acc with
+        | q :: _ when Random.State.int rs 6 = 0 -> q
+        | _ -> draw ()
+      in
+      paths (n - 1) (p :: acc)
+  in
+  let n = Random.State.int rs 9 in
+  { rname; rg; rpaths = paths n []; split = Random.State.int rs (n + 1);
+    cut = Random.State.int rs 12 }
+
+let print_rep s =
+  Printf.sprintf "%s split %d cut %d paths [%s]" s.rname s.split s.cut
+    (String.concat "; "
+       (List.map
+          (fun (p : Gpath.t) ->
+            Printf.sprintf "nodes %s edges %s"
+              (String.concat "," (Array.to_list (Array.map string_of_int p.Gpath.nodes)))
+              (String.concat "," (Array.to_list (Array.map string_of_int p.Gpath.edges))))
+          s.rpaths))
+
+let sign c = Stdlib.compare c 0
+
+(* On path lists from both built-in automata: the ids of every CGT the
+   operations build equal the oracle's, [compare]'s sign and [equal]
+   agree on every pair (equal ones and prefix-related ones among them),
+   and the tree check, the root and the API size agree with the
+   quadratic reference. *)
+let prop_cgt_matches_sets =
+  QCheck.Test.make ~name:"sorted-array CGT = Set-based CGT" ~count:500
+    (QCheck.make gen_rep ~print:print_rep)
+    (fun s ->
+      let g = s.rg in
+      let before = List.filteri (fun i _ -> i < s.split) s.rpaths
+      and after = List.filteri (fun i _ -> i > s.split) s.rpaths
+      and at = List.nth_opt s.rpaths s.split in
+      let all = Cgt.of_paths g s.rpaths and all' = Setcgt.of_paths s.rpaths in
+      let a = Cgt.of_paths g before and a' = Setcgt.of_paths before in
+      let b = Cgt.of_paths g after and b' = Setcgt.of_paths after in
+      (* a prefix of [all]'s edge ids and of its lone ids *)
+      let prefix ids = List.filteri (fun i _ -> i < s.cut) ids in
+      let prefix_paths =
+        List.map
+          (fun eid ->
+            let e = Ggraph.edge g eid in
+            { Gpath.nodes = [| e.Ggraph.src; e.Ggraph.dst |]; edges = [| eid |]; apis = [||] })
+          (prefix (Cgt.edge_ids all))
+        @ List.map
+            (fun nid -> { Gpath.nodes = [| nid |]; edges = [||]; apis = [||] })
+            (prefix (Cgt.lone_ids all))
+      in
+      let pre = Cgt.of_paths g prefix_paths and pre' = Setcgt.of_paths prefix_paths in
+      let built =
+        [ (all, all'); (a, a'); (b, b'); (pre, pre');
+          (Cgt.merge a b, Setcgt.merge a' b');
+          (Cgt.merge b a, Setcgt.merge b' a') ]
+        @
+        match at with
+        | Some p ->
+            [ (Cgt.fuse a p b, Setcgt.merge (Setcgt.merge_path a' p) b');
+              (Cgt.merge_path a p, Setcgt.merge_path a' p) ]
+        | None -> []
+      in
+      List.for_all
+        (fun (c, c') ->
+          Cgt.edge_ids c = Setcgt.edge_ids c'
+          && Cgt.lone_ids c = Setcgt.lone_ids c'
+          && Cgt.is_empty c = Setcgt.equal c' Setcgt.empty
+          && agrees_with_reference (Cgt.scratch g) g c)
+        built
+      && List.for_all
+           (fun (x, x') ->
+             List.for_all
+               (fun (y, y') ->
+                 sign (Cgt.compare x y) = sign (Setcgt.compare x' y')
+                 && Cgt.equal x y = Setcgt.equal x' y')
+               built)
+           built)
+
+(* [Synres.injective] compares pairs in place; its frozen predecessor
+   kept a table of the APIs seen so far. *)
+let injective_by_table assignment =
+  let rec go seen = function
+    | [] -> true
+    | (node, api) :: rest -> (
+        match List.assoc_opt api seen with
+        | Some n when n <> node -> false
+        | _ -> go ((api, node) :: seen) rest)
+  in
+  go [] assignment
+
+let prop_injective_matches_table =
+  QCheck.Test.make ~name:"assignment injectivity = table-based reference" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 6) (pair (int_range 0 4) (oneofl [ "A"; "B"; "C"; "D" ])))
+    (fun asg -> Synres.injective asg = injective_by_table asg)
+
 (* Engine determinism: synthesizing twice gives the identical codelet. *)
 let te_query_gen =
   QCheck.Gen.(
@@ -750,6 +925,8 @@ let suite =
       prop_gprune_lossless;
       prop_gprune_word_boundaries;
       prop_cgt_merge_acI;
+      prop_cgt_matches_sets;
+      prop_injective_matches_table;
       prop_cgt_tree_check;
       prop_engine_deterministic;
       prop_stream_equivalent;

@@ -108,6 +108,93 @@ let test_cell_top_k () =
   ignore (Semiring.plus c (cand ~api:"B" ~size:3 ~cov:2 ~score:1.0 ()));
   check_i "duplicate dropped" n (List.length (Semiring.Cell.choices c))
 
+(* [Semiring.Cell.plus] as it was: every candidate, kept or not, rebuilt
+   the list and re-measured it. Keep this frozen: it is the oracle for
+   the cell that returns early and counts its entries. *)
+module Listcell = struct
+  type t = { limit : int; mutable cands : Semiring.cand list }
+
+  let rec take n = function
+    | [] -> []
+    | _ when n <= 0 -> []
+    | x :: rest -> x :: take (n - 1) rest
+
+  let plus c x =
+    let improved =
+      match c.cands with [] -> true | h :: _ -> Semiring.compare_cand x h < 0
+    in
+    let rec ins = function
+      | [] -> [ x ]
+      | y :: rest as l ->
+          let cmp = Semiring.compare_cand x y in
+          if cmp < 0 then x :: l
+          else if cmp = 0 && y.Semiring.assignment = x.Semiring.assignment then l
+          else y :: ins rest
+    in
+    let merged = ins c.cands in
+    c.cands <-
+      (if List.length merged > c.limit then take c.limit merged else merged);
+    improved
+end
+
+(* A stream of up to 40 candidates for a cell of limit 1-6, a quarter of
+   them offered again. Coverage, size, assignment and CGT take a few
+   values each, so ties on every key but one are common. Scores sit on
+   a grid of 0.5 plus jitter under 1e-9, the shape of the engine's
+   scores (sums of word scores that coincide up to rounding or differ by
+   far more): the 1e-9 tie is then an equivalence, which the cell's
+   early exit relies on (see [Semiring.Cell.plus]). *)
+let gen_stream =
+  QCheck.Gen.(
+    let cand =
+      map
+        (fun ((cov, size, api), (grid, jitter, nid)) ->
+          {
+            Semiring.size;
+            cgt = leaf_cgt nid "A";
+            assignment = List.init cov (fun i -> (i, api));
+            score = (0.5 *. float_of_int grid) +. (1e-10 *. float_of_int jitter);
+          })
+        (pair
+           (triple (0 -- 3) (1 -- 4) (oneofl [ "A"; "B" ]))
+           (triple (0 -- 2) (0 -- 4) (1 -- 3)))
+    in
+    pair (1 -- 6)
+      (list_size (0 -- 40) cand >>= fun xs ->
+       let arr = Array.of_list xs in
+       map
+         (fun picks ->
+           List.mapi
+             (fun i (again, j) -> if again && i > 0 then arr.(j mod i) else arr.(i))
+             picks)
+         (flatten_l
+            (List.map (fun _ -> pair (map (fun n -> n = 0) (0 -- 3)) nat) xs))))
+
+let print_stream (limit, xs) =
+  Printf.sprintf "limit %d: %s" limit
+    (String.concat "; "
+       (List.map
+          (fun (c : Semiring.cand) ->
+            Printf.sprintf "cov %d size %d score %.12f cgt %s %s"
+              (Semiring.coverage c) c.Semiring.size c.Semiring.score
+              (String.concat "," (List.map string_of_int (Cgt.lone_ids c.Semiring.cgt)))
+              (String.concat "," (List.map snd c.Semiring.assignment)))
+          xs))
+
+let prop_cell_matches_list_rebuild =
+  QCheck.Test.make ~name:"cell plus = list-rebuilding cell on random streams"
+    ~count:500
+    (QCheck.make gen_stream ~print:print_stream)
+    (fun (limit, xs) ->
+      let c = Semiring.zero (Semiring.Top_k limit)
+      and r = { Listcell.limit; cands = [] } in
+      List.for_all
+        (fun x ->
+          let improved = Semiring.plus c x in
+          improved = Listcell.plus r x
+          && List.equal ( == ) (Semiring.Cell.choices c) r.Listcell.cands)
+        xs)
+
 (* ------------------------------------------------------------------ *)
 (* Min_size vs the preserved reference walk                           *)
 (* ------------------------------------------------------------------ *)
@@ -330,6 +417,7 @@ let suite =
     Alcotest.test_case "Top_k soundness" `Quick test_topk_soundness;
     Alcotest.test_case "objective outcome invariance" `Quick
       test_objective_outcome_invariance;
+    QCheck_alcotest.to_alcotest prop_cell_matches_list_rebuild;
     QCheck_alcotest.to_alcotest prop_random_query_matches_reference;
     QCheck_alcotest.to_alcotest prop_edit_script_matches_reference;
   ]

@@ -211,12 +211,13 @@ let test_self_recursive_grammar () =
 let test_absurd_inputs_total () =
   let tgt = Engine.target (Lazy.force autom) (Lazy.force doc) in
   let cfg = { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some 3.0 } in
+  (* outcome is well-formed either way *)
+  let well_formed (o : Engine.outcome) =
+    check_b "code xor failure" true
+      ((o.Engine.code <> None) <> (o.Engine.failure <> None))
+  in
   List.iter
-    (fun q ->
-      let o = synth cfg tgt q in
-      (* outcome is well-formed either way *)
-      check_b "code xor failure" true
-        ((o.Engine.code <> None) <> (o.Engine.failure <> None)))
+    (fun q -> well_formed (synth cfg tgt q))
     [
       "";
       "????";
@@ -225,6 +226,32 @@ let test_absurd_inputs_total () =
       "insert insert insert insert";
       "\xe2\x82\xac \xc3\xbc \xf0\x9f\x98\x80";
       String.make 4096 'a';
+    ];
+  (* Long coordinated lists on the built-in domains. Every listed word is
+     an orphan with several governor candidates, so the placements
+     multiply: relocation must build only the first eight dependency
+     graphs, and the product of group sizes must not wrap the counters
+     negative. *)
+  List.iter
+    (fun (dom, q, graphs) ->
+      let o =
+        Engine.respond (Dggt_domains.Domain.configure dom cfg)
+          { Engine.input = Engine.Text q; mode = Engine.Plain }
+      in
+      well_formed o;
+      check_b "combos_total non-negative" true (o.Engine.stats.Stats.combos_total >= 0);
+      Option.iter (fun n -> check_i "reloc_graphs" n o.Engine.stats.Stats.reloc_graphs) graphs)
+    [
+      ( Dggt_domains.Text_editing.domain,
+        "insert a colon after each word, number, line, sentence, character, \
+         digit, space, tab, comma, period, letter, token, paragraph, string, \
+         word and number",
+        Some 8 );
+      ( Dggt_domains.Astmatcher.domain,
+        "find call expressions, declarations, statements, loops, variables, \
+         functions, classes, methods, fields, parameters, casts, literals, \
+         operators, members, templates and records",
+        None );
     ]
 
 let test_empty_document () =

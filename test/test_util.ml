@@ -121,6 +121,14 @@ let prop_cartesian_count_agrees =
     QCheck.(list_of_size Gen.(0 -- 4) (list_of_size Gen.(0 -- 3) small_int))
     (fun lls -> Listutil.cartesian_count lls = List.length (Listutil.cartesian lls))
 
+let prop_cartesian_take_agrees =
+  QCheck.Test.make ~name:"cartesian_take is a prefix of cartesian" ~count:200
+    QCheck.(
+      pair (int_range (-1) 10)
+        (list_of_size Gen.(0 -- 4) (list_of_size Gen.(0 -- 3) small_int)))
+    (fun (n, lls) ->
+      Listutil.cartesian_take n lls = Listutil.take n (Listutil.cartesian lls))
+
 let test_group_by () =
   let groups = Listutil.group_by ~key:(fun x -> x mod 2) [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check (list (pair int (list int))))
@@ -178,7 +186,8 @@ let test_timer () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_lev_symmetric; prop_lev_triangle; prop_lev_identity;
-      prop_iter_cartesian_agrees; prop_cartesian_count_agrees ]
+      prop_iter_cartesian_agrees; prop_cartesian_count_agrees;
+      prop_cartesian_take_agrees ]
 
 let suite =
   [

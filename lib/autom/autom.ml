@@ -172,7 +172,6 @@ let to_image t =
   }
 
 let image_digest i = i.i_digest
-let image_compile_time_s i = i.i_compile_s
 
 let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
   let d = digest_of g in

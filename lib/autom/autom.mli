@@ -80,8 +80,6 @@ val of_image : ?memo_cap:int -> Dggt_grammar.Ggraph.t -> image -> (t, string) re
 val image_digest : image -> string
 (** The {!digest} of the grammar the image was compiled from. *)
 
-val image_compile_time_s : image -> float
-
 (** {2 Path enumeration (EdgeToPath)}
 
     Both searches run the compiled table walk, memoized per

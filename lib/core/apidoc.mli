@@ -36,9 +36,6 @@ val make :
     [literal_apis] marks APIs accepting quoted-string payloads,
     [number_apis] those accepting numeric payloads. *)
 
-val make_entries : entry list -> t
-(** Use pre-built entries (for domains that curate keywords by hand). *)
-
 val entries : t -> entry list
 val find : t -> string -> entry option
 val keywords_of : t -> string -> string list

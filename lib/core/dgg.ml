@@ -1,44 +1,25 @@
-type node_kind =
-  | Start
-  | ApiN of { dep : int; api : string }
-  | PcgtN of { dep : int; api : string; idx : int }
-
-type node = { id : int; kind : node_kind; cell : Semiring.Cell.t }
-
-type edge = { src : int; dst : int; epath : int option }
+type node = { id : int; dep : int; cell : Semiring.Cell.t }
 
 type t = {
   objective : Semiring.t;
-  mutable rev_nodes : node list;
-  mutable rev_edges : edge list;
-  mutable count : int;
+  mutable rev_nodes : node list;  (* the API nodes *)
+  mutable node_count : int;
+  mutable edge_count : int;
   api_tbl : (int * string, node) Hashtbl.t;
-  start_node : node;
 }
 
-let mk_node t kind =
-  let n = { id = t.count; kind; cell = Semiring.zero t.objective } in
-  t.rev_nodes <- n :: t.rev_nodes;
-  t.count <- t.count + 1;
-  n
-
+(* the start node (id 0) is counted, not stored: the walk never reads it *)
 let create objective =
-  let start_cell = Semiring.zero objective in
-  (* the start node holds the empty derivation (size 0): paths extend it *)
-  ignore (Semiring.plus start_cell Semiring.one);
-  let start = { id = 0; kind = Start; cell = start_cell } in
   {
     objective;
-    rev_nodes = [ start ];
-    rev_edges = [];
-    count = 1;
+    rev_nodes = [];
+    node_count = 1;
+    edge_count = 0;
     api_tbl = Hashtbl.create 32;
-    start_node = start;
   }
 
-let start t = t.start_node
 let id n = n.id
-let kind n = n.kind
+let dep n = n.dep
 
 let find_api t ~dep ~api = Hashtbl.find_opt t.api_tbl (dep, api)
 
@@ -46,14 +27,17 @@ let add_api t ~dep ~api =
   match find_api t ~dep ~api with
   | Some n -> n
   | None ->
-      let n = mk_node t (ApiN { dep; api }) in
+      let n = { id = t.node_count; dep; cell = Semiring.zero t.objective } in
+      t.rev_nodes <- n :: t.rev_nodes;
+      t.node_count <- t.node_count + 1;
       Hashtbl.add t.api_tbl (dep, api) n;
       n
 
-let add_pcgt t ~dep ~api ~idx = mk_node t (PcgtN { dep; api; idx })
+let count_edge t = t.edge_count <- t.edge_count + 1
 
-let add_edge t ~src ~dst ~epath =
-  t.rev_edges <- { src = src.id; dst = dst.id; epath } :: t.rev_edges
+let count_combination t ~paths =
+  t.node_count <- t.node_count + 1;
+  t.edge_count <- t.edge_count + paths + 1
 
 let best n = Semiring.Cell.best n.cell
 let solved n = Semiring.Cell.solved n.cell
@@ -67,10 +51,7 @@ let size n =
 let improved n cand = Semiring.plus n.cell cand
 
 let nodes t = List.rev t.rev_nodes
-let edges t = List.rev t.rev_edges
-let node_count t = t.count
-let edge_count t = List.length t.rev_edges
+let node_count t = t.node_count
+let edge_count t = t.edge_count
 
-let api_nodes_of_dep t dep =
-  nodes t
-  |> List.filter (fun n -> match n.kind with ApiN a -> a.dep = dep | _ -> false)
+let api_nodes_of_dep t dep = List.filter (fun n -> n.dep = dep) (nodes t)

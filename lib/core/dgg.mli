@@ -1,46 +1,53 @@
 (** The dynamic grammar graph (paper §IV-B.1).
 
     Three node kinds: the start node; API nodes N_(dep word, API); and
-    partial-CGT nodes recording one surviving path combination of sibling
-    edges. Two edge kinds: path edges (carrying the epath id of the grammar
-    path they represent) and auxiliary zero-length edges (start -> API,
-    PCGT -> its root API).
+    partial-CGT nodes, one per merged combination of sibling paths. Two
+    edge kinds: path edges (one per grammar path of a combination, or per
+    single child edge) and auxiliary zero-length edges (start -> API,
+    partial-CGT node -> its root API).
 
-    Every node owns a chart cell ({!Semiring.Cell.t}) memoizing the best
-    partial CGT(s) from the start node to itself under the graph's
-    objective — the dynamic programming state that lets DGGT assemble the
-    global optimum without re-merging shared substructure. The DP state is
-    sealed: only {!improved} (the semiring accumulation) writes a cell;
-    everything else goes through the read-only accessors below. *)
+    Only the API nodes are stored. Every one owns a chart cell
+    ({!Semiring.Cell.t}) memoizing the best partial CGT(s) from the
+    start node to itself under the graph's objective — the dynamic
+    programming state that lets DGGT assemble the global optimum without
+    re-merging shared substructure. The DP state is sealed: only
+    {!improved} (the semiring accumulation) writes a cell; everything
+    else goes through the read-only accessors below.
 
-type node_kind =
-  | Start
-  | ApiN of { dep : int; api : string }
-      (** candidate API [api] for dependency node [dep] *)
-  | PcgtN of { dep : int; api : string; idx : int }
-      (** [idx]-th surviving combination for governor [dep] resolved as
-          [api] *)
+    The start node, the partial-CGT nodes and the edges are counted, not
+    stored: the walk reads a combination's candidate once, offering it to
+    the governor's API node, so nothing ever reads the combination's own
+    node, the start node or the edges again. Node ids follow creation
+    order with the start node (id 0) and the combination nodes counted
+    in. *)
 
 type node
-
-type edge = { src : int; dst : int; epath : int option (** None = auxiliary *) }
+(** An API node: a candidate API for one dependency node. *)
 
 type t
 
 val create : Semiring.t -> t
-(** A fresh graph whose cells accumulate under the given objective. The
-    start node holds the empty derivation (size 0). *)
+(** A fresh graph whose cells accumulate under the given objective: the
+    start node alone. *)
 
-val start : t -> node
 val id : node -> int
-val kind : node -> node_kind
+
+val dep : node -> int
+(** The dependency node the API node interprets. *)
 
 val add_api : t -> dep:int -> api:string -> node
 (** Returns the existing node when (dep, api) was added before. *)
 
 val find_api : t -> dep:int -> api:string -> node option
-val add_pcgt : t -> dep:int -> api:string -> idx:int -> node
-val add_edge : t -> src:node -> dst:node -> epath:int option -> unit
+
+val count_edge : t -> unit
+(** One edge into an API node: a seeded leaf's auxiliary edge from the
+    start node, or a single child edge's path edge (Case I). *)
+
+val count_combination : t -> paths:int -> unit
+(** One merged combination of [paths] sibling paths (Case II): its
+    partial-CGT node, a path edge per path and the auxiliary edge to the
+    governor's API node. *)
 
 val improved : node -> Semiring.cand -> bool
 (** Accumulate a candidate into the node's cell ({!Semiring.Cell.plus}).
@@ -63,8 +70,11 @@ val choices : node -> Semiring.cand list
     {!Semiring.Top_k}). *)
 
 val nodes : t -> node list
-val edges : t -> edge list
+(** The API nodes, in creation order. *)
+
 val node_count : t -> int
+(** Every node, the start node and the combination nodes included. *)
+
 val edge_count : t -> int
 
 val api_nodes_of_dep : t -> int -> node list

@@ -108,11 +108,11 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     ?(gprune = true) ?(sprune = true) ?(trace : Trace.span option)
     ?(on_improve : (Semiring.cand -> unit) option) g (dg : Depgraph.t) w2a e2p =
   let dyng = Dgg.create objective in
-  let start = Dgg.start dyng in
   let scratch = Cgt.scratch g in
   (* each usable path's child API node by path id, looked up once, when
-     its governor forms its groups: the extra size, the child's best and
-     the DGG edge the walk then reads for the path come from here *)
+     its governor forms its groups: the path's extra size (through
+     [Gprune.prepare]'s [extra]) and the child's best candidate
+     ([child_best]) come from here *)
   let child = Array.make (Edge2path.id_bound e2p) None in
   let record_child (p : Edge2path.epath) =
     let c = solved_child dyng p in
@@ -140,14 +140,11 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
      the whole query under that root API — stream it out. Only API nodes
      of the root dependency word qualify (they are exactly the cells
      [ranked_of_graph] reads the final n-best off); improvements of inner
-     cells or partial-CGT nodes are intermediate state, not candidates. *)
+     cells are intermediate state, not candidates. *)
   let emit_root node cand =
     match on_improve with
     | None -> ()
-    | Some f -> (
-        match Dgg.kind node with
-        | Dgg.ApiN { dep; _ } when dep = dg.Depgraph.root -> f cand
-        | _ -> ())
+    | Some f -> if Dgg.dep node = dg.Depgraph.root then f cand
   in
   let record_improved node cand =
     let improved = Dgg.improved node cand in
@@ -165,7 +162,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
     | Some cgt ->
         let n = Dgg.add_api dyng ~dep ~api in
         if not (Dgg.solved n) then begin
-          Dgg.add_edge dyng ~src:start ~dst:n ~epath:None;
+          Dgg.count_edge dyng;
           ignore
             (record_improved n
                {
@@ -291,7 +288,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                   | None -> None
                 end)
           in
-          let try_combo idx combo =
+          let try_combo combo =
               Budget.check budget;
               if case_ii then
                 stats.Stats.combos_merged <- stats.Stats.combos_merged + 1;
@@ -313,29 +310,14 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                 let score = Word2api.assignment_score w2a assignment in
                 let cand = { Semiring.size; cgt = merged; assignment; score } in
                 let target = get_api_node () in
+                (* every path of a merged combination has a solved child,
+                   so each gets its edge; a combination's node is fresh,
+                   and a fresh cell always improves *)
                 if case_ii then begin
-                  let pcgt = Dgg.add_pcgt dyng ~dep:id ~api:a ~idx in
-                  ignore (record_improved pcgt cand);
-                  List.iter
-                    (fun (p : Edge2path.epath) ->
-                      match child.(p.Edge2path.id) with
-                      | Some c ->
-                          Dgg.add_edge dyng ~src:c ~dst:pcgt
-                            ~epath:(Some p.Edge2path.id)
-                      | None -> ())
-                    combo;
-                  Dgg.add_edge dyng ~src:pcgt ~dst:target ~epath:None
+                  Dgg.count_combination dyng ~paths:(List.length combo);
+                  stats.Stats.dgg_improvements <- stats.Stats.dgg_improvements + 1
                 end
-                else begin
-                  match combo with
-                  | [ p ] -> (
-                      match child.(p.Edge2path.id) with
-                      | Some c ->
-                          Dgg.add_edge dyng ~src:c ~dst:target
-                            ~epath:(Some p.Edge2path.id)
-                      | None -> ())
-                  | _ -> ()
-                end;
+                else Dgg.count_edge dyng;
                 let improved = record_improved target cand in
                 if improved && Trace.on trace then
                   Trace.int trace
@@ -343,7 +325,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                     size
               end
           in
-          List.iteri try_combo survivors;
+          List.iter try_combo survivors;
           if not !merged_any then
             (* No joint interpretation of the sibling edges exists under
                this governor (mutually exclusive "or" alternatives, e.g. a
@@ -351,7 +333,7 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
                the best single-edge interpretations so the fullest subtree
                still survives; coverage-first selection does the rest. *)
             List.iter
-              (fun group -> List.iter (fun p -> try_combo 0 [ p ]) group)
+              (fun group -> List.iter (fun p -> try_combo [ p ]) group)
               groups)
         governors
     end
@@ -383,11 +365,6 @@ let synthesize_with_graph ?(objective = Semiring.Min_size) ~budget ~stats
              assignment = c.Semiring.assignment })
   in
   (res, dyng)
-
-let synthesize ?objective ~budget ~stats ?gprune ?sprune ?trace g dg w2a e2p =
-  fst
-    (synthesize_with_graph ?objective ~budget ~stats ?gprune ?sprune ?trace g
-       dg w2a e2p)
 
 let ranked_of_graph dyng ~root =
   Dgg.api_nodes_of_dep dyng root

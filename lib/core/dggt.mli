@@ -10,7 +10,7 @@
     - a governor with sibling children (Case II) enumerates only the
       per-level combinations of its children's paths — grammar-based and
       size-based pruning run {e before} prefix trees are merged — and
-      records each survivor as a partial-CGT node;
+      counts each merged survivor as a partial-CGT node;
     - the optimal global CGT is read off the root word's best API node
       (the memoized cell makes the paper's backtrack a lookup).
 
@@ -22,26 +22,6 @@
     of that stream per cell.
 
     Complexity: O(sum over levels of p^e) instead of O(product). *)
-
-val synthesize :
-  ?objective:Semiring.t ->
-  budget:Dggt_util.Budget.t ->
-  stats:Stats.t ->
-  ?gprune:bool ->
-  ?sprune:bool ->
-  ?trace:Dggt_obs.Trace.span ->
-  Dggt_grammar.Ggraph.t ->
-  Dggt_nlu.Depgraph.t ->
-  Word2api.t ->
-  Edge2path.t ->
-  Synres.t option
-(** Both pruning optimizations default to enabled; [objective] defaults
-    to {!Semiring.Min_size}. Raises {!Dggt_util.Budget.Exhausted} on
-    budget exhaustion. Returns the graph structure statistics through
-    [stats]. When [trace] is given (the engine's open PathMerge span),
-    decision-level notes are recorded on it: per-governor combination
-    counts before/after each pruning pass, [min_size] improvements per
-    (word, API) memo, and the final DGG level sizes. *)
 
 val synthesize_with_graph :
   ?objective:Semiring.t ->
@@ -56,8 +36,15 @@ val synthesize_with_graph :
   Word2api.t ->
   Edge2path.t ->
   Synres.t option * Dgg.t
-(** Same, also exposing the constructed dynamic grammar graph (used by
-    the ranked mode, the CLI's explain mode and tests).
+(** The answer and the constructed dynamic grammar graph (read by the
+    ranked mode and tests). Both pruning optimizations default to
+    enabled; [objective] defaults to {!Semiring.Min_size}. Raises
+    {!Dggt_util.Budget.Exhausted} on budget exhaustion. Returns the graph
+    structure statistics through [stats]. When [trace] is given (the
+    engine's open PathMerge span), decision-level notes are recorded on
+    it: per-governor combination counts before/after each pruning pass,
+    [min_size] improvements per (word, API) memo, and the final DGG level
+    sizes.
 
     [on_improve] is the streaming emission seam: it fires inside the
     chart walk each time a {e root} cell's best-first bounded cell
@@ -105,5 +92,5 @@ val ranked_of_graph : Dgg.t -> root:int -> Semiring.cand list
     word's API-node cells, best first under {!root_compare} (cell rank
     breaks residual ties). Under {!Semiring.Top_k} this is a real n-best
     list — up to k candidates per root interpretation, not one; its head
-    is {!synthesize}'s answer. Read-only: call after
+    is the walk's answer. Read-only: call after
     {!synthesize_with_graph} on the finished graph. *)

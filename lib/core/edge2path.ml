@@ -4,23 +4,18 @@ module Autom = Dggt_autom.Autom
 
 type epath = {
   id : int;
-  label : string;
   edge : Depgraph.edge;
   gov_api : string option;
   dep_api : string;
   path : Gpath.t;
 }
 
-(* Entries stay an edge-ordered array (pp and [all] need edge order);
-   per-edge and per-id lookups go through hash tables built once at
-   construction, and the aggregates the tracer asks for on every request
-   ([all], [total_path_count]) are cached up front. All fields are
-   read-only after [make]: one map is shared freely across domains. *)
+(* Per-edge lookups go through a hash table built once at construction,
+   and the path count the tracer asks for on every request is cached up
+   front. All fields are read-only after [make]: one map is shared freely
+   across domains. *)
 type t = {
-  entries : ((int * int) * epath list) array; (* (gov, dep) keyed, edge order *)
   by_key : (int * int, epath list) Hashtbl.t;
-  by_id : (int, epath) Hashtbl.t;
-  all_paths : epath list; (* concatenation of [entries], edge order *)
   total : int;
   orphan_ids : int list;
   next_id : int;
@@ -28,26 +23,19 @@ type t = {
 
 let edge_key (e : Depgraph.edge) = (e.Depgraph.gov, e.Depgraph.dep)
 
+(* [entries] are (gov, dep)-keyed, in edge order *)
 let make entries ~orphan_ids ~next_id =
-  let by_key = Hashtbl.create (max 8 (Array.length entries)) in
-  let by_id = Hashtbl.create 64 in
-  Array.iter
-    (fun (key, eps) ->
-      (* first entry wins, matching the old assoc-list lookup when two
-         dependency edges share a (gov, dep) pair *)
-      if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key eps;
-      List.iter (fun p -> Hashtbl.replace by_id p.id p) eps)
-    entries;
-  let all_paths = List.concat_map snd (Array.to_list entries) in
-  {
-    entries;
-    by_key;
-    by_id;
-    all_paths;
-    total = List.length all_paths;
-    orphan_ids;
-    next_id;
-  }
+  let by_key = Hashtbl.create (max 8 (List.length entries)) in
+  let total =
+    List.fold_left
+      (fun n (key, eps) ->
+        (* first entry wins, matching the old assoc-list lookup when two
+           dependency edges share a (gov, dep) pair *)
+        if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key eps;
+        n + List.length eps)
+      0 entries
+  in
+  { by_key; total; orphan_ids; next_id }
 
 (* all candidate (gov_api, dep_api) pairs, gov-major, self-pairs skipped —
    the order an edge's paths are searched and numbered in *)
@@ -57,21 +45,13 @@ let candidate_pairs govs deps =
     govs
 
 (* One edge's paths, found as (gov_api, dep_api, path) triples in search
-   order, numbered: ids continue from [next_id], labels are "e.k" (edge
-   ordinal, path ordinal) followed by [suffix]. *)
-let number ~next_id ~edge_idx ~suffix e found =
-  List.mapi
-    (fun k (gov_api, dep_api, path) ->
+   order, numbered: ids continue from [next_id]. *)
+let number ~next_id e found =
+  List.map
+    (fun (gov_api, dep_api, path) ->
       let id = !next_id in
       incr next_id;
-      {
-        id;
-        label = Printf.sprintf "%d.%d%s" (edge_idx + 1) (k + 1) suffix;
-        edge = e;
-        gov_api;
-        dep_api;
-        path;
-      })
+      { id; edge = e; gov_api; dep_api; path })
     found
 
 let build ?limits ?pair_lookup autom (dg : Depgraph.t) w2a =
@@ -83,8 +63,8 @@ let build ?limits ?pair_lookup autom (dg : Depgraph.t) w2a =
   in
   let next_id = ref 0 in
   let entries =
-    List.mapi
-      (fun edge_idx (e : Depgraph.edge) ->
+    List.map
+      (fun (e : Depgraph.edge) ->
         let pairs =
           candidate_pairs
             (Word2api.apis w2a e.Depgraph.gov)
@@ -95,7 +75,7 @@ let build ?limits ?pair_lookup autom (dg : Depgraph.t) w2a =
             (fun (a, b) -> List.map (fun p -> (Some a, b, p)) (search (a, b)))
             pairs
         in
-        (edge_key e, number ~next_id ~edge_idx ~suffix:"" e found))
+        (edge_key e, number ~next_id e found))
       dg.Depgraph.edges
   in
   let orphan_ids =
@@ -104,16 +84,14 @@ let build ?limits ?pair_lookup autom (dg : Depgraph.t) w2a =
       entries
     |> List.sort_uniq compare
   in
-  make (Array.of_list entries) ~orphan_ids ~next_id:!next_id
+  make entries ~orphan_ids ~next_id:!next_id
 
 let paths_of_edge t e =
   match Hashtbl.find_opt t.by_key (edge_key e) with Some l -> l | None -> []
 
-let all t = t.all_paths
 let orphans t = t.orphan_ids
 let total_path_count t = t.total
 let id_bound t = t.next_id
-let find t id = Hashtbl.find_opt t.by_id id
 
 let anchor_orphans ?limits autom (dg : Depgraph.t) w2a t =
   let g = Autom.graph autom in
@@ -134,8 +112,8 @@ let anchor_orphans ?limits autom (dg : Depgraph.t) w2a t =
   in
   let next_id = ref t.next_id in
   let entries =
-    List.mapi
-      (fun edge_idx (e : Depgraph.edge) ->
+    List.map
+      (fun (e : Depgraph.edge) ->
         if List.mem e.Depgraph.dep orphan_set then
           let found =
             List.concat_map
@@ -148,21 +126,10 @@ let anchor_orphans ?limits autom (dg : Depgraph.t) w2a t =
                       (Autom.paths_from_root ?limits autom ~dst))
               (Word2api.apis w2a e.Depgraph.dep)
           in
-          (edge_key e, number ~next_id ~edge_idx ~suffix:"*" e found)
+          (edge_key e, number ~next_id e found)
         else
           (* carry over the existing paths, updating nothing *)
           (edge_key e, paths_of_edge t e))
       dg'.Depgraph.edges
   in
-  (dg', make (Array.of_list entries) ~orphan_ids:[] ~next_id:!next_id)
-
-let pp g fmt t =
-  Array.iter
-    (fun (_, eps) ->
-      List.iter
-        (fun p ->
-          Format.fprintf fmt "%s: %s->%s %a@ " p.label
-            (Option.value p.gov_api ~default:"<root>")
-            p.dep_api (Gpath.pp g) p.path)
-        eps)
-    t.entries
+  (dg', make entries ~orphan_ids:[] ~next_id:!next_id)

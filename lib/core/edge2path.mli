@@ -5,12 +5,11 @@
     collects the grammar paths a ~> b. A dependent with no path for any
     candidate pair is an {e orphan} (paper §V-B).
 
-    Paths carry globally unique integer ids (per map) plus a printable
-    label "e.k" (edge ordinal, path ordinal) matching the paper's figures. *)
+    Paths carry integer ids, unique within a map and numbered from 0
+    ({!id_bound}); they carry no display label. *)
 
 type epath = {
   id : int;             (** unique within this map *)
-  label : string;       (** "2.1"-style display label *)
   edge : Dggt_nlu.Depgraph.edge;
   gov_api : string option; (** None for root-anchored orphan paths *)
   dep_api : string;
@@ -44,7 +43,6 @@ val build :
     keyed [(domain, src, dst)] and reuse results across requests. *)
 
 val paths_of_edge : t -> Dggt_nlu.Depgraph.edge -> epath list
-val all : t -> epath list
 val orphans : t -> int list
 (** Dependent node ids whose edge has no candidate path, token order. *)
 
@@ -55,9 +53,6 @@ val total_path_count : t -> int
 val id_bound : t -> int
 (** Every path id of the map is below it: ids are numbered from 0, so a
     walk can keep per-path facts in an array of this length. *)
-
-val find : t -> int -> epath option
-(** Hash lookup by path id — O(1). *)
 
 val anchor_orphans :
   ?limits:Dggt_grammar.Gpath.limits ->
@@ -72,5 +67,3 @@ val anchor_orphans :
     graph and the extended map. The root-anchored searches run on the
     automaton ({!Dggt_autom.Autom.paths_from_root}); [pair_lookup] does
     not see them. *)
-
-val pp : Dggt_grammar.Ggraph.t -> Format.formatter -> t -> unit

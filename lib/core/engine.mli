@@ -49,8 +49,6 @@ type lookups = {
     cache keys must cover everything scoring depends on besides the
     arguments: the document/grammar and the configuration. *)
 
-val no_lookups : lookups
-
 type target = {
   autom : Dggt_autom.Autom.t;
       (** the grammar compiled into state tables
@@ -60,7 +58,7 @@ type target = {
           ({!Dggt_autom.Autom.graph}) *)
   doc : Apidoc.t;
   caches : lookups;
-      (** per-stage memoization; {!no_lookups} = compute everything. Part
+      (** per-stage memoization; no hook = compute everything. Part
           of the target, not the config: installing caches means building
           a different target, never mutating how the engine runs. *)
 }
@@ -70,7 +68,7 @@ type target = {
     ready {!session}. *)
 
 val target : ?caches:lookups -> Dggt_autom.Autom.t -> Apidoc.t -> target
-(** [caches] defaults to {!no_lookups}. *)
+(** [caches] defaults to no hooks: every stage computes. *)
 
 type config = {
   algorithm : algorithm;

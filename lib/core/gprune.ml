@@ -77,6 +77,15 @@ let info t (p : Edge2path.epath) =
 (* bits per mask word *)
 let word = Sys.int_size
 
+(* the index of a byte's lowest set bit *)
+let low_bit = Array.init 256 (fun b ->
+  let rec go i = if i >= 8 || (b lsr i) land 1 = 1 then i else go (i + 1) in
+  go 0)
+
+(* the index of the one set bit of [x] *)
+let rec bit_index x k =
+  if x land 255 <> 0 then k + low_bit.(x land 255) else bit_index (x lsr 8) (k + 8)
+
 (* does a path claim a node the stamped path holds with another
    production? *)
 let rec clashes t cl j =
@@ -182,29 +191,44 @@ let combos ?budget t ~gprune ~sprune groups =
       in
       if lo <= !min_hi then kept := (lo, combo (n - 1) []) :: !kept
     end
-    else
-      let ps = infos.(d) and cb = cbase.(d) in
-      for i = 0 to Array.length ps - 1 do
-        (match budget with Some b -> Budget.check b | None -> ());
-        if (not gprune) || (m.(cb + (i / word)) lsr (i mod word)) land 1 = 1
-        then begin
-          chosen.(d) <- i;
-          if gprune && d < n - 1 then push d i;
-          let p = ps.(i) in
-          if sprune then
-            for j = 0 to Array.length p.apis - 1 do
-              let a = p.apis.(j) in
-              if t.uses.(a) = 0 then incr union;
-              t.uses.(a) <- t.uses.(a) + 1
-            done;
-          go (d + 1) (sum_size + p.size) (sum_extra + p.extra);
-          if sprune then
-            for j = 0 to Array.length p.apis - 1 do
-              let a = p.apis.(j) in
-              t.uses.(a) <- t.uses.(a) - 1;
-              if t.uses.(a) = 0 then decr union
-            done
-        end
+    else begin
+      (* entering a level charges every path of it, conflicting or not *)
+      let len = Array.length infos.(d) in
+      (match budget with Some b -> Budget.spend b len | None -> ());
+      if not gprune then
+        for i = 0 to len - 1 do
+          visit d i sum_size sum_extra
+        done
+      else
+        (* the set bits of the block, lowest first; a block starts as
+           all-ones words, so the last word is cut at [len] *)
+        for w = 0 to ((len + word - 1) / word) - 1 do
+          let base = w * word in
+          let x = ref m.(cbase.(d) + w) in
+          if len - base < word then x := !x land ((1 lsl (len - base)) - 1);
+          while !x <> 0 do
+            let low = !x land - !x in
+            x := !x lxor low;
+            visit d (base + bit_index low 0) sum_size sum_extra
+          done
+        done
+    end
+  and visit d i sum_size sum_extra =
+    chosen.(d) <- i;
+    if gprune && d < n - 1 then push d i;
+    let p = infos.(d).(i) in
+    if sprune then
+      for j = 0 to Array.length p.apis - 1 do
+        let a = p.apis.(j) in
+        if t.uses.(a) = 0 then incr union;
+        t.uses.(a) <- t.uses.(a) + 1
+      done;
+    go (d + 1) (sum_size + p.size) (sum_extra + p.extra);
+    if sprune then
+      for j = 0 to Array.length p.apis - 1 do
+        let a = p.apis.(j) in
+        t.uses.(a) <- t.uses.(a) - 1;
+        if t.uses.(a) = 0 then decr union
       done
   in
   go 0 0 0;

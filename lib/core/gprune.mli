@@ -20,7 +20,8 @@
     conflicts from those bitsets; its conflicts with each later level are
     computed once per enumeration, on its first choice, by stamping its
     claims into a node-indexed production array and testing every later
-    path's claims against it. Trying a path is then one bit test.
+    path's claims against it. A level is then walked over the set bits
+    of its bitset, a word at a time: a conflicting path is never visited.
 
     {b Size-based pruning.} For a combination c = \{p_1, ..., p_n\} of
     grammar paths, before any merging happens its merged size is bounded
@@ -82,8 +83,8 @@ val combos :
     [sprune]) every conflict-free combination whose lower size bound
     exceeds the least upper bound among them: the product's pairwise
     conflict filter followed by the size filter over its survivors. The
-    budget is ticked once for every path tried at every level of the
-    enumeration, before its conflict check: a path skipped for a
-    conflict costs one step, and the levels below it cost nothing. Size
-    pruning adds no step. With both prunings off no per-path data is
-    computed. *)
+    budget is charged when the enumeration enters a level, one step per
+    path of the level, conflicting ones included ({!Dggt_util.Budget.spend}):
+    a path skipped for a conflict costs one step, and the levels below it
+    cost nothing. Size pruning adds no step. With both prunings off no
+    per-path data is computed. *)

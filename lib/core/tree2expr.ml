@@ -235,8 +235,6 @@ let rec to_string e =
   let arg_parts = List.map to_string e.args in
   Printf.sprintf "%s(%s)" e.api (String.concat ", " (lit_part @ arg_parts))
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let rec equal a b =
   a.api = b.api && a.lit = b.lit
   && List.length a.args = List.length b.args

@@ -62,5 +62,4 @@ val api_multiset : expr -> string list
 (** All API names in the expression, sorted — used for the softer
     "API-set" comparisons in error analysis. *)
 
-val pp : Format.formatter -> expr -> unit
 val pp_error : Format.formatter -> error -> unit

@@ -144,11 +144,3 @@ let restrict t node api =
           else (id, cs))
         t.by_node;
   }
-
-let pp fmt t =
-  List.iter
-    (fun (id, cs) ->
-      Format.fprintf fmt "%d -> {%s}@ " id
-        (String.concat ", "
-           (List.map (fun c -> Printf.sprintf "%s:%.2f" c.api c.score) cs)))
-    t.by_node

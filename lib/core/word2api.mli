@@ -69,5 +69,3 @@ val cap : t -> int -> t
 (** Truncate every candidate list to its first [k] entries. The engine
     builds the map uncapped, lets modifier absorption and unit filtering
     see the full ranking, then caps to the configured fan-out. *)
-
-val pp : Format.formatter -> t -> unit

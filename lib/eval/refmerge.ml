@@ -10,7 +10,7 @@ module Trace = Dggt_obs.Trace
    replaced through [update_min]. Structured as {!Dggt_core.Engine.merge_fn}
    so the DGGT pipeline (orphan relocation, variant selection, budget) is
    shared — only step 5's chart differs. Outcomes, statistics and trace
-   notes must stay byte-identical to {!Dggt_core.Dggt.synthesize} under
+   notes must stay byte-identical to {!Dggt_core.Dggt.synthesize_with_graph} under
    {!Dggt_core.Semiring.Min_size}; the gate in CI holds this file and the
    semiring walk to each other. It prunes, bounds sizes and checks trees
    with the pre-claims pair table ({!Refgprune}), the list size filter
@@ -202,7 +202,9 @@ let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
             in
             let after_gprune = List.length survivors in
             if case_ii then begin
-              stats.Stats.combos_total <- stats.Stats.combos_total + total;
+              (* saturating, like the chart's counter: a long coordinated
+                 list's product passes [max_int] *)
+              stats.Stats.combos_total <- Stats.sum stats.Stats.combos_total total;
               stats.Stats.combos_after_gprune <-
                 stats.Stats.combos_after_gprune + after_gprune
             end;

@@ -20,9 +20,6 @@ let pp_error fmt = function
   | Empty_grammar -> Format.fprintf fmt "grammar has no rules"
 
 let symbol_name = function T s -> s | N s -> s
-let pp_symbol fmt = function
-  | T s -> Format.fprintf fmt "%s" s
-  | N s -> Format.fprintf fmt "<%s>" s
 
 let of_bnf ~start rules =
   if rules = [] then Error Empty_grammar

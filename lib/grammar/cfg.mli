@@ -39,4 +39,3 @@ val is_nonterminal : t -> string -> bool
 val api_count : t -> int
 val symbol_name : symbol -> string
 val pp_error : Format.formatter -> error -> unit
-val pp_symbol : Format.formatter -> symbol -> unit

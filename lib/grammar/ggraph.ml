@@ -225,8 +225,3 @@ let dist_rows t srcs =
 
 let distance t a b = (dist_from t a).(b)
 let reachable t a b = distance t a b < max_int
-
-let pp_stats fmt t =
-  let apis = List.length (api_nodes t) in
-  Format.fprintf fmt "grammar graph: %d nodes (%d APIs), %d edges, root=%s"
-    (node_count t) apis (edge_count t) (node_name t t.root)

@@ -105,5 +105,3 @@ val dist_rows : t -> int array -> int array array
 (** [dist_rows g srcs] is [Array.map (dist_from g) srcs]: the same rows,
     memoized the same way, computed with one BFS queue for the whole
     batch. The automaton compile precomputes its rows this way. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -18,16 +18,22 @@ val of_seconds : float -> t
 (** Wall-clock budget starting now. *)
 
 val of_steps : int -> t
-(** Deterministic budget of [n] calls to {!tick}/{!check}. *)
+(** Deterministic budget of [n] steps of {!check}/{!spend}. *)
 
 val of_seconds_and_steps : float -> int -> t
 
 val check : t -> unit
-(** Counts one unit of work; raises {!Exhausted} if either limit is hit.
-    Wall-clock is sampled every 256 ticks to keep the check cheap. *)
+(** Counts one unit of work ([spend t 1]); raises {!Exhausted} if either
+    limit is hit. Wall-clock is sampled every 256 ticks to keep the check
+    cheap. *)
+
+val spend : t -> int -> unit
+(** [spend t n] is [n] calls to {!check}, in one: the same
+    {!steps_used} afterwards, and it raises {!Exhausted} if and only if
+    one of them would, with the count stopped on the step that raised.
+    The clock is sampled at every multiple of 256 the count crosses. *)
 
 val exhausted : t -> bool
 (** Non-raising probe (does not count work). *)
 
 val steps_used : t -> int
-val elapsed : t -> float

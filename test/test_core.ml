@@ -208,11 +208,10 @@ let test_edge2path_basic () =
   check_b "has paths" true (List.length ps >= 1);
   List.iter
     (fun (p : Edge2path.epath) ->
-      check_b "gov api is a candidate" true (p.Edge2path.gov_api <> None);
-      check_b "labels start at 1." true
-        (Dggt_util.Strutil.starts_with ~prefix:"1." p.Edge2path.label))
+      check_b "gov api is a candidate" true (p.Edge2path.gov_api <> None))
     ps;
-  check_i "total count agrees" (List.length (Edge2path.all e2p))
+  check_i "total count agrees"
+    (List.length (List.concat_map (Edge2path.paths_of_edge e2p) dg.Nlu.Depgraph.edges))
     (Edge2path.total_path_count e2p)
 
 let test_edge2path_orphans () =
@@ -234,7 +233,9 @@ let test_edge2path_anchor () =
     (Edge2path.orphans e2p);
   (* root-anchored paths carry gov_api = None *)
   let anchored =
-    List.filter (fun (p : Edge2path.epath) -> p.Edge2path.gov_api = None) (Edge2path.all e2p')
+    List.filter
+      (fun (p : Edge2path.epath) -> p.Edge2path.gov_api = None)
+      (List.concat_map (Edge2path.paths_of_edge e2p') dg'.Nlu.Depgraph.edges)
   in
   check_b "anchored paths exist" true (anchored <> [])
 
@@ -384,7 +385,7 @@ let test_expr_equal () =
 (* ------------------------------------------------------------------ *)
 
 let mk_epath id (p : Gpath.t) gov dep edge =
-  { Edge2path.id; label = string_of_int id; edge; gov_api = Some gov; dep_api = dep; path = p }
+  { Edge2path.id; edge; gov_api = Some gov; dep_api = dep; path = p }
 
 let test_sprune_bounds () =
   let dg = Queryprune.prune (Nlu.Depparser.parse "insert a string") in

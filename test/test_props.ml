@@ -105,7 +105,6 @@ let random_paths_gen =
 let mk_epath i (p : Gpath.t) =
   {
     Edge2path.id = i;
-    label = string_of_int i;
     edge = { Nlu.Depgraph.gov = 0; dep = i + 1; label = Nlu.Dep.Dep };
     gov_api = Some p.Gpath.apis.(0);
     dep_api = p.Gpath.apis.(Array.length p.Gpath.apis - 1);
@@ -314,7 +313,6 @@ let boundary_groups s size =
              incr drawn;
              {
                Edge2path.id = (1000 * e) + j;
-               label = Printf.sprintf "%d.%d" e j;
                edge = { Nlu.Depgraph.gov = 0; dep = e + 1; label = Nlu.Dep.Dep };
                gov_api = Some gov;
                dep_api = p.Gpath.apis.(Array.length p.Gpath.apis - 1);

@@ -178,6 +178,61 @@ let test_budget_wallclock () =
         Budget.check b
       done)
 
+(* [spend b n] is [n] checks in one: from a step budget of [k] after
+   [pre] checks (a dead budget once [pre > k]), both leave the same
+   count, and raise on the same step or not at all *)
+let prop_spend_is_checks =
+  QCheck.Test.make ~name:"spend n = n checks under a step budget" ~count:1000
+    QCheck.(triple (int_range 0 600) (int_range 0 600) (int_range 0 600))
+    (fun (k, pre, n) ->
+      let run f =
+        let b = Budget.of_steps k in
+        let raises f = match f () with () -> false | exception Budget.Exhausted -> true in
+        let dead = raises (fun () -> for _ = 1 to pre do Budget.check b done) in
+        let raised = raises (fun () -> f b) in
+        (dead, raised, Budget.steps_used b, Budget.exhausted b)
+      in
+      run (fun b -> Budget.spend b n)
+      = run (fun b ->
+            for _ = 1 to n do
+              Budget.check b
+            done))
+
+let test_budget_spend () =
+  let b = Budget.of_steps 3 in
+  Budget.spend b 0;
+  check_i "spend 0 counts nothing" 0 (Budget.steps_used b);
+  Budget.spend b 3;
+  check_i "spend 3 = three checks" 3 (Budget.steps_used b);
+  Alcotest.check_raises "the step past the limit raises" Budget.Exhausted (fun () ->
+      Budget.spend b 10);
+  check_i "the count stops on the step that raised" 4 (Budget.steps_used b);
+  Budget.spend b 0;
+  check_i "spend 0 on a dead budget is a no-op" 4 (Budget.steps_used b);
+  Alcotest.check_raises "a dead budget raises" Budget.Exhausted (fun () -> Budget.spend b 1);
+  check_i "on its next step" 5 (Budget.steps_used b);
+  (* an expired deadline is seen on a multiple of 256, as [check] samples
+     the clock, and not before *)
+  let b = Budget.of_seconds (-1.0) in
+  Budget.spend b 200;
+  Budget.spend b 55;
+  check_i "no multiple of 256 crossed" 255 (Budget.steps_used b);
+  Alcotest.check_raises "step 256 samples the clock" Budget.Exhausted (fun () ->
+      Budget.spend b 1);
+  check_i "stopped on 256" 256 (Budget.steps_used b);
+  let b = Budget.of_seconds (-1.0) in
+  Budget.spend b 100;
+  Alcotest.check_raises "crossing 256 raises" Budget.Exhausted (fun () ->
+      Budget.spend b 1000);
+  check_i "stopped on the multiple" 256 (Budget.steps_used b);
+  let b = Budget.of_seconds_and_steps (-1.0) 100 in
+  Alcotest.check_raises "the step limit comes first" Budget.Exhausted (fun () ->
+      Budget.spend b 1000);
+  check_i "stopped past the limit" 101 (Budget.steps_used b);
+  let b = Budget.of_seconds 60.0 in
+  Budget.spend b 1000;
+  check_i "a live deadline lets every step through" 1000 (Budget.steps_used b)
+
 let test_timer () =
   let (r, t) = Timer.time (fun () -> Unix.sleepf 0.01; 42) in
   check_i "result passed through" 42 r;
@@ -187,7 +242,7 @@ let test_timer () =
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_lev_symmetric; prop_lev_triangle; prop_lev_identity;
       prop_iter_cartesian_agrees; prop_cartesian_count_agrees;
-      prop_cartesian_take_agrees ]
+      prop_cartesian_take_agrees; prop_spend_is_checks ]
 
 let suite =
   [
@@ -206,6 +261,7 @@ let suite =
     Alcotest.test_case "budget steps" `Quick test_budget_steps;
     Alcotest.test_case "budget unlimited" `Quick test_budget_unlimited;
     Alcotest.test_case "budget wallclock" `Quick test_budget_wallclock;
+    Alcotest.test_case "budget spend" `Quick test_budget_spend;
     Alcotest.test_case "timer" `Quick test_timer;
   ]
   @ qsuite

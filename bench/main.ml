@@ -550,6 +550,7 @@ type arow = {
   au_tw : ameasure;      (* fastest table-walk (automaton) pass *)
   au_rounds : around list;
   au_memo : Dggt_autom.Autom.memo_counters;  (* first round's automaton *)
+  au_memo_words : int;  (* words its path memo keeps alive *)
   au_mismatches : (string * string) list;
   au_timeout_skips : int;  (* most skips in any round *)
 }
@@ -687,6 +688,7 @@ let run_automaton_domain ~timeout_s ~limit (dom : Domain.t) =
     au_tw = fastest (fun r -> r.r_tw);
     au_rounds = rounds;
     au_memo = Dggt_autom.Autom.memo_counters first_autom;
+    au_memo_words = Dggt_autom.Autom.memo_words first_autom;
     au_mismatches = leaked @ List.concat_map (fun (ms, _) -> List.rev ms) checked;
     au_timeout_skips =
       List.fold_left (fun m r -> max m r.r_timeout_skips) 0 rounds;
@@ -778,6 +780,7 @@ let automaton_json ~timeout_s rows =
                       ("hits", i r.au_memo.Dggt_autom.Autom.hits);
                       ("misses", i r.au_memo.Dggt_autom.Autom.misses);
                       ("entries", i r.au_memo.Dggt_autom.Autom.entries);
+                      ("words", i r.au_memo_words);
                     ] );
                 ("timeout_skips", i r.au_timeout_skips);
                 ("identical", J.Bool (r.au_mismatches = []));
@@ -803,17 +806,19 @@ let run_automaton ~timeout_s ~limit () =
   let rows =
     List.map (run_automaton_domain ~timeout_s ~limit) (automaton_domains ())
   in
-  Format.fprintf fmt "  %12s %4s %4s %9s %10s %10s %8s %8s %5s@." "domain" "q"
-    "dom" "compile" "e2p-dfs" "e2p-tw" "speedup" "dom-spd" "ident";
+  Format.fprintf fmt "  %12s %4s %4s %9s %10s %10s %8s %8s %7s %9s %5s@." "domain" "q"
+    "dom" "compile" "e2p-dfs" "e2p-tw" "speedup" "dom-spd" "memo" "memo-kw" "ident";
   List.iter
     (fun r ->
       Format.fprintf fmt
-        "  %12s %4d %4d %7.1fms %9.3fs %9.3fs %7.2fx %7.2fx %5s@." r.au_domain
+        "  %12s %4d %4d %7.1fms %9.3fs %9.3fs %7.2fx %7.2fx %7d %9.1f %5s@." r.au_domain
         r.au_queries r.au_dominated
         (r.au_compile_s *. 1000.)
         r.au_dfs.a_e2p_s r.au_tw.a_e2p_s
         (r.au_dfs.a_e2p_s /. Float.max r.au_tw.a_e2p_s 1e-9)
         (r.au_dfs.a_dom_e2p_s /. Float.max r.au_tw.a_dom_e2p_s 1e-9)
+        r.au_memo.Dggt_autom.Autom.entries
+        (float_of_int r.au_memo_words /. 1000.)
         (if r.au_mismatches = [] then "yes" else "NO"))
     rows;
   Format.fprintf fmt "@.";

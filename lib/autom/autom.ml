@@ -19,7 +19,9 @@ type memo = {
 type t = {
   g : Ggraph.t;
   api : bool array; (* node id -> is this an API node *)
-  api_name : string array; (* node id -> name when [api], "" otherwise *)
+  api_name : string array;
+      (* node id -> name when [api], "" otherwise; no search reads it
+         since paths carry API node ids, but the image still holds it *)
   par_src : int array array;
       (* node id -> parent node ids, in parent-edge order — the reversed
          walk's transition table *)
@@ -225,12 +227,12 @@ let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
    instead of a list traversal with edge-record loads, the distance row
    is a precompiled array (no memo mutex), and the chain lives in two
    preallocated arrays instead of per-step cons cells. [src] is always
-   an API node or the root, the sources with a precompiled row. *)
+   an API node or the root, the sources with a precompiled row; a path
+   ends at an API node, so any other [dst] has none. Each path's record
+   ({!Gpath.make}) is built here, on a memo miss only. *)
 let run_search t (limits : Gpath.limits) ~src ~dst =
-  if src = dst then
-    if t.api.(src) then
-      [ { Gpath.nodes = [| src |]; edges = [||]; apis = [| t.api_name.(src) |] } ]
-    else []
+  if not t.api.(dst) then []
+  else if src = dst then [ Gpath.make t.g ~nodes:[| src |] ~edges:[||] ]
   else begin
     let found = ref [] in
     let count = ref 0 in
@@ -248,18 +250,7 @@ let run_search t (limits : Gpath.limits) ~src ~dst =
         Array.init depth (fun i -> if i = 0 then src else chain.(depth - i))
       in
       let edges = Array.init (depth - 1) (fun i -> chain_edge.(depth - 1 - i)) in
-      let napis = ref 0 in
-      Array.iter (fun id -> if t.api.(id) then incr napis) nodes;
-      let apis = Array.make !napis "" in
-      let j = ref 0 in
-      Array.iter
-        (fun id ->
-          if t.api.(id) then begin
-            apis.(!j) <- t.api_name.(id);
-            incr j
-          end)
-        nodes;
-      found := { Gpath.nodes; edges; apis } :: !found;
+      found := Gpath.make t.g ~nodes ~edges :: !found;
       incr count
     in
     let rec go node depth ~lo ~cap =
@@ -348,6 +339,13 @@ let memo_counters t =
   let entries = Hashtbl.length m.tbl in
   Mutex.unlock m.mu;
   { hits = Atomic.get m.hits; misses = Atomic.get m.misses; entries }
+
+let memo_words t =
+  let m = t.memo in
+  Mutex.lock m.mu;
+  let w = Obj.reachable_words (Obj.repr m.tbl) in
+  Mutex.unlock m.mu;
+  w
 
 let pp_stats fmt t =
   let n = Array.length t.api in

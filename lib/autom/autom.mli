@@ -99,9 +99,10 @@ val paths_between_apis :
 
 val paths_from_root :
   ?limits:Dggt_grammar.Gpath.limits -> t -> dst:int -> Dggt_grammar.Gpath.t list
-(** All simple paths from the grammar root down to node [dst] —
+(** All simple paths from the grammar root down to API node [dst] —
     byte-identical to [Refgpath.search_from_root] (the HISyn orphan
-    treatment's root-anchored search). *)
+    treatment's root-anchored search). A [dst] that is not an API node
+    yields []. *)
 
 (** {2 Introspection} *)
 
@@ -110,6 +111,13 @@ type memo_counters = { hits : int; misses : int; entries : int }
 val memo_counters : t -> memo_counters
 (** Lifetime hit/miss counts and current entry count of the path memo
     (feeds the server's [dggt_cache_*{cache="autom_memo"}] series). *)
+
+val memo_words : t -> int
+(** The words of heap the path memo keeps alive: its table, keys and
+    path lists, counted by a walk over them ([Obj.reachable_words]),
+    exact and independent of when the GC last ran. The walk visits every
+    memoized path under the memo's lock; for benchmarks, not for a
+    serving path. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: nodes, APIs, transitions, distance rows, digest

@@ -39,30 +39,6 @@ let union3 a b c =
     out
   end
 
-(* A path's edge ids, sorted and duplicate-free. A path has a few edges,
-   so an insertion sort on ints beats [Array.sort] and its polymorphic
-   comparison, which costs more than the merge it feeds. *)
-let sorted_ids (ids : int array) =
-  let a = Array.copy ids in
-  let n = Array.length a in
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done;
-  let len = ref (min n 1) in
-  for i = 1 to n - 1 do
-    if a.(i) <> a.(!len - 1) then begin
-      a.(!len) <- a.(i);
-      incr len
-    end
-  done;
-  if !len = n then a else Array.sub a 0 !len
-
 (* [t] or [u] itself when the union's arrays are its own *)
 let make t u edges lone =
   if edges == t.edges && lone == t.lone then t
@@ -71,10 +47,18 @@ let make t u edges lone =
 
 let merge a b = make a b (union3 a.edges b.edges [||]) (union3 a.lone b.lone [||])
 
+(* a path's edges are already ascending; an edgeless path is its one
+   API node *)
 let fuse t (p : Gpath.t) u =
   if Array.length p.Gpath.edges = 0 then
-    make t u (union3 t.edges [||] u.edges) (union3 t.lone [| p.Gpath.nodes.(0) |] u.lone)
-  else make t u (union3 t.edges (sorted_ids p.Gpath.edges) u.edges) (union3 t.lone [||] u.lone)
+    make t u (union3 t.edges [||] u.edges) (union3 t.lone [| p.Gpath.apis.(0) |] u.lone)
+  else make t u (union3 t.edges p.Gpath.edges u.edges) (union3 t.lone [||] u.lone)
+
+let node id = { edges = [||]; lone = [| id |] }
+
+let of_ids ~edges ~lone =
+  let set ids = Array.of_list (List.sort_uniq Int.compare ids) in
+  { edges = set edges; lone = set lone }
 
 let merge_path t p = fuse t p empty
 let of_paths _g paths = List.fold_left merge_path empty paths

@@ -23,11 +23,22 @@ val of_paths : Dggt_grammar.Ggraph.t -> Dggt_grammar.Gpath.t list -> t
 val merge : t -> t -> t
 (** The union. Returns an operand itself when the other adds nothing. *)
 
+val node : int -> t
+(** The CGT of one grammar node and no edge (a lone API: a leaf's seed,
+    a single-word answer). *)
+
+val of_ids : edges:int list -> lone:int list -> t
+(** The CGT of any edge ids and lone node ids, in any order, repeats
+    allowed: a subgraph no grammar path need span, such as the tree
+    check's test shapes. *)
+
 val merge_path : t -> Dggt_grammar.Gpath.t -> t
 (** Adds a path's edges, or its one node when it has no edge. *)
 
 val fuse : t -> Dggt_grammar.Gpath.t -> t -> t
-(** [fuse t p u] is [merge (merge_path t p) u], in one merge. *)
+(** [fuse t p u] is [merge (merge_path t p) u], in one merge. It merges
+    the path's [edges] as they are, which {!Dggt_grammar.Gpath} keeps
+    strictly ascending: no copy or sort per call. *)
 
 val edge_ids : t -> int list
 (** Ascending. *)

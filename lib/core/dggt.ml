@@ -20,13 +20,7 @@ module Trace = Dggt_obs.Trace
    min-size DP actually evaluated; full k-best substitution of non-best
    children is future work (DESIGN.md discusses the trade-off). *)
 
-let singleton_cgt g api =
-  match Ggraph.api_node g api with
-  | Some nid ->
-      Some
-        (Cgt.merge_path Cgt.empty
-           { Gpath.nodes = [| nid |]; edges = [||]; apis = [| api |] })
-  | None -> None
+let singleton_cgt g api = Option.map Cgt.node (Ggraph.api_node g api)
 
 (* coverage first (as in the cell order), then size, then the same
    structural tie-break as the baseline; node id (creation order — the

@@ -472,18 +472,10 @@ let run_hisyn cfg tgt budget stats (pruned : Depgraph.t) =
             | { Word2api.api; _ } :: _ -> (
                 match Dggt_grammar.Ggraph.api_node (graph tgt) api with
                 | Some nid ->
-                    let cgt =
-                      Cgt.merge_path Cgt.empty
-                        {
-                          Dggt_grammar.Gpath.nodes = [| nid |];
-                          edges = [||];
-                          apis = [| api |];
-                        }
-                    in
                     Trace.str sp "fallback" ("single word -> " ^ api);
                     Some
                       {
-                        Synres.cgt;
+                        Synres.cgt = Cgt.node nid;
                         size = 1;
                         assignment = [ (dg.Depgraph.root, api) ];
                       }

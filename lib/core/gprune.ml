@@ -1,78 +1,51 @@
 open Dggt_util
 open Dggt_grammar
 
-(* What the enumeration reads of one path, by grammar node id. Claims are
-   the (grammar node, production) of every edge the path leaves,
-   flattened; APIs are the path's API node ids. *)
-type info = {
-  claims : int array;  (* node, production, node, production, ... *)
-  apis : int array;
-  extra : int;
-  size : int;  (* Gpath.size + extra *)
-}
-
-let no_info = { claims = [||]; apis = [||]; extra = 0; size = 0 }
-
-(* Per-walk state. [uses], [stamp] and [prod] are indexed by grammar node
-   id and allocated once; [infos] by epath id, [no_info] until the path's
-   first pruned enumeration, and [masks] is the flat bitset storage of
-   one enumeration; both grow on demand and serve every enumeration. *)
+(* Per-walk state. [uses], [stamp] and [held] are indexed by grammar
+   node id and allocated once; [extras] by epath id, [unread] until the
+   path's first size-pruned enumeration, and [masks] is the flat bitset
+   storage of one enumeration; both grow on demand and serve every
+   enumeration. A path's claims, APIs and size are on its [Gpath.t]. *)
 type t = {
-  g : Ggraph.t;
   extra : Edge2path.epath -> int;
-  mutable infos : info array;
+  mutable extras : int array;
   uses : int array;  (* per API node: how many chosen paths contain it *)
-  stamp : int array;  (* per node: the conflict pass that set [prod] *)
-  prod : int array;
+  stamp : int array;  (* per node: the conflict pass that set [held] *)
+  held : int array;  (* per node: the stamped path's claim on it *)
   mutable pass : int;
   mutable masks : int array;
 }
 
 type result = { kept : Edge2path.epath list list; total : int; conflict_free : int }
 
+let unread = min_int
+
 let prepare ?(extra = fun _ -> 0) g =
   let n = Ggraph.node_count g in
   {
-    g;
     extra;
-    infos = [||];
+    extras = [||];
     uses = Array.make n 0;
     stamp = Array.make n 0;
-    prod = Array.make n 0;
+    held = Array.make n 0;
     pass = 0;
     masks = [||];
   }
 
-let info t (p : Edge2path.epath) =
+(* read a path's extra weight on its first size-pruned enumeration, and
+   clear its APIs' use counts *)
+let ready t (p : Edge2path.epath) =
   let id = p.Edge2path.id in
-  if id >= Array.length t.infos then begin
-    let grown = Array.make (max (id + 1) (2 * Array.length t.infos)) no_info in
-    Array.blit t.infos 0 grown 0 (Array.length t.infos);
-    t.infos <- grown
+  if id >= Array.length t.extras then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length t.extras)) unread in
+    Array.blit t.extras 0 grown 0 (Array.length t.extras);
+    t.extras <- grown
   end;
-  if t.infos.(id) != no_info then t.infos.(id)
-  else
-    let path = p.Edge2path.path in
-    let edges = path.Gpath.edges in
-    let claims = Array.make (2 * Array.length edges) 0 in
-    Array.iteri
-      (fun j eid ->
-        let e = Ggraph.edge t.g eid in
-        claims.(2 * j) <- e.Ggraph.src;
-        claims.((2 * j) + 1) <- e.Ggraph.prod)
-      edges;
-    let apis = Array.make (Gpath.size path) 0 and k = ref 0 in
-    Array.iter
-      (fun nd ->
-        if Ggraph.is_api t.g nd then begin
-          apis.(!k) <- nd;
-          incr k
-        end)
-      path.Gpath.nodes;
-    let extra = t.extra p in
-    let i = { claims; apis; extra; size = Gpath.size path + extra } in
-    t.infos.(id) <- i;
-    i
+  if t.extras.(id) = unread then t.extras.(id) <- t.extra p;
+  let apis = p.Edge2path.path.Gpath.apis in
+  for j = 0 to Array.length apis - 1 do
+    t.uses.(apis.(j)) <- 0
+  done
 
 (* bits per mask word *)
 let word = Sys.int_size
@@ -86,21 +59,9 @@ let low_bit = Array.init 256 (fun b ->
 let rec bit_index x k =
   if x land 255 <> 0 then k + low_bit.(x land 255) else bit_index (x lsr 8) (k + 8)
 
-(* does a path claim a node the stamped path holds with another
-   production? *)
-let rec clashes t cl j =
-  j < Array.length cl
-  && ((t.stamp.(cl.(j)) = t.pass && t.prod.(cl.(j)) <> cl.(j + 1))
-     || clashes t cl (j + 2))
-
 let combos ?budget t ~gprune ~sprune groups =
   let total = Listutil.cartesian_count groups in
   let levels = Array.of_list (List.map Array.of_list groups) in
-  let infos =
-    Array.map
-      (Array.map (if gprune || sprune then info t else fun _ -> no_info))
-      levels
-  in
   let n = Array.length levels in
   (* Mask layout, in words. A row holds one bit per path of some levels,
      each level starting a new word; level [e] sits at [off.(e) - off.(d)]
@@ -145,19 +106,20 @@ let combos ?budget t ~gprune ~sprune groups =
     if m.(r - 1) = 0 then begin
       m.(r - 1) <- 1;
       t.pass <- t.pass + 1;
-      let cl = infos.(d).(i).claims in
-      for j = 0 to (Array.length cl / 2) - 1 do
-        t.stamp.(cl.(2 * j)) <- t.pass;
-        t.prod.(cl.(2 * j)) <- cl.((2 * j) + 1)
-      done;
+      Gpath.hold ~stamp:t.stamp ~held:t.held ~pass:t.pass levels.(d).(i).Edge2path.path;
       Array.fill m r (width d) 0;
       for e = d + 1 to n - 1 do
-        let base = r + off.(e) - off.(d + 1) in
-        Array.iteri
-          (fun j q ->
-            if clashes t q.claims 0 then
-              m.(base + (j / word)) <- m.(base + (j / word)) lor (1 lsl (j mod word)))
-          infos.(e)
+        (* path [j]'s bit: word [w], mask [bit], advanced per path *)
+        let level = levels.(e) and w = ref (r + off.(e) - off.(d + 1)) and bit = ref 1 in
+        for j = 0 to Array.length level - 1 do
+          if Gpath.clashes ~stamp:t.stamp ~held:t.held ~pass:t.pass level.(j).Edge2path.path
+          then m.(!w) <- m.(!w) lor !bit;
+          if !bit = 1 lsl (word - 1) then begin
+            incr w;
+            bit := 1
+          end
+          else bit := !bit lsl 1
+        done
       done
     end;
     r
@@ -170,8 +132,7 @@ let combos ?budget t ~gprune ~sprune groups =
       m.(dst + w) <- m.(src + w) land lnot m.(r + w)
     done
   in
-  if sprune then
-    Array.iter (Array.iter (fun p -> Array.iter (fun a -> t.uses.(a) <- 0) p.apis)) infos;
+  if sprune then Array.iter (Array.iter (ready t)) levels;
   let chosen = Array.make n 0 in
   let union = ref 0 and min_hi = ref max_int and conflict_free = ref 0 in
   let kept = ref [] in
@@ -193,7 +154,7 @@ let combos ?budget t ~gprune ~sprune groups =
     end
     else begin
       (* entering a level charges every path of it, conflicting or not *)
-      let len = Array.length infos.(d) in
+      let len = Array.length levels.(d) in
       (match budget with Some b -> Budget.spend b len | None -> ());
       if not gprune then
         for i = 0 to len - 1 do
@@ -216,20 +177,22 @@ let combos ?budget t ~gprune ~sprune groups =
   and visit d i sum_size sum_extra =
     chosen.(d) <- i;
     if gprune && d < n - 1 then push d i;
-    let p = infos.(d).(i) in
-    if sprune then
-      for j = 0 to Array.length p.apis - 1 do
-        let a = p.apis.(j) in
+    if not sprune then go (d + 1) sum_size sum_extra
+    else begin
+      let p = levels.(d).(i) in
+      let apis = p.Edge2path.path.Gpath.apis and extra = t.extras.(p.Edge2path.id) in
+      for j = 0 to Array.length apis - 1 do
+        let a = apis.(j) in
         if t.uses.(a) = 0 then incr union;
         t.uses.(a) <- t.uses.(a) + 1
       done;
-    go (d + 1) (sum_size + p.size) (sum_extra + p.extra);
-    if sprune then
-      for j = 0 to Array.length p.apis - 1 do
-        let a = p.apis.(j) in
+      go (d + 1) (sum_size + Array.length apis + extra) (sum_extra + extra);
+      for j = 0 to Array.length apis - 1 do
+        let a = apis.(j) in
         t.uses.(a) <- t.uses.(a) - 1;
         if t.uses.(a) = 0 then decr union
       done
+    end
   in
   go 0 0 0;
   let kept =

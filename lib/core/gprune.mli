@@ -19,8 +19,11 @@
     conflict with no path chosen so far. Choosing a path clears its
     conflicts from those bitsets; its conflicts with each later level are
     computed once per enumeration, on its first choice, by stamping its
-    claims into a node-indexed production array and testing every later
-    path's claims against it. A level is then walked over the set bits
+    claims into a node-indexed claim array and testing every later
+    path's claims against it ({!Dggt_grammar.Gpath.hold},
+    {!Dggt_grammar.Gpath.clashes}). The claims are the path's own
+    ({!Dggt_grammar.Gpath.t}[.claims]), built once when the search
+    emitted it. A level is then walked over the set bits
     of its bitset, a word at a time: a conflicting path is never visited.
 
     {b Size-based pruning.} For a combination c = \{p_1, ..., p_n\} of
@@ -46,19 +49,20 @@
     filters the kept ones once against the final minimum. *)
 
 type t
-(** What the enumeration reads of each path — its claims and its API
-    nodes, by grammar node id, its [Gpath.size + extra] and its [extra] —
-    computed the first time the path takes part in a pruned enumeration
-    and kept by epath id (ids must be distinct), plus arrays sized by the
-    grammar's node count and the bitset storage, reused by every
-    enumeration. One [t] serves a whole chart walk; it belongs to one
-    synthesis, like {!Cgt.scratch}. *)
+(** The walk's state: each path's [extra], read the first time the path
+    takes part in a size-pruned enumeration and kept by epath id (ids
+    must be distinct), plus arrays sized by the grammar's node count and
+    the bitset storage, reused by every enumeration. What depends on the
+    path alone — its claims, its API node ids and its size — is read
+    from its {!Dggt_grammar.Gpath.t} and never computed here. One [t]
+    serves a whole chart walk; it belongs to one synthesis, like
+    {!Cgt.scratch}. *)
 
 val prepare :
   ?extra:(Edge2path.epath -> int) -> Dggt_grammar.Ggraph.t -> t
 (** [extra p] (default 0) is added to both size bounds of every
     combination containing [p]. It is read once per path, at the path's
-    first pruned enumeration, and must not change after that. *)
+    first size-pruned enumeration, and must not change after that. *)
 
 type result = {
   kept : Edge2path.epath list list;
@@ -86,5 +90,5 @@ val combos :
     budget is charged when the enumeration enters a level, one step per
     path of the level, conflicting ones included ({!Dggt_util.Budget.spend}):
     a path skipped for a conflict costs one step, and the levels below it
-    cost nothing. Size pruning adds no step. With both prunings off no
-    per-path data is computed. *)
+    cost nothing. Size pruning adds no step. Without size pruning no
+    [extra] is read. *)

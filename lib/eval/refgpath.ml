@@ -3,23 +3,16 @@ open Dggt_grammar
 (* The interpreted reversed DFS that was EdgeToPath's search before the
    compiled automaton (Dggt_autom.Autom) replaced it, kept verbatim as
    the oracle the automaton is held to: the equivalence tests and
-   [bench automaton] compare against it. *)
+   [bench automaton] compare against it. Like the automaton it builds
+   each path with [Gpath.make], which needs an API at the path's end, so
+   a destination that is not an API node has no path. *)
 
 let of_rev_chain g rev_nodes rev_edges =
-  let nodes = Array.of_list rev_nodes in
-  let edges = Array.of_list rev_edges in
-  let apis =
-    Array.to_list nodes
-    |> List.filter_map (fun id ->
-           if Ggraph.is_api g id then Some (Ggraph.node_name g id) else None)
-    |> Array.of_list
-  in
-  { Gpath.nodes; edges; apis }
+  Gpath.make g ~nodes:(Array.of_list rev_nodes) ~edges:(Array.of_list rev_edges)
 
 let search ?(limits = Gpath.default_limits) g ~src ~dst =
-  if src = dst then
-    if Ggraph.is_api g src then [ { Gpath.nodes = [| src |]; edges = [||]; apis = [| Ggraph.node_name g src |] } ]
-    else []
+  if not (Ggraph.is_api g dst) then []
+  else if src = dst then [ of_rev_chain g [ src ] [] ]
   else begin
     let found = ref [] in
     let count = ref 0 in

@@ -8,30 +8,23 @@
     {!Dggt_core.Engine.lookups} [edge2path] hook ({!lookups}). Keep the
     searches frozen. *)
 
-val search :
-  ?limits:Dggt_grammar.Gpath.limits ->
-  Dggt_grammar.Ggraph.t ->
-  src:int ->
-  dst:int ->
-  Dggt_grammar.Gpath.t list
-(** All simple paths from node [src] down to node [dst], found by
-    iterative-deepening reversed DFS. [src = dst] yields the single
-    zero-length path when [src] is an API node. *)
-
 val search_between_apis :
   ?limits:Dggt_grammar.Gpath.limits ->
   Dggt_grammar.Ggraph.t ->
   src_api:string ->
   dst_api:string ->
   Dggt_grammar.Gpath.t list
-(** {!search} between two API names; unknown names yield []. *)
+(** All simple paths from API [src_api] down to API [dst_api], found by
+    iterative-deepening reversed DFS; unknown names yield [], and
+    [src_api = dst_api] the single one-node path. *)
 
 val search_from_root :
   ?limits:Dggt_grammar.Gpath.limits ->
   Dggt_grammar.Ggraph.t ->
   dst:int ->
   Dggt_grammar.Gpath.t list
-(** {!search} from the grammar's start nonterminal down to [dst]. *)
+(** The same search from the grammar's start nonterminal down to API
+    node [dst]; a [dst] that is not an API node has no path. *)
 
 val lookups : Dggt_domains.Domain.t -> Dggt_core.Engine.lookups
 (** Engine lookups whose [edge2path] hook answers every pair search with

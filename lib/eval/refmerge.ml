@@ -80,13 +80,7 @@ let update_min n ~size ~cgt ~assignment ~score =
   end;
   better
 
-let singleton_cgt g api =
-  match Ggraph.api_node g api with
-  | Some nid ->
-      Some
-        (Cgt.merge_path Cgt.empty
-           { Gpath.nodes = [| nid |]; edges = [||]; apis = [| api |] })
-  | None -> None
+let singleton_cgt g api = Option.map Cgt.node (Ggraph.api_node g api)
 
 let synthesize ~budget ~stats ~gprune ~sprune ?(trace : Trace.span option) g
     (dg : Depgraph.t) w2a e2p =

@@ -2,11 +2,11 @@ open Dggt_core
 
 (* The pre-change size-based pruning, kept verbatim as the oracle for
    [bench pathmerge] and the property suite: every conflict-free
-   combination is materialised, its bounds rebuilt from a string set, and
+   combination is materialised, its bounds rebuilt from an API id set, and
    the list filtered against the least upper bound. {!Dggt_core.Gprune}
    now computes the same bounds inside its enumeration. *)
 
-module SS = Set.Make (String)
+module IS = Set.Make (Int)
 
 type bounds = { lo : int; hi : int }
 
@@ -15,8 +15,8 @@ let bounds_of ~extra combo =
   let union_apis =
     List.fold_left
       (fun acc (p : Edge2path.epath) ->
-        Array.fold_left (fun acc a -> SS.add a acc) acc p.Edge2path.path.Dggt_grammar.Gpath.apis)
-      SS.empty combo
+        Array.fold_left (fun acc a -> IS.add a acc) acc p.Edge2path.path.Dggt_grammar.Gpath.apis)
+      IS.empty combo
   in
   let sum_sizes =
     List.fold_left
@@ -25,7 +25,7 @@ let bounds_of ~extra combo =
       0 combo
   in
   let extras = List.fold_left (fun acc p -> acc + extra p) 0 combo in
-  { lo = SS.cardinal union_apis + extras; hi = sum_sizes - (n - 1) + extras }
+  { lo = IS.cardinal union_apis + extras; hi = sum_sizes - (n - 1) + extras }
 
 let prune ~enabled ~extra combos =
   if (not enabled) || combos = [] then combos

@@ -279,9 +279,8 @@ let test_cgt_empty_and_lone () =
   check_i "empty size" 0 (Cgt.check s Cgt.empty);
   check_b "empty has no root" true (Cgt.root s Cgt.empty = None);
   let nid = Option.get (Ggraph.api_node g "INSERT") in
-  let lone =
-    Cgt.merge_path Cgt.empty { Gpath.nodes = [| nid |]; edges = [||]; apis = [| "INSERT" |] }
-  in
+  let lone = Cgt.merge_path Cgt.empty (Gpath.make g ~nodes:[| nid |] ~edges:[||]) in
+  check_b "one-node path = lone node" true (Cgt.equal lone (Cgt.node nid));
   check_i "lone node size" 1 (Cgt.api_size s lone);
   check_b "lone node tree" true (Cgt.is_tree s lone);
   check_b "lone root" true (Cgt.root s lone = Some nid)
@@ -450,7 +449,7 @@ let test_gprune_combos () =
   in
   let long_string =
     List.find
-      (fun p -> Array.exists (( = ) "STARTFROM") p.Gpath.apis)
+      (fun p -> Array.exists (fun a -> Ggraph.node_name g a = "STARTFROM") p.Gpath.apis)
       (search "INSERT" "STRING")
   in
   let p_start = List.hd (search "INSERT" "START") in

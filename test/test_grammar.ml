@@ -234,9 +234,9 @@ let test_path_search_insert_string () =
   Alcotest.(check (list int)) "path sizes" [ 2; 4; 4 ] sizes;
   List.iter
     (fun p ->
-      check_s "top is INSERT" "INSERT" p.Gpath.apis.(0);
+      check_s "top is INSERT" "INSERT" (Ggraph.node_name g p.Gpath.apis.(0));
       check_s "bottom is STRING" "STRING"
-        p.Gpath.apis.(Array.length p.Gpath.apis - 1))
+        (Ggraph.node_name g p.Gpath.apis.(Array.length p.Gpath.apis - 1)))
     ps
 
 let test_path_search_no_path () =
@@ -257,8 +257,24 @@ let test_path_search_from_root () =
   let ps = Dggt_autom.Autom.paths_from_root (Dggt_autom.Autom.compile g) ~dst:string_ in
   check_b "root paths exist" true (List.length ps >= 1);
   List.iter
-    (fun p -> check_i "starts at root" g.Ggraph.root (Gpath.top p))
+    (fun p -> check_i "starts at root" g.Ggraph.root (Gpath.nodes p).(0))
     ps
+
+(* a claim packs a node id and a production id; an id too wide for its
+   half is refused, not silently truncated into another node's claim *)
+let test_path_make_refuses_wide_ids () =
+  let g = fig4_graph () in
+  let insert = Option.get (Ggraph.api_node g "INSERT") in
+  let e = List.hd (Ggraph.out_edges g insert) in
+  let string_ = Option.get (Ggraph.api_node g "STRING") in
+  let to_string = List.hd (Ggraph.in_edges g string_) in
+  let wide = 1 lsl ((Sys.int_size - 1) / 2) in
+  Alcotest.check_raises "node id too wide"
+    (Invalid_argument (Printf.sprintf "Gpath.make: node id %d does not fit" wide))
+    (fun () -> ignore (Gpath.make g ~nodes:[| wide; string_ |] ~edges:[| to_string.Ggraph.id |]));
+  Alcotest.check_raises "last node not an API"
+    (Invalid_argument "Gpath.make: the last node is not an API node")
+    (fun () -> ignore (Gpath.make g ~nodes:[| insert; e.Ggraph.dst |] ~edges:[| e.Ggraph.id |]))
 
 let test_path_limits () =
   let g = fig4_graph () in
@@ -314,7 +330,9 @@ let test_conflicts () =
   let via_string, via_after, via_startfrom =
     match paths_between g "INSERT" "STRING" |> List.sort (fun a b -> compare (Gpath.size a, a) (Gpath.size b, b)) with
     | [ a; b; c ] ->
-        let has_api name (p : Gpath.t) = Array.exists (( = ) name) p.Gpath.apis in
+        let has_api name (p : Gpath.t) =
+          Array.exists (fun a -> Ggraph.node_name g a = name) p.Gpath.apis
+        in
         ( a,
           (if has_api "AFTER" b then b else c),
           if has_api "STARTFROM" b then b else c )
@@ -559,6 +577,8 @@ let suite =
     Alcotest.test_case "paths identity" `Quick test_path_search_same_node;
     Alcotest.test_case "paths from root" `Quick test_path_search_from_root;
     Alcotest.test_case "paths limits" `Quick test_path_limits;
+    Alcotest.test_case "paths constructor refuses wide ids" `Quick
+      test_path_make_refuses_wide_ids;
     Alcotest.test_case "paths recursive grammar" `Quick test_path_search_recursive_grammar;
     Alcotest.test_case "pathvote votes" `Quick test_votes;
     Alcotest.test_case "pathvote conflicts" `Quick test_conflicts;

@@ -45,31 +45,100 @@ let api_names =
 
 let api_pair_gen = QCheck.(pair (oneofl api_names) (oneofl api_names))
 
-(* Every path returned by the search is a well-formed top-down chain:
-   endpoints match, consecutive edges link, apis match the API nodes. *)
+(* A path from [src] to [dst] is well formed when its node chain
+   ([Gpath.nodes]) is a simple path from [src] to [dst]; claim [j]
+   decodes to the source node and production of the one edge of
+   [p.edges] that joins nodes [j] and [j + 1]; [p.edges] is strictly
+   increasing, one edge per claim; and [p.apis] lists exactly the
+   chain's API nodes, in order. *)
+let path_well_formed g ~src ~dst (p : Gpath.t) =
+  let nodes = Gpath.nodes p in
+  let n = Array.length nodes in
+  let claims = p.Gpath.claims and edges = Array.to_list p.Gpath.edges in
+  let joining j =
+    List.filter
+      (fun eid ->
+        let e = Ggraph.edge g eid in
+        e.Ggraph.src = nodes.(j) && e.Ggraph.dst = nodes.(j + 1))
+      edges
+  in
+  nodes.(0) = src
+  && nodes.(n - 1) = dst
+  && List.length (List.sort_uniq compare (Array.to_list nodes)) = n
+  && Array.length claims = n - 1
+  && List.length edges = n - 1
+  && List.sort_uniq compare edges = edges
+  && List.for_all
+       (fun j ->
+         match joining j with
+         | [ eid ] ->
+             let e = Ggraph.edge g eid in
+             Gpath.claim_node claims.(j) = e.Ggraph.src
+             && Gpath.claim_prod claims.(j) = e.Ggraph.prod
+         | _ -> false)
+       (List.init (n - 1) Fun.id)
+  && Array.to_list p.Gpath.apis = List.filter (Ggraph.is_api g) (Array.to_list nodes)
+  && Gpath.size p = Array.length p.Gpath.apis
+
+let api g name = Option.get (Ggraph.api_node g name)
+
+(* Every path the search returns is well formed, on the fixture ... *)
 let prop_path_well_formed =
   QCheck.Test.make ~name:"grammar paths are well-formed chains" ~count:200
     api_pair_gen (fun (a, b) ->
       let g = Lazy.force graph in
-      let ps = search a b in
-      List.for_all
-        (fun (p : Gpath.t) ->
-          let n = Array.length p.Gpath.nodes in
-          n >= 1
-          && Array.length p.Gpath.edges = n - 1
-          && Ggraph.node_name g p.Gpath.nodes.(0) = a
-          && Ggraph.node_name g p.Gpath.nodes.(n - 1) = b
-          && Array.for_all
-               (fun i ->
-                 let e = Ggraph.edge g p.Gpath.edges.(i) in
-                 e.Ggraph.src = p.Gpath.nodes.(i)
-                 && e.Ggraph.dst = p.Gpath.nodes.(i + 1))
-               (Array.init (n - 1) Fun.id)
-          && Gpath.size p
-             = Array.length
-                 (Array.of_list
-                    (List.filter (Ggraph.is_api g) (Array.to_list p.Gpath.nodes))))
-        ps)
+      List.for_all (path_well_formed g ~src:(api g a) ~dst:(api g b)) (search a b))
+
+(* ... on random grammars, between every pair of APIs and from the root
+   to every API ... *)
+let prop_path_well_formed_random =
+  QCheck.Test.make ~name:"grammar paths are well-formed chains (random grammars)"
+    ~count:40
+    (QCheck.make ~print:Fun.id Test_autom.gen_grammar)
+    (fun bnf ->
+      match Cfg.of_text ~start:"n0" bnf with
+      | Error _ -> true
+      | exception _ -> true
+      | Ok cfg ->
+          let g = Ggraph.build cfg in
+          let a = Dggt_autom.Autom.compile g in
+          let apis = Ggraph.api_nodes g in
+          List.for_all
+            (fun (dst_api, dst) ->
+              List.for_all
+                (path_well_formed g ~src:g.Ggraph.root ~dst)
+                (Dggt_autom.Autom.paths_from_root a ~dst)
+              && List.for_all
+                   (fun (src_api, src) ->
+                     List.for_all (path_well_formed g ~src ~dst)
+                       (Dggt_autom.Autom.paths_between_apis a ~src_api ~dst_api))
+                   apis)
+            apis)
+
+(* ... and on a sample of both built-in domains' API pairs, under each
+   domain's own limits *)
+let prop_path_well_formed_builtin =
+  let doms =
+    lazy
+      (List.map
+         (fun (d : Domain.t) ->
+           let g = Lazy.force d.Domain.graph in
+           (d, g, Array.of_list (Ggraph.api_nodes g)))
+         [ Dggt_domains.Text_editing.domain; Dggt_domains.Astmatcher.domain ])
+  in
+  QCheck.Test.make ~name:"grammar paths are well-formed chains (built-in domains, sampled)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (d, i, j) -> Printf.sprintf "domain %d, APIs %d -> %d" d i j)
+       QCheck.Gen.(triple (int_bound 1) nat nat))
+    (fun (d, i, j) ->
+      let dom, g, apis = List.nth (Lazy.force doms) d in
+      let src_api, src = apis.(i mod Array.length apis)
+      and dst_api, dst = apis.(j mod Array.length apis) in
+      let limits = Option.value dom.Domain.path_limits ~default:Gpath.default_limits in
+      List.for_all (path_well_formed g ~src ~dst)
+        (Dggt_autom.Autom.paths_between_apis ~limits (Lazy.force dom.Domain.autom)
+           ~src_api ~dst_api))
 
 (* Paths are simple: no node repeats. *)
 let prop_path_simple =
@@ -77,7 +146,7 @@ let prop_path_simple =
     api_pair_gen (fun (a, b) ->
       search a b
       |> List.for_all (fun (p : Gpath.t) ->
-             let l = Array.to_list p.Gpath.nodes in
+             let l = Array.to_list (Gpath.nodes p) in
              List.length l = List.length (List.sort_uniq compare l)))
 
 (* The search never returns two identical paths. *)
@@ -85,7 +154,7 @@ let prop_path_distinct =
   QCheck.Test.make ~name:"path sets are duplicate-free" ~count:200 api_pair_gen
     (fun (a, b) ->
       let ps = search a b in
-      let keys = List.map (fun (p : Gpath.t) -> Array.to_list p.Gpath.nodes) ps in
+      let keys = List.map (fun (p : Gpath.t) -> Array.to_list (Gpath.nodes p)) ps in
       List.length keys = List.length (List.sort_uniq compare keys))
 
 (* Size-based pruning is sound: the true merged API size of any combination
@@ -103,11 +172,12 @@ let random_paths_gen =
            ("INSERT", "ALL"); ("INSERT", "POSITION"); ("INSERT", "AFTER") ]))
 
 let mk_epath i (p : Gpath.t) =
+  let name = Ggraph.node_name (Lazy.force graph) in
   {
     Edge2path.id = i;
     edge = { Nlu.Depgraph.gov = 0; dep = i + 1; label = Nlu.Dep.Dep };
-    gov_api = Some p.Gpath.apis.(0);
-    dep_api = p.Gpath.apis.(Array.length p.Gpath.apis - 1);
+    gov_api = Some (name p.Gpath.apis.(0));
+    dep_api = name p.Gpath.apis.(Array.length p.Gpath.apis - 1);
     path = p;
   }
 
@@ -294,7 +364,7 @@ let print_boundary s =
     (match s.second with Some (l, k) -> Printf.sprintf "%d:%d" l k | None -> "-")
 
 let boundary_groups s size =
-  let _, pools = Lazy.force am_pools in
+  let g, pools = Lazy.force am_pools in
   let gov, pool = List.nth pools s.pool in
   let sizes = Array.copy s.small in
   sizes.(s.at) <- size;
@@ -315,7 +385,7 @@ let boundary_groups s size =
                Edge2path.id = (1000 * e) + j;
                edge = { Nlu.Depgraph.gov = 0; dep = e + 1; label = Nlu.Dep.Dep };
                gov_api = Some gov;
-               dep_api = p.Gpath.apis.(Array.length p.Gpath.apis - 1);
+               dep_api = Ggraph.node_name g p.Gpath.apis.(Array.length p.Gpath.apis - 1);
                path = p;
              }))
        sizes)
@@ -537,18 +607,7 @@ let gen_shape : shape_sample QCheck.Gen.t =
   in
   { gname; g; edges; lone }
 
-let cgt_of_sample s =
-  let with_edges =
-    List.fold_left
-      (fun c eid ->
-        let e = Ggraph.edge s.g eid in
-        Cgt.merge_path c
-          { Gpath.nodes = [| e.Ggraph.src; e.Ggraph.dst |]; edges = [| eid |]; apis = [||] })
-      Cgt.empty s.edges
-  in
-  List.fold_left
-    (fun c nid -> Cgt.merge_path c { Gpath.nodes = [| nid |]; edges = [||]; apis = [||] })
-    with_edges s.lone
+let cgt_of_sample s = Cgt.of_ids ~edges:s.edges ~lone:s.lone
 
 let print_shape s =
   Printf.sprintf "%s edges [%s] lone [%s]" s.gname
@@ -644,10 +703,11 @@ module Setcgt = struct
   let merge a b = { edges = IS.union a.edges b.edges; lone = IS.union a.lone b.lone }
 
   let merge_path t (p : Gpath.t) =
-    if Array.length p.Gpath.edges = 0 then { t with lone = IS.add p.Gpath.nodes.(0) t.lone }
+    if Array.length p.Gpath.edges = 0 then { t with lone = IS.add (Gpath.nodes p).(0) t.lone }
     else { t with edges = Array.fold_left (fun s e -> IS.add e s) t.edges p.Gpath.edges }
 
   let of_paths paths = List.fold_left merge_path empty paths
+  let of_ids ~edges ~lone = { edges = IS.of_list edges; lone = IS.of_list lone }
   let edge_ids t = IS.elements t.edges
   let lone_ids t = IS.elements t.lone
   let equal a b = IS.equal a.edges b.edges && IS.equal a.lone b.lone
@@ -675,7 +735,7 @@ let rep_pools =
            in
            go [] 0 apis
          in
-         let zero (api, nid) = { Gpath.nodes = [| nid |]; edges = [||]; apis = [| api |] } in
+         let zero (_, nid) = Gpath.make g ~nodes:[| nid |] ~edges:[||] in
          ( d.Domain.name,
            g,
            Array.of_list
@@ -691,19 +751,13 @@ type rep_sample = {
   cut : int;  (* the prefix CGT keeps this many edge ids and lone ids *)
 }
 
-(* up to 8 paths, some drawn twice, some with repeated edge ids *)
+(* up to 8 paths, some drawn twice *)
 let gen_rep : rep_sample QCheck.Gen.t =
  fun rs ->
   let rname, rg, pool =
     List.nth (Lazy.force rep_pools) (Random.State.int rs 2)
   in
-  let draw () =
-    let p = pool.(Random.State.int rs (Array.length pool)) in
-    let e = p.Gpath.edges in
-    if Array.length e > 0 && Random.State.int rs 5 = 0 then
-      { p with Gpath.edges = Array.append e (Array.sub e 0 (1 + Random.State.int rs (Array.length e))) }
-    else p
-  in
+  let draw () = pool.(Random.State.int rs (Array.length pool)) in
   let rec paths n acc =
     if n = 0 then List.rev acc
     else
@@ -724,7 +778,7 @@ let print_rep s =
        (List.map
           (fun (p : Gpath.t) ->
             Printf.sprintf "nodes %s edges %s"
-              (String.concat "," (Array.to_list (Array.map string_of_int p.Gpath.nodes)))
+              (String.concat "," (Array.to_list (Array.map string_of_int (Gpath.nodes p))))
               (String.concat "," (Array.to_list (Array.map string_of_int p.Gpath.edges))))
           s.rpaths))
 
@@ -748,17 +802,8 @@ let prop_cgt_matches_sets =
       let b = Cgt.of_paths g after and b' = Setcgt.of_paths after in
       (* a prefix of [all]'s edge ids and of its lone ids *)
       let prefix ids = List.filteri (fun i _ -> i < s.cut) ids in
-      let prefix_paths =
-        List.map
-          (fun eid ->
-            let e = Ggraph.edge g eid in
-            { Gpath.nodes = [| e.Ggraph.src; e.Ggraph.dst |]; edges = [| eid |]; apis = [||] })
-          (prefix (Cgt.edge_ids all))
-        @ List.map
-            (fun nid -> { Gpath.nodes = [| nid |]; edges = [||]; apis = [||] })
-            (prefix (Cgt.lone_ids all))
-      in
-      let pre = Cgt.of_paths g prefix_paths and pre' = Setcgt.of_paths prefix_paths in
+      let edges = prefix (Cgt.edge_ids all) and lone = prefix (Cgt.lone_ids all) in
+      let pre = Cgt.of_ids ~edges ~lone and pre' = Setcgt.of_ids ~edges ~lone in
       let built =
         [ (all, all'); (a, a'); (b, b'); (pre, pre');
           (Cgt.merge a b, Setcgt.merge a' b');
@@ -917,6 +962,8 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_path_well_formed;
+      prop_path_well_formed_random;
+      prop_path_well_formed_builtin;
       prop_path_simple;
       prop_path_distinct;
       prop_sprune_bounds_sound;

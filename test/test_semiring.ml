@@ -10,7 +10,6 @@ module Semiring = Dggt_core.Semiring
 module Cgt = Dggt_core.Cgt
 module Engine = Dggt_core.Engine
 module Stats = Dggt_core.Stats
-module Gpath = Dggt_grammar.Gpath
 module Session = Dggt_inc.Session
 module Domain = Dggt_domains.Domain
 
@@ -31,16 +30,12 @@ let respond ?(mode = Engine.Plain) ses q =
 
 let ranked ~k ses q = (respond ~mode:(Engine.Ranked k) ses q).Engine.ranked
 
-(* structural singleton CGTs; node ids and API names only need to be
-   distinct, no grammar is involved at the cell level *)
-let leaf_cgt nid api =
-  Cgt.merge_path Cgt.empty
-    { Gpath.nodes = [| nid |]; edges = [||]; apis = [| api |] }
-
 let cand ?(nid = 1) ?(api = "A") ~size ~cov ~score () =
   {
     Semiring.size;
-    cgt = leaf_cgt nid api;
+    (* structural singleton CGTs: node ids only need to be distinct, no
+       grammar is involved at the cell level *)
+    cgt = Cgt.node nid;
     assignment = List.init cov (fun i -> (i, api));
     score;
   }
@@ -151,7 +146,7 @@ let gen_stream =
         (fun ((cov, size, api), (grid, jitter, nid)) ->
           {
             Semiring.size;
-            cgt = leaf_cgt nid "A";
+            cgt = Cgt.node nid;
             assignment = List.init cov (fun i -> (i, api));
             score = (0.5 *. float_of_int grid) +. (1e-10 *. float_of_int jitter);
           })

@@ -396,11 +396,12 @@ let serve_cmd =
       & opt (some string) None
       & info [ "store" ] ~docv:"DIR"
           ~doc:
-            "Warm-start store directory: caches and compiled automatons \
-             are reloaded from $(docv) at boot (so restarts start hot, \
-             skipping automaton compiles for unchanged packs) and spilled \
-             back periodically and on graceful shutdown. Corrupt or stale \
-             records are refused and rebuilt, never served.")
+            "Warm-start store directory: the answer caches are reloaded \
+             from the snapshot in $(docv) at boot, so a restart answers \
+             repeated queries from its first request, and written back \
+             periodically and on graceful shutdown. A damaged snapshot, or \
+             one spilled under other packs, is refused whole and the server \
+             boots cold; it is never served.")
   in
   let store_interval_arg =
     Arg.(
@@ -599,84 +600,45 @@ let store_dir_arg =
     & info [] ~docv:"STOREDIR"
         ~doc:"Warm-start store directory (as given to dggt serve --store).")
 
-(* the CLI opens the store under the server's payload schema, so its
-   loaded/skipped verdicts match what a boot would apply *)
-let with_store dir f =
-  match
-    Dggt_store.Store.open_dir ~schema:Dggt_server.Warmstore.schema_version dir
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok s -> f s
-
-let store_stats_cmd =
-  let run dir =
-    with_store dir (fun s ->
-        let st = Dggt_store.Store.stats s in
-        Printf.printf
-          "%s: %d bytes (%d committed), %d records loaded, %d skipped, %d \
-           rejected, %d trailing bytes\n"
-          dir st.Dggt_store.Store.log_bytes st.Dggt_store.Store.committed_bytes
-          st.Dggt_store.Store.s_loaded st.Dggt_store.Store.s_skipped
-          st.Dggt_store.Store.s_rejected st.Dggt_store.Store.s_trailing_bytes;
-        List.iter
-          (fun (kind, n) -> Printf.printf "  %-8s %d\n" kind n)
-          st.Dggt_store.Store.kinds;
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Summarize a warm-start store: file sizes, record verdicts under \
-          the current payload schema, and loaded records by kind.")
-    Term.(ret (const run $ store_dir_arg))
-
 let store_verify_cmd =
+  let module W = Dggt_server.Warmstore in
   let run dir =
-    with_store dir (fun s ->
-        let l = Dggt_store.Store.verify s in
-        Printf.printf
-          "%s: %d records ok, %d skipped (schema), %d rejected, %d trailing \
-           bytes\n"
-          dir l.Dggt_store.Store.loaded l.Dggt_store.Store.skipped
-          l.Dggt_store.Store.rejected l.Dggt_store.Store.trailing_bytes;
-        if l.Dggt_store.Store.rejected > 0 then
-          `Error (false, "store has corrupt records (a boot rebuilds them)")
-        else `Ok ())
+    match W.inspect dir with
+    | Error why ->
+        `Error
+          ( false,
+            Printf.sprintf "%s: damaged snapshot (%s); a boot starts cold" dir
+              why )
+    | Ok None ->
+        Printf.printf "%s: no snapshot (a boot starts cold)\n" dir;
+        `Ok ()
+    | Ok (Some s) ->
+        Printf.printf "%s: %d bytes, schema %d%s, pack digest %s\n" dir
+          s.W.bytes s.W.schema
+          (if s.W.schema = W.schema_version then ""
+           else
+             Printf.sprintf " (this build reads %d: a boot skips it)"
+               W.schema_version)
+          s.W.pack_digest;
+        List.iter
+          (fun (name, n) -> Printf.printf "  %-10s %d entries\n" name n)
+          s.W.entries;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Re-check every record's framing and digests. Exits non-zero when \
-          any record is corrupt — a server boot would refuse those records \
-          and rebuild their contents, never serve them.")
-    Term.(ret (const run $ store_dir_arg))
-
-let store_compact_cmd =
-  let run dir =
-    with_store dir (fun s ->
-        match Dggt_store.Store.compact s with
-        | Error msg -> `Error (false, msg)
-        | Ok r ->
-            Printf.printf "%s: kept %d records, dropped %d, %d -> %d bytes\n"
-              dir r.Dggt_store.Store.kept r.Dggt_store.Store.dropped
-              r.Dggt_store.Store.bytes_before r.Dggt_store.Store.bytes_after;
-            `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "compact"
-       ~doc:
-         "Rewrite the log keeping only the newest record per (kind, name, \
-          engine): periodic spills append whole snapshots, so a \
-          long-running server's log folds down to one snapshot's worth.")
+         "Check a warm-start store's snapshot (header, length and payload \
+          digest) and print its size, schema, pack digest and entries per \
+          cache. Exits non-zero when the snapshot is damaged: a server boot \
+          would refuse it and start cold, never serve it.")
     Term.(ret (const run $ store_dir_arg))
 
 let store_cmd =
   Cmd.group
     (Cmd.info "store"
-       ~doc:
-         "Inspect (stats), check (verify) and rewrite (compact) a warm-start \
-          store directory (dggt serve --store).")
-    [ store_stats_cmd; store_verify_cmd; store_compact_cmd ]
+       ~doc:"Check (verify) a warm-start store directory (dggt serve --store).")
+    [ store_verify_cmd ]
 
 let () =
   let info =

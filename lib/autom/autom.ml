@@ -19,9 +19,6 @@ type memo = {
 type t = {
   g : Ggraph.t;
   api : bool array; (* node id -> is this an API node *)
-  api_name : string array;
-      (* node id -> name when [api], "" otherwise; no search reads it
-         since paths carry API node ids, but the image still holds it *)
   par_src : int array array;
       (* node id -> parent node ids, in parent-edge order — the reversed
          walk's transition table *)
@@ -85,13 +82,10 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
       let t0 = Unix.gettimeofday () in
       let n = Ggraph.node_count g in
       let api = Array.make n false in
-      let api_name = Array.make n "" in
       Array.iter
         (fun (nd : Ggraph.node) ->
           match nd.Ggraph.kind with
-          | Ggraph.Api name ->
-              api.(nd.Ggraph.id) <- true;
-              api_name.(nd.Ggraph.id) <- name
+          | Ggraph.Api _ -> api.(nd.Ggraph.id) <- true
           | Ggraph.Nt _ | Ggraph.Deriv _ -> ())
         g.Ggraph.nodes;
       (* parent transition tables, in the adjacency lists' (edge-id) order
@@ -121,7 +115,6 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
         {
           g;
           api;
-          api_name;
           par_src;
           par_edge;
           dist_rows;
@@ -143,75 +136,6 @@ let compile ?trace ?(memo_cap = 65536) (g : Ggraph.t) =
       Trace.str sp "digest" digest;
       Trace.float sp "compile_s" compile_s;
       t)
-
-(* ------------------------------------------------------------------ *)
-(* serialized images                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything [compile] derives from the graph, as pure marshallable
-   data: no mutex, no atomics, no graph pointer — the two things a
-   [Marshal] of [t] itself would choke on (custom blocks) or duplicate
-   (the grammar, which the restorer already has). *)
-type image = {
-  i_api : bool array;
-  i_api_name : string array;
-  i_par_src : int array array;
-  i_par_edge : int array array;
-  i_dist_rows : int array array;
-  i_digest : string;
-  i_compile_s : float;
-}
-
-let to_image t =
-  {
-    i_api = t.api;
-    i_api_name = t.api_name;
-    i_par_src = t.par_src;
-    i_par_edge = t.par_edge;
-    i_dist_rows = t.dist_rows;
-    i_digest = t.digest;
-    i_compile_s = t.compile_s;
-  }
-
-let image_digest i = i.i_digest
-
-let of_image ?(memo_cap = 65536) (g : Ggraph.t) (i : image) =
-  let d = digest_of g in
-  let n = Ggraph.node_count g in
-  if d <> i.i_digest then
-    Error
-      (Printf.sprintf
-         "automaton image was built from a different grammar (image digest \
-          %s.., grammar %s..)"
-         (String.sub i.i_digest 0 (min 12 (String.length i.i_digest)))
-         (String.sub d 0 12))
-  else if
-    Array.length i.i_api <> n
-    || Array.length i.i_api_name <> n
-    || Array.length i.i_par_src <> n
-    || Array.length i.i_par_edge <> n
-    || Array.length i.i_dist_rows <> n
-  then Error "automaton image table sizes do not match the grammar"
-  else
-    Ok
-      {
-        g;
-        api = i.i_api;
-        api_name = i.i_api_name;
-        par_src = i.i_par_src;
-        par_edge = i.i_par_edge;
-        dist_rows = i.i_dist_rows;
-        digest = i.i_digest;
-        compile_s = i.i_compile_s;
-        memo =
-          {
-            mu = Mutex.create ();
-            tbl = Hashtbl.create 1024;
-            cap = memo_cap;
-            hits = Atomic.make 0;
-            misses = Atomic.make 0;
-          };
-      }
 
 (* ------------------------------------------------------------------ *)
 (* the table walk                                                     *)

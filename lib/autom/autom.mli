@@ -52,33 +52,7 @@ val digest : t -> string
     what [GET /version] reports and the registry cache keys on. *)
 
 val compile_time_s : t -> float
-(** Wall-clock seconds {!compile} took. A restored automaton
-    ({!of_image}) reports the original compile's time. *)
-
-(** {2 Serialized images}
-
-    The warm-start path: an {!image} is the compiled tables as pure
-    data — marshallable with stdlib [Marshal] (no mutex, no atomics, no
-    graph pointer), so a server can spill them to disk and skip
-    {!compile} on the next boot. *)
-
-type image
-
-val to_image : t -> image
-(** The automaton's derived tables, digest and compile time. The memo is
-    {e not} captured: a restored automaton starts with an empty path
-    memo (its entries are cheap to re-earn and their keys embed
-    [Gpath.limits], which the store has no business versioning). *)
-
-val of_image : ?memo_cap:int -> Dggt_grammar.Ggraph.t -> image -> (t, string) result
-(** Reattach an image to a grammar graph, with a fresh (empty) memo.
-    Refuses — [Error] with a diagnostic, never a wrong automaton — when
-    the graph's structural digest ({!digest}) differs from the one the
-    image was compiled from, or the table sizes disagree with the node
-    count. The resulting automaton satisfies {!graph}[ t == g]. *)
-
-val image_digest : image -> string
-(** The {!digest} of the grammar the image was compiled from. *)
+(** Wall-clock seconds {!compile} took. *)
 
 (** {2 Path enumeration (EdgeToPath)}
 

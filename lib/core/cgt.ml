@@ -61,7 +61,7 @@ let of_ids ~edges ~lone =
   { edges = set edges; lone = set lone }
 
 let merge_path t p = fuse t p empty
-let of_paths _g paths = List.fold_left merge_path empty paths
+let of_paths paths = List.fold_left merge_path empty paths
 
 let edge_ids t = Array.to_list t.edges
 let lone_ids t = Array.to_list t.lone

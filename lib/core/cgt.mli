@@ -18,7 +18,7 @@ type t
 
 val empty : t
 val is_empty : t -> bool
-val of_paths : Dggt_grammar.Ggraph.t -> Dggt_grammar.Gpath.t list -> t
+val of_paths : Dggt_grammar.Gpath.t list -> t
 
 val merge : t -> t -> t
 (** The union. Returns an operand itself when the other adds nothing. *)

@@ -33,8 +33,6 @@ let depth t id =
   in
   go id [] 0
 
-let max_depth t = List.fold_left (fun m n -> max m (depth t n.id)) 0 t.nodes
-
 let levels t =
   let with_depth = List.map (fun e -> (depth t e.gov, e)) t.edges in
   let maxd = List.fold_left (fun m (d, _) -> max m d) 0 with_depth in
@@ -60,8 +58,6 @@ let is_tree t =
          in
          reaches n.id [])
        non_root
-
-let replace_edges t edges = { t with edges }
 
 let remove_node t id =
   {

@@ -43,12 +43,10 @@ val levels : t -> edge list list
     the paper's numbering). Deepest group last. Edges unreachable from the
     root are placed according to {!depth} of their governor. *)
 
-val max_depth : t -> int
 val is_tree : t -> bool
 (** True when every node except the root has exactly one parent and all
     nodes are reachable from the root. *)
 
-val replace_edges : t -> edge list -> t
 val remove_node : t -> int -> t
 (** Removes the node and all edges touching it. *)
 

@@ -20,6 +20,3 @@
 
 val parse : string -> Depgraph.t
 (** Tokenize, tag, and parse a query. *)
-
-val parse_tagged : (Token.t * Pos.t) list -> Depgraph.t
-(** Parse pre-tagged tokens (used by tests to pin tags). *)

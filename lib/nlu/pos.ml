@@ -45,6 +45,3 @@ let equal (a : t) b = a = b
 let is_verb = function VB | VBZ | VBG | VBN -> true | _ -> false
 let is_noun = function NN | NNS -> true | _ -> false
 
-let is_content = function
-  | VB | VBZ | VBG | VBN | NN | NNS | JJ | LIT | CD -> true
-  | _ -> false

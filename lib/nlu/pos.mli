@@ -37,6 +37,3 @@ val is_verb : t -> bool
 val is_noun : t -> bool
 (** NN or NNS. *)
 
-val is_content : t -> bool
-(** Content words survive query-graph pruning: verbs, nouns, adjectives,
-    literals and numbers. *)

@@ -8,12 +8,11 @@
     - 0.85 synonym-ring match ("remove" vs "delete")
     - 0.8  synonym of stem / stem of synonym
     - 0.55–0.7 edit-distance backoff for near-misses (typos), only when the
-      normalized similarity is at least {!typo_threshold}, both words are at
+      normalized similarity is at least 0.65, both words are at
       least 5 characters, and the first letters agree.
 
     Scores are in [0, 1]; anything below {!min_score} is reported as 0. *)
 
-val typo_threshold : float
 val min_score : float
 
 val word_score : string -> string -> float

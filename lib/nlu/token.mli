@@ -14,10 +14,8 @@ type t = {
 }
 
 val make : int -> string -> kind -> t
-val is_word : t -> bool
 val lower : t -> string
 (** Lowercased surface form (identity for non-words). *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val kind_to_string : kind -> string

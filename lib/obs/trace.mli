@@ -83,8 +83,6 @@ val durations : t -> (string * float) list
 val find : t -> string -> event option
 (** First event with the given stage name, at any depth. *)
 
-val pp_value : Format.formatter -> value -> unit
-
 val pp : Format.formatter -> t -> unit
 (** The [dggt explain] narrative: a numbered, indented stage-by-stage
     rendering with durations and notes. *)

@@ -201,24 +201,6 @@ let automaton ?trace t (e : entry) =
               Hashtbl.add t.autos key a;
               (a, true))
 
-(* Warm-start seeding: install an automaton restored from disk so the
-   next [automaton] call for this entry is a cache hit (no compile).
-   Refuses automata not built against this entry's own forced graph
-   (physical equality), so a seeding mistake can never smuggle another
-   grammar's tables in. First install wins, same as the racing-compile
-   discipline above. *)
-let seed_automaton t (e : entry) a =
-  if not (Dggt_autom.Autom.graph a == Lazy.force e.domain.Domain.graph) then
-    false
-  else
-    let key = (norm e.domain.Domain.name, content_key e) in
-    locked t (fun () ->
-        if Hashtbl.mem t.autos key then false
-        else begin
-          Hashtbl.add t.autos key a;
-          true
-        end)
-
 let pack_digest t =
   let packs =
     List.filter_map

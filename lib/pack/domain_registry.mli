@@ -22,15 +22,12 @@ type entry = {
 
 type t
 
-val default_builtins : unit -> (Dggt_domains.Domain.t * string list) list
-(** TextEditing (alias [te]) and ASTMatcher (alias [am]), as fresh
-    copies ({!Dggt_domains.Text_editing.make},
-    {!Dggt_domains.Astmatcher.make}) whose lazies no other registry and
-    no user of the global [domain] values forces. *)
-
 val create : ?builtins:(Dggt_domains.Domain.t * string list) list -> unit -> t
-(** [builtins] defaults to {!default_builtins}[ ()]; pass [[]] for an
-    empty registry. Raises [Invalid_argument] on duplicate names. *)
+(** [builtins] defaults to TextEditing (alias [te]) and ASTMatcher
+    (alias [am]), as fresh copies ({!Dggt_domains.Text_editing.make},
+    {!Dggt_domains.Astmatcher.make}) whose lazies no other registry and
+    no user of the global [domain] values forces; pass [[]] for an empty
+    registry. Raises [Invalid_argument] on duplicate names. *)
 
 val find : t -> string -> Dggt_domains.Domain.t option
 val find_entry : t -> string -> entry option
@@ -62,15 +59,6 @@ val pack_digest : t -> string
 (** Order-independent digest over the loaded packs' file digests;
     ["none"] when only built-ins are registered. *)
 
-val content_key : entry -> string
-(** What identifies the entry's compiled automaton across processes:
-    the manifest digest for a pack, ["builtin:<name>"] for a built-in
-    (their grammars are compiled in). This is the registry's automaton
-    cache key and the warm-start store's per-domain invalidation key —
-    an automaton record whose content key still matches skips
-    {!Dggt_autom.Autom.compile} on the next boot even when {e other}
-    packs changed. *)
-
 val automaton :
   ?trace:Dggt_obs.Trace.sink -> t -> entry -> Dggt_autom.Autom.t * bool
 (** The entry's grammar compiled into EdgeToPath state tables
@@ -83,13 +71,3 @@ val automaton :
     receives the AutomatonCompile span on fresh compiles only.
     Compilation runs outside the registry lock; concurrent callers may
     both compile, with the first to finish winning. *)
-
-val seed_automaton : t -> entry -> Dggt_autom.Autom.t -> bool
-(** Pre-install a compiled automaton for [entry] — the warm-start path:
-    a server that restored the automaton from its on-disk store
-    ({!Dggt_autom.Autom.of_image}) seeds it here so the boot-time
-    {!automaton} call is a cache hit and pays no compile. Returns
-    [false] (and installs nothing) when the automaton was not built
-    against the entry's own graph (physical equality — the restore path
-    guarantees it by construction) or when an automaton is already
-    cached for the entry's content key. *)

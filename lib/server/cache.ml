@@ -129,13 +129,6 @@ let entries_lru t =
 let fold f init t =
   List.fold_left (fun acc (k, v) -> f acc k v) init (entries_lru t)
 
-let add_seq t seq = Seq.iter (fun (k, v) -> add t k v) seq
-
-let of_seq ~capacity seq =
-  let t = create ~capacity in
-  add_seq t seq;
-  t
-
 let counters t =
   locked t (fun () ->
       {

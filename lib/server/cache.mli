@@ -38,29 +38,15 @@ val keys_mru : ('k, 'v) t -> 'k list
 (** Keys in recency order, most-recently-used first (tests pin eviction
     order with this). *)
 
-(** {2 Enumeration and bulk load}
-
-    The seam the warm-start store goes through — consumers never reach
-    into the recency ring themselves. *)
-
 val fold : ('acc -> 'k -> 'v -> 'acc) -> 'acc -> ('k, 'v) t -> 'acc
 (** Fold over every entry in recency order, {e least}-recently-used
-    first (the reverse of {!keys_mru}). This order is pinned: replaying
-    the visited pairs through {!add} — or {!add_seq}/{!of_seq} —
-    reproduces the cache's recency order exactly, with the fold's last
-    pair ending up most-recently-used. The entries are snapshotted under
-    the internal lock and [f] runs {e outside} it, so [f] may touch the
-    cache (or block) without deadlocking; mutations made while the fold
-    runs are not reflected in the snapshot. *)
-
-val add_seq : ('k, 'v) t -> ('k * 'v) Seq.t -> unit
-(** {!add} each pair in sequence order: earlier pairs age toward LRU,
-    the last pair is MRU. Feeding the sequence produced by a {!fold}
-    restores both contents and recency; entries beyond capacity evict
-    from the oldest end exactly as repeated {!add}s would. *)
-
-val of_seq : capacity:int -> ('k * 'v) Seq.t -> ('k, 'v) t
-(** A fresh cache (counters zeroed) loaded with {!add_seq}. *)
+    first (the reverse of {!keys_mru}) — the seam the warm-start store
+    goes through. This order is pinned: replaying the visited pairs
+    through {!add} reproduces the cache's recency order exactly, with
+    the fold's last pair ending up most-recently-used. The entries are
+    snapshotted under the internal lock and [f] runs {e outside} it, so
+    [f] may touch the cache (or block) without deadlocking; mutations
+    made while the fold runs are not reflected in the snapshot. *)
 
 type counters = {
   hits : int;

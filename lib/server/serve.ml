@@ -55,9 +55,6 @@ type dstate = {
   aliases : string list;
   origin : Registry.origin;
   gen : int;
-  ckey : string;
-      (* the entry's content key (Registry.content_key): what the warm
-         store keys this domain's automaton record by *)
   autom : Dggt_autom.Autom.t;
       (* the grammar compiled into EdgeToPath state tables; held by the
          registry's digest-keyed cache, so reloads reuse it whenever the
@@ -116,10 +113,9 @@ type t = {
   booted : unit Ivar.t; (* filled once the boot job has built every entry *)
   reload_mu : Mutex.t; (* one reload at a time *)
   mutable http : Httpd.t option;
-  (* warm-start store (--store): spilled to periodically and on graceful
-     shutdown, loaded before the domain states are built at boot *)
-  store : Dggt_store.Store.t option;
-  spill_mu : Mutex.t; (* serializes spill/compact against each other *)
+  (* warm-start store (params.store_dir): loaded before the server
+     listens, spilled periodically and on graceful shutdown *)
+  spill_mu : Mutex.t; (* one spill at a time *)
   closing : bool Atomic.t; (* tells the spill thread to exit *)
   finalized : bool Atomic.t; (* the shutdown spill runs exactly once *)
   mutable spill_thread : Thread.t option;
@@ -864,7 +860,6 @@ let make_dstate t ~gen (e : Registry.entry) =
       aliases = e.Registry.aliases;
       origin = e.Registry.origin;
       gen;
-      ckey = Registry.content_key e;
       autom;
       target = s_dggt.Engine.target;
       cfg_dggt = s_dggt.Engine.cfg;
@@ -879,17 +874,13 @@ let make_dstate t ~gen (e : Registry.entry) =
    lazies at once.
 
    The boot job builds the entries in registry order and fills each
-   slot as soon as its state is ready; [seed] first restores the entry's
-   automaton from the warm store. The pool swallows a job's exceptions,
-   so a failed build is reported here and ends the process, as a broken
-   pack at startup does. *)
-let boot_job t ~gen ~seed slots () =
+   slot as soon as its state is ready. The pool swallows a job's
+   exceptions, so a failed build is reported here and ends the process,
+   as a broken pack at startup does. *)
+let boot_job t ~gen slots () =
   List.iter
     (fun s ->
-      match
-        seed s.entry;
-        make_dstate t ~gen s.entry
-      with
+      match make_dstate t ~gen s.entry with
       | ds, _ -> Ivar.fill s.built ds
       | exception e ->
           Printf.eprintf "dggt serve: building domain %s failed: %s\n%!"
@@ -920,51 +911,36 @@ let rebuild t =
 (* warm-start store (--store)                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Store = Dggt_store.Store
+let rec mkdir_p dir =
+  if not (dir = "/" || dir = "." || Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 let warm_caches t =
   { Warmstore.q = t.q_cache; rank = t.rank_cache; word = t.word_cache }
 
-let with_spill_lock t f =
-  Mutex.lock t.spill_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.spill_mu) f
-
-(* append one snapshot batch (caches + every live automaton). Failure is
-   a warning, never fatal: the store is an optimization, the server's
-   answers never depend on it. *)
+(* write the caches' current-generation entries as the store's snapshot.
+   Failure is a warning, never fatal: the store is an optimization, the
+   server's answers never depend on it. *)
 let spill_store t =
-  match t.store with
+  match t.params.store_dir with
   | None -> ()
-  | Some store ->
-      with_spill_lock t (fun () ->
-          let automata =
-            List.map
-              (fun ds -> (ds.dom.Dggt_domains.Domain.name, ds.ckey, ds.autom))
-              (dstates t)
-          in
-          match
-            Warmstore.spill store
-              ~generation:(Registry.generation t.registry)
-              ~pack_digest:(Registry.pack_digest t.registry)
-              (warm_caches t) ~automata
-          with
-          | Ok r -> Smetrics.observe_store_spill t.metrics r.Warmstore.sp_seconds
-          | Error msg ->
-              Printf.eprintf "dggt serve: store spill failed: %s\n%!" msg)
-
-let compact_store ?drop t =
-  match t.store with
-  | None -> ()
-  | Some store ->
-      with_spill_lock t (fun () ->
-          match Store.compact ?drop store with
-          | Ok _ -> ()
-          | Error msg ->
-              Printf.eprintf "dggt serve: store compaction failed: %s\n%!" msg)
+  | Some dir ->
+      Mutex.lock t.spill_mu;
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.spill_mu) @@ fun () ->
+      match
+        Warmstore.spill dir
+          ~generation:(Registry.generation t.registry)
+          ~pack_digest:(Registry.pack_digest t.registry)
+          (warm_caches t)
+      with
+      | Ok r -> Smetrics.observe_store_spill t.metrics r.Warmstore.sp_seconds
+      | Error msg -> Printf.eprintf "dggt serve: store spill failed: %s\n%!" msg
 
 (* periodic spills; interval <= 0 means shutdown-only *)
 let start_spill_thread t =
-  match t.store with
+  match t.params.store_dir with
   | None -> ()
   | Some _ when t.params.store_interval_s <= 0.0 -> ()
   | Some _ ->
@@ -986,18 +962,19 @@ let start_spill_thread t =
       in
       t.spill_thread <- Some th
 
-(* graceful shutdown: one final spill, then a compaction that folds the
-   run's appended snapshots down to the newest of each. Idempotent —
-   [stop] and [wait] both funnel through here. *)
+(* graceful shutdown: one final spill. Idempotent — [stop] and [wait]
+   both funnel through here. *)
 let finalize_store t =
-  if t.store <> None && Atomic.compare_and_set t.finalized false true then begin
+  if
+    t.params.store_dir <> None
+    && Atomic.compare_and_set t.finalized false true
+  then begin
     Atomic.set t.closing true;
     (match t.spill_thread with
     | Some th -> ( try Thread.join th with _ -> ())
     | None -> ());
     t.spill_thread <- None;
-    spill_store t;
-    compact_store t
+    spill_store t
   end
 
 (* POST /reload: re-scan the pack directory, build the new per-domain
@@ -1009,7 +986,9 @@ let finalize_store t =
    lookups. Incremental sessions are left in the store on purpose: their
    [sgen] no longer matches, so the next access answers 410 Gone (clients
    must re-create) instead of a confusable 404. A failed load leaves
-   everything exactly as it was. *)
+   everything exactly as it was. The warm store's snapshot is left as it
+   is: the next spill overwrites it, and until then a boot replays it only
+   if the pack digest it was spilled under still matches. *)
 let reload_handler t =
   match t.params.packs_dir with
   | None ->
@@ -1052,25 +1031,6 @@ let reload_handler t =
               Cache.clear t.q_cache;
               Cache.clear t.rank_cache;
               Cache.clear t.word_cache;
-              (* the on-disk mirror of those cleared caches: drop records
-                 keyed against a pack digest that no longer matches
-                 (cache records against the aggregate, automaton records
-                 against their entry's content key), then persist the
-                 fresh automatons so a crash right after the reload still
-                 boots warm *)
-              if t.store <> None then begin
-                let live_ckeys = List.map (fun ds -> ds.ckey) fresh in
-                let pdigest = Registry.pack_digest t.registry in
-                compact_store
-                  ~drop:(fun (h : Dggt_store.Store.header) ->
-                    if h.Dggt_store.Store.kind = Warmstore.kind_cache then
-                      h.Dggt_store.Store.pack_digest <> pdigest
-                    else if h.Dggt_store.Store.kind = Warmstore.kind_autom then
-                      not (List.mem h.Dggt_store.Store.pack_digest live_ckeys)
-                    else false)
-                  t;
-                spill_store t
-              end;
               respond_json 200
                 (J.Obj
                    [
@@ -1126,14 +1086,6 @@ let create params =
       match Registry.load_dir registry dir with
       | Ok _ -> ()
       | Error e -> failwith ("dggt serve: " ^ Dggt_domains.Err.to_string e)));
-  let store =
-    match params.store_dir with
-    | None -> None
-    | Some dir -> (
-        match Store.open_dir ~schema:Warmstore.schema_version dir with
-        | Ok s -> Some s
-        | Error msg -> failwith ("dggt serve: --store " ^ dir ^ ": " ^ msg))
-  in
   let stage_cap = max 0 params.cache_size * 4 in
   let caches =
     {
@@ -1143,33 +1095,35 @@ let create params =
     }
   in
   (* warm boot: replay the stored answers into the LRUs before the first
-     request can land. The automaton images wait for their entries'
-     builds: restoring one forces the entry's grammar graph. *)
-  let seed =
-    match store with
-    | None -> ignore
-    | Some s ->
-        let r, images =
-          Warmstore.load s
+     request can land; a snapshot that fails a check boots cold *)
+  (match params.store_dir with
+  | None -> ()
+  | Some dir ->
+      (match mkdir_p dir with
+      | () when Sys.is_directory dir -> ()
+      | () -> failwith ("dggt serve: --store " ^ dir ^ " is not a directory")
+      | exception Unix.Unix_error (e, _, _) ->
+          failwith
+            ("dggt serve: --store " ^ dir ^ ": " ^ Unix.error_message e));
+      let loaded, skipped, rejected =
+        match
+          Warmstore.load dir
             ~generation:(Registry.generation registry)
             ~pack_digest:(Registry.pack_digest registry)
-            ~registry caches
-        in
-        Smetrics.observe_store_load metrics ~loaded:r.Warmstore.ld_applied
-          ~skipped:r.Warmstore.ld_skipped ~rejected:r.Warmstore.ld_rejected;
-        Smetrics.set_store_probe metrics (fun () ->
-            let bytes, records = Store.file_gauges s in
-            { Smetrics.store_log_bytes = bytes; store_records = records });
-        fun e ->
-          let loaded, skipped, rejected =
-            match Warmstore.seed images registry e with
-            | `Seeded -> (1, 0, 0)
-            | `Skipped -> (0, 1, 0)
-            | `Rejected -> (0, 0, 1)
-            | `Absent -> (0, 0, 0)
-          in
-          Smetrics.observe_store_load metrics ~loaded ~skipped ~rejected
-  in
+            caches
+        with
+        | Warmstore.Absent -> (0, 0, 0)
+        | Warmstore.Loaded _ -> (1, 0, 0)
+        | Warmstore.Skipped why ->
+            Printf.eprintf
+              "dggt serve: store snapshot skipped (%s); booting cold\n%!" why;
+            (0, 1, 0)
+        | Warmstore.Rejected why ->
+            Printf.eprintf
+              "dggt serve: store snapshot rejected (%s); booting cold\n%!" why;
+            (0, 0, 1)
+      in
+      Smetrics.observe_store_load metrics ~loaded ~skipped ~rejected);
   let pool =
     Deadline_pool.create
       ?workers:(if params.workers > 0 then Some params.workers else None)
@@ -1199,7 +1153,6 @@ let create params =
       booted = Ivar.create ();
       reload_mu = Mutex.create ();
       http = None;
-      store;
       spill_mu = Mutex.create ();
       closing = Atomic.make false;
       finalized = Atomic.make false;
@@ -1247,7 +1200,7 @@ let create params =
   (* listening: now build every entry; each answers once its slot is
      filled, so a client of a small domain does not wait for a large one
      (DESIGN.md, "Per-domain readiness", has the measured trade-off) *)
-  ignore (Deadline_pool.submit_exempt pool (boot_job t ~gen ~seed boot_slots));
+  ignore (Deadline_pool.submit_exempt pool (boot_job t ~gen boot_slots));
   t
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port

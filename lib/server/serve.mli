@@ -156,15 +156,14 @@ type params = {
   session_cap : int;         (** max live sessions (LRU beyond); <= 0
                                  disables the session endpoints' storage *)
   store_dir : string option;
-      (** warm-start store directory ({!Dggt_store.Store} +
-          {!Warmstore}): loaded at boot — cache entries re-keyed under
-          the new generation gated on pack digest, automaton images
-          restored and seeded into the registry so boot compiles zero
-          automatons for unchanged content — spilled to every
-          [store_interval_s] and on graceful shutdown, and purged of
-          stale-digest records by [POST /reload]. [None] = no
-          persistence. Any corruption refuses-and-rebuilds: the server
-          recomputes, it never serves a record that failed a check. *)
+      (** warm-start store directory, created if missing: its one
+          snapshot file ({!Warmstore}) is replayed into the three caches
+          before the server listens, every entry re-keyed under the new
+          generation, and rewritten every [store_interval_s] and on
+          graceful shutdown. [None] = no persistence. A snapshot that is
+          damaged, of another schema or spilled under another pack
+          digest is refused whole and the server boots cold; it never
+          serves an entry that failed a check. *)
   store_interval_s : float;
       (** periodic spill interval; [<= 0] spills only on shutdown *)
 }
@@ -185,7 +184,7 @@ val create : params -> t
     a bad pack is fatal) and the store's cached answers, spawns the pool
     and starts listening, then submits one pool job that builds every
     registry entry's state in registry order: grammar graph, document and
-    compiled automaton (restored from the store when it holds one). Each
+    compiled automaton. Each
     domain answers as soon as its own state is built. The registry's
     built-ins are private copies, so the job never forces a lazy another
     thread may be forcing. A build that raises is logged to stderr and

@@ -101,17 +101,16 @@ type t = {
      domain (reloads recompile only changed packs, so the counter exposes
      exactly how often each domain paid the compile) *)
   autom : (string, int ref * float ref) Hashtbl.t;
-  (* warm-start store: load verdicts accumulated at boot/reload, spill
-     count + last spill latency, file gauges sampled at render time *)
+  (* warm-start store: the boot's load verdict, spill count + last spill
+     latency; [store_on] once a load was observed (the server has a
+     store) *)
+  mutable store_on : bool;
   mutable store_loaded : int;
   mutable store_skipped : int;
   mutable store_rejected : int;
   mutable store_spills : int;
   mutable store_spill_seconds : float;
-  mutable store_probe : (unit -> store_gauges) option;
 }
-
-and store_gauges = { store_log_bytes : int; store_records : int }
 
 and pool_gauges = {
   queue_depth : int;
@@ -142,12 +141,12 @@ let create () =
     stream_ttfc = Hist.create ();
     sessions_probe = None;
     autom = Hashtbl.create 8;
+    store_on = false;
     store_loaded = 0;
     store_skipped = 0;
     store_rejected = 0;
     store_spills = 0;
     store_spill_seconds = 0.0;
-    store_probe = None;
   }
 
 let locked t f =
@@ -219,6 +218,7 @@ let observe_autom_compile t ~domain seconds =
 
 let observe_store_load t ~loaded ~skipped ~rejected =
   locked t (fun () ->
+      t.store_on <- true;
       t.store_loaded <- t.store_loaded + loaded;
       t.store_skipped <- t.store_skipped + skipped;
       t.store_rejected <- t.store_rejected + rejected)
@@ -227,8 +227,6 @@ let observe_store_spill t seconds =
   locked t (fun () ->
       t.store_spills <- t.store_spills + 1;
       t.store_spill_seconds <- seconds)
-
-let set_store_probe t probe = locked t (fun () -> t.store_probe <- Some probe)
 
 let quantile t q = locked t (fun () -> Hist.quantile t.latency q)
 
@@ -371,33 +369,24 @@ let render t =
               (fmt_float s))
           rows
       end;
-      (match t.store_probe with
-      | None -> ()
-      | Some probe ->
-          line
-            "# HELP dggt_store_records_loaded_total Warm-start records \
-             applied at boot/reload.";
-          line "# TYPE dggt_store_records_loaded_total counter";
-          line "dggt_store_records_loaded_total %d" t.store_loaded;
-          line "# TYPE dggt_store_records_skipped_total counter";
-          line "dggt_store_records_skipped_total %d" t.store_skipped;
-          line "# TYPE dggt_store_records_rejected_total counter";
-          line "dggt_store_records_rejected_total %d" t.store_rejected;
-          line "# TYPE dggt_store_spills_total counter";
-          line "dggt_store_spills_total %d" t.store_spills;
-          line
-            "# HELP dggt_store_spill_seconds Wall time of the most recent \
-             spill.";
-          line "# TYPE dggt_store_spill_seconds gauge";
-          line "dggt_store_spill_seconds %s" (fmt_float t.store_spill_seconds);
-          (match probe () with
-          | g ->
-              line "# HELP dggt_store_log_bytes Size of the store log file.";
-              line "# TYPE dggt_store_log_bytes gauge";
-              line "dggt_store_log_bytes %d" g.store_log_bytes;
-              line "# TYPE dggt_store_records gauge";
-              line "dggt_store_records %d" g.store_records
-          | exception _ -> ()));
+      if t.store_on then begin
+        line
+          "# HELP dggt_store_records_loaded_total Warm-start snapshots \
+           replayed at boot.";
+        line "# TYPE dggt_store_records_loaded_total counter";
+        line "dggt_store_records_loaded_total %d" t.store_loaded;
+        line "# TYPE dggt_store_records_skipped_total counter";
+        line "dggt_store_records_skipped_total %d" t.store_skipped;
+        line "# TYPE dggt_store_records_rejected_total counter";
+        line "dggt_store_records_rejected_total %d" t.store_rejected;
+        line "# TYPE dggt_store_spills_total counter";
+        line "dggt_store_spills_total %d" t.store_spills;
+        line
+          "# HELP dggt_store_spill_seconds Wall time of the most recent \
+           spill.";
+        line "# TYPE dggt_store_spill_seconds gauge";
+        line "dggt_store_spill_seconds %s" (fmt_float t.store_spill_seconds)
+      end;
       if t.streams > 0 then begin
         line "# HELP dggt_streams_total Streamed (SSE) requests served.";
         line "# TYPE dggt_streams_total counter";

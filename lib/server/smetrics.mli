@@ -93,20 +93,15 @@ val observe_autom_compile : t -> domain:string -> float -> unit
     compilations actually paid, so a hot reload of unchanged packs leaves
     it flat. *)
 
-type store_gauges = { store_log_bytes : int; store_records : int }
-
 val observe_store_load : t -> loaded:int -> skipped:int -> rejected:int -> unit
-(** Accumulate one warm-start load's verdict counters (records applied /
-    skipped / rejected) — fed at boot and after [POST /reload]. *)
+(** Accumulate a warm-start load's verdict (the snapshot replayed,
+    skipped or rejected; all zero when there was none), fed at boot.
+    Observing one is also what turns the [dggt_store_*] section on — a
+    server running without [--store] exports none of it. *)
 
 val observe_store_spill : t -> float -> unit
 (** Record one spill: bumps [dggt_store_spills_total] and sets
     [dggt_store_spill_seconds] to the spill's wall time. *)
-
-val set_store_probe : t -> (unit -> store_gauges) -> unit
-(** Install the file-size/record-count probe, sampled at render time.
-    Installing it is also what turns the [dggt_store_*] section on — a
-    server running without [--store] exports none of it. *)
 
 val quantile : t -> float -> float
 (** Latency quantile over all recorded requests. *)
@@ -125,10 +120,9 @@ val render : t -> string
     [dggt_sessions_{created,expired,evicted}_total]), automaton counters
     ([dggt_autom_compiles_total{domain}],
     [dggt_autom_compile_seconds{domain}]), warm-start store counters
-    when a store probe is installed
+    once a store load was observed
     ([dggt_store_records_{loaded,skipped,rejected}_total],
-    [dggt_store_spills_total], [dggt_store_spill_seconds],
-    [dggt_store_log_bytes], [dggt_store_records]), streaming counters
+    [dggt_store_spills_total], [dggt_store_spill_seconds]), streaming counters
     once a stream has been served ([dggt_streams_total],
     [dggt_stream_candidates_total], [dggt_stream_cache_replays_total],
     [dggt_stream_ttfc_seconds]

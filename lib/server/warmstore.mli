@@ -1,38 +1,40 @@
-(** The serving layer's half of the warm-start store
-    ({!Dggt_store.Store}): typed spill/load of the server's LRU caches
-    and compiled automatons. The store itself is generic over opaque
-    payload bytes; this module owns every [Marshal] of an engine type
-    and the key discipline around it.
+(** The warm-start store: one snapshot file per store directory
+    ([DIR/snapshot]) holding the server's three LRU caches, so a
+    restarted server answers its repeated queries from the first
+    request.
 
-    {2 Key discipline}
+    {2 File}
 
-    - Cache entries are spilled with the registry generation {e
-      stripped} from their keys (generations are process-local — they
-      restart every boot) and re-keyed under the booting process's
-      generation at load, gated on the record's pack digest matching
-      the current registry's: the digest, not the generation, pins the
-      content the entries were computed against.
-    - Automaton records are keyed by the entry's {e content key}
-      ({!Dggt_pack.Domain_registry.content_key}), so one changed pack
-      invalidates only its own automaton; restore goes through
-      {!Dggt_autom.Autom.of_image}, whose structural-digest check is
-      the final guard before the tables are trusted.
-    - Everything is additionally schema-versioned ({!schema_version});
-      records of any other schema are skips.
+    A header over one [Marshal] payload. The header is a magic line and
+    one line of four fields: {!schema_version}, the registry's aggregate
+    pack digest, the MD5 of the payload (hex) and the payload's length.
+    The payload holds the three caches' entries, each list in
+    {!Cache.fold}'s LRU-to-MRU order, with the registry generation
+    stripped from every key: generations are process-local, so {!load}
+    re-keys every entry under the booting process's generation, and the
+    pack digest, not the generation, pins the content the entries were
+    computed against.
 
-    Refuse-and-rebuild throughout: any digest, unmarshal or restore
-    surprise counts the record rejected and the server recomputes — a
-    corrupt store can cost time, never correctness. *)
+    Every spill writes the whole file to [snapshot.tmp], fsyncs it and
+    renames it over [snapshot], so a crash mid-spill leaves the previous
+    snapshot whole.
+
+    {2 Refuse and boot cold}
+
+    {!load} checks the header and the payload's length and MD5 before
+    [Marshal.from_string] sees a byte. A snapshot of another schema or
+    another pack digest is skipped whole; a damaged one is rejected
+    whole. Either way the server boots cold and recomputes: a damaged
+    snapshot can cost time, never a wrong answer. The digest defends
+    against accidental damage (truncation, bit rot), not against an
+    adversary with write access to the directory, the same stance as
+    the pack digests. *)
 
 val schema_version : int
-(** Version of the marshalled payload layouts. Bump on {e any} shape
-    change of the payload types or their transitive parts
-    ([Engine.outcome], [Engine.ranked], [Word2api.candidate],
-    [Autom.image]) — that is what keeps [Marshal.from_string] away from
-    bytes of another layout. *)
-
-val kind_cache : string
-val kind_autom : string
+(** Layout version of the payload. Bump on {e any} shape change of the
+    payload types or their parts ([Engine.outcome], [Engine.ranked],
+    [Word2api.candidate]): that is what keeps [Marshal.from_string] away
+    from bytes of another layout. *)
 
 type caches = {
   q :
@@ -46,69 +48,48 @@ type caches = {
       Dggt_core.Word2api.candidate list )
     Cache.t;
 }
-(** Serve's three LRUs, keyed as the server keys them (leading [int] is
-    the registry generation). *)
+(** The server's three LRUs, keyed as the server keys them (leading
+    [int] is the registry generation). *)
 
-type spill_report = {
-  sp_records : int;
-  sp_entries : int;  (** cache entries across the three LRUs *)
-  sp_bytes : int;
-  sp_seconds : float;
-}
+type spill_report = { sp_entries : int; sp_bytes : int; sp_seconds : float }
 
 val spill :
-  Dggt_store.Store.t ->
+  string ->
   generation:int ->
   pack_digest:string ->
   caches ->
-  automata:(string * string * Dggt_autom.Autom.t) list ->
   (spill_report, string) result
-(** Append one snapshot batch: up to three cache records (empty caches
-    spill nothing) in {!Cache.fold}'s LRU-to-MRU order — so a later
-    load replays recency exactly — plus one automaton-image record per
-    [(domain name, content key, automaton)] row. *)
+(** [spill dir ~generation ~pack_digest caches] writes the entries keyed
+    under [generation] as [dir]'s snapshot, replacing the previous one;
+    entries of an older generation (late writes from a request that
+    outlived a reload) are left out. On [Error] the previous snapshot
+    stays in place. *)
 
-type load_report = {
-  ld_cache_entries : int;  (** cache entries replayed into the LRUs *)
-  ld_automata : int;  (** automaton records held for {!seed} *)
-  ld_applied : int;  (** records whose payload was applied *)
-  ld_skipped : int;
-      (** schema mismatches, superseded duplicates, key mismatches *)
-  ld_rejected : int;
-      (** digest/frame damage plus unmarshal/restore refusals *)
-  ld_seconds : float;
-}
-
-type images
-(** The automaton records a {!load} kept: the newest one of each
-    registry entry, restored only by {!seed}. *)
+type verdict =
+  | Absent  (** no snapshot in the directory *)
+  | Loaded of int  (** the snapshot was replayed: this many entries *)
+  | Skipped of string
+      (** an intact snapshot of another schema or pack digest *)
+  | Rejected of string
+      (** a damaged snapshot: magic, header, length, digest or payload *)
 
 val load :
-  Dggt_store.Store.t ->
-  generation:int ->
-  pack_digest:string ->
-  registry:Dggt_pack.Domain_registry.t ->
-  caches ->
-  load_report * images
-(** Replay the newest valid snapshot: for each [(kind, name, engine)]
-    identity only the newest record applies (periodic spills append
-    whole snapshots). Cache records must carry the current [pack_digest]
-    and are re-keyed under [generation]. Automaton records are only
-    matched here, against the registry entry with their domain name and
-    content key; the matches come back as [images] and are not counted
-    in [ld_applied], [ld_skipped] or [ld_rejected] until {!seed}
-    restores them. Forces no grammar graph. Never raises. *)
+  string -> generation:int -> pack_digest:string -> caches -> verdict
+(** Replay [dir]'s snapshot into [caches], every entry re-keyed under
+    [generation] and in the recency order it was spilled in. Only an
+    intact snapshot of this {!schema_version} and this [pack_digest] is
+    replayed; any other leaves [caches] untouched. Never raises. *)
 
-val seed :
-  images ->
-  Dggt_pack.Domain_registry.t ->
-  Dggt_pack.Domain_registry.entry ->
-  [ `Seeded | `Skipped | `Rejected | `Absent ]
-(** Restore [entry]'s automaton image against its graph (forcing it)
-    and install it with {!Dggt_pack.Domain_registry.seed_automaton}, so
-    the entry's next {!Dggt_pack.Domain_registry.automaton} call pays no
-    compile: [`Seeded]. [`Skipped] when the registry already holds an
-    automaton for the entry, [`Rejected] when the image fails to
-    unmarshal or to restore, [`Absent] when {!load} kept no image for
-    the entry. Call it in the entry's build, before
-    {!Dggt_pack.Domain_registry.automaton}. Never raises. *)
+type summary = {
+  bytes : int;
+  schema : int;
+  pack_digest : string;
+  entries : (string * int) list;
+      (** entries per cache ([q_cache], [rank_cache], [word_cache]);
+          [[]] for a snapshot of another schema, whose payload is not
+          read *)
+}
+
+val inspect : string -> (summary option, string) result
+(** What [dggt store verify] prints: [Ok None] when [dir] holds no
+    snapshot, [Error] naming the damage when it holds a damaged one. *)

@@ -587,14 +587,6 @@ let handler t (req : Httpd.request) =
 (* lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir = "/" || dir = "." || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let dir_counter = Atomic.make 0
 
 let fresh_sockets_dir () =
@@ -618,9 +610,8 @@ let create params =
       match params.store_dir with
       | None -> []
       | Some root ->
-          let dir = Filename.concat root (Printf.sprintf "shard-%d" slot) in
-          mkdir_p dir;
-          [ "--store"; dir ]
+          (* the worker creates its directory *)
+          [ "--store"; Filename.concat root (Printf.sprintf "shard-%d" slot) ]
     in
     Array.of_list
       ((params.exe :: "serve" :: "--unix-socket" :: socket

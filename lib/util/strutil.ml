@@ -93,5 +93,3 @@ let common_prefix_len a b =
   let n = min (String.length a) (String.length b) in
   let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
   go 0
-
-let concat_map_words ~sep f xs = String.concat sep (List.map f xs)

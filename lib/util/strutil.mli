@@ -6,7 +6,6 @@
 val lowercase : string -> string
 (** ASCII lowercasing (queries and API documents are ASCII). *)
 
-val is_lower : char -> bool
 val is_alpha : char -> bool
 val is_digit : char -> bool
 val is_alnum : char -> bool
@@ -35,5 +34,3 @@ val drop_suffix : suffix:string -> string -> string option
 (** [drop_suffix ~suffix s] is [Some prefix] when [s = prefix ^ suffix]. *)
 
 val common_prefix_len : string -> string -> int
-
-val concat_map_words : sep:string -> ('a -> string) -> 'a list -> string

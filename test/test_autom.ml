@@ -239,7 +239,7 @@ let test_digest_and_stats () =
 (* The built-ins' digests as literals (the values BENCH_automaton.json
    records): a compile that changes a single graph byte, or a digest
    writer that renders one differently, fails here. What /version
-   reports and warm-store images are keyed on. *)
+   reports. *)
 let test_builtin_digests () =
   List.iter
     (fun ((d : Domain.t), pinned) ->

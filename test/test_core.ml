@@ -247,7 +247,7 @@ let test_cgt_merge_paths () =
   let g = Lazy.force fig4_graph in
   let ps = search "INSERT" "STRING" in
   let short = List.find (fun p -> Gpath.size p = 2) ps in
-  let cgt = Cgt.of_paths g [ short ] in
+  let cgt = Cgt.of_paths [ short ] in
   let s = Cgt.scratch g in
   check_i "api size" 2 (Cgt.api_size s cgt);
   check_b "tree" true (Cgt.is_tree s cgt);
@@ -263,7 +263,7 @@ let test_cgt_conflict_invalid () =
   let g = Lazy.force fig4_graph in
   let to_start = search "INSERT" "START" in
   let to_position = search "INSERT" "POSITION" in
-  let cgt = Cgt.of_paths g [ List.hd to_start; List.hd to_position ] in
+  let cgt = Cgt.of_paths [ List.hd to_start; List.hd to_position ] in
   let s = Cgt.scratch g in
   (* START and POSITION are exclusive alternatives of pos: a tree, but
      not a grammar-valid one *)
@@ -289,7 +289,7 @@ let test_cgt_disjoint_not_tree () =
   let g = Lazy.force fig4_graph in
   let a = search "POSITION" "AFTER" in
   let b = search "ITERATIONSCOPE" "LINESCOPE" in
-  let cgt = Cgt.of_paths g [ List.hd a; List.hd b ] in
+  let cgt = Cgt.of_paths [ List.hd a; List.hd b ] in
   let s = Cgt.scratch g in
   check_b "two components" false (Cgt.is_tree s cgt);
   check_b "not well-formed" false (Cgt.well_formed s cgt)
@@ -304,7 +304,7 @@ let test_tree2expr_linearize () =
     List.find (fun p -> Gpath.size p = 2) (search "INSERT" "STRING")
   in
   let insert_start = search "INSERT" "START" in
-  let cgt = Cgt.of_paths g (insert_string :: insert_start) in
+  let cgt = Cgt.of_paths (insert_string :: insert_start) in
   match Tree2expr.of_cgt ~lits:[ ("STRING", ":") ] (Cgt.scratch g) cgt with
   | Ok e ->
       check_s "code" "INSERT(STRING(\":\"), START())" (Tree2expr.to_string e);
@@ -325,7 +325,7 @@ let test_tree2expr_arg_order () =
   let codes =
     List.map
       (fun ps ->
-        match Tree2expr.of_cgt (Cgt.scratch g) (Cgt.of_paths g ps) with
+        match Tree2expr.of_cgt (Cgt.scratch g) (Cgt.of_paths ps) with
         | Ok e -> Tree2expr.to_string e
         | Error _ -> "fail")
       orders
@@ -341,7 +341,7 @@ let test_tree2expr_errors () =
   | _ -> Alcotest.fail "expected Empty_cgt");
   let a = search "POSITION" "AFTER" in
   let b = search "ITERATIONSCOPE" "LINESCOPE" in
-  match Tree2expr.of_cgt s (Cgt.of_paths g [ List.hd a; List.hd b ]) with
+  match Tree2expr.of_cgt s (Cgt.of_paths [ List.hd a; List.hd b ]) with
   | Error Tree2expr.Not_a_tree -> ()
   | _ -> Alcotest.fail "expected Not_a_tree"
 

@@ -197,7 +197,7 @@ let prop_sprune_bounds_sound =
       ||
       let combo = List.mapi mk_epath paths in
       let b = Refsprune.bounds_of ~extra:(fun _ -> 0) combo in
-      let merged = Cgt.of_paths g paths in
+      let merged = Cgt.of_paths paths in
       let size = Cgt.api_size (Cgt.scratch g) merged in
       b.Refsprune.lo <= size && size <= b.Refsprune.hi)
 
@@ -284,7 +284,7 @@ let prop_gprune_lossless =
       && List.for_all
            (fun combo ->
              let cgt =
-               Cgt.of_paths g (List.map (fun (p : Edge2path.epath) -> p.Edge2path.path) combo)
+               Cgt.of_paths (List.map (fun (p : Edge2path.epath) -> p.Edge2path.path) combo)
              in
              not (Refcgt.is_grammar_valid g cgt))
            pruned
@@ -492,12 +492,11 @@ let prop_cgt_merge_acI =
   QCheck.Test.make ~name:"CGT merge is commutative/associative/idempotent"
     ~count:200
     (QCheck.make random_paths_gen) (fun pairs ->
-      let g = Lazy.force graph in
       let paths =
         List.concat_map
           (fun (a, b) ->
             match search a b with
-            | p :: _ -> [ Cgt.of_paths g [ p ] ]
+            | p :: _ -> [ Cgt.of_paths [ p ] ]
             | [] -> [])
           pairs
       in
@@ -797,9 +796,9 @@ let prop_cgt_matches_sets =
       let before = List.filteri (fun i _ -> i < s.split) s.rpaths
       and after = List.filteri (fun i _ -> i > s.split) s.rpaths
       and at = List.nth_opt s.rpaths s.split in
-      let all = Cgt.of_paths g s.rpaths and all' = Setcgt.of_paths s.rpaths in
-      let a = Cgt.of_paths g before and a' = Setcgt.of_paths before in
-      let b = Cgt.of_paths g after and b' = Setcgt.of_paths after in
+      let all = Cgt.of_paths s.rpaths and all' = Setcgt.of_paths s.rpaths in
+      let a = Cgt.of_paths before and a' = Setcgt.of_paths before in
+      let b = Cgt.of_paths after and b' = Setcgt.of_paths after in
       (* a prefix of [all]'s edge ids and of its lone ids *)
       let prefix ids = List.filteri (fun i _ -> i < s.cut) ids in
       let edges = prefix (Cgt.edge_ids all) and lone = prefix (Cgt.lone_ids all) in

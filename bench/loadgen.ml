@@ -156,59 +156,33 @@ let get fd path =
 
 type item = { domain : string; text : string; expected_code : string option }
 
-let build_mix () =
-  (* alternate easy (non-hard) queries from both domains *)
-  let pick (d : Dggt_domains.Domain.t) n =
-    d.Dggt_domains.Domain.queries
-    |> List.filter (fun (q : Dggt_domains.Domain.query) -> not q.hard)
-    |> Dggt_util.Listutil.take n
-    |> List.map (fun (q : Dggt_domains.Domain.query) ->
-           (d.Dggt_domains.Domain.name, d, q.Dggt_domains.Domain.text))
-  in
-  let te = Dggt_domains.Text_editing.domain in
-  let am = Dggt_domains.Astmatcher.domain in
+(* the distinct queries: the first non-hard ones of both domains, two
+   TextEditing to one ASTMatcher; each with the engine session its local
+   baselines run on *)
+let mix () =
   let n_am = max 1 (!distinct / 3) in
   let n_te = max 1 (!distinct - n_am) in
-  let raw = pick te n_te @ pick am n_am in
+  let alg = if !engine = "hisyn" then Engine.Hisyn_alg else Engine.Dggt_alg in
+  List.concat_map
+    (fun ((d : Dggt_domains.Domain.t), n) ->
+      let ses = Harness.session ~alg ~timeout_s:!timeout_s d in
+      List.map
+        (fun (q : Dggt_domains.Domain.query) ->
+          (d.Dggt_domains.Domain.name, ses, q.Dggt_domains.Domain.text))
+        (Harness.queries ~skip_hard:true (Some n) d))
+    [ (Dggt_domains.Text_editing.domain, n_te); (Dggt_domains.Astmatcher.domain, n_am) ]
+
+let baseline ses text = (Harness.respond ses Engine.Plain text).Engine.code
+
+let build_mix () =
+  let raw = mix () in
   Printf.printf "computing local baselines for %d distinct queries...\n%!"
     (List.length raw);
   List.map
-    (fun (name, d, text) ->
-      let alg = if !engine = "hisyn" then Engine.Hisyn_alg else Engine.Dggt_alg in
-      let o =
-        Engine.respond
-          (Dggt_domains.Domain.configure d
-             { (Engine.default alg) with Engine.timeout_s = Some !timeout_s })
-          { Engine.input = Engine.Text text; mode = Engine.Plain }
-      in
-      { domain = name; text; expected_code = o.Engine.code })
+    (fun (domain, ses, text) -> { domain; text; expected_code = baseline ses text })
     raw
 
 (* --- session-mode workload: edit sequences with per-revision baselines *)
-
-(* split on spaces without breaking quoted literals (same rule as `bench
-   incremental`) *)
-let edit_chunks q =
-  let buf = Buffer.create 16 in
-  let out = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  let in_quote = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' ->
-          Buffer.add_char buf c;
-          in_quote := not !in_quote
-      | (' ' | '\t') when not !in_quote -> flush ()
-      | c -> Buffer.add_char buf c)
-    q;
-  flush ();
-  List.rev !out
 
 type sitem = {
   s_domain : string;
@@ -217,49 +191,17 @@ type sitem = {
 }
 
 let build_session_mix () =
-  let pick (d : Dggt_domains.Domain.t) n =
-    d.Dggt_domains.Domain.queries
-    |> List.filter (fun (q : Dggt_domains.Domain.query) -> not q.hard)
-    |> Dggt_util.Listutil.take n
-    |> List.map (fun (q : Dggt_domains.Domain.query) ->
-           (d, q.Dggt_domains.Domain.text))
-  in
-  let te = Dggt_domains.Text_editing.domain in
-  let am = Dggt_domains.Astmatcher.domain in
-  let n_am = max 1 (!distinct / 3) in
-  let n_te = max 1 (!distinct - n_am) in
-  let raw = pick te n_te @ pick am n_am in
+  let raw = mix () in
   Printf.printf "computing per-revision baselines for %d edit sequences...\n%!"
     (List.length raw);
   List.map
-    (fun ((d : Dggt_domains.Domain.t), text) ->
-      let alg =
-        if !engine = "hisyn" then Engine.Hisyn_alg else Engine.Dggt_alg
-      in
-      let ses =
-        Dggt_domains.Domain.configure d
-          { (Engine.default alg) with Engine.timeout_s = Some !timeout_s }
-      in
-      let chunks = edit_chunks text in
-      let n = List.length chunks in
-      let prefix k =
-        String.concat " " (List.filteri (fun i _ -> i < k) chunks)
-      in
-      let rec range a b = if a > b then [] else a :: range (a + 1) b in
-      let revisions =
-        List.map (fun k -> prefix k) (range (max 1 (n - 3)) n)
-        @ [ prefix n ^ " ." ]
-      in
+    (fun (domain, ses, text) ->
       {
-        s_domain = d.Dggt_domains.Domain.name;
+        s_domain = domain;
         s_revisions =
           List.map
-            (fun r ->
-              ( r,
-                (Engine.respond ses
-                   { Engine.input = Engine.Text r; mode = Engine.Plain })
-                  .Engine.code ))
-            revisions;
+            (fun (r, _) -> (r, baseline ses r))
+            (Harness.edit_script ~depth:3 text);
       })
     raw
 
@@ -469,23 +411,7 @@ let () =
     if !port = 0 then begin
       if !shards > 0 then begin
         let module Router = Dggt_shard.Router in
-        let exe =
-          let guess =
-            Filename.concat
-              (Filename.dirname (Filename.dirname Sys.executable_name))
-              (Filename.concat "bin" "dggt_cli.exe")
-          in
-          if Filename.is_relative guess then
-            Filename.concat (Sys.getcwd ()) guess
-          else guess
-        in
-        if not (Sys.file_exists exe) then begin
-          Printf.eprintf
-            "loadgen --shards: worker binary %s missing (run: dune build \
-             bin/dggt_cli.exe)\n"
-            exe;
-          exit 2
-        end;
+        let exe = Harness.worker_exe () in
         let r =
           Router.create
             {
@@ -514,25 +440,20 @@ let () =
         Some (`Router r)
       end
       else begin
-        let s =
-          Serve.create
-            {
-              Serve.addr = !host;
-              port = 0;
-              unix_socket = None;
-              workers = !workers;
-              queue_capacity = !queue;
-              cache_size = !cache_size;
-              default_timeout_s = !timeout_s;
-              trace_buffer = Serve.default_params.Serve.trace_buffer;
-              packs_dir = None;
-              session_ttl_s = Serve.default_params.Serve.session_ttl_s;
-              session_cap = Serve.default_params.Serve.session_cap;
-              store_dir = (if !warm_store = "" then None else Some !warm_store);
-              store_interval_s = Serve.default_params.Serve.store_interval_s;
-            }
+        let s, p =
+          Harness.serve ~timeout_s:!timeout_s
+            ~tweak:(fun p ->
+              {
+                p with
+                Serve.addr = !host;
+                workers = !workers;
+                queue_capacity = !queue;
+                cache_size = !cache_size;
+                store_dir = (if !warm_store = "" then None else Some !warm_store);
+              })
+            ()
         in
-        port := Serve.port s;
+        port := p;
         Printf.printf "in-process server on port %d\n%!" !port;
         Some (`Single s)
       end
@@ -601,4 +522,5 @@ let () =
   | Some (`Single s) -> Serve.stop s
   | Some (`Router r) -> Dggt_shard.Router.stop r
   | None -> ());
-  if t.wrong > 0 then exit 1
+  if t.wrong > 0 then Harness.fail "%d wrong answers" t.wrong;
+  Harness.finish ()

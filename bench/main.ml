@@ -1,28 +1,46 @@
-(* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Tables I-III, Figures 7-8), runs the optimization ablation,
-   and measures the pipeline stages with Bechamel microbenchmarks.
+(* The benchmark targets: every table and figure of the paper's evaluation
+   (Tables I-III, Figures 7-8), the optimization ablation, the per-stage
+   breakdown, Bechamel microbenchmarks, and the identity and throughput
+   sweeps that write the BENCH_*.json ledgers.
 
-     dune exec bench/main.exe                     # everything, 20 s timeout
-     dune exec bench/main.exe -- table2           # one artifact
-     dune exec bench/main.exe -- --timeout 2 all  # faster protocol
-     dune exec bench/main.exe -- micro            # Bechamel stage benches
-     dune exec bench/main.exe -- stages           # per-stage latency table
-     dune exec bench/main.exe -- parallel         # batch queries/sec sweep
-     dune exec bench/main.exe -- automaton        # DFS vs compiled automaton
-     dune exec bench/main.exe -- pathmerge        # reference vs semiring PathMerge
-     dune exec bench/main.exe -- incremental      # as-you-type session replay
-     dune exec bench/main.exe -- warmstart        # cold vs warm --store boot
-     dune exec bench/main.exe -- --timeout 2 smoke  # reduced CI sweep
+     dune exec bench/main.exe -- [--timeout S] [--limit N] [TARGET...]
 
-   The 20 s timeout is the paper's protocol; because this substrate is much
-   faster than the authors' testbed, --timeout 2 produces the same shape in
-   a tenth of the wall-clock time. *)
+   --timeout is the per-query budget: 20 s by default, the paper's
+   protocol. This substrate is much faster than the authors' testbed, so
+   --timeout 2 produces the same shape in a tenth of the wall-clock time.
+   --limit N runs the first N queries of each domain (the served targets
+   warmstart, stream and shard skip the hard ones first); each target's
+   default is in brackets:
+
+     table1       Table I: domain statistics                     [-]
+     table2       Table II: speedup and accuracy against HISyn   [all]
+     table3       Table III: optimization breakdown, hard cases  [all]
+     fig7, fig8   Figures 7-8: time distribution, accumulation   [all]
+     ablation     DGGT with each optimization disabled           [all]
+     stages       per-stage latency                              [all]
+     micro        Bechamel stage microbenchmarks                 [-]
+     parallel     batch queries/s over 1-8 pool workers          [all]
+     automaton    reference DFS vs compiled automaton            [all]
+     pathmerge    reference walk vs semiring PathMerge           [all]
+     incremental  as-you-type sessions vs from scratch           [8]
+     warmstart    cold vs warm --store boot                      [6]
+     stream       SSE time to first candidate                    [6]
+     shard        2-shard router vs one process                  [4]
+     all          table1 .. stages, then micro (the default)
+
+   The last seven write BENCH_<target>.json into the current directory
+   (Harness.ledger). A failed check prints its reason, and the run exits
+   1 once every target ran; an unknown target exits 2 before any runs. *)
 
 open Dggt_core
 open Dggt_domains
 open Dggt_eval
+module J = Dggt_server.Jsonio
+module Serve = Dggt_server.Serve
+module H = Harness
 
 let fmt = Format.std_formatter
+let int = H.int
 
 let progress label i n =
   if i mod 25 = 0 || i = n then Format.eprintf "    [%s %d/%d]@." label i n
@@ -30,7 +48,7 @@ let progress label i n =
 let comparisons = Hashtbl.create 2
 
 (* Table II, Fig 7 and Fig 8 share the expensive HISyn-vs-DGGT runs. *)
-let comparison ~timeout_s (dom : Domain.t) =
+let comparison ~timeout_s ~limit (dom : Domain.t) =
   match Hashtbl.find_opt comparisons dom.Domain.name with
   | Some c -> c
   | None ->
@@ -38,54 +56,61 @@ let comparison ~timeout_s (dom : Domain.t) =
       let c =
         Report.compare_domain ~timeout_s
           ~progress:(fun l i n -> progress (dom.Domain.name ^ "/" ^ l) i n)
-          dom
+          (H.restrict limit dom)
       in
       Hashtbl.replace comparisons dom.Domain.name c;
       c
 
-let hr () = Format.fprintf fmt "@.%s@.@." (String.make 78 '-')
-
-let run_table1 () =
-  hr ();
+let run_table1 ~timeout_s:_ ~limit:_ =
+  H.rule ();
   Report.table1 fmt
 
-let run_table2 ~timeout_s () =
-  hr ();
-  let cs = List.map (comparison ~timeout_s) [ Astmatcher.domain; Text_editing.domain ] in
-  Report.table2 fmt cs
+let run_table2 ~timeout_s ~limit =
+  H.rule ();
+  Report.table2 fmt
+    (List.map (comparison ~timeout_s ~limit) [ Astmatcher.domain; Text_editing.domain ])
 
-let run_table3 () =
-  hr ();
-  Report.table3 fmt Text_editing.domain;
+let run_table3 ~timeout_s:_ ~limit =
+  H.rule ();
+  Report.table3 fmt (H.restrict limit Text_editing.domain);
   Format.fprintf fmt "@.";
-  Report.table3 fmt Astmatcher.domain
+  Report.table3 fmt (H.restrict limit Astmatcher.domain)
 
-let run_fig7 ~timeout_s () =
-  hr ();
+let run_fig7 ~timeout_s ~limit =
+  H.rule ();
   List.iter
-    (fun d -> Report.fig7 fmt (comparison ~timeout_s d))
+    (fun d -> Report.fig7 fmt (comparison ~timeout_s ~limit d))
     [ Astmatcher.domain; Text_editing.domain ]
 
-let run_fig8 ~timeout_s () =
-  hr ();
+let run_fig8 ~timeout_s ~limit =
+  H.rule ();
   List.iter
-    (fun d -> Report.fig8 fmt (comparison ~timeout_s d))
+    (fun d -> Report.fig8 fmt (comparison ~timeout_s ~limit d))
     [ Astmatcher.domain; Text_editing.domain ]
 
-let run_ablation ~timeout_s () =
-  hr ();
+let run_ablation ~timeout_s ~limit =
+  H.rule ();
   (* the no-relocation variant re-inherits the baseline's path blow-up;
      cap its budget so the ablation stays affordable *)
   let timeout_s = Float.min timeout_s 3.0 in
-  Report.ablation fmt ~timeout_s Text_editing.domain;
+  Report.ablation fmt ~timeout_s (H.restrict limit Text_editing.domain);
   Format.fprintf fmt "@.";
-  Report.ablation fmt ~timeout_s Astmatcher.domain
+  Report.ablation fmt ~timeout_s (H.restrict limit Astmatcher.domain)
 
-let run_stages ~timeout_s () =
-  hr ();
-  Report.stage_table fmt ~timeout_s Text_editing.domain;
+let run_stages ~timeout_s ~limit =
+  H.rule ();
+  Report.stage_table fmt ~timeout_s (H.restrict limit Text_editing.domain);
   Format.fprintf fmt "@.";
-  Report.stage_table fmt ~timeout_s Astmatcher.domain
+  Report.stage_table fmt ~timeout_s (H.restrict limit Astmatcher.domain)
+
+(* ------------------------------------------------------------------ *)
+(* Batch-parallel sweep: whole queries fanned out over a worker pool  *)
+(* (queries/sec vs worker count), plus the byte-identity check the    *)
+(* determinism claim rests on. Intra-query fan-out is gone — the      *)
+(* measured 0.6-0.9x "speedup" of per-pair searches killed it — so    *)
+(* this sweep measures the knob that actually scales: concurrency     *)
+(* across queries.                                                    *)
+(* ------------------------------------------------------------------ *)
 
 (* spin up a whole-query fan-out pool for [f]'s lifetime (1 = sequential,
    no pool) *)
@@ -97,170 +122,74 @@ let with_pool workers f =
       (fun () -> f (Some pool))
   else f None
 
-(* A reduced sweep for CI: domain stats plus a per-stage latency probe on a
-   short query prefix — exercises tracing end to end in a few seconds. *)
-let run_smoke ~timeout_s () =
-  hr ();
-  Report.table1 fmt;
-  hr ();
-  let timeout_s = Float.min timeout_s 5.0 in
-  Report.stage_table fmt ~timeout_s ~limit:8 Text_editing.domain;
-  Format.fprintf fmt "@.";
-  Report.stage_table fmt ~timeout_s ~limit:8 Astmatcher.domain
-
-(* ------------------------------------------------------------------ *)
-(* Batch-parallel sweep: whole queries fanned out over a worker pool  *)
-(* (queries/sec vs worker count), plus the byte-identity check the    *)
-(* determinism claim rests on. Intra-query fan-out is gone — the      *)
-(* measured 0.6-0.9x "speedup" of per-pair searches killed it — so    *)
-(* this sweep measures the knob that actually scales: concurrency     *)
-(* across queries.                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type psweep = {
-  p_workers : int;
-  p_wall_s : float;           (* wall-clock for the whole query set *)
-  p_qps : float;              (* queries per second of wall-clock *)
-  p_identical : bool;         (* codelets byte-identical to 1-worker run *)
-  p_timeout_skips : int;      (* pairs excluded: either side timed out *)
-}
-
-let edge2path_share (q : Runner.qresult) =
-  let total = List.fold_left (fun a (_, d) -> a +. d) 0.0 q.Runner.stage_s in
-  match List.assoc_opt "EdgeToPath" q.Runner.stage_s with
-  | Some d when total > 0.0 -> d /. total
-  | _ -> 0.0
-
-let run_parallel_domain ~timeout_s ~counts (dom : Domain.t) =
-  Format.eprintf "  sweeping %s...@." dom.Domain.name;
-  let run_at w =
-    (* a fresh automaton per worker count, compiled before the clock
-       starts: its path memo, shared by that run's workers, starts cold
-       at every count *)
-    let dom =
-      {
-        dom with
-        Domain.autom =
-          Lazy.from_val (Dggt_autom.Autom.compile (Lazy.force dom.Domain.graph));
-      }
-    in
-    with_pool w (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Runner.run_domain ~timeout_s ?pool
-            ~progress:(fun i n ->
-              progress (Printf.sprintf "%s x%d" dom.Domain.name w) i n)
-            dom Engine.Dggt_alg
-        in
-        (r, Unix.gettimeofday () -. t0))
+let run_parallel ~timeout_s ~limit =
+  let method_ =
+    "Batch throughput: whole queries fanned out over a Dggt_par worker pool \
+     at 1, 2, 4 and 8 workers, each count on a fresh automaton compiled \
+     before the clock starts; 'identical' = codelets byte-equal to the \
+     1-worker run, pairs where either side timed out skipped and counted"
   in
-  let baseline, base_wall = run_at (List.hd counts) in
-  let nq = List.length baseline.Runner.results in
-  (* wall-clock timeouts are scheduling-dependent under contention (on a
-     1-core host every extra worker steals time from every query), so a
-     pair where either run timed out is incomparable — excluded and
-     counted, exactly like the automaton sweep *)
-  let compare_codes r =
-    List.fold_left2
-      (fun (same, skips) (a : Runner.qresult) (b : Runner.qresult) ->
-        if a.Runner.outcome.Engine.timed_out || b.Runner.outcome.Engine.timed_out
-        then (same, skips + 1)
-        else (same && a.Runner.outcome.Engine.code = b.Runner.outcome.Engine.code, skips))
-      (true, 0) baseline.Runner.results r.Runner.results
-  in
-  let sweep =
-    List.map
-      (fun w ->
-        let r, wall =
-          if w = List.hd counts then (baseline, base_wall) else run_at w
-        in
-        let identical, skips = compare_codes r in
+  H.heading method_;
+  let domain (dom : Domain.t) =
+    let dom = H.restrict limit dom in
+    Format.eprintf "  sweeping %s...@." dom.Domain.name;
+    let run_at w =
+      let dom =
         {
-          p_workers = w;
-          p_wall_s = wall;
-          p_qps = float_of_int nq /. Float.max wall 1e-9;
-          p_identical = identical;
-          p_timeout_skips = skips;
-        })
-      counts
+          dom with
+          Domain.autom =
+            Lazy.from_val (Dggt_autom.Autom.compile (Lazy.force dom.Domain.graph));
+        }
+      in
+      with_pool w (fun pool ->
+          H.timed (fun () ->
+              Runner.run_domain ~timeout_s ?pool
+                ~progress:(fun i n ->
+                  progress (Printf.sprintf "%s x%d" dom.Domain.name w) i n)
+                dom Engine.Dggt_alg))
+    in
+    let base, base_wall = run_at 1 in
+    let nq = List.length base.Runner.results in
+    let point w =
+      let r, wall = if w = 1 then (base, base_wall) else run_at w in
+      (* wall-clock timeouts are scheduling-dependent under contention (on
+         a 1-core host every extra worker steals time from every query) *)
+      let skips = ref 0 and before = H.failed () in
+      let divergence (a : Engine.outcome) (b : Engine.outcome) =
+        if a.Engine.code = b.Engine.code then None
+        else Some (Printf.sprintf "codelet at %d workers" w)
+      in
+      List.iter2
+        (fun (a : Runner.qresult) (b : Runner.qresult) ->
+          H.check_pair ~divergence ~skips ~domain:dom.Domain.name
+            ~text:a.Runner.query.Domain.text a.Runner.outcome b.Runner.outcome)
+        base.Runner.results r.Runner.results;
+      J.Obj
+        [
+          ("workers", int w);
+          ("wall_s", J.Num wall);
+          ("queries_per_s", J.Num (float_of_int nq /. Float.max wall 1e-9));
+          ("speedup", J.Num (base_wall /. Float.max wall 1e-9));
+          ("codelets_identical", J.Bool (H.failed () = before));
+          ("timeout_skips", int !skips);
+        ]
+    in
+    let sweep = List.map point [ 1; 2; 4; 8 ] in
+    Format.fprintf fmt "%s: %d queries@.@." dom.Domain.name nq;
+    H.table
+      [
+        H.int_col "workers" "workers";
+        H.col "wall (s)" "wall_s";
+        H.col ~fmt:"%.1f" "queries/s" "queries_per_s";
+        H.col ~fmt:"%.2fx" "speedup" "speedup";
+        H.col "identical" "codelets_identical";
+        H.int_col "skips" "timeout_skips";
+      ]
+      sweep;
+    J.Obj [ ("name", J.Str dom.Domain.name); ("queries", int nq); ("sweep", J.Arr sweep) ]
   in
-  (dom, nq, sweep)
-
-let parallel_json ~timeout_s results =
-  let module J = Dggt_server.Jsonio in
-  let f v = J.Num v and i n = J.Num (float_of_int n) in
-  J.Obj
-    [
-      ("bench", J.Str "parallel");
-      ("timeout_s", f timeout_s);
-      (* speedups only mean anything relative to the cores actually
-         available where the sweep ran *)
-      ("host_cores", i (Stdlib.Domain.recommended_domain_count ()));
-      ( "domains",
-        J.list
-          (fun ((dom : Domain.t), nq, sweep) ->
-            let base = (List.hd sweep).p_wall_s in
-            J.Obj
-              [
-                ("name", J.Str dom.Domain.name);
-                ("queries", i nq);
-                ( "sweep",
-                  J.list
-                    (fun p ->
-                      J.Obj
-                        [
-                          ("workers", i p.p_workers);
-                          ("wall_s", f p.p_wall_s);
-                          ("queries_per_s", f p.p_qps);
-                          ("speedup", f (base /. Float.max p.p_wall_s 1e-9));
-                          ("codelets_identical", J.Bool p.p_identical);
-                          ("timeout_skips", i p.p_timeout_skips);
-                        ])
-                    sweep );
-              ])
-          results );
-    ]
-
-let run_parallel ~timeout_s () =
-  hr ();
-  let counts = [ 1; 2; 4; 8 ] in
-  Format.fprintf fmt
-    "Batch throughput: whole queries fanned out over a Dggt_par worker \
-     pool@.(worker counts %s; host has %d core(s); 'identical' = codelets \
-     byte-equal to the sequential run, pairs where either side timed out \
-     excluded and counted as skips)@.@."
-    (String.concat "/" (List.map string_of_int counts))
-    (Stdlib.Domain.recommended_domain_count ());
-  let results =
-    List.map
-      (run_parallel_domain ~timeout_s ~counts)
-      [ Astmatcher.domain; Text_editing.domain ]
-  in
-  List.iter
-    (fun ((dom : Domain.t), nq, sweep) ->
-      let base = (List.hd sweep).p_wall_s in
-      Format.fprintf fmt "%s: %d queries@.@." dom.Domain.name nq;
-      Format.fprintf fmt "  %8s %10s %12s %8s %10s %6s@." "workers" "wall (s)"
-        "queries/s" "speedup" "identical" "skips";
-      List.iter
-        (fun p ->
-          Format.fprintf fmt "  %8d %10.3f %12.1f %7.2fx %10s %6d@." p.p_workers
-            p.p_wall_s p.p_qps
-            (base /. Float.max p.p_wall_s 1e-9)
-            (if p.p_identical then "yes" else "NO")
-            p.p_timeout_skips;
-          if not p.p_identical then
-            Format.fprintf fmt "  ^^^ DETERMINISM VIOLATION at %d workers@."
-              p.p_workers)
-        sweep;
-      Format.fprintf fmt "@.")
-    results;
-  let path = "BENCH_parallel.json" in
-  let oc = open_out path in
-  output_string oc (Dggt_server.Jsonio.to_string (parallel_json ~timeout_s results));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path
+  let rows = List.map domain [ Astmatcher.domain; Text_editing.domain ] in
+  H.ledger ~bench:"parallel" ~method_ ~timeout_s ~limit [ ("domains", J.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions: replay each query as an as-you-type edit     *)
@@ -268,292 +197,116 @@ let run_parallel ~timeout_s () =
 (* assertion the subsystem's guarantee rests on.                      *)
 (* ------------------------------------------------------------------ *)
 
-(* split a query into typeable chunks, never breaking a quoted literal
-   ("append \":\" at ..." must keep the ':' inside its quotes) *)
-let edit_chunks q =
-  let buf = Buffer.create 16 in
-  let out = ref [] in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  let in_quote = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' ->
-          Buffer.add_char buf c;
-          in_quote := not !in_quote
-      | (' ' | '\t') when not !in_quote -> flush ()
-      | c -> Buffer.add_char buf c)
-    q;
-  flush ();
-  List.rev !out
-
-(* the edit script for one query: the last [depth] word-append revisions
-   (the as-you-type tail), then a whitespace/punctuation-only revision that
-   should splice *)
-let edit_script ~depth q =
-  let chunks = edit_chunks q in
-  let n = List.length chunks in
-  let prefix k = String.concat " " (List.filteri (fun i _ -> i < k) chunks) in
-  let first = max 1 (n - depth) in
-  let rec range a b = if a > b then [] else a :: range (a + 1) b in
-  let prefixes = List.map (fun k -> (prefix k, k > first)) (range first n) in
-  (* (revision text, is-append-one-word revision) *)
-  prefixes @ [ (prefix n ^ " .", false) ]
-
-type irow = {
-  i_domain : string;
-  i_queries : int;
-  i_revisions : int;
-  i_appends : int;           (* append-one-word revisions *)
-  i_splices : int;
-  i_full_s : float;          (* summed from-scratch wall time *)
-  i_inc_s : float;           (* summed incremental wall time *)
-  i_full_searches : int;     (* EdgeToPath searches, from-scratch *)
-  i_inc_searches : int;      (* EdgeToPath compute thunks, incremental *)
-  i_app_full_searches : int; (* same, append-one-word revisions only *)
-  i_app_inc_searches : int;
-  i_mismatches : (string * string) list; (* (revision text, what diverged) *)
-  i_timeout_skips : int;
-}
-
-(* byte-equivalence of a from-scratch and an incremental outcome; timing
-   is the one field allowed to differ *)
-let outcome_divergence (a : Engine.outcome) (b : Engine.outcome) =
-  if a.Engine.code <> b.Engine.code then Some "code"
-  else if a.Engine.cgt_size <> b.Engine.cgt_size then Some "cgt_size"
-  else if a.Engine.failure <> b.Engine.failure then Some "failure"
-  else if a.Engine.timed_out <> b.Engine.timed_out then Some "timed_out"
-  else if not (Stats.equal a.Engine.stats b.Engine.stats) then Some "stats"
-  else None
-
-let run_incremental_domain ~timeout_s ~limit ~depth (dom : Domain.t) =
-  Format.eprintf "  replaying %s edit sequences...@." dom.Domain.name;
-  let base =
-    Domain.configure dom
-      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout_s }
-  in
-  (* from-scratch runs count their EdgeToPath searches through a transparent
-     hook: increment, then compute — the result bytes can't change *)
-  let scratch_searches = ref 0 in
-  let scratch_target =
-    {
-      base.Engine.target with
-      Engine.caches =
-        {
-          Engine.word2api = None;
-          edge2path =
-            Some
-              (fun ~src:_ ~dst:_ compute ->
-                incr scratch_searches;
-                compute ());
-        };
-    }
-  in
-  let queries =
-    List.filteri (fun i _ -> i < limit) dom.Domain.queries
-    |> List.map (fun (q : Domain.query) -> q.Domain.text)
-  in
-  let acc =
-    ref
-      {
-        i_domain = dom.Domain.name;
-        i_queries = List.length queries;
-        i_revisions = 0;
-        i_appends = 0;
-        i_splices = 0;
-        i_full_s = 0.0;
-        i_inc_s = 0.0;
-        i_full_searches = 0;
-        i_inc_searches = 0;
-        i_app_full_searches = 0;
-        i_app_inc_searches = 0;
-        i_mismatches = [];
-        i_timeout_skips = 0;
-      }
-  in
-  List.iter
-    (fun q ->
-      let inc = Dggt_inc.Session.create base in
-      List.iter
-        (fun (text, is_append) ->
-          let t0 = Unix.gettimeofday () in
-          let o_inc, reuse = Dggt_inc.Session.query inc text in
-          let inc_s = Unix.gettimeofday () -. t0 in
-          scratch_searches := 0;
-          let t1 = Unix.gettimeofday () in
-          let o_full =
-            Engine.respond
-              { base with Engine.target = scratch_target }
-              { Engine.input = Engine.Text text; mode = Engine.Plain }
-          in
-          let full_s = Unix.gettimeofday () -. t1 in
-          let full_n = !scratch_searches in
-          let inc_n = reuse.Dggt_inc.Reuse.pairs.Dggt_inc.Reuse.computed in
-          let a = !acc in
-          let timeout_skip =
-            o_inc.Engine.timed_out || o_full.Engine.timed_out
-          in
-          let mismatches =
-            if timeout_skip then a.i_mismatches
-            else
-              match outcome_divergence o_full o_inc with
-              | None -> a.i_mismatches
-              | Some what -> (text, what) :: a.i_mismatches
-          in
-          acc :=
-            {
-              a with
-              i_revisions = a.i_revisions + 1;
-              i_appends = (a.i_appends + if is_append then 1 else 0);
-              i_splices =
-                (a.i_splices + if reuse.Dggt_inc.Reuse.splice then 1 else 0);
-              i_full_s = a.i_full_s +. full_s;
-              i_inc_s = a.i_inc_s +. inc_s;
-              i_full_searches = a.i_full_searches + full_n;
-              i_inc_searches = a.i_inc_searches + inc_n;
-              i_app_full_searches =
-                (a.i_app_full_searches + if is_append then full_n else 0);
-              i_app_inc_searches =
-                (a.i_app_inc_searches + if is_append then inc_n else 0);
-              i_mismatches = mismatches;
-              i_timeout_skips =
-                (a.i_timeout_skips + if timeout_skip then 1 else 0);
-            })
-        (edit_script ~depth q))
-    queries;
-  !acc
-
-let incremental_json ~timeout_s rows =
-  let module J = Dggt_server.Jsonio in
-  let f v = J.Num v and i n = J.Num (float_of_int n) in
-  J.Obj
-    [
-      ("bench", J.Str "incremental");
-      ("timeout_s", f timeout_s);
-      ( "domains",
-        J.list
-          (fun r ->
-            J.Obj
-              [
-                ("name", J.Str r.i_domain);
-                ("queries", i r.i_queries);
-                ("revisions", i r.i_revisions);
-                ("append_revisions", i r.i_appends);
-                ("splices", i r.i_splices);
-                ("full_s", f r.i_full_s);
-                ("incremental_s", f r.i_inc_s);
-                ("speedup", f (r.i_full_s /. Float.max r.i_inc_s 1e-9));
-                ("full_searches", i r.i_full_searches);
-                ("incremental_searches", i r.i_inc_searches);
-                ("append_full_searches", i r.i_app_full_searches);
-                ("append_incremental_searches", i r.i_app_inc_searches);
-                ("timeout_skips", i r.i_timeout_skips);
-                ("equivalent", J.Bool (r.i_mismatches = []));
-                ( "mismatches",
-                  J.list
-                    (fun (text, what) ->
-                      J.Obj [ ("query", J.Str text); ("diverged", J.Str what) ])
-                    r.i_mismatches );
-              ])
-          rows );
-    ]
-
-let run_incremental ~timeout_s ~limit () =
-  hr ();
+let run_incremental ~timeout_s ~limit =
   let depth = 4 in
-  Format.fprintf fmt
-    "Incremental sessions: each query replayed as an as-you-type edit \
-     sequence@.(last %d word-appends plus a punctuation-only revision; \
-     every revision checked byte-equivalent to a from-scratch run; %d \
-     queries per domain)@.@."
-    depth limit;
-  let rows =
-    List.map
-      (run_incremental_domain ~timeout_s ~limit ~depth)
-      [ Text_editing.domain; Astmatcher.domain ]
+  let method_ =
+    Printf.sprintf
+      "Incremental sessions: each query replayed as an as-you-type edit \
+       sequence (the last %d word-appends plus a punctuation-only \
+       revision); every revision byte-equivalent to a from-scratch run, \
+       timeouts skipped; appends must run fewer EdgeToPath searches than \
+       from scratch"
+      depth
   in
-  Format.fprintf fmt "  %12s %5s %5s %8s %9s %8s %8s %10s %10s %5s@." "domain"
-    "revs" "spl" "full(s)" "inc(s)" "speedup" "equal" "srch-full" "srch-inc"
-    "skip";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "  %12s %5d %5d %8.3f %9.3f %7.2fx %8s %10d %10d %5d@."
-        r.i_domain r.i_revisions r.i_splices r.i_full_s r.i_inc_s
-        (r.i_full_s /. Float.max r.i_inc_s 1e-9)
-        (if r.i_mismatches = [] then "yes" else "NO")
-        r.i_full_searches r.i_inc_searches r.i_timeout_skips)
+  H.heading method_;
+  let domain (dom : Domain.t) =
+    Format.eprintf "  replaying %s edit sequences...@." dom.Domain.name;
+    let base = H.session ~timeout_s dom in
+    (* from-scratch runs count their EdgeToPath searches through a
+       transparent hook: increment, then compute — the result bytes can't
+       change *)
+    let searches = ref 0 in
+    let scratch =
+      H.session ~timeout_s dom
+        ~caches:
+          {
+            Engine.word2api = None;
+            edge2path =
+              Some
+                (fun ~src:_ ~dst:_ compute ->
+                  incr searches;
+                  compute ());
+          }
+    in
+    let qs = H.queries limit dom in
+    let revisions = ref 0 and appends = ref 0 and splices = ref 0 in
+    let full_s = ref 0.0 and inc_s = ref 0.0 in
+    let full_n = ref 0 and inc_n = ref 0 and app_full_n = ref 0 and app_inc_n = ref 0 in
+    let skips = ref 0 and before = H.failed () in
+    List.iter
+      (fun (q : Domain.query) ->
+        let inc = Dggt_inc.Session.create base in
+        List.iter
+          (fun (text, is_append) ->
+            let (o_inc, reuse), t_inc =
+              H.timed (fun () -> Dggt_inc.Session.query inc text)
+            in
+            searches := 0;
+            let o_full, t_full = H.timed (fun () -> H.respond scratch Engine.Plain text) in
+            let n_inc = reuse.Dggt_inc.Reuse.pairs.Dggt_inc.Reuse.computed in
+            H.check_pair ~skips ~domain:dom.Domain.name ~text o_full o_inc;
+            incr revisions;
+            if reuse.Dggt_inc.Reuse.splice then incr splices;
+            if is_append then begin
+              incr appends;
+              app_full_n := !app_full_n + !searches;
+              app_inc_n := !app_inc_n + n_inc
+            end;
+            full_s := !full_s +. t_full;
+            inc_s := !inc_s +. t_inc;
+            full_n := !full_n + !searches;
+            inc_n := !inc_n + n_inc)
+          (H.edit_script ~depth q.Domain.text))
+      qs;
+    (* equivalence is the per-revision checks alone, not the reuse gate *)
+    let equivalent = H.failed () = before in
+    (* the whole point of the session: appending a word must search less
+       than starting over *)
+    if !appends > 0 && !app_inc_n >= !app_full_n then
+      H.fail
+        "REUSE REGRESSION (%s): %d incremental vs %d full searches over %d \
+         append-one-word revisions"
+        dom.Domain.name !app_inc_n !app_full_n !appends;
+    J.Obj
+      [
+        ("name", J.Str dom.Domain.name);
+        ("queries", int (List.length qs));
+        ("revisions", int !revisions);
+        ("append_revisions", int !appends);
+        ("splices", int !splices);
+        ("full_s", J.Num !full_s);
+        ("incremental_s", J.Num !inc_s);
+        ("speedup", J.Num (!full_s /. Float.max !inc_s 1e-9));
+        ("full_searches", int !full_n);
+        ("incremental_searches", int !inc_n);
+        ("append_full_searches", int !app_full_n);
+        ("append_incremental_searches", int !app_inc_n);
+        ("timeout_skips", int !skips);
+        ("equivalent", J.Bool equivalent);
+      ]
+  in
+  let rows = List.map domain [ Text_editing.domain; Astmatcher.domain ] in
+  H.table
+    [
+      H.col "domain" "name";
+      H.int_col "revs" "revisions";
+      H.int_col "spl" "splices";
+      H.col "full(s)" "full_s";
+      H.col "inc(s)" "incremental_s";
+      H.col ~fmt:"%.2fx" "speedup" "speedup";
+      H.col "equal" "equivalent";
+      H.int_col "srch-full" "full_searches";
+      H.int_col "srch-inc" "incremental_searches";
+      H.int_col "skip" "timeout_skips";
+    ]
     rows;
-  Format.fprintf fmt "@.";
-  let path = "BENCH_incremental.json" in
-  let oc = open_out path in
-  output_string oc
-    (Dggt_server.Jsonio.to_string (incremental_json ~timeout_s rows));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  let failed = ref false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (text, what) ->
-          failed := true;
-          Format.eprintf
-            "EQUIVALENCE VIOLATION (%s): %s diverged on %S@." r.i_domain what
-            text)
-        r.i_mismatches;
-      (* the whole point of the session: appending a word must search less
-         than starting over *)
-      if r.i_appends > 0 && r.i_app_inc_searches >= r.i_app_full_searches
-      then begin
-        failed := true;
-        Format.eprintf
-          "REUSE REGRESSION (%s): %d incremental vs %d full searches over \
-           %d append-one-word revisions@."
-          r.i_domain r.i_app_inc_searches r.i_app_full_searches r.i_appends
-      end)
-    rows;
-  if !failed then exit 1
+  H.ledger ~bench:"incremental" ~method_ ~timeout_s ~limit [ ("domains", J.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Compiled automaton: DFS vs table-walk EdgeToPath over every domain *)
 (* (built-ins plus each pack under examples/packs), byte-identity     *)
 (* asserted per query, speedup measured on the dominated subset.      *)
 (* ------------------------------------------------------------------ *)
-
-type ameasure = {
-  a_total_s : float;     (* summed per-query wall time *)
-  a_e2p_s : float;       (* summed EdgeToPath stage time *)
-  a_dom_e2p_s : float;   (* EdgeToPath stage time, dominated subset only *)
-}
-
-type around = {
-  r_dfs : ameasure;
-  r_tw : ameasure;
-  r_dfs_first : bool;    (* which side ran first in the round *)
-  r_compile_s : float;   (* this round's fresh compile *)
-  r_timeout_skips : int;
-}
-
-type arow = {
-  au_domain : string;
-  au_queries : int;
-  au_dominated : int;
-  au_rule : string;
-  au_compile_s : float;  (* fastest round's compile *)
-  au_digest : string;
-  au_dfs : ameasure;     (* fastest DFS pass on the dominated subset *)
-  au_tw : ameasure;      (* fastest table-walk (automaton) pass *)
-  au_rounds : around list;
-  au_memo : Dggt_autom.Autom.memo_counters;  (* first round's automaton *)
-  au_memo_words : int;  (* words its path memo keeps alive *)
-  au_mismatches : (string * string) list;
-  au_timeout_skips : int;  (* most skips in any round *)
-}
 
 (* DFS and table-walk passes per domain, run alternately. The speed gate
    compares each side's fastest pass, so one host stall during a pass
@@ -562,6 +315,10 @@ let automaton_rounds = 3
 
 let e2p_of (q : Runner.qresult) =
   Option.value (List.assoc_opt "EdgeToPath" q.Runner.stage_s) ~default:0.0
+
+let edge2path_share (q : Runner.qresult) =
+  let total = List.fold_left (fun a (_, d) -> a +. d) 0.0 q.Runner.stage_s in
+  if total > 0.0 then e2p_of q /. total else 0.0
 
 (* which queries does EdgeToPath dominate? decided on the DFS run: the
    >=50% bar when any query crosses it, else the ten highest-share
@@ -582,19 +339,13 @@ let dominated_subset results =
     (List.mapi (fun i _ -> List.mem i top) shares, "top10-share")
 
 let run_automaton_domain ~timeout_s ~limit (dom : Domain.t) =
-  let dom =
-    if limit >= List.length dom.Domain.queries then dom
-    else
-      {
-        dom with
-        Domain.queries = List.filteri (fun i _ -> i < limit) dom.Domain.queries;
-      }
-  in
+  let dom = H.restrict limit dom in
+  let name = dom.Domain.name in
   let nq = List.length dom.Domain.queries in
-  Format.eprintf "  %s: DFS vs automaton (%d queries)...@." dom.Domain.name nq;
+  Format.eprintf "  %s: DFS vs automaton (%d queries)...@." name nq;
   let run ?caches (dom : Domain.t) tag =
     Runner.run_domain ~timeout_s ?caches ~stage_timing:true
-      ~progress:(fun i n -> progress (dom.Domain.name ^ "/" ^ tag) i n)
+      ~progress:(fun i n -> progress (name ^ "/" ^ tag) i n)
       dom Engine.Dggt_alg
   in
   (* the reference side answers every EdgeToPath search with the frozen
@@ -618,81 +369,91 @@ let run_automaton_domain ~timeout_s ~limit (dom : Domain.t) =
       (dfs (), autom, tw)
   in
   let dfs_first i = i mod 2 = 0 in
+  let before = H.failed () in
   let passes = List.init automaton_rounds (fun i -> round (dfs_first i)) in
   let first_dfs, first_autom, _ = List.hd passes in
   (* the subset is decided on the first DFS pass and held for all *)
   let dominated, rule = dominated_subset first_dfs.Runner.results in
   let measure (r : Runner.run) =
-    let fold f init = List.fold_left2 f init dominated r.Runner.results in
-    {
-      a_total_s =
-        fold (fun a _ q -> a +. q.Runner.outcome.Engine.time_s) 0.0;
-      a_e2p_s = fold (fun a _ q -> a +. e2p_of q) 0.0;
-      a_dom_e2p_s =
-        fold (fun a keep q -> if keep then a +. e2p_of q else a) 0.0;
-    }
-  in
-  (* per-query byte-identity of every round's two passes; a timeout on
-     either side makes the pair incomparable (the faster run legitimately
-     finishes more), counted separately instead of flagged *)
-  let divergence (dfs : Runner.run) (tw : Runner.run) =
-    List.fold_left2
-      (fun (ms, sk) (a : Runner.qresult) (b : Runner.qresult) ->
-        if a.Runner.outcome.Engine.timed_out || b.Runner.outcome.Engine.timed_out
-        then (ms, sk + 1)
-        else
-          match outcome_divergence a.Runner.outcome b.Runner.outcome with
-          | None -> (ms, sk)
-          | Some what -> ((a.Runner.query.Domain.text, what) :: ms, sk))
-      ([], 0) dfs.Runner.results tw.Runner.results
-  in
-  let checked = List.map (fun (dfs, _, tw) -> divergence dfs tw) passes in
-  let leaked =
-    let { Dggt_autom.Autom.hits; misses; _ } =
-      Dggt_autom.Autom.memo_counters (Lazy.force dom.Domain.autom)
-    in
-    if hits + misses = 0 then []
-    else
+    let sum f = List.fold_left2 (fun a keep q -> a +. f keep q) 0.0 dominated r.Runner.results in
+    J.Obj
       [
-        ( Printf.sprintf "%d searches that bypassed the edge2path hook"
-            (hits + misses),
-          "reference side" );
+        ("total_s", J.Num (sum (fun _ q -> q.Runner.outcome.Engine.time_s)));
+        ("edge2path_s", J.Num (sum (fun _ q -> e2p_of q)));
+        ("dominated_edge2path_s", J.Num (sum (fun keep q -> if keep then e2p_of q else 0.0)));
       ]
   in
+  (* per-query byte-identity of every round's two passes *)
   let rounds =
     List.mapi
-      (fun i ((dfs, autom, tw), (_, skips)) ->
-        {
-          r_dfs = measure dfs;
-          r_tw = measure tw;
-          r_dfs_first = dfs_first i;
-          r_compile_s = Dggt_autom.Autom.compile_time_s autom;
-          r_timeout_skips = skips;
-        })
-      (List.combine passes checked)
+      (fun i (dfs, autom, tw) ->
+        let skips = ref 0 in
+        List.iter2
+          (fun (a : Runner.qresult) (b : Runner.qresult) ->
+            H.check_pair ~skips ~domain:name ~text:a.Runner.query.Domain.text
+              a.Runner.outcome b.Runner.outcome)
+          dfs.Runner.results tw.Runner.results;
+        J.Obj
+          [
+            ("first", J.Str (if dfs_first i then "dfs" else "automaton"));
+            ("compile_s", J.Num (Dggt_autom.Autom.compile_time_s autom));
+            ("dfs", measure dfs);
+            ("automaton", measure tw);
+            ("timeout_skips", int !skips);
+          ])
+      passes
   in
+  (let { Dggt_autom.Autom.hits; misses; _ } =
+     Dggt_autom.Autom.memo_counters (Lazy.force dom.Domain.autom)
+   in
+   if hits + misses > 0 then
+     H.fail "EQUIVALENCE VIOLATION (%s): %d reference searches bypassed the edge2path hook"
+       name (hits + misses));
+  (* identity is the outcome and hook checks alone, not the speed gate *)
+  let identical = H.failed () = before in
+  let dom_e2p = H.num "dominated_edge2path_s" in
   let fastest side =
     List.fold_left
-      (fun best r -> if (side r).a_dom_e2p_s < best.a_dom_e2p_s then side r else best)
+      (fun best r -> if dom_e2p (side r) < dom_e2p best then side r else best)
       (side (List.hd rounds)) rounds
   in
-  {
-    au_domain = dom.Domain.name;
-    au_queries = nq;
-    au_dominated = List.length (List.filter Fun.id dominated);
-    au_rule = rule;
-    au_compile_s =
-      List.fold_left (fun m r -> Float.min m r.r_compile_s) infinity rounds;
-    au_digest = Dggt_autom.Autom.digest first_autom;
-    au_dfs = fastest (fun r -> r.r_dfs);
-    au_tw = fastest (fun r -> r.r_tw);
-    au_rounds = rounds;
-    au_memo = Dggt_autom.Autom.memo_counters first_autom;
-    au_memo_words = Dggt_autom.Autom.memo_words first_autom;
-    au_mismatches = leaked @ List.concat_map (fun (ms, _) -> List.rev ms) checked;
-    au_timeout_skips =
-      List.fold_left (fun m r -> max m r.r_timeout_skips) 0 rounds;
-  }
+  let side k r = Option.get (J.member k r) in
+  let dfs = fastest (side "dfs") and tw = fastest (side "automaton") in
+  let ratio key = J.Num (H.num key dfs /. Float.max (H.num key tw) 1e-9) in
+  let memo = Dggt_autom.Autom.memo_counters first_autom in
+  (* on the search-bound domain the table walk's fastest pass must beat
+     the DFS's fastest where the DFS actually spends its time *)
+  if String.lowercase_ascii name = "astmatcher" && dom_e2p tw >= dom_e2p dfs then
+    H.fail
+      "AUTOMATON REGRESSION (%s): table walk %.3fs not faster than DFS %.3fs \
+       on the EdgeToPath-dominated subset"
+      name (dom_e2p tw) (dom_e2p dfs);
+  J.Obj
+    [
+      ("name", J.Str name);
+      ("queries", int nq);
+      ("edge2path_dominated", int (List.length (List.filter Fun.id dominated)));
+      ("dominated_rule", J.Str rule);
+      ( "compile_s",
+        J.Num (List.fold_left (fun m r -> Float.min m (H.num "compile_s" r)) infinity rounds) );
+      ("digest", J.Str (Dggt_autom.Autom.digest first_autom));
+      ("dfs", dfs);
+      ("automaton", tw);
+      ("rounds", J.Arr rounds);
+      ("edge2path_speedup", ratio "edge2path_s");
+      ("dominated_speedup", ratio "dominated_edge2path_s");
+      ( "memo",
+        J.Obj
+          [
+            ("hits", int memo.Dggt_autom.Autom.hits);
+            ("misses", int memo.Dggt_autom.Autom.misses);
+            ("entries", int memo.Dggt_autom.Autom.entries);
+            ("words", int (Dggt_autom.Autom.memo_words first_autom));
+          ] );
+      ( "timeout_skips",
+        int (List.fold_left (fun m r -> max m (int_of_float (H.num "timeout_skips" r))) 0 rounds) );
+      ("identical", J.Bool identical);
+    ]
 
 (* every domain the automaton must hold for: the built-ins plus whatever
    example packs ship in the repo *)
@@ -728,130 +489,36 @@ let automaton_domains () =
     [ Astmatcher.domain; Text_editing.domain ]
   @ packs
 
-let automaton_json ~timeout_s rows =
-  let module J = Dggt_server.Jsonio in
-  let f v = J.Num v and i n = J.Num (float_of_int n) in
-  let m (a : ameasure) =
-    J.Obj
-      [
-        ("total_s", f a.a_total_s);
-        ("edge2path_s", f a.a_e2p_s);
-        ("dominated_edge2path_s", f a.a_dom_e2p_s);
-      ]
+let run_automaton ~timeout_s ~limit =
+  let method_ =
+    Printf.sprintf
+      "Compiled automaton: EdgeToPath as the reference per-query DFS \
+       (Refgpath, through the edge2path hook) vs precompiled state tables \
+       over every domain (built-ins + examples/packs/*), stage tracing on in \
+       both runs; %d alternating rounds, a fresh automaton each, times from \
+       each side's fastest pass on the EdgeToPath-dominated subset; \
+       'identical' = outcomes byte-equal per query in every round, timeouts \
+       skipped"
+      automaton_rounds
   in
-  J.Obj
+  H.heading method_;
+  let rows = List.map (run_automaton_domain ~timeout_s ~limit) (automaton_domains ()) in
+  H.table
     [
-      ("bench", J.Str "automaton");
-      ("timeout_s", f timeout_s);
-      ( "domains",
-        J.list
-          (fun r ->
-            J.Obj
-              [
-                ("name", J.Str r.au_domain);
-                ("queries", i r.au_queries);
-                ("edge2path_dominated", i r.au_dominated);
-                ("dominated_rule", J.Str r.au_rule);
-                ("compile_s", f r.au_compile_s);
-                ("digest", J.Str r.au_digest);
-                ("dfs", m r.au_dfs);
-                ("automaton", m r.au_tw);
-                ( "rounds",
-                  J.list
-                    (fun rd ->
-                      J.Obj
-                        [
-                          ("first", J.Str (if rd.r_dfs_first then "dfs" else "automaton"));
-                          ("compile_s", f rd.r_compile_s);
-                          ("dfs", m rd.r_dfs);
-                          ("automaton", m rd.r_tw);
-                          ("timeout_skips", i rd.r_timeout_skips);
-                        ])
-                    r.au_rounds );
-                ( "edge2path_speedup",
-                  f (r.au_dfs.a_e2p_s /. Float.max r.au_tw.a_e2p_s 1e-9) );
-                ( "dominated_speedup",
-                  f
-                    (r.au_dfs.a_dom_e2p_s
-                    /. Float.max r.au_tw.a_dom_e2p_s 1e-9) );
-                ( "memo",
-                  J.Obj
-                    [
-                      ("hits", i r.au_memo.Dggt_autom.Autom.hits);
-                      ("misses", i r.au_memo.Dggt_autom.Autom.misses);
-                      ("entries", i r.au_memo.Dggt_autom.Autom.entries);
-                      ("words", i r.au_memo_words);
-                    ] );
-                ("timeout_skips", i r.au_timeout_skips);
-                ("identical", J.Bool (r.au_mismatches = []));
-                ( "mismatches",
-                  J.list
-                    (fun (text, what) ->
-                      J.Obj [ ("query", J.Str text); ("diverged", J.Str what) ])
-                    r.au_mismatches );
-              ])
-          rows );
+      H.col "domain" "name";
+      H.int_col "q" "queries";
+      H.int_col "dom" "edge2path_dominated";
+      H.col ~fmt:"%.1fms" ~scale:1000. "compile" "compile_s";
+      H.col ~fmt:"%.3fs" "e2p-dfs" "dfs.edge2path_s";
+      H.col ~fmt:"%.3fs" "e2p-tw" "automaton.edge2path_s";
+      H.col ~fmt:"%.2fx" "speedup" "edge2path_speedup";
+      H.col ~fmt:"%.2fx" "dom-spd" "dominated_speedup";
+      H.int_col "memo" "memo.entries";
+      H.col ~fmt:"%.1f" ~scale:0.001 "memo-kw" "memo.words";
+      H.col "ident" "identical";
     ]
-
-let run_automaton ~timeout_s ~limit () =
-  hr ();
-  Format.fprintf fmt
-    "Compiled automaton: EdgeToPath as the reference per-query DFS \
-     (Refgpath, through the edge2path hook) vs precompiled state \
-     tables@.(every domain: built-ins + examples/packs/*; stage tracing on \
-     in both runs; %d alternating rounds, a fresh automaton each, times from \
-     each side's fastest pass; 'identical' = outcomes byte-equal per query \
-     in every round, timeouts skipped)@.@."
-    automaton_rounds;
-  let rows =
-    List.map (run_automaton_domain ~timeout_s ~limit) (automaton_domains ())
-  in
-  Format.fprintf fmt "  %12s %4s %4s %9s %10s %10s %8s %8s %7s %9s %5s@." "domain" "q"
-    "dom" "compile" "e2p-dfs" "e2p-tw" "speedup" "dom-spd" "memo" "memo-kw" "ident";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "  %12s %4d %4d %7.1fms %9.3fs %9.3fs %7.2fx %7.2fx %7d %9.1f %5s@." r.au_domain
-        r.au_queries r.au_dominated
-        (r.au_compile_s *. 1000.)
-        r.au_dfs.a_e2p_s r.au_tw.a_e2p_s
-        (r.au_dfs.a_e2p_s /. Float.max r.au_tw.a_e2p_s 1e-9)
-        (r.au_dfs.a_dom_e2p_s /. Float.max r.au_tw.a_dom_e2p_s 1e-9)
-        r.au_memo.Dggt_autom.Autom.entries
-        (float_of_int r.au_memo_words /. 1000.)
-        (if r.au_mismatches = [] then "yes" else "NO"))
     rows;
-  Format.fprintf fmt "@.";
-  let path = "BENCH_automaton.json" in
-  let oc = open_out path in
-  output_string oc
-    (Dggt_server.Jsonio.to_string (automaton_json ~timeout_s rows));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  let failed = ref false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (text, what) ->
-          failed := true;
-          Format.eprintf "EQUIVALENCE VIOLATION (%s): %s diverged on %S@."
-            r.au_domain what text)
-        r.au_mismatches;
-      (* on the search-bound domain the table walk's fastest pass must
-         beat the DFS's fastest where the DFS actually spends its time *)
-      if
-        String.lowercase_ascii r.au_domain = "astmatcher"
-        && r.au_tw.a_dom_e2p_s >= r.au_dfs.a_dom_e2p_s
-      then begin
-        failed := true;
-        Format.eprintf
-          "AUTOMATON REGRESSION (%s): table walk %.3fs not faster than DFS \
-           %.3fs on the EdgeToPath-dominated subset@."
-          r.au_domain r.au_tw.a_dom_e2p_s r.au_dfs.a_dom_e2p_s
-      end)
-    rows;
-  if !failed then exit 1
+  H.ledger ~bench:"automaton" ~method_ ~timeout_s ~limit [ ("domains", J.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Semiring PathMerge: the pre-semiring DFS-of-record walk (kept as   *)
@@ -862,76 +529,35 @@ let run_automaton ~timeout_s ~limit () =
 (* head agreement. The same domain sweep as the automaton gate.       *)
 (* ------------------------------------------------------------------ *)
 
-type prow = {
-  pm_domain : string;
-  pm_queries : int;
-  pm_ref_s : float;      (* summed wall time, reference walk *)
-  pm_sem_s : float;      (* summed wall time, semiring Min_size *)
-  pm_sem_words : float;  (* summed minor words, semiring Min_size *)
-  pm_ranked_s : float;   (* summed wall time, Ranked k respond *)
-  pm_ranked_words : float;  (* summed minor words, Ranked k respond *)
-  pm_ranked_k : int;
-  pm_ranked_nonempty : int;
-  pm_mismatches : (string * string) list;
-  pm_timeout_skips : int;
-}
-
 let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
-  let dom =
-    if limit >= List.length dom.Domain.queries then dom
-    else
-      {
-        dom with
-        Domain.queries = List.filteri (fun i _ -> i < limit) dom.Domain.queries;
-      }
-  in
-  let nq = List.length dom.Domain.queries in
-  Format.eprintf "  %s: reference vs semiring PathMerge (%d queries)...@."
-    dom.Domain.name nq;
-  let ses =
-    Domain.configure dom
-      { (Engine.default Engine.Dggt_alg) with Engine.timeout_s = Some timeout_s }
-  in
+  let qs = H.queries limit dom in
+  let name = dom.Domain.name and nq = List.length qs in
+  Format.eprintf "  %s: reference vs semiring PathMerge (%d queries)...@." name nq;
+  let ses = H.session ~timeout_s dom in
   let k = 5 in
-  let ref_s = ref 0.0
-  and sem_s = ref 0.0
-  and sem_words = ref 0.0
-  and ranked_s = ref 0.0
-  and ranked_words = ref 0.0
-  and ranked_nonempty = ref 0
-  and mismatches = ref []
-  and skips = ref 0 in
+  let ref_s = ref 0.0 and sem_s = ref 0.0 and sem_words = ref 0.0 in
+  let ranked_s = ref 0.0 and ranked_words = ref 0.0 and ranked_nonempty = ref 0 in
+  let skips = ref 0 and before = H.failed () in
   List.iteri
     (fun i (q : Domain.query) ->
-      progress (dom.Domain.name ^ "/pathmerge") (i + 1) nq;
+      let text = q.Domain.text in
+      progress (name ^ "/pathmerge") (i + 1) nq;
       (* minor words around the engine calls alone: the same code
          allocates the same count on every run *)
       let w0 = Gc.minor_words () in
-      let o_sem =
-        Engine.respond ses
-          { Engine.input = Engine.Text q.Domain.text; mode = Engine.Plain }
-      in
+      let o_sem = H.respond ses Engine.Plain text in
       sem_words := !sem_words +. (Gc.minor_words () -. w0);
       let o_ref =
-        Engine.synthesize_with_merge ~merge:Refmerge.synthesize
-          ses.Engine.cfg ses.Engine.target q.Domain.text
+        Engine.synthesize_with_merge ~merge:Refmerge.synthesize ses.Engine.cfg
+          ses.Engine.target text
       in
       sem_s := !sem_s +. o_sem.Engine.time_s;
       ref_s := !ref_s +. o_ref.Engine.time_s;
-      (* a timeout on either side makes the pair incomparable (the faster
-         walk legitimately finishes more), counted instead of flagged *)
-      if o_sem.Engine.timed_out || o_ref.Engine.timed_out then incr skips
-      else begin
-        (match outcome_divergence o_ref o_sem with
-        | None -> ()
-        | Some what ->
-            mismatches := (q.Domain.text, what) :: !mismatches);
+      let skipped = !skips in
+      H.check_pair ~skips ~domain:name ~text o_ref o_sem;
+      if !skips = skipped then begin
         let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
-        let rk =
-          (Engine.respond ses
-             { Engine.input = Engine.Text q.Domain.text; mode = Engine.Ranked k })
-            .Engine.ranked
-        in
+        let rk = (H.respond ses (Engine.Ranked k) text).Engine.ranked in
         ranked_words := !ranked_words +. (Gc.minor_words () -. w0);
         ranked_s := !ranked_s +. (Unix.gettimeofday () -. t0);
         if rk <> [] then begin
@@ -939,114 +565,52 @@ let run_pathmerge_domain ~timeout_s ~limit (dom : Domain.t) =
           (* the n-best head must be the Min_size codelet *)
           match o_sem.Engine.code with
           | Some c when (List.hd rk).Engine.code <> c ->
-              mismatches := (q.Domain.text, "ranked-head") :: !mismatches
+              H.diverged ~domain:name ~text "ranked-head"
           | _ -> ()
         end
       end)
-    dom.Domain.queries;
-  {
-    pm_domain = dom.Domain.name;
-    pm_queries = nq;
-    pm_ref_s = !ref_s;
-    pm_sem_s = !sem_s;
-    pm_sem_words = !sem_words;
-    pm_ranked_s = !ranked_s;
-    pm_ranked_words = !ranked_words;
-    pm_ranked_k = k;
-    pm_ranked_nonempty = !ranked_nonempty;
-    pm_mismatches = List.rev !mismatches;
-    pm_timeout_skips = !skips;
-  }
-
-(* the checkout's commit, "-dirty" when the tree differs from it;
-   "unknown" outside a git checkout *)
-let commit () =
-  if not (Sys.file_exists ".git") then "unknown"
-  else
-    let ic =
-      Unix.open_process_args_in "git" [| "git"; "describe"; "--always"; "--dirty" |]
-    in
-    let c = try input_line ic with End_of_file -> "unknown" in
-    ignore (Unix.close_process_in ic);
-    c
-
-let pathmerge_json ~timeout_s rows =
-  let module J = Dggt_server.Jsonio in
-  let f v = J.Num v and i n = J.Num (float_of_int n) in
+    qs;
   J.Obj
     [
-      ("bench", J.Str "pathmerge");
-      ("timeout_s", f timeout_s);
-      ("host_cores", i (Stdlib.Domain.recommended_domain_count ()));
-      ("ocaml_version", J.Str Sys.ocaml_version);
-      ("commit", J.Str (commit ()));
-      ( "domains",
-        J.list
-          (fun r ->
-            J.Obj
-              [
-                ("name", J.Str r.pm_domain);
-                ("queries", i r.pm_queries);
-                ("reference_s", f r.pm_ref_s);
-                ("semiring_s", f r.pm_sem_s);
-                ("semiring_minor_words", f r.pm_sem_words);
-                ( "overhead",
-                  f (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9) );
-                ("ranked_k", i r.pm_ranked_k);
-                ("ranked_s", f r.pm_ranked_s);
-                ("ranked_minor_words", f r.pm_ranked_words);
-                ("ranked_nonempty", i r.pm_ranked_nonempty);
-                ("timeout_skips", i r.pm_timeout_skips);
-                ("identical", J.Bool (r.pm_mismatches = []));
-                ( "mismatches",
-                  J.list
-                    (fun (text, what) ->
-                      J.Obj [ ("query", J.Str text); ("diverged", J.Str what) ])
-                    r.pm_mismatches );
-              ])
-          rows );
+      ("name", J.Str name);
+      ("queries", int nq);
+      ("reference_s", J.Num !ref_s);
+      ("semiring_s", J.Num !sem_s);
+      ("semiring_minor_words", J.Num !sem_words);
+      ("overhead", J.Num (!sem_s /. Float.max !ref_s 1e-9));
+      ("ranked_k", int k);
+      ("ranked_s", J.Num !ranked_s);
+      ("ranked_minor_words", J.Num !ranked_words);
+      ("ranked_nonempty", int !ranked_nonempty);
+      ("timeout_skips", int !skips);
+      ("identical", J.Bool (H.failed () = before));
     ]
 
-let run_pathmerge ~timeout_s ~limit () =
-  hr ();
-  Format.fprintf fmt
-    "Semiring PathMerge: reference DFS-of-record walk vs generic Min_size \
-     chart@.(every domain: built-ins + examples/packs/*; 'identical' = \
-     outcomes byte-equal per query including stats, timeouts skipped; \
-     ranked = a Ranked 5 respond under Top_k, head must match)@.@.";
-  let rows =
-    List.map (run_pathmerge_domain ~timeout_s ~limit) (automaton_domains ())
+let run_pathmerge ~timeout_s ~limit =
+  let method_ =
+    "Semiring PathMerge: the reference DFS-of-record walk vs the generic \
+     Min_size chart over every domain (built-ins + examples/packs/*); \
+     'identical' = outcomes byte-equal per query including stats, timeouts \
+     skipped; ranked = a Ranked 5 respond under Top_k, whose head must be \
+     the Min_size codelet; minor words summed over the engine calls alone"
   in
-  Format.fprintf fmt "  %12s %4s %10s %10s %8s %10s %6s %10s %10s %5s@." "domain" "q"
-    "reference" "semiring" "overhead" "ranked" "n-best" "sem kw" "ranked kw" "ident";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "  %12s %4d %9.3fs %9.3fs %7.2fx %9.3fs %6d %10.0f %10.0f %5s@."
-        r.pm_domain r.pm_queries r.pm_ref_s r.pm_sem_s
-        (r.pm_sem_s /. Float.max r.pm_ref_s 1e-9)
-        r.pm_ranked_s r.pm_ranked_nonempty
-        (r.pm_sem_words /. 1e3) (r.pm_ranked_words /. 1e3)
-        (if r.pm_mismatches = [] then "yes" else "NO"))
+  H.heading method_;
+  let rows = List.map (run_pathmerge_domain ~timeout_s ~limit) (automaton_domains ()) in
+  H.table
+    [
+      H.col "domain" "name";
+      H.int_col "q" "queries";
+      H.col ~fmt:"%.3fs" "reference" "reference_s";
+      H.col ~fmt:"%.3fs" "semiring" "semiring_s";
+      H.col ~fmt:"%.2fx" "overhead" "overhead";
+      H.col ~fmt:"%.3fs" "ranked" "ranked_s";
+      H.int_col "n-best" "ranked_nonempty";
+      H.col ~fmt:"%.0f" ~scale:0.001 "sem kw" "semiring_minor_words";
+      H.col ~fmt:"%.0f" ~scale:0.001 "ranked kw" "ranked_minor_words";
+      H.col "ident" "identical";
+    ]
     rows;
-  Format.fprintf fmt "@.";
-  let path = "BENCH_pathmerge.json" in
-  let oc = open_out path in
-  output_string oc
-    (Dggt_server.Jsonio.to_string (pathmerge_json ~timeout_s rows));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  let failed = ref false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (text, what) ->
-          failed := true;
-          Format.eprintf "EQUIVALENCE VIOLATION (%s): %s diverged on %S@."
-            r.pm_domain what text)
-        r.pm_mismatches)
-    rows;
-  if !failed then exit 1
+  H.ledger ~bench:"pathmerge" ~method_ ~timeout_s ~limit [ ("domains", J.Arr rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start store: cold vs warm server boot over a loopback socket. *)
@@ -1056,406 +620,198 @@ let run_pathmerge ~timeout_s ~limit () =
 (* boots the same store: /metrics must show the snapshot replayed,    *)
 (* each domain's first request must already hit, and every            *)
 (* warm-served response must be byte-identical to the cold            *)
-(* (fresh-synthesis) one on the deterministic fields (code, cgt_size, *)
-(* failure, alternatives, stats). Divergence exits non-zero.          *)
+(* (fresh-synthesis) one on the deterministic fields.                 *)
 (* ------------------------------------------------------------------ *)
 
-module Serve = Dggt_server.Serve
-module WHist = Dggt_server.Smetrics.Hist
+module Hist = Dggt_server.Smetrics.Hist
 
-(* one-shot HTTP/1.1 request over loopback, connection: close *)
-let ws_http ~port ~meth ~path ?(body = "") () =
-  let module J = Dggt_server.Jsonio in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nhost: localhost\r\nconnection: close\r\n\
-           content-type: application/json\r\ncontent-length: %d\r\n\r\n%s"
-          meth path (String.length body) body
-      in
-      let rec write_all off =
-        if off < String.length req then
-          write_all (off + Unix.write_substring fd req off (String.length req - off))
-      in
-      write_all 0;
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec drain () =
-        let n = Unix.read fd chunk 0 4096 in
-        if n > 0 then begin
-          Buffer.add_subbytes buf chunk 0 n;
-          drain ()
-        end
-      in
-      drain ();
-      let raw = Buffer.contents buf in
-      let status = Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s) in
-      let body =
-        let n = String.length raw in
-        let rec hdr_end i =
-          if i + 4 > n then n
-          else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-          else hdr_end (i + 1)
-        in
-        let b = hdr_end 0 in
-        String.sub raw b (n - b)
-      in
-      (status, body))
+let served_domains = [ Text_editing.domain; Astmatcher.domain ]
 
-(* the deterministic slice of a /synthesize response: everything that
-   must survive the store byte-for-byte (time_s and cached may differ) *)
-type wfields = {
-  w_ok : string option;
-  w_code : string option;
-  w_cgt : string option;
-  w_failure : string option;
-  w_alts : string option;
-  w_stats : string option;
-}
-
-let wfields_of j =
-  let module J = Dggt_server.Jsonio in
-  let m k = Option.map J.to_string (J.member k j) in
-  {
-    w_ok = m "ok";
-    w_code = m "code";
-    w_cgt = m "cgt_size";
-    w_failure = m "failure";
-    w_alts = m "alternatives";
-    w_stats = m "stats";
-  }
-
-let wfields_diff a b =
-  let d n x y = if x = y then [] else [ n ] in
-  d "ok" a.w_ok b.w_ok @ d "code" a.w_code b.w_code
-  @ d "cgt_size" a.w_cgt b.w_cgt
-  @ d "failure" a.w_failure b.w_failure
-  @ d "alternatives" a.w_alts b.w_alts
-  @ d "stats" a.w_stats b.w_stats
-
-type wphase = {
-  wp_create_s : float;    (* Serve.create wall time *)
-  wp_first_answers : (string * float) list;
-      (* per domain, boot start -> its first answer *)
-  wp_first_hit_s : float; (* boot start -> first cached:true response *)
-  wp_replay : WHist.t;    (* per-request latency of the replay pass *)
-}
-
-(* the value of the /metrics sample named [name] *)
-let metric_value name body =
-  String.split_on_char '\n' body
-  |> List.find_map (fun l ->
-         match String.split_on_char ' ' l with
-         | [ n; v ] when n = name -> int_of_string_opt v
-         | _ -> None)
-
-let run_warmstart ~timeout_s ~limit () =
-  hr ();
-  let module J = Dggt_server.Jsonio in
-  Format.fprintf fmt
-    "Warm-start store: cold boot (empty store) vs warm boot (same \
-     store)@.(both domains, %d queries each; warm responses must be \
-     cache hits, byte-identical@.to the cold run's fresh synthesis)@.@."
-    limit;
+let run_warmstart ~timeout_s ~limit =
+  let method_ =
+    "Warm-start store: a cold boot with an empty --store, then a warm boot \
+     of the same store (spilled at shutdown only), both domains; cold \
+     answers must match a local Engine run, warm ones must be cache hits \
+     byte-identical to the cold run on the deterministic fields; \
+     first_answer_s timed per domain from the start of Serve.create"
+  in
+  H.heading method_;
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "dggt-warmstart-%d" (Unix.getpid ()))
   in
+  let wipe () =
+    if Sys.file_exists dir then
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  in
   (* fresh store: wipe any leftover from a crashed earlier run *)
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  let params =
-    {
-      Serve.default_params with
-      Serve.port = 0;
-      workers = 2;
-      queue_capacity = 64;
-      cache_size = 512;
-      default_timeout_s = timeout_s;
-      store_dir = Some dir;
-      store_interval_s = 0.0 (* spill on shutdown only: deterministic *);
-    }
+  wipe ();
+  let tweak p =
+    { p with Serve.store_dir = Some dir; store_interval_s = 0.0 (* deterministic *) }
   in
-  let pick (d : Domain.t) =
-    d.Domain.queries
-    |> List.filter (fun (q : Domain.query) -> not q.Domain.hard)
-    |> (fun qs -> List.filteri (fun i _ -> i < limit) qs)
-    |> List.map (fun (q : Domain.query) -> (d, q.Domain.text))
-  in
-  let items = pick Text_editing.domain @ pick Astmatcher.domain in
-  (* the first query of each domain, in registry order *)
-  let firsts =
-    List.filter_map
+  let picked d = H.queries ~skip_hard:true limit d in
+  Format.eprintf "  local baselines...@.";
+  let items =
+    List.concat_map
       (fun (d : Domain.t) ->
-        Option.map
-          (fun (_, text) -> (d.Domain.name, text))
-          (List.find_opt
-             (fun ((d' : Domain.t), _) -> d'.Domain.name = d.Domain.name)
-             items))
-      [ Text_editing.domain; Astmatcher.domain ]
+        let ses = H.session ~timeout_s d in
+        List.map
+          (fun (q : Domain.query) ->
+            let text = q.Domain.text in
+            (d.Domain.name, text, (H.respond ses Engine.Plain text).Engine.code))
+          (picked d))
+      served_domains
   in
-  Format.eprintf "  local baselines for %d queries...@." (List.length items);
-  let baselines =
-    List.map
-      (fun ((d : Domain.t), text) ->
-        let ses =
-          Domain.configure d
-            { (Engine.default Engine.Dggt_alg) with
-              Engine.timeout_s = Some timeout_s }
-        in
-        ( d.Domain.name,
-          text,
-          (Engine.respond ses
-             { Engine.input = Engine.Text text; mode = Engine.Plain })
-            .Engine.code ))
-      items
+  let post ~port ~domain ~text =
+    let body = H.query_body ~timeout_s ~domain text in
+    match H.http ~port ~meth:"POST" ~path:"/synthesize" ~body () with
+    | 200, b -> (
+        match J.of_string b with
+        | Ok j -> Some j
+        | Error e ->
+            H.fail "bad JSON for %S: %s" text e;
+            None)
+    | st, _ ->
+        H.fail "POST /synthesize -> %d for %S" st text;
+        None
   in
-  let failed = ref false in
-  let fail fmt_ = Format.kasprintf (fun s -> failed := true; Format.eprintf "%s@." s) fmt_ in
-  let post_synth ~port ~domain ~text =
-    let body =
-      J.to_string
-        (J.Obj
-           [
-             ("query", J.Str text);
-             ("domain", J.Str domain);
-             ("timeout", J.Num timeout_s);
-           ])
+  let cached j = J.bool_field "cached" j = Some true in
+  (* boot a server on the store and time each domain's first answer from
+     the start of Serve.create: the server listens before it builds, and
+     each domain answers once its own state is built; a warm boot's first
+     answers must be hits *)
+  let boot ~warm =
+    Format.eprintf "  %s boot...@." (if warm then "warm" else "cold");
+    let t0 = Unix.gettimeofday () in
+    let srv, port = H.serve ~tweak ~timeout_s () in
+    let create_s = Unix.gettimeofday () -. t0 in
+    let firsts =
+      List.concat_map
+        (fun (d : Domain.t) ->
+          match picked d with
+          | [] -> []
+          | q :: _ ->
+              let domain = d.Domain.name and text = q.Domain.text in
+              (match post ~port ~domain ~text with
+              | Some j when warm && not (cached j) ->
+                  H.fail "warm first request %S missed the cache" text
+              | _ -> ());
+              [ (domain, Unix.gettimeofday () -. t0) ])
+        served_domains
     in
-    let st, b = ws_http ~port ~meth:"POST" ~path:"/synthesize" ~body () in
-    if st <> 200 then (fail "POST /synthesize -> %d for %S" st text; None)
-    else
-      match J.of_string b with
-      | Error e -> fail "bad JSON for %S: %s" text e; None
-      | Ok j -> Some j
+    (srv, port, t0, create_s, firsts)
   in
-  (* each domain's first answer, timed from the start of Serve.create: the
-     server listens before it builds, and each domain answers once its own
-     state is built. [hit] is what a warm boot's answers must be. *)
-  let first_answers ~port ~t0 ~hit =
-    List.map
-      (fun (domain, text) ->
-        (match post_synth ~port ~domain ~text with
-        | Some j when hit && J.bool_field "cached" j <> Some true ->
-            fail "warm first request %S missed the cache" text
-        | _ -> ());
-        (domain, Unix.gettimeofday () -. t0))
-      firsts
+  (* every primed query again, timed; [check] sees each answer *)
+  let replay ~port expected check =
+    let h = Hist.create () in
+    List.iter
+      (fun (domain, text, cold) ->
+        let j, t = H.timed (fun () -> post ~port ~domain ~text) in
+        Hist.observe h t;
+        Option.iter (check text cold) j)
+      expected;
+    h
   in
-  (* ---- phase 1: cold ---- *)
-  Format.eprintf "  cold boot...@.";
-  let t0 = Unix.gettimeofday () in
-  let srv = Serve.create params in
-  let cold_create_s = Unix.gettimeofday () -. t0 in
-  let port = Serve.port srv in
-  let cold_firsts = first_answers ~port ~t0 ~hit:false in
-  (* prime: every query once, checking against the engine baseline *)
+  let phase name ~create_s ~firsts ~first_hit_s h =
+    let ms q = J.Num (1000. *. q) in
+    J.Obj
+      [
+        ("phase", J.Str name);
+        ("create_s", J.Num create_s);
+        ("first_answer_s", J.Obj (List.map (fun (d, s) -> (d, J.Num s)) firsts));
+        ("first_hit_s", J.Num first_hit_s);
+        ("replay_p50_ms", ms (Hist.quantile h 0.5));
+        ("replay_p99_ms", ms (Hist.quantile h 0.99));
+        ("replay_max_ms", ms (Hist.max_value h));
+      ]
+  in
+  let before = H.failed () in
+  (* ---- cold: prime every query once, checked against the engine
+     baseline; timeouts are never cached, so they leave the replay ---- *)
+  let srv, port, t0, create_s, firsts = boot ~warm:false in
   let expected =
     List.filter_map
-      (fun (domain, text, base_code) ->
-        match post_synth ~port ~domain ~text with
-        | None -> None
+      (fun (domain, text, code) ->
+        match post ~port ~domain ~text with
+        | Some j when J.bool_field "timed_out" j = Some true ->
+            Format.eprintf "    (timeout on %S, excluded)@." text;
+            None
         | Some j ->
-            if Option.value (J.bool_field "timed_out" j) ~default:false then begin
-              (* timeouts are never cached; drop the pair from the replay *)
-              Format.eprintf "    (timeout on %S, excluded)@." text;
-              None
-            end
-            else begin
-              if J.str_field "code" j <> base_code then
-                fail "cold answer diverges from Engine.respond on %S" text;
-              Some (domain, text, wfields_of j)
-            end)
-      baselines
+            if J.str_field "code" j <> code then
+              H.fail "cold answer diverges from Engine.respond on %S" text;
+            Some (domain, text, j)
+        | None -> None)
+      items
   in
   (* first hit: the first primed query served from the whole-query cache *)
   (match expected with
   | (domain, text, _) :: _ -> (
-      match post_synth ~port ~domain ~text with
-      | Some j when J.bool_field "cached" j = Some true -> ()
-      | Some _ -> fail "cold repeat of %S was not a cache hit" text
-      | None -> ())
-  | [] -> fail "every query timed out; nothing to persist");
-  let cold_first_hit_s = Unix.gettimeofday () -. t0 in
-  let cold_replay = WHist.create () in
-  List.iter
-    (fun (domain, text, _) ->
-      let r0 = Unix.gettimeofday () in
-      ignore (post_synth ~port ~domain ~text);
-      WHist.observe cold_replay (Unix.gettimeofday () -. r0))
-    expected;
+      match post ~port ~domain ~text with
+      | Some j when not (cached j) -> H.fail "cold repeat of %S was not a cache hit" text
+      | _ -> ())
+  | [] -> H.fail "every query timed out; nothing to persist");
+  let first_hit_s = Unix.gettimeofday () -. t0 in
+  let h = replay ~port expected (fun _ _ _ -> ()) in
   Serve.stop srv (* graceful: spills the caches' snapshot *);
-  let cold =
-    {
-      wp_create_s = cold_create_s;
-      wp_first_answers = cold_firsts;
-      wp_first_hit_s = cold_first_hit_s;
-      wp_replay = cold_replay;
-    }
-  in
-  (* ---- phase 2: warm ---- *)
-  Format.eprintf "  warm boot (same store)...@.";
-  let t0 = Unix.gettimeofday () in
-  let srv = Serve.create params in
-  let warm_create_s = Unix.gettimeofday () -. t0 in
-  let port = Serve.port srv in
-  (* the first request must already be a hit, and so must each domain's *)
-  let warm_firsts = first_answers ~port ~t0 ~hit:true in
-  let warm_first_hit_s =
-    match warm_firsts with (_, s) :: _ -> s | [] -> Float.nan
-  in
+  let cold = phase "cold" ~create_s ~firsts ~first_hit_s h in
+  (* ---- warm: the same store; the first request already had to hit ---- *)
+  let srv, port, _, create_s, firsts = boot ~warm:true in
   if
-    metric_value "dggt_store_records_loaded_total"
-      (snd (ws_http ~port ~meth:"GET" ~path:"/metrics" ()))
+    H.metric_value "dggt_store_records_loaded_total"
+      (snd (H.http ~port ~meth:"GET" ~path:"/metrics" ()))
     <> Some 1
-  then fail "warm boot did not replay the store's snapshot";
-  let warm_replay = WHist.create () in
-  List.iter
-    (fun (domain, text, cold_f) ->
-      let r0 = Unix.gettimeofday () in
-      let j = post_synth ~port ~domain ~text in
-      WHist.observe warm_replay (Unix.gettimeofday () -. r0);
-      match j with
-      | None -> ()
-      | Some j ->
-          if J.bool_field "cached" j <> Some true then
-            fail "warm replay of %S missed the cache" text;
-          match wfields_diff cold_f (wfields_of j) with
-          | [] -> ()
-          | ds ->
-              fail "WARM DIVERGENCE on %S: %s differ" text
-                (String.concat ", " ds))
-    expected;
+  then H.fail "warm boot did not replay the store's snapshot";
+  let h =
+    replay ~port expected (fun text cold j ->
+        if not (cached j) then H.fail "warm replay of %S missed the cache" text;
+        match H.fields_diff cold j with
+        | [] -> ()
+        | ds -> H.fail "WARM DIVERGENCE on %S: %s differ" text (String.concat ", " ds))
+  in
   Serve.stop srv;
-  let warm =
-    {
-      wp_create_s = warm_create_s;
-      wp_first_answers = warm_firsts;
-      wp_first_hit_s = warm_first_hit_s;
-      wp_replay = warm_replay;
-    }
-  in
-  (* ---- report ---- *)
-  let q h p = 1000. *. WHist.quantile h p in
-  Format.fprintf fmt "  %6s %9s %11s %12s %12s@." "phase" "boot(s)"
-    "first-hit(s)" "replay p50" "replay p99";
-  List.iter
-    (fun (name, p) ->
-      Format.fprintf fmt "  %6s %9.3f %11.3f %9.2f ms %9.2f ms@." name
-        p.wp_create_s p.wp_first_hit_s (q p.wp_replay 0.5)
-        (q p.wp_replay 0.99))
-    [ ("cold", cold); ("warm", warm) ];
-  Format.fprintf fmt "@.  first answer after boot start (s):@.";
-  List.iter
-    (fun (name, p) ->
-      Format.fprintf fmt "  %6s %s@." name
-        (String.concat "  "
-           (List.map
-              (fun (d, s) -> Printf.sprintf "%s %.3f" d s)
-              p.wp_first_answers)))
-    [ ("cold", cold); ("warm", warm) ];
-  Format.fprintf fmt "@.";
-  let path = "BENCH_warmstart.json" in
-  let phase_json p =
-    J.Obj
-      [
-        ("create_s", J.Num p.wp_create_s);
-        ( "first_answer_s",
-          J.Obj (List.map (fun (d, s) -> (d, J.Num s)) p.wp_first_answers) );
-        ("first_hit_s", J.Num p.wp_first_hit_s);
-        ("replay_p50_ms", J.Num (q p.wp_replay 0.5));
-        ("replay_p99_ms", J.Num (q p.wp_replay 0.99));
-        ("replay_max_ms", J.Num (1000. *. WHist.max_value p.wp_replay));
-      ]
-  in
-  let oc = open_out path in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("bench", J.Str "warmstart");
-            ("timeout_s", J.Num timeout_s);
-            ("queries", J.Num (float_of_int (List.length expected)));
-            ("cold", phase_json cold);
-            ("warm", phase_json warm);
-            ("identical", J.Bool (not !failed));
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
+  let first_hit_s = match firsts with (_, s) :: _ -> s | [] -> Float.nan in
+  let phases = [ cold; phase "warm" ~create_s ~firsts ~first_hit_s h ] in
+  H.table
+    ([
+       H.col "phase" "phase";
+       H.col "boot(s)" "create_s";
+       H.col "first-hit(s)" "first_hit_s";
+       H.col ~fmt:"%.2f ms" "replay p50" "replay_p50_ms";
+       H.col ~fmt:"%.2f ms" "replay p99" "replay_p99_ms";
+     ]
+    @ List.map
+        (fun (d : Domain.t) ->
+          H.col (d.Domain.name ^ " first(s)") ("first_answer_s." ^ d.Domain.name))
+        served_domains)
+    phases;
+  H.ledger ~bench:"warmstart" ~method_ ~timeout_s ~limit
+    [
+      ("queries", int (List.length expected));
+      ("phases", J.Arr phases);
+      ("identical", J.Bool (H.failed () = before));
+    ];
   (* leave no temp store behind *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  if !failed then exit 1
+  try
+    wipe ();
+    Unix.rmdir dir
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Streaming rank: time-to-first-candidate vs full-search latency     *)
 (* over a live SSE stream (/rank?stream=1), plus the byte-identity    *)
 (* gate — the terminal [event: done] frame must carry exactly the     *)
 (* non-streaming /rank body, and its ranked list must match a local   *)
-(* Engine ranked run. Divergence exits non-zero. Both times are the   *)
-(* server's, from the stream's trace span: a client on the same host  *)
-(* may not be scheduled between two frame writes a fraction of a     *)
-(* millisecond apart, and then reads both frames at once.             *)
+(* Engine ranked run. Both times are the server's, from the stream's  *)
+(* trace span: a client on the same host may not be scheduled between *)
+(* two frame writes a fraction of a millisecond apart, and then reads *)
+(* both frames at once.                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* streamed request over loopback: the status and the response's
-   chunks in order, one SSE frame each (the server writes one chunk per
-   frame) *)
-let stream_http ~port ~path ~body () =
-  let status, raw = ws_http ~port ~meth:"POST" ~path ~body () in
-  let n = String.length raw in
-  let rec frames acc cur =
-    match String.index_from_opt raw cur '\r' with
-    | None -> List.rev acc
-    | Some le -> (
-        match
-          int_of_string_opt ("0x" ^ String.trim (String.sub raw cur (le - cur)))
-        with
-        | Some size when size > 0 && le + 2 + size + 2 <= n ->
-            frames (String.sub raw (le + 2) size :: acc) (le + 2 + size + 2)
-        | _ -> List.rev acc)
-  in
-  (status, if status = 200 then frames [] 0 else [])
-
-(* "event: X\ndata: {json}\n\n" -> (X, json-text) *)
-let sse_event frame =
-  match String.split_on_char '\n' frame with
-  | ev :: data :: _
-    when String.length ev > 7
-         && String.sub ev 0 7 = "event: "
-         && String.length data > 6
-         && String.sub data 0 6 = "data: " ->
-      Some
-        ( String.sub ev 7 (String.length ev - 7),
-          String.sub data 6 (String.length data - 6) )
-  | _ -> None
-
-type st_row = {
-  st_domain : string;
-  st_query : string;
-  st_frames : int;          (* candidate revisions received *)
-  st_ttfc_s : float option; (* first candidate frame produced *)
-  st_done_s : float;        (* done frame produced = full-search latency *)
-  st_local_s : float;       (* direct Engine ranked run, same k *)
-}
 
 (* the newest trace's [Stream] span notes as [(candidates, ttfc_s,
    done_s)], or an error; the stream bench's server keeps one trace, the
    stream it just read *)
 let stream_span ~port text =
-  let module J = Dggt_server.Jsonio in
-  let _, body = ws_http ~port ~meth:"GET" ~path:"/debug/trace" () in
+  let _, body = H.http ~port ~meth:"GET" ~path:"/debug/trace" () in
   let notes ev =
     match J.member "notes" ev with
     | Some (J.Arr ns) ->
@@ -1481,242 +837,155 @@ let stream_span ~port text =
           match Option.map notes stream with
           | Some ns -> (
               match (List.assoc_opt "candidates" ns, List.assoc_opt "done_s" ns) with
-              | Some c, Some d ->
-                  Ok (int_of_float c, List.assoc_opt "ttfc_s" ns, d)
+              | Some c, Some d -> Ok (int_of_float c, List.assoc_opt "ttfc_s" ns, d)
               | _ -> Error "Stream span without candidates/done_s notes")
           | None -> Error "newest trace has no Stream span")
       | _ -> Error "newest trace is not this stream's")
 
-let run_stream ~timeout_s ~limit () =
-  hr ();
-  let module J = Dggt_server.Jsonio in
-  let module Wire = Dggt_server.Wire in
+let run_stream ~timeout_s ~limit =
   let k = 5 in
-  Format.fprintf fmt
-    "Streaming rank: time-to-first-candidate vs full-search latency@.(both \
-     domains, %d queries each over /rank?stream=1, timed when the@.server \
-     produced each frame; the [event: done] frame must be@.byte-identical to \
-     the non-streaming /rank body, and its ranked list@.identical to a local \
-     Engine ranked run)@.@."
-    limit;
-  let params =
-    {
-      Serve.default_params with
-      Serve.port = 0;
-      workers = 2;
-      queue_capacity = 64;
-      cache_size = 512;
-      default_timeout_s = timeout_s;
-      trace_buffer = 1;
-    }
+  let method_ =
+    "Streaming rank: time to first candidate vs full-search latency over \
+     /rank?stream=1 at k = 5, both domains, timed when the server produced \
+     each frame (its Stream span); every stream must carry at least one \
+     candidate frame, strictly monotone revisions, a first candidate \
+     produced strictly before its done frame, and a done frame \
+     byte-identical to the non-streaming /rank body and to a local Engine \
+     ranked run"
   in
-  let pick (d : Domain.t) =
-    d.Domain.queries
-    |> List.filter (fun (q : Domain.query) -> not q.Domain.hard)
-    |> (fun qs -> List.filteri (fun i _ -> i < limit) qs)
-    |> List.map (fun (q : Domain.query) -> (d, q.Domain.text))
-  in
-  let items = pick Text_editing.domain @ pick Astmatcher.domain in
-  let failed = ref false in
-  let fail fmt_ =
-    Format.kasprintf
-      (fun s ->
-        failed := true;
-        Format.eprintf "%s@." s)
-      fmt_
-  in
-  let srv = Serve.create params in
-  let port = Serve.port srv in
-  Format.eprintf "  %d queries over loopback port %d...@." (List.length items)
-    port;
-  let sessions = Hashtbl.create 4 in
-  let session_of (d : Domain.t) =
-    match Hashtbl.find_opt sessions d.Domain.name with
-    | Some s -> s
-    | None ->
-        let s =
-          Domain.configure d
-            { (Engine.default Engine.Dggt_alg) with
-              Engine.timeout_s = Some timeout_s }
-        in
-        Hashtbl.add sessions d.Domain.name s;
-        s
-  in
-  let rows =
-    List.map
-      (fun ((d : Domain.t), text) ->
-        let body =
-          J.to_string
-            (J.Obj
-               [
-                 ("query", J.Str text);
-                 ("domain", J.Str d.Domain.name);
-                 ("k", J.Num (float_of_int k));
-                 ("timeout", J.Num timeout_s);
-               ])
-        in
-        (* 1. streamed request, then when the server produced its frames *)
-        let status, frames =
-          stream_http ~port ~path:"/rank?stream=1" ~body ()
-        in
-        if status <> 200 then fail "stream /rank -> %d for %S" status text;
-        let parsed = List.filter_map sse_event frames in
-        if List.length parsed <> List.length frames then
-          fail "unparseable SSE frame for %S" text;
-        let cands = List.filter (fun (e, _) -> e = "candidate") parsed in
-        (match List.filter (fun (e, _) -> e = "error") parsed with
-        | [] -> ()
-        | (_, d_) :: _ -> fail "stream error frame for %S: %s" text d_);
-        let ttfc, done_t =
-          match stream_span ~port text with
-          | Ok (sent, ttfc, done_t) ->
-              if sent <> List.length cands then
-                fail "%d candidate frames received, the server sent %d on %S"
-                  (List.length cands) sent text;
-              (ttfc, done_t)
-          | Error e ->
-              fail "no stream timing for %S: %s" text e;
-              (None, 0.0)
-        in
-        (* interim revisions must be strictly monotone *)
-        ignore
-          (List.fold_left
-             (fun prev (_, data) ->
-               match J.of_string data with
-               | Ok j -> (
-                   match J.int_field "revision" j with
-                   | Some r when r > prev -> r
-                   | Some r ->
-                       fail "revision %d after %d on %S" r prev text;
-                       r
-                   | None ->
-                       fail "candidate frame without revision on %S" text;
-                       prev)
-               | Error e ->
-                   fail "bad candidate JSON on %S: %s" text e;
-                   prev)
-             0 cands);
-        let done_body =
-          match List.filter (fun (e, _) -> e = "done") parsed with
-          | [ (_, d_) ] -> d_
-          | ds ->
-              fail "expected exactly one done frame for %S (got %d)" text
-                (List.length ds);
-              ""
-        in
-        (* 2. wire-level identity: fresh non-streaming /rank, same body *)
-        let st2, b2 = ws_http ~port ~meth:"POST" ~path:"/rank" ~body () in
-        if st2 <> 200 then fail "POST /rank -> %d for %S" st2 text;
-        if st2 = 200 && done_body <> "" && b2 <> done_body then
-          fail
-            "STREAM DIVERGENCE on %S: done frame differs from the /rank body"
-            text;
-        (* 3. engine-level identity: local ranked run, same k *)
-        let t0 = Unix.gettimeofday () in
-        let o =
-          Engine.respond (session_of d)
-            { Engine.input = Engine.Text text; mode = Engine.Ranked k }
-        in
-        let local_s = Unix.gettimeofday () -. t0 in
-        (if done_body <> "" then
-           match J.of_string done_body with
-           | Ok j ->
-               let wire_ranked =
-                 Option.map J.to_string (J.member "ranked" j)
-               in
-               let local_ranked =
-                 Some (J.to_string (Wire.ranked_json o.Engine.ranked))
-               in
-               if wire_ranked <> local_ranked then
-                 fail
-                   "STREAM DIVERGENCE on %S: ranked list differs from a \
-                    local ranked run"
-                   text
-           | Error e -> fail "bad done JSON on %S: %s" text e);
-        (match ttfc with
-        | Some t when t >= done_t && done_t > 0.0 ->
-            fail "TTFC %.3f ms not below full-search %.3f ms on %S"
-              (1000. *. t) (1000. *. done_t) text
-        | _ -> ());
-        {
-          st_domain = d.Domain.name;
-          st_query = text;
-          st_frames = List.length cands;
-          st_ttfc_s = ttfc;
-          st_done_s = done_t;
-          st_local_s = local_s;
-        })
-      items
-  in
-  Serve.stop srv;
-  let mean = function
-    | [] -> 0.0
-    | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
-  Format.fprintf fmt "  %-12s %8s %12s %12s %12s %9s@." "domain" "queries"
-    "ttfc mean" "full mean" "local mean" "speedup";
-  let dom_json =
-    List.filter_map
-      (fun (d : Domain.t) ->
-        match List.filter (fun r -> r.st_domain = d.Domain.name) rows with
-        | [] -> None
-        | rs ->
-            let ttfcs = List.filter_map (fun r -> r.st_ttfc_s) rs in
-            let ttfc_mean = mean ttfcs in
-            let full_mean = mean (List.map (fun r -> r.st_done_s) rs) in
-            let local_mean = mean (List.map (fun r -> r.st_local_s) rs) in
-            if ttfcs <> [] && ttfc_mean >= full_mean then
-              fail "%s: mean TTFC %.1f ms is not below mean full-search %.1f ms"
-                d.Domain.name (1000. *. ttfc_mean) (1000. *. full_mean);
-            Format.fprintf fmt "  %-12s %8d %9.1f ms %9.1f ms %9.1f ms %8.1fx@."
-              d.Domain.name (List.length rs) (1000. *. ttfc_mean)
-              (1000. *. full_mean) (1000. *. local_mean)
-              (if ttfc_mean > 0. then full_mean /. ttfc_mean else 0.);
-            Some
-              (J.Obj
-                 [
-                   ("domain", J.Str d.Domain.name);
-                   ("queries", J.Num (float_of_int (List.length rs)));
-                   ("with_candidates", J.Num (float_of_int (List.length ttfcs)));
-                   ("ttfc_mean_ms", J.Num (1000. *. ttfc_mean));
-                   ("full_mean_ms", J.Num (1000. *. full_mean));
-                   ("local_mean_ms", J.Num (1000. *. local_mean));
-                   ( "speedup_x",
-                     J.Num
-                       (if ttfc_mean > 0. then full_mean /. ttfc_mean else 0.)
-                   );
-                 ]))
-      [ Text_editing.domain; Astmatcher.domain ]
-  in
-  Format.fprintf fmt "@.";
-  let path = "BENCH_stream.json" in
-  let row_json r =
+  H.heading method_;
+  let srv, port = H.serve ~timeout_s ~tweak:(fun p -> { p with Serve.trace_buffer = 1 }) () in
+  let before = H.failed () in
+  let row (d : Domain.t) ses (q : Domain.query) =
+    let text = q.Domain.text in
+    let body = H.query_body ~k ~timeout_s ~domain:d.Domain.name text in
+    (* 1. streamed request, then when the server produced its frames *)
+    let status, frames = H.stream ~port ~path:"/rank?stream=1" ~body in
+    if status <> 200 then H.fail "stream /rank -> %d for %S" status text;
+    let parsed = List.filter_map H.sse_event frames in
+    if List.length parsed <> List.length frames then
+      H.fail "unparseable SSE frame for %S" text;
+    let events e = List.filter (fun (e', _) -> e' = e) parsed in
+    let cands = events "candidate" in
+    (match events "error" with
+    | [] -> ()
+    | (_, d_) :: _ -> H.fail "stream error frame for %S: %s" text d_);
+    let ttfc, done_t =
+      match stream_span ~port text with
+      | Ok (sent, ttfc, done_t) ->
+          if sent <> List.length cands then
+            H.fail "%d candidate frames received, the server sent %d on %S"
+              (List.length cands) sent text;
+          (* the gate per query: a first candidate exists and was
+             produced strictly before the done frame *)
+          (match ttfc with
+          | None -> H.fail "no candidate frame before done on %S" text
+          | Some t when t >= done_t ->
+              H.fail "TTFC %.3f ms not below full-search %.3f ms on %S"
+                (1000. *. t) (1000. *. done_t) text
+          | Some _ -> ());
+          (ttfc, done_t)
+      | Error e ->
+          H.fail "no stream timing for %S: %s" text e;
+          (None, 0.0)
+    in
+    (* interim revisions must be strictly monotone *)
+    ignore
+      (List.fold_left
+         (fun prev (_, data) ->
+           match Result.map (J.int_field "revision") (J.of_string data) with
+           | Ok (Some r) ->
+               if r <= prev then H.fail "revision %d after %d on %S" r prev text;
+               r
+           | Ok None ->
+               H.fail "candidate frame without revision on %S" text;
+               prev
+           | Error e ->
+               H.fail "bad candidate JSON on %S: %s" text e;
+               prev)
+         0 cands);
+    let done_body =
+      match events "done" with
+      | [ (_, d_) ] -> d_
+      | ds ->
+          H.fail "expected exactly one done frame for %S (got %d)" text (List.length ds);
+          ""
+    in
+    (* 2. wire-level identity: fresh non-streaming /rank, same body *)
+    let st2, b2 = H.http ~port ~meth:"POST" ~path:"/rank" ~body () in
+    if st2 <> 200 then H.fail "POST /rank -> %d for %S" st2 text
+    else if done_body <> "" && b2 <> done_body then
+      H.fail "STREAM DIVERGENCE on %S: done frame differs from the /rank body" text;
+    (* 3. engine-level identity: local ranked run, same k *)
+    let o, local_s = H.timed (fun () -> H.respond ses (Engine.Ranked k) text) in
+    (if done_body <> "" then
+       match J.of_string done_body with
+       | Ok j ->
+           if
+             Option.map J.to_string (J.member "ranked" j)
+             <> Some (J.to_string (Dggt_server.Wire.ranked_json o.Engine.ranked))
+           then
+             H.fail "STREAM DIVERGENCE on %S: ranked list differs from a local ranked run"
+               text
+       | Error e -> H.fail "bad done JSON on %S: %s" text e);
     J.Obj
       [
-        ("domain", J.Str r.st_domain);
-        ("query", J.Str r.st_query);
-        ("candidate_frames", J.Num (float_of_int r.st_frames));
-        ("ttfc_ms", J.opt (fun t -> J.Num (1000. *. t)) r.st_ttfc_s);
-        ("full_ms", J.Num (1000. *. r.st_done_s));
-        ("local_ms", J.Num (1000. *. r.st_local_s));
+        ("domain", J.Str d.Domain.name);
+        ("query", J.Str text);
+        ("candidate_frames", int (List.length cands));
+        ("ttfc_ms", J.opt (fun t -> J.Num (1000. *. t)) ttfc);
+        ("full_ms", J.Num (1000. *. done_t));
+        ("local_ms", J.Num (1000. *. local_s));
       ]
   in
-  let oc = open_out path in
-  output_string oc
-    (J.to_string
-       (J.Obj
-          [
-            ("bench", J.Str "stream");
-            ("k", J.Num (float_of_int k));
-            ("timeout_s", J.Num timeout_s);
-            ("domains", J.Arr dom_json);
-            ("rows", J.Arr (List.map row_json rows));
-            ("identical", J.Bool (not !failed));
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  if !failed then exit 1
+  Format.eprintf "  streams over loopback port %d...@." port;
+  let rows =
+    List.concat_map
+      (fun d ->
+        let ses = H.session ~timeout_s d in
+        List.map (row d ses) (H.queries ~skip_hard:true limit d))
+      served_domains
+  in
+  Serve.stop srv;
+  let summary (d : Domain.t) =
+    let rs = List.filter (fun r -> J.str_field "domain" r = Some d.Domain.name) rows in
+    let nums key = List.filter_map (J.num_field key) rs in
+    let mean key =
+      match nums key with
+      | [] -> 0.0
+      | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+    in
+    let ttfc = mean "ttfc_ms" and full = mean "full_ms" in
+    J.Obj
+      [
+        ("domain", J.Str d.Domain.name);
+        ("queries", int (List.length rs));
+        ("with_candidates", int (List.length (nums "ttfc_ms")));
+        ("ttfc_mean_ms", J.Num ttfc);
+        ("full_mean_ms", J.Num full);
+        ("local_mean_ms", J.Num (mean "local_ms"));
+        ("speedup_x", J.Num (if ttfc > 0. then full /. ttfc else 0.));
+      ]
+  in
+  let domains = List.map summary served_domains in
+  H.table
+    [
+      H.col "domain" "domain";
+      H.int_col "queries" "queries";
+      H.int_col "w/ cand" "with_candidates";
+      H.col ~fmt:"%.1f ms" "ttfc mean" "ttfc_mean_ms";
+      H.col ~fmt:"%.1f ms" "full mean" "full_mean_ms";
+      H.col ~fmt:"%.1f ms" "local mean" "local_mean_ms";
+      H.col ~fmt:"%.1fx" "speedup" "speedup_x";
+    ]
+    domains;
+  H.ledger ~bench:"stream" ~method_ ~timeout_s ~limit
+    [
+      ("k", int k);
+      ("domains", J.Arr domains);
+      ("rows", J.Arr rows);
+      ("identical", J.Bool (H.failed () = before));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded serving: the 2-shard router vs the single-process server.  *)
@@ -1724,61 +993,26 @@ let run_stream ~timeout_s ~limit () =
 (* and /synthesize deterministic field set must be byte-identical     *)
 (* across the two topologies; a worker SIGKILLed under load must cost *)
 (* zero failed stateless requests and surface as a respawn in both    *)
-(* /version and the merged /metrics. Divergence exits non-zero.       *)
+(* /version and the merged /metrics.                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Router = Dggt_shard.Router
-module Sring = Dggt_shard.Ring
 module Ssup = Dggt_shard.Supervisor
 
-(* the dggt binary the router's workers run: resolved relative to this
-   bench executable inside the same _build tree *)
-let worker_exe () =
-  let guess =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      (Filename.concat "bin" "dggt_cli.exe")
-  in
-  if Filename.is_relative guess then Filename.concat (Sys.getcwd ()) guess
-  else guess
-
-let run_shard ~timeout_s ~limit () =
-  hr ();
-  let module J = Dggt_server.Jsonio in
+let run_shard ~timeout_s ~limit =
   let k = 5 in
-  Format.fprintf fmt
-    "Sharded serving: 2-shard router vs the single-process server@.(both \
-     domains, %d queries each; /rank bodies and SSE frame sequences@.must \
-     be byte-identical across the two topologies, and a worker crash@.under \
-     load must cost zero failed stateless requests)@.@."
-    limit;
-  let exe = worker_exe () in
-  if not (Sys.file_exists exe) then begin
-    Format.eprintf
-      "bench shard: worker binary %s missing (run: dune build bin/dggt_cli.exe)@."
-      exe;
-    exit 1
-  end;
-  let failed = ref false in
-  let fail fmt_ =
-    Format.kasprintf
-      (fun s ->
-        failed := true;
-        Format.eprintf "%s@." s)
-      fmt_
+  let method_ =
+    "Sharded serving: a 2-shard router vs the single-process server, both \
+     domains; /rank bodies, fresh and replayed SSE frame sequences and \
+     /synthesize deterministic fields byte-identical across the two \
+     topologies; cache-hot /rank throughput from 4 clients x 40 requests; \
+     a TextEditing worker SIGKILLed under load must cost zero failed \
+     stateless requests and show as a respawn in the merged /metrics"
   in
-  let single =
-    Serve.create
-      {
-        Serve.default_params with
-        Serve.port = 0;
-        workers = 2;
-        queue_capacity = 64;
-        cache_size = 512;
-        default_timeout_s = timeout_s;
-      }
-  in
-  let sport = Serve.port single in
+  H.heading method_;
+  let exe = H.worker_exe () in
+  let before = H.failed () in
+  let single, sport = H.serve ~timeout_s () in
   let router =
     Router.create
       {
@@ -1796,23 +1030,15 @@ let run_shard ~timeout_s ~limit () =
   in
   let rport = Router.port router in
   Format.eprintf "  single on port %d, 2-shard router on port %d@." sport rport;
-  let pick (d : Domain.t) =
-    d.Domain.queries
-    |> List.filter (fun (q : Domain.query) -> not q.Domain.hard)
-    |> (fun qs -> List.filteri (fun i _ -> i < limit) qs)
-    |> List.map (fun (q : Domain.query) -> (d.Domain.name, q.Domain.text))
+  let items =
+    List.concat_map
+      (fun (d : Domain.t) ->
+        List.map
+          (fun (q : Domain.query) -> (d.Domain.name, q.Domain.text))
+          (H.queries ~skip_hard:true limit d))
+      served_domains
   in
-  let items = pick Text_editing.domain @ pick Astmatcher.domain in
-  let rank_body (domain, text) =
-    J.to_string
-      (J.Obj
-         [
-           ("query", J.Str text);
-           ("domain", J.Str domain);
-           ("k", J.Num (float_of_int k));
-           ("timeout", J.Num timeout_s);
-         ])
-  in
+  let rank_body (domain, text) = H.query_body ~k ~timeout_s ~domain text in
   (* ---- identity: every surface, both topologies, byte for byte ---- *)
   Format.eprintf "  identity pass over %d queries...@." (List.length items);
   List.iter
@@ -1820,56 +1046,40 @@ let run_shard ~timeout_s ~limit () =
       let body = rank_body item in
       (* 1. fresh streams: first contact with this query on both sides,
          so the full candidate-frame sequence is live engine output *)
-      let st1, f1 = stream_http ~port:sport ~path:"/rank?stream=1" ~body () in
-      let st2, f2 = stream_http ~port:rport ~path:"/rank?stream=1" ~body () in
-      if st1 <> 200 then fail "single stream /rank -> %d for %S" st1 text;
-      if st2 <> 200 then fail "sharded stream /rank -> %d for %S" st2 text;
+      let st1, f1 = H.stream ~port:sport ~path:"/rank?stream=1" ~body in
+      let st2, f2 = H.stream ~port:rport ~path:"/rank?stream=1" ~body in
+      if st1 <> 200 then H.fail "single stream /rank -> %d for %S" st1 text;
+      if st2 <> 200 then H.fail "sharded stream /rank -> %d for %S" st2 text;
       if f1 <> f2 then
-        fail
-          "SHARD DIVERGENCE on %S: fresh SSE frame sequences differ (%d vs \
-           %d frames)"
+        H.fail "SHARD DIVERGENCE on %S: fresh SSE frame sequences differ (%d vs %d frames)"
           text (List.length f1) (List.length f2);
       (* 2. non-streaming /rank: fresh compute, then cached on both *)
-      let sa, ba = ws_http ~port:sport ~meth:"POST" ~path:"/rank" ~body () in
-      let sb, bb = ws_http ~port:rport ~meth:"POST" ~path:"/rank" ~body () in
-      if sa <> 200 then fail "single /rank -> %d for %S" sa text;
-      if sb <> 200 then fail "sharded /rank -> %d for %S" sb text;
+      let sa, ba = H.http ~port:sport ~meth:"POST" ~path:"/rank" ~body () in
+      let sb, bb = H.http ~port:rport ~meth:"POST" ~path:"/rank" ~body () in
+      if sa <> 200 then H.fail "single /rank -> %d for %S" sa text;
+      if sb <> 200 then H.fail "sharded /rank -> %d for %S" sb text;
       if sa = 200 && sb = 200 && ba <> bb then
-        fail "SHARD DIVERGENCE on %S: /rank bodies differ" text;
+        H.fail "SHARD DIVERGENCE on %S: /rank bodies differ" text;
       (* 3. replayed streams: the whole-query cache answers both now *)
-      let _, g1 = stream_http ~port:sport ~path:"/rank?stream=1" ~body () in
-      let _, g2 = stream_http ~port:rport ~path:"/rank?stream=1" ~body () in
+      let _, g1 = H.stream ~port:sport ~path:"/rank?stream=1" ~body in
+      let _, g2 = H.stream ~port:rport ~path:"/rank?stream=1" ~body in
       if g1 <> g2 then
-        fail "SHARD DIVERGENCE on %S: replayed SSE frame sequences differ"
-          text;
+        H.fail "SHARD DIVERGENCE on %S: replayed SSE frame sequences differ" text;
       (* 4. /synthesize: deterministic fields only (time_s may differ) *)
-      let sbody =
-        J.to_string
-          (J.Obj
-             [
-               ("query", J.Str text);
-               ("domain", J.Str domain);
-               ("timeout", J.Num timeout_s);
-             ])
-      in
-      let sc, bc =
-        ws_http ~port:sport ~meth:"POST" ~path:"/synthesize" ~body:sbody ()
-      in
-      let sd, bd =
-        ws_http ~port:rport ~meth:"POST" ~path:"/synthesize" ~body:sbody ()
-      in
+      let sbody = H.query_body ~timeout_s ~domain text in
+      let sc, bc = H.http ~port:sport ~meth:"POST" ~path:"/synthesize" ~body:sbody () in
+      let sd, bd = H.http ~port:rport ~meth:"POST" ~path:"/synthesize" ~body:sbody () in
       if sc <> 200 || sd <> 200 then
-        fail "/synthesize -> %d (single) / %d (sharded) for %S" sc sd text
+        H.fail "/synthesize -> %d (single) / %d (sharded) for %S" sc sd text
       else
         match (J.of_string bc, J.of_string bd) with
         | Ok jc, Ok jd -> (
-            match wfields_diff (wfields_of jc) (wfields_of jd) with
+            match H.fields_diff jc jd with
             | [] -> ()
             | ds ->
-                fail "SHARD DIVERGENCE on %S: /synthesize %s differ" text
+                H.fail "SHARD DIVERGENCE on %S: /synthesize %s differ" text
                   (String.concat ", " ds))
-        | Error e, _ | _, Error e ->
-            fail "bad /synthesize JSON for %S: %s" text e)
+        | Error e, _ | _, Error e -> H.fail "bad /synthesize JSON for %S: %s" text e)
     items;
   (* ---- throughput: cache-hot /rank, same closed loop on both ---- *)
   let qps ~port ~label =
@@ -1879,19 +1089,17 @@ let run_shard ~timeout_s ~limit () =
     let run id =
       for i = 0 to per - 1 do
         let body = rank_body arr.((id + i) mod Array.length arr) in
-        match ws_http ~port ~meth:"POST" ~path:"/rank" ~body () with
+        match H.http ~port ~meth:"POST" ~path:"/rank" ~body () with
         | 200, _ -> ()
         | _ -> Atomic.incr errs
         | exception _ -> Atomic.incr errs
       done
     in
-    let t0 = Unix.gettimeofday () in
-    let ts = List.init threads (fun id -> Thread.create run id) in
-    List.iter Thread.join ts;
-    let wall = Unix.gettimeofday () -. t0 in
+    let (), wall =
+      H.timed (fun () -> List.iter Thread.join (List.init threads (Thread.create run)))
+    in
     if Atomic.get errs > 0 then
-      fail "%s: %d failed requests during the throughput pass" label
-        (Atomic.get errs);
+      H.fail "%s: %d failed requests during the throughput pass" label (Atomic.get errs);
     float_of_int (threads * per) /. wall
   in
   Format.eprintf "  throughput (cache-hot /rank, 4 clients x 40 each)...@.";
@@ -1899,22 +1107,19 @@ let run_shard ~timeout_s ~limit () =
   let sharded_qps = qps ~port:rport ~label:"sharded" in
   (* ---- crash under load: SIGKILL the worker serving TextEditing ---- *)
   Format.eprintf "  crash-under-load: SIGKILL the TextEditing worker...@.";
-  let te_key = String.lowercase_ascii Text_editing.domain.Domain.name in
+  let te = Text_editing.domain.Domain.name in
   let victim_slot =
-    Option.value (Sring.lookup (Router.ring router) te_key) ~default:0
+    Option.value
+      (Dggt_shard.Ring.lookup (Router.ring router) (String.lowercase_ascii te))
+      ~default:0
   in
   let victim_pid =
     match Ssup.find (Router.supervisor router) victim_slot with
     | Some w -> w.Ssup.pid
     | None -> -1
   in
-  if victim_pid < 0 then fail "no live worker behind slot %d" victim_slot;
-  let te_items =
-    Array.of_list
-      (List.filter
-         (fun (d, _) -> d = Text_editing.domain.Domain.name)
-         items)
-  in
+  if victim_pid < 0 then H.fail "no live worker behind slot %d" victim_slot;
+  let te_items = Array.of_list (List.filter (fun (d, _) -> d = te) items) in
   let stop_clients = Atomic.make false in
   let crash_failures = Atomic.make 0 and crash_total = Atomic.make 0 in
   let client id =
@@ -1922,7 +1127,7 @@ let run_shard ~timeout_s ~limit () =
     while not (Atomic.get stop_clients) do
       let body = rank_body te_items.(!i mod Array.length te_items) in
       incr i;
-      (match ws_http ~port:rport ~meth:"POST" ~path:"/rank" ~body () with
+      (match H.http ~port:rport ~meth:"POST" ~path:"/rank" ~body () with
       | 200, _ -> ()
       | st, _ ->
           Atomic.incr crash_failures;
@@ -1934,15 +1139,14 @@ let run_shard ~timeout_s ~limit () =
       Atomic.incr crash_total
     done
   in
-  let ts = List.init 4 (fun id -> Thread.create client id) in
+  let ts = List.init 4 (Thread.create client) in
   Thread.delay 0.4;
-  if victim_pid > 0 then (
-    try Unix.kill victim_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  if victim_pid > 0 then (try Unix.kill victim_pid Sys.sigkill with Unix.Unix_error _ -> ());
   Thread.delay 3.0;
   Atomic.set stop_clients true;
   List.iter Thread.join ts;
   if Atomic.get crash_failures > 0 then
-    fail "worker crash cost %d failed stateless requests (of %d)"
+    H.fail "worker crash cost %d failed stateless requests (of %d)"
       (Atomic.get crash_failures) (Atomic.get crash_total);
   (* the respawn must become visible in the topology and merged metrics *)
   let deadline = Unix.gettimeofday () +. 15.0 in
@@ -1950,74 +1154,54 @@ let run_shard ~timeout_s ~limit () =
     match Ssup.find (Router.supervisor router) victim_slot with
     | Some w when w.Ssup.state = Ssup.Healthy && w.Ssup.respawns >= 1 -> true
     | _ ->
-        if Unix.gettimeofday () >= deadline then false
-        else begin
-          Thread.delay 0.05;
-          await ()
-        end
+        Unix.gettimeofday () < deadline
+        && begin
+             Thread.delay 0.05;
+             await ()
+           end
   in
-  if not (await ()) then
-    fail "slot %d did not respawn to healthy within 15 s" victim_slot;
+  if not (await ()) then H.fail "slot %d did not respawn to healthy within 15 s" victim_slot;
   let respawns =
     match Ssup.find (Router.supervisor router) victim_slot with
     | Some w -> w.Ssup.respawns
     | None -> 0
   in
-  let metrics = snd (ws_http ~port:rport ~meth:"GET" ~path:"/metrics" ()) in
-  let respawn_line =
-    Printf.sprintf "dggt_shard_respawns_total{shard=\"%d\"}" victim_slot
-  in
-  let reports_respawn =
-    String.split_on_char '\n' metrics
-    |> List.exists (fun l ->
-           String.length l > String.length respawn_line
-           && String.sub l 0 (String.length respawn_line) = respawn_line
-           && String.trim
-                (String.sub l
-                   (String.length respawn_line)
-                   (String.length l - String.length respawn_line))
-              <> "0")
-  in
-  if not reports_respawn then
-    fail "merged /metrics does not report the respawn (%s)" respawn_line;
+  let respawn_series = Printf.sprintf "dggt_shard_respawns_total{shard=\"%d\"}" victim_slot in
+  (match
+     H.metric_value respawn_series (snd (H.http ~port:rport ~meth:"GET" ~path:"/metrics" ()))
+   with
+  | Some n when n > 0 -> ()
+  | _ -> H.fail "merged /metrics does not report the respawn (%s)" respawn_series);
   Serve.stop single;
   Router.stop router;
-  (* ---- report ---- *)
-  Format.fprintf fmt "  %-12s %12s@." "topology" "rank qps";
-  Format.fprintf fmt "  %-12s %12.1f@." "single" single_qps;
-  Format.fprintf fmt "  %-12s %12.1f@." "sharded(2)" sharded_qps;
-  Format.fprintf fmt
-    "  crash: %d stateless requests across the kill, %d failed, slot %d \
-     respawns=%d@.@."
-    (Atomic.get crash_total)
-    (Atomic.get crash_failures)
-    victim_slot respawns;
-  let path = "BENCH_shard.json" in
-  let oc = open_out path in
-  output_string oc
-    (J.to_string
-       (J.Obj
+  let fields =
+    [
+      ("shards", int 2);
+      ("queries", int (List.length items));
+      ("single_qps", J.Num single_qps);
+      ("sharded_qps", J.Num sharded_qps);
+      ( "crash",
+        J.Obj
           [
-            ("bench", J.Str "shard");
-            ("shards", J.Num 2.0);
-            ("timeout_s", J.Num timeout_s);
-            ("queries", J.Num (float_of_int (List.length items)));
-            ("single_qps", J.Num single_qps);
-            ("sharded_qps", J.Num sharded_qps);
-            ( "crash",
-              J.Obj
-                [
-                  ("requests", J.Num (float_of_int (Atomic.get crash_total)));
-                  ("failures", J.Num (float_of_int (Atomic.get crash_failures)));
-                  ("victim_slot", J.Num (float_of_int victim_slot));
-                  ("respawns", J.Num (float_of_int respawns));
-                ] );
-            ("identical", J.Bool (not !failed));
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path;
-  if !failed then exit 1
+            ("requests", int (Atomic.get crash_total));
+            ("failures", int (Atomic.get crash_failures));
+            ("victim_slot", int victim_slot);
+            ("respawns", int respawns);
+          ] );
+      ("identical", J.Bool (H.failed () = before));
+    ]
+  in
+  H.table
+    [
+      H.col ~fmt:"%.1f" "single qps" "single_qps";
+      H.col ~fmt:"%.1f" "sharded(2) qps" "sharded_qps";
+      H.int_col "crash reqs" "crash.requests";
+      H.int_col "failed" "crash.failures";
+      H.int_col "slot" "crash.victim_slot";
+      H.int_col "respawns" "crash.respawns";
+    ]
+    [ J.Obj fields ];
+  H.ledger ~bench:"shard" ~method_ ~timeout_s ~limit fields
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: one Test.make per evaluation artifact,   *)
@@ -2025,13 +1209,8 @@ let run_shard ~timeout_s ~limit () =
 (* ------------------------------------------------------------------ *)
 
 let synth_once (dom : Domain.t) alg text =
-  let ses =
-    Domain.configure dom
-      { (Engine.default alg) with Engine.timeout_s = Some 20.0 }
-  in
-  fun () ->
-    ignore
-      (Engine.respond ses { Engine.input = Engine.Text text; mode = Engine.Plain })
+  let ses = H.session ~alg ~timeout_s:20.0 dom in
+  fun () -> ignore (H.respond ses Engine.Plain text)
 
 let micro_tests () =
   let te = Text_editing.domain and am = Astmatcher.domain in
@@ -2070,8 +1249,8 @@ let micro_tests () =
           fun () -> ignore (Edge2path.build autom dg w2a)));
   ]
 
-let run_micro () =
-  hr ();
+let run_micro ~timeout_s:_ ~limit:_ =
+  H.rule ();
   Format.fprintf fmt "Bechamel microbenchmarks (monotonic clock, ~1 s per test)@.@.";
   let open Bechamel in
   let ols =
@@ -2093,65 +1272,51 @@ let run_micro () =
         analysis)
     (micro_tests ())
 
+(* every target with its default --limit (None = all queries) *)
+let targets =
+  [
+    ("table1", None, run_table1);
+    ("table2", None, run_table2);
+    ("table3", None, run_table3);
+    ("fig7", None, run_fig7);
+    ("fig8", None, run_fig8);
+    ("ablation", None, run_ablation);
+    ("stages", None, run_stages);
+    ("micro", None, run_micro);
+    ("parallel", None, run_parallel);
+    ("automaton", None, run_automaton);
+    ("pathmerge", None, run_pathmerge);
+    ("incremental", Some 8, run_incremental);
+    ("warmstart", Some 6, run_warmstart);
+    ("stream", Some 6, run_stream);
+    ("shard", Some 4, run_shard);
+  ]
+
+let all = [ "table1"; "table2"; "table3"; "fig7"; "fig8"; "ablation"; "stages"; "micro" ]
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let timeout_s = ref 20.0 in
-  let limit = ref (-1) in
+  let timeout_s = ref 20.0 and limit = ref None in
   let rec parse acc = function
     | "--timeout" :: v :: rest ->
         timeout_s := float_of_string v;
         parse acc rest
     | "--limit" :: v :: rest ->
-        limit := int_of_string v;
+        limit := Some (int_of_string v);
         parse acc rest
     | x :: rest -> parse (x :: acc) rest
     | [] -> List.rev acc
   in
-  let targets = match parse [] args with [] -> [ "all" ] | ts -> ts in
-  let timeout_s = !timeout_s in
-  (* --limit caps queries per domain; each target picks its own default
-     (incremental: 8 prefix pairs, automaton: the full query set) *)
-  let limit = !limit in
-  let runners =
-    [
-      ("table1", run_table1);
-      ("table2", run_table2 ~timeout_s);
-      ("table3", run_table3);
-      ("fig7", run_fig7 ~timeout_s);
-      ("fig8", run_fig8 ~timeout_s);
-      ("ablation", run_ablation ~timeout_s);
-      ("stages", run_stages ~timeout_s);
-      ("parallel", run_parallel ~timeout_s);
-      ( "automaton",
-        run_automaton ~timeout_s ~limit:(if limit < 0 then max_int else limit) );
-      ( "pathmerge",
-        run_pathmerge ~timeout_s ~limit:(if limit < 0 then max_int else limit) );
-      ( "incremental",
-        run_incremental ~timeout_s ~limit:(if limit < 0 then 8 else limit) );
-      ( "warmstart",
-        run_warmstart ~timeout_s ~limit:(if limit < 0 then 6 else limit) );
-      ("stream", run_stream ~timeout_s ~limit:(if limit < 0 then 6 else limit));
-      ("shard", run_shard ~timeout_s ~limit:(if limit < 0 then 4 else limit));
-      ("smoke", run_smoke ~timeout_s);
-      ("micro", run_micro);
-      ( "all",
-        fun () ->
-          run_table1 ();
-          run_table2 ~timeout_s ();
-          run_table3 ();
-          run_fig7 ~timeout_s ();
-          run_fig8 ~timeout_s ();
-          run_ablation ~timeout_s ();
-          run_stages ~timeout_s ();
-          run_micro () );
-    ]
-  in
+  let names = match parse [] (List.tl (Array.to_list Sys.argv)) with [] -> [ "all" ] | ts -> ts in
   (* a misspelled target fails before anything runs *)
-  (match List.find_opt (fun t -> not (List.mem_assoc t runners)) targets with
+  let valid = List.map (fun (n, _, _) -> n) targets @ [ "all" ] in
+  (match List.find_opt (fun t -> not (List.mem t valid)) names with
   | Some t ->
-      Format.eprintf "unknown target %S (valid: %s)@." t
-        (String.concat ", " (List.map fst runners));
+      Format.eprintf "unknown target %S (valid: %s)@." t (String.concat ", " valid);
       exit 2
   | None -> ());
-  List.iter (fun t -> (List.assoc t runners) ()) targets;
-  Format.pp_print_flush fmt ()
+  List.iter
+    (fun name ->
+      let _, default, run = List.find (fun (n, _, _) -> n = name) targets in
+      run ~timeout_s:!timeout_s ~limit:(if !limit = None then default else !limit))
+    (List.concat_map (fun t -> if t = "all" then all else [ t ]) names);
+  H.finish ()

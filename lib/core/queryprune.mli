@@ -14,9 +14,6 @@ val prune : Dggt_nlu.Depgraph.t -> Dggt_nlu.Depgraph.t
     child is promoted. Pruning an empty or fully-prunable graph yields a
     graph with the original root only. *)
 
-val keep : Dggt_nlu.Depgraph.node -> bool
-(** The keep-predicate, exposed for tests. *)
-
 val drop_nodes : Dggt_nlu.Depgraph.t -> int list -> Dggt_nlu.Depgraph.t
 (** Splice out the given nodes (children reattach to the governor, a
     dropped root promotes a child), used by the engine to remove words the

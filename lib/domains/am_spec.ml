@@ -561,5 +561,3 @@ let extended =
 let all =
   decl_nodes @ stmt_nodes @ expr_nodes @ type_nodes @ narrowing @ traversal
   @ extended
-
-let count = List.length all + 2 (* + __strlit, __intlit literal carriers *)

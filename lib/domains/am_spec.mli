@@ -24,4 +24,3 @@ type spec =
 
 val all : spec list
 val name : spec -> string
-val count : int

@@ -46,7 +46,6 @@ let load path =
 
 let find t key = List.find_opt (fun b -> b.key = key) t.bindings
 let find_all t key = List.filter (fun b -> b.key = key) t.bindings
-let keys t = Dggt_util.Listutil.uniq (List.map (fun b -> b.key) t.bindings)
 
 let value t key = Option.map (fun b -> b.value) (find t key)
 

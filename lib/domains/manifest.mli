@@ -20,7 +20,6 @@ val find : t -> string -> binding option
 (** First binding of a key, in file order. *)
 
 val find_all : t -> string -> binding list
-val keys : t -> string list
 
 val value : t -> string -> string option
 val int_value : t -> string -> (int option, Err.t) result

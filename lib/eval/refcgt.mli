@@ -4,9 +4,6 @@
     {!Refmerge} runs on them, and the property suite holds the one-pass
     check to them on random edge subsets. Keep this file frozen. *)
 
-val nodes : Dggt_grammar.Ggraph.t -> Dggt_core.Cgt.t -> int list
-(** The CGT's nodes (edge ends and lone nodes), ascending. *)
-
 val api_size : Dggt_grammar.Ggraph.t -> Dggt_core.Cgt.t -> int
 (** Number of distinct API nodes covered. *)
 

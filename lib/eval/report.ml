@@ -187,15 +187,8 @@ let fig8 fmt c =
 (* Per-stage latency                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let stage_table fmt ?(timeout_s = 20.0) ?(tweak = Fun.id) ?limit (dom : Domain.t) =
-  let dom =
-    match limit with
-    | None -> dom
-    | Some n -> { dom with Domain.queries = Dggt_util.Listutil.take n dom.Domain.queries }
-  in
-  let r =
-    Runner.run_domain ~timeout_s ~tweak ~stage_timing:true dom Engine.Dggt_alg
-  in
+let stage_table fmt ?(timeout_s = 20.0) (dom : Domain.t) =
+  let r = Runner.run_domain ~timeout_s ~stage_timing:true dom Engine.Dggt_alg in
   let means = Runner.stage_means r in
   let total = List.fold_left (fun acc (_, m) -> acc +. m) 0.0 means in
   let maxima =

@@ -44,14 +44,7 @@ val ablation : Format.formatter -> ?timeout_s:float -> Dggt_domains.Domain.t -> 
 (** §V synergy claim: DGGT with each optimization disabled in turn. *)
 
 val stage_table :
-  Format.formatter ->
-  ?timeout_s:float ->
-  ?tweak:(Dggt_core.Engine.config -> Dggt_core.Engine.config) ->
-  ?limit:int ->
-  Dggt_domains.Domain.t ->
-  unit
+  Format.formatter -> ?timeout_s:float -> Dggt_domains.Domain.t -> unit
 (** Per-stage latency breakdown (mean, max, share of pipeline time) for the
     DGGT engine over the domain's queries, measured with stage tracing on.
-    [tweak] post-processes the engine config (the bench smoke uses it to
-    attach a {!Dggt_par.Pool}); [limit] caps the query count — the CI bench
-    smoke uses a small prefix. *)
+    The caller caps the query set by passing a domain with fewer queries. *)

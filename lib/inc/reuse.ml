@@ -15,7 +15,6 @@ type t = {
 }
 
 let total s = s.reused + s.computed
-let ratio s = if total s = 0 then 0. else float_of_int s.reused /. float_of_int (total s)
 
 let overall_ratio t =
   let r = t.words.reused + t.pairs.reused + t.dgg_rows.reused in

@@ -28,9 +28,6 @@ type t = {
 }
 
 val total : stage -> int
-val ratio : stage -> float
-(** [reused / (reused + computed)]; 0 when no lookups happened. *)
-
 val overall_ratio : t -> float
 (** Reused fraction across words, pairs and DGG rows together. *)
 

@@ -45,7 +45,6 @@ let create base =
     revs = 0;
   }
 
-let base t = t.base
 let revisions t = t.revs
 
 (* The hooks layer the session tables over whatever cache the target already

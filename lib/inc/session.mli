@@ -41,7 +41,6 @@ val create : Dggt_core.Engine.session -> t
     closure, so compatibility cannot be checked; every other
     result-affecting field is). *)
 
-val base : t -> Dggt_core.Engine.session
 val revisions : t -> int
 (** Number of {!query} calls answered so far. *)
 

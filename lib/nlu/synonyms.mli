@@ -12,6 +12,3 @@ val related : string -> string list
 
 val share_ring : string -> string -> bool
 (** True when the two lemmas appear in a common ring. *)
-
-val rings : string list list
-(** The raw rings, exposed for tests and for document indexing. *)

@@ -63,7 +63,6 @@ val span : sink option -> string -> (span option -> 'a) -> 'a
     it even if [f] raises (budget exhaustion propagates through traced
     stages). [span None name f] is exactly [f None]. *)
 
-val note : span option -> string -> value -> unit
 val int : span option -> string -> int -> unit
 val str : span option -> string -> string -> unit
 val float : span option -> string -> float -> unit

@@ -49,9 +49,6 @@ let stream_response ?(content_type = "text/event-stream") ?(headers = [])
     stream = Some producer;
   }
 
-let header (req : request) name =
-  List.assoc_opt (String.lowercase_ascii name) req.headers
-
 (* ------------------------------------------------------------------ *)
 (* url decoding                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -58,8 +58,6 @@ val stream_response :
     dropped without the terminal chunk, which clients see as a
     truncated (invalid) chunked body, not a complete response. *)
 
-val header : request -> string -> string option
-
 type t
 
 val create :

@@ -1204,7 +1204,6 @@ let create params =
   t
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port
-let metrics t = t.metrics
 let registry t = t.registry
 
 (* after the listener: let the boot job finish, so the final spill holds

@@ -173,9 +173,6 @@ val default_params : params
     buffer 32, no packs, sessions 64 × 300 s, no store (60 s spill
     interval once one is given). *)
 
-val api_version : int
-(** The [v] field of every JSON response; currently [1]. *)
-
 type t
 
 val create : params -> t
@@ -191,7 +188,6 @@ val create : params -> t
     ends the process with exit code 2. *)
 
 val port : t -> int
-val metrics : t -> Smetrics.t
 
 val registry : t -> Dggt_pack.Domain_registry.t
 (** The live domain registry (built-ins plus loaded packs). *)
@@ -200,10 +196,6 @@ val stop : t -> unit
 (** Orderly shutdown: stop accepting, let in-flight connections finish,
     let the boot's build finish, drain the queue, join the workers.
     Blocks; idempotent. *)
-
-val wait : t -> unit
-(** Block until the server has been stopped (by {!stop} or a signal wired
-    via {!Httpd.handle_signals}), then drain and join the pool. *)
 
 val run : params -> unit
 (** CLI entry point: {!create}, install SIGINT/SIGTERM handlers, print the

@@ -159,9 +159,3 @@ let counters t =
         size = Hashtbl.length t.tbl;
         capacity = t.cap;
       })
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.sentinel.next <- t.sentinel;
-      t.sentinel.prev <- t.sentinel)

@@ -43,4 +43,3 @@ val remove : 'a t -> string -> bool
 (** [true] when the id was present (live or expired). *)
 
 val counters : 'a t -> counters
-val clear : 'a t -> unit

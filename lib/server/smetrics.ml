@@ -228,8 +228,6 @@ let observe_store_spill t seconds =
       t.store_spills <- t.store_spills + 1;
       t.store_spill_seconds <- seconds)
 
-let quantile t q = locked t (fun () -> Hist.quantile t.latency q)
-
 let fmt_float v =
   if Float.abs v = Float.infinity then "+Inf"
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v

@@ -103,9 +103,6 @@ val observe_store_spill : t -> float -> unit
 (** Record one spill: bumps [dggt_store_spills_total] and sets
     [dggt_store_spill_seconds] to the spill's wall time. *)
 
-val quantile : t -> float -> float
-(** Latency quantile over all recorded requests. *)
-
 val render : t -> string
 (** Prometheus text format: [dggt_requests_total{domain,outcome}],
     [dggt_request_latency_seconds] histogram (+ p50/p90/p99 convenience

@@ -11,7 +11,7 @@
     byte-identity gates compare rendered strings). *)
 
 val api_version : int
-(** The [v] field of every payload; equals {!Serve.api_version}. *)
+(** The [v] field of every JSON payload and response; currently [1]. *)
 
 val stats_json : Dggt_core.Stats.t -> Jsonio.t
 (** The per-request pipeline statistics object ([stats] field). *)

@@ -87,10 +87,6 @@ val stop : t -> unit
     {!Supervisor.stop} the workers (SIGTERM, grace, SIGKILL). Blocks;
     idempotent. *)
 
-val wait : t -> unit
-(** Block until the router has been stopped ({!stop} or a signal wired
-    via [Httpd.handle_signals]), then stop the workers. *)
-
 val run : params -> unit
 (** CLI entry point: {!create}, install SIGINT/SIGTERM handlers (SIGTERM
     drains gracefully), print the topology, serve until a signal

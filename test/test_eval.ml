@@ -194,8 +194,48 @@ let test_table3_renders () =
   check_b "table3 header" true (contains out "gprune");
   check_b "table3 rows" true (contains out "x")
 
+(* ------------------------------------------------------------------ *)
+(* Bench ledgers                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* every committed BENCH_<target>.json carries the one header the bench
+   harness writes: what ran, on which host and commit, how, and at which
+   budget and query limit *)
+let test_ledger_headers () =
+  let module J = Dggt_server.Jsonio in
+  let dir = Filename.parent_dir_name in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  in
+  check_b "ledgers found" true (files <> []);
+  List.iter
+    (fun f ->
+      let target = Filename.chop_suffix (String.sub f 6 (String.length f - 6)) ".json" in
+      let j =
+        match J.of_string (In_channel.with_open_text (Filename.concat dir f) In_channel.input_all) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%s: %s" f e
+      in
+      let host = Option.value (J.member "host" j) ~default:J.Null in
+      Alcotest.(check (option string)) (f ^ " bench") (Some target) (J.str_field "bench" j);
+      check_b (f ^ " host.cores >= 1") true
+        (match J.int_field "cores" host with Some n -> n >= 1 | None -> false);
+      check_b (f ^ " host.ocaml_version") true (J.str_field "ocaml_version" host <> None);
+      check_b (f ^ " host.commit") true (J.str_field "commit" host <> None);
+      check_b (f ^ " method") true (J.str_field "method" j <> None);
+      check_b (f ^ " timeout_s") true (J.num_field "timeout_s" j <> None);
+      check_b (f ^ " limit") true
+        (match J.member "limit" j with
+        | Some J.Null -> true
+        | Some v -> J.int v <> None
+        | None -> false))
+    files
+
 let suite =
   [
+    Alcotest.test_case "bench ledger headers" `Quick test_ledger_headers;
     Alcotest.test_case "runner shape" `Slow test_runner_shape;
     Alcotest.test_case "runner metrics" `Slow test_runner_metrics_consistency;
     Alcotest.test_case "runner progress hook" `Quick test_runner_progress;

@@ -415,7 +415,6 @@ let () =
         let r =
           Router.create
             {
-              Router.default_params with
               Router.addr = !host;
               port = 0;
               shards = !shards;

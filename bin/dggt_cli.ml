@@ -457,10 +457,13 @@ let serve_cmd =
             string_of_int session_cap;
           ]
         @ (match packs with Some d -> [ "--packs"; d ] | None -> [])
+        (* the router adds each worker's own --store *)
+        @ (match store with
+          | Some _ -> [ "--store-interval"; Printf.sprintf "%g" store_interval ]
+          | None -> [])
       in
       Dggt_shard.Router.run
         {
-          Dggt_shard.Router.default_params with
           Dggt_shard.Router.addr;
           port;
           shards;

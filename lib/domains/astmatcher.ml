@@ -1,9 +1,8 @@
-(* Settings and queries come from examples/packs/astmatcher, embedded by
-   dune as [Am_pack]; grammar and document are generated from [Am_spec] *)
+(* ASTMatcher is its pack: dune embeds examples/packs/astmatcher as
+   [Am_pack] *)
 let make () =
-  Pack.builtin ~dir:"examples/packs/astmatcher" ~manifest:Am_pack.domain_pack
-    ~queries:Am_pack.queries_tsv
-    ~grammar:(lazy (Am_grammar.bnf ()))
-    ~doc:(lazy (Am_doc.doc ()))
+  Pack.builtin ~dir:"examples/packs/astmatcher"
+    ~manifest:Am_pack.domain_pack ~grammar:Am_pack.grammar_bnf
+    ~doc:Am_pack.api_doc ~queries:Am_pack.queries_tsv
 
-let domain, aliases = make ()
+let domain = fst (make ())

@@ -1,14 +1,12 @@
 (** The ASTMatcher benchmark domain (paper Table I, row 2): the Clang
-    LibASTMatchers vocabulary (~505 APIs) with 100 evaluation queries.
-    Grammar and document are generated from {!Am_spec}; settings and
-    queries come from its pack [examples/packs/astmatcher]. *)
+    LibASTMatchers vocabulary (487 APIs) with 100 evaluation queries,
+    built from its pack [examples/packs/astmatcher], embedded at build
+    time. *)
 
 val domain : Domain.t
 
-val aliases : string list
-(** Extra lookup names, from the pack's [alias] lines. *)
-
 val make : unit -> Domain.t * string list
-(** A fresh copy of {!domain} and {!aliases} whose lazies are its own:
-    forcing them never touches {!domain}'s, so another thread or domain
-    may force {!domain} at the same time. *)
+(** A fresh copy of {!domain}, with the extra lookup names from the
+    pack's [alias] lines, whose lazies are its own: forcing them never
+    touches {!domain}'s, so another thread or domain may force {!domain}
+    at the same time. *)

@@ -7,6 +7,7 @@ type t = {
   graph : Dggt_grammar.Ggraph.t Lazy.t;
   autom : Dggt_autom.Autom.t Lazy.t;
   doc : Dggt_core.Apidoc.t Lazy.t;
+  digest : string Lazy.t;
   queries : query list;
   defaults : (string * string) list;
   unit_filter : (string -> bool) option;

@@ -22,6 +22,10 @@ type t = {
           ({!Text_editing.make}, {!Astmatcher.make}), one build at a
           time, on a pool worker. *)
   doc : Dggt_core.Apidoc.t Lazy.t;
+  digest : string Lazy.t;
+      (** the digest of the pack texts the domain was built from
+          ({!Pack.of_texts}): the version handle that keys its compiled
+          automaton and the warm store *)
   queries : query list;
   defaults : (string * string) list;
       (** argument-completion defaults ({!Dggt_core.Tree2expr.of_cgt}) *)

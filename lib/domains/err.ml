@@ -7,6 +7,4 @@ let to_string e =
   if e.line > 0 then Printf.sprintf "%s:%d: %s" e.file e.line e.message
   else Printf.sprintf "%s: %s" e.file e.message
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let ok_exn = function Ok v -> v | Error e -> failwith (to_string e)

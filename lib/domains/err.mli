@@ -16,7 +16,5 @@ val vf : ?line:int -> string -> ('a, unit, string, t) format4 -> 'a
 val to_string : t -> string
 (** ["file:line: message"], or ["file: message"] when [line = 0]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val ok_exn : ('a, t) result -> 'a
 (** The [Ok] value; raises [Failure] with {!to_string} of an [Error]. *)

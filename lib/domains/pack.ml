@@ -154,7 +154,7 @@ let grammar s ~file text =
            "start symbol %s has no rule in %s" sym grammar_name)
   | Error Cfg.Empty_grammar -> Error (Err.v file "grammar has no rules")
 
-let domain s ~graph ~doc ~queries =
+let domain s ~graph ~doc ~digest ~queries =
   let m = s.manifest in
   let unit_filter =
     match words m "unit-apis" with
@@ -173,6 +173,7 @@ let domain s ~graph ~doc ~queries =
     graph;
     autom = lazy (Dggt_autom.Autom.compile (Lazy.force graph));
     doc;
+    digest;
     queries = List.map (fun (e : Queryfile.entry) -> e.query) queries;
     defaults = s.defaults;
     unit_filter;
@@ -183,19 +184,76 @@ let domain s ~graph ~doc ~queries =
     expect_p95_ms = s.expect_p95_ms;
   }
 
-let builtin ~dir ~manifest ~queries ~grammar:text ~doc =
+(* the version handle: every file's name and MD5, in pack order. Hashing
+   each text where it lies copies none of them: ASTMatcher's are 450 KB. *)
+let digest files =
+  List.map
+    (fun (name, text) -> name ^ "\n" ^ Digest.to_hex (Digest.string text))
+    files
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+type texts = {
+  manifest : string;
+  grammar : string;
+  doc : string;
+  queries : string option;
+}
+
+type t = {
+  settings : settings;
+  doc_entries : Docfile.entry list Lazy.t;
+  query_entries : Queryfile.entry list;
+  domain : Domain.t;
+}
+
+let of_texts ~eager ~dir texts =
   let file = Filename.concat dir in
-  let s =
+  (* built now, errors returned, when [eager]; else built when forced *)
+  let later f =
+    if eager then Result.map Lazy.from_val (f ())
+    else Ok (lazy (Err.ok_exn (f ())))
+  in
+  let* s =
+    Result.bind
+      (Manifest.parse ~file:(file manifest_name) texts.manifest)
+      settings
+  in
+  let* graph =
+    later (fun () ->
+        Result.map Dggt_grammar.Ggraph.build
+          (grammar s ~file:(file grammar_name) texts.grammar))
+  in
+  let* doc_entries =
+    later (fun () -> Docfile.parse ~file:(file doc_name) texts.doc)
+  in
+  let* query_entries =
+    match texts.queries with
+    | None -> Ok []
+    | Some q -> Queryfile.parse ~file:(file queries_name) q
+  in
+  let files =
+    (manifest_name, texts.manifest)
+    :: (grammar_name, texts.grammar)
+    :: (doc_name, texts.doc)
+    :: Option.to_list (Option.map (fun q -> (queries_name, q)) texts.queries)
+  in
+  let* digest = later (fun () -> Ok (digest files)) in
+  Ok
+    {
+      settings = s;
+      doc_entries;
+      query_entries;
+      domain =
+        domain s ~graph
+          ~doc:(Lazy.map_val Docfile.to_doc doc_entries)
+          ~digest
+          ~queries:query_entries;
+    }
+
+let builtin ~dir ~manifest ~grammar ~doc ~queries =
+  let p =
     Err.ok_exn
-      (Result.bind
-         (Manifest.parse ~file:(file manifest_name) manifest)
-         settings)
+      (of_texts ~eager:false ~dir
+         { manifest; grammar; doc; queries = Some queries })
   in
-  let graph =
-    lazy
-      (Dggt_grammar.Ggraph.build
-         (Err.ok_exn (grammar s ~file:(file grammar_name) (Lazy.force text))))
-  in
-  ( domain s ~graph ~doc
-      ~queries:(Err.ok_exn (Queryfile.parse ~file:(file queries_name) queries)),
-    s.aliases )
+  (p.domain, p.settings.aliases)

@@ -16,9 +16,10 @@
       a pack without one simply has no benchmark.
 
     Both built-in domains are packs under [examples/packs/], embedded in
-    the library at build time; [Dggt_pack.Loader] reads any other pack
-    from a directory. Both go through {!settings}, {!grammar} and
-    {!domain}, so every failure is an {!Err.t} naming the file and line. *)
+    the library at build time ({!builtin}); [Dggt_pack.Loader] reads any
+    other pack from a directory. Both turn the four texts into a domain
+    through {!of_texts}, so every failure is an {!Err.t} naming the file
+    and line. *)
 
 val manifest_name : string
 (** The pack's file names: ["domain.pack"], ["grammar.bnf"], ["api.doc"],
@@ -45,30 +46,40 @@ type settings = {
 }
 (** What the manifest says, validated. *)
 
-val settings : Manifest.t -> (settings, Err.t) result
-(** Unknown keys, missing [name]/[start] and malformed values are errors
-    on the binding's line. *)
+type texts = {
+  manifest : string;
+  grammar : string;
+  doc : string;
+  queries : string option;  (** [None]: the pack has no [queries.tsv] *)
+}
+(** A pack's files, read. *)
 
-val grammar :
-  settings -> file:string -> string -> (Dggt_grammar.Cfg.t, Err.t) result
-(** Parse [grammar.bnf] text under the manifest's start symbol. *)
+type t = {
+  settings : settings;
+  doc_entries : Docfile.entry list Lazy.t;
+  query_entries : Queryfile.entry list;
+  domain : Domain.t;
+}
 
-val domain :
-  settings ->
-  graph:Dggt_grammar.Ggraph.t Lazy.t ->
-  doc:Dggt_core.Apidoc.t Lazy.t ->
-  queries:Queryfile.entry list ->
-  Domain.t
+val of_texts : eager:bool -> dir:string -> texts -> (t, Err.t) result
+(** The one way from a pack's texts to a domain; [dir] names its files in
+    errors. The manifest and queries are parsed here. With [eager], so
+    are the grammar graph and the document, whose errors are returned,
+    and the domain's [digest] is computed; otherwise each is built when
+    first forced, and the graph and document raise [Failure] on
+    malformed text. The digest is the pack's version handle: MD5 hex
+    over every file's name and MD5 in pack order (manifest, grammar,
+    document, then the queries if there are any). *)
 
 val builtin :
   dir:string ->
   manifest:string ->
+  grammar:string ->
+  doc:string ->
   queries:string ->
-  grammar:string Lazy.t ->
-  doc:Dggt_core.Apidoc.t Lazy.t ->
   Domain.t * string list
-(** A built-in domain and its aliases, from its embedded manifest and
-    query text; [dir] names the pack in error messages. Grammar and
-    document stay lazy, so a process pays for a domain's graph only when
-    it uses the domain. Raises [Failure] on malformed text, which the
-    tests rule out for the committed packs. *)
+(** A built-in domain and its aliases, from its pack's four embedded
+    texts: {!of_texts} without [eager], so a process pays for a domain's
+    graph, document and digest only when it uses them. Raises [Failure]
+    on malformed text, which the tests rule out for the committed
+    packs. *)

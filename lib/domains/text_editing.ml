@@ -1,15 +1,8 @@
 (* TextEditing is its pack: dune embeds examples/packs/textediting as
    [Te_pack] *)
-let dir = "examples/packs/textediting"
-
 let make () =
-  Pack.builtin ~dir ~manifest:Te_pack.domain_pack ~queries:Te_pack.queries_tsv
-    ~grammar:(lazy Te_pack.grammar_bnf)
-    ~doc:
-      (lazy
-        (Docfile.to_doc
-           (Err.ok_exn
-              (Docfile.parse ~file:(Filename.concat dir Pack.doc_name)
-                 Te_pack.api_doc))))
+  Pack.builtin ~dir:"examples/packs/textediting"
+    ~manifest:Te_pack.domain_pack ~grammar:Te_pack.grammar_bnf
+    ~doc:Te_pack.api_doc ~queries:Te_pack.queries_tsv
 
-let domain, aliases = make ()
+let domain = fst (make ())

@@ -4,10 +4,8 @@
 
 val domain : Domain.t
 
-val aliases : string list
-(** Extra lookup names, from the pack's [alias] lines. *)
-
 val make : unit -> Domain.t * string list
-(** A fresh copy of {!domain} and {!aliases} whose lazies are its own:
-    forcing them never touches {!domain}'s, so another thread or domain
-    may force {!domain} at the same time. *)
+(** A fresh copy of {!domain}, with the extra lookup names from the
+    pack's [alias] lines, whose lazies are its own: forcing them never
+    touches {!domain}'s, so another thread or domain may force {!domain}
+    at the same time. *)

@@ -27,6 +27,3 @@ let to_string = function
   | Conj c -> "conj:" ^ c
   | Lit -> "lit"
   | Dep -> "dep"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) b = a = b

@@ -20,5 +20,3 @@ type t =
   | Dep            (** unclassified *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

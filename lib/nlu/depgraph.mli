@@ -50,5 +50,4 @@ val is_tree : t -> bool
 val remove_node : t -> int -> t
 (** Removes the node and all edges touching it. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -40,8 +40,5 @@ let to_string = function
   | SYM -> "SYM"
   | PUNCT -> "PUNCT"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) b = a = b
 let is_verb = function VB | VBZ | VBG | VBN -> true | _ -> false
 let is_noun = function NN | NNS -> true | _ -> false
-

@@ -28,8 +28,6 @@ type t =
   | PUNCT (** sentence punctuation *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 val is_verb : t -> bool
 (** VB, VBZ, VBG or VBN. *)

@@ -17,5 +17,3 @@ val make : int -> string -> kind -> t
 val lower : t -> string
 (** Lowercased surface form (identity for non-words). *)
 
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -1,6 +1,6 @@
 open Dggt_domains
 
-type origin = Builtin | Pack of { dir : string; digest : string }
+type origin = Builtin | Pack of { dir : string }
 
 type entry = { domain : Domain.t; aliases : string list; origin : origin }
 
@@ -12,7 +12,7 @@ type t = {
   mutable base : entry list;
   mutable packs : entry list;
   mutable generation : int;
-  (* compiled automata keyed (normalized name, content key): a reload
+  (* compiled automata keyed (normalized name, pack digest): a reload
      that leaves a pack's digest unchanged reuses the exact same
      automaton (pointer-equal), so hot /reload only pays compilation for
      packs whose bytes actually changed *)
@@ -106,14 +106,12 @@ let register t ?(aliases = []) ?(origin = Builtin) domain =
           t.generation <- t.generation + 1;
           Ok ())
 
-(* what identifies an entry's compiled automaton: for packs the manifest
-   digest (content-addressed — a reload with unchanged bytes hits the
-   cache), for built-ins the name (their packs are embedded at build
-   time) *)
-let content_key e =
-  match e.origin with
-  | Builtin -> "builtin:" ^ norm e.domain.Domain.name
-  | Pack { digest; _ } -> digest
+(* what identifies an entry's texts: its pack digest, built-in or not,
+   hashed on first use. Callers hold the lock, so no two threads force
+   one digest at once. *)
+let digest_unlocked e = Lazy.force e.domain.Domain.digest
+
+let digest t e = locked t (fun () -> digest_unlocked e)
 
 let pack_dirs dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -146,7 +144,7 @@ let load_dir t dir =
           {
             domain = l.Loader.domain;
             aliases = l.Loader.settings.Pack.aliases;
-            origin = Pack { dir = l.Loader.dir; digest = l.Loader.digest };
+            origin = Pack { dir = l.Loader.dir };
           })
         loaded
     in
@@ -170,10 +168,20 @@ let load_dir t dir =
                entries already handed out keep working (immutable) *)
             t.packs <- fresh;
             t.generation <- t.generation + 1;
-            (* drop automata whose content key no longer names a visible
+            (* drop automata whose digest no longer names a visible
                entry — dropped/changed packs release their tables; an
-               unchanged digest keeps its compiled automaton alive *)
-            let live = List.map content_key (visible_unlocked t) in
+               unchanged digest keeps its compiled automaton alive.
+               Loaded packs are hashed at load; a built-in is hashed
+               when first asked for, and one never hashed has no
+               automaton here, so it need not be hashed now. *)
+            let live =
+              List.filter_map
+                (fun e ->
+                  if Lazy.is_val e.domain.Domain.digest then
+                    Some (digest_unlocked e)
+                  else None)
+                (visible_unlocked t)
+            in
             let stale =
               Hashtbl.fold
                 (fun ((_, ck) as key) _ acc ->
@@ -184,8 +192,12 @@ let load_dir t dir =
             Ok fresh)
 
 let automaton ?trace t (e : entry) =
-  let key = (norm e.domain.Domain.name, content_key e) in
-  match locked t (fun () -> Hashtbl.find_opt t.autos key) with
+  let key, cached =
+    locked t (fun () ->
+        let key = (norm e.domain.Domain.name, digest_unlocked e) in
+        (key, Hashtbl.find_opt t.autos key))
+  in
+  match cached with
   | Some a -> (a, false)
   | None ->
       (* compile outside the lock, [Ggraph.dist_from]-style: two racing
@@ -202,18 +214,10 @@ let automaton ?trace t (e : entry) =
               (a, true))
 
 let pack_digest t =
-  let packs =
-    List.filter_map
-      (fun e ->
-        match e.origin with
-        | Pack { digest; _ } -> Some (e.domain.Domain.name, digest)
-        | Builtin -> None)
-      (entries t)
-  in
-  match packs with
-  | [] -> "none"
-  | packs ->
-      List.sort compare packs
-      |> List.map (fun (n, d) -> n ^ ":" ^ d)
-      |> String.concat "\n"
-      |> Digest.string |> Digest.to_hex
+  locked t (fun () ->
+      List.map
+        (fun e -> (e.domain.Domain.name, digest_unlocked e))
+        (visible_unlocked t))
+  |> List.sort compare
+  |> List.map (fun (n, d) -> n ^ ":" ^ d)
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex

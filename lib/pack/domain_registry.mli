@@ -12,7 +12,7 @@
     its aliases ([te], [am] for the built-ins; [alias =] lines for
     packs). *)
 
-type origin = Builtin | Pack of { dir : string; digest : string }
+type origin = Builtin | Pack of { dir : string }
 
 type entry = {
   domain : Dggt_domains.Domain.t;
@@ -55,18 +55,23 @@ val generation : t -> int
 (** Bumped by every successful {!load_dir}/{!register} — [GET /version]
     exposes it so clients can observe hot reloads. *)
 
+val digest : t -> entry -> string
+(** The entry's pack digest ([Domain.digest]: of its texts, embedded or
+    read), hashed on first use under the registry's lock. *)
+
 val pack_digest : t -> string
-(** Order-independent digest over the loaded packs' file digests;
-    ["none"] when only built-ins are registered. *)
+(** Order-independent digest over every visible entry's name and
+    {!digest}, built-ins included: the warm store's key, so a rebuilt
+    binary whose embedded packs changed refuses the old snapshot. *)
 
 val automaton :
   ?trace:Dggt_obs.Trace.sink -> t -> entry -> Dggt_autom.Autom.t * bool
 (** The entry's grammar compiled into EdgeToPath state tables
-    ({!Dggt_autom.Autom.compile}), cached in the registry keyed by
-    content: a pack entry by its manifest digest, a built-in by its
-    name. The flag is [true] when this call compiled the automaton and
-    [false] on a cache hit — a {!load_dir} that leaves a pack's digest
-    unchanged hands back the {e pointer-equal} automaton, so a hot
+    ({!Dggt_autom.Autom.compile}), cached in the registry keyed by name
+    and {!digest}. The flag is [true] when this call compiled the
+    automaton and [false] on a cache hit — a {!load_dir} that leaves a
+    pack's digest unchanged hands back the {e pointer-equal} automaton,
+    so a hot
     [POST /reload] compiles exactly once per changed pack. [trace]
     receives the AutomatonCompile span on fresh compiles only.
     Compilation runs outside the registry lock; concurrent callers may

@@ -33,7 +33,6 @@ val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
 val int : t -> int option
-val bool : t -> bool option
 
 val str_field : string -> t -> string option
 val num_field : string -> t -> float option

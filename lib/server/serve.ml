@@ -696,13 +696,14 @@ let session_path path =
   | [ ""; "session"; id; "query" ] when id <> "" -> Some (id, `Query)
   | _ -> None
 
-let origin_fields = function
+let origin_fields t (e : Registry.entry) =
+  match e.Registry.origin with
   | Registry.Builtin -> [ ("origin", J.Str "builtin") ]
-  | Registry.Pack { dir; digest } ->
+  | Registry.Pack { dir } ->
       [
         ("origin", J.Str "pack");
         ("pack_dir", J.Str dir);
-        ("pack_digest", J.Str digest);
+        ("pack_digest", J.Str (Registry.digest t.registry e));
       ]
 
 (* An entry still building is listed by name, aliases and origin only:
@@ -741,7 +742,7 @@ let domains_handler t =
                                 (float_of_int
                                    (Dggt_domains.Domain.query_count d)) );
                           ])
-                    @ origin_fields e.Registry.origin))
+                    @ origin_fields t e))
                 (slots t)) );
        ])
 

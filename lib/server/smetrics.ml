@@ -36,7 +36,6 @@ module Hist = struct
 
   let count t = t.total
   let sum t = t.sum
-  let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
   let max_value t = t.max_v
 
   let quantile t q =

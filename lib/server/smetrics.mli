@@ -20,7 +20,6 @@ module Hist : sig
   val observe : t -> float -> unit
   val count : t -> int
   val sum : t -> float
-  val mean : t -> float
 
   val quantile : t -> float -> float
   (** [quantile t 0.99]: linear interpolation inside the target bucket;

@@ -10,11 +10,7 @@ type params = {
   exe : string;
   worker_args : string list;
   store_dir : string option;
-  sockets_dir : string option;
-  hb_interval_s : float;
   proxy_timeout_s : float;
-  retry_window_s : float;
-  ready_timeout_s : float;
 }
 
 let default_params =
@@ -25,12 +21,15 @@ let default_params =
     exe = "";
     worker_args = [];
     store_dir = None;
-    sockets_dir = None;
-    hb_interval_s = 0.5;
     proxy_timeout_s = 30.0;
-    retry_window_s = 20.0;
-    ready_timeout_s = 60.0;
   }
+
+(* how long a stateless request keeps retrying across a crash and
+   respawn before it gives up with 502 *)
+let retry_window_s = 20.0
+
+(* how long [create] waits for every worker's first heartbeat *)
+let ready_timeout_s = 60.0
 
 (* router-side counters; all under [mu] (the Hist is not self-locking) *)
 type rmetrics = {
@@ -201,7 +200,7 @@ let content_type_of (headers : (string * string) list) =
    producer pumps one chunk per upstream frame — SSE passes through
    unbuffered. *)
 let forward t ~slot ~retryable ~meth ~path ?body () =
-  let deadline = Unix.gettimeofday () +. t.params.retry_window_s in
+  let deadline = Unix.gettimeofday () +. retry_window_s in
   let rec attempt () =
     let socket =
       match Supervisor.find t.sup slot with
@@ -321,7 +320,7 @@ let session_create_handler t (req : Httpd.request) =
   | Ok (J.Obj fields) ->
       let uid = mint_uid t in
       let slot = Option.value (Ring.lookup t.ring uid) ~default:0 in
-      let deadline = Unix.gettimeofday () +. t.params.retry_window_s in
+      let deadline = Unix.gettimeofday () +. retry_window_s in
       let rec attempt () =
         let w = Supervisor.find t.sup slot in
         let epoch, socket =
@@ -587,24 +586,9 @@ let handler t (req : Httpd.request) =
 (* lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let dir_counter = Atomic.make 0
-
-let fresh_sockets_dir () =
-  (* socket paths must stay under the 108-byte sun_path limit, so the
-     directory name is kept short *)
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "dggt-sh-%d-%d" (Unix.getpid ())
-       (Atomic.fetch_and_add dir_counter 1))
-
 let create params =
   if params.shards <= 0 then invalid_arg "Router.create: shards must be > 0";
   if params.exe = "" then invalid_arg "Router.create: exe must be set";
-  let sockets_dir =
-    match params.sockets_dir with
-    | Some d -> d
-    | None -> fresh_sockets_dir ()
-  in
   let argv ~slot ~socket =
     let store_args =
       match params.store_dir with
@@ -618,16 +602,7 @@ let create params =
        :: params.worker_args)
       @ store_args)
   in
-  let sup =
-    Supervisor.start
-      {
-        Supervisor.default_params with
-        Supervisor.shards = params.shards;
-        sockets_dir;
-        argv;
-        hb_interval_s = params.hb_interval_s;
-      }
-  in
+  let sup = Supervisor.start ~shards:params.shards ~argv in
   let t =
     {
       params;
@@ -650,8 +625,7 @@ let create params =
     Httpd.create ~addr:params.addr ~port:params.port (fun req -> handler t req)
   in
   t.http <- Some http;
-  if params.ready_timeout_s > 0.0 then
-    ignore (Supervisor.await_healthy sup ~timeout_s:params.ready_timeout_s);
+  ignore (Supervisor.await_healthy sup ~timeout_s:ready_timeout_s);
   t
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port

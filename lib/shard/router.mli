@@ -49,34 +49,25 @@ type params = {
                                    cache size, --packs, ...) *)
   store_dir : string option;   (** warm-start root: worker [i] gets
                                    [--store <dir>/shard-<i>], so each
-                                   worker's spills stay its own and PR 8
+                                   worker's spills stay its own and
                                    warm boots compose with sharding *)
-  sockets_dir : string option; (** where the worker sockets live;
-                                   [None] = a fresh per-router directory
-                                   under the system temp dir *)
-  hb_interval_s : float;       (** supervisor heartbeat period *)
   proxy_timeout_s : float;     (** per-read timeout on proxied requests *)
-  retry_window_s : float;      (** how long a stateless request keeps
-                                   retrying across a crash/respawn before
-                                   giving up with 502 *)
-  ready_timeout_s : float;     (** how long {!create} waits for all
-                                   workers' first heartbeat; 0 = don't
-                                   wait (the retry window covers
-                                   stragglers) *)
 }
 
 val default_params : params
 (** 127.0.0.1:8080, 2 shards, [exe] unset (callers pass the dggt
-    binary, usually [Sys.executable_name]), no store, temp sockets,
-    heartbeat 0.5 s, proxy timeout 30 s, retry window 20 s, ready
-    timeout 60 s. *)
+    binary, usually [Sys.executable_name]), no store, proxy timeout
+    30 s. *)
 
 type t
 
 val create : params -> t
-(** Spawn the workers, bind the client port, and (per
-    [ready_timeout_s]) wait for the fleet's first heartbeats. Raises
-    [Invalid_argument] on [shards <= 0] or an empty [exe]. *)
+(** Spawn the workers ({!Supervisor.start}: their sockets live in a fresh
+    directory under the system temp dir, removed by {!stop}), bind the
+    client port, and wait up to 60 s for the fleet's first heartbeats.
+    A stateless request whose worker is down is retried for up to 20 s
+    before it answers 502. Raises [Invalid_argument] on [shards <= 0]
+    or an empty [exe]. *)
 
 val port : t -> int
 val supervisor : t -> Supervisor.t
@@ -84,8 +75,8 @@ val ring : t -> Ring.t
 
 val stop : t -> unit
 (** Drain: stop accepting, finish in-flight proxied requests, then
-    {!Supervisor.stop} the workers (SIGTERM, grace, SIGKILL). Blocks;
-    idempotent. *)
+    {!Supervisor.stop} the workers (SIGTERM, grace, SIGKILL) and remove
+    their sockets' directory. Blocks; idempotent. *)
 
 val run : params -> unit
 (** CLI entry point: {!create}, install SIGINT/SIGTERM handlers (SIGTERM

@@ -14,28 +14,18 @@ type worker = {
   socket : string;
 }
 
-type params = {
-  shards : int;
-  sockets_dir : string;
-  argv : slot:int -> socket:string -> string array;
-  hb_interval_s : float;
-  hb_timeout_s : float;
-  hb_tolerance : int;
-  backoff_base_s : float;
-  backoff_cap_s : float;
-}
+(* heartbeat period and per-heartbeat socket timeout *)
+let hb_interval_s = 0.5
+let hb_timeout_s = 2.0
 
-let default_params =
-  {
-    shards = 2;
-    sockets_dir = Filename.concat (Filename.get_temp_dir_name ()) "dggt-shard";
-    argv = (fun ~slot:_ ~socket:_ -> failwith "Supervisor.params.argv unset");
-    hb_interval_s = 0.5;
-    hb_timeout_s = 2.0;
-    hb_tolerance = 3;
-    backoff_base_s = 0.1;
-    backoff_cap_s = 5.0;
-  }
+(* consecutive failed heartbeats before a Healthy worker is killed and
+   respawned *)
+let hb_tolerance = 3
+
+(* respawn delay: doubles per consecutive death, from the base up to the
+   cap, and starts over once a respawned worker is Healthy *)
+let backoff_base_s = 0.1
+let backoff_cap_s = 5.0
 
 (* the mutable slot record behind the public snapshot *)
 type slot_st = {
@@ -53,7 +43,8 @@ type slot_st = {
 }
 
 type t = {
-  params : params;
+  argv : slot:int -> socket:string -> string array;
+  dir : string; (* the sockets' directory, made by [start] *)
   mu : Mutex.t;
   slots : slot_st array;
   mutable closing : bool;
@@ -85,21 +76,13 @@ let find t slot =
         Some (snapshot_slot t.slots.(slot))
       else None)
 
-let rec mkdir_p dir =
-  if dir = "/" || dir = "." || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* spawn the slot's child; caller holds the lock. A stale socket from the
    previous incarnation is unlinked here too (the worker also does it),
    so a connect between death and respawn fails fast instead of reaching
    a dead listener's backlog. *)
 let spawn_locked t s =
   (try Unix.unlink s.s_socket with Unix.Unix_error _ -> ());
-  let argv = t.params.argv ~slot:s.s_slot ~socket:s.s_socket in
+  let argv = t.argv ~slot:s.s_slot ~socket:s.s_socket in
   let pid =
     Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
   in
@@ -110,16 +93,16 @@ let spawn_locked t s =
   s.s_hb_streak <- 0;
   s.s_last_hb <- 0.0
 
-let backoff_delay t deaths =
-  Float.min t.params.backoff_cap_s
-    (t.params.backoff_base_s *. (2.0 ** float_of_int (max 0 (deaths - 1))))
+let backoff_delay deaths =
+  Float.min backoff_cap_s
+    (backoff_base_s *. (2.0 ** float_of_int (max 0 (deaths - 1))))
 
 (* the slot's child died (reaped or killed); schedule the respawn *)
-let mark_dead_locked t s now =
+let mark_dead_locked s now =
   s.s_pid <- -1;
   s.s_deaths <- s.s_deaths + 1;
   s.s_state <- Backoff;
-  s.s_next_spawn <- now +. backoff_delay t s.s_deaths
+  s.s_next_spawn <- now +. backoff_delay s.s_deaths
 
 let kill_quietly pid signal =
   try Unix.kill pid signal with Unix.Unix_error _ -> ()
@@ -133,9 +116,9 @@ let reaped pid =
   | _ -> true
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
 
-let heartbeat t s =
+let heartbeat s =
   match
-    Proxy.request ~socket:s.s_socket ~timeout_s:t.params.hb_timeout_s
+    Proxy.request ~socket:s.s_socket ~timeout_s:hb_timeout_s
       ~meth:"GET" ~path:"/version" ()
   with
   | Ok resp ->
@@ -158,7 +141,7 @@ let monitor_tick t =
               | Backoff -> if now >= s.s_next_spawn then spawn_locked t s
               | Starting | Healthy ->
                   if s.s_pid >= 0 && reaped s.s_pid then
-                    mark_dead_locked t s now)
+                    mark_dead_locked s now)
             t.slots;
           let nudged = t.nudged in
           t.nudged <- false;
@@ -166,7 +149,7 @@ let monitor_tick t =
           |> List.filter_map (fun s ->
                  match s.s_state with
                  | (Starting | Healthy)
-                   when nudged || now -. s.s_last_hb >= t.params.hb_interval_s
+                   when nudged || now -. s.s_last_hb >= hb_interval_s
                    ->
                      s.s_last_hb <- now;
                      Some s
@@ -176,7 +159,7 @@ let monitor_tick t =
   (* phase 2 (unlocked): heartbeats are blocking socket I/O *)
   List.iter
     (fun s ->
-      let ok = heartbeat t s in
+      let ok = heartbeat s in
       locked t (fun () ->
           if (not t.closing) && s.s_state <> Stopped && s.s_pid >= 0 then
             if ok then begin
@@ -191,11 +174,11 @@ let monitor_tick t =
               s.s_hb_streak <- s.s_hb_streak + 1;
               (* a Starting worker is still booting (automaton compiles,
                  store replay): only waitpid liveness applies to it *)
-              if s.s_state = Healthy && s.s_hb_streak >= t.params.hb_tolerance
+              if s.s_state = Healthy && s.s_hb_streak >= hb_tolerance
               then begin
                 kill_quietly s.s_pid Sys.sigkill;
                 ignore (Unix.waitpid [] s.s_pid);
-                mark_dead_locked t s (Unix.gettimeofday ())
+                mark_dead_locked s (Unix.gettimeofday ())
               end
             end))
     to_heartbeat
@@ -210,15 +193,24 @@ let monitor_loop t =
   in
   go ()
 
-let start params =
-  if params.shards <= 0 then invalid_arg "Supervisor.start: shards must be > 0";
-  mkdir_p params.sockets_dir;
+let dir_counter = Atomic.make 0
+
+let start ~shards ~argv =
+  if shards <= 0 then invalid_arg "Supervisor.start: shards must be > 0";
+  (* socket paths must stay under the 108-byte sun_path limit, so the
+     directory name is kept short *)
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dggt-sh-%d-%d" (Unix.getpid ())
+         (Atomic.fetch_and_add dir_counter 1))
+  in
+  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let slots =
-    Array.init params.shards (fun i ->
+    Array.init shards (fun i ->
         {
           s_slot = i;
-          s_socket =
-            Filename.concat params.sockets_dir (Printf.sprintf "w%d.sock" i);
+          s_socket = Filename.concat dir (Printf.sprintf "w%d.sock" i);
           s_pid = -1;
           s_epoch = 0;
           s_state = Backoff;
@@ -232,7 +224,8 @@ let start params =
   in
   let t =
     {
-      params;
+      argv;
+      dir;
       mu = Mutex.create ();
       slots;
       closing = false;
@@ -307,4 +300,5 @@ let stop ?(grace_s = 5.0) t =
             (fun s ->
               s.s_pid <- -1;
               try Unix.unlink s.s_socket with Unix.Unix_error _ -> ())
-            t.slots)
+            t.slots;
+          try Unix.rmdir t.dir with Unix.Unix_error _ -> ())

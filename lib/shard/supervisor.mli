@@ -15,11 +15,12 @@
 
     Failure detection is two-pronged: [waitpid WNOHANG] on each child
     pid catches real exits within a monitor tick, and the heartbeat
-    catches livelocked workers — [hb_tolerance] consecutive failed
-    heartbeats kill (SIGKILL) and respawn the worker. The monitor only
-    ever waits on its own child pids, so it cannot steal exit statuses
-    from unrelated children of the process (e.g. in-process test
-    harnesses that also fork). *)
+    catches livelocked workers — three consecutive failed heartbeats
+    kill (SIGKILL) and respawn a [Healthy] worker (a [Starting] one is
+    exempt: its boot may outlast several heartbeat periods). The monitor
+    only ever waits on its own child pids, so it cannot steal exit
+    statuses from unrelated children of the process (e.g. in-process
+    test harnesses that also fork). *)
 
 type state =
   | Starting  (** spawned, no successful heartbeat yet *)
@@ -37,39 +38,18 @@ type worker = {
   socket : string;     (** the slot's Unix-socket path (stable) *)
 }
 
-type params = {
-  shards : int;
-  sockets_dir : string;        (** created if missing; socket paths are
-                                   [<dir>/w<slot>.sock] *)
-  argv : slot:int -> socket:string -> string array;
-      (** the worker command line for a slot; [argv.(0)] is the
-          executable path *)
-  hb_interval_s : float;       (** heartbeat period (default 0.5) *)
-  hb_timeout_s : float;        (** per-heartbeat socket timeout (2.0) *)
-  hb_tolerance : int;          (** consecutive failures before the
-                                   worker is killed and respawned (3);
-                                   a [Starting] worker is exempt — boot
-                                   (automaton compiles, store replay)
-                                   may legitimately outlast several
-                                   heartbeat periods *)
-  backoff_base_s : float;      (** first respawn delay (0.1) *)
-  backoff_cap_s : float;       (** backoff ceiling (5.0); the delay
-                                   doubles per consecutive death and
-                                   resets once a respawned worker
-                                   reaches [Healthy] *)
-}
-
-val default_params : params
-(** 2 shards under [/tmp], [argv] unset (raises — callers always supply
-    it), heartbeat 0.5 s / 2 s / tolerance 3, backoff 0.1 s doubling to
-    5 s. *)
-
 type t
 
-val start : params -> t
-(** Spawn every slot's worker and the monitor thread. Returns
-    immediately; workers come up asynchronously (poll {!workers} or
-    {!await_healthy}). *)
+val start : shards:int -> argv:(slot:int -> socket:string -> string array) -> t
+(** Make a fresh directory for the sockets under the system temp dir
+    ([dggt-sh-<pid>-<n>], socket paths [<dir>/w<slot>.sock]), then spawn
+    every slot's worker, running [argv ~slot ~socket] ([argv.(0)] is the
+    executable path), and the monitor thread. Returns immediately;
+    workers come up asynchronously (poll {!workers} or
+    {!await_healthy}). Heartbeats go out every 0.5 s with a 2 s timeout;
+    a respawn waits 0.1 s, doubling per consecutive death up to 5 s and
+    starting over once the respawned worker is [Healthy]. Raises
+    [Invalid_argument] on [shards <= 0]. *)
 
 val workers : t -> worker list
 (** Snapshot of all slots, in slot order. *)
@@ -90,4 +70,5 @@ val note_transport_failure : t -> int -> unit
 val stop : ?grace_s:float -> t -> unit
 (** Drain: SIGTERM every live worker, wait up to [grace_s] (default 5)
     for clean exits, SIGKILL the rest, reap everything, join the
-    monitor, unlink the sockets. Idempotent. *)
+    monitor, unlink the sockets and remove their directory.
+    Idempotent. *)

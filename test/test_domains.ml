@@ -93,27 +93,39 @@ let test_ground_truths_parse () =
         dom.Domain.queries)
     [ te; am ]
 
-let test_am_grammar_generator () =
-  (* the generated BNF is itself valid input to the generic toolchain *)
-  let bnf = Am_grammar.bnf () in
-  (match Dggt_grammar.Bnf.parse bnf with
-  | Ok rules -> check_b "generated BNF parses" true (List.length rules > 400)
-  | Error e -> Alcotest.failf "generated BNF rejected: %a" Dggt_grammar.Bnf.pp_error e);
+let test_am_grammar_shape () =
+  (* every node matcher (a noun API) X has n_X ::= X a_X, and a_X occurs
+     on no other right-hand side: an argument nonterminal shared by two
+     node matchers would get two parents as soon as a query chains them,
+     and the merged CGT would stop being a tree *)
   let g = Lazy.force am.Domain.graph in
-  (* every node matcher owns a private argument nonterminal *)
+  let cfg = g.Ggraph.cfg in
+  let uses = Hashtbl.create 1024 in
+  Array.iter
+    (fun (p : Cfg.production) ->
+      List.iter
+        (function Cfg.N n -> Hashtbl.add uses n p.Cfg.lhs | Cfg.T _ -> ())
+        p.Cfg.rhs)
+    cfg.Cfg.productions;
+  let nouns =
+    List.filter
+      (fun (e : Apidoc.entry) -> e.Apidoc.pos_pref = Apidoc.Nounish)
+      (Apidoc.entries (Lazy.force am.Domain.doc))
+  in
+  check_b "node matchers present" true (List.length nouns > 100);
   List.iter
-    (function
-      | Am_spec.Node { name; _ } ->
-          check_b (name ^ " has n_ and a_ nonterminals") true
-            (Ggraph.nt_node g ("n_" ^ name) <> None
-            && Ggraph.nt_node g ("a_" ^ name) <> None)
-      | Am_spec.Traversal { name; _ } ->
-          check_b (name ^ " traversal wrapper exists") true
-            (Ggraph.nt_node g ("n_" ^ name) <> None)
-      | Am_spec.Narrow { name; _ } ->
-          check_b (name ^ " is a terminal") true (Ggraph.api_node g name <> None))
-    Am_spec.all;
-  (* literal carriers reachable only under literal-bearing narrowing *)
+    (fun (e : Apidoc.entry) ->
+      let x = e.Apidoc.api in
+      let n_x = "n_" ^ x and a_x = "a_" ^ x in
+      check_b (n_x ^ " ::= " ^ x ^ " " ^ a_x) true
+        (List.map
+           (fun (p : Cfg.production) -> p.Cfg.rhs)
+           (Cfg.productions_of cfg n_x)
+        = [ [ Cfg.T x; Cfg.N a_x ] ]);
+      check_b (a_x ^ " defined") true (Cfg.is_nonterminal cfg a_x);
+      check_b (a_x ^ " private to " ^ n_x) true
+        (Hashtbl.find_all uses a_x = [ n_x ]))
+    nouns;
   check_b "__strlit present" true (Ggraph.api_node g "__strlit" <> None);
   check_b "__intlit present" true (Ggraph.api_node g "__intlit" <> None)
 
@@ -227,7 +239,7 @@ let suite =
     Alcotest.test_case "query ids unique" `Quick test_query_ids;
     Alcotest.test_case "ground truths parse + documented" `Quick test_ground_truths_parse;
     Alcotest.test_case "defaults parse" `Quick test_defaults_parse;
-    Alcotest.test_case "ASTMatcher grammar generator" `Quick test_am_grammar_generator;
+    Alcotest.test_case "ASTMatcher grammar shape" `Quick test_am_grammar_shape;
     Alcotest.test_case "ASTMatcher kind discipline" `Quick test_am_kind_discipline;
     Alcotest.test_case "paper example 1 (TextEditing)" `Quick test_paper_example_1;
     Alcotest.test_case "paper example 2 (TextEditing)" `Quick test_paper_example_2;

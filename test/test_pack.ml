@@ -107,7 +107,8 @@ let test_load_roundtrip_clean () =
   | Ok l ->
       check_s "name" "TextEditing" l.Loader.domain.Domain.name;
       check_b "alias te" true (List.mem "te" l.Loader.settings.Pack.aliases);
-      check_b "digest nonempty" true (String.length l.Loader.digest = 32);
+      check_b "digest nonempty" true
+        (String.length (Lazy.force l.Loader.domain.Domain.digest) = 32);
       check_i "no findings" 0 (List.length (Check.run l))
 
 let test_missing_file () =
@@ -337,7 +338,31 @@ let test_registry_builtins () =
   check_b "alias AM" true (Domain_registry.find reg "AM" <> None);
   check_b "unknown" true (Domain_registry.find reg "nope" = None);
   check_i "generation starts at 0" 0 (Domain_registry.generation reg);
-  check_s "no packs digest" "none" (Domain_registry.pack_digest reg)
+  (* the built-ins' embedded texts are part of the key *)
+  let d = Domain_registry.pack_digest reg in
+  check_b "built-ins digested" true (String.length d = 32);
+  check_s "same texts, same digest" d
+    (Domain_registry.pack_digest (Domain_registry.create ()))
+
+(* a process that only uses TextEditing never parses or hashes
+   ASTMatcher's texts *)
+let test_registry_builtins_lazy () =
+  let reg = Domain_registry.create () in
+  let te = Option.get (Domain_registry.find_entry reg "te") in
+  let autom, _ = Domain_registry.automaton reg te in
+  let o =
+    Engine.respond
+      (Domain.configure ~autom te.Domain_registry.domain
+         (Engine.default Engine.Dggt_alg))
+      { Engine.input = Engine.Text "delete all numbers"; mode = Engine.Plain }
+  in
+  check_b "TextEditing answers" true (o.Engine.code <> None);
+  check_b "TextEditing hashed" true
+    (Lazy.is_val te.Domain_registry.domain.Domain.digest);
+  let am = Option.get (Domain_registry.find reg "am") in
+  check_b "ASTMatcher grammar unparsed" false (Lazy.is_val am.Domain.graph);
+  check_b "ASTMatcher document unparsed" false (Lazy.is_val am.Domain.doc);
+  check_b "ASTMatcher texts unhashed" false (Lazy.is_val am.Domain.digest)
 
 let test_registry_duplicate_register () =
   let reg = Domain_registry.create () in
@@ -562,19 +587,21 @@ let committed_pack sub =
   | Ok l -> l
   | Error e -> Alcotest.fail (Err.to_string e)
 
-(* the committed packs load and check clean from disk, and equal the
-   built-ins: for TextEditing they are its source; for ASTMatcher this
-   keeps grammar.bnf and api.doc equal to what Am_spec generates
-   (regenerate them with `dggt pack dump -d am` after changing it) *)
+(* the committed packs load and check clean from disk, and each
+   built-in is its pack: the embedded texts hash to the digest of the
+   directory they were embedded from *)
 let test_committed_packs () =
   List.iter
-    (fun (sub, orig) ->
+    (fun (sub, (orig, _)) ->
       let l = committed_pack sub in
       check_i (sub ^ " check clean") 0 (List.length (Check.run l));
+      check_s (sub ^ " embedded = committed")
+        (Lazy.force l.Loader.domain.Domain.digest)
+        (Lazy.force orig.Domain.digest);
       structural_identity orig l.Loader.domain)
     [
-      ("textediting", Dggt_domains.Text_editing.domain);
-      ("astmatcher", Dggt_domains.Astmatcher.domain);
+      ("textediting", Dggt_domains.Text_editing.make ());
+      ("astmatcher", Dggt_domains.Astmatcher.make ());
     ]
 
 (* The head-production map built in [Ggraph.build] answers exactly what
@@ -642,7 +669,9 @@ let test_serve_version_and_v () =
       check_b "v=1" true (J.int_field "v" j = Some 1);
       check_b "build present" true (J.str_field "build" j <> None);
       check_b "generation 0" true (J.int_field "generation" j = Some 0);
-      check_b "no packs" true (J.str_field "pack_digest" j = Some "none");
+      check_b "built-ins digest" true
+        (J.str_field "pack_digest" j
+        = Some (Domain_registry.pack_digest (Domain_registry.create ())));
       (* synth and rank responses carry v too *)
       let body =
         J.to_string
@@ -879,4 +908,6 @@ let suite =
       test_serve_reload_under_load;
     Alcotest.test_case "serve: reload during boot" `Quick
       test_serve_reload_during_boot;
+    Alcotest.test_case "registry builtins stay lazy" `Quick
+      test_registry_builtins_lazy;
   ]

@@ -273,6 +273,99 @@ let test_router_end_to_end () =
       in
       check_i "post-respawn session query" 200 st)
 
+(* the router makes its workers' socket directory and takes it with it *)
+let test_router_stop_removes_sockets_dir () =
+  match cli_exe () with
+  | None -> ()
+  | Some exe ->
+      let router =
+        Router.create
+          {
+            Router.default_params with
+            Router.port = 0;
+            shards = 1;
+            exe;
+            worker_args = [ "--workers"; "1" ];
+          }
+      in
+      let dir =
+        match Supervisor.workers (Router.supervisor router) with
+        | w :: _ -> Filename.dirname w.Supervisor.socket
+        | [] -> Alcotest.fail "no worker slot"
+      in
+      check_b "sockets directory made" true (Sys.file_exists dir);
+      Router.stop router;
+      check_b "sockets directory removed" false (Sys.file_exists dir)
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun n -> remove_tree (Filename.concat path n))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* [dggt serve --shards 1 --store DIR --store-interval 0.2]: the worker
+   spills on the interval the user set, not on the 60 s default *)
+let test_cli_store_interval () =
+  match cli_exe () with
+  | None -> ()
+  | Some exe ->
+      let store =
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "dggt-test-shard-store-%d" (Unix.getpid ()))
+      in
+      remove_tree store;
+      let r, w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process exe
+          [|
+            exe; "serve"; "--port"; "0"; "--shards"; "1"; "--workers"; "1";
+            "--store"; store; "--store-interval"; "0.2";
+          |]
+          Unix.stdin w Unix.stderr
+      in
+      Unix.close w;
+      let out = Unix.in_channel_of_descr r in
+      let spilled =
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.kill pid Sys.sigterm;
+            ignore (Unix.waitpid [] pid);
+            close_in out;
+            remove_tree store)
+          (fun () ->
+            (* the router's startup line (its worker prints too): every
+               worker is up and the router handles SIGTERM *)
+            while
+              not
+                (Dggt_util.Strutil.contains_sub ~sub:"router on"
+                   (input_line out))
+            do
+              ()
+            done;
+            let snapshot =
+              List.fold_left Filename.concat store [ "shard-0"; "snapshot" ]
+            in
+            let deadline = Unix.gettimeofday () +. 20.0 in
+            while
+              (not (Sys.file_exists snapshot))
+              && Unix.gettimeofday () < deadline
+            do
+              Thread.delay 0.05
+            done;
+            Sys.file_exists snapshot)
+      in
+      check_b "worker spilled before the default interval" true spilled;
+      check_b "sockets directory removed" false
+        (Sys.file_exists
+           (Filename.concat
+              (Filename.get_temp_dir_name ())
+              (Printf.sprintf "dggt-sh-%d-0" pid)))
+
 let suite =
   [
     Alcotest.test_case "ring: deterministic total placement" `Quick
@@ -286,4 +379,8 @@ let suite =
       test_promerge_merge;
     Alcotest.test_case "router: topology, routing, sticky 410" `Slow
       test_router_end_to_end;
+    Alcotest.test_case "router: stop removes the sockets directory" `Slow
+      test_router_stop_removes_sockets_dir;
+    Alcotest.test_case "cli: shard workers get --store-interval" `Slow
+      test_cli_store_interval;
   ]

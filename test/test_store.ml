@@ -298,6 +298,35 @@ let test_warmstore_pack_digest_mismatch () =
       | Warmstore.Skipped _ -> ()
       | v -> Alcotest.fail (verdict_name v))
 
+(* the key covers the built-ins too: a snapshot spilled by a binary
+   whose embedded TextEditing grammar differs, here by one comment line,
+   is refused *)
+let test_warmstore_builtin_grammar_change () =
+  let module Registry = Dggt_pack.Domain_registry in
+  let module Te = Dggt_domains.Te_pack in
+  let registry grammar =
+    Registry.create
+      ~builtins:
+        [
+          Dggt_domains.Pack.builtin ~dir:"examples/packs/textediting"
+            ~manifest:Te.domain_pack ~grammar ~doc:Te.api_doc
+            ~queries:Te.queries_tsv;
+        ]
+      ()
+  in
+  let before = Registry.pack_digest (registry Te.grammar_bnf) in
+  let after =
+    Registry.pack_digest (registry (Te.grammar_bnf ^ "# edited\n"))
+  in
+  with_dir (fun dir ->
+      spill_one ~pack_digest:before dir "old grammar";
+      (match fst (boot_load ~pack_digest:before dir) with
+      | Warmstore.Loaded 1 -> ()
+      | v -> Alcotest.fail ("same texts: " ^ verdict_name v));
+      match fst (boot_load ~pack_digest:after dir) with
+      | Warmstore.Skipped _ -> ()
+      | v -> Alcotest.fail ("edited grammar: " ^ verdict_name v))
+
 (* every spill replaces the whole snapshot *)
 let test_warmstore_newest_wins () =
   with_dir (fun dir ->
@@ -467,4 +496,6 @@ let suite =
       test_e2e_corrupt_store_boots;
     Alcotest.test_case "e2e old store.log boots cold" `Quick
       test_e2e_old_store_log;
+    Alcotest.test_case "built-in grammar change refuses snapshot" `Quick
+      test_warmstore_builtin_grammar_change;
   ]

@@ -103,22 +103,29 @@ let parse_query s =
 (* server                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A thread whose connection ends goes back to accept() only while fewer
+   than this many threads wait there, and exits otherwise: the bound on
+   idle threads. A count, not an idle timeout, because OCaml 5.1's
+   Condition has no timed wait. *)
+let max_idle_acceptors = 2
+
 type t = {
   listener : Unix.file_descr;
   bound_port : int;
   unix_path : string option;
       (* when set, the listener is a Unix-domain socket at this path; the
-         path is unlinked once the accept loop has been joined *)
+         path is unlinked once every server thread has exited *)
   handler : request -> response;
   max_header : int;
   max_body : int;
   idle_timeout : float;
   stopped : bool Atomic.t;
   mu : Mutex.t;
-  conns_done : Condition.t;
+  all_exited : Condition.t; (* broadcast when [threads] drops to 0 *)
   conns : (Unix.file_descr, unit) Hashtbl.t;
-  mutable active : int;
-  mutable accept_thread : Thread.t option;
+  mutable accepting : int; (* threads in, or on their way into, accept() *)
+  mutable threads : int; (* live server threads *)
+  mutable closed : bool; (* [wait] has closed the listener *)
 }
 
 exception Http_error of int * string
@@ -183,12 +190,9 @@ let parse_head head =
       (meth, percent_decode path, query, headers, version)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
-    if off < n then
-      let w = Unix.write fd b off (n - off) in
-      go (off + w)
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
   in
   go 0
 
@@ -237,9 +241,9 @@ let write_response fd ~keep_alive (r : response) =
       write_all fd "0\r\n\r\n"
 
 (* One request: returns (request, keep_alive) or raises. [pending] holds
-   bytes already read past the previous request's end. *)
-let read_request t fd pending =
-  let chunk = Bytes.create 8192 in
+   bytes already read past the previous request's end; [chunk] is the
+   serving thread's read buffer. *)
+let read_request t fd pending chunk =
   (* each read's bytes are scanned once: a terminator may only start in
      the last three bytes already scanned or after them *)
   let rec fill from =
@@ -287,13 +291,15 @@ let read_request t fd pending =
   in
   ({ meth; path; query; headers; body }, keep_alive)
 
-let conn_loop t fd =
-  let pending = Buffer.create 1024 in
+(* Serve one accepted connection until the peer closes it, it idles
+   out, a request fails to parse or a streamed response ends it. *)
+let serve_conn t ~chunk ~pending fd =
+  Buffer.reset pending;
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.idle_timeout
    with Unix.Unix_error _ -> ());
   let rec loop () =
     if not (Atomic.get t.stopped) then begin
-      match read_request t fd pending with
+      match read_request t fd pending chunk with
       | req, keep_alive ->
           let resp =
             try t.handler req
@@ -317,38 +323,76 @@ let conn_loop t fd =
           () (* idle timeout *)
     end
   in
-  (try loop () with _ -> ());
-  Mutex.lock t.mu;
-  Hashtbl.remove t.conns fd;
-  t.active <- t.active - 1;
-  if t.active = 0 then Condition.broadcast t.conns_done;
-  Mutex.unlock t.mu;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  try loop () with _ -> ()
 
-let accept_loop t =
-  let rec loop () =
-    if not (Atomic.get t.stopped) then begin
-      match Unix.accept ~cloexec:true t.listener with
-      | fd, _ ->
-          Mutex.lock t.mu;
-          if Atomic.get t.stopped then begin
-            Mutex.unlock t.mu;
-            try Unix.close fd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            Hashtbl.replace t.conns fd ();
-            t.active <- t.active + 1;
-            Mutex.unlock t.mu;
-            ignore (Thread.create (fun () -> conn_loop t fd) ())
+(* under [mu]: the calling server thread is about to return *)
+let exit_locked t =
+  t.threads <- t.threads - 1;
+  if t.threads = 0 then Condition.broadcast t.all_exited
+
+(* a thread counted in [accepting] returns without a connection *)
+let quit_accepting t =
+  Mutex.lock t.mu;
+  t.accepting <- t.accepting - 1;
+  exit_locked t;
+  Mutex.unlock t.mu
+
+(* Leader/followers: every server thread blocks in accept() and serves
+   the connection it accepted itself, so a fresh connection costs no
+   thread creation. Before serving, a thread starts one more acceptor if
+   no other thread waits in accept(), so a long stream or a held
+   keep-alive connection never leaves the listener unattended. After
+   the connection it goes back to accept() unless [max_idle_acceptors]
+   threads already wait there. Whoever starts a thread has counted it
+   in [threads] and [accepting]; the read buffer lives as long as the
+   thread. *)
+let rec server_thread t =
+  let chunk = Bytes.create 8192 and pending = Buffer.create 1024 in
+  let rec accept_next () =
+    match Unix.accept ~cloexec:true t.listener with
+    | fd, _ ->
+        Mutex.lock t.mu;
+        t.accepting <- t.accepting - 1;
+        if Atomic.get t.stopped then begin
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          exit_locked t;
+          Mutex.unlock t.mu
+        end
+        else begin
+          Hashtbl.replace t.conns fd ();
+          let lead = t.accepting = 0 in
+          if lead then begin
+            t.accepting <- 1;
+            t.threads <- t.threads + 1
           end;
-          loop ()
-      | exception Unix.Unix_error (ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) ->
-          () (* listener closed by stop () *)
-      | exception _ -> if not (Atomic.get t.stopped) then loop ()
-    end
+          Mutex.unlock t.mu;
+          if lead then spawn t;
+          serve_conn t ~chunk ~pending fd;
+          (* closed under [mu], so [stop] never shuts down a recycled
+             fd number *)
+          Mutex.lock t.mu;
+          Hashtbl.remove t.conns fd;
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          let again =
+            (not (Atomic.get t.stopped)) && t.accepting < max_idle_acceptors
+          in
+          if again then t.accepting <- t.accepting + 1 else exit_locked t;
+          Mutex.unlock t.mu;
+          if again then accept_next ()
+        end
+    | exception Unix.Unix_error ((EBADF | EINVAL), _, _) ->
+        quit_accepting t (* listener shut down by [stop] *)
+    | exception _ ->
+        if Atomic.get t.stopped then quit_accepting t else accept_next ()
   in
-  loop ()
+  accept_next ()
+
+and spawn t =
+  try ignore (Thread.create server_thread t)
+  with _ ->
+    (* no new thread: the listener waits until this one is back in
+       accept() *)
+    quit_accepting t
 
 let create ?(addr = "127.0.0.1") ?(backlog = 128) ?(max_header_bytes = 16384)
     ?(max_body_bytes = 1 lsl 20) ?(idle_timeout_s = 30.0) ?unix_path ~port
@@ -394,13 +438,14 @@ let create ?(addr = "127.0.0.1") ?(backlog = 128) ?(max_header_bytes = 16384)
       idle_timeout = idle_timeout_s;
       stopped = Atomic.make false;
       mu = Mutex.create ();
-      conns_done = Condition.create ();
+      all_exited = Condition.create ();
       conns = Hashtbl.create 16;
-      active = 0;
-      accept_thread = None;
+      accepting = 1;
+      threads = 1;
+      closed = false;
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  ignore (Thread.create server_thread t);
   t
 
 let port t = t.bound_port
@@ -408,39 +453,42 @@ let port t = t.bound_port
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     (* shutdown, not close: on Linux a blocked accept() is not woken by
-       close() from another thread, but shutdown(SHUT_RD) makes it return
-       EINVAL. The fd itself is closed in [wait] once the accept thread
-       has been joined, so its number cannot be recycled under accept(). *)
+       close() from another thread, but shutdown(SHUT_RD) makes every
+       accept() on the listener, blocked or later, return EINVAL. The fd
+       itself is closed in [wait] once every server thread has exited,
+       so its number cannot be recycled under accept(). *)
     (try Unix.shutdown t.listener Unix.SHUTDOWN_RECEIVE
      with Unix.Unix_error _ -> ());
     (* wake connections blocked waiting for the next request; they finish
        the response they are writing, see EOF, and exit *)
     Mutex.lock t.mu;
-    let fds = Hashtbl.fold (fun fd () acc -> fd :: acc) t.conns [] in
-    Mutex.unlock t.mu;
-    List.iter
-      (fun fd ->
+    Hashtbl.iter
+      (fun fd () ->
         try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
         with Unix.Unix_error _ -> ())
-      fds
+      t.conns;
+    Mutex.unlock t.mu
   end
 
 let wait t =
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (match t.unix_path with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | None -> ());
   Mutex.lock t.mu;
-  while t.active > 0 do
-    Condition.wait t.conns_done t.mu
+  while t.threads > 0 do
+    Condition.wait t.all_exited t.mu
   done;
-  Mutex.unlock t.mu
+  let close = not t.closed in
+  t.closed <- true;
+  Mutex.unlock t.mu;
+  if close then begin
+    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    match t.unix_path with
+    | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | None -> ()
+  end
 
 let handle_signals t =
   (* OCaml signal handlers only run at poll points of domain 0, and once
      [wait] is reached every domain-0 thread sits in a blocking section
-     (Thread.join, accept(2), read(2)) — a handler that called [stop]
+     (Condition.wait, accept(2), read(2)) — a handler that called [stop]
      directly would never execute. So the handler just sets a flag, and a
      watcher thread whose Thread.delay wake-ups provide the poll points
      notices it and performs the actual stop. *)

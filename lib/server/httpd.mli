@@ -1,8 +1,14 @@
 (** Minimal HTTP/1.1 server over stdlib [Unix] sockets.
 
     Exactly what the service needs and nothing more: request-line + header
-    parsing with size caps, [Content-Length] bodies, keep-alive, one
-    systhread per connection, and clean shutdown. The handler runs on the
+    parsing with size caps, [Content-Length] bodies, keep-alive, and clean
+    shutdown. Each connection is served on the systhread that accepted it
+    (leader/followers): before serving, that thread starts another
+    acceptor only if no other thread waits in [accept], and when the
+    connection ends it goes back to [accept] unless two threads already
+    wait there. So fresh connections arriving one at a time reuse the
+    parked threads instead of creating one each, and idle threads stay
+    bounded. The handler runs on the
     connection's thread; blocking there (e.g. waiting for a worker-pool
     result) is fine and does not stall other connections.
 
@@ -70,13 +76,13 @@ val create :
   port:int ->
   (request -> response) ->
   t
-(** Binds, listens and starts the accept thread immediately. [port 0]
+(** Binds, listens and starts the first accepting thread immediately. [port 0]
     binds an ephemeral port — read it back with {!port}. [addr] defaults to
     "127.0.0.1". With [unix_path] the listener is a {e Unix-domain} socket
     at that path instead of TCP ([addr]/[port] are ignored, {!port}
     reports [port] as given): the seam the sharded router's workers listen
     on. A stale socket file is unlinked before binding, and the path is
-    removed again by {!wait} once the accept loop has exited. Everything
+    removed again by {!wait} once every server thread has exited. Everything
     else — request parsing, keep-alive, chunked streaming — behaves
     identically over both transports. Oversized headers/bodies get
     [431]/[413]; a connection idle longer than [idle_timeout_s] (default
@@ -86,13 +92,15 @@ val create :
 val port : t -> int
 
 val stop : t -> unit
-(** Clean shutdown: close the listener, let every connection finish the
+(** Clean shutdown: stop accepting, let every connection finish the
     request it is serving, then close. Idempotent, signal-safe enough to be
     called from a signal handler. *)
 
 val wait : t -> unit
-(** Block until the accept loop has exited and every connection thread is
-    done. ({!stop} from another thread — or a signal — unblocks it.) *)
+(** Block until every server thread has left [accept] and every
+    connection is done, then close the listener (and unlink a
+    [unix_path]). ({!stop} from another thread — or a signal — unblocks
+    it.) *)
 
 val handle_signals : t -> unit
 (** Install SIGINT/SIGTERM handlers that {!stop} this server. *)

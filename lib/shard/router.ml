@@ -28,7 +28,8 @@ let default_params =
    respawn before it gives up with 502 *)
 let retry_window_s = 20.0
 
-(* how long [create] waits for every worker's first heartbeat *)
+(* how long [create], and [run] before its startup line, wait for every
+   worker's first heartbeat *)
 let ready_timeout_s = 60.0
 
 (* router-side counters; all under [mu] (the Hist is not self-locking) *)
@@ -586,7 +587,9 @@ let handler t (req : Httpd.request) =
 (* lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let create params =
+(* spawn the workers and bind the client port; the fleet comes up on
+   its own *)
+let start params =
   if params.shards <= 0 then invalid_arg "Router.create: shards must be > 0";
   if params.exe = "" then invalid_arg "Router.create: exe must be set";
   let argv ~slot ~socket =
@@ -622,10 +625,21 @@ let create params =
     }
   in
   let http =
-    Httpd.create ~addr:params.addr ~port:params.port (fun req -> handler t req)
+    try
+      Httpd.create ~addr:params.addr ~port:params.port (fun req ->
+          handler t req)
+    with e ->
+      (* a client port that cannot be bound must not leave the workers
+         running *)
+      Supervisor.stop sup;
+      raise e
   in
   t.http <- Some http;
-  ignore (Supervisor.await_healthy sup ~timeout_s:ready_timeout_s);
+  (t, http)
+
+let create params =
+  let t, _ = start params in
+  ignore (Supervisor.await_healthy t.sup ~timeout_s:ready_timeout_s);
   t
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port
@@ -640,21 +654,38 @@ let stop t =
   | None -> ());
   Supervisor.stop t.sup
 
-let wait t =
-  (match t.http with Some h -> Httpd.wait h | None -> ());
-  Supervisor.stop t.sup
-
 let run params =
-  let t = create params in
-  (match t.http with Some h -> Httpd.handle_signals h | None -> ());
-  Printf.printf
-    "dggt serve: router on http://%s:%d, %d shard workers (sockets in %s%s)\n%!"
-    params.addr (port t) params.shards
-    (match Supervisor.workers t.sup with
-    | w :: _ -> Filename.dirname w.Supervisor.socket
-    | [] -> "?")
-    (match params.store_dir with
-    | Some d -> Printf.sprintf ", store %s" d
-    | None -> "");
-  wait t;
+  (* A signal must stop the fleet from the moment it exists: the workers
+     outlive a router killed by SIGTERM's default action. Until the
+     server's own handlers are in, a signal is only noted. *)
+  let signalled = Atomic.make false in
+  let note = Sys.Signal_handle (fun _ -> Atomic.set signalled true) in
+  Sys.set_signal Sys.sigint note;
+  Sys.set_signal Sys.sigterm note;
+  let t, http = start params in
+  Httpd.handle_signals http;
+  if Atomic.get signalled then Httpd.stop http;
+  (* the startup line waits for the fleet's first heartbeats, or up to
+     [ready_timeout_s]; a stop meanwhile ends the wait and skips it *)
+  let stopping = Atomic.make false in
+  let announce =
+    Thread.create
+      (fun () ->
+        ignore (Supervisor.await_healthy t.sup ~timeout_s:ready_timeout_s);
+        if not (Atomic.get stopping) then
+          Printf.printf
+            "dggt serve: router on http://%s:%d, %d shard workers (sockets in %s%s)\n%!"
+            params.addr (port t) params.shards
+            (match Supervisor.workers t.sup with
+            | w :: _ -> Filename.dirname w.Supervisor.socket
+            | [] -> "?")
+            (match params.store_dir with
+            | Some d -> Printf.sprintf ", store %s" d
+            | None -> ""))
+      ()
+  in
+  Httpd.wait http;
+  Atomic.set stopping true;
+  Supervisor.stop t.sup;
+  Thread.join announce;
   Printf.printf "dggt serve: router shut down cleanly\n%!"

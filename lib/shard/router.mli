@@ -67,7 +67,8 @@ val create : params -> t
     client port, and wait up to 60 s for the fleet's first heartbeats.
     A stateless request whose worker is down is retried for up to 20 s
     before it answers 502. Raises [Invalid_argument] on [shards <= 0]
-    or an empty [exe]. *)
+    or an empty [exe]; when the client port cannot be bound, stops the
+    workers and removes their directory, then re-raises. *)
 
 val port : t -> int
 val supervisor : t -> Supervisor.t
@@ -79,6 +80,9 @@ val stop : t -> unit
     their sockets' directory. Blocks; idempotent. *)
 
 val run : params -> unit
-(** CLI entry point: {!create}, install SIGINT/SIGTERM handlers (SIGTERM
-    drains gracefully), print the topology, serve until a signal
-    arrives, shut the fleet down cleanly. *)
+(** CLI entry point: install SIGINT/SIGTERM handlers (SIGTERM drains
+    gracefully), spawn the workers and bind the client port as
+    {!create} does, print the topology once the fleet is healthy (or
+    after 60 s), serve until a signal arrives, shut the fleet down
+    cleanly. A signal before the startup line also stops the fleet,
+    and no startup line is printed. *)

@@ -239,16 +239,20 @@ let start ~shards ~argv =
 
 let await_healthy t ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let all_healthy () =
-    locked t (fun () -> Array.for_all (fun s -> s.s_state = Healthy) t.slots)
+  let state () =
+    locked t (fun () ->
+        (t.closing, Array.for_all (fun s -> s.s_state = Healthy) t.slots))
   in
   let rec go () =
-    if all_healthy () then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Thread.delay 0.02;
-      go ()
-    end
+    match state () with
+    | true, _ -> false
+    | false, true -> true
+    | false, false ->
+        if Unix.gettimeofday () >= deadline then false
+        else begin
+          Thread.delay 0.02;
+          go ()
+        end
   in
   go ()
 

@@ -58,9 +58,9 @@ val find : t -> int -> worker option
 (** Snapshot of one slot. *)
 
 val await_healthy : t -> timeout_s:float -> bool
-(** Block until every slot is [Healthy] (true) or the timeout passes
+(** Block until every slot is [Healthy] (true), the timeout passes
     (false — some slots may still be starting; the router serves from
-    whatever is healthy). *)
+    whatever is healthy), or {!stop} has begun (false). *)
 
 val note_transport_failure : t -> int -> unit
 (** The router failed to reach this slot's socket. Wakes the monitor to

@@ -23,6 +23,10 @@ let check_s = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 
 let counter = ref 0
+let made = ref []
+
+(* every directory [fresh_dir] made is removed when the suite ends *)
+let () = at_exit (fun () -> List.iter Test_shard.remove_tree !made)
 
 let fresh_dir () =
   incr counter;
@@ -38,6 +42,7 @@ let fresh_dir () =
     end
   in
   mkdir_p d;
+  made := d :: !made;
   d
 
 let write path content =

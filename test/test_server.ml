@@ -344,6 +344,16 @@ let send_raw ~port ?(dribble = false) req =
       drain ();
       Buffer.contents buf)
 
+(* the index just past a response head's blank line, once it has
+   arrived *)
+let body_start raw =
+  let rec go i =
+    if i + 4 > String.length raw then None
+    else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
+    else go (i + 1)
+  in
+  go 0
+
 (* one-shot HTTP client: Connection: close, read to EOF *)
 let http ~port ~meth ~path ?(body = "") () =
   let raw =
@@ -355,13 +365,9 @@ let http ~port ~meth ~path ?(body = "") () =
   in
   let status = Scanf.sscanf raw "HTTP/1.1 %d" (fun s -> s) in
   let body =
-    let n = String.length raw in
-    let rec hdr_end i =
-      if i + 4 > n then None
-      else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
-      else hdr_end (i + 1)
-    in
-    match hdr_end 0 with Some i -> String.sub raw i (n - i) | None -> ""
+    match body_start raw with
+    | Some i -> String.sub raw i (String.length raw - i)
+    | None -> ""
   in
   (status, body)
 
@@ -1254,6 +1260,27 @@ let test_boot_listing () =
       List.iter (fun d -> await_built ~port d) [ "te"; "am" ];
       check_i "both built: full rows" 2 (List.length (listing ())))
 
+(* The thread count once the threads that persist once started exist:
+   domain 0's tick thread (first systhread) and its helper thread
+   (first domain spawn). *)
+let settled_base () =
+  Thread.join (Thread.create ignore ());
+  Domain.join (Domain.spawn ignore);
+  Test_par.settled_threads ()
+
+(* the thread count once it is down to [base], or after 2 s (a joined
+   domain's thread may take a moment to go) *)
+let threads_down_to base =
+  let rec settle n =
+    let k = Test_par.threads () in
+    if k > base && n > 0 then begin
+      Unix.sleepf 0.01;
+      settle (n - 1)
+    end
+    else k
+  in
+  settle 200
+
 (* Premise: [Serve.stop] is called the moment [Serve.create] returns,
    before the boot job can have built ASTMatcher. It must return with the
    job finished (both automata are in the registry, so asking for them
@@ -1261,11 +1288,7 @@ let test_boot_listing () =
    to its thread count; a joined domain's thread may take a moment to
    go). *)
 let test_boot_stop () =
-  (* threads that persist once started: domain 0's tick thread (first
-     systhread) and its helper thread (first domain spawn) *)
-  Thread.join (Thread.create ignore ());
-  Domain.join (Domain.spawn ignore);
-  let before = Test_par.settled_threads () in
+  let before = settled_base () in
   let srv = Serve.create boot_params in
   Serve.stop srv;
   let reg = Serve.registry srv in
@@ -1277,15 +1300,7 @@ let test_boot_stop () =
         false
         (snd (Dggt_pack.Domain_registry.automaton reg e)))
     (Dggt_pack.Domain_registry.entries reg);
-  let rec settle n =
-    let k = Test_par.threads () in
-    if k > before && n > 0 then begin
-      Unix.sleepf 0.01;
-      settle (n - 1)
-    end
-    else k
-  in
-  check_i "no worker left running" before (settle 200)
+  check_i "no worker left running" before (threads_down_to before)
 
 (* The head scan reads each new byte once. A request written one byte
    per write (TCP_NODELAY, so the terminator can straddle reads) gets
@@ -1364,6 +1379,236 @@ let test_pool_metrics () =
       check_b "major collections counted" true
         (value "dggt_gc_major_collections_total" >= 0))
 
+(* ------------------------------------------------------------------ *)
+(* httpd thread model                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* the most acceptors a server keeps parked ([max_idle_acceptors] in
+   httpd.ml) *)
+let idle_acceptors = 2
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+let connect addr =
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
+  in
+  Unix.connect fd addr;
+  fd
+
+(* one request on an open connection: the status, once the whole
+   Content-Length body has arrived; the connection stays open *)
+let exchange ?(meth = "GET") ?(body = "") fd path =
+  let req =
+    Printf.sprintf "%s %s HTTP/1.1\r\nhost: localhost\r\ncontent-length: %d\r\n\r\n%s"
+      meth path (String.length body) body
+  in
+  ignore (Unix.write_substring fd req 0 (String.length req));
+  let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
+  let rec await () =
+    let s = Buffer.contents buf in
+    let complete =
+      match body_start s with
+      | None -> false
+      | Some b ->
+          let clen =
+            String.split_on_char '\n' (String.sub s 0 b)
+            |> List.find_map (fun l -> Scanf.sscanf_opt l "content-length: %d" Fun.id)
+          in
+          String.length s >= b + Option.value clen ~default:0
+    in
+    if complete then Scanf.sscanf s "HTTP/1.1 %d" Fun.id
+    else begin
+      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if n = 0 then Alcotest.fail "connection closed before the response ended";
+      Buffer.add_subbytes buf chunk 0 n;
+      await ()
+    end
+  in
+  await ()
+
+(* [exchange] on a connection of its own *)
+let fresh ?meth ?body addr path =
+  let fd = connect addr in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> exchange ?meth ?body fd path)
+
+(* A bare Httpd on a loopback port: GET /hold streams one chunk, waits
+   for [release], then streams another; GET /stream streams two chunks;
+   anything else answers "ok". [f port release served]: [served ()]
+   counts the distinct threads that have run the handler. *)
+let with_httpd f =
+  let release = Atomic.make false in
+  let mu = Mutex.create () and served = Hashtbl.create 8 in
+  let handler (req : Httpd.request) =
+    Mutex.protect mu (fun () ->
+        Hashtbl.replace served (Thread.id (Thread.self ())) ());
+    match req.Httpd.path with
+    | "/hold" ->
+        Httpd.stream_response 200 (fun chunk ->
+            chunk "held\n";
+            while not (Atomic.get release) do
+              Thread.delay 0.005
+            done;
+            chunk "released\n")
+    | "/stream" ->
+        Httpd.stream_response 200 (fun chunk ->
+            chunk "one\n";
+            chunk "two\n")
+    | _ -> Httpd.response 200 "ok"
+  in
+  let h = Httpd.create ~port:0 handler in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Httpd.stop h;
+      Httpd.wait h)
+    (fun () ->
+      f (Httpd.port h) release (fun () ->
+          Mutex.protect mu (fun () -> Hashtbl.length served)))
+
+(* read [fd] into [buf] until [buf] holds [sub] (true) or the peer
+   closes (false) *)
+let rec read_until fd buf sub =
+  Dggt_util.Strutil.contains_sub ~sub (Buffer.contents buf)
+  ||
+  let chunk = Bytes.create 256 in
+  let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+  n > 0
+  && begin
+    Buffer.add_subbytes buf chunk 0 n;
+    read_until fd buf sub
+  end
+
+(* Three keep-alive connections held open and idle and a stream held
+   running each keep a thread busy; a further connection is still
+   accepted and answered, because a thread that takes a connection
+   starts an acceptor when no other waits in accept(). *)
+let test_httpd_liveness () =
+  with_httpd (fun port release _ ->
+      let addr = loopback port in
+      let held = List.init 3 (fun _ -> connect addr) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close held)
+        (fun () ->
+          List.iter
+            (fun fd -> check_i "held connection answered" 200 (exchange fd "/ok"))
+            held;
+          check_i "fourth connection answered" 200 (fresh addr "/ok");
+          let stream = connect addr in
+          Fun.protect
+            ~finally:(fun () -> Unix.close stream)
+            (fun () ->
+              let req = "GET /hold HTTP/1.1\r\nhost: localhost\r\n\r\n" in
+              ignore (Unix.write_substring stream req 0 (String.length req));
+              let buf = Buffer.create 256 in
+              check_b "the stream started" true (read_until stream buf "held\n");
+              check_i "connection during a stream answered" 200
+                (fresh addr "/ok");
+              Atomic.set release true;
+              check_b "the stream completes" true
+                (read_until stream buf "released\n\r\n0\r\n\r\n"))))
+
+(* 300 fresh connections one after another, every other one a stream,
+   each read until the server closes it, are served by the threads
+   parked in accept(): once one is parked, a connection starts no
+   thread. (A client that opens its next connection before the server
+   has closed the last one can find every parked thread busy, and then
+   a thread starts.) *)
+let test_httpd_thread_reuse () =
+  with_httpd (fun port _ served ->
+      for _ = 1 to 150 do
+        check_i "fixed response" 200 (fst (http ~port ~meth:"GET" ~path:"/ok" ()));
+        check_b "streamed response" true
+          (String.ends_with ~suffix:"two\n\r\n0\r\n\r\n"
+             (send_raw ~port "GET /stream HTTP/1.1\r\nhost: localhost\r\n\r\n"))
+      done;
+      let n = served () in
+      check_b
+        (Printf.sprintf "%d threads served 300 connections" n)
+        true
+        (n <= 1 + idle_acceptors))
+
+(* After 300 fresh connections one after another, every other one a
+   stream, and five held at once: once the pool's workers have retired,
+   the server keeps its pool's trimmer and at most [idle_acceptors]
+   parked acceptors, and no other thread *)
+let test_httpd_bounded_threads () =
+  let base = settled_base () in
+  with_server (fun srv ->
+      let port = Serve.port srv in
+      let body = {|{"query": "delete all numbers", "domain": "te", "k": 5}|} in
+      for _ = 1 to 150 do
+        check_i "healthz" 200 (fst (http ~port ~meth:"GET" ~path:"/healthz" ()));
+        check_i "stream" 200
+          (fst (http ~port ~meth:"POST" ~path:"/rank?stream=1" ~body ()))
+      done;
+      (* five connections at once take six threads; once they close, at
+         most [idle_acceptors] of them stay *)
+      let held = List.init 5 (fun _ -> connect (loopback port)) in
+      List.iter (fun fd -> check_i "held" 200 (exchange fd "/healthz")) held;
+      List.iter Unix.close held;
+      let rec retired n =
+        let _, m = http ~port ~meth:"GET" ~path:"/metrics" () in
+        metric_value m "dggt_pool_workers_live" = Some 0
+        || n > 0
+           && begin
+             Unix.sleepf 0.02;
+             retired (n - 1)
+           end
+      in
+      check_b "pool workers retired" true (retired 250);
+      let k = Test_par.settled_threads () in
+      check_b
+        (Printf.sprintf "%d threads, at most %d" k (base + 1 + idle_acceptors))
+        true
+        (k <= base + 1 + idle_acceptors))
+
+(* [Serve.stop] with acceptors parked and a keep-alive connection open
+   and idle returns at once (a connection thread it missed would hold
+   it for the 30 s idle timeout, a parked acceptor for ever), the
+   connection reads EOF, every thread the server started is gone, and
+   a Unix socket's path is unlinked. Over TCP and over a Unix socket,
+   the transport of the router's workers. *)
+let test_httpd_clean_stop ~unix () =
+  let base = settled_base () in
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dggt-test-httpd-%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Serve.create
+      { boot_params with Serve.unix_socket = (if unix then Some path else None) }
+  in
+  let addr = if unix then Unix.ADDR_UNIX path else loopback (Serve.port srv) in
+  let held = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop srv;
+      Option.iter Unix.close !held)
+    (fun () ->
+      (* both domains built: [stop] has no boot job to wait for *)
+      List.iter
+        (fun d ->
+          check_i (d ^ " built") 201
+            (fresh ~meth:"POST"
+               ~body:(J.to_string (J.Obj [ ("domain", J.Str d) ]))
+               addr "/session"))
+        [ "te"; "am" ];
+      let fd = connect addr in
+      held := Some fd;
+      check_i "keep-alive answered" 200 (exchange fd "/healthz");
+      let t0 = Unix.gettimeofday () in
+      Serve.stop srv;
+      let took = Unix.gettimeofday () -. t0 in
+      check_b (Printf.sprintf "stop took %.3f s" took) true (took < 2.0);
+      check_i "the held connection reads EOF" 0
+        (Unix.read fd (Bytes.create 1) 0 1);
+      check_b "socket path unlinked" false (unix && Sys.file_exists path);
+      check_i "threads back at base" base (threads_down_to base))
+
 let suite =
   [
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
@@ -1402,4 +1647,14 @@ let suite =
       `Quick test_dribbled_request;
     Alcotest.test_case "pool: idle workers retire, /metrics reports them"
       `Quick test_pool_metrics;
+    Alcotest.test_case "httpd: a busy server still accepts" `Quick
+      test_httpd_liveness;
+    Alcotest.test_case "httpd: parked threads serve fresh connections" `Quick
+      test_httpd_thread_reuse;
+    Alcotest.test_case "httpd: fresh connections leave threads bounded" `Quick
+      test_httpd_bounded_threads;
+    Alcotest.test_case "httpd: clean stop over TCP" `Quick
+      (test_httpd_clean_stop ~unix:false);
+    Alcotest.test_case "httpd: clean stop over a Unix socket" `Quick
+      (test_httpd_clean_stop ~unix:true);
   ]

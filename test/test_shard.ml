@@ -366,6 +366,111 @@ let test_cli_store_interval () =
               (Filename.get_temp_dir_name ())
               (Printf.sprintf "dggt-sh-%d-0" pid)))
 
+(* poll [cond] every 5 ms until it holds (true) or [s] seconds pass *)
+let await_until s cond =
+  let deadline = Unix.gettimeofday () +. s in
+  let rec go () =
+    cond ()
+    || Unix.gettimeofday () < deadline
+       && begin
+         Thread.delay 0.005;
+         go ()
+       end
+  in
+  go ()
+
+(* pids of the processes whose command line names [sub] *)
+let processes_naming sub =
+  Array.to_list (Sys.readdir "/proc")
+  |> List.filter_map (fun d ->
+         match int_of_string_opt d with
+         | None -> None
+         | Some pid -> (
+             match
+               In_channel.with_open_bin
+                 (Filename.concat (Filename.concat "/proc" d) "cmdline")
+                 In_channel.input_all
+             with
+             | cmdline when Dggt_util.Strutil.contains_sub ~sub cmdline ->
+                 Some pid
+             | _ -> None
+             | exception Sys_error _ -> None))
+
+(* [dggt serve --shards 1 ARGS], its output discarded *)
+let serve_one_shard exe args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      Unix.create_process exe
+        (Array.of_list
+           ([ exe; "serve"; "--shards"; "1"; "--workers"; "1" ] @ args))
+        Unix.stdin null null)
+
+let sockets_dir pid =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "dggt-sh-%d-0" pid)
+
+(* whether the router [pid] exits within 10 s (it is killed otherwise),
+   then how many worker processes and whether its sockets directory
+   outlived it; what did is killed and removed *)
+let exit_and_remains pid =
+  let exited =
+    await_until 10.0 (fun () -> fst (Unix.waitpid [ Unix.WNOHANG ] pid) = pid)
+  in
+  if not exited then begin
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid)
+  end;
+  let dir = sockets_dir pid in
+  let left = processes_naming dir and dir_left = Sys.file_exists dir in
+  List.iter
+    (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+    left;
+  remove_tree dir;
+  (exited, List.length left, dir_left)
+
+(* [dggt serve --shards 1] gets SIGTERM the moment its sockets directory
+   exists: its worker is not even listening, so the router is still
+   waiting for the fleet's first heartbeats and has printed no startup
+   line. It must still stop the worker and remove the directory. *)
+let test_cli_sigterm_at_startup () =
+  match cli_exe () with
+  | None -> ()
+  | Some exe ->
+      let pid = serve_one_shard exe [ "--port"; "0" ] in
+      let made = await_until 20.0 (fun () -> Sys.file_exists (sockets_dir pid)) in
+      Unix.kill pid Sys.sigterm;
+      let exited, left, dir_left = exit_and_remains pid in
+      check_b "sockets directory made" true made;
+      check_b "router exited within 10 s" true exited;
+      check_i "worker processes left" 0 left;
+      check_b "sockets directory removed" false dir_left
+
+(* [dggt serve --shards 1] on a client port another socket listens on
+   fails, and stops its worker and removes its sockets directory first *)
+let test_cli_port_taken () =
+  match cli_exe () with
+  | None -> ()
+  | Some exe ->
+      let taken = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close taken)
+        (fun () ->
+          Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+          Unix.listen taken 1;
+          let port =
+            match Unix.getsockname taken with
+            | Unix.ADDR_INET (_, p) -> p
+            | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+          in
+          let pid = serve_one_shard exe [ "--port"; string_of_int port ] in
+          let exited, left, dir_left = exit_and_remains pid in
+          check_b "router exited within 10 s" true exited;
+          check_i "worker processes left" 0 left;
+          check_b "sockets directory removed" false dir_left)
+
 let suite =
   [
     Alcotest.test_case "ring: deterministic total placement" `Quick
@@ -383,4 +488,8 @@ let suite =
       test_router_stop_removes_sockets_dir;
     Alcotest.test_case "cli: shard workers get --store-interval" `Slow
       test_cli_store_interval;
+    Alcotest.test_case "cli: SIGTERM during startup stops the workers" `Slow
+      test_cli_sigterm_at_startup;
+    Alcotest.test_case "cli: a taken port stops the workers" `Slow
+      test_cli_port_taken;
   ]

@@ -64,7 +64,8 @@ let spec =
     ( "--shards",
       Arg.Set_int shards,
       "N in-process mode boots an N-shard router (worker processes behind \
-       a consistent-hash front) instead of a single server; combines with \
+       a front that places each query by a hash of its text) instead of a \
+       single server; combines with \
        --sessions to drive sticky and stateless traffic together, all \
        still baseline-checked" );
   ]

@@ -1105,21 +1105,19 @@ let run_shard ~timeout_s ~limit =
   Format.eprintf "  throughput (cache-hot /rank, 4 clients x 40 each)...@.";
   let single_qps = qps ~port:sport ~label:"single" in
   let sharded_qps = qps ~port:rport ~label:"sharded" in
-  (* ---- crash under load: SIGKILL the worker serving TextEditing ---- *)
-  Format.eprintf "  crash-under-load: SIGKILL the TextEditing worker...@.";
+  (* ---- crash under load: SIGKILL the worker of a TextEditing query ---- *)
+  Format.eprintf "  crash-under-load: SIGKILL a TextEditing query's worker...@.";
   let te = Text_editing.domain.Domain.name in
-  let victim_slot =
-    Option.value
-      (Dggt_shard.Ring.lookup (Router.ring router) (String.lowercase_ascii te))
-      ~default:0
-  in
+  let te_items = Array.of_list (List.filter (fun (d, _) -> d = te) items) in
+  (* the router places a query by its text; the clients below send every
+     TextEditing query, so some of them land on the victim *)
+  let victim_slot = Router.slot_of ~shards:2 (snd te_items.(0)) in
   let victim_pid =
     match Ssup.find (Router.supervisor router) victim_slot with
     | Some w -> w.Ssup.pid
     | None -> -1
   in
   if victim_pid < 0 then H.fail "no live worker behind slot %d" victim_slot;
-  let te_items = Array.of_list (List.filter (fun (d, _) -> d = te) items) in
   let stop_clients = Atomic.make false in
   let crash_failures = Atomic.make 0 and crash_total = Atomic.make 0 in
   let client id =

@@ -416,9 +416,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Run $(docv) worker processes behind a consistent-hash router \
-             instead of one in-process server: the router proxies over Unix \
-             sockets, health-checks and respawns workers, fans POST /reload \
+            "Run $(docv) worker processes behind a router instead of one \
+             in-process server: the router places each query on a worker by \
+             a hash of its text, proxies over Unix sockets, health-checks and \
+             respawns workers, fans POST /reload \
              out, merges GET /metrics and reports the topology in GET \
              /version. With --store each worker gets its own shard-N \
              subdirectory. 0 = single-process serving.")
@@ -501,7 +502,7 @@ let serve_cmd =
           /rank, POST /reload, POST /session, POST /session/ID/query, \
           DELETE /session/ID, GET /domains, GET /version, GET /metrics, \
           GET /healthz, GET /debug/trace). With --shards N, run N worker \
-          processes behind a consistent-hash router on the same endpoints.")
+          processes behind a router on the same endpoints.")
     Term.(
       ret
         (const run $ port_arg $ addr_arg $ workers_arg $ queue_arg

@@ -31,13 +31,10 @@ type config = {
   timeout_s : float option;
   max_steps : int option;
   top_k : int;
-  threshold : float;
   path_limits : Dggt_grammar.Gpath.limits;
   gprune : bool;
   sprune : bool;
-  objective : Semiring.t;
   orphan_reloc : bool;
-  max_reloc_graphs : int;
   defaults : (string * string) list;
   unit_filter : (string -> bool) option;
   stop_verbs : string list;
@@ -50,13 +47,10 @@ let default algorithm =
     timeout_s = Some 20.0;
     max_steps = None;
     top_k = 4;
-    threshold = Similarity.min_score;
     path_limits = Dggt_grammar.Gpath.default_limits;
     gprune = true;
     sprune = true;
-    objective = Semiring.Min_size;
     orphan_reloc = true;
-    max_reloc_graphs = 8;
     defaults = [];
     unit_filter = None;
     stop_verbs = [];
@@ -237,8 +231,8 @@ let front cfg tgt stats (pruned : Depgraph.t) =
   let pruned, w2a =
     Trace.span tr "WordToAPI" (fun sp ->
         let w2a =
-          Word2api.build ~top_k:max_int ~threshold:cfg.threshold
-            ?lookup:tgt.caches.word2api tgt.doc pruned
+          Word2api.build ~top_k:max_int ?lookup:tgt.caches.word2api tgt.doc
+            pruned
         in
         let absorbed, w2a = absorb_modifiers tgt.doc pruned w2a in
         trace_dropped sp "absorbed_modifiers" pruned absorbed;
@@ -377,8 +371,7 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
         let variants =
           Trace.span cfg.trace "OrphanRelocation" (fun osp ->
               let variants =
-                Orphan.relocate ~max_graphs:cfg.max_reloc_graphs (graph tgt)
-                  pruned w2a ~orphans
+                Orphan.relocate (graph tgt) pruned w2a ~orphans
               in
               Trace.int osp "orphan_count" (List.length orphans);
               Trace.int osp "variants" (List.length variants);
@@ -438,16 +431,17 @@ let run_dggt_with cfg tgt stats (pruned : Depgraph.t)
         | None -> (pruned, None, None)
       end)
 
-(* The real DGGT PathMerge as [run_dggt_with]'s merge. [on_cand] is the
-   streaming seam: it receives the relocation variant's dependency graph
-   (needed to bind query literals at linearization time) together with
-   each root-cell improvement the chart walk emits. *)
-let run_dggt ?(on_cand : (Depgraph.t -> Semiring.cand -> unit) option) cfg tgt
-    budget stats (pruned : Depgraph.t) =
+(* The real DGGT PathMerge as [run_dggt_with]'s merge, under the
+   request's objective. [on_cand] is the streaming seam: it receives the
+   relocation variant's dependency graph (needed to bind query literals
+   at linearization time) together with each root-cell improvement the
+   chart walk emits. *)
+let run_dggt ?(on_cand : (Depgraph.t -> Semiring.cand -> unit) option)
+    ~objective cfg tgt budget stats (pruned : Depgraph.t) =
   run_dggt_with cfg tgt stats pruned ~merge:(fun ~trace dg w2a e2p ->
       let on_improve = Option.map (fun f c -> f dg c) on_cand in
       let res, dyng =
-        Dggt.synthesize_with_graph ~objective:cfg.objective ~budget ~stats
+        Dggt.synthesize_with_graph ~objective ~budget ~stats
           ~gprune:cfg.gprune ~sprune:cfg.sprune ?trace ?on_improve (graph tgt)
           dg w2a e2p
       in
@@ -515,7 +509,8 @@ let synthesize_pruned cfg tgt (pruned : Depgraph.t) =
   fst
     (budgeted cfg tgt pruned (fun budget stats ->
          match cfg.algorithm with
-         | Dggt_alg -> run_dggt cfg tgt budget stats pruned
+         | Dggt_alg ->
+             run_dggt ~objective:Semiring.Min_size cfg tgt budget stats pruned
          | Hisyn_alg -> run_hisyn cfg tgt budget stats pruned))
 
 let parse cfg query =
@@ -561,7 +556,7 @@ let synthesize_with_merge ~(merge : merge_fn) cfg tgt query =
 (* as a delivery mode of the same request                             *)
 (* ------------------------------------------------------------------ *)
 
-type input = Text of string | Graph of Depgraph.t
+type input = Text of string
 type mode = Plain | Ranked of int
 type request = { input : input; mode : mode }
 
@@ -653,14 +648,15 @@ let make_emitter ~k ~scratch cfg (emit : candidate -> unit) =
    construction. *)
 let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
   let k = max 1 k in
-  let cfg = { cfg with algorithm = Dggt_alg; objective = Semiring.Top_k k } in
+  let cfg = { cfg with algorithm = Dggt_alg } in
   (* one CGT scratch for linearizing the streamed candidates and the
      n-best read-off *)
   let scratch = Cgt.scratch (graph tgt) in
   let on_cand = Option.map (fun f -> make_emitter ~k ~scratch cfg f) on_candidate in
   match
     budgeted cfg tgt pruned (fun budget stats ->
-        run_dggt ?on_cand cfg tgt budget stats pruned)
+        run_dggt ?on_cand ~objective:(Semiring.Top_k k) cfg tgt budget stats
+          pruned)
   with
   | outcome, None -> outcome
   | outcome, Some (dg, dyng) ->
@@ -706,8 +702,8 @@ let respond_ranked ?on_candidate ~k cfg tgt (pruned : Depgraph.t) =
       { outcome with ranked = Listutil.take k ranked }
 
 let respond ?on_candidate (s : session) (req : request) =
-  let dg = match req.input with Text q -> parse s.cfg q | Graph dg -> dg in
-  let pruned = prune s.cfg dg in
+  let (Text q) = req.input in
+  let pruned = prune s.cfg (parse s.cfg q) in
   match req.mode with
   | Plain ->
       (* the streaming seam only exists on the DGGT chart walk; a Plain

@@ -75,20 +75,11 @@ type config = {
   timeout_s : float option;   (** None = no wall-clock limit *)
   max_steps : int option;     (** deterministic budget for tests *)
   top_k : int;                (** WordToAPI candidate fan-out *)
-  threshold : float;          (** WordToAPI score threshold *)
   path_limits : Dggt_grammar.Gpath.limits;
   gprune : bool;              (** grammar-based pruning (DGGT) *)
   sprune : bool;              (** size-based pruning (DGGT) *)
-  objective : Semiring.t;
-      (** the PathMerge semiring instantiation (DGGT). {!Semiring.Min_size}
-          (the default) is the paper's objective; {!Semiring.Top_k} makes
-          every chart cell retain a bounded n-best (what a [Ranked]
-          {!respond} uses). The winning codelet and the statistics are
-          identical for both objectives — the walk always extends by best
-          candidates. *)
   orphan_reloc : bool;        (** orphan relocation (DGGT); false falls
                                   back to HISyn's root anchoring *)
-  max_reloc_graphs : int;
   defaults : (string * string) list;
       (** nonterminal -> default codelet for argument completion
           ({!Tree2expr.of_cgt}); [] for domains without required args *)
@@ -102,7 +93,10 @@ type config = {
       (** stage-level tracing sink; [None] (the default) is the zero-cost
           off switch. Sinks are single-request: build one per call. *)
 }
-(** How to run. Parallelism note: the engine computes one query strictly
+(** How to run. The WordToAPI score threshold
+    ({!Dggt_nlu.Similarity.min_score}) and the cap on orphan-relocation
+    variants (8) are constants of their stages, and the PathMerge
+    objective follows the request's {!mode}. Parallelism note: the engine computes one query strictly
     sequentially — [BENCH_parallel.json] showed intra-query fan-out of
     the per-pair searches running 0.6–0.9x {e slower} than sequential,
     so that knob is gone. Throughput comes from running {e whole
@@ -151,9 +145,9 @@ val with_cfg : (config -> config) -> session -> session
 (** {2 The request shape}
 
     The one query entry point, for every delivery mode. A {!request}
-    says {e what} to answer ([input]: query text, or a pre-built
-    dependency graph) and {e in which shape} ([mode]: the plain
-    single-codelet outcome, or an n-best list of [k] ranked candidates);
+    says {e what} to answer ([input]: the query text) and {e in which
+    shape} ([mode]: the plain single-codelet outcome, or an n-best list
+    of [k] ranked candidates);
     {!respond} executes it over a {!session}. Streaming is not a third
     mode but a delivery option of the same request: pass [on_candidate]
     and [Ranked]-mode responses additionally emit every improving
@@ -161,14 +155,12 @@ val with_cfg : (config -> config) -> session -> session
     (with its final [ranked] list) is byte-identical with and without
     the callback. *)
 
-type input =
-  | Text of string            (** run the full pipeline from stage 1 *)
-  | Graph of Dggt_nlu.Depgraph.t
-      (** skip parsing: synthesize from a pre-built dependency graph (no
-          DependencyParse span is emitted when tracing) *)
+type input = Text of string  (** run the full pipeline from stage 1 *)
 
 type mode =
-  | Plain  (** one codelet; [outcome.ranked] is [[]] *)
+  | Plain
+      (** one codelet; [outcome.ranked] is [[]]. PathMerge runs under
+          {!Semiring.Min_size}, the paper's objective. *)
   | Ranked of int
       (** up to [k] candidate codelets (paper §VII-B.4), best first, in
           [outcome.ranked] — the full DGGT pipeline run under

@@ -121,25 +121,20 @@ let stage_cfg_equal (a : Engine.config) (b : Engine.config) =
   && a.Engine.timeout_s = b.Engine.timeout_s
   && a.Engine.max_steps = b.Engine.max_steps
   && a.Engine.top_k = b.Engine.top_k
-  && a.Engine.threshold = b.Engine.threshold
   && a.Engine.path_limits = b.Engine.path_limits
   && a.Engine.gprune = b.Engine.gprune
   && a.Engine.sprune = b.Engine.sprune
-  && a.Engine.objective = b.Engine.objective
   && a.Engine.orphan_reloc = b.Engine.orphan_reloc
-  && a.Engine.max_reloc_graphs = b.Engine.max_reloc_graphs
   && a.Engine.defaults = b.Engine.defaults
   && a.Engine.stop_verbs = b.Engine.stop_verbs
 
-(* The memo-table entries depend on exactly these two knobs (WordToAPI
-   computes are thresholded, EdgeToPath searches are limit-bounded); any
-   other config change leaves them valid. *)
+(* The memo-table entries depend on one knob: EdgeToPath searches are
+   limit-bounded (the WordToAPI threshold is a constant); any other
+   config change leaves them valid. *)
 let tables_valid_for t (cfg : Engine.config) =
   match t.table_cfg with
   | None -> true
-  | Some c ->
-      c.Engine.threshold = cfg.Engine.threshold
-      && c.Engine.path_limits = cfg.Engine.path_limits
+  | Some c -> c.Engine.path_limits = cfg.Engine.path_limits
 
 (* Keep only the entries the current run touched: session memory stays
    bounded by the live query's footprint. *)

@@ -50,8 +50,8 @@ val query :
   string ->
   Dggt_core.Engine.outcome * Reuse.t
 (** Synthesize one revision of the query. [tweak] adjusts the base config
-    for this call (trace sink, timeout); changing [threshold] or
-    [path_limits] invalidates the memo tables, and any result-affecting
+    for this call (trace sink, timeout); changing [path_limits]
+    invalidates the memo tables, and any result-affecting
     change disables the splice — both keep the equivalence guarantee.
     Emits an ["IncrementalReuse"] span (after the stage spans) when tracing
     is on. Never raises. *)

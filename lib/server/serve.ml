@@ -91,25 +91,48 @@ type trecord = {
   ttrace : Trace.t;
 }
 
+(* the families requests record into; [create] declares them, with the
+   sampled ones that need no handle *)
+type meters = {
+  requests : Smetrics.counter;
+  latency : Smetrics.histogram;
+  stages : Smetrics.histogram;
+  compiles : Smetrics.counter;
+  compile_s : Smetrics.gauge;
+  loaded : Smetrics.counter;
+  skipped : Smetrics.counter;
+  rejected : Smetrics.counter;
+  spills : Smetrics.counter;
+  spill_s : Smetrics.gauge;
+  streams : Smetrics.counter;
+  candidates : Smetrics.counter;
+  replays : Smetrics.counter;
+  ttfc : Smetrics.histogram;
+  revisions : Smetrics.counter;
+  splices : Smetrics.counter;
+  (* sampled at render time, so updating them takes no lock *)
+  inflight : int Atomic.t;
+  reused : int Atomic.t; (* session stage lookups served from memory *)
+  computed : int Atomic.t; (* ... and computed *)
+}
+
 type t = {
   params : params;
   pool : Deadline_pool.t;
   metrics : Smetrics.t;
+  m : meters;
   registry : Registry.t;
   build : string option Atomic.t;
       (* git describe, asked at the first GET /version; "unknown" when
          there is no checkout *)
-  (* whole-query outcome, plus the ranked alternatives computed with it *)
+  (* whole-query outcomes, keyed by the engine call *)
   q_cache :
-    ( int * string * string * string * int,
-      Engine.outcome * Engine.ranked list )
-    Cache.t;
-  rank_cache : (int * string * string * int, Engine.ranked list) Cache.t;
-  word_cache : (int * string * string * string, Word2api.candidate list) Cache.t;
+    (int * string * string * string * Engine.mode, Engine.outcome) Cache.t;
+  word_cache :
+    (int * string * string * string, Word2api.candidate list) Cache.t;
   sessions : srecord Sessions.t;
   traces : trecord Ring.t;
-  dmu : Mutex.t; (* guards [slots]; snapshot, never hold across work *)
-  mutable slots : slot list;
+  slots : slot list Atomic.t; (* swapped whole by a reload *)
   booted : unit Ivar.t; (* filled once the boot job has built every entry *)
   reload_mu : Mutex.t; (* one reload at a time *)
   mutable http : Httpd.t option;
@@ -121,16 +144,9 @@ type t = {
   mutable spill_thread : Thread.t option;
 }
 
-let slots t =
-  Mutex.lock t.dmu;
-  let ss = t.slots in
-  Mutex.unlock t.dmu;
-  ss
+let slots t = Atomic.get t.slots
 
 let slot_name s = s.entry.Registry.domain.Dggt_domains.Domain.name
-
-(* the states built so far *)
-let dstates t = List.filter_map (fun s -> Ivar.peek s.built) (slots t)
 
 let find_slot t name =
   let n = Dggt_util.Strutil.lowercase name in
@@ -177,16 +193,34 @@ let trecord_json r =
 
 let respond_json ?headers status v = Httpd.response ?headers status (J.to_string v)
 
-let observe t ~domain ~outcome t0 =
-  Smetrics.observe t.metrics ~domain ~outcome (Unix.gettimeofday () -. t0)
+(* a finished request: its outcome counted, its latency observed *)
+let finished t ~domain ~outcome t0 =
+  [
+    Smetrics.inc t.m.requests [ domain; outcome ];
+    Smetrics.observe t.m.latency [] (Unix.gettimeofday () -. t0);
+  ]
 
-(* a traced run finished: feed the per-stage latency histograms and
-   remember the trace for [GET /debug/trace] *)
-let record_trace t ~domain ~engine ~query ~time_s ~ok sink =
+let observe t ~domain ~outcome t0 =
+  Smetrics.record t.metrics (finished t ~domain ~outcome t0)
+
+(* a stream served: its candidate frames and, when one went out, the
+   time to the first *)
+let streamed t ~candidates ttfc =
+  Smetrics.inc t.m.streams []
+  :: Smetrics.inc ~by:(float_of_int candidates) t.m.candidates []
+  :: Option.fold ttfc ~none:[] ~some:(fun s ->
+         [ Smetrics.observe t.m.ttfc [] s ])
+
+(* a traced run finished: feed the per-stage latency histograms, with
+   [ops] under the same lock, and remember the trace for [GET
+   /debug/trace] *)
+let record_trace t ~domain ~engine ~query ~time_s ~ok ~ops sink =
   let trace = Trace.result sink in
-  List.iter
-    (fun (stage, d) -> Smetrics.observe_stage t.metrics ~stage d)
-    (Trace.durations trace);
+  Smetrics.record t.metrics
+    (List.map
+       (fun (stage, d) -> Smetrics.observe t.m.stages [ stage ] d)
+       (Trace.durations trace)
+    @ ops);
   Ring.add t.traces
     {
       tdomain = domain;
@@ -204,9 +238,9 @@ let expired_msg = "request deadline expired while queued"
 let via_pool t ~domain ~deadline ~t0 work =
   let iv = Ivar.create () in
   let run () =
-    Smetrics.incr_inflight t.metrics;
+    Atomic.incr t.m.inflight;
     let r = try work () with e -> `Error (Printexc.to_string e) in
-    Smetrics.decr_inflight t.metrics;
+    Atomic.decr t.m.inflight;
     Ivar.fill iv r
   in
   let expired () = Ivar.fill iv `Expired in
@@ -422,38 +456,28 @@ let run r ~sink ?on_candidate () =
             let o, reuse = Dggt_inc.Session.query ~tweak sr.inc r.query in
             (with_alternatives o respond, Some reuse))
 
-let q_key ds r = (ds.gen, r.domain, r.engine, r.query, k_of r)
-let rank_key ds r = (ds.gen, r.domain, r.query, k_of r)
-
-(* The cache probe. A body is rendered from an outcome with its n-best,
-   or from a rank-cache entry, which keeps the list alone. Session
+(* The whole-query cache is keyed by the engine call, so a /synthesize
+   with k > 1 and a /rank of the same query and k share an entry. Session
    queries are never cached. *)
+let q_key ds r = (ds.gen, r.domain, r.engine, r.query, r.mode)
+
 let probe t r =
   match r.route with
-  | Synthesize ds ->
-      Option.map
-        (fun (o, alternatives) -> (Some o, alternatives))
-        (Cache.find t.q_cache (q_key ds r))
-  | Rank ds ->
-      Option.map
-        (fun cs -> (None, cs))
-        (Cache.find t.rank_cache (rank_key ds r))
+  | Synthesize ds | Rank ds -> Cache.find t.q_cache (q_key ds r)
   | Session_query _ -> None
 
 (* The body: the ranked list for a rank-shaped request (a stream's [done]
    frame included; a run out of budget says [timed_out]), else the
    outcome with its alternatives. A session adds its id, a plain session
    query its reuse accounting. *)
-let body r ~cached ?reuse (outcome, ranked) =
+let body r ~cached ?reuse (o : Engine.outcome) =
   let v =
-    match outcome with
-    | Some o when not (rank_shaped r.route r.stream) ->
-        Wire.outcome_json ~domain:r.domain ~engine:r.engine ~query:r.query
-          ~cached ~alternatives:ranked o
-    | _ ->
-        Wire.rank_json
-          ?timed_out:(Option.map (fun o -> o.Engine.timed_out) outcome)
-          ~domain:r.domain ~query:r.query ~k:(k_of r) ~cached ranked
+    if rank_shaped r.route r.stream then
+      Wire.rank_json ~timed_out:o.Engine.timed_out ~domain:r.domain
+        ~query:r.query ~k:(k_of r) ~cached o.Engine.ranked
+    else
+      Wire.outcome_json ~domain:r.domain ~engine:r.engine ~query:r.query
+        ~cached ~alternatives:o.Engine.ranked o
   in
   match r.route with
   | Session_query (id, _) ->
@@ -463,43 +487,55 @@ let body r ~cached ?reuse (outcome, ranked) =
                [ ("reuse", Wire.reuse_json u) ]))
   | Synthesize _ | Rank _ -> v
 
-(* After a run: the trace record, the cache write and the outcome label.
-   The caches never take a timed-out outcome (a repeat under a larger
-   budget deserves a fresh run), nothing from a stream, and no empty
-   rank list. [ok] is what the body reports: a codelet, or for a
-   rank-shaped body a non-empty list. *)
-let conclude t r ~t0 ?reuse sink (o : Engine.outcome) =
+(* After a run: the cache write, then the trace record with the request's
+   counts ([ops], the revision's reuse and the outcome label) under one
+   lock. The cache never takes a timed-out outcome (a repeat under a
+   larger budget deserves a fresh run) and nothing from a stream. [ok] is
+   what the body reports: a codelet, or for a rank-shaped body a
+   non-empty list. *)
+let conclude t r ~t0 ?reuse ?(ops = []) sink (o : Engine.outcome) =
   let ok =
     if rank_shaped r.route r.stream then o.Engine.ranked <> []
     else o.Engine.code <> None
   in
-  record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
-    ~time_s:o.Engine.time_s ~ok sink;
-  Option.iter
-    (fun (u : Dggt_inc.Reuse.t) ->
-      let open Dggt_inc.Reuse in
-      Smetrics.observe_reuse t.metrics
-        ~reused:(u.words.reused + u.pairs.reused + u.dgg_rows.reused)
-        ~computed:(u.words.computed + u.pairs.computed + u.dgg_rows.computed)
-        ~splice:u.splice)
-    reuse;
   (if not (r.stream || o.Engine.timed_out) then
      match r.route with
-     | Synthesize ds -> Cache.add t.q_cache (q_key ds r) (o, o.Engine.ranked)
-     | Rank ds ->
-         if ok then Cache.add t.rank_cache (rank_key ds r) o.Engine.ranked
+     | Synthesize ds | Rank ds -> Cache.add t.q_cache (q_key ds r) o
      | Session_query _ -> ());
-  observe t ~domain:r.domain
-    ~outcome:
-      (if o.Engine.timed_out then "timeout" else if ok then "ok" else "failed")
-    t0
+  let revision =
+    match reuse with
+    | None -> []
+    | Some (u : Dggt_inc.Reuse.t) ->
+        let open Dggt_inc.Reuse in
+        ignore
+          (Atomic.fetch_and_add t.m.reused
+             (u.words.reused + u.pairs.reused + u.dgg_rows.reused));
+        ignore
+          (Atomic.fetch_and_add t.m.computed
+             (u.words.computed + u.pairs.computed + u.dgg_rows.computed));
+        [
+          Smetrics.inc t.m.revisions [];
+          Smetrics.inc ~by:(if u.splice then 1.0 else 0.0) t.m.splices [];
+        ]
+  in
+  record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
+    ~time_s:o.Engine.time_s ~ok
+    ~ops:
+      (ops @ revision
+      @ finished t ~domain:r.domain
+          ~outcome:
+            (if o.Engine.timed_out then "timeout"
+             else if ok then "ok"
+             else "failed")
+          t0)
+    sink
 
 (* A streamed request runs on the connection thread inside the chunked
    producer — not on the worker pool: candidate frames must reach the
    socket while the chart walk is still running, and a pool worker has
    nowhere to write mid-run. Streams therefore sidestep the pool's
    backpressure (they are bounded by the connection count instead) and
-   never write the response caches (interim frames are the point; a
+   never write the response cache (interim frames are the point; a
    cache could only replay the terminal payload). The terminal [event:
    done] frame is rendered by the same {!body} as the fixed response, so
    the final candidate list is byte-for-byte what the non-streaming
@@ -528,15 +564,12 @@ let stream_query t r ~t0 =
         incr count;
         chunk (Wire.sse_frame ~event:"candidate" (Wire.candidate_json c))
       in
-      Smetrics.incr_inflight t.metrics;
-      let settle () =
-        Smetrics.decr_inflight t.metrics;
-        Smetrics.observe_stream t.metrics ~candidates:!count ~ttfc_s:!ttfc
-      in
+      let streamed () = streamed t ~candidates:!count !ttfc in
       let aborted e =
-        observe t ~domain:r.domain ~outcome:"failed" t0;
         record_trace t ~domain:r.domain ~engine:r.engine ~query:r.query
-          ~time_s:(Unix.gettimeofday () -. t0) ~ok:false sink;
+          ~time_s:(Unix.gettimeofday () -. t0) ~ok:false
+          ~ops:(streamed () @ finished t ~domain:r.domain ~outcome:"failed" t0)
+          sink;
         (* the peer may already be gone (EPIPE raised by a frame write
            landed here) — the terminal frame is best-effort *)
         try
@@ -545,9 +578,11 @@ let stream_query t r ~t0 =
                (Wire.stream_error_json ~status:500 (Printexc.to_string e)))
         with _ -> ()
       in
+      Atomic.incr t.m.inflight;
       match
-        Fun.protect ~finally:settle (fun () ->
-            fst (run r ~sink ~on_candidate ()))
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr t.m.inflight)
+          (fun () -> fst (run r ~sink ~on_candidate ()))
       with
       | exception e -> aborted e
       | o -> (
@@ -565,26 +600,19 @@ let stream_query t r ~t0 =
                  Wire.sse_frame ~event:"error"
                    (Wire.stream_error_json ~status:504
                       "request deadline expired mid-stream")
-               else
-                 Wire.sse_frame ~event:"done"
-                   (body r ~cached:false (Some o, o.Engine.ranked)))
+               else Wire.sse_frame ~event:"done" (body r ~cached:false o))
           with
-          | () -> conclude t r ~t0 sink o
+          | () -> conclude t r ~t0 ~ops:(streamed ()) sink o
           | exception e -> aborted e))
 
-(* a rank-cache hit under [?stream=1]: there is no chart walk to stream,
-   so the outcome is replayed — the cached winner as one [event:
-   candidate] frame (rank 1, revision 1), then the terminal [event: done]
-   whose payload is byte-for-byte the cached non-streaming body ([cached]
+(* a cache hit under [?stream=1]: there is no chart walk to stream, so
+   the outcome is replayed — the cached winner as one [event: candidate]
+   frame (rank 1, revision 1), then the terminal [event: done] whose
+   payload is byte-for-byte the cached non-streaming body ([cached]
    included). Only prior non-streaming requests arm the replay. *)
-let stream_replay t r hit =
+let stream_replay r (o : Engine.outcome) =
   Httpd.stream_response 200 (fun chunk ->
-      let cs = snd hit in
-      Smetrics.observe_stream_replay t.metrics;
-      Smetrics.observe_stream t.metrics
-        ~candidates:(if cs = [] then 0 else 1)
-        ~ttfc_s:None;
-      (match cs with
+      (match o.Engine.ranked with
       | (top : Engine.ranked) :: _ ->
           chunk
             (Wire.sse_frame ~event:"candidate"
@@ -598,7 +626,7 @@ let stream_replay t r hit =
                     score = top.Engine.score;
                   }))
       | [] -> ());
-      chunk (Wire.sse_frame ~event:"done" (body r ~cached:true hit)))
+      chunk (Wire.sse_frame ~event:"done" (body r ~cached:true o)))
 
 let query_handler t (req : Httpd.request) which =
   let t0 = Unix.gettimeofday () in
@@ -608,10 +636,19 @@ let query_handler t (req : Httpd.request) which =
       Httpd.response status (error_json msg)
   | Ok r -> (
       match probe t r with
-      | Some hit ->
-          observe t ~domain:r.domain ~outcome:"cached" t0;
-          if r.stream then stream_replay t r hit
-          else respond_json 200 (body r ~cached:true hit)
+      | Some o ->
+          let replayed =
+            if not r.stream then []
+            else
+              Smetrics.inc t.m.replays []
+              :: streamed t
+                   ~candidates:(if o.Engine.ranked = [] then 0 else 1)
+                   None
+          in
+          Smetrics.record t.metrics
+            (replayed @ finished t ~domain:r.domain ~outcome:"cached" t0);
+          if r.stream then stream_replay r o
+          else respond_json 200 (body r ~cached:true o)
       | None when r.stream -> stream_query t r ~t0
       | None ->
           via_pool t ~domain:r.domain ~deadline:(t0 +. r.timeout_s) ~t0
@@ -619,9 +656,7 @@ let query_handler t (req : Httpd.request) which =
               let sink = Trace.create () in
               let o, reuse = run r ~sink () in
               conclude t r ~t0 ?reuse sink o;
-              `Ok
-                (respond_json 200
-                   (body r ~cached:false ?reuse (Some o, o.Engine.ranked)))))
+              `Ok (respond_json 200 (body r ~cached:false ?reuse o))))
 
 (* ------------------------------------------------------------------ *)
 (* incremental sessions                                               *)
@@ -804,7 +839,7 @@ let healthz_handler t =
          ("status", J.Str "ok");
          ("workers", J.Num (float_of_int (Deadline_pool.workers t.pool)));
          ("queue_depth", J.Num (float_of_int (Deadline_pool.depth t.pool)));
-         ("inflight", J.Num (float_of_int (Smetrics.inflight t.metrics)));
+         ("inflight", J.Num (float_of_int (Atomic.get t.m.inflight)));
        ])
 
 let debug_trace_handler t =
@@ -830,13 +865,14 @@ let make_dstate t ~gen (e : Registry.entry) =
   let name = d.Dggt_domains.Domain.name in
   let sink = Trace.create () in
   let autom, compiled = Registry.automaton ~trace:sink t.registry e in
-  if compiled then begin
-    Smetrics.observe_autom_compile t.metrics ~domain:name
-      (Dggt_autom.Autom.compile_time_s autom);
-    List.iter
-      (fun (stage, dur) -> Smetrics.observe_stage t.metrics ~stage dur)
-      (Trace.durations (Trace.result sink))
-  end;
+  if compiled then
+    Smetrics.record t.metrics
+      (Smetrics.inc t.m.compiles [ name ]
+      :: Smetrics.set t.m.compile_s [ name ]
+           (Dggt_autom.Autom.compile_time_s autom)
+      :: List.map
+           (fun (stage, dur) -> Smetrics.observe t.m.stages [ stage ] dur)
+           (Trace.durations (Trace.result sink)));
   let lookups =
     {
       Engine.word2api =
@@ -918,8 +954,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let warm_caches t =
-  { Warmstore.q = t.q_cache; rank = t.rank_cache; word = t.word_cache }
+let warm_caches t = { Warmstore.q = t.q_cache; word = t.word_cache }
 
 (* write the caches' current-generation entries as the store's snapshot.
    Failure is a warning, never fatal: the store is an optimization, the
@@ -936,7 +971,12 @@ let spill_store t =
           ~pack_digest:(Registry.pack_digest t.registry)
           (warm_caches t)
       with
-      | Ok r -> Smetrics.observe_store_spill t.metrics r.Warmstore.sp_seconds
+      | Ok r ->
+          Smetrics.record t.metrics
+            [
+              Smetrics.inc t.m.spills [];
+              Smetrics.set t.m.spill_s [] r.Warmstore.sp_seconds;
+            ]
       | Error msg -> Printf.eprintf "dggt serve: store spill failed: %s\n%!" msg
 
 (* periodic spills; interval <= 0 means shutdown-only *)
@@ -1026,11 +1066,8 @@ let reload_handler t =
                     s)
                   built
               in
-              Mutex.lock t.dmu;
-              t.slots <- swapped;
-              Mutex.unlock t.dmu;
+              Atomic.set t.slots swapped;
               Cache.clear t.q_cache;
-              Cache.clear t.rank_cache;
               Cache.clear t.word_cache;
               respond_json 200
                 (J.Obj
@@ -1078,8 +1115,146 @@ let handler t (req : Httpd.request) =
       | Some _ -> Httpd.response 405 (error_json "method not allowed")
       | None -> Httpd.response 404 (error_json "not found"))
 
+(* The server's metric families, in one block: the ones requests record
+   into ([meters]), then the ones sampled at render time. The store's
+   families exist only on a server with a store. *)
+let declare metrics ~store ~pool ~caches ~sessions ~slots =
+  let counter = Smetrics.counter metrics and gauge = Smetrics.gauge metrics in
+  let histogram = Smetrics.histogram metrics in
+  let stored = if store then metrics else Smetrics.create () in
+  let m =
+    {
+      requests =
+        counter "dggt_requests_total" ~labels:[ "domain"; "outcome" ]
+          ~help:"Finished requests by domain and outcome.";
+      latency =
+        histogram "dggt_request_latency_seconds"
+          ~help:"Request service latency.";
+      stages =
+        histogram "dggt_stage_latency_seconds" ~labels:[ "stage" ]
+          ~help:"Pipeline stage latency.";
+      compiles =
+        counter "dggt_autom_compiles_total" ~labels:[ "domain" ]
+          ~help:"Grammar automaton compilations by domain.";
+      compile_s =
+        gauge "dggt_autom_compile_seconds" ~labels:[ "domain" ]
+          ~help:"Wall time of the domain's most recent automaton compilation.";
+      loaded =
+        Smetrics.counter stored "dggt_store_records_loaded_total"
+          ~help:"Warm-start snapshots replayed at boot.";
+      skipped =
+        Smetrics.counter stored "dggt_store_records_skipped_total"
+          ~help:"Warm-start snapshots of another schema or pack digest.";
+      rejected =
+        Smetrics.counter stored "dggt_store_records_rejected_total"
+          ~help:"Damaged warm-start snapshots refused at boot.";
+      spills =
+        Smetrics.counter stored "dggt_store_spills_total"
+          ~help:"Warm-start snapshots written.";
+      spill_s =
+        Smetrics.gauge stored "dggt_store_spill_seconds"
+          ~help:"Wall time of the most recent spill.";
+      streams =
+        counter "dggt_streams_total" ~help:"Streamed (SSE) requests served.";
+      candidates =
+        counter "dggt_stream_candidates_total"
+          ~help:"Candidate frames written across all streams.";
+      replays =
+        counter "dggt_stream_cache_replays_total"
+          ~help:"Streams answered by replaying a cached outcome.";
+      ttfc =
+        histogram "dggt_stream_ttfc_seconds"
+          ~help:"Time from request start to the first streamed candidate.";
+      revisions =
+        counter "dggt_inc_queries_total"
+          ~help:"Incremental session revisions served.";
+      splices =
+        counter "dggt_inc_splices_total"
+          ~help:"Session revisions that replayed the previous outcome.";
+      inflight = Atomic.make 0;
+      reused = Atomic.make 0;
+      computed = Atomic.make 0;
+    }
+  in
+  let sampled ?labels kind name help rows =
+    Smetrics.sampled metrics ?labels kind name ~help rows
+  in
+  let one f () = [ ([], float_of_int (f ())) ] in
+  let pool_stat f = one (fun () -> f (Deadline_pool.stats pool)) in
+  sampled `Gauge "dggt_queue_depth" "Requests waiting in the worker queue."
+    (one (fun () -> Deadline_pool.depth pool));
+  sampled `Gauge "dggt_pool_workers_live" "Worker domains alive now."
+    (pool_stat (fun s -> s.Dggt_par.Pool.live));
+  sampled `Counter "dggt_pool_worker_spawns_total" "Worker domains spawned."
+    (pool_stat (fun s -> s.Dggt_par.Pool.spawned));
+  sampled `Counter "dggt_pool_worker_retirements_total"
+    "Idle worker domains retired."
+    (pool_stat (fun s -> s.Dggt_par.Pool.retired));
+  (* process-wide: every domain takes part in every collection *)
+  sampled `Counter "dggt_gc_minor_collections_total" "Minor collections."
+    (one (fun () -> (Gc.quick_stat ()).Gc.minor_collections));
+  sampled `Counter "dggt_gc_major_collections_total" "Major collection cycles."
+    (one (fun () -> (Gc.quick_stat ()).Gc.major_collections));
+  sampled `Gauge "dggt_inflight_requests" "Requests currently being served."
+    (one (fun () -> Atomic.get m.inflight));
+  (* the automata's cross-query path memos, summed over the live domain
+     states *)
+  let autom_memo () =
+    List.fold_left
+      (fun (acc : Cache.counters) s ->
+        match Ivar.peek s.built with
+        | None -> acc
+        | Some ds ->
+            let c = Dggt_autom.Autom.memo_counters ds.autom in
+            {
+              acc with
+              Cache.hits = acc.Cache.hits + c.Dggt_autom.Autom.hits;
+              misses = acc.Cache.misses + c.Dggt_autom.Autom.misses;
+              size = acc.Cache.size + c.Dggt_autom.Autom.entries;
+            })
+      { Cache.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
+      (Atomic.get slots)
+  in
+  let probes =
+    [
+      ("q_cache", fun () -> Cache.counters caches.Warmstore.q);
+      ("word_cache", fun () -> Cache.counters caches.Warmstore.word);
+      ("autom_memo", autom_memo);
+    ]
+  in
+  let per_cache kind name help (field : Cache.counters -> int) =
+    sampled ~labels:[ "cache" ] kind name help (fun () ->
+        List.map
+          (fun (cache, probe) -> ([ cache ], float_of_int (field (probe ()))))
+          probes)
+  in
+  per_cache `Counter "dggt_cache_hits_total" "Cache hits by cache." (fun c ->
+      c.Cache.hits);
+  per_cache `Counter "dggt_cache_misses_total" "Cache misses by cache."
+    (fun c -> c.Cache.misses);
+  per_cache `Counter "dggt_cache_evictions_total" "Cache evictions by cache."
+    (fun c -> c.Cache.evictions);
+  per_cache `Gauge "dggt_cache_entries" "Entries held by cache." (fun c ->
+      c.Cache.size);
+  let session_store kind name help (field : Sessions.counters -> int) =
+    sampled kind name help (one (fun () -> field (Sessions.counters sessions)))
+  in
+  session_store `Gauge "dggt_sessions" "Live incremental sessions." (fun c ->
+      c.Sessions.size);
+  session_store `Counter "dggt_sessions_created_total" "Sessions created."
+    (fun c -> c.Sessions.created);
+  session_store `Counter "dggt_sessions_expired_total"
+    "Sessions expired idle past the TTL." (fun c -> c.Sessions.expired);
+  session_store `Counter "dggt_sessions_evicted_total"
+    "Sessions evicted by the session cap." (fun c -> c.Sessions.evicted);
+  sampled `Gauge "dggt_inc_reuse_ratio"
+    "Fraction of stage lookups served from session memory." (fun () ->
+      let r = Atomic.get m.reused and c = Atomic.get m.computed in
+      let ratio = if r + c = 0 then 0.0 else float r /. float (r + c) in
+      [ ([], ratio) ]);
+  m
+
 let create params =
-  let metrics = Smetrics.create () in
   let registry = Registry.create () in
   (match params.packs_dir with
   | None -> ()
@@ -1087,48 +1262,28 @@ let create params =
       match Registry.load_dir registry dir with
       | Ok _ -> ()
       | Error e -> failwith ("dggt serve: " ^ Dggt_domains.Err.to_string e)));
-  let stage_cap = max 0 params.cache_size * 4 in
-  let caches =
-    {
-      Warmstore.q = Cache.create ~capacity:params.cache_size;
-      rank = Cache.create ~capacity:params.cache_size;
-      word = Cache.create ~capacity:stage_cap;
-    }
-  in
-  (* warm boot: replay the stored answers into the LRUs before the first
-     request can land; a snapshot that fails a check boots cold *)
   (match params.store_dir with
   | None -> ()
-  | Some dir ->
-      (match mkdir_p dir with
+  | Some dir -> (
+      match mkdir_p dir with
       | () when Sys.is_directory dir -> ()
       | () -> failwith ("dggt serve: --store " ^ dir ^ " is not a directory")
       | exception Unix.Unix_error (e, _, _) ->
           failwith
-            ("dggt serve: --store " ^ dir ^ ": " ^ Unix.error_message e));
-      let loaded, skipped, rejected =
-        match
-          Warmstore.load dir
-            ~generation:(Registry.generation registry)
-            ~pack_digest:(Registry.pack_digest registry)
-            caches
-        with
-        | Warmstore.Absent -> (0, 0, 0)
-        | Warmstore.Loaded _ -> (1, 0, 0)
-        | Warmstore.Skipped why ->
-            Printf.eprintf
-              "dggt serve: store snapshot skipped (%s); booting cold\n%!" why;
-            (0, 1, 0)
-        | Warmstore.Rejected why ->
-            Printf.eprintf
-              "dggt serve: store snapshot rejected (%s); booting cold\n%!" why;
-            (0, 0, 1)
-      in
-      Smetrics.observe_store_load metrics ~loaded ~skipped ~rejected);
+            ("dggt serve: --store " ^ dir ^ ": " ^ Unix.error_message e)));
+  let caches =
+    {
+      Warmstore.q = Cache.create ~capacity:params.cache_size;
+      word = Cache.create ~capacity:(max 0 params.cache_size * 4);
+    }
+  in
   let pool =
     Deadline_pool.create
       ?workers:(if params.workers > 0 then Some params.workers else None)
       ~capacity:params.queue_capacity ()
+  in
+  let sessions =
+    Sessions.create ~ttl_s:params.session_ttl_s ~cap:params.session_cap ()
   in
   let gen = Registry.generation registry in
   let boot_slots =
@@ -1136,21 +1291,48 @@ let create params =
       (fun entry -> { entry; built = Ivar.create () })
       (Registry.entries registry)
   in
+  let slots = Atomic.make boot_slots in
+  let metrics = Smetrics.create () in
+  let m =
+    declare metrics ~store:(params.store_dir <> None) ~pool ~caches ~sessions
+      ~slots
+  in
+  (* warm boot: replay the stored answers into the LRUs before the first
+     request can land; a snapshot that fails a check boots cold *)
+  Option.iter
+    (fun dir ->
+      let counted =
+        match
+          Warmstore.load dir ~generation:gen
+            ~pack_digest:(Registry.pack_digest registry)
+            caches
+        with
+        | Warmstore.Absent -> []
+        | Warmstore.Loaded _ -> [ m.loaded ]
+        | Warmstore.Skipped why ->
+            Printf.eprintf
+              "dggt serve: store snapshot skipped (%s); booting cold\n%!" why;
+            [ m.skipped ]
+        | Warmstore.Rejected why ->
+            Printf.eprintf
+              "dggt serve: store snapshot rejected (%s); booting cold\n%!" why;
+            [ m.rejected ]
+      in
+      Smetrics.record metrics (List.map (fun c -> Smetrics.inc c []) counted))
+    params.store_dir;
   let t =
     {
       params;
       pool;
       metrics;
+      m;
       registry;
       build = Atomic.make None;
       q_cache = caches.Warmstore.q;
-      rank_cache = caches.Warmstore.rank;
       word_cache = caches.Warmstore.word;
-      sessions =
-        Sessions.create ~ttl_s:params.session_ttl_s ~cap:params.session_cap ();
+      sessions;
       traces = Ring.create ~capacity:params.trace_buffer;
-      dmu = Mutex.create ();
-      slots = boot_slots;
+      slots;
       booted = Ivar.create ();
       reload_mu = Mutex.create ();
       http = None;
@@ -1160,35 +1342,6 @@ let create params =
       spill_thread = None;
     }
   in
-  Smetrics.set_pool_probe metrics (fun () ->
-      let s = Deadline_pool.stats pool in
-      {
-        Smetrics.queue_depth = Deadline_pool.depth pool;
-        workers_live = s.Dggt_par.Pool.live;
-        worker_spawns = s.Dggt_par.Pool.spawned;
-        worker_retirements = s.Dggt_par.Pool.retired;
-      });
-  Smetrics.register_cache metrics "q_cache" (fun () -> Cache.counters t.q_cache);
-  Smetrics.register_cache metrics "rank_cache" (fun () ->
-      Cache.counters t.rank_cache);
-  Smetrics.register_cache metrics "word_cache" (fun () ->
-      Cache.counters t.word_cache);
-  (* the automata's cross-query path memos, summed over the live domain
-     states — the successor of the old per-pair LRU's counters *)
-  Smetrics.register_cache metrics "autom_memo" (fun () ->
-      List.fold_left
-        (fun (acc : Cache.counters) ds ->
-          let c = Dggt_autom.Autom.memo_counters ds.autom in
-          {
-            Cache.hits = acc.Cache.hits + c.Dggt_autom.Autom.hits;
-            misses = acc.Cache.misses + c.Dggt_autom.Autom.misses;
-            evictions = acc.Cache.evictions;
-            size = acc.Cache.size + c.Dggt_autom.Autom.entries;
-            capacity = acc.Cache.capacity;
-          })
-        { Cache.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
-        (dstates t));
-  Smetrics.set_sessions_probe metrics (fun () -> Sessions.counters t.sessions);
   (* no worker domain exists yet (the pool spawns them for jobs), so a
      failure to listen leaves nothing running *)
   let http =

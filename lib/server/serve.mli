@@ -23,7 +23,10 @@
       statistics and (for [k > 1]) up to [k] ranked alternatives: DGGT
       answers with one ranked run, HISyn with its own run plus a DGGT
       ranked run for the alternatives. Repeat queries are served from
-      the whole-query cache without touching the pool.
+      the whole-query cache without touching the pool. The cache is
+      keyed by the engine call (generation, domain, engine, query,
+      mode), so a DGGT [/synthesize] with [k > 1] and a [/rank] of the
+      same query and [k] share one entry.
     - [GET/POST /rank] — same parameter carriage,
       [{"query": s, "domain": s?, "timeout": f?, "k": n?}]; ranked
       candidate codelets (paper §VII-B.4). With [?stream=1] in the URL
@@ -37,11 +40,11 @@
       HTTP status already went out as [200]. Streamed requests run on
       the connection thread (not the worker pool); interim frames are
       best-effort previews, only the [done] payload is authoritative.
-      Streams never {e write} the response caches, but they do read
-      them: when a prior non-streaming [/rank] cached the same
-      (generation, domain, query, k), the stream replays the cached
-      outcome — one [event: candidate] frame (rank 1, revision 1) then
-      [event: done] byte-for-byte the cached body — counted by
+      Streams never {e write} the response cache, but they do read it:
+      when a prior non-streaming request cached the same engine call,
+      the stream replays the cached outcome — one [event: candidate]
+      frame (rank 1, revision 1; none for an empty list) then [event:
+      done] byte-for-byte the cached body — counted by
       [dggt_stream_cache_replays_total]. [GET /version] advertises
       ["streaming"] under [capabilities].
     - [GET /domains] — the available domains with aliases, description,
@@ -94,12 +97,14 @@
       (its domain generation no longer exists — re-create the session);
       [404] for ids that were LRU-evicted, deleted or never existed.
     - [DELETE /session/<id>] — drop the session; [404] if unknown.
-    - [GET /metrics] — Prometheus text format ({!Smetrics.render}),
-      including per-pipeline-stage latency histograms with p50/p90/p99,
-      session-store gauges, incremental reuse counters
-      ([dggt_inc_reuse_ratio], [dggt_inc_splices_total]), the worker
-      pool's live workers, spawns and retirements, and the process's
-      minor and major collection counts.
+    - [GET /metrics] — Prometheus text format ({!Smetrics.render}) of
+      the families {!create} declares in one block: request counts and
+      latency, per-pipeline-stage latency (each histogram with
+      p50/p90/p99 gauges), automaton compiles, the warm store's load and
+      spills (only with a store), streams, incremental reuse, and,
+      sampled at render time, the worker pool, the process's minor and
+      major collections, in-flight requests, the caches and the session
+      store.
     - [GET /healthz] — liveness plus worker/queue numbers.
     - [GET /debug/trace] — the stage-level traces of the most recent
       requests that reached the engine (a {!Dggt_obs.Ring} of
@@ -120,8 +125,9 @@
     deadline (arrival + timeout) passes while queued is dropped with [504]
     before it ever reaches the engine.
 
-    Caching policy: timed-out outcomes and empty rank lists are {e not}
-    cached, so a repeat under a larger budget gets a fresh run; streams
+    Caching policy: timed-out outcomes are {e not} cached, so a repeat
+    under a larger budget gets a fresh run; every other answer is (an
+    empty rank list and a failed synthesis are deterministic); streams
     and session queries never write a cache. The
     WordToAPI candidate cache is installed as the [caches] field of each
     domain's {!Dggt_core.Engine.target} and shared across all requests of
@@ -157,7 +163,7 @@ type params = {
                                  disables the session endpoints' storage *)
   store_dir : string option;
       (** warm-start store directory, created if missing: its one
-          snapshot file ({!Warmstore}) is replayed into the three caches
+          snapshot file ({!Warmstore}) is replayed into the two caches
           before the server listens, every entry re-keyed under the new
           generation, and rewritten every [store_interval_s] and on
           graceful shutdown. [None] = no persistence. A snapshot that is

@@ -1,13 +1,26 @@
-(** Serving observability: latency histograms, request counters, gauges,
-    cache statistics — rendered in Prometheus text exposition format at
-    [GET /metrics].
+(** A registry of metric families, rendered in the Prometheus text
+    exposition format at [GET /metrics].
 
-    All mutation goes through an internal mutex, so any worker or
-    connection thread may record observations. *)
+    A family is declared once, with its name, its help text and its label
+    names (a name declared twice raises [Invalid_argument]); the server
+    ([Serve.create]) and the shard router each declare theirs in one
+    block, and the series list lives in those declarations. Four kinds:
+
+    - a {e counter} adds, a {e gauge} is set, a {e histogram} observes
+      (seconds, {!Hist}'s default buckets); a family with no labels
+      exports its one sample from the declaration on, a labelled one a
+      sample per label tuple recorded so far;
+    - a {e sampled} family (counter or gauge) holds nothing: a closure
+      gives its rows at render time — cache counters, pool gauges, GC
+      counts, the session store, the shard supervisor's slots.
+
+    Recording goes through {!record}, which takes the registry's one
+    mutex once for a whole list of updates, so any worker or connection
+    thread may record. *)
 
 (** Fixed-bucket latency histograms (seconds). Not synchronized by itself —
-    {!t} guards its histograms with its own mutex; other users (the load
-    generator) bring their own locking. *)
+    a registry guards its histograms with its own mutex; other users (the
+    load generator) bring their own locking. *)
 module Hist : sig
   type t
 
@@ -36,91 +49,44 @@ type t
 
 val create : unit -> t
 
-val observe : t -> domain:string -> outcome:string -> float -> unit
-(** Record one finished request: bumps the per-[(domain, outcome)] counter
-    and feeds the latency histogram. Outcomes used by the server: [ok],
-    [failed], [timeout], [cached], [rejected], [expired], [bad_request]. *)
+type counter
+type gauge
+type histogram
 
-val observe_stage : t -> stage:string -> float -> unit
-(** Record one pipeline stage's latency for a traced request. Histograms
-    are created lazily per stage name, so only stages that actually ran
-    appear in the exposition. *)
+val counter : t -> ?labels:string list -> string -> help:string -> counter
+val gauge : t -> ?labels:string list -> string -> help:string -> gauge
 
-val incr_inflight : t -> unit
-val decr_inflight : t -> unit
-val inflight : t -> int
+val histogram : t -> ?labels:string list -> string -> help:string -> histogram
+(** Renders its buckets, sum and count, then three gauge families named
+    after it with [_seconds] replaced by [_p50], [_p90] and [_p99]
+    ({!Hist.quantile}, per label tuple). *)
 
-type pool_gauges = {
-  queue_depth : int;
-  workers_live : int;
-  worker_spawns : int;
-  worker_retirements : int;
-}
+val sampled :
+  t ->
+  ?labels:string list ->
+  [ `Counter | `Gauge ] ->
+  string ->
+  help:string ->
+  (unit -> (string list * float) list) ->
+  unit
+(** Rows (label values, value) read from the closure at each render,
+    outside the registry's mutex, in the closure's order; a closure that
+    raises exports no rows. *)
 
-val set_pool_probe : t -> (unit -> pool_gauges) -> unit
-(** The worker pool's gauges and counters, sampled at render time. *)
+type op
 
-val register_cache : t -> string -> (unit -> Cache.counters) -> unit
-(** Expose a cache's hit/miss/eviction counters under the given label. *)
+val inc : ?by:float -> counter -> string list -> op
+(** Add [by] (default 1) to the sample with these label values. *)
 
-val observe_reuse : t -> reused:int -> computed:int -> splice:bool -> unit
-(** Record one incremental session revision: how many stage lookups (words +
-    pairs + DGG rows) were served from session memory versus computed, and
-    whether the whole pipeline suffix was spliced. *)
+val set : gauge -> string list -> float -> op
+val observe : histogram -> string list -> float -> op
 
-val set_sessions_probe : t -> (unit -> Sessions.counters) -> unit
-(** The session-store gauges are sampled at render time. *)
-
-val observe_stream : t -> candidates:int -> ttfc_s:float option -> unit
-(** Record one finished streamed (SSE) request: how many candidate frames
-    it wrote and the time from request start to the first one ([None]
-    when the stream ended without emitting a candidate — the TTFC
-    histogram only sees streams that produced one). *)
-
-val observe_stream_replay : t -> unit
-(** Record one streamed request answered from the response cache — a
-    replay of the cached outcome as a single candidate frame plus the
-    terminal frame, never a live chart walk. Bumps
-    [dggt_stream_cache_replays_total]; replays are also ordinary streams,
-    so callers pair this with {!observe_stream}. *)
-
-val observe_autom_compile : t -> domain:string -> float -> unit
-(** Record one grammar-automaton compilation for [domain]: bumps
-    [dggt_autom_compiles_total{domain}] and sets
-    [dggt_autom_compile_seconds{domain}] to the compile's wall time.
-    Registry cache hits are {e not} recorded — the counter measures
-    compilations actually paid, so a hot reload of unchanged packs leaves
-    it flat. *)
-
-val observe_store_load : t -> loaded:int -> skipped:int -> rejected:int -> unit
-(** Accumulate a warm-start load's verdict (the snapshot replayed,
-    skipped or rejected; all zero when there was none), fed at boot.
-    Observing one is also what turns the [dggt_store_*] section on — a
-    server running without [--store] exports none of it. *)
-
-val observe_store_spill : t -> float -> unit
-(** Record one spill: bumps [dggt_store_spills_total] and sets
-    [dggt_store_spill_seconds] to the spill's wall time. *)
+val record : t -> op list -> unit
+(** Apply the updates under one acquisition of the registry's mutex.
+    An update whose label values do not match its family's label names
+    raises [Invalid_argument] when it is built. *)
 
 val render : t -> string
-(** Prometheus text format: [dggt_requests_total{domain,outcome}],
-    [dggt_request_latency_seconds] histogram (+ p50/p90/p99 convenience
-    gauges), [dggt_stage_latency_seconds{stage}] per-pipeline-stage
-    histograms (+ per-stage p50/p90/p99 gauges, sorted by stage name),
-    [dggt_queue_depth], the pool's [dggt_pool_workers_live] and
-    [dggt_pool_worker_{spawns,retirements}_total], the process's
-    [dggt_gc_{minor,major}_collections_total], [dggt_inflight_requests],
-    per-cache
-    [dggt_cache_{hits,misses,evictions}_total] / [dggt_cache_entries],
-    session-store gauges ([dggt_sessions],
-    [dggt_sessions_{created,expired,evicted}_total]), automaton counters
-    ([dggt_autom_compiles_total{domain}],
-    [dggt_autom_compile_seconds{domain}]), warm-start store counters
-    once a store load was observed
-    ([dggt_store_records_{loaded,skipped,rejected}_total],
-    [dggt_store_spills_total], [dggt_store_spill_seconds]), streaming counters
-    once a stream has been served ([dggt_streams_total],
-    [dggt_stream_candidates_total], [dggt_stream_cache_replays_total],
-    [dggt_stream_ttfc_seconds]
-    histogram) and incremental-reuse counters ([dggt_inc_queries_total],
-    [dggt_inc_splices_total], [dggt_inc_reuse_ratio]). *)
+(** Every family, sorted by name: [# HELP] and [# TYPE] once, then its
+    samples, stored label tuples sorted. Integral values print without a
+    fraction, [+Inf] as Prometheus spells it. *)

@@ -1,5 +1,5 @@
 (* The warm-start store: one snapshot file per store directory holding
-   Serve's three LRUs. Every [Marshal] of an engine type happens here,
+   Serve's two LRUs. Every [Marshal] of an engine type happens here,
    versioned by [schema_version]. *)
 
 open Dggt_core
@@ -8,18 +8,15 @@ open Dggt_core
    transitively (Engine.outcome, Engine.ranked, Word2api.candidate). A
    bump makes every old snapshot a skip, which is the point: Marshal
    would otherwise read the old bytes as the new type. Versions 1 and 2
-   were records of the older store.log, which nothing reads now. *)
-let schema_version = 3
+   were records of the older store.log, which nothing reads now; version
+   3 held a third cache, of ranked lists. *)
+let schema_version = 4
 
 let file_name = "snapshot"
 let magic = "DGGT warm snapshot\n"
 
 type caches = {
-  q :
-    ( int * string * string * string * int,
-      Engine.outcome * Engine.ranked list )
-    Cache.t;
-  rank : (int * string * string * int, Engine.ranked list) Cache.t;
+  q : (int * string * string * string * Engine.mode, Engine.outcome) Cache.t;
   word : (int * string * string * string, Word2api.candidate list) Cache.t;
 }
 
@@ -28,9 +25,7 @@ type caches = {
    first (Cache.fold's pinned order), so replaying them through
    Cache.add reproduces the recency order. *)
 type payload =
-  ((string * string * string * int) * (Engine.outcome * Engine.ranked list))
-  list
-  * ((string * string * int) * Engine.ranked list) list
+  ((string * string * string * Engine.mode) * Engine.outcome) list
   * ((string * string * string) * Word2api.candidate list) list
 
 (* ------------------------------------------------------------------ *)
@@ -79,15 +74,12 @@ let write_atomic dir contents =
 let spill dir ~generation ~pack_digest caches =
   let t0 = Unix.gettimeofday () in
   let q =
-    entries caches.q ~generation (fun (g, d, e, qy, k) -> (g, (d, e, qy, k)))
-  in
-  let rank =
-    entries caches.rank ~generation (fun (g, d, qy, k) -> (g, (d, qy, k)))
+    entries caches.q ~generation (fun (g, d, e, qy, m) -> (g, (d, e, qy, m)))
   in
   let word =
     entries caches.word ~generation (fun (g, d, l, p) -> (g, (d, l, p)))
   in
-  let payload = Marshal.to_string ((q, rank, word) : payload) [] in
+  let payload = Marshal.to_string ((q, word) : payload) [] in
   let contents =
     Printf.sprintf "%s%d %s %s %d\n%s" magic schema_version pack_digest
       (Digest.to_hex (Digest.string payload))
@@ -96,7 +88,7 @@ let spill dir ~generation ~pack_digest caches =
   Result.map
     (fun () ->
       {
-        sp_entries = List.length q + List.length rank + List.length word;
+        sp_entries = List.length q + List.length word;
         sp_bytes = String.length contents;
         sp_seconds = Unix.gettimeofday () -. t0;
       })
@@ -174,20 +166,16 @@ let load dir ~generation ~pack_digest caches =
   | Ok (Some (_, payload)) -> (
       match unmarshal payload with
       | None -> Rejected "payload does not unmarshal"
-      | Some (q, rank, word) ->
+      | Some (q, word) ->
           List.iter
-            (fun ((d, e, qy, k), v) ->
-              Cache.add caches.q (generation, d, e, qy, k) v)
+            (fun ((d, e, qy, m), v) ->
+              Cache.add caches.q (generation, d, e, qy, m) v)
             q;
-          List.iter
-            (fun ((d, qy, k), v) ->
-              Cache.add caches.rank (generation, d, qy, k) v)
-            rank;
           List.iter
             (fun ((d, l, p), v) ->
               Cache.add caches.word (generation, d, l, p) v)
             word;
-          Loaded (List.length q + List.length rank + List.length word))
+          Loaded (List.length q + List.length word))
 
 type summary = {
   bytes : int;
@@ -215,10 +203,6 @@ let inspect dir =
       else
         match unmarshal payload with
         | None -> Error "payload does not unmarshal"
-        | Some (q, rank, word) ->
+        | Some (q, word) ->
             summary
-              [
-                ("q_cache", List.length q);
-                ("rank_cache", List.length rank);
-                ("word_cache", List.length word);
-              ])
+              [ ("q_cache", List.length q); ("word_cache", List.length word) ])

@@ -1,5 +1,5 @@
 (** The warm-start store: one snapshot file per store directory
-    ([DIR/snapshot]) holding the server's three LRU caches, so a
+    ([DIR/snapshot]) holding the server's two LRU caches, so a
     restarted server answers its repeated queries from the first
     request.
 
@@ -8,7 +8,7 @@
     A header over one [Marshal] payload. The header is a magic line and
     one line of four fields: {!schema_version}, the registry's aggregate
     pack digest, the MD5 of the payload (hex) and the payload's length.
-    The payload holds the three caches' entries, each list in
+    The payload holds the two caches' entries, each list in
     {!Cache.fold}'s LRU-to-MRU order, with the registry generation
     stripped from every key: generations are process-local, so {!load}
     re-keys every entry under the booting process's generation, and the
@@ -32,24 +32,24 @@
 
 val schema_version : int
 (** Layout version of the payload. Bump on {e any} shape change of the
-    payload types or their parts ([Engine.outcome], [Engine.ranked],
+    payload types or their parts ([Engine.outcome], [Engine.mode],
     [Word2api.candidate]): that is what keeps [Marshal.from_string] away
     from bytes of another layout. *)
 
 type caches = {
   q :
-    ( int * string * string * string * int,
-      Dggt_core.Engine.outcome * Dggt_core.Engine.ranked list )
+    ( int * string * string * string * Dggt_core.Engine.mode,
+      Dggt_core.Engine.outcome )
     Cache.t;
-  rank :
-    (int * string * string * int, Dggt_core.Engine.ranked list) Cache.t;
   word :
     ( int * string * string * string,
       Dggt_core.Word2api.candidate list )
     Cache.t;
 }
-(** The server's three LRUs, keyed as the server keys them (leading
-    [int] is the registry generation). *)
+(** The server's two LRUs, keyed as the server keys them (leading [int]
+    is the registry generation): whole-query outcomes by engine call
+    (domain, engine, query, mode), and WordToAPI candidates by (domain,
+    lemma, POS). *)
 
 type spill_report = { sp_entries : int; sp_bytes : int; sp_seconds : float }
 
@@ -85,7 +85,7 @@ type summary = {
   schema : int;
   pack_digest : string;
   entries : (string * int) list;
-      (** entries per cache ([q_cache], [rank_cache], [word_cache]);
+      (** entries per cache ([q_cache], [word_cache]);
           [[]] for a snapshot of another schema, whose payload is not
           read *)
 }

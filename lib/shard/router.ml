@@ -1,7 +1,6 @@
 module Httpd = Dggt_server.Httpd
 module J = Dggt_server.Jsonio
-module Hist = Dggt_server.Smetrics.Hist
-module Strutil = Dggt_util.Strutil
+module Smetrics = Dggt_server.Smetrics
 
 type params = {
   addr : string;
@@ -32,20 +31,14 @@ let retry_window_s = 20.0
    worker's first heartbeat *)
 let ready_timeout_s = 60.0
 
-(* router-side counters; all under [mu] (the Hist is not self-locking) *)
-type rmetrics = {
-  mu : Mutex.t;
-  requests : (int * string, int ref) Hashtbl.t; (* (slot, status class) *)
-  mutable retries : int;
-  mutable sticky_gone : int;
-  proxy_latency : Hist.t;
-}
-
 type t = {
   params : params;
-  ring : Ring.t;
   sup : Supervisor.t;
-  rm : rmetrics;
+  metrics : Smetrics.t; (* the router's own dggt_shard_* families *)
+  requests : Smetrics.counter; (* by shard and status class *)
+  retries : Smetrics.counter;
+  sticky_gone : Smetrics.counter;
+  latency : Smetrics.histogram;
   umu : Mutex.t; (* guards the uid counter *)
   mutable uid_counter : int;
   mutable http : Httpd.t option;
@@ -64,107 +57,19 @@ let class_of_status s =
   else if s >= 300 then "3xx"
   else "2xx"
 
-let count_request t slot cls =
-  Mutex.lock t.rm.mu;
-  (match Hashtbl.find_opt t.rm.requests (slot, cls) with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.rm.requests (slot, cls) (ref 1));
-  Mutex.unlock t.rm.mu
+(* one proxied exchange: its latency and its status class *)
+let answered t ~slot ~t0 status =
+  Smetrics.record t.metrics
+    [
+      Smetrics.observe t.latency [] (Unix.gettimeofday () -. t0);
+      Smetrics.inc t.requests [ string_of_int slot; class_of_status status ];
+    ]
 
-let count_retry t =
-  Mutex.lock t.rm.mu;
-  t.rm.retries <- t.rm.retries + 1;
-  Mutex.unlock t.rm.mu
-
-let count_sticky_gone t =
-  Mutex.lock t.rm.mu;
-  t.rm.sticky_gone <- t.rm.sticky_gone + 1;
-  Mutex.unlock t.rm.mu
-
-let observe_latency t seconds =
-  Mutex.lock t.rm.mu;
-  Hist.observe t.rm.proxy_latency seconds;
-  Mutex.unlock t.rm.mu
-
-let fmt_float v =
-  if Float.abs v = Float.infinity then "+Inf"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
-(* the router's own exposition — appended after the merged worker
-   scrapes; these series carry their own shard labels *)
-let render_shard_metrics t =
-  let b = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string b s;
-        Buffer.add_char b '\n')
-      fmt
-  in
-  let ws = Supervisor.workers t.sup in
-  line "# HELP dggt_shard_workers Worker slots behind the router.";
-  line "# TYPE dggt_shard_workers gauge";
-  line "dggt_shard_workers %d" (List.length ws);
-  line "# HELP dggt_shard_worker_up Worker health (1 = heartbeat ok).";
-  line "# TYPE dggt_shard_worker_up gauge";
-  List.iter
-    (fun (w : Supervisor.worker) ->
-      line "dggt_shard_worker_up{shard=\"%d\"} %d" w.Supervisor.slot
-        (if w.Supervisor.state = Supervisor.Healthy then 1 else 0))
-    ws;
-  line "# HELP dggt_shard_respawns_total Worker respawns by the supervisor.";
-  line "# TYPE dggt_shard_respawns_total counter";
-  List.iter
-    (fun (w : Supervisor.worker) ->
-      line "dggt_shard_respawns_total{shard=\"%d\"} %d" w.Supervisor.slot
-        w.Supervisor.respawns)
-    ws;
-  line "# HELP dggt_shard_heartbeat_failures_total Failed worker heartbeats.";
-  line "# TYPE dggt_shard_heartbeat_failures_total counter";
-  List.iter
-    (fun (w : Supervisor.worker) ->
-      line "dggt_shard_heartbeat_failures_total{shard=\"%d\"} %d"
-        w.Supervisor.slot w.Supervisor.hb_failures)
-    ws;
-  Mutex.lock t.rm.mu;
-  let reqs =
-    Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.rm.requests []
-    |> List.sort compare
-  in
-  let retries = t.rm.retries and sticky_gone = t.rm.sticky_gone in
-  let buckets = Hist.buckets t.rm.proxy_latency in
-  let lat_sum = Hist.sum t.rm.proxy_latency in
-  let lat_count = Hist.count t.rm.proxy_latency in
-  Mutex.unlock t.rm.mu;
-  line
-    "# HELP dggt_shard_requests_total Proxied requests by worker and status \
-     class.";
-  line "# TYPE dggt_shard_requests_total counter";
-  List.iter
-    (fun ((slot, cls), n) ->
-      line "dggt_shard_requests_total{shard=\"%d\",class=%S} %d" slot cls n)
-    reqs;
-  line
-    "# HELP dggt_shard_retries_total Stateless requests retried after a \
-     transport failure.";
-  line "# TYPE dggt_shard_retries_total counter";
-  line "dggt_shard_retries_total %d" retries;
-  line
-    "# HELP dggt_shard_sticky_gone_total Sticky requests answered 410 because \
-     the session's worker was replaced.";
-  line "# TYPE dggt_shard_sticky_gone_total counter";
-  line "dggt_shard_sticky_gone_total %d" sticky_gone;
-  line "# HELP dggt_shard_proxy_latency_seconds Proxied request latency.";
-  line "# TYPE dggt_shard_proxy_latency_seconds histogram";
-  List.iter
-    (fun (le, cum) ->
-      line "dggt_shard_proxy_latency_seconds_bucket{le=%S} %d" (fmt_float le)
-        cum)
-    buckets;
-  line "dggt_shard_proxy_latency_seconds_sum %s" (fmt_float lat_sum);
-  line "dggt_shard_proxy_latency_seconds_count %d" lat_count;
-  Buffer.contents b
+(* a transport failure, and the retry it leads to *)
+let unanswered t ~slot ~retry =
+  Smetrics.record t.metrics
+    (Smetrics.inc t.requests [ string_of_int slot; "transport_error" ]
+    :: (if retry then [ Smetrics.inc t.retries [] ] else []))
 
 (* ------------------------------------------------------------------ *)
 (* request forwarding                                                 *)
@@ -213,10 +118,9 @@ let forward t ~slot ~retryable ~meth ~path ?body () =
       Proxy.request ~socket ~timeout_s:t.params.proxy_timeout_s ~meth ~path
         ?body ()
     with
-    | Ok resp ->
-        observe_latency t (Unix.gettimeofday () -. t0);
-        count_request t slot (class_of_status resp.Proxy.status);
-        (match resp.Proxy.body with
+    | Ok resp -> (
+        answered t ~slot ~t0 resp.Proxy.status;
+        match resp.Proxy.body with
         | Proxy.Fixed b ->
             Httpd.response
               ?content_type:(content_type_of resp.Proxy.headers)
@@ -224,9 +128,9 @@ let forward t ~slot ~retryable ~meth ~path ?body () =
         | Proxy.Stream pump -> Httpd.stream_response resp.Proxy.status pump)
     | Error msg ->
         Supervisor.note_transport_failure t.sup slot;
-        count_request t slot "transport_error";
-        if retryable && Unix.gettimeofday () < deadline then begin
-          count_retry t;
+        let retry = retryable && Unix.gettimeofday () < deadline in
+        unanswered t ~slot ~retry;
+        if retry then begin
           Thread.delay 0.05;
           attempt ()
         end
@@ -241,21 +145,26 @@ let forward t ~slot ~retryable ~meth ~path ?body () =
 (* routing keys                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* the domain a stateless request targets, lowercased; mirrors the
-   worker's own parameter carriage (GET: query string, POST: JSON body)
-   and its "textediting" default *)
-let domain_key (req : Httpd.request) =
+(* The slot count is fixed for the router's life, so a key's slot is its
+   hash modulo the count: no key ever has to move. *)
+let slot_of ~shards key = Hashtbl.hash key mod shards
+
+(* the query text of a stateless request; mirrors the worker's own
+   parameter carriage (GET: query string, POST: JSON body) *)
+let query_text (req : Httpd.request) =
   let named =
-    match List.assoc_opt "domain" req.Httpd.query with
-    | Some d -> Some d
+    match List.assoc_opt "query" req.Httpd.query with
+    | Some q -> Some q
     | None -> (
         if req.Httpd.body = "" then None
         else
           match J.of_string req.Httpd.body with
-          | Ok b -> J.str_field "domain" b
+          | Ok b -> J.str_field "query" b
           | Error _ -> None)
   in
-  Strutil.lowercase (Option.value named ~default:"textediting")
+  Option.value named ~default:""
+
+let place t key = slot_of ~shards:t.params.shards key
 
 let first_healthy_slot t =
   match
@@ -267,12 +176,13 @@ let first_healthy_slot t =
   | None -> 0
 
 (* which worker serves a stateless request: /synthesize and /rank hash
-   their domain (cache affinity); everything else is replicated state,
-   any healthy worker will do *)
+   their query text, so a query keeps its worker (and its cache entry)
+   under any spelling of its domain, and a domain's load spreads over the
+   workers; everything else is replicated state, any healthy worker will
+   do *)
 let stateless_slot t (req : Httpd.request) =
   match req.Httpd.path with
-  | "/synthesize" | "/rank" ->
-      Option.value (Ring.lookup t.ring (domain_key req)) ~default:0
+  | "/synthesize" | "/rank" -> place t (query_text req)
   | _ -> first_healthy_slot t
 
 (* ------------------------------------------------------------------ *)
@@ -308,7 +218,7 @@ let mint_uid t =
   Printf.sprintf "u%x-%06x" n
     (int_of_float (Unix.gettimeofday () *. 1000.) land 0xffffff)
 
-(* POST /session: mint the uid, place it on the ring, pin the owning
+(* POST /session: mint the uid, place it, pin the owning
    worker's current epoch into the id, and have the worker create the
    session under exactly that id. The id is (re)built inside the retry
    loop: if the worker dies between placement and creation, the retry
@@ -320,7 +230,7 @@ let session_create_handler t (req : Httpd.request) =
   | Error e -> Httpd.response 400 (error_json e)
   | Ok (J.Obj fields) ->
       let uid = mint_uid t in
-      let slot = Option.value (Ring.lookup t.ring uid) ~default:0 in
+      let slot = place t uid in
       let deadline = Unix.gettimeofday () +. retry_window_s in
       let rec attempt () =
         let w = Supervisor.find t.sup slot in
@@ -342,16 +252,15 @@ let session_create_handler t (req : Httpd.request) =
             ~meth:"POST" ~path:"/session" ~body ()
         with
         | Ok resp ->
-            observe_latency t (Unix.gettimeofday () -. t0);
-            count_request t slot (class_of_status resp.Proxy.status);
+            answered t ~slot ~t0 resp.Proxy.status;
             Httpd.response
               ?content_type:(content_type_of resp.Proxy.headers)
               resp.Proxy.status (Proxy.fixed_body resp)
         | Error msg ->
             Supervisor.note_transport_failure t.sup slot;
-            count_request t slot "transport_error";
-            if Unix.gettimeofday () < deadline then begin
-              count_retry t;
+            let retry = Unix.gettimeofday () < deadline in
+            unanswered t ~slot ~retry;
+            if retry then begin
               Thread.delay 0.05;
               attempt ()
             end
@@ -375,7 +284,7 @@ let sticky_handler t (req : Httpd.request) id =
   | Some (slot, epoch) when slot < t.params.shards -> (
       match Supervisor.find t.sup slot with
       | Some w when w.Supervisor.epoch <> epoch ->
-          count_sticky_gone t;
+          Smetrics.record t.metrics [ Smetrics.inc t.sticky_gone [] ];
           Httpd.response 410
             (error_json
                "session lost: its worker was replaced (create a new session)")
@@ -383,7 +292,7 @@ let sticky_handler t (req : Httpd.request) id =
           forward t ~slot ~retryable:false ~meth:req.Httpd.meth
             ~path:(target req) ~body:req.Httpd.body ())
   | _ ->
-      let slot = Option.value (Ring.lookup t.ring id) ~default:0 in
+      let slot = place t id in
       forward t ~slot ~retryable:false ~meth:req.Httpd.meth
         ~path:(target req) ~body:req.Httpd.body ()
 
@@ -411,7 +320,7 @@ let metrics_handler t =
       (Supervisor.workers t.sup)
   in
   Httpd.response ~content_type:"text/plain; version=0.0.4" 200
-    (Promerge.merge scrapes ~extra:(render_shard_metrics t))
+    (Promerge.merge scrapes ~extra:(Smetrics.render t.metrics))
 
 let reload_handler t =
   let results =
@@ -606,19 +515,48 @@ let start params =
       @ store_args)
   in
   let sup = Supervisor.start ~shards:params.shards ~argv in
+  (* the router's families; the supervisor's slots are sampled *)
+  let metrics = Smetrics.create () in
+  let sampled ?labels kind name help rows =
+    Smetrics.sampled metrics ?labels kind name ~help rows
+  in
+  let per_slot f () =
+    List.map
+      (fun (w : Supervisor.worker) ->
+        ([ string_of_int w.Supervisor.slot ], float_of_int (f w)))
+      (Supervisor.workers sup)
+  in
+  sampled `Gauge "dggt_shard_workers" "Worker slots behind the router."
+    (fun () -> [ ([], float_of_int (List.length (Supervisor.workers sup))) ]);
+  sampled ~labels:[ "shard" ] `Gauge "dggt_shard_worker_up"
+    "Worker health (1 = heartbeat ok)."
+    (per_slot (fun w -> if w.Supervisor.state = Supervisor.Healthy then 1 else 0));
+  sampled ~labels:[ "shard" ] `Counter "dggt_shard_respawns_total"
+    "Worker respawns by the supervisor."
+    (per_slot (fun w -> w.Supervisor.respawns));
+  sampled ~labels:[ "shard" ] `Counter "dggt_shard_heartbeat_failures_total"
+    "Failed worker heartbeats."
+    (per_slot (fun w -> w.Supervisor.hb_failures));
   let t =
     {
       params;
-      ring = Ring.make params.shards;
       sup;
-      rm =
-        {
-          mu = Mutex.create ();
-          requests = Hashtbl.create 16;
-          retries = 0;
-          sticky_gone = 0;
-          proxy_latency = Hist.create ();
-        };
+      metrics;
+      requests =
+        Smetrics.counter metrics "dggt_shard_requests_total"
+          ~labels:[ "shard"; "class" ]
+          ~help:"Proxied requests by worker and status class.";
+      retries =
+        Smetrics.counter metrics "dggt_shard_retries_total"
+          ~help:"Stateless requests retried after a transport failure.";
+      sticky_gone =
+        Smetrics.counter metrics "dggt_shard_sticky_gone_total"
+          ~help:
+            "Sticky requests answered 410 because the session's worker was \
+             replaced.";
+      latency =
+        Smetrics.histogram metrics "dggt_shard_proxy_latency_seconds"
+          ~help:"Proxied request latency.";
       umu = Mutex.create ();
       uid_counter = 0;
       http = None;
@@ -644,7 +582,6 @@ let create params =
 
 let port t = match t.http with Some h -> Httpd.port h | None -> t.params.port
 let supervisor t = t.sup
-let ring t = t.ring
 
 let stop t =
   (match t.http with

@@ -4,11 +4,14 @@
     server. The router owns a {!Supervisor} (spawn / heartbeat / respawn
     / drain of N [dggt serve --unix-socket] children) and proxies every
     client request over the worker's Unix socket, choosing the worker by
-    a consistent-hash {!Ring}:
+    a hash of the request's key modulo N ({!slot_of}; N is fixed for the
+    router's life, so there is nothing for a consistent-hash ring to
+    keep in place):
 
     - {e stateless} requests ([/synthesize], [/rank]) hash the request's
-      {e domain name}, so each domain's whole-query and stage caches
-      concentrate on one worker instead of being diluted N ways;
+      {e query text} ({!query_text}), so a query keeps its worker, and
+      its whole-query cache entry, under any spelling of its domain, and
+      one domain's load spreads over the workers;
       [/domains] and [/debug/trace] go to the first healthy worker (all
       workers answer identically). A transport failure {e before any
       response byte} is retried against the (re)spawned worker for up to
@@ -16,7 +19,7 @@
       a failed stateless request;
     - {e sticky} requests ([/session/...]) ride the placement baked into
       the session id. The router mints every session id as
-      [<uid>.w<slot>e<epoch>]: the ring places the fresh [uid], and the
+      [<uid>.w<slot>e<epoch>]: the hash places the fresh [uid], and the
       suffix pins the slot and the worker epoch it was created under
       ({!Supervisor} increments the epoch on every respawn). Sticky
       requests are never retried across a replacement — the session's
@@ -26,9 +29,10 @@
     - [POST /reload] fans out to every worker and reports per-shard
       results; [GET /metrics] scrapes every worker and merges the
       expositions ({!Promerge}: [shard="<n>"] on every sample, HELP/TYPE
-      deduped) plus the router's own [dggt_shard_*] series (per-worker
-      request counts by status class, respawns, heartbeat failures,
-      retries, sticky 410s, proxy latency histogram); [GET /version]
+      deduped) plus the router's own [dggt_shard_*] families, declared
+      in one {!Dggt_server.Smetrics} registry (per-worker request counts
+      by status class, respawns, heartbeat failures, retries, sticky
+      410s, proxy latency histogram); [GET /version]
       reports the shard topology — worker count, pids, epochs, states,
       per-worker pack digests — and flags digest mismatches between
       workers; [GET /healthz] is the router's own liveness.
@@ -72,7 +76,15 @@ val create : params -> t
 
 val port : t -> int
 val supervisor : t -> Supervisor.t
-val ring : t -> Ring.t
+
+val slot_of : shards:int -> string -> int
+(** The worker slot a placement key lands on: its hash modulo [shards].
+    Deterministic across processes and runs. *)
+
+val query_text : Dggt_server.Httpd.request -> string
+(** A stateless request's placement key: its query text, read where the
+    worker reads it (the URL's [query] parameter, else the JSON body's
+    [query] field; [""] when there is none). *)
 
 val stop : t -> unit
 (** Drain: stop accepting, finish in-flight proxied requests, then

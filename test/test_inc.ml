@@ -195,13 +195,18 @@ let test_session_table_invalidation () =
   let s = Session.create base in
   let q = "delete all numbers" in
   ignore (Session.query s q);
-  (* changing the threshold invalidates the word/pair tables: nothing may
-     be served from entries built under the old threshold *)
-  let tweak c = { c with Engine.threshold = c.Engine.threshold +. 0.07 } in
+  (* changing the path limits invalidates the word/pair tables: nothing
+     may be served from entries built under the old limits *)
+  let tweak c =
+    let l = c.Engine.path_limits in
+    let max_paths = l.Dggt_grammar.Gpath.max_paths - 1 in
+    { c with Engine.path_limits = { l with Dggt_grammar.Gpath.max_paths } }
+  in
   let o2, r2 = Session.query ~tweak s q in
-  check_b "no splice across threshold change" false r2.Reuse.splice;
+  check_b "no splice across a path-limits change" false r2.Reuse.splice;
   check_b "words recomputed" true (r2.Reuse.words.Reuse.computed > 0);
-  check_b "matches scratch under new threshold" true
+  check_b "pairs recomputed" true (r2.Reuse.pairs.Reuse.computed > 0);
+  check_b "matches scratch under the new limits" true
     (outcome_equal o2 (scratch (Engine.with_cfg tweak base) q));
   (* the same tweak again on an identical query splices (cfg now matches) *)
   let _, r3 = Session.query ~tweak s q in

@@ -17,6 +17,7 @@ let () =
       ("store", Test_store.suite);
       ("par", Test_par.suite);
       ("shard", Test_shard.suite);
+      ("metrics", Test_metrics.suite);
       ("properties", Test_props.suite);
       ("semiring", Test_semiring.suite);
       ("stress", Test_stress.suite);

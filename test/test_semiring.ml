@@ -388,28 +388,17 @@ let test_topk_soundness () =
 
 let test_objective_outcome_invariance () =
   (* the candidate stream into every cell is identical across objectives,
-     so a Top_k run must produce the Min_size outcome bytes — codelet,
-     failure and statistics alike *)
+     so a Ranked 5 run (Top_k 5) must produce the Plain run's (Min_size)
+     outcome bytes — codelet, failure and statistics alike *)
   List.iter
     (fun dom ->
       let ses = base_session dom in
       List.iter
         (fun q ->
-          let base = respond ses q in
-          List.iter
-            (fun obj ->
-              let o =
-                respond
-                  (Engine.with_cfg
-                     (fun c -> { c with Engine.objective = obj })
-                     ses)
-                  q
-              in
-              if not (base.Engine.timed_out || o.Engine.timed_out) then
-                check_b
-                  (Printf.sprintf "%s under %s" q (Semiring.to_string obj))
-                  true (outcome_equal base o))
-            [ Semiring.Top_k 5 ])
+          let plain = respond ses q in
+          let ranked = respond ~mode:(Engine.Ranked 5) ses q in
+          if not (plain.Engine.timed_out || ranked.Engine.timed_out) then
+            check_b (q ^ " under Ranked 5") true (outcome_equal plain ranked))
         (sample_queries dom))
     [ te; am ]
 

@@ -1057,6 +1057,30 @@ let test_synthesize_ranked_once () =
       same "alternatives" "ranked" (Wire.ranked_json o.Engine.ranked);
       check_b "five alternatives" true (List.length o.Engine.ranked = 5))
 
+(* /synthesize with k > 1 and /rank make one engine call, cached once:
+   a /rank after a /synthesize of the same query and k is a hit, and its
+   list is the synthesize body's alternatives. *)
+let test_rank_after_synthesize_cached () =
+  with_server (fun srv ->
+      let port = Serve.port srv in
+      let body =
+        J.to_string
+          (J.Obj
+             [
+               ("query", J.Str "delete all numbers in every line");
+               ("domain", J.Str "te");
+               ("k", J.Num 5.);
+             ])
+      in
+      let st, synth = get_json ~port ~meth:"POST" ~path:"/synthesize" ~body () in
+      check_i "synthesize status" 200 st;
+      let st, rank = get_json ~port ~meth:"POST" ~path:"/rank" ~body () in
+      check_i "rank status" 200 st;
+      check_b "rank is a cache hit" true (J.bool_field "cached" rank = Some true);
+      let list j = J.to_string (Option.value (J.member "ranked" j) ~default:J.Null) in
+      check_s "rank list = synthesize alternatives" (list synth) (list rank);
+      check_b "a non-empty list" true (list rank <> "[]"))
+
 (* Every route counts its outcomes alike: an explicit k = 1 is one
    candidate on /rank and on a streamed session query, a /rank that runs
    out of budget is a timeout and its body says [timed_out], and a
@@ -1633,6 +1657,8 @@ let suite =
     Alcotest.test_case "version advertises streaming" `Quick test_version_streaming;
     Alcotest.test_case "synthesize k>1 is one ranked run" `Quick
       test_synthesize_ranked_once;
+    Alcotest.test_case "rank after synthesize k>1 is a cache hit" `Quick
+      test_rank_after_synthesize_cached;
     Alcotest.test_case "routes share outcome accounting" `Quick
       test_outcome_accounting;
     Alcotest.test_case "ivar await wakes on another domain's fill" `Quick

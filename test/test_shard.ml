@@ -1,7 +1,6 @@
-(* lib/shard: the consistent-hash ring, the metrics merger, and an
-   end-to-end pass over a live router with real worker processes. *)
+(* lib/shard: request placement, the metrics merger, and an end-to-end
+   pass over a live router with real worker processes. *)
 
-module Ring = Dggt_shard.Ring
 module Promerge = Dggt_shard.Promerge
 module Router = Dggt_shard.Router
 module Supervisor = Dggt_shard.Supervisor
@@ -11,65 +10,62 @@ let check_i = Alcotest.(check int)
 let check_b = Alcotest.(check bool)
 let check_s = Alcotest.(check string)
 
-let keys n = List.init n (Printf.sprintf "key-%d")
-
 (* ------------------------------------------------------------------ *)
-(* ring                                                               *)
+(* placement                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_deterministic () =
-  let r1 = Ring.make 4 and r2 = Ring.make 4 in
-  check_i "slots" 4 (Ring.slots r1);
+let keys total = List.init total (Printf.sprintf "key-%d")
+
+(* A key's slot is a function of the key and the slot count alone, and
+   every key gets a slot in range. *)
+let test_placement_deterministic () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun k ->
+          let s = Router.slot_of ~shards:n k in
+          check_b "in range" true (s >= 0 && s < n);
+          check_i "deterministic" s (Router.slot_of ~shards:n k))
+        (keys 200))
+    [ 1; 4; 7 ]
+
+(* 1,000 keys spread over 4 slots with every slot holding at least a
+   third of its even share. *)
+let test_placement_spread () =
+  let n = 4 and total = 1000 in
+  let census = Array.make n 0 in
   List.iter
     (fun k ->
-      let a = Ring.lookup r1 k in
-      check_b "total" true (a <> None);
-      check_b "same ring, same key, same slot" true (a = Ring.lookup r1 k);
-      check_b "identically built rings route identically" true
-        (a = Ring.lookup r2 k))
-    (keys 200);
-  (* spread is just a census of lookup *)
-  let ks = keys 200 in
-  let census = Ring.spread r1 ks in
-  check_i "census total" 200 (Array.fold_left ( + ) 0 census);
-  check_i "census width" 4 (Array.length census);
-  (* the empty ring maps nothing *)
-  check_b "empty ring" true (Ring.lookup (Ring.make 0) "x" = None)
-
-let test_ring_distribution () =
-  let n = 4 and total = 1000 in
-  let census = Ring.spread (Ring.make n) (keys total) in
+      let s = Router.slot_of ~shards:n k in
+      census.(s) <- census.(s) + 1)
+    (keys total);
   Array.iteri
     (fun slot c ->
       if c < total / n / 3 then
         Alcotest.failf "slot %d owns only %d of %d keys" slot c total)
     census
 
-(* a slot joining moves only the keys it takes over — every moved key
-   lands on the new slot, and the count stays near K/N (the consistent
-   hashing contract; reading the comparison right-to-left is the same
-   bound for a slot leaving) *)
-let test_ring_movement () =
-  let total = 1000 in
-  let before = Ring.make 4 and after = Ring.make 5 in
-  let moved =
-    List.filter
-      (fun k -> Ring.lookup before k <> Ring.lookup after k)
-      (keys total)
+(* A stateless request is placed by its query text, so the two
+   spellings of TextEditing send one query to one slot. *)
+let test_placement_query_text () =
+  let n = 4 in
+  let q = "insert \"> \" at the start of each line" in
+  let post domain =
+    {
+      Dggt_server.Httpd.meth = "POST";
+      path = "/rank";
+      query = [];
+      headers = [];
+      body = J.to_string (J.Obj [ ("query", J.Str q); ("domain", J.Str domain) ]);
+    }
   in
-  check_b "join reassigns something" true (moved <> []);
-  List.iter
-    (fun k ->
-      match Ring.lookup after k with
-      | Some 4 -> ()
-      | s ->
-          Alcotest.failf "moved key %s landed on %s, not the joining slot" k
-            (match s with Some s -> string_of_int s | None -> "none"))
-    moved;
-  let bound = 2 * total / 5 in
-  if List.length moved > bound then
-    Alcotest.failf "join moved %d of %d keys (bound %d)" (List.length moved)
-      total bound
+  let slot req = Router.slot_of ~shards:n (Router.query_text req) in
+  check_i "te and textediting land on one slot" (slot (post "te"))
+    (slot (post "textediting"));
+  let get =
+    { (post "te") with meth = "GET"; body = ""; query = [ ("query", q) ] }
+  in
+  check_s "a GET's query text comes from its URL" q (Router.query_text get)
 
 (* ------------------------------------------------------------------ *)
 (* prometheus merge                                                   *)
@@ -473,12 +469,12 @@ let test_cli_port_taken () =
 
 let suite =
   [
-    Alcotest.test_case "ring: deterministic total placement" `Quick
-      test_ring_deterministic;
-    Alcotest.test_case "ring: keys spread over all slots" `Quick
-      test_ring_distribution;
-    Alcotest.test_case "ring: slot join moves only its keys" `Quick
-      test_ring_movement;
+    Alcotest.test_case "placement: deterministic and total" `Quick
+      test_placement_deterministic;
+    Alcotest.test_case "placement: keys spread over all slots" `Quick
+      test_placement_spread;
+    Alcotest.test_case "placement: a request goes by its query" `Quick
+      test_placement_query_text;
     Alcotest.test_case "promerge: relabel" `Quick test_promerge_relabel;
     Alcotest.test_case "promerge: merge dedups comments" `Quick
       test_promerge_merge;

@@ -88,13 +88,10 @@ let outcome code =
   }
 
 let fresh_caches ?(capacity = 16) () =
-  {
-    Warmstore.q = Cache.create ~capacity;
-    rank = Cache.create ~capacity;
-    word = Cache.create ~capacity;
-  }
+  { Warmstore.q = Cache.create ~capacity; word = Cache.create ~capacity }
 
-let q_key ~gen i = (gen, "TextEditing", "dggt", Printf.sprintf "query %d" i, 1)
+let q_key ~gen i =
+  (gen, "TextEditing", "dggt", Printf.sprintf "query %d" i, Engine.Plain)
 
 let spill_ok ?(generation = 1) ?(pack_digest = "none") dir caches =
   match Warmstore.spill dir ~generation ~pack_digest caches with
@@ -104,7 +101,7 @@ let spill_ok ?(generation = 1) ?(pack_digest = "none") dir caches =
 (* a snapshot of one q_cache entry whose code is [code] *)
 let spill_one ?pack_digest dir code =
   let c = fresh_caches () in
-  Cache.add c.Warmstore.q (q_key ~gen:1 1) (outcome code, []);
+  Cache.add c.Warmstore.q (q_key ~gen:1 1) (outcome code);
   ignore (spill_ok ?pack_digest dir c)
 
 let verdict_name = function
@@ -124,8 +121,7 @@ let boot_load ?(pack_digest = "none") dir =
       check_i
         ("nothing replayed when " ^ verdict_name v)
         0
-        (Cache.length fresh.Warmstore.q + Cache.length fresh.Warmstore.rank
-        + Cache.length fresh.Warmstore.word));
+        (Cache.length fresh.Warmstore.q + Cache.length fresh.Warmstore.word));
   (v, fresh)
 
 let expect_rejected what dir =
@@ -146,9 +142,11 @@ let test_store_roundtrip () =
       check_b "inspect: none" true (Warmstore.inspect dir = Ok None);
       let c = fresh_caches () in
       List.iter
-        (fun i -> Cache.add c.Warmstore.q (q_key ~gen:1 i) (outcome "x", []))
+        (fun i -> Cache.add c.Warmstore.q (q_key ~gen:1 i) (outcome "x"))
         [ 1; 2; 3 ];
-      Cache.add c.Warmstore.rank (1, "TextEditing", "query 1", 5) [];
+      Cache.add c.Warmstore.q
+        (1, "TextEditing", "dggt", "query 1", Engine.Ranked 5)
+        (outcome "x");
       Cache.add c.Warmstore.word
         (1, "TextEditing", "delete", "VB")
         [ { Dggt_core.Word2api.api = "Delete"; score = 1.0 } ];
@@ -163,7 +161,7 @@ let test_store_roundtrip () =
           check_s "pack digest" "digest-A" s.Warmstore.pack_digest;
           check_b "entries per cache" true
             (s.Warmstore.entries
-            = [ ("q_cache", 3); ("rank_cache", 1); ("word_cache", 1) ])
+            = [ ("q_cache", 4); ("word_cache", 1) ])
       | Ok None -> Alcotest.fail "inspect: snapshot missing"
       | Error e -> Alcotest.fail ("inspect: " ^ e));
       match fst (boot_load ~pack_digest:"digest-A" dir) with
@@ -182,7 +180,7 @@ let test_store_uncommitted_tail () =
       (match boot_load dir with
       | Warmstore.Loaded 1, fresh -> (
           match Cache.find fresh.Warmstore.q (q_key ~gen:2 1) with
-          | Some (o, _) ->
+          | Some o ->
               check_b "the good snapshot's answer" true
                 (o.Engine.code = Some "committed-answer")
           | None -> Alcotest.fail "entry missing")
@@ -259,14 +257,14 @@ let test_warmstore_roundtrip () =
       List.iter
         (fun i ->
           Cache.add caches.Warmstore.q (q_key ~gen:3 i)
-            (outcome (Printf.sprintf "code%d" i), []))
+            (outcome (Printf.sprintf "code%d" i)))
         [ 1; 2; 3 ];
       Cache.add caches.Warmstore.word
         (3, "TextEditing", "delete", "VB")
         [ { Dggt_core.Word2api.api = "Delete"; score = 1.0 } ];
       (* a late write under an older generation (a request that outlived
          a reload) is not the current packs' answer: it stays behind *)
-      Cache.add caches.Warmstore.q (q_key ~gen:2 9) (outcome "stale", []);
+      Cache.add caches.Warmstore.q (q_key ~gen:2 9) (outcome "stale");
       let r = spill_ok ~generation:3 dir caches in
       check_i "entries" 4 r.Warmstore.sp_entries;
       (* a restart: a different process-local generation, same content *)
@@ -279,7 +277,7 @@ let test_warmstore_roundtrip () =
         (Cache.keys_mru fresh.Warmstore.q
         = [ q_key ~gen:9 3; q_key ~gen:9 2; q_key ~gen:9 1 ]);
       (match Cache.find fresh.Warmstore.q (q_key ~gen:9 2) with
-      | Some (o, []) -> check_b "value" true (o.Engine.code = Some "code2")
+      | Some o -> check_b "value" true (o.Engine.code = Some "code2")
       | _ -> Alcotest.fail "warm q_cache entry missing");
       (match
          Cache.find fresh.Warmstore.word (9, "TextEditing", "delete", "VB")
@@ -331,19 +329,19 @@ let test_warmstore_builtin_grammar_change () =
 let test_warmstore_newest_wins () =
   with_dir (fun dir ->
       let c1 = fresh_caches () in
-      Cache.add c1.Warmstore.q (q_key ~gen:1 1) (outcome "old-answer", []);
-      Cache.add c1.Warmstore.q (q_key ~gen:1 3) (outcome "dropped-later", []);
+      Cache.add c1.Warmstore.q (q_key ~gen:1 1) (outcome "old-answer");
+      Cache.add c1.Warmstore.q (q_key ~gen:1 3) (outcome "dropped-later");
       ignore (spill_ok dir c1);
       let c2 = fresh_caches () in
-      Cache.add c2.Warmstore.q (q_key ~gen:1 1) (outcome "new-answer", []);
-      Cache.add c2.Warmstore.q (q_key ~gen:1 2) (outcome "second", []);
+      Cache.add c2.Warmstore.q (q_key ~gen:1 1) (outcome "new-answer");
+      Cache.add c2.Warmstore.q (q_key ~gen:1 2) (outcome "second");
       ignore (spill_ok dir c2);
       match boot_load dir with
       | Warmstore.Loaded 2, fresh -> (
           check_b "first snapshot's entry gone" true
             (Cache.find fresh.Warmstore.q (q_key ~gen:2 3) = None);
           match Cache.find fresh.Warmstore.q (q_key ~gen:2 1) with
-          | Some (o, _) ->
+          | Some o ->
               check_b "newest value" true (o.Engine.code = Some "new-answer")
           | None -> Alcotest.fail "entry missing")
       | v, _ -> Alcotest.fail (verdict_name v))
